@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _cubic_interp, phi_and_forcing
 from .eigenframe import decompose, profile_source_field, source_split
-from .errors import EpsilonTooLarge, InvalidParam, NotBounded
+from .errors import EpsilonTooLarge, InvalidParam, NotBounded, NotStrictlyHyperbolic
 from .model import ModelSpec
 from .profile import ProfileRep
 
@@ -260,7 +260,8 @@ def no_damping_radius(model: ModelSpec, profile: ProfileRep, eps_budget: float,
         env = transport / np.exp(-theta_tilde * np.abs(profile.grid))
         C_tail = float(np.max(env))
 
-    # Lipschitz constant of E_jj over the state box, by lattice sampling
+    # Lipschitz constant of E_jj over the state box, by lattice sampling; a
+    # point where A(U) is not strictly hyperbolic has no frame and stays NaN
     lo, hi = model.state_box
     axes = [np.linspace(lo[k], hi[k], 9) for k in range(model.N)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.N)
@@ -269,7 +270,7 @@ def no_damping_radius(model: ModelSpec, profile: ProfileRep, eps_budget: float,
         try:
             fr = decompose(model.A_at(U))
             Evals[i] = np.diag(source_split(fr, model.Q_at(U)).E)
-        except Exception:
+        except NotStrictlyHyperbolic:
             continue
     Egrid = Evals.reshape(tuple(len(ax) for ax in axes) + (N,))
     C_lip = 0.0

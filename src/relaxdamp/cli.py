@@ -11,6 +11,7 @@ error, 3 assumptions or damping estimates failed certification.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -33,7 +34,7 @@ from .errors import (
     RelaxDampError,
 )
 from .model import validate_model
-from .profile import exact_jinxin_profile, residual, solve_profile
+from .profile import residual
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -87,17 +88,8 @@ def write_json(path: Path, payload: dict) -> None:
 
 # --- pipeline stages --------------------------------------------------------
 
-def _build_profile(cfg: Config, model):
-    pc = cfg.profile_cfg
-    if pc["method"] == "exact":
-        grid = np.linspace(-pc["X"], pc["X"], int(pc["n"]))
-        return exact_jinxin_profile(model, grid)
-    return solve_profile(model, X=pc["X"], n=int(pc["n"]), tol=pc["tol"])
-
-
 def stage_profile(cfg: Config, out: Path) -> int:
-    model = cfg.build_model()
-    prof = _build_profile(cfg, model)
+    model, prof = cfg.model, cfg.profile
     N = model.N
     header = ["x"] + [f"U_{k+1}" for k in range(N)] + [f"dU_{k+1}" for k in range(N)]
     rows = (
@@ -122,8 +114,7 @@ def stage_profile(cfg: Config, out: Path) -> int:
 
 
 def stage_check(cfg: Config, out: Path) -> int:
-    model = cfg.build_model()
-    prof = _build_profile(cfg, model)
+    model, prof = cfg.model, cfg.profile
     sc = cfg.spectral_cfg
 
     report = validate_model(model, n_samples=100, seed=cfg.seed)
@@ -230,17 +221,6 @@ def stage_check(cfg: Config, out: Path) -> int:
     return EXIT_OK if all_ok else EXIT_CERTIFICATION
 
 
-def _run_evolve(cfg: Config):
-    model = cfg.build_model()
-    prof = _build_profile(cfg, model)
-    dc = cfg.dynamics_cfg
-    traj = dyn.evolve(model, prof, cfg.build_perturbation(), cfg.build_shift(),
-                      T=dc["T"], backend=dc["backend"], dx=dc["dx"],
-                      cfl=dc["cfl"], n_out=int(dc["n_out"]),
-                      budget=dc["budget"])
-    return model, prof, traj
-
-
 def _write_trajectory(cfg: Config, traj: dyn.Trajectory, out: Path) -> None:
     dc = cfg.dynamics_cfg
     sx = int(dc["trajectory_stride_x"])
@@ -269,13 +249,12 @@ def _write_trajectory(cfg: Config, traj: dyn.Trajectory, out: Path) -> None:
 
 
 def stage_evolve(cfg: Config, out: Path) -> int:
-    _, _, traj = _run_evolve(cfg)
-    _write_trajectory(cfg, traj, out)
+    _write_trajectory(cfg, cfg.trajectory, out)
     return EXIT_OK
 
 
 def stage_verify(cfg: Config, out: Path) -> int:
-    model, prof, traj = _run_evolve(cfg)
+    model, prof, traj = cfg.model, cfg.profile, cfg.trajectory
     vc = cfg.verify_cfg
     dc = cfg.dynamics_cfg
     theta_grid = cfg.theta_grid()
@@ -410,7 +389,12 @@ STAGES = {
 
 
 def run(subcommand: str, cfg: Config, out_dir: str | None = None) -> int:
-    """Execute one subcommand; returns the process exit code."""
+    """Execute one subcommand; returns the process exit code.
+
+    The stages share results computed on a fresh copy of ``cfg``, so no two
+    calls share them.
+    """
+    cfg = dataclasses.replace(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     code = EXIT_OK

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .model import ModelSpec, build_custom, build_jinxin
-from .dynamics import PerturbationSpec, ShiftSpec
+from .dynamics import PerturbationSpec, ShiftSpec, Trajectory, evolve
+from .profile import ProfileRep, exact_jinxin_profile, solve_profile
 
 
 def _default_config() -> dict:
@@ -147,7 +149,12 @@ def _check_number(value, key_path, positive=False, nonnegative=False,
 
 @dataclass
 class Config:
-    """Validated configuration with builders for the run's domain objects."""
+    """Validated configuration with builders for the run's domain objects.
+
+    ``model``, ``profile`` and ``trajectory`` are computed on first use and
+    cached on this instance, so every stage handed the same Config shares
+    them.  ``cli.run`` gives each call its own copy.
+    """
 
     raw: dict = field(default_factory=_default_config)
 
@@ -191,6 +198,26 @@ class Config:
             Q_entries=mc.get("Q"), state_box=mc.get("state_box"),
             shock_speed=mc.get("shock_speed", 0.0),
         )
+
+    @cached_property
+    def model(self) -> ModelSpec:
+        return self.build_model()
+
+    @cached_property
+    def profile(self) -> ProfileRep:
+        pc = self.profile_cfg
+        if pc["method"] == "exact":
+            grid = np.linspace(-pc["X"], pc["X"], int(pc["n"]))
+            return exact_jinxin_profile(self.model, grid)
+        return solve_profile(self.model, X=pc["X"], n=int(pc["n"]), tol=pc["tol"])
+
+    @cached_property
+    def trajectory(self) -> Trajectory:
+        dc = self.dynamics_cfg
+        return evolve(self.model, self.profile, self.build_perturbation(),
+                      self.build_shift(), T=dc["T"], backend=dc["backend"],
+                      dx=dc["dx"], cfl=dc["cfl"], n_out=int(dc["n_out"]),
+                      budget=dc["budget"])
 
     def build_perturbation(self) -> PerturbationSpec:
         pc = self.dynamics_cfg["perturbation"]

@@ -180,7 +180,6 @@ class Trajectory:
     cfl_observed: float
     budget: float
     budget_violation_time: float | None = None
-    W0: np.ndarray | None = None
     _source_cache: dict = field(default_factory=dict, repr=False)
     _frame_cache: dict = field(default_factory=dict, repr=False)
 
@@ -495,7 +494,6 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
     grid = np.linspace(-X, X, n)
 
     snap = make_initial(profile, pert, grid, budget)
-    W0 = snap.W.copy()
     stepper = Stepper(model, profile, grid, shift, budget)
 
     frames = stepper._frames(stepper.Ubar + snap.U)
@@ -533,7 +531,7 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
                       grid=grid, times=np.linspace(0.0, T, n_times),
                       states=states, b_left=bls, b_right=brs, dt=dt,
                       cfl_observed=stepper.last_cfl, budget=budget,
-                      budget_violation_time=violation, W0=W0)
+                      budget_violation_time=violation)
 
 
 # --- diagonal variables ----------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import scalar_model, synthetic_trajectory
-from relaxdamp import damping_rate
+from relaxdamp import characteristics, damping_rate, eigenframe
 from relaxdamp.characteristics import (
     accumulate_H,
     duhamel_residual,
@@ -17,7 +17,7 @@ from relaxdamp.characteristics import (
     verify_H_bound,
 )
 from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, evolve
-from relaxdamp.errors import EpsilonTooLarge, NotBounded
+from relaxdamp.errors import EpsilonTooLarge, NotBounded, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
 from relaxdamp.profile import constant_profile
 from relaxdamp.model import build_custom
@@ -150,6 +150,33 @@ def test_no_damping_radius_constant_field():
     radius = no_damping_radius(model, prof, eps_budget=1e-3)
     assert radius.R == 0.0
     assert radius.C_lip == pytest.approx(0.0, abs=1e-12)
+
+
+def _fail_first_lattice_point(monkeypatch, exc):
+    # no_damping_radius calls decompose only in its state-box lattice loop
+    calls = []
+
+    def decompose(A, c_min=0.0):
+        calls.append(A)
+        if len(calls) == 1:
+            raise exc
+        return eigenframe.decompose(A, c_min)
+
+    monkeypatch.setattr(characteristics, "decompose", decompose)
+
+
+def test_no_damping_radius_skips_non_hyperbolic_lattice_point(
+        jinxin, jinxin_profile, monkeypatch):
+    _fail_first_lattice_point(monkeypatch, NotStrictlyHyperbolic("complex pair"))
+    radius = no_damping_radius(jinxin, jinxin_profile, eps_budget=1e-2)
+    assert radius.C_lip == pytest.approx(0.25, rel=1e-6)
+
+
+def test_no_damping_radius_propagates_unrelated_errors(
+        jinxin, jinxin_profile, monkeypatch):
+    _fail_first_lattice_point(monkeypatch, ValueError("broken lattice point"))
+    with pytest.raises(ValueError, match="broken lattice point"):
+        no_damping_radius(jinxin, jinxin_profile, eps_budget=1e-2)
 
 
 def test_epsilon_too_large(jinxin, jinxin_profile):

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from relaxdamp import config
 from relaxdamp.cli import EXIT_CERTIFICATION, EXIT_CONFIG, EXIT_ERROR, EXIT_OK, main, run
 from relaxdamp.config import config_from_dict, parse_config
 from relaxdamp.errors import ParseError, ValidationError
@@ -171,6 +172,45 @@ def test_all_deterministic(tmp_path):
     for name in ("profile.csv", "frames.csv", "norms.csv", "energies.csv",
                  "characteristics.csv", "trajectory.csv", "spectrum.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count the profile solves and evolutions a Config makes."""
+    counts = {"solve_profile": 0, "evolve": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(config, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(config, name, counted)
+    return counts
+
+
+def test_all_solves_profile_and_evolves_once(tmp_path, call_counts):
+    cfg = config_from_dict(TINY)
+    assert run("all", cfg, out_dir=str(tmp_path / "first")) == EXIT_OK
+    assert call_counts == {"solve_profile": 1, "evolve": 1}
+    # a second run on the same Config recomputes instead of sharing results
+    assert run("all", cfg, out_dir=str(tmp_path / "second")) == EXIT_OK
+    assert call_counts == {"solve_profile": 2, "evolve": 2}
+
+
+def test_verify_alone_runs_its_own_evolution(tmp_path, call_counts):
+    assert run("verify", config_from_dict(TINY), out_dir=str(tmp_path)) == EXIT_OK
+    assert call_counts == {"solve_profile": 1, "evolve": 1}
+
+
+def test_all_matches_separate_stages(tmp_path):
+    chained, separate = tmp_path / "all", tmp_path / "separate"
+    assert run("all", config_from_dict(TINY), out_dir=str(chained)) == EXIT_OK
+    for subcommand in ("profile", "check", "evolve", "verify"):
+        assert run(subcommand, config_from_dict(TINY),
+                   out_dir=str(separate)) == EXIT_OK
+    names = sorted(path.name for path in chained.iterdir())
+    assert len(names) == 11
+    assert names == sorted(path.name for path in separate.iterdir())
+    for name in names:
+        assert (chained / name).read_bytes() == (separate / name).read_bytes(), name
 
 
 def test_custom_model_config(tmp_path):
