@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, _cubic_interp, phi_and_forcing
-from .eigenframe import decompose, profile_source_field, source_split
+from .eigenframe import decompose, endstate_splits, profile_source_field, source_split
 from .errors import EpsilonTooLarge, InvalidParam, NotBounded, NotStrictlyHyperbolic
 from .model import ModelSpec
 from .profile import ProfileRep
@@ -124,14 +124,6 @@ def trace(traj: Trajectory, j: int, x0: float, n_sub: int = 4) -> CharPath:
     return trace_many(traj, j, [x0], n_sub)[0]
 
 
-def _endstate_E(model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    out = []
-    for U in (model.U_minus, model.U_plus):
-        frame = decompose(model.A_at(U))
-        out.append(np.diag(source_split(frame, model.Q_at(U)).E))
-    return out[0], out[1]
-
-
 def accumulate_H(path: CharPath, traj: Trajectory) -> np.ndarray:
     """Trapezoidal accumulation of the diagonal source along the path.
 
@@ -140,7 +132,7 @@ def accumulate_H(path: CharPath, traj: Trajectory) -> np.ndarray:
     """
     j = path.family
     Einterp = _E_interp(traj, j)
-    E_minus, E_plus = _endstate_E(traj.model)
+    E_minus, E_plus = (np.diag(split.E) for split in endstate_splits(traj.model))
     X_half = path.grid_half_width
     vals = np.empty_like(path.times)
     for k, (s, x) in enumerate(zip(path.times, path.positions)):

@@ -10,9 +10,9 @@ The right-hand side is evaluated in this subtracted form so U = 0 is an exact
 discrete equilibrium.  Two independent backends advance it: a first-order
 characteristic-upwind scheme ("reference") and a semi-Lagrangian scheme that
 integrates the diagonalized system along characteristics with a one-step
-Duhamel update ("moc").  Both treat the outermost nodes by the
-space-homogeneous relaxation ODE and extend fields beyond the grid by the
-evolving boundary states.
+Duhamel update ("moc").  Both evaluate it through ``Stepper.source``,
+advance the two outermost nodes by the full source without the advection
+term, and extend fields beyond the grid by the evolving boundary states.
 """
 
 from __future__ import annotations
@@ -301,29 +301,42 @@ class Stepper:
         self.A_bar = None if model.A_is_constant else model.A_at(self.Ubar)
         self.frames0 = frames_at_states(model, self.grid, self.Ubar) \
             if model.A_is_constant else None
+        # far-field states the boundary values perturb, and q there
+        self.base_l = model.U_minus if model.U_minus is not None else self.Ubar[0]
+        self.base_r = model.U_plus if model.U_plus is not None else self.Ubar[-1]
+        self.q_base_l = model.q_at(self.base_l)
+        self.q_base_r = model.q_at(self.base_r)
         self.last_cfl = 0.0
 
-    # exact perturbation-form source; zero at U = 0 by construction
-    def source(self, U: np.ndarray, t: float) -> np.ndarray:
-        Ut = self.Ubar + U
-        S = self.model.q_at(Ut) - self.q_bar
+    def source(self, U: np.ndarray, t: float, rows=slice(None)) -> np.ndarray:
+        """Perturbation-form source at the selected rows; zero at U = 0 by construction."""
+        Ubar_x = self.Ubar_x[rows]
+        Ut = self.Ubar[rows] + U
+        S = self.model.q_at(Ut) - self.q_bar[rows]
         if not self.model.A_is_constant:
-            dA = self.model.A_at(Ut) - self.A_bar
-            S -= np.einsum("nij,nj->ni", dA, self.Ubar_x)
+            dA = self.model.A_at(Ut) - self.A_bar[rows]
+            S -= np.einsum("nij,nj->ni", dA, Ubar_x)
         dd = float(self.shift.delta_dot(t))
         if dd != 0.0:
-            S = S + dd * self.Ubar_x
+            S = S + dd * Ubar_x
         return S
 
+    def forcing(self, U: np.ndarray, t: float, sf: SourceField):
+        """Diagonal field Phi = L U and its Duhamel forcing G = L S - E Phi + T Phi.
+
+        Along a family-j characteristic d/ds Phi_j = E_jj Phi_j + G_j, with E
+        and the frame transport T (zero for state-independent A) from ``sf``.
+        """
+        L = sf.frames.L[0] if self.frames0 is not None else sf.frames.L
+        Phi = _rows_dot(L, U)
+        G = _rows_dot(L, self.source(U, t)) - sf.E_diag * Phi
+        if not self.model.A_is_constant:
+            G += np.einsum("njk,nk->nj", sf.transport, Phi)
+        return Phi, G
+
     def _boundary_rates(self, bl: np.ndarray, br: np.ndarray):
-        qm = self.model.q_at(self.model.U_minus) if self.model.U_minus is not None \
-            else self.model.q_at(self.Ubar[0])
-        qp = self.model.q_at(self.model.U_plus) if self.model.U_plus is not None \
-            else self.model.q_at(self.Ubar[-1])
-        base_l = self.model.U_minus if self.model.U_minus is not None else self.Ubar[0]
-        base_r = self.model.U_plus if self.model.U_plus is not None else self.Ubar[-1]
-        return (self.model.q_at(base_l + bl) - qm,
-                self.model.q_at(base_r + br) - qp)
+        return (self.model.q_at(self.base_l + bl) - self.q_base_l,
+                self.model.q_at(self.base_r + br) - self.q_base_r)
 
     def _advance_boundary(self, bl, br, dt):
         kl, kr = self._boundary_rates(bl, br)
@@ -335,67 +348,57 @@ class Stepper:
             return self.frames0
         return frames_at_states(self.model, self.grid, Ut)
 
-    def _check_cfl(self, speeds: np.ndarray, dt: float):
-        cfl = float(np.max(np.abs(speeds))) * dt / self.dx
+    def _ode_node_update(self, snap: Snapshot, rows, dt: float) -> np.ndarray:
+        """Explicit-midpoint update of the given rows by the source alone (no advection)."""
+        U_rows = snap.U[rows]
+        k1 = self.source(U_rows, snap.t, rows)
+        return U_rows + dt * self.source(U_rows + 0.5 * dt * k1,
+                                         snap.t + 0.5 * dt, rows)
+
+    def _begin(self, snap: Snapshot, dt: float):
+        """Frames at the perturbed state and CFL-checked shifted speeds.
+
+        Returns (Ut, frames, c, L, R) with L, R one (N, N) matrix when A is
+        constant and per-node fields otherwise.
+        """
+        Ut = self.Ubar + snap.U
+        frames = self._frames(Ut)
+        c = frames.lambdas - float(self.shift.delta_dot(snap.t))  # (n, N)
+        cfl = float(np.max(np.abs(c))) * dt / self.dx
         self.last_cfl = max(self.last_cfl, cfl)
         if cfl > CFL_LIMIT:
             raise CFLViolation(f"CFL number {cfl:.3f} exceeds {CFL_LIMIT}")
+        if self.frames0 is not None:
+            return Ut, frames, c, frames.L[0], frames.R[0]
+        return Ut, frames, c, frames.L, frames.R
 
-    def _check_blowup(self, U: np.ndarray):
-        amp = float(np.max(np.abs(U)))
+    def _finish(self, snap: Snapshot, dt: float, U_new: np.ndarray) -> Snapshot:
+        """Edge rows by the source alone, boundary states, blow-up guard, W."""
+        U_new[[0, -1]] = self._ode_node_update(snap, [0, -1], dt)
+        bl_new, br_new = self._advance_boundary(snap.b_left, snap.b_right, dt)
+        amp = float(np.max(np.abs(U_new)))
         if amp > BLOWUP_FACTOR * self.budget:
             raise BlowUp(f"|U| = {amp:.3e} left the small-data regime "
                          f"(budget {self.budget:.3e})")
-
-    def _ode_node_update(self, snap: Snapshot, rows, dt: float) -> np.ndarray:
-        """Explicit-midpoint update of boundary rows by the space-homogeneous ODE."""
-        t = snap.t
-        U_rows = snap.U[rows]
-        Ubar_rows = self.Ubar[rows]
-        qb_rows = self.q_bar[rows]
-        dd = float(self.shift.delta_dot(t))
-        dd2 = float(self.shift.delta_dot(t + 0.5 * dt))
-
-        def rate(Ur, ddv):
-            return self.model.q_at(Ubar_rows + Ur) - qb_rows + ddv * self.Ubar_x[rows]
-
-        k1 = rate(U_rows, dd)
-        return U_rows + dt * rate(U_rows + 0.5 * dt * k1, dd2)
+        W = fd4_derivative(U_new, self.dx, bl_new, br_new)
+        return Snapshot(t=snap.t + dt, grid=snap.grid, U=U_new, W=W,
+                        b_left=bl_new, b_right=br_new)
 
     def step_reference(self, snap: Snapshot, dt: float) -> Snapshot:
         """First-order characteristic-upwind step with midpoint source."""
-        U = snap.U
-        t = snap.t
-        Ut = self.Ubar + U
-        frames = self._frames(Ut)
-        dd = float(self.shift.delta_dot(t))
-        c = frames.lambdas - dd  # (n, N)
-        self._check_cfl(c, dt)
-
-        bl, br = snap.b_left, snap.b_right
-        L = frames.L[0] if self.frames0 is not None else frames.L
-        R = frames.R[0] if self.frames0 is not None else frames.R
-        Um = np.vstack([bl, U[:-1]])
-        Up = np.vstack([U[1:], br])
-        Dm = (U - Um) / self.dx
-        Dp = (Up - U) / self.dx
-        phi_m = _rows_dot(L, Dm)
-        phi_p = _rows_dot(L, Dp)
-        phig = np.where(c > 0.0, phi_m, phi_p)
-        adv = _rows_dot(R, c * phig)
+        _, _, c, L, R = self._begin(snap, dt)
+        U, t = snap.U, snap.t
+        Um = np.vstack([snap.b_left, U[:-1]])
+        Up = np.vstack([U[1:], snap.b_right])
+        phi_m = _rows_dot(L, (U - Um) / self.dx)
+        phi_p = _rows_dot(L, (Up - U) / self.dx)
+        adv = _rows_dot(R, c * np.where(c > 0.0, phi_m, phi_p))
         adv[0] = 0.0
         adv[-1] = 0.0
 
-        k1 = -adv + self.source(U, t)
-        U_half = U + 0.5 * dt * k1
+        U_half = U + 0.5 * dt * (-adv + self.source(U, t))
         U_new = U - dt * adv + dt * self.source(U_half, t + 0.5 * dt)
-        U_new[[0, -1]] = self._ode_node_update(snap, [0, -1], dt)
-
-        bl_new, br_new = self._advance_boundary(bl, br, dt)
-        self._check_blowup(U_new)
-        W = fd4_derivative(U_new, self.dx, bl_new, br_new)
-        return Snapshot(t=t + dt, grid=snap.grid, U=U_new, W=W,
-                        b_left=bl_new, b_right=br_new)
+        return self._finish(snap, dt, U_new)
 
     def step_moc(self, snap: Snapshot, dt: float) -> Snapshot:
         """Semi-Lagrangian step: cubic foot interpolation and one-step Duhamel.
@@ -405,29 +408,15 @@ class Stepper:
         damping exponent uses the trapezoid of the diagonal source along the
         segment with the remaining forcing applied at the midpoint.
         """
-        U = snap.U
-        t = snap.t
-        Ut = self.Ubar + U
-        frames = self._frames(Ut)
+        Ut, frames, c, L, R = self._begin(snap, dt)
         sf = transformed_source(self.model, self.grid, Ut, frames=frames,
                                 with_theta=False)
-        dd = float(self.shift.delta_dot(t))
-        c = frames.lambdas - dd
-        self._check_cfl(c, dt)
-
-        L = frames.L[0] if self.frames0 is not None else frames.L
-        R = frames.R[0] if self.frames0 is not None else frames.R
-        Phi = _rows_dot(L, U)
-        S = self.source(U, t)
-        G = _rows_dot(L, S) - sf.E_diag * Phi
-        if not self.model.A_is_constant:
-            G += np.einsum("njk,nk->nj", sf.transport, Phi)
+        Phi, G = self.forcing(snap.U, snap.t, sf)
 
         x = self.grid
         x0 = float(x[0])
-        bl, br = snap.b_left, snap.b_right
-        phi_bl = frames.L[0] @ bl
-        phi_br = frames.L[-1] @ br
+        phi_bl = frames.L[0] @ snap.b_left
+        phi_br = frames.L[-1] @ snap.b_right
         Phi_new = np.empty_like(Phi)
         for j in range(self.model.N):
             cj = c[:, j]
@@ -443,14 +432,7 @@ class Stepper:
                                  float(phi_bl[j]), float(phi_br[j]))
             h = 0.5 * dt * (Ef + sf.E_diag[:, j])
             Phi_new[:, j] = np.exp(h) * Phif + dt * np.exp(0.5 * h) * Gm
-        U_new = _rows_dot(R, Phi_new)
-        U_new[[0, -1]] = self._ode_node_update(snap, [0, -1], dt)
-
-        bl_new, br_new = self._advance_boundary(bl, br, dt)
-        self._check_blowup(U_new)
-        W = fd4_derivative(U_new, self.dx, bl_new, br_new)
-        return Snapshot(t=t + dt, grid=snap.grid, U=U_new, W=W,
-                        b_left=bl_new, b_right=br_new)
+        return self._finish(snap, dt, _rows_dot(R, Phi_new))
 
     def step(self, snap: Snapshot, dt: float, backend: str) -> Snapshot:
         if backend == "reference":
@@ -458,20 +440,6 @@ class Stepper:
         if backend == "moc":
             return self.step_moc(snap, dt)
         raise InvalidParam(f"unknown backend {backend!r}")
-
-
-def step_reference(model: ModelSpec, profile: ProfileRep, shift: ShiftSpec,
-                   snap: Snapshot, dt: float,
-                   budget: float = BUDGET_DEFAULT) -> Snapshot:
-    """One characteristic-upwind step (standalone convenience wrapper)."""
-    return Stepper(model, profile, snap.grid, shift, budget).step_reference(snap, dt)
-
-
-def step_moc(model: ModelSpec, profile: ProfileRep, shift: ShiftSpec,
-             snap: Snapshot, dt: float,
-             budget: float = BUDGET_DEFAULT) -> Snapshot:
-    """One semi-Lagrangian Duhamel step (standalone convenience wrapper)."""
-    return Stepper(model, profile, snap.grid, shift, budget).step_moc(snap, dt)
 
 
 def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
@@ -510,8 +478,6 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
     bls[0] = snap.b_left
     brs[0] = snap.b_right
     violation = None
-    if max(np.max(np.abs(snap.U)), np.max(np.abs(snap.W))) > budget:
-        violation = 0.0
 
     for m in range(1, n_times):
         for k in range(per_out):
@@ -575,22 +541,9 @@ def snapshot_diagonal_vars(model: ModelSpec, profile: ProfileRep,
 def phi_and_forcing(traj: Trajectory, i: int):
     """Diagonal field Phi and its Duhamel forcing G at output time i.
 
-    Along a family-j characteristic, d/ds Phi_j = E_jj Phi_j + G_j with E_jj
-    from the trajectory's transformed source, so G collects everything the
-    damping exponent does not.
+    Uses the trajectory's transformed source, so G collects everything the
+    damping exponent E_jj does not.
     """
-    sf = traj.source_field(i)
-    U = traj.states[i]
-    Ubar = traj.profile.eval(traj.grid)
-    Ubar_x = traj.profile.eval_d1(traj.grid)
-    S = traj.model.q_at(Ubar + U) - traj.model.q_at(Ubar)
-    if not traj.model.A_is_constant:
-        dA = traj.model.A_at(Ubar + U) - traj.model.A_at(Ubar)
-        S -= np.einsum("nij,nj->ni", dA, Ubar_x)
-    dd = float(traj.shift.delta_dot(traj.times[i]))
-    if dd != 0.0:
-        S = S + dd * Ubar_x
-    Phi = np.einsum("njk,nk->nj", sf.frames.L, U)
-    G = np.einsum("njk,nk->nj", sf.frames.L, S) - sf.E_diag * Phi
-    G += np.einsum("njk,nk->nj", sf.transport, Phi)
-    return Phi, G
+    stepper = Stepper(traj.model, traj.profile, traj.grid, traj.shift, traj.budget)
+    return stepper.forcing(traj.states[i], float(traj.times[i]),
+                           traj.source_field(i))

@@ -33,16 +33,6 @@ class EigenFrame:
     L: np.ndarray
     R: np.ndarray
 
-    @property
-    def c_nonchar(self) -> float:
-        return float(np.min(np.abs(self.lambdas)))
-
-    @property
-    def gap(self) -> float:
-        if self.lambdas.size < 2:
-            return float("inf")
-        return float(np.min(np.diff(self.lambdas)))
-
 
 @dataclass(frozen=True)
 class SourceSplit:
@@ -77,29 +67,45 @@ def _sign_fix(R: np.ndarray) -> None:
         R[..., :, j] = col / lead[..., None]
 
 
-def decompose(A: np.ndarray, c_min: float = 0.0) -> EigenFrame:
-    """Sorted real eigendecomposition with L = R^{-1}.
+def _decompose_batch(A: np.ndarray, c_min: float,
+                     grid: np.ndarray | None = None):
+    """Sorted real eigendecompositions (lambdas, L, R) of a stack of matrices.
 
     Raises NotStrictlyHyperbolic on complex pairs or coalescing eigenvalues
-    and Characteristic when some |lambda_j| < c_min.
+    and Characteristic when some |lambda_j| < c_min; with ``grid`` given the
+    message names the x location of the first offending matrix.
     """
-    A = np.asarray(A, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(A)))
+    def where(i):
+        return "" if grid is None else f" at x = {grid[i]:.6g}"
+
     w, V = np.linalg.eig(A)
-    if np.max(np.abs(w.imag)) > DEGENERACY_TOL * scale:
-        raise NotStrictlyHyperbolic(f"complex eigenvalues {w}")
+    scale = 1.0 + np.max(np.abs(A), axis=(1, 2))
+    bad = np.max(np.abs(w.imag), axis=1) > DEGENERACY_TOL * scale
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NotStrictlyHyperbolic(f"complex eigenvalues {w[i]}{where(i)}")
     w = w.real
-    order = np.argsort(w)
-    lam = w[order]
-    if lam.size > 1 and np.min(np.diff(lam)) < DEGENERACY_TOL * scale:
-        raise NotStrictlyHyperbolic(f"eigenvalue gap below {DEGENERACY_TOL} in {lam}")
-    R = V.real[:, order]
+    order = np.argsort(w, axis=1)
+    lam = np.take_along_axis(w, order, axis=1)
+    coalesced = np.any(np.diff(lam, axis=1) < DEGENERACY_TOL * scale[:, None], axis=1)
+    if np.any(coalesced):
+        i = int(np.argmax(coalesced))
+        raise NotStrictlyHyperbolic(
+            f"eigenvalue gap below {DEGENERACY_TOL} in {lam[i]}{where(i)}")
+    R = np.take_along_axis(V.real, order[:, None, :], axis=2)
     _sign_fix(R)
     L = np.linalg.inv(R)
     if np.min(np.abs(lam)) < c_min:
+        i = int(np.argmin(np.min(np.abs(lam), axis=1)))
         raise Characteristic(
-            f"min |lambda| = {np.min(np.abs(lam)):.6g} below bound {c_min}")
-    return EigenFrame(lambdas=lam, L=L, R=R)
+            f"min |lambda| = {np.min(np.abs(lam)):.6g} below bound {c_min}{where(i)}")
+    return lam, L, R
+
+
+def decompose(A: np.ndarray, c_min: float = 0.0) -> EigenFrame:
+    """Sorted real eigendecomposition of one matrix with L = R^{-1}."""
+    lam, L, R = _decompose_batch(np.asarray(A, dtype=float)[None], c_min)
+    return EigenFrame(lambdas=lam[0], L=L[0], R=R[0])
 
 
 @dataclass
@@ -110,9 +116,6 @@ class FrameField:
     lambdas: np.ndarray  # (n, N)
     L: np.ndarray        # (n, N, N)
     R: np.ndarray        # (n, N, N)
-
-    def at(self, i: int) -> EigenFrame:
-        return EigenFrame(lambdas=self.lambdas[i], L=self.L[i], R=self.R[i])
 
     @property
     def min_abs_lambda(self) -> float:
@@ -149,42 +152,17 @@ def _continue_signs(lambdas: np.ndarray, L: np.ndarray, R: np.ndarray) -> None:
 def frames_at_states(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
                      c_min: float = 0.0) -> FrameField:
     """Decompose A at every state and continue eigenvector signs along the grid."""
+    grid = np.asarray(grid, dtype=float)
     states = np.asarray(states, dtype=float)
-    n = states.shape[0]
     if model.A_is_constant:
         frame = decompose(model.A_at(states[0]), c_min)
-        return FrameField(
-            grid=np.asarray(grid, dtype=float),
-            lambdas=np.tile(frame.lambdas, (n, 1)),
-            L=np.tile(frame.L, (n, 1, 1)),
-            R=np.tile(frame.R, (n, 1, 1)),
-        )
-    A = model.A_at(states)
-    w, V = np.linalg.eig(A)
-    scale = 1.0 + np.max(np.abs(A), axis=(1, 2))
-    bad = np.max(np.abs(w.imag), axis=1) > DEGENERACY_TOL * scale
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NotStrictlyHyperbolic(
-            f"complex eigenvalues {w[i]} at x = {grid[i]:.6g}")
-    w = w.real
-    order = np.argsort(w, axis=1)
-    lam = np.take_along_axis(w, order, axis=1)
-    gaps = np.diff(lam, axis=1)
-    if gaps.size and np.any(gaps < DEGENERACY_TOL * scale[:, None]):
-        i = int(np.argmax(np.any(gaps < DEGENERACY_TOL * scale[:, None], axis=1)))
-        raise NotStrictlyHyperbolic(
-            f"eigenvalue gap below {DEGENERACY_TOL} at x = {grid[i]:.6g}")
-    R = np.take_along_axis(V.real, order[:, None, :], axis=2)
-    _sign_fix(R)
-    L = np.linalg.inv(R)
-    if np.min(np.abs(lam)) < c_min:
-        i = int(np.argmin(np.min(np.abs(lam), axis=1)))
-        raise Characteristic(
-            f"min |lambda| = {np.min(np.abs(lam)):.6g} below bound {c_min} "
-            f"at x = {grid[i]:.6g}")
+        n = states.shape[0]
+        return FrameField(grid=grid, lambdas=np.tile(frame.lambdas, (n, 1)),
+                          L=np.tile(frame.L, (n, 1, 1)),
+                          R=np.tile(frame.R, (n, 1, 1)))
+    lam, L, R = _decompose_batch(model.A_at(states), c_min, grid)
     _continue_signs(lam, L, R)
-    return FrameField(grid=np.asarray(grid, dtype=float), lambdas=lam, L=L, R=R)
+    return FrameField(grid=grid, lambdas=lam, L=L, R=R)
 
 
 def frame_along_profile(model: ModelSpec, profile: ProfileRep,
@@ -200,25 +178,12 @@ def source_split(frame: EigenFrame, Qmat: np.ndarray) -> SourceSplit:
     return SourceSplit(E=E, F=M - E)
 
 
-def theta_matrix(frame: EigenFrame, F_tilde: np.ndarray,
+def _theta_field(lambdas: np.ndarray, F_tilde: np.ndarray,
                  gap_min: float = GAP_MIN) -> np.ndarray:
-    """Solve the commutator equation [Theta, Lambda] = F componentwise.
+    """Solve [Theta, Lambda] = F at every grid node.
 
     Theta_jk = F_jk / (lambda_k - lambda_j) off the diagonal, zero on it.
     """
-    lam = frame.lambdas
-    denom = lam[None, :] - lam[:, None]
-    off = ~np.eye(len(lam), dtype=bool)
-    if np.any(np.abs(denom[off]) < gap_min):
-        raise GapTooSmall(f"eigenvalue gap below {gap_min} in {lam}")
-    Theta = np.zeros_like(denom)
-    Theta[off] = np.asarray(F_tilde, dtype=float)[off] / denom[off]
-    return Theta
-
-
-def _theta_field(lambdas: np.ndarray, F_tilde: np.ndarray,
-                 gap_min: float = GAP_MIN) -> np.ndarray:
-    """Batched commutator solve over grid nodes."""
     denom = lambdas[:, None, :] - lambdas[:, :, None]
     N = lambdas.shape[1]
     off = ~np.eye(N, dtype=bool)
@@ -228,6 +193,13 @@ def _theta_field(lambdas: np.ndarray, F_tilde: np.ndarray,
     Theta = np.zeros_like(F_tilde)
     Theta[:, off] = F_tilde[:, off] / denom_off
     return Theta
+
+
+def theta_matrix(frame: EigenFrame, F_tilde: np.ndarray,
+                 gap_min: float = GAP_MIN) -> np.ndarray:
+    """Solve the commutator equation [Theta, Lambda] = F at one state."""
+    F = np.asarray(F_tilde, dtype=float)[None]
+    return _theta_field(frame.lambdas[None], F, gap_min)[0]
 
 
 def endstate_splits(model: ModelSpec) -> tuple[SourceSplit, SourceSplit]:

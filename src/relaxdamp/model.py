@@ -80,27 +80,6 @@ class ModelSpec:
             for k in range(self.N)
         )
 
-    @cached_property
-    def d2A_entries(self) -> tuple:
-        """d2A_entries[k][l][i][j] = d^2 A_ij / (d U_k d U_l)."""
-        return tuple(
-            tuple(
-                tuple(tuple(self.A_entries[i][j].diff(k).diff(l) for j in range(self.N))
-                      for i in range(self.N))
-                for l in range(self.N)
-            )
-            for k in range(self.N)
-        )
-
-    @cached_property
-    def dQ_entries(self) -> tuple:
-        """dQ_entries[k][i][j] = d Q_ij / d U_k (second derivatives of q)."""
-        return tuple(
-            tuple(tuple(self.Q_entries[i][j].diff(k) for j in range(self.N))
-                  for i in range(self.N))
-            for k in range(self.N)
-        )
-
     def in_box(self, U: np.ndarray) -> np.ndarray:
         lo, hi = self.state_box
         U = np.asarray(U, dtype=float)

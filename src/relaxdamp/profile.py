@@ -3,9 +3,10 @@
 Solves A(U)U_x = q(U) connecting the endstates, either in closed form
 (Jin-Xin with quadratic flux reduces to a scalar logistic ODE with a tanh
 heteroclinic) or by shooting from the one-dimensional unstable manifold of
-the left endstate.  Derivative samples come from the ODE right-hand side and
-its exact chain-rule derivatives, never from differencing the grid, so the
-profile residual stays at rounding level and the tails stay noise-free.
+the left endstate.  The first and second derivative samples come from the
+ODE right-hand side and its exact chain-rule derivative, never from
+differencing the grid, so the profile residual stays at rounding level and
+the tails stay noise-free.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (
     InvalidParam,
@@ -50,13 +51,12 @@ class DecayFit:
 
 @dataclass
 class ProfileRep:
-    """Sampled stationary profile with exact derivative samples and cubic interpolation."""
+    """Sampled stationary profile with exact d1, d2 samples and Hermite interpolation."""
 
     grid: np.ndarray
     values: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    d3: np.ndarray
     U_minus: np.ndarray
     U_plus: np.ndarray
     decay_fits: dict = field(default_factory=dict)
@@ -64,8 +64,6 @@ class ProfileRep:
     def __post_init__(self):
         self._interp = CubicHermiteSpline(self.grid, self.values, self.d1, axis=0)
         self._interp_d1 = CubicHermiteSpline(self.grid, self.d1, self.d2, axis=0)
-        self._interp_d2 = CubicHermiteSpline(self.grid, self.d2, self.d3, axis=0)
-        self._interp_d3 = CubicSpline(self.grid, self.d3, axis=0)
 
     @property
     def half_width(self) -> float:
@@ -76,12 +74,6 @@ class ProfileRep:
 
     def eval_d1(self, x) -> np.ndarray:
         return self._interp_d1(x)
-
-    def eval_d2(self, x) -> np.ndarray:
-        return self._interp_d2(x)
-
-    def eval_d3(self, x) -> np.ndarray:
-        return self._interp_d3(x)
 
     @property
     def endstate_gap(self) -> float:
@@ -113,36 +105,15 @@ def ode_rhs_jacobian(model: ModelSpec, U: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, Q - B)
 
 
-def _second_directional(model: ModelSpec, U: np.ndarray, d: np.ndarray,
-                        g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """g''(U)[d, d] from twice-differentiated A g = q along direction d."""
-    A = model.A_at(U)
-    N = model.N
-    Ad = np.zeros((N, N))
-    Add = np.zeros((N, N))
-    qdd = np.zeros(N)
-    for k in range(N):
-        Ad += poly_matrix_eval(model.dA_entries[k], U) * d[k]
-        qdd += (poly_matrix_eval(model.dQ_entries[k], U) @ d) * d[k]
-        for l in range(N):
-            Add += poly_matrix_eval(model.d2A_entries[k][l], U) * (d[k] * d[l])
-    return np.linalg.solve(A, qdd - Add @ g - 2.0 * Ad @ (dg @ d))
-
-
 def _derivative_samples(model: ModelSpec, values: np.ndarray):
-    """Exact d/dx, d2/dx2, d3/dx3 of the profile from chain rules on g = A^{-1} q."""
-    n = values.shape[0]
+    """Exact d/dx and d2/dx2 of the profile from the chain rule on g = A^{-1} q."""
     d1 = np.empty_like(values)
     d2 = np.empty_like(values)
-    d3 = np.empty_like(values)
-    for i in range(n):
-        U = values[i]
+    for i, U in enumerate(values):
         g = ode_rhs(model, U)
-        dg = ode_rhs_jacobian(model, U)
         d1[i] = g
-        d2[i] = dg @ g
-        d3[i] = _second_directional(model, U, g, g, dg) + dg @ (dg @ g)
-    return d1, d2, d3
+        d2[i] = ode_rhs_jacobian(model, U) @ g
+    return d1, d2
 
 
 def _flux_degree(flux) -> int:
@@ -191,13 +162,11 @@ def exact_jinxin_profile(model: ModelSpec, grid: np.ndarray) -> ProfileRep:
     u = m - D * th
     u1 = -D * k * sech2
     u2 = 2.0 * D * k**2 * sech2 * th
-    u3 = 2.0 * D * k**3 * sech2 * (sech2 - 2.0 * th**2)
 
     values = np.stack([u, s * u + vbar], axis=1)
     d1 = np.stack([u1, s * u1], axis=1)
     d2 = np.stack([u2, s * u2], axis=1)
-    d3 = np.stack([u3, s * u3], axis=1)
-    prof = ProfileRep(grid=x, values=values, d1=d1, d2=d2, d3=d3,
+    prof = ProfileRep(grid=x, values=values, d1=d1, d2=d2,
                       U_minus=model.U_minus.copy(), U_plus=model.U_plus.copy())
     _fit_all_orders(prof)
     return prof
@@ -288,8 +257,8 @@ def solve_profile(model: ModelSpec, X: float, n: int, tol: float = 1e-8) -> Prof
             values[i] = sol.sol(xi)
         else:
             values[i] = sol2.sol(xi)
-    d1, d2, d3 = _derivative_samples(model, values)
-    prof = ProfileRep(grid=grid, values=values, d1=d1, d2=d2, d3=d3,
+    d1, d2 = _derivative_samples(model, values)
+    prof = ProfileRep(grid=grid, values=values, d1=d1, d2=d2,
                       U_minus=U_m.copy(), U_plus=U_p.copy())
     _fit_all_orders(prof)
     return prof
@@ -302,7 +271,7 @@ def constant_profile(model: ModelSpec, U0, X: float, n: int) -> ProfileRep:
     values = np.tile(U0, (n, 1))
     zeros = np.zeros_like(values)
     return ProfileRep(grid=grid, values=values, d1=zeros, d2=zeros.copy(),
-                      d3=zeros.copy(), U_minus=U0.copy(), U_plus=U0.copy())
+                      U_minus=U0.copy(), U_plus=U0.copy())
 
 
 def fit_decay(profile: ProfileRep, k: int) -> dict:

@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 
 from conftest import scalar_model
+from relaxdamp.characteristics import accumulate_H, duhamel_residual, trace
 from relaxdamp.dynamics import (
     PerturbationSpec,
     ShiftSpec,
+    Stepper,
     diagonal_vars,
     evolve,
     fd4_derivative,
     make_initial,
     snapshot_diagonal_vars,
-    step_reference,
 )
 from relaxdamp.errors import BlowUp, BudgetExceeded, CFLViolation, InvalidParam
-from relaxdamp.profile import constant_profile
+from relaxdamp.model import build_custom
+from relaxdamp.profile import constant_profile, solve_profile
 
 
 # --- shift and perturbation specs -------------------------------------------
@@ -99,16 +101,43 @@ def test_zero_perturbation_exact_equilibrium(jinxin, jinxin_profile, backend):
 def test_cfl_violation(jinxin, jinxin_profile):
     snap = make_initial(jinxin_profile, PerturbationSpec(kind="zero"))
     with pytest.raises(CFLViolation):
-        step_reference(jinxin, jinxin_profile, ShiftSpec(kind="zero"),
-                       snap, dt=0.05)  # speed 2, dx 0.02 -> CFL 5
+        Stepper(jinxin, jinxin_profile, snap.grid, ShiftSpec(kind="zero")) \
+            .step_reference(snap, dt=0.05)  # speed 2, dx 0.02 -> CFL 5
 
 
 def test_blowup_guard(jinxin, jinxin_profile):
     snap = make_initial(jinxin_profile, PerturbationSpec(kind="zero"))
     snap.U[:, 0] = 0.5  # way beyond 10x budget
     with pytest.raises(BlowUp):
-        step_reference(jinxin, jinxin_profile, ShiftSpec(kind="zero"),
-                       snap, dt=0.004, budget=0.02)
+        Stepper(jinxin, jinxin_profile, snap.grid, ShiftSpec(kind="zero"),
+                budget=0.02).step_reference(snap, dt=0.004)
+
+
+# --- state-dependent A ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def varA():
+    """Jin-Xin with A_21 = 4 + 0.2 u, q = (0, u^2/2 - v), endstates (+-1, 0.5)."""
+    model = build_custom(
+        "jinxin-varA", 2, [[0.0, 1.0], [[[4.0, [0, 0]], [0.2, [1, 0]]], 0.0]],
+        [0.0, [[0.5, [2, 0]], [-1.0, [0, 1]]]],
+        U_minus=[1.0, 0.5], U_plus=[-1.0, 0.5])
+    return model, solve_profile(model, X=20.0, n=801)
+
+
+@pytest.mark.parametrize("backend", ["reference", "moc"])
+def test_state_dependent_A_equilibrium_and_duhamel(varA, backend):
+    model, prof = varA
+    zero = evolve(model, prof, PerturbationSpec(kind="zero"), ShiftSpec(kind="zero"),
+                  T=0.5, backend=backend, dx=0.05, n_out=2)
+    assert np.max(np.abs(zero.states)) == 0.0
+
+    pert = PerturbationSpec(kind="offset", d_minus=(2e-3, 0.0), d_plus=(-2e-3, 0.0))
+    traj = evolve(model, prof, pert, ShiftSpec(kind="zero"), T=1.0,
+                  backend=backend, dx=0.05, n_out=4)
+    p = trace(traj, 0, x0=0.0)
+    accumulate_H(p, traj)
+    assert duhamel_residual(traj, p) <= 1e-5
 
 
 # --- backend accuracy ---------------------------------------------------------

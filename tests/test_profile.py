@@ -97,17 +97,6 @@ def test_interpolation_accuracy(jinxin_profile):
     assert np.max(np.abs(jinxin_profile.eval_d1(x)[:, 0] - exact_d1)) <= 1e-8
 
 
-def test_third_derivative_matches_closed_form(jinxin, jinxin_profile):
-    prof = solve_profile(jinxin, X=40.0, n=2001, tol=1e-8)
-    x = prof.grid
-    k = 1.0 / 8.0
-    sech2 = 1.0 / np.cosh(k * x) ** 2
-    th = np.tanh(k * x)
-    # u = -tanh(kx) gives u''' = 2 k^3 sech^2 (sech^2 - 2 tanh^2)
-    u3 = 2.0 * k**3 * sech2 * (sech2 - 2.0 * th**2)
-    assert np.max(np.abs(prof.d3[:, 0] - u3)) <= 1e-7
-
-
 def test_residual_zero_on_constant_equilibrium(jinxin):
     prof = constant_profile(jinxin, jinxin.U_minus, X=10.0, n=101)
     assert residual(prof, jinxin) <= 1e-14
