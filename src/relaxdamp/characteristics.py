@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, _cubic_interp, phi_and_forcing
-from .eigenframe import decompose, endstate_splits, profile_source_field, source_split
+from .eigenframe import decompose, profile_source_field, source_split
 from .errors import EpsilonTooLarge, InvalidParam, NotBounded, NotStrictlyHyperbolic
 from .model import ModelSpec
 from .profile import ProfileRep
@@ -132,7 +132,7 @@ def accumulate_H(path: CharPath, traj: Trajectory) -> np.ndarray:
     """
     j = path.family
     Einterp = _E_interp(traj, j)
-    E_minus, E_plus = (np.diag(split.E) for split in endstate_splits(traj.model))
+    E_minus, E_plus = traj.endstate_E_diag
     X_half = path.grid_half_width
     vals = np.empty_like(path.times)
     for k, (s, x) in enumerate(zip(path.times, path.positions)):

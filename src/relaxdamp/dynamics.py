@@ -13,16 +13,31 @@ integrates the diagonalized system along characteristics with a one-step
 Duhamel update ("moc").  Both evaluate it through ``Stepper.source``,
 advance the two outermost nodes by the full source without the advection
 term, and extend fields beyond the grid by the evolving boundary states.
+
+When A is constant every node of family j moves at the same speed
+lambda_j - ddelta(t), so the moc foot sits at one offset s = -c_j dt / dx
+(in cells) from every node.  The foot values are then fixed stencils on
+edge-padded arrays: the 4-point cubic Lagrange stencil for Phi and 2-point
+stencils for E (at s) and the forcing G (at s / 2), the standard
+fixed-stencil semi-Lagrangian step (Staniforth & Cote, Mon. Wea. Rev. 119,
+1991).  A state-dependent A keeps per-node interpolation at each foot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .eigenframe import FrameField, SourceField, frames_at_states, transformed_source
+from .eigenframe import (
+    FrameField,
+    SourceField,
+    endstate_splits,
+    frames_at_states,
+    transformed_source,
+)
 from .errors import BlowUp, BudgetExceeded, CFLViolation, InvalidParam
 from .model import ModelSpec
 from .profile import ProfileRep
@@ -208,6 +223,11 @@ class Trajectory:
                 self.model, self.grid, self.perturbed_states(i))
         return self._frame_cache[i]
 
+    @cached_property
+    def endstate_E_diag(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal transformed source at U- and U+ (computed once)."""
+        return tuple(np.diag(split.E) for split in endstate_splits(self.model))
+
     def source_field(self, i: int) -> SourceField:
         """Transformed source at output time i (cached)."""
         if i not in self._source_cache:
@@ -233,28 +253,39 @@ def make_initial(profile: ProfileRep, pert: PerturbationSpec,
 
 # --- interpolation on a uniform grid ---------------------------------------
 
-def _cubic_interp(f: np.ndarray, x0: float, dx: float, xq: np.ndarray,
-                  fill_left: float, fill_right: float) -> np.ndarray:
-    """Cubic Lagrange interpolation with flat extension beyond the grid."""
-    n = len(f)
-    pad = np.empty(n + 4)
-    pad[2:-2] = f
-    pad[:2] = fill_left
-    pad[-2:] = fill_right
-    s = (xq - x0) / dx
-    i = np.floor(s).astype(int)
-    t = s - i
-    i = np.clip(i, -2, n + 1)
-    idx = i + 2  # into pad, stencil at idx-1 .. idx+2
-    fm1 = pad[np.clip(idx - 1, 0, n + 3)]
-    f0 = pad[np.clip(idx, 0, n + 3)]
-    f1 = pad[np.clip(idx + 1, 0, n + 3)]
-    f2 = pad[np.clip(idx + 2, 0, n + 3)]
+def _edge_pad(f: np.ndarray, width: int, fill_left: float,
+              fill_right: float) -> np.ndarray:
+    """f with ``width`` copies of the fill value added at each end."""
+    pad = np.empty(len(f) + 2 * width)
+    pad[width:-width] = f
+    pad[:width] = fill_left
+    pad[-width:] = fill_right
+    return pad
+
+
+def _cubic_lagrange(t, fm1, f0, f1, f2):
+    """Cubic Lagrange interpolant through nodes -1, 0, 1, 2, evaluated at t."""
     wm1 = -t * (t - 1.0) * (t - 2.0) / 6.0
     w0 = (t * t - 1.0) * (t - 2.0) / 2.0
     w1 = -t * (t + 1.0) * (t - 2.0) / 2.0
     w2 = t * (t * t - 1.0) / 6.0
     return wm1 * fm1 + w0 * f0 + w1 * f1 + w2 * f2
+
+
+def _cubic_interp(f: np.ndarray, x0: float, dx: float, xq: np.ndarray,
+                  fill_left: float, fill_right: float) -> np.ndarray:
+    """Cubic Lagrange interpolation with flat extension beyond the grid."""
+    n = len(f)
+    pad = _edge_pad(f, 2, fill_left, fill_right)
+    s = (xq - x0) / dx
+    i = np.floor(s).astype(int)
+    t = s - i
+    i = np.clip(i, -2, n + 1)
+    idx = i + 2  # into pad, stencil at idx-1 .. idx+2
+    return _cubic_lagrange(t, pad[np.clip(idx - 1, 0, n + 3)],
+                           pad[np.clip(idx, 0, n + 3)],
+                           pad[np.clip(idx + 1, 0, n + 3)],
+                           pad[np.clip(idx + 2, 0, n + 3)])
 
 
 def _rows_dot(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -270,16 +301,36 @@ def _linear_interp(f: np.ndarray, x0: float, dx: float, xq: np.ndarray,
     s = (xq - x0) / dx
     i = np.floor(s).astype(int)
     t = s - i
-    pad = np.empty(n + 2)
-    pad[1:-1] = f
-    pad[0] = fill_left
-    pad[-1] = fill_right
+    pad = _edge_pad(f, 1, fill_left, fill_right)
     idx = np.clip(i + 1, 0, n)
     nxt = np.clip(i + 2, 1, n + 1)
     out = (1.0 - t) * pad[idx] + t * pad[nxt]
     out[s < -1.0] = fill_left
     out[s > n] = fill_right
     return out
+
+
+# For a uniform speed every node's foot is x_k + s dx with one offset s, and
+# |s| <= CFL_LIMIT < 1, so the interpolants above become fixed stencils: the
+# same pads and weights, read through one slice per stencil point.
+
+def _shift_cubic(f: np.ndarray, s: float, fill_left: float,
+                 fill_right: float) -> np.ndarray:
+    """``_cubic_interp`` at x_k + s dx for every node k, for one offset -1 <= s < 1."""
+    n = len(f)
+    pad = _edge_pad(f, 2, fill_left, fill_right)
+    m = math.floor(s)
+    return _cubic_lagrange(s - m, *(pad[m + k:m + k + n] for k in range(1, 5)))
+
+
+def _shift_linear(f: np.ndarray, s: float, fill_left: float,
+                  fill_right: float) -> np.ndarray:
+    """``_linear_interp`` at x_k + s dx for every node k, for one offset -1 <= s < 1."""
+    n = len(f)
+    pad = _edge_pad(f, 1, fill_left, fill_right)
+    m = math.floor(s)
+    t = s - m
+    return (1.0 - t) * pad[m + 1:m + 1 + n] + t * pad[m + 2:m + 2 + n]
 
 
 # --- stepping --------------------------------------------------------------
@@ -302,10 +353,10 @@ class Stepper:
         self.frames0 = frames_at_states(model, self.grid, self.Ubar) \
             if model.A_is_constant else None
         # far-field states the boundary values perturb, and q there
-        self.base_l = model.U_minus if model.U_minus is not None else self.Ubar[0]
-        self.base_r = model.U_plus if model.U_plus is not None else self.Ubar[-1]
-        self.q_base_l = model.q_at(self.base_l)
-        self.q_base_r = model.q_at(self.base_r)
+        self.base = np.stack([
+            model.U_minus if model.U_minus is not None else self.Ubar[0],
+            model.U_plus if model.U_plus is not None else self.Ubar[-1]])
+        self.q_base = model.q_at(self.base)
         self.last_cfl = 0.0
 
     def source(self, U: np.ndarray, t: float, rows=slice(None)) -> np.ndarray:
@@ -334,14 +385,13 @@ class Stepper:
             G += np.einsum("njk,nk->nj", sf.transport, Phi)
         return Phi, G
 
-    def _boundary_rates(self, bl: np.ndarray, br: np.ndarray):
-        return (self.model.q_at(self.base_l + bl) - self.q_base_l,
-                self.model.q_at(self.base_r + br) - self.q_base_r)
-
     def _advance_boundary(self, bl, br, dt):
-        kl, kr = self._boundary_rates(bl, br)
-        kl2, kr2 = self._boundary_rates(bl + 0.5 * dt * kl, br + 0.5 * dt * kr)
-        return bl + dt * kl2, br + dt * kr2
+        """Explicit midpoint for b' = q(base + b) - q(base), both edges stacked."""
+        b = np.stack([bl, br])
+        k1 = self.model.q_at(self.base + b) - self.q_base
+        k2 = self.model.q_at(self.base + (b + 0.5 * dt * k1)) - self.q_base
+        b_new = b + dt * k2
+        return b_new[0], b_new[1]
 
     def _frames(self, Ut: np.ndarray) -> FrameField:
         if self.frames0 is not None:
@@ -400,36 +450,54 @@ class Stepper:
         U_new = U - dt * adv + dt * self.source(U_half, t + 0.5 * dt)
         return self._finish(snap, dt, U_new)
 
+    def _foot_values(self, j: int, c: np.ndarray, dt: float, Phi: np.ndarray,
+                     E: np.ndarray, G: np.ndarray, phi_bl: np.ndarray,
+                     phi_br: np.ndarray):
+        """Family-j Phi and E at the characteristic foot and G at the segment midpoint.
+
+        For constant A the speed c_j is the same at every node, so the foot
+        sits at the one offset s = -c_j dt / dx and each value is a fixed
+        stencil on an edge-padded array.  Otherwise the foot is traced per
+        node with a midpoint correction and interpolated there.
+        """
+        if self.frames0 is not None:
+            s = -float(c[0, j]) * dt / self.dx
+            return (_shift_cubic(Phi[:, j], s, float(phi_bl[j]), float(phi_br[j])),
+                    _shift_linear(E[:, j], s, E[0, j], E[-1, j]),
+                    _shift_linear(G[:, j], 0.5 * s, G[0, j], G[-1, j]))
+        x = self.grid
+        x0 = float(x[0])
+        cj = c[:, j]
+        xf = x - cj * dt
+        c_mid = _linear_interp(cj, x0, self.dx, 0.5 * (x + xf), cj[0], cj[-1])
+        xf = x - c_mid * dt
+        Ef = _linear_interp(E[:, j], x0, self.dx, xf, E[0, j], E[-1, j])
+        Gm = _linear_interp(G[:, j], x0, self.dx, 0.5 * (x + xf), G[0, j], G[-1, j])
+        Phif = _cubic_interp(Phi[:, j], x0, self.dx, xf,
+                             float(phi_bl[j]), float(phi_br[j]))
+        return Phif, Ef, Gm
+
     def step_moc(self, snap: Snapshot, dt: float) -> Snapshot:
         """Semi-Lagrangian step: cubic foot interpolation and one-step Duhamel.
 
-        Per family, the foot of the characteristic is traced with a midpoint
-        correction, the diagonal variable is interpolated there, and the
-        damping exponent uses the trapezoid of the diagonal source along the
-        segment with the remaining forcing applied at the midpoint.
+        Per family, the diagonal variable is interpolated at the foot of the
+        characteristic, and the damping exponent uses the trapezoid of the
+        diagonal source along the segment with the remaining forcing applied
+        at the midpoint.  For constant A the foot is one offset for every
+        node and the interpolations are fixed stencils; for state-dependent A
+        it is traced per node with a midpoint correction (``_foot_values``).
         """
         Ut, frames, c, L, R = self._begin(snap, dt)
         sf = transformed_source(self.model, self.grid, Ut, frames=frames,
                                 with_theta=False)
         Phi, G = self.forcing(snap.U, snap.t, sf)
 
-        x = self.grid
-        x0 = float(x[0])
         phi_bl = frames.L[0] @ snap.b_left
         phi_br = frames.L[-1] @ snap.b_right
         Phi_new = np.empty_like(Phi)
         for j in range(self.model.N):
-            cj = c[:, j]
-            xf = x - cj * dt
-            c_mid = _linear_interp(cj, x0, self.dx, 0.5 * (x + xf),
-                                   cj[0], cj[-1])
-            xf = x - c_mid * dt
-            Ef = _linear_interp(sf.E_diag[:, j], x0, self.dx, xf,
-                                sf.E_diag[0, j], sf.E_diag[-1, j])
-            Gm = _linear_interp(G[:, j], x0, self.dx, 0.5 * (x + xf),
-                                G[0, j], G[-1, j])
-            Phif = _cubic_interp(Phi[:, j], x0, self.dx, xf,
-                                 float(phi_bl[j]), float(phi_br[j]))
+            Phif, Ef, Gm = self._foot_values(j, c, dt, Phi, sf.E_diag, G,
+                                             phi_bl, phi_br)
             h = 0.5 * dt * (Ef + sf.E_diag[:, j])
             Phi_new[:, j] = np.exp(h) * Phif + dt * np.exp(0.5 * h) * Gm
         return self._finish(snap, dt, _rows_dot(R, Phi_new))

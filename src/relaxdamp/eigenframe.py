@@ -139,14 +139,24 @@ class FrameField:
 
 
 def _continue_signs(lambdas: np.ndarray, L: np.ndarray, R: np.ndarray) -> None:
-    """Flip signs so consecutive right eigenvectors have positive inner products."""
+    """Flip signs so consecutive right eigenvectors have positive inner products.
+
+    Flipping column j at node i - 1 negates its inner product with node i
+    exactly, so the sign of node i is the running product of the signs of
+    the raw inner products, restarted at +1 after one that is not strictly
+    signed (zero or NaN), where no flip is made.
+    """
     n, N = lambdas.shape
-    for i in range(1, n):
-        dots = np.einsum("kj,kj->j", R[i], R[i - 1])
-        flip = dots < 0
-        if np.any(flip):
-            R[i][:, flip] = -R[i][:, flip]
-            L[i][flip, :] = -L[i][flip, :]
+    dots = np.einsum("ikj,ikj->ij", R[1:], R[:-1])
+    neg = np.zeros((n, N), dtype=np.int64)
+    neg[1:] = np.cumsum(dots < 0, axis=0)
+    # last node at or before i whose raw inner product is not strictly signed
+    restart = np.zeros((n, N), dtype=np.int64)
+    restart[1:] = np.where((dots < 0) | (dots > 0), 0, np.arange(1, n)[:, None])
+    restart = np.maximum.accumulate(restart, axis=0)
+    flip = (neg - np.take_along_axis(neg, restart, axis=0)) % 2 == 1
+    np.negative(R, out=R, where=flip[:, None, :])
+    np.negative(L, out=L, where=flip[:, :, None])
 
 
 def frames_at_states(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
@@ -256,7 +266,9 @@ def transformed_source(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
     Q = model.Q_at(states)
     n, N = states.shape
     if model.A_is_constant:
-        M = frames.L[0] @ Q @ frames.R[0]
+        # (L Q R)_jk = sum_ab L_ja Q_ab R_bk at every node as one product with L (x) R
+        K = np.einsum("ja,bk->abjk", frames.L[0], frames.R[0]).reshape(N * N, N * N)
+        M = (Q.reshape(n, N * N) @ K).reshape(n, N, N)
         T = np.zeros((n, N, N))
     else:
         M = np.matmul(np.matmul(frames.L, Q), frames.R)
@@ -265,7 +277,7 @@ def transformed_source(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
         M = M + T
     eye = np.eye(N, dtype=bool)
     E_diag = M[:, eye]
-    F_tilde = M.copy()
+    F_tilde = M  # in place: M is fresh here and E_diag holds the diagonal
     F_tilde[:, eye] = 0.0
     Theta = _theta_field(frames.lambdas, F_tilde) if with_theta else None
     return SourceField(grid=grid, E_diag=E_diag, F_tilde=F_tilde, transport=T,

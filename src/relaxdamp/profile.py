@@ -89,31 +89,29 @@ def ode_rhs(model: ModelSpec, U: np.ndarray) -> np.ndarray:
     return np.linalg.solve(model.A_at(U), model.q_at(U))
 
 
-def ode_rhs_jacobian(model: ModelSpec, U: np.ndarray) -> np.ndarray:
-    """Exact Jacobian dg of the profile ODE right-hand side.
+def _rhs_and_jacobian(model: ModelSpec, U: np.ndarray):
+    """g = A^{-1} q and its exact Jacobian dg at states U of shape (..., N).
 
     Differentiating A g = q gives dg = A^{-1} (Q - B) with
-    B[:, k] = (dA/dU_k) g.
+    B[:, k] = (dA/dU_k) g.  One stacked solve gives g and one gives dg.
     """
     A = model.A_at(U)
-    g = np.linalg.solve(A, model.q_at(U))
-    Q = model.Q_at(U)
-    B = np.empty_like(Q)
-    for k in range(model.N):
-        dAk = poly_matrix_eval(model.dA_entries[k], U)
-        B[:, k] = dAk @ g
-    return np.linalg.solve(A, Q - B)
+    g = np.linalg.solve(A, model.q_at(U)[..., None])[..., 0]
+    B = np.stack([(poly_matrix_eval(dAk, U) @ g[..., None])[..., 0]
+                  for dAk in model.dA_entries], axis=-1)
+    return g, np.linalg.solve(A, model.Q_at(U) - B)
+
+
+def ode_rhs_jacobian(model: ModelSpec, U: np.ndarray) -> np.ndarray:
+    """Exact Jacobian dg of the profile ODE right-hand side."""
+    return _rhs_and_jacobian(model, U)[1]
 
 
 def _derivative_samples(model: ModelSpec, values: np.ndarray):
     """Exact d/dx and d2/dx2 of the profile from the chain rule on g = A^{-1} q."""
-    d1 = np.empty_like(values)
-    d2 = np.empty_like(values)
-    for i, U in enumerate(values):
-        g = ode_rhs(model, U)
-        d1[i] = g
-        d2[i] = ode_rhs_jacobian(model, U) @ g
-    return d1, d2
+    g, dg = _rhs_and_jacobian(model, values)
+    d2 = (dg @ g[..., None])[..., 0]
+    return np.ascontiguousarray(g), np.ascontiguousarray(d2)
 
 
 def _flux_degree(flux) -> int:

@@ -140,6 +140,61 @@ def test_state_dependent_A_equilibrium_and_duhamel(varA, backend):
     assert duhamel_residual(traj, p) <= 1e-5
 
 
+# --- uniform-speed moc stencil ---------------------------------------------------
+
+@pytest.fixture(scope="module")
+def a2_models():
+    """The varA-moc model with A21 = 4.0 (constant A, stencil branch) and with
+    A21 = 4 + 0 u (same dynamics, per-node branch), plus their profile."""
+    q = [0.0, [[0.5, [2, 0]], [-1.0, [0, 1]]]]
+    ends = dict(U_minus=[1.0, 0.5], U_plus=[-1.0, 0.5])
+    const = build_custom("jinxin-a2", 2, [[0.0, 1.0], [4.0, 0.0]], q, **ends)
+    per_node = build_custom(
+        "jinxin-a2-zero-u", 2, [[0.0, 1.0], [[[4.0, [0, 0]], [0.0, [1, 0]]], 0.0]],
+        q, **ends)
+    assert const.A_is_constant and not per_node.A_is_constant
+    return const, per_node, solve_profile(const, X=20.0, n=1001)
+
+
+_GAUSS = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0, center=0.3)
+
+
+def test_moc_stencil_matches_per_node_branch(a2_models):
+    const, per_node, prof = a2_models
+    grid = np.linspace(-20.0, 20.0, 1001)
+    snap = make_initial(prof, _GAUSS, grid)
+    one = [Stepper(m, prof, grid, ShiftSpec(kind="zero")).step_moc(snap, 0.009)
+           for m in (const, per_node)]
+    assert np.max(np.abs(one[0].U - one[1].U)) <= 1e-14
+
+    runs = [evolve(m, prof, _GAUSS, ShiftSpec(kind="zero"), T=2.0, backend="moc",
+                   dx=0.04, n_out=4, X=20.0) for m in (const, per_node)]
+    assert runs[0].dt == runs[1].dt and round(2.0 / runs[0].dt) == 224
+    assert np.max(np.abs(runs[0].states - runs[1].states)) <= 1e-12
+
+
+def test_moc_stencil_skips_interpolation_calls(a2_models, monkeypatch):
+    import relaxdamp.dynamics as dyn
+
+    const, per_node, prof = a2_models
+    grid = np.linspace(-20.0, 20.0, 1001)
+    snap = make_initial(prof, _GAUSS, grid)
+    calls = {"cubic": 0, "linear": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dyn, "_cubic_interp", counted("cubic", dyn._cubic_interp))
+    monkeypatch.setattr(dyn, "_linear_interp", counted("linear", dyn._linear_interp))
+    Stepper(const, prof, grid, ShiftSpec(kind="zero")).step_moc(snap, 0.009)
+    assert calls == {"cubic": 0, "linear": 0}
+    Stepper(per_node, prof, grid, ShiftSpec(kind="zero")).step_moc(snap, 0.009)
+    assert calls["cubic"] > 0 and calls["linear"] > 0
+
+
 # --- backend accuracy ---------------------------------------------------------
 
 def test_moc_matches_advection_decay_closed_form():

@@ -85,6 +85,37 @@ def test_sign_continuation_restores_alignment():
     assert np.max(np.abs(np.matmul(L, R) - np.eye(2))) <= 1e-12
 
 
+def _continue_signs_loop(lambdas, L, R):
+    """Node-by-node sign continuation, kept as the reference for the vectorised one."""
+    n, N = lambdas.shape
+    for i in range(1, n):
+        dots = np.einsum("kj,kj->j", R[i], R[i - 1])
+        flip = dots < 0
+        if np.any(flip):
+            R[i][:, flip] = -R[i][:, flip]
+            L[i][flip, :] = -L[i][flip, :]
+
+
+def test_sign_continuation_matches_node_loop():
+    rng = np.random.default_rng(5)
+    n = 400
+    theta = np.linspace(0.0, 3.0, n)
+    R = np.empty((n, 2, 2))
+    R[:, 0, 0], R[:, 1, 0] = np.cos(theta), np.sin(theta)
+    R[:, 0, 1], R[:, 1, 1] = -np.sin(2 * theta), np.cos(2 * theta)
+    R *= rng.choice([-1.0, 1.0], size=(n, 1, 2))  # random column flips
+    R[200, :, 0] = [-R[199, 1, 0], R[199, 0, 0]]  # exactly zero inner product
+    L = np.linalg.inv(R)
+    lam = np.tile([-1.0, 1.0], (n, 1))
+    assert np.einsum("k,k->", R[200, :, 0], R[199, :, 0]) == 0.0
+
+    L_ref, R_ref = L.copy(), R.copy()
+    _continue_signs_loop(lam, L_ref, R_ref)
+    _continue_signs(lam, L, R)
+    assert R.tobytes() == R_ref.tobytes()
+    assert L.tobytes() == L_ref.tobytes()
+
+
 def test_source_split_endstate_values(jinxin):
     # independent oracle: raw numpy eigendecomposition of A and L Q R product
     A = np.array([[0.0, 1.0], [4.0, 0.0]])

@@ -7,7 +7,9 @@ import pytest
 
 from relaxdamp import build_jinxin, exact_jinxin_profile, fit_decay, residual, solve_profile
 from relaxdamp.errors import NotApplicable, NoUnstableDirection, TailBelowNoise
-from relaxdamp.profile import constant_profile
+from relaxdamp.model import build_custom
+from relaxdamp.poly import poly_matrix_eval
+from relaxdamp.profile import _derivative_samples, constant_profile, ode_rhs, ode_rhs_jacobian
 
 
 def test_exact_profile_is_tanh(jinxin, jinxin_profile):
@@ -126,3 +128,30 @@ def test_endstate_gap_small_on_wide_grid(jinxin):
     grid = np.linspace(-64.0, 64.0, 6401)
     prof = exact_jinxin_profile(jinxin, grid)
     assert prof.endstate_gap <= 1e-6
+
+
+def _node_jacobian(model, U):
+    """dg = A^{-1} (Q - B), B[:, k] = (dA/dU_k) g, one state at a time."""
+    A = model.A_at(U)
+    g = np.linalg.solve(A, model.q_at(U))
+    B = np.empty((model.N, model.N))
+    for k in range(model.N):
+        B[:, k] = poly_matrix_eval(model.dA_entries[k], U) @ g
+    return np.linalg.solve(A, model.Q_at(U) - B)
+
+
+def test_batched_derivative_samples_match_node_loop(jinxin):
+    varA = build_custom(
+        "jinxin-varA", 2, [[0.0, 1.0], [[[4.0, [0, 0]], [0.2, [1, 0]]], 0.0]],
+        [0.0, [[0.5, [2, 0]], [-1.0, [0, 1]]]],
+        U_minus=[1.0, 0.5], U_plus=[-1.0, 0.5])
+    for model in (jinxin, varA):
+        values = solve_profile(model, X=20.0, n=401).values
+        d1, d2 = _derivative_samples(model, values)
+        g = np.stack([ode_rhs(model, U) for U in values])
+        dg_g = np.stack([_node_jacobian(model, U) @ ode_rhs(model, U) for U in values])
+        assert all(np.array_equal(ode_rhs_jacobian(model, U), _node_jacobian(model, U))
+                   for U in values[::40])
+        assert d1.tobytes() == g.tobytes()
+        assert d2.tobytes() == dg_g.tobytes()
+        assert d1.flags.c_contiguous and d2.flags.c_contiguous
