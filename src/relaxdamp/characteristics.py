@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, _cubic_interp, phi_and_forcing
+from .dynamics import Trajectory, _cubic_at, phi_and_forcing
 from .eigenframe import decompose, profile_source_field, source_split
 from .errors import EpsilonTooLarge, InvalidParam, NotBounded, NotStrictlyHyperbolic
 from .model import ModelSpec
@@ -37,10 +37,7 @@ class CharPath:
     @property
     def exit_time(self) -> float | None:
         """First sample time at which the path leaves the grid."""
-        out = np.abs(self.positions) > self.grid_half_width
-        if not np.any(out):
-            return None
-        return float(self.times[np.argmax(out)])
+        return self.exit_time_from(self.grid_half_width)
 
     def exit_time_from(self, radius: float) -> float | None:
         """First sample time with |X| > radius."""
@@ -51,34 +48,27 @@ class CharPath:
 
 
 class _FieldInterp:
-    """Linear-in-time, cubic-in-space interpolation of per-snapshot fields."""
+    """Linear-in-time, cubic-in-space interpolation of per-output-time fields.
 
-    def __init__(self, times: np.ndarray, grid: np.ndarray, fields: np.ndarray):
-        self.times = times
-        self.grid = grid
-        self.dx = float(grid[1] - grid[0])
-        self.fields = fields  # (n_times, n)
+    ``columns`` holds one grid field per output time of ``traj``; each is
+    extended flat by its own end values beyond the grid.
+    """
 
-    def eval(self, s: float, xq: np.ndarray) -> np.ndarray:
+    def __init__(self, traj: Trajectory, columns):
+        self.times = traj.times
+        self.x0 = float(traj.grid[0])
+        self.dx = traj.dx
+        self.pad = np.pad(np.stack(columns), ((0, 0), (2, 2)), mode="edge")
+
+    def eval(self, s, xq) -> np.ndarray:
+        """Field values at the samples (s, xq), broadcast against each other."""
         times = self.times
-        m = int(np.searchsorted(times, s, side="right")) - 1
-        m = max(0, min(m, len(times) - 2))
-        w = (s - times[m]) / (times[m + 1] - times[m])
-        w = min(max(w, 0.0), 1.0)
-        f0, f1 = self.fields[m], self.fields[m + 1]
-        a0 = _cubic_interp(f0, float(self.grid[0]), self.dx, xq, f0[0], f0[-1])
-        a1 = _cubic_interp(f1, float(self.grid[0]), self.dx, xq, f1[0], f1[-1])
+        m = np.clip(np.searchsorted(times, s, side="right") - 1, 0, len(times) - 2)
+        w = np.clip((s - times[m]) / (times[m + 1] - times[m]), 0.0, 1.0)
+        cells = (xq - self.x0) / self.dx
+        a0 = _cubic_at(self.pad, cells, (m,))
+        a1 = _cubic_at(self.pad, cells, (m + 1,))
         return (1.0 - w) * a0 + w * a1
-
-
-def _lambda_interp(traj: Trajectory, j: int) -> _FieldInterp:
-    lam = np.stack([traj.frames(i).lambdas[:, j] for i in range(traj.n_times)])
-    return _FieldInterp(traj.times, traj.grid, lam)
-
-
-def _E_interp(traj: Trajectory, j: int) -> _FieldInterp:
-    E = np.stack([traj.source_field(i).E_diag[:, j] for i in range(traj.n_times)])
-    return _FieldInterp(traj.times, traj.grid, E)
 
 
 def trace_many(traj: Trajectory, j: int, x0s, n_sub: int = 4) -> list[CharPath]:
@@ -88,7 +78,8 @@ def trace_many(traj: Trajectory, j: int, x0s, n_sub: int = 4) -> list[CharPath]:
     velocity field stays piecewise smooth along the integration.
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
-    lam = _lambda_interp(traj, j)
+    lam = _FieldInterp(traj, [traj.frames(i).lambdas[:, j]
+                              for i in range(traj.n_times)])
     times = traj.times
     n_samples = (len(times) - 1) * n_sub + 1
     ts = np.empty(n_samples)
@@ -106,7 +97,7 @@ def trace_many(traj: Trajectory, j: int, x0s, n_sub: int = 4) -> list[CharPath]:
         h = (times[m + 1] - times[m]) / n_sub
         for _ in range(n_sub):
             s, x = ts[k], Xs[k]
-            v1 = velocity(s, x)
+            v1 = Vs[k]  # velocity(s, x), stored with sample k
             v2 = velocity(s + 0.5 * h, x + 0.5 * h * v1)
             k += 1
             ts[k] = s + h
@@ -131,17 +122,12 @@ def accumulate_H(path: CharPath, traj: Trajectory) -> np.ndarray:
     side, matching the far-field boundary treatment of the dynamics.
     """
     j = path.family
-    Einterp = _E_interp(traj, j)
+    E = _FieldInterp(traj, [traj.source_field(i).E_diag[:, j]
+                            for i in range(traj.n_times)])
     E_minus, E_plus = traj.endstate_E_diag
-    X_half = path.grid_half_width
-    vals = np.empty_like(path.times)
-    for k, (s, x) in enumerate(zip(path.times, path.positions)):
-        if x < -X_half:
-            vals[k] = E_minus[j]
-        elif x > X_half:
-            vals[k] = E_plus[j]
-        else:
-            vals[k] = Einterp.eval(s, np.array([x]))[0]
+    X, x = path.grid_half_width, path.positions
+    vals = np.where(x < -X, E_minus[j], np.where(
+        x > X, E_plus[j], E.eval(path.times, x)))
     H = np.concatenate([[0.0], np.cumsum(
         0.5 * (vals[1:] + vals[:-1]) * np.diff(path.times))])
     path.H = H
@@ -307,23 +293,17 @@ def duhamel_residual(traj: Trajectory, path: CharPath) -> float:
     j = path.family
     if path.H is None:
         accumulate_H(path, traj)
-    Phi_fields = []
-    G_fields = []
-    for i in range(traj.n_times):
-        Phi, G = phi_and_forcing(traj, i)
-        Phi_fields.append(Phi[:, j])
-        G_fields.append(G[:, j])
-    Phi_interp = _FieldInterp(traj.times, traj.grid, np.stack(Phi_fields))
-    G_interp = _FieldInterp(traj.times, traj.grid, np.stack(G_fields))
-
-    G_path = np.array([G_interp.eval(s, np.array([x]))[0]
-                       for s, x in zip(path.times, path.positions)])
+    fields = [phi_and_forcing(traj, i) for i in range(traj.n_times)]
+    Phi = _FieldInterp(traj, [F[:, j] for F, _ in fields])
+    G_path = _FieldInterp(traj, [G[:, j] for _, G in fields]).eval(
+        path.times, path.positions)
     n_sub = (len(path.times) - 1) // (traj.n_times - 1)
-    phi0 = Phi_interp.eval(0.0, np.array([path.x0]))[0]
+    phi0 = Phi.eval(0.0, path.x0)
+    ks = np.arange(traj.n_times) * n_sub
+    stored = Phi.eval(path.times[ks], path.positions[ks])
     worst = 0.0
     exit_t = path.exit_time
-    for m in range(traj.n_times):
-        k = m * n_sub
+    for m, k in enumerate(ks):
         t = path.times[k]
         if exit_t is not None and t >= exit_t:
             break
@@ -332,6 +312,5 @@ def duhamel_residual(traj: Trajectory, path: CharPath) -> float:
         integrand = np.exp(H_t - path.H[:k + 1]) * G_path[:k + 1]
         integral = np.trapezoid(integrand, ts) if k > 0 else 0.0
         recon = phi0 * np.exp(H_t) + integral
-        stored = Phi_interp.eval(t, np.array([path.positions[k]]))[0]
-        worst = max(worst, abs(recon - stored))
+        worst = max(worst, abs(recon - stored[m]))
     return worst

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Snapshot, Trajectory, fd4_derivative
+from .dynamics import Snapshot, Trajectory
 from .errors import Characteristic, EmptyFeasible, InvalidParam, Unsupported
 from .model import ModelSpec
 from .profile import ProfileRep
@@ -49,12 +49,6 @@ def _interior_max(F: np.ndarray) -> float:
     return float(np.max(np.abs(F[EDGE_TRIM:-EDGE_TRIM])))
 
 
-def _second_derivative(snap: Snapshot) -> np.ndarray:
-    dx = float(snap.grid[1] - snap.grid[0])
-    zero = np.zeros_like(snap.b_left)
-    return fd4_derivative(snap.W, dx, zero, zero)
-
-
 def ckb_norm(snap: Snapshot, K: int) -> float:
     """max over derivative orders <= K of the discrete sup norm."""
     if K > 2:
@@ -65,7 +59,7 @@ def ckb_norm(snap: Snapshot, K: int) -> float:
     if K >= 1:
         out = max(out, _interior_max(snap.W))
     if K >= 2:
-        out = max(out, _interior_max(_second_derivative(snap)))
+        out = max(out, _interior_max(snap.second_derivative()))
     return out
 
 
@@ -88,7 +82,7 @@ def l2_h2_norms(snap: Snapshot, blend_width: float = 2.0) -> tuple[float, float,
     U = _offset_corrected(snap, blend_width)
     l2sq = float(np.sum(trapezoid4(U**2, dx)))
     w2sq = float(np.sum(trapezoid4(snap.W**2, dx)))
-    y2sq = float(np.sum(trapezoid4(_second_derivative(snap)**2, dx)))
+    y2sq = float(np.sum(trapezoid4(snap.second_derivative()**2, dx)))
     return (np.sqrt(l2sq), np.sqrt(l2sq + w2sq), np.sqrt(l2sq + w2sq + y2sq))
 
 
@@ -169,16 +163,22 @@ def phi_fields(traj: Trajectory, i: int) -> np.ndarray:
 
 
 def norm_series(traj: Trajectory, kind: str) -> np.ndarray:
-    """Per-output-time norms: kind in c0|c1|c2|l2|h1|h2."""
-    vals = np.empty(traj.n_times)
-    for i in range(traj.n_times):
-        snap = traj.snapshot(i)
+    """Per-output-time norms: kind in c0|c1|c2|l2|h1|h2.
+
+    Each kind is computed once per trajectory (l2, h1 and h2 together) and
+    cached on it read-only.
+    """
+    cache = traj._norm_cache
+    if kind not in cache:
+        snaps = [traj.snapshot(i) for i in range(traj.n_times)]
         if kind in ("c0", "c1", "c2"):
-            vals[i] = ckb_norm(snap, int(kind[1]))
+            cache[kind] = np.array([ckb_norm(snap, int(kind[1])) for snap in snaps])
         else:
-            l2, h1, h2 = l2_h2_norms(snap)
-            vals[i] = {"l2": l2, "h1": h1, "h2": h2}[kind]
-    return vals
+            sobolev = np.array([l2_h2_norms(snap) for snap in snaps])
+            cache.update(zip(("l2", "h1", "h2"), sobolev.T))
+        for vals in cache.values():
+            vals.flags.writeable = False
+    return cache[kind]
 
 
 # --- weighted energies -----------------------------------------------------

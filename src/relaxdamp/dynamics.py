@@ -169,6 +169,12 @@ class Snapshot:
     b_left: np.ndarray
     b_right: np.ndarray
 
+    def second_derivative(self) -> np.ndarray:
+        """Fourth-order differencing of W, extended by zero beyond the grid."""
+        dx = float(self.grid[1] - self.grid[0])
+        zero = np.zeros_like(self.b_left)
+        return fd4_derivative(self.W, dx, zero, zero)
+
 
 def fd4_derivative(F: np.ndarray, dx: float, left: np.ndarray,
                    right: np.ndarray) -> np.ndarray:
@@ -197,6 +203,7 @@ class Trajectory:
     budget_violation_time: float | None = None
     _source_cache: dict = field(default_factory=dict, repr=False)
     _frame_cache: dict = field(default_factory=dict, repr=False)
+    _norm_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dx(self) -> float:
@@ -272,20 +279,25 @@ def _cubic_lagrange(t, fm1, f0, f1, f2):
     return wm1 * fm1 + w0 * f0 + w1 * f1 + w2 * f2
 
 
+def _cubic_at(pad: np.ndarray, s: np.ndarray, rows: tuple = ()) -> np.ndarray:
+    """Cubic Lagrange interpolation at cell positions s of width-2 edge-padded data.
+
+    ``pad`` is one padded field (n + 4,) or a stack of them (k, n + 4); for a
+    stack, ``rows`` holds the row index of each position, broadcast against s.
+    Positions beyond the grid read the padding, a flat extension.
+    """
+    n = pad.shape[-1] - 4
+    i = np.floor(s).astype(int)
+    t = s - i
+    idx = np.clip(i, -2, n + 1) + 2  # into pad, stencil at idx-1 .. idx+2
+    return _cubic_lagrange(t, *(pad[rows + (np.clip(idx + k, 0, n + 3),)]
+                                for k in (-1, 0, 1, 2)))
+
+
 def _cubic_interp(f: np.ndarray, x0: float, dx: float, xq: np.ndarray,
                   fill_left: float, fill_right: float) -> np.ndarray:
     """Cubic Lagrange interpolation with flat extension beyond the grid."""
-    n = len(f)
-    pad = _edge_pad(f, 2, fill_left, fill_right)
-    s = (xq - x0) / dx
-    i = np.floor(s).astype(int)
-    t = s - i
-    i = np.clip(i, -2, n + 1)
-    idx = i + 2  # into pad, stencil at idx-1 .. idx+2
-    return _cubic_lagrange(t, pad[np.clip(idx - 1, 0, n + 3)],
-                           pad[np.clip(idx, 0, n + 3)],
-                           pad[np.clip(idx + 1, 0, n + 3)],
-                           pad[np.clip(idx + 2, 0, n + 3)])
+    return _cubic_at(_edge_pad(f, 2, fill_left, fill_right), (xq - x0) / dx)
 
 
 def _rows_dot(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -586,12 +598,10 @@ def diagonal_vars(snap: Snapshot, frames: FrameField,
                   theta: np.ndarray) -> DiagVars:
     """Phi = L U, Psi = L W, PsiTilde = Psi + Theta Phi, and the second-derivative
     analogues with Y obtained by fourth-order differencing of W."""
-    dx = float(snap.grid[1] - snap.grid[0])
     Phi = np.einsum("njk,nk->nj", frames.L, snap.U)
     Psi = np.einsum("njk,nk->nj", frames.L, snap.W)
     PsiT = Psi + np.einsum("njk,nk->nj", theta, Phi)
-    Y = fd4_derivative(snap.W, dx, np.zeros_like(snap.b_left),
-                       np.zeros_like(snap.b_right))
+    Y = snap.second_derivative()
     Ups = np.einsum("njk,nk->nj", frames.L, Y)
     UpsT = Ups + np.einsum("njk,nk->nj", theta, Psi)
     return DiagVars(Phi=Phi, Psi=Psi, PsiTilde=PsiT, Upsilon=Ups,

@@ -16,10 +16,10 @@ from relaxdamp.characteristics import (
     trace_many,
     verify_H_bound,
 )
-from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, evolve
+from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, _cubic_at, evolve
 from relaxdamp.errors import EpsilonTooLarge, NotBounded, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
-from relaxdamp.profile import constant_profile
+from relaxdamp.profile import constant_profile, solve_profile
 from relaxdamp.model import build_custom
 
 
@@ -188,3 +188,93 @@ def test_duhamel_consistency(jinxin_run):
     p = trace(jinxin_run, 1, x0=-30.0)
     accumulate_H(p, jinxin_run)
     assert duhamel_residual(jinxin_run, p) <= 1e-4
+
+
+# --- array field evaluator -------------------------------------------------------
+
+def _pointwise_eval(times, grid, fields, s, x):
+    """One (s, x) sample through a single-point evaluator: cubic Lagrange in
+    space on each bracketing output row, flat beyond the grid, then linear in
+    time.  The array evaluator must reproduce it bit for bit."""
+    m = int(np.searchsorted(times, s, side="right")) - 1
+    m = max(0, min(m, len(times) - 2))
+    w = (s - times[m]) / (times[m + 1] - times[m])
+    w = min(max(w, 0.0), 1.0)
+    dx = float(grid[1] - grid[0])
+    rows = []
+    for f in (fields[m], fields[m + 1]):
+        n = len(f)
+        pad = np.concatenate([[f[0], f[0]], f, [f[-1], f[-1]]])
+        c = (np.array([x]) - float(grid[0])) / dx
+        i = np.floor(c).astype(int)
+        t = c - i
+        idx = np.clip(i, -2, n + 1) + 2
+        fm1, f0, f1, f2 = (pad[np.clip(idx + k, 0, n + 3)] for k in (-1, 0, 1, 2))
+        wm1 = -t * (t - 1.0) * (t - 2.0) / 6.0
+        w0 = (t * t - 1.0) * (t - 2.0) / 2.0
+        w1 = -t * (t + 1.0) * (t - 2.0) / 2.0
+        w2 = t * (t * t - 1.0) / 6.0
+        rows.append(wm1 * fm1 + w0 * f0 + w1 * f1 + w2 * f2)
+    return ((1.0 - w) * rows[0] + w * rows[1])[0]
+
+
+@pytest.fixture(scope="module")
+def varA_run():
+    model = build_custom(
+        "jinxin-varA", 2, [[0.0, 1.0], [[[4.0, [0, 0]], [0.2, [1, 0]]], 0.0]],
+        [0.0, [[0.5, [2, 0]], [-1.0, [0, 1]]]],
+        U_minus=[1.0, 0.5], U_plus=[-1.0, 0.5])
+    prof = solve_profile(model, X=20.0, n=801)
+    pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0, center=0.3)
+    return evolve(model, prof, pert, ShiftSpec(kind="zero"), T=1.0,
+                  backend="moc", dx=0.05, n_out=4)
+
+
+@pytest.mark.parametrize("run", ["jinxin_run", "varA_run"])
+def test_array_eval_matches_pointwise(run, request):
+    traj = request.getfixturevalue(run)
+    times, grid = traj.times, traj.grid
+    X = float(grid[-1])
+    s = np.concatenate([times, 0.5 * (times[1:] + times[:-1]),
+                        times[:-1] + 0.3 * np.diff(times)])
+    x = np.concatenate([[-X - 5.0, -X - 0.013, -X, X, X + 0.013, X + 5.0],
+                        np.random.default_rng(3).uniform(-X, X, 9)])
+    for j in range(traj.model.N):
+        for columns in ([traj.frames(i).lambdas[:, j] for i in range(traj.n_times)],
+                        [traj.source_field(i).E_diag[:, j] for i in range(traj.n_times)]):
+            got = characteristics._FieldInterp(traj, columns).eval(s[:, None], x[None, :])
+            fields = np.stack(columns)
+            want = np.array([[_pointwise_eval(times, grid, fields, si, xi) for xi in x]
+                             for si in s])
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+def test_H_increments_beyond_grid_use_endstate_source(jinxin_run):
+    E_minus, E_plus = jinxin_run.endstate_E_diag
+    X = float(jinxin_run.grid[-1])
+    seen = set()
+    for j in (0, 1):
+        for p in trace_many(jinxin_run, j, [-30.0, 30.0]):
+            H = accumulate_H(p, jinxin_run)
+            x, s = p.positions, p.times
+            for k in range(1, len(s)):
+                for side, E in ((-1.0, E_minus[j]), (1.0, E_plus[j])):
+                    if side * x[k - 1] > X and side * x[k] > X:
+                        seen.add(side)
+                        assert H[k] == H[k - 1] + 0.5 * (E + E) * (s[k] - s[k - 1])
+    assert seen == {-1.0, 1.0}
+
+
+def test_accumulate_H_evaluates_the_field_in_one_batch(jinxin_run, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return _cubic_at(*args, **kwargs)
+
+    p = trace(jinxin_run, 0, x0=5.0)
+    monkeypatch.setattr(characteristics, "_cubic_at", counted)
+    accumulate_H(p, jinxin_run)
+    assert len(p.times) > 100
+    assert calls == [p.times.shape, p.times.shape]

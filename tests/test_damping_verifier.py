@@ -225,3 +225,39 @@ def test_l2_cross_norm_consistency(jinxin, jinxin_profile):
     c0 = fit_damping(traj, "c0", grid)
     l2 = fit_damping(traj, "l2", grid)
     assert np.all(l2.feasible[c0.feasible])
+
+
+def test_norm_series_computes_each_kind_once(monkeypatch):
+    import relaxdamp.damping_verifier as dvm
+
+    model = scalar_model(speed=2.0, decay=0.25)
+    prof = constant_profile(model, [0.0], X=20.0, n=801)
+
+    def field(t, x):
+        return (1e-3 * np.exp(-0.25 * t) * np.exp(-0.5 * (x / 3.0) ** 2))[:, None]
+
+    traj = synthetic_trajectory(model, prof, field, T=4.0, n_out=8)
+    want = {f"c{K}": [ckb_norm(traj.snapshot(i), K) for i in range(traj.n_times)]
+            for K in range(3)}
+    sobolev = np.array([l2_h2_norms(traj.snapshot(i)) for i in range(traj.n_times)])
+    want.update(zip(("l2", "h1", "h2"), sobolev.T))
+
+    calls = {"ckb": 0, "sobolev": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dvm, "ckb_norm", counted("ckb", dvm.ckb_norm))
+    monkeypatch.setattr(dvm, "l2_h2_norms", counted("sobolev", dvm.l2_h2_norms))
+    grid = np.linspace(0.01, 0.3, 5)
+    for _ in range(2):
+        for kind in ("c0", "c1", "c2", "l2", "h2"):
+            fit_damping(traj, kind, grid)
+        for kind in want:
+            series = dvm.norm_series(traj, kind)
+            assert np.array_equal(series, want[kind])
+            assert not series.flags.writeable
+    assert calls == {"ckb": 3 * traj.n_times, "sobolev": traj.n_times}
