@@ -231,9 +231,7 @@ def _write_trajectory(cfg: Config, traj: dyn.Trajectory, out: Path) -> None:
     rows = []
     for i in range(0, traj.n_times, st):
         snap = traj.snapshot(i)
-        frames = traj.frames(i)
-        Phi = np.einsum("njk,nk->nj", frames.L, snap.U)
-        Psi = np.einsum("njk,nk->nj", frames.L, snap.W)
+        Phi, Psi = (traj.frames(i).to_diag(F) for F in (snap.U, snap.W))
         for p in range(0, len(traj.grid), sx):
             rows.append([snap.t, traj.grid[p], *snap.U[p], *Phi[p], *Psi[p]])
     write_csv(out / "trajectory.csv", header, rows)
@@ -333,8 +331,7 @@ def stage_verify(cfg: Config, out: Path) -> int:
         Ca, ca = vc["C_alpha"], vc["c_alpha"]
     else:
         Ca, ca = dv.default_weight_constants(prof)
-    weights = [dv.weight_fn(model, prof, j, Ca, ca, grid=traj.grid)
-               for j in range(model.N)]
+    weights = dv.weight_fn(model, prof, Ca, ca, grid=traj.grid)
     energies = dv.weighted_energy_series(traj, weights, dr.theta_E)
 
     def table_payload(tab):

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Snapshot, Trajectory
-from .errors import Characteristic, EmptyFeasible, InvalidParam, Unsupported
+from .dynamics import Snapshot, Trajectory, diagonal_vars
+from .eigenframe import lambdas_along_profile
+from .errors import EmptyFeasible, InvalidParam, Unsupported
 from .model import ModelSpec
 from .profile import ProfileRep
 
@@ -100,26 +101,16 @@ class WeightFn:
     ode_residual: float
 
 
-def _lambda_on_points(model: ModelSpec, profile: ProfileRep, j: int,
-                      pts: np.ndarray, c_min: float) -> np.ndarray:
-    states = profile.eval(pts)
-    A = model.A_at(states)
-    lam = np.sort(np.linalg.eigvals(A).real, axis=-1)[..., j]
-    if np.min(np.abs(lam)) < c_min:
-        raise Characteristic(
-            f"|lambda_{j}| falls to {np.min(np.abs(lam)):.3e} inside the weight quadrature")
-    return lam
-
-
-def weight_fn(model: ModelSpec, profile: ProfileRep, j: int,
-              C_alpha: float, c_alpha: float,
-              c_min: float = 1e-8, grid: np.ndarray | None = None) -> WeightFn:
-    """Integrate the weight ODE in closed form and normalize max alpha = 1.
+def weight_fn(model: ModelSpec, profile: ProfileRep, C_alpha: float,
+              c_alpha: float, c_min: float = 1e-8,
+              grid: np.ndarray | None = None) -> list[WeightFn]:
+    """Integrate the weight ODE in closed form for every family, max alpha = 1.
 
     The log-increment over each grid cell is computed by 7-point Gauss
     quadrature of C e^{-c|y|} / lambda_j(Ubar(y)); the recorded residual
     re-evaluates the increments with 15 points and reports the worst mismatch
-    |alpha_{i+1} - alpha_i e^{-I_i}|.  ``grid`` defaults to the profile's
+    |alpha_{i+1} - alpha_i e^{-I_i}|.  The eigenvalues at all nodes of both
+    rules come from one checked query.  ``grid`` defaults to the profile's
     own grid; pass the trajectory grid when they differ.
     """
     if C_alpha <= 0 or c_alpha <= 0:
@@ -127,23 +118,22 @@ def weight_fn(model: ModelSpec, profile: ProfileRep, j: int,
     x = profile.grid if grid is None else np.asarray(grid, dtype=float)
     mid = 0.5 * (x[1:] + x[:-1])
     half = 0.5 * np.diff(x)
+    pts = [mid[:, None] + half[:, None] * nodes[None, :] for nodes, _ in (_GL7, _GL15)]
+    lam7, lam15 = np.split(lambdas_along_profile(
+        model, profile, np.concatenate([p.ravel() for p in pts]), c_min), [pts[0].size])
 
-    def increments(nodes, wts):
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        lam = _lambda_on_points(model, profile, j, pts.ravel(), c_min)
-        lam = lam.reshape(pts.shape)
-        f = C_alpha * np.exp(-c_alpha * np.abs(pts)) / lam
-        return np.sum(f * wts[None, :], axis=1) * half
+    def increments(p, lam_p, wts):  # (N, cells) log-increments of every family
+        f = C_alpha * np.exp(-c_alpha * np.abs(p)) / lam_p.T.reshape((-1,) + p.shape)
+        return np.sum(f * wts, axis=-1) * half
 
-    inc7 = increments(*_GL7)
-    log_alpha = np.concatenate([[0.0], np.cumsum(-inc7)])
-    log_alpha -= np.max(log_alpha)
-    alpha = np.exp(log_alpha)
-
-    inc15 = increments(*_GL15)
-    resid = float(np.max(np.abs(alpha[1:] - alpha[:-1] * np.exp(-inc15))))
-    return WeightFn(family=j, grid=x, values=alpha, C_alpha=C_alpha,
-                    c_alpha=c_alpha, ode_residual=resid)
+    inc7 = increments(pts[0], lam7, _GL7[1])
+    log_alpha = np.concatenate([np.zeros((model.N, 1)), np.cumsum(-inc7, axis=1)], axis=1)
+    alpha = np.exp(log_alpha - np.max(log_alpha, axis=1, keepdims=True))
+    inc15 = increments(pts[1], lam15, _GL15[1])
+    resid = np.max(np.abs(alpha[:, 1:] - alpha[:, :-1] * np.exp(-inc15)), axis=1)
+    return [WeightFn(family=j, grid=x, values=alpha[j], C_alpha=C_alpha,
+                     c_alpha=c_alpha, ode_residual=float(resid[j]))
+            for j in range(model.N)]
 
 
 def default_weight_constants(profile: ProfileRep) -> tuple[float, float]:
@@ -154,13 +144,6 @@ def default_weight_constants(profile: ProfileRep) -> tuple[float, float]:
 
 
 # --- series extraction -----------------------------------------------------
-
-def phi_fields(traj: Trajectory, i: int) -> np.ndarray:
-    frames = traj.frames(i)
-    if traj.model.A_is_constant:
-        return traj.states[i] @ frames.L[0].T
-    return np.einsum("njk,nk->nj", frames.L, traj.states[i])
-
 
 def norm_series(traj: Trajectory, kind: str) -> np.ndarray:
     """Per-output-time norms: kind in c0|c1|c2|l2|h1|h2.
@@ -213,7 +196,7 @@ def weighted_energy_series(traj: Trajectory, weights: list[WeightFn],
     e = np.empty((traj.n_times, N))
     phi_l2sq = np.empty(traj.n_times)
     for i in range(traj.n_times):
-        Phi = phi_fields(traj, i)
+        Phi = traj.frames(i).to_diag(traj.states[i])
         for j in range(N):
             e[i, j] = trapezoid4(weights[j].values * Phi[:, j] ** 2, dx)
         phi_l2sq[i] = float(np.sum(trapezoid4(Phi**2, dx)))
@@ -327,8 +310,6 @@ def slaving_check(traj: Trajectory, theta_grid,
     Both derivative conjugates must admit a rate with the forcing
     ||Phi||_C0 + |ddelta| alone, confirming that no self-forcing is needed.
     """
-    from .dynamics import diagonal_vars
-
     n_t = traj.n_times
     psi_t = np.empty(n_t)
     ups_t = np.empty(n_t)

@@ -179,8 +179,7 @@ class Snapshot:
 def fd4_derivative(F: np.ndarray, dx: float, left: np.ndarray,
                    right: np.ndarray) -> np.ndarray:
     """Fourth-order centered derivative with flat boundary-state extension."""
-    F = np.asarray(F, dtype=float)
-    pad = np.concatenate([np.tile(left, (2, 1)), F, np.tile(right, (2, 1))], axis=0)
+    pad = _edge_pad(np.asarray(F, dtype=float), 2, left, right)
     return (-pad[4:] + 8.0 * pad[3:-1] - 8.0 * pad[1:-3] + pad[:-4]) / (12.0 * dx)
 
 
@@ -231,6 +230,11 @@ class Trajectory:
         return self._frame_cache[i]
 
     @cached_property
+    def stepper(self) -> "Stepper":
+        """The stepper of this trajectory's grid, for its forcing fields (built once)."""
+        return Stepper(self.model, self.profile, self.grid, self.shift, self.budget)
+
+    @cached_property
     def endstate_E_diag(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal transformed source at U- and U+ (computed once)."""
         return tuple(np.diag(split.E) for split in endstate_splits(self.model))
@@ -260,10 +264,9 @@ def make_initial(profile: ProfileRep, pert: PerturbationSpec,
 
 # --- interpolation on a uniform grid ---------------------------------------
 
-def _edge_pad(f: np.ndarray, width: int, fill_left: float,
-              fill_right: float) -> np.ndarray:
-    """f with ``width`` copies of the fill value added at each end."""
-    pad = np.empty(len(f) + 2 * width)
+def _edge_pad(f: np.ndarray, width: int, fill_left, fill_right) -> np.ndarray:
+    """f (n,) or (n, N) with ``width`` copies of the fill values added at each end."""
+    pad = np.empty((len(f) + 2 * width,) + f.shape[1:])
     pad[width:-width] = f
     pad[:width] = fill_left
     pad[-width:] = fill_right
@@ -298,13 +301,6 @@ def _cubic_interp(f: np.ndarray, x0: float, dx: float, xq: np.ndarray,
                   fill_left: float, fill_right: float) -> np.ndarray:
     """Cubic Lagrange interpolation with flat extension beyond the grid."""
     return _cubic_at(_edge_pad(f, 2, fill_left, fill_right), (xq - x0) / dx)
-
-
-def _rows_dot(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """(M V) per node; M either one (N, N) matrix or a field (n, N, N)."""
-    if M.ndim == 2:
-        return V @ M.T
-    return np.einsum("njk,nk->nj", M, V)
 
 
 def _linear_interp(f: np.ndarray, x0: float, dx: float, xq: np.ndarray,
@@ -390,9 +386,8 @@ class Stepper:
         Along a family-j characteristic d/ds Phi_j = E_jj Phi_j + G_j, with E
         and the frame transport T (zero for state-independent A) from ``sf``.
         """
-        L = sf.frames.L[0] if self.frames0 is not None else sf.frames.L
-        Phi = _rows_dot(L, U)
-        G = _rows_dot(L, self.source(U, t)) - sf.E_diag * Phi
+        Phi = sf.frames.to_diag(U)
+        G = sf.frames.to_diag(self.source(U, t)) - sf.E_diag * Phi
         if not self.model.A_is_constant:
             G += np.einsum("njk,nk->nj", sf.transport, Phi)
         return Phi, G
@@ -418,11 +413,7 @@ class Stepper:
                                          snap.t + 0.5 * dt, rows)
 
     def _begin(self, snap: Snapshot, dt: float):
-        """Frames at the perturbed state and CFL-checked shifted speeds.
-
-        Returns (Ut, frames, c, L, R) with L, R one (N, N) matrix when A is
-        constant and per-node fields otherwise.
-        """
+        """Frames at the perturbed state and CFL-checked shifted speeds (Ut, frames, c)."""
         Ut = self.Ubar + snap.U
         frames = self._frames(Ut)
         c = frames.lambdas - float(self.shift.delta_dot(snap.t))  # (n, N)
@@ -430,9 +421,7 @@ class Stepper:
         self.last_cfl = max(self.last_cfl, cfl)
         if cfl > CFL_LIMIT:
             raise CFLViolation(f"CFL number {cfl:.3f} exceeds {CFL_LIMIT}")
-        if self.frames0 is not None:
-            return Ut, frames, c, frames.L[0], frames.R[0]
-        return Ut, frames, c, frames.L, frames.R
+        return Ut, frames, c
 
     def _finish(self, snap: Snapshot, dt: float, U_new: np.ndarray) -> Snapshot:
         """Edge rows by the source alone, boundary states, blow-up guard, W."""
@@ -448,13 +437,13 @@ class Stepper:
 
     def step_reference(self, snap: Snapshot, dt: float) -> Snapshot:
         """First-order characteristic-upwind step with midpoint source."""
-        _, _, c, L, R = self._begin(snap, dt)
+        _, frames, c = self._begin(snap, dt)
         U, t = snap.U, snap.t
         Um = np.vstack([snap.b_left, U[:-1]])
         Up = np.vstack([U[1:], snap.b_right])
-        phi_m = _rows_dot(L, (U - Um) / self.dx)
-        phi_p = _rows_dot(L, (Up - U) / self.dx)
-        adv = _rows_dot(R, c * np.where(c > 0.0, phi_m, phi_p))
+        phi_m = frames.to_diag((U - Um) / self.dx)
+        phi_p = frames.to_diag((Up - U) / self.dx)
+        adv = frames.from_diag(c * np.where(c > 0.0, phi_m, phi_p))
         adv[0] = 0.0
         adv[-1] = 0.0
 
@@ -499,7 +488,7 @@ class Stepper:
         node and the interpolations are fixed stencils; for state-dependent A
         it is traced per node with a midpoint correction (``_foot_values``).
         """
-        Ut, frames, c, L, R = self._begin(snap, dt)
+        Ut, frames, c = self._begin(snap, dt)
         sf = transformed_source(self.model, self.grid, Ut, frames=frames,
                                 with_theta=False)
         Phi, G = self.forcing(snap.U, snap.t, sf)
@@ -512,7 +501,7 @@ class Stepper:
                                              phi_bl, phi_br)
             h = 0.5 * dt * (Ef + sf.E_diag[:, j])
             Phi_new[:, j] = np.exp(h) * Phif + dt * np.exp(0.5 * h) * Gm
-        return self._finish(snap, dt, _rows_dot(R, Phi_new))
+        return self._finish(snap, dt, frames.from_diag(Phi_new))
 
     def step(self, snap: Snapshot, dt: float, backend: str) -> Snapshot:
         if backend == "reference":
@@ -598,11 +587,10 @@ def diagonal_vars(snap: Snapshot, frames: FrameField,
                   theta: np.ndarray) -> DiagVars:
     """Phi = L U, Psi = L W, PsiTilde = Psi + Theta Phi, and the second-derivative
     analogues with Y obtained by fourth-order differencing of W."""
-    Phi = np.einsum("njk,nk->nj", frames.L, snap.U)
-    Psi = np.einsum("njk,nk->nj", frames.L, snap.W)
+    Phi, Psi = frames.to_diag(snap.U), frames.to_diag(snap.W)
     PsiT = Psi + np.einsum("njk,nk->nj", theta, Phi)
     Y = snap.second_derivative()
-    Ups = np.einsum("njk,nk->nj", frames.L, Y)
+    Ups = frames.to_diag(Y)
     UpsT = Ups + np.einsum("njk,nk->nj", theta, Psi)
     return DiagVars(Phi=Phi, Psi=Psi, PsiTilde=PsiT, Upsilon=Ups,
                     UpsilonTilde=UpsT, Y=Y)
@@ -619,9 +607,8 @@ def snapshot_diagonal_vars(model: ModelSpec, profile: ProfileRep,
 def phi_and_forcing(traj: Trajectory, i: int):
     """Diagonal field Phi and its Duhamel forcing G at output time i.
 
-    Uses the trajectory's transformed source, so G collects everything the
-    damping exponent E_jj does not.
+    Uses the trajectory's one Stepper and its transformed source, so G
+    collects everything the damping exponent E_jj does not.
     """
-    stepper = Stepper(traj.model, traj.profile, traj.grid, traj.shift, traj.budget)
-    return stepper.forcing(traj.states[i], float(traj.times[i]),
-                           traj.source_field(i))
+    return traj.stepper.forcing(traj.states[i], float(traj.times[i]),
+                                traj.source_field(i))

@@ -67,18 +67,16 @@ def _sign_fix(R: np.ndarray) -> None:
         R[..., :, j] = col / lead[..., None]
 
 
-def _decompose_batch(A: np.ndarray, c_min: float,
-                     grid: np.ndarray | None = None):
-    """Sorted real eigendecompositions (lambdas, L, R) of a stack of matrices.
+def _checked_spectrum(A: np.ndarray, w: np.ndarray, c_min: float, x=None):
+    """Sorted real parts of the eigenvalues ``w`` of the stack ``A``, and their order.
 
     Raises NotStrictlyHyperbolic on complex pairs or coalescing eigenvalues
-    and Characteristic when some |lambda_j| < c_min; with ``grid`` given the
+    and Characteristic when some |lambda_j| < c_min; with ``x`` given the
     message names the x location of the first offending matrix.
     """
     def where(i):
-        return "" if grid is None else f" at x = {grid[i]:.6g}"
+        return "" if x is None else f" at x = {x[i]:.6g}"
 
-    w, V = np.linalg.eig(A)
     scale = 1.0 + np.max(np.abs(A), axis=(1, 2))
     bad = np.max(np.abs(w.imag), axis=1) > DEGENERACY_TOL * scale
     if np.any(bad):
@@ -92,13 +90,21 @@ def _decompose_batch(A: np.ndarray, c_min: float,
         i = int(np.argmax(coalesced))
         raise NotStrictlyHyperbolic(
             f"eigenvalue gap below {DEGENERACY_TOL} in {lam[i]}{where(i)}")
-    R = np.take_along_axis(V.real, order[:, None, :], axis=2)
-    _sign_fix(R)
-    L = np.linalg.inv(R)
     if np.min(np.abs(lam)) < c_min:
         i = int(np.argmin(np.min(np.abs(lam), axis=1)))
         raise Characteristic(
             f"min |lambda| = {np.min(np.abs(lam)):.6g} below bound {c_min}{where(i)}")
+    return lam, order
+
+
+def _decompose_batch(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
+    """Sorted real eigendecompositions (lambdas, L, R) of a stack of matrices,
+    checked by ``_checked_spectrum`` at the locations ``grid``."""
+    w, V = np.linalg.eig(A)
+    lam, order = _checked_spectrum(A, w, c_min, grid)
+    R = np.take_along_axis(V.real, order[:, None, :], axis=2)
+    _sign_fix(R)
+    L = np.linalg.inv(R)
     return lam, L, R
 
 
@@ -110,12 +116,29 @@ def decompose(A: np.ndarray, c_min: float = 0.0) -> EigenFrame:
 
 @dataclass
 class FrameField:
-    """Eigenframes at every grid node, with signs continued along the grid."""
+    """Eigenframes at every grid node, with signs continued along the grid.
+
+    ``constant`` marks one decomposition (constant A) held as read-only views.
+    """
 
     grid: np.ndarray
     lambdas: np.ndarray  # (n, N)
     L: np.ndarray        # (n, N, N)
     R: np.ndarray        # (n, N, N)
+    constant: bool = False
+
+    def _apply(self, M: np.ndarray, V: np.ndarray) -> np.ndarray:
+        if self.constant:
+            return V @ M[0].T
+        return np.einsum("njk,nk->nj", M, V)
+
+    def to_diag(self, V: np.ndarray) -> np.ndarray:
+        """Diagonal variables L V at every node of a field V (n, N)."""
+        return self._apply(self.L, V)
+
+    def from_diag(self, Phi: np.ndarray) -> np.ndarray:
+        """State field R Phi at every node of diagonal variables Phi (n, N)."""
+        return self._apply(self.R, Phi)
 
     @property
     def min_abs_lambda(self) -> float:
@@ -166,10 +189,10 @@ def frames_at_states(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
     states = np.asarray(states, dtype=float)
     if model.A_is_constant:
         frame = decompose(model.A_at(states[0]), c_min)
-        n = states.shape[0]
-        return FrameField(grid=grid, lambdas=np.tile(frame.lambdas, (n, 1)),
-                          L=np.tile(frame.L, (n, 1, 1)),
-                          R=np.tile(frame.R, (n, 1, 1)))
+        n, N = states.shape
+        return FrameField(grid=grid, lambdas=np.broadcast_to(frame.lambdas, (n, N)),
+                          L=np.broadcast_to(frame.L, (n, N, N)),
+                          R=np.broadcast_to(frame.R, (n, N, N)), constant=True)
     lam, L, R = _decompose_batch(model.A_at(states), c_min, grid)
     _continue_signs(lam, L, R)
     return FrameField(grid=grid, lambdas=lam, L=L, R=R)
@@ -179,6 +202,17 @@ def frame_along_profile(model: ModelSpec, profile: ProfileRep,
                         c_min: float = 0.0) -> FrameField:
     """Eigenframes at every profile node."""
     return frames_at_states(model, profile.grid, profile.values, c_min)
+
+
+def lambdas_along_profile(model: ModelSpec, profile: ProfileRep, x: np.ndarray,
+                          c_min: float = 0.0) -> np.ndarray:
+    """Checked sorted real eigenvalues of A(Ubar(x)) at points x, shape (len(x), N):
+    one decomposition when A is constant, else ``eigvals`` (no eigenvectors)."""
+    x = np.asarray(x, dtype=float)
+    if model.A_is_constant:
+        return frames_at_states(model, x, np.zeros((len(x), model.N)), c_min).lambdas
+    A = model.A_at(profile.eval(x))
+    return _checked_spectrum(A, np.linalg.eigvals(A), c_min, x)[0]
 
 
 def source_split(frame: EigenFrame, Qmat: np.ndarray) -> SourceSplit:

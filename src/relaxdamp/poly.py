@@ -58,7 +58,7 @@ class Poly:
         U = np.asarray(U, dtype=float)
         out = np.zeros(U.shape[:-1], dtype=float)
         for coeff, powers in self.terms:
-            term = np.full(U.shape[:-1], coeff, dtype=float)
+            term = coeff
             for k, p in enumerate(powers):
                 if p == 1:
                     term = term * U[..., k]
@@ -90,21 +90,21 @@ class Poly:
 def poly_matrix_eval(entries, U: np.ndarray) -> np.ndarray:
     """Evaluate a nested sequence of Poly entries at U (..., n) -> (..., rows, cols)."""
     U = np.asarray(U, dtype=float)
-    rows = len(entries)
-    cols = len(entries[0])
-    out = np.empty(U.shape[:-1] + (rows, cols), dtype=float)
-    for i in range(rows):
-        for j in range(cols):
-            out[..., i, j] = entries[i][j](U)
+    out = np.zeros(U.shape[:-1] + (len(entries), len(entries[0])), dtype=float)
+    for i, row in enumerate(entries):
+        for j, p in enumerate(row):
+            if p.terms:
+                out[..., i, j] = p(U)
     return out
 
 
 def poly_vector_eval(entries, U: np.ndarray) -> np.ndarray:
     """Evaluate a sequence of Poly entries at U (..., n) -> (..., len(entries))."""
     U = np.asarray(U, dtype=float)
-    out = np.empty(U.shape[:-1] + (len(entries),), dtype=float)
+    out = np.zeros(U.shape[:-1] + (len(entries),), dtype=float)
     for i, p in enumerate(entries):
-        out[..., i] = p(U)
+        if p.terms:
+            out[..., i] = p(U)
     return out
 
 

@@ -29,6 +29,14 @@ def scalar_model(speed: float = 2.0, decay: float = 0.25):
     )
 
 
+def vara_model():
+    """Jin-Xin with state-dependent A: A_21 = 4 + 0.2 u, q = (0, u^2/2 - v)."""
+    return build_custom(
+        "jinxin-varA", 2, [[0.0, 1.0], [[[4.0, [0, 0]], [0.2, [1, 0]]], 0.0]],
+        [0.0, [[0.5, [2, 0]], [-1.0, [0, 1]]]],
+        U_minus=[1.0, 0.5], U_plus=[-1.0, 0.5])
+
+
 def synthetic_trajectory(model, profile, field, T: float, n_out: int,
                          shift: ShiftSpec | None = None) -> Trajectory:
     """Fabricate a Trajectory from a manufactured field U(t, x)."""
@@ -45,4 +53,4 @@ def synthetic_trajectory(model, profile, field, T: float, n_out: int,
     )
 
 
-__all__ = ["scalar_model", "synthetic_trajectory", "constant_profile"]
+__all__ = ["scalar_model", "synthetic_trajectory", "constant_profile", "vara_model"]

@@ -248,7 +248,7 @@ def test_criterion_8_damping_certification(model, run_gaussian, run_sinusoid):
 def test_criterion_9_l2_damping(model, profile, run_gaussian):
     dr = damping_rate(model)
     Ca, ca = default_weight_constants(profile)
-    weights = [weight_fn(model, profile, j, Ca, ca) for j in range(2)]
+    weights = weight_fn(model, profile, Ca, ca)
     worst_resid = max(w.ode_residual for w in weights)
     assert worst_resid <= 1e-10
     es = weighted_energy_series(run_gaussian, weights, dr.theta_E)

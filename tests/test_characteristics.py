@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import scalar_model, synthetic_trajectory
-from relaxdamp import characteristics, damping_rate, eigenframe
+from conftest import scalar_model, synthetic_trajectory, vara_model
+from relaxdamp import characteristics, damping_rate, dynamics, eigenframe
 from relaxdamp.characteristics import (
     accumulate_H,
     duhamel_residual,
@@ -184,6 +184,24 @@ def test_epsilon_too_large(jinxin, jinxin_profile):
         no_damping_radius(jinxin, jinxin_profile, eps_budget=10.0)
 
 
+def test_duhamel_residual_builds_one_stepper(jinxin, jinxin_profile, monkeypatch):
+    pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0)
+    traj = evolve(jinxin, jinxin_profile, pert, ShiftSpec(kind="zero"),
+                  T=2.0, backend="moc", dx=0.04, n_out=4)
+    built = []
+    original = dynamics.Stepper.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.Stepper, "__init__", counted)
+    for j, x0 in ((0, 2.0), (1, -3.0)):
+        duhamel_residual(traj, trace(traj, j, x0))
+    # one for the trajectory, not one per output time and path
+    assert len(built) == 1
+
+
 def test_duhamel_consistency(jinxin_run):
     p = trace(jinxin_run, 1, x0=-30.0)
     accumulate_H(p, jinxin_run)
@@ -220,10 +238,7 @@ def _pointwise_eval(times, grid, fields, s, x):
 
 @pytest.fixture(scope="module")
 def varA_run():
-    model = build_custom(
-        "jinxin-varA", 2, [[0.0, 1.0], [[[4.0, [0, 0]], [0.2, [1, 0]]], 0.0]],
-        [0.0, [[0.5, [2, 0]], [-1.0, [0, 1]]]],
-        U_minus=[1.0, 0.5], U_plus=[-1.0, 0.5])
+    model = vara_model()
     prof = solve_profile(model, X=20.0, n=801)
     pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0, center=0.3)
     return evolve(model, prof, pert, ShiftSpec(kind="zero"), T=1.0,

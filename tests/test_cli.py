@@ -213,6 +213,43 @@ def test_all_matches_separate_stages(tmp_path):
         assert (chained / name).read_bytes() == (separate / name).read_bytes(), name
 
 
+VARA = {
+    "model": {
+        "kind": "custom",
+        "name": "jinxin-varA",
+        "N": 2,
+        "A": [[0.0, 1.0], [[[4.0, [0, 0]], [0.2, [1, 0]]], 0.0]],
+        "q": [0.0, [[0.5, [2, 0]], [-1.0, [0, 1]]]],
+        "U_minus": [1.0, 0.5],
+        "U_plus": [-1.0, 0.5],
+    },
+    "profile": {"X": 20.0, "n": 1001},
+    "dynamics": {
+        "T": 0.6,
+        "n_out": 3,
+        "dx": 0.04,
+        "perturbation": {"kind": "gaussian", "amplitude": 0.01, "width": 2.0,
+                         "center": 0.3},
+    },
+    "verify": {"n_paths": 4, "theta_grid": {"start": 0.01, "stop": 0.3, "num": 8}},
+}
+
+
+@pytest.mark.parametrize("backend", ["moc", "reference"])
+def test_state_dependent_A_all_is_deterministic(tmp_path, backend):
+    payload = json.loads(json.dumps(VARA))
+    payload["dynamics"]["backend"] = backend
+    cfg = config_from_dict(payload)
+    out1, out2 = tmp_path / "run1", tmp_path / "run2"
+    assert run("all", cfg, out_dir=str(out1)) == EXIT_OK
+    assert run("all", cfg, out_dir=str(out2)) == EXIT_OK
+    names = sorted(path.name for path in out1.iterdir())
+    assert len(names) == 11
+    assert names == sorted(path.name for path in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 def test_custom_model_config(tmp_path):
     # the Jin-Xin system spelled out as polynomial entries
     custom = {

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import scalar_model, synthetic_trajectory
-from relaxdamp import build_jinxin, damping_rate
+from conftest import scalar_model, synthetic_trajectory, vara_model
+from relaxdamp import build_custom, build_jinxin, damping_rate
 from relaxdamp.damping_verifier import (
     ckb_norm,
     default_weight_constants,
@@ -19,8 +19,8 @@ from relaxdamp.damping_verifier import (
     weighted_energy_series,
 )
 from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, Snapshot, evolve
-from relaxdamp.errors import Characteristic, EmptyFeasible, Unsupported
-from relaxdamp.profile import constant_profile
+from relaxdamp.errors import Characteristic, EmptyFeasible, NotStrictlyHyperbolic, Unsupported
+from relaxdamp.profile import constant_profile, solve_profile
 
 
 def make_snapshot(grid, U, W=None, b=None):
@@ -99,7 +99,7 @@ def test_quadrature_fourth_order():
 def test_weight_constant_speed_closed_form(jinxin, jinxin_profile):
     # family 1 has lambda = +2 everywhere; alpha decays by exp of the
     # antiderivative of e^{-c|x|}: total log drop 2C/(c lambda) (1 - e^{-cX})
-    wf = weight_fn(jinxin, jinxin_profile, 1, C_alpha=1.0, c_alpha=0.25)
+    wf = weight_fn(jinxin, jinxin_profile, C_alpha=1.0, c_alpha=0.25)[1]
     drop = (1.0 / (0.25 * 2.0)) * 2.0 * (1.0 - np.exp(-0.25 * 40.0))
     assert wf.values.max() == pytest.approx(1.0)
     assert wf.values.min() == pytest.approx(np.exp(-drop), rel=1e-10)
@@ -109,7 +109,7 @@ def test_weight_constant_speed_closed_form(jinxin, jinxin_profile):
 
 def test_weight_lower_bound(jinxin, jinxin_profile):
     for j, C, c in ((0, 2.0, 0.1), (1, 1.0, 0.25)):
-        wf = weight_fn(jinxin, jinxin_profile, j, C, c)
+        wf = weight_fn(jinxin, jinxin_profile, C, c)[j]
         assert wf.values.min() >= np.exp(-2.0 * C / (c * 2.0)) * (1.0 - 1e-12)
 
 
@@ -117,7 +117,61 @@ def test_weight_characteristic_guard():
     m = build_jinxin(a=2.0, eps=1.0, flux=[0, 0, 0.5], u_minus=3.0, u_plus=1.0)
     prof = constant_profile(m, m.U_minus, X=10.0, n=101)
     with pytest.raises(Characteristic):
-        weight_fn(m, prof, 1, 1.0, 0.25, c_min=1e-3)
+        weight_fn(m, prof, 1.0, 0.25, c_min=1e-3)
+
+
+def test_weight_complex_pair_raises():
+    # A = [[1 + u, 1], [-1, 1]] has eigenvalues 1 + u/2 +- i sqrt(1 - u^2/4) near u = 0
+    A = [[[[1.0, [0, 0]], [1.0, [1, 0]]], 1.0], [-1.0, 1.0]]
+    m = build_custom("complex-pair", 2, A, [0.0, 0.0],
+                     state_box=([-1.0, -1.0], [1.0, 1.0]))
+    prof = constant_profile(m, [0.0, 0.0], X=10.0, n=101)
+    with pytest.raises(NotStrictlyHyperbolic, match="at x = "):
+        weight_fn(m, prof, 1.0, 0.25)
+
+
+def _weights_per_family(model, profile, C_alpha, c_alpha):
+    """The weights as computed family by family with ``eigvals`` at every node."""
+    x = profile.grid
+    mid = 0.5 * (x[1:] + x[:-1])
+    half = 0.5 * np.diff(x)
+    out = []
+    for j in range(model.N):
+        def increments(nodes, wts):
+            pts = mid[:, None] + half[:, None] * nodes[None, :]
+            A = model.A_at(profile.eval(pts.ravel()))
+            lam = np.sort(np.linalg.eigvals(A).real, axis=-1)[..., j].reshape(pts.shape)
+            f = C_alpha * np.exp(-c_alpha * np.abs(pts)) / lam
+            return np.sum(f * wts[None, :], axis=1) * half
+
+        inc7 = increments(*np.polynomial.legendre.leggauss(7))
+        log_alpha = np.concatenate([[0.0], np.cumsum(-inc7)])
+        log_alpha -= np.max(log_alpha)
+        alpha = np.exp(log_alpha)
+        inc15 = increments(*np.polynomial.legendre.leggauss(15))
+        resid = float(np.max(np.abs(alpha[1:] - alpha[:-1] * np.exp(-inc15))))
+        out.append((alpha, resid))
+    return out
+
+
+@pytest.fixture(scope="module")
+def vara_profile():
+    model = vara_model()
+    return model, solve_profile(model, X=20.0, n=801)
+
+
+@pytest.mark.parametrize("case", ["jinxin", "vara"])
+def test_weights_match_per_family_eigvals(case, request):
+    if case == "jinxin":
+        model, prof = request.getfixturevalue("jinxin"), request.getfixturevalue("jinxin_profile")
+    else:
+        model, prof = request.getfixturevalue("vara_profile")
+    Ca, ca = default_weight_constants(prof)
+    weights = weight_fn(model, prof, Ca, ca)
+    assert [w.family for w in weights] == list(range(model.N))
+    for w, (alpha, resid) in zip(weights, _weights_per_family(model, prof, Ca, ca)):
+        assert np.array_equal(w.values, alpha)
+        assert w.ode_residual == resid
 
 
 # --- energies ----------------------------------------------------------------
@@ -126,7 +180,7 @@ def test_energy_zero_field(jinxin, jinxin_profile):
     traj = evolve(jinxin, jinxin_profile, PerturbationSpec(kind="zero"),
                   ShiftSpec(kind="zero"), T=1.0, backend="moc", dx=0.02, n_out=4)
     Ca, ca = default_weight_constants(jinxin_profile)
-    ws = [weight_fn(jinxin, jinxin_profile, j, Ca, ca) for j in range(2)]
+    ws = weight_fn(jinxin, jinxin_profile, Ca, ca)
     es = weighted_energy_series(traj, ws, damping_rate(jinxin).theta_E)
     assert np.max(np.abs(es.energies)) == 0.0
 
@@ -140,8 +194,7 @@ def test_energy_pure_decay_rate():
         return (1e-2 * np.exp(-beta * t) * np.exp(-0.5 * (x / 3.0) ** 2))[:, None]
 
     traj = synthetic_trajectory(model, prof, field, T=1.0, n_out=100)
-    wf = weight_fn(model, prof, 0, 1.0, 0.25)
-    es = weighted_energy_series(traj, [wf], theta_E=0.05)
+    es = weighted_energy_series(traj, weight_fn(model, prof, 1.0, 0.25), theta_E=0.05)
     ratio = es.rates[1:-1, 0] / es.energies[1:-1, 0]
     assert np.max(np.abs(ratio + 2.0 * beta)) <= 1e-6
 

@@ -314,6 +314,14 @@ def test_diagonal_vars_spot_value(jinxin, jinxin_profile):
     assert np.allclose(np.abs(Phi[i0]), [1e-2, 1e-2], atol=1e-15)
 
 
+def test_fd4_padding_matches_tiled_boundary_rows():
+    rng = np.random.default_rng(4)
+    F, left, right = rng.standard_normal((50, 3)), rng.standard_normal(3), rng.standard_normal(3)
+    pad = np.concatenate([np.tile(left, (2, 1)), F, np.tile(right, (2, 1))], axis=0)
+    want = (-pad[4:] + 8.0 * pad[3:-1] - 8.0 * pad[1:-3] + pad[:-4]) / (12.0 * 0.1)
+    assert np.array_equal(fd4_derivative(F, 0.1, left, right), want)
+
+
 def test_trajectory_snapshot_consistency(jinxin, jinxin_profile):
     pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0,
                             direction=(0.0, 1.0))

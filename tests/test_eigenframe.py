@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import vara_model
 from relaxdamp import (
     build_custom,
     build_jinxin,
@@ -18,6 +19,7 @@ from relaxdamp import (
 from relaxdamp.eigenframe import _continue_signs, endstate_splits, frames_at_states
 from relaxdamp.errors import Characteristic, GapTooSmall, NotDissipative, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
+from relaxdamp.profile import solve_profile
 
 
 def test_decompose_jinxin_matrix():
@@ -61,6 +63,37 @@ def test_frames_constant_along_profile(jinxin, jinxin_profile):
     assert frames.min_gap == pytest.approx(4.0, abs=1e-12)
     assert np.max(np.abs(frames.R - frames.R[0])) == 0.0
     assert frames.lipschitz == 0.0
+
+
+def test_constant_field_shares_one_frame(jinxin, jinxin_profile):
+    frames = frame_along_profile(jinxin, jinxin_profile)
+    assert frames.constant
+    for field in (frames.lambdas, frames.L, frames.R):
+        assert field.strides[0] == 0 and not field.flags.writeable
+    assert np.shares_memory(frames.L[0], frames.L[-1])
+    assert np.shares_memory(frames.R[0], frames.R[-1])
+
+
+@pytest.fixture(scope="module")
+def vara_frames():
+    model = vara_model()
+    return frame_along_profile(model, solve_profile(model, X=20.0, n=401))
+
+
+@pytest.mark.parametrize("case", ["constant", "vara"])
+def test_to_diag_and_from_diag_match_einsum(case, request):
+    if case == "constant":
+        frames = frame_along_profile(request.getfixturevalue("jinxin"),
+                                     request.getfixturevalue("jinxin_profile"))
+    else:
+        frames = request.getfixturevalue("vara_frames")
+        assert not frames.constant
+    V = np.random.default_rng(2).standard_normal(frames.lambdas.shape)
+    for got, M in ((frames.to_diag(V), frames.L), (frames.from_diag(V), frames.R)):
+        want = np.einsum("njk,nk->nj", M, V)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(M)) * np.max(np.abs(V))
+    assert np.max(np.abs(frames.from_diag(frames.to_diag(V)) - V)) <= 1e-12
 
 
 def test_frames_reconstruct_A(jinxin, jinxin_profile):

@@ -8,7 +8,7 @@ import pytest
 from relaxdamp import build_custom, build_jinxin, eval_A, eval_Q, eval_q, validate_model
 from relaxdamp.errors import DegenerateShock, InvalidParam, OutOfDomain, ValidationFailed
 from relaxdamp.model import fd_jacobian
-from relaxdamp.poly import Poly
+from relaxdamp.poly import Poly, poly_matrix_eval, poly_vector_eval
 
 
 def rankine_hugoniot(flux, um, up):
@@ -46,6 +46,40 @@ def test_eval_A_state_dependent_entry():
                      [0.0, 0.0], state_box=([-1.0, -1.0], [1.0, 1.0]))
     A = eval_A(m, [0.5, 0.0])
     assert np.allclose(A, [[0.5, 0.0], [0.0, -1.0]])
+
+
+def _poly_eval_full(poly, U):
+    """Poly evaluation that starts every monomial from a filled array."""
+    U = np.asarray(U, dtype=float)
+    out = np.zeros(U.shape[:-1], dtype=float)
+    for coeff, powers in poly.terms:
+        term = np.full(U.shape[:-1], coeff, dtype=float)
+        for k, p in enumerate(powers):
+            if p == 1:
+                term = term * U[..., k]
+            elif p > 1:
+                term = term * U[..., k] ** p
+        out += term
+    return out
+
+
+def test_poly_eval_matches_filled_monomials():
+    x, y = Poly.variable(3, 0), Poly.variable(3, 1)
+    entries = [
+        [Poly.constant(3, 0.0), Poly.constant(3, 2.5)],
+        [x.scaled(3.0) + Poly.univariate(3, 1, [1.0, 0.0, -0.5, 0.25]),
+         Poly(3, ((0.7, (1, 2, 3)), (-1.5, (0, 0, 0)))) + y],
+    ]
+    rng = np.random.default_rng(11)
+    for U in (rng.uniform(-2.0, 2.0, (257, 3)), rng.uniform(-2.0, 2.0, (4, 5, 3)),
+              np.array([0.3, -1.2, 0.8])):
+        got = poly_matrix_eval(entries, U)
+        vec = poly_vector_eval([row[1] for row in entries] + [entries[0][0]], U)
+        for i in range(2):
+            for j in range(2):
+                assert np.array_equal(got[..., i, j], _poly_eval_full(entries[i][j], U))
+            assert np.array_equal(vec[..., i], _poly_eval_full(entries[i][1], U))
+        assert np.array_equal(vec[..., 2], np.zeros(U.shape[:-1]))
 
 
 def test_eval_outside_box_raises(jinxin):
