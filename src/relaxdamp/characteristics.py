@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, _cubic_at, phi_and_forcing
-from .eigenframe import decompose, profile_source_field, source_split
+from .dynamics import Trajectory, _cubic_at, grid_step, phi_and_forcing
+from .eigenframe import SourceField, decompose, profile_source_field, source_split
 from .errors import EpsilonTooLarge, InvalidParam, NotBounded, NotStrictlyHyperbolic
 from .model import ModelSpec
 from .profile import ProfileRep
@@ -57,7 +57,7 @@ class _FieldInterp:
     def __init__(self, traj: Trajectory, columns):
         self.times = traj.times
         self.x0 = float(traj.grid[0])
-        self.dx = traj.dx
+        self.dx = grid_step(traj.grid)
         self.pad = np.pad(np.stack(columns), ((0, 0), (2, 2)), mode="edge")
 
     def eval(self, s, xq) -> np.ndarray:
@@ -75,11 +75,24 @@ def trace_many(traj: Trajectory, j: int, x0s, n_sub: int = 4) -> list[CharPath]:
     """RK2 integration of a batch of family-j characteristics.
 
     Sub-steps subdivide each output interval so the time interpolation of the
-    velocity field stays piecewise smooth along the integration.
+    velocity field stays piecewise smooth along the integration.  With
+    constant frames lambda_j is one number, so the velocity is lambda_j -
+    ddelta(s) at every position and no field is interpolated.
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
-    lam = _FieldInterp(traj, [traj.frames(i).lambdas[:, j]
-                              for i in range(traj.n_times)])
+    frames0 = traj.frames(0)
+    if frames0.constant:
+        lam_j = float(frames0.lambdas[0, j])
+
+        def velocity(s, x):
+            return np.full_like(x, lam_j - traj.shift.delta_dot(s))
+    else:
+        lam = _FieldInterp(traj, [traj.frames(i).lambdas[:, j]
+                                  for i in range(traj.n_times)])
+
+        def velocity(s, x):
+            return lam.eval(s, x) - traj.shift.delta_dot(s)
+
     times = traj.times
     n_samples = (len(times) - 1) * n_sub + 1
     ts = np.empty(n_samples)
@@ -87,10 +100,6 @@ def trace_many(traj: Trajectory, j: int, x0s, n_sub: int = 4) -> list[CharPath]:
     Vs = np.empty_like(Xs)
     ts[0] = times[0]
     Xs[0] = x0s
-
-    def velocity(s, x):
-        return lam.eval(s, x) - float(traj.shift.delta_dot(s))
-
     Vs[0] = velocity(ts[0], Xs[0])
     k = 0
     for m in range(len(times) - 1):
@@ -160,7 +169,8 @@ def verify_H_bound(paths: list[CharPath], theta_E: float,
                    c_nonchar: float | None = None,
                    eps_delta: float = 0.0,
                    compare_horizon: float | None = None,
-                   growth_tol: float = 0.25) -> HBoundReport:
+                   growth_tol: float = 0.25,
+                   source: SourceField | None = None) -> HBoundReport:
     """Empirical constant of the H-estimate over all paths and sampled pairs.
 
     When ``compare_horizon`` is given, the constant is also computed from the
@@ -169,7 +179,8 @@ def verify_H_bound(paths: list[CharPath], theta_E: float,
     than the field actually provides.  With model and profile supplied the
     report carries the analytic-style comparison bound: the integral of the
     positive part of (steady damping coefficient + theta_E) divided by the
-    slowest characteristic speed.
+    slowest characteristic speed.  ``source`` is the profile's transformed
+    source when the caller has it already.
     """
     fams = sorted({p.family for p in paths})
     C_emp = {j: max(_c_emp(p, theta_E) for p in paths if p.family == j)
@@ -178,7 +189,7 @@ def verify_H_bound(paths: list[CharPath], theta_E: float,
     report = HBoundReport(theta_E=theta_E, C_emp=C_emp, C_emp_overall=overall,
                           C_theory={})
     if model is not None and profile is not None:
-        sf = profile_source_field(model, profile)
+        sf = source if source is not None else profile_source_field(model, profile)
         speed = c_nonchar if c_nonchar is not None \
             else float(np.min(np.abs(sf.frames.lambdas)))
         speed = max(speed - eps_delta, 1e-12)
@@ -208,19 +219,21 @@ class NoDampingRadius:
 
 
 def no_damping_radius(model: ModelSpec, profile: ProfileRep, eps_budget: float,
-                      theta_E: float | None = None) -> NoDampingRadius:
+                      theta_E: float | None = None,
+                      source: SourceField | None = None) -> NoDampingRadius:
     """Smallest grid radius beyond which damping clears -theta_E with margin.
 
     Requires E_jj(Ubar(x)) + C_tail exp(-theta_tilde |x|) + C_lip eps <= -theta_E
     for all |x| >= R: the tail term covers the frame-transport part of the
     diagonal source (zero for state-independent A) and C_lip covers state
-    perturbations up to the budget.
+    perturbations up to the budget.  ``source`` is the profile's transformed
+    source when the caller has it already.
     """
     from .eigenframe import damping_rate
 
     if theta_E is None:
         theta_E = damping_rate(model).theta_E
-    sf = profile_source_field(model, profile)
+    sf = source if source is not None else profile_source_field(model, profile)
     frames = sf.frames
     n, N = sf.E_diag.shape
 

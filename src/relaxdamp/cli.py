@@ -41,6 +41,9 @@ EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_CERTIFICATION = 3
 
+# rows converted to Python floats at a time, so no whole table is held as objects
+CSV_BLOCK = 256
+
 
 # --- artifact writers -------------------------------------------------------
 
@@ -61,9 +64,20 @@ def _atomic_write(path: Path, data: str) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Write ``rows`` under ``header``.
+
+    A float array is formatted row by row from ``.tolist()`` of blocks of
+    rows, through one ``%.17g`` template, which writes every float as
+    ``_fmt`` does; any other sequence of rows goes value by value through
+    ``_fmt``.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        template = ",".join(["%.17g"] * rows.shape[1])
+        body = [template % tuple(row) for start in range(0, len(rows), CSV_BLOCK)
+                for row in rows[start:start + CSV_BLOCK].tolist()]
+    else:
+        body = [",".join(_fmt(v) for v in row) for row in rows]
+    _atomic_write(path, "\n".join([",".join(header), *body]) + "\n")
 
 
 def _jsonable(obj):
@@ -92,11 +106,8 @@ def stage_profile(cfg: Config, out: Path) -> int:
     model, prof = cfg.model, cfg.profile
     N = model.N
     header = ["x"] + [f"U_{k+1}" for k in range(N)] + [f"dU_{k+1}" for k in range(N)]
-    rows = (
-        [prof.grid[i], *prof.values[i], *prof.d1[i]]
-        for i in range(len(prof.grid))
-    )
-    write_csv(out / "profile.csv", header, rows)
+    write_csv(out / "profile.csv", header,
+              np.column_stack([prof.grid, prof.values, prof.d1]))
     write_json(out / "profile.json", {
         "endstates": {"U_minus": model.U_minus, "U_plus": model.U_plus},
         "endstate_gap": prof.endstate_gap,
@@ -197,16 +208,13 @@ def stage_check(cfg: Config, out: Path) -> int:
     all_ok = a1_ok and hyp.passed and a3["certified"]
     assumptions["certified"] = bool(all_ok)
 
-    sf = ef.profile_source_field(model, prof)
+    sf = cfg.profile_source
     N = model.N
     header = (["x"] + [f"lambda_{j+1}" for j in range(N)]
               + [f"E_{j+1}{j+1}" for j in range(N)] + ["normF", "normTheta"])
-    rows = (
-        [prof.grid[i], *sf.frames.lambdas[i], *sf.E_diag[i],
-         np.max(np.abs(sf.F_tilde[i])), np.max(np.abs(sf.Theta[i]))]
-        for i in range(len(prof.grid))
-    )
-    write_csv(out / "frames.csv", header, rows)
+    write_csv(out / "frames.csv", header, np.column_stack([
+        prof.grid, sf.frames.lambdas, sf.E_diag,
+        np.max(np.abs(sf.F_tilde), axis=(1, 2)), np.max(np.abs(sf.Theta), axis=(1, 2))]))
 
     spectrum_rows = []
     for side in ("minus", "plus"):
@@ -228,22 +236,19 @@ def _write_trajectory(cfg: Config, traj: dyn.Trajectory, out: Path) -> None:
     N = traj.model.N
     header = (["t", "x"] + [f"U_{k+1}" for k in range(N)]
               + [f"Phi_{k+1}" for k in range(N)] + [f"Psi_{k+1}" for k in range(N)])
-    rows = []
+    x = traj.grid[::sx]
+    blocks = []
     for i in range(0, traj.n_times, st):
         snap = traj.snapshot(i)
         Phi, Psi = (traj.frames(i).to_diag(F) for F in (snap.U, snap.W))
-        for p in range(0, len(traj.grid), sx):
-            rows.append([snap.t, traj.grid[p], *snap.U[p], *Phi[p], *Psi[p]])
-    write_csv(out / "trajectory.csv", header, rows)
+        blocks.append(np.column_stack([np.full(len(x), snap.t), x, snap.U[::sx],
+                                       Phi[::sx], Psi[::sx]]))
+    write_csv(out / "trajectory.csv", header, np.vstack(blocks))
 
-    norm_rows = []
-    dd = np.abs(traj.shift.delta_dot(traj.times))
-    series = {k: dv.norm_series(traj, k) for k in ("c0", "c1", "c2", "l2", "h2")}
-    for i, t in enumerate(traj.times):
-        norm_rows.append([t, series["c0"][i], series["c1"][i], series["c2"][i],
-                          series["l2"][i], series["h2"][i], dd[i]])
-    write_csv(out / "norms.csv",
-              ["t", "c0", "c1", "c2", "l2", "h2", "abs_ddelta"], norm_rows)
+    kinds = ("c0", "c1", "c2", "l2", "h2")
+    write_csv(out / "norms.csv", ["t", *kinds, "abs_ddelta"], np.column_stack(
+        [traj.times, *(dv.norm_series(traj, k) for k in kinds),
+         np.abs(traj.shift.delta_dot(traj.times))]))
 
 
 def stage_evolve(cfg: Config, out: Path) -> int:
@@ -260,7 +265,7 @@ def stage_verify(cfg: Config, out: Path) -> int:
     shift = traj.shift
 
     radius = chars.no_damping_radius(model, prof, eps_budget=dc["budget"],
-                                     theta_E=dr.theta_E)
+                                     theta_E=dr.theta_E, source=cfg.profile_source)
     span = max(2.0 * radius.R, 10.0)
     starts = np.linspace(-span, span, int(vc["n_paths"]))
     paths = []
@@ -275,7 +280,7 @@ def stage_verify(cfg: Config, out: Path) -> int:
         hb = chars.verify_H_bound(
             paths, dr.theta_E, model=model, profile=prof,
             eps_delta=shift.eps_delta, compare_horizon=float(traj.times[-1]) / 2.0,
-            growth_tol=vc["growth_tol"])
+            growth_tol=vc["growth_tol"], source=cfg.profile_source)
         hb_payload = {
             "theta_E": dr.theta_E,
             "C_emp": {str(j): v for j, v in hb.C_emp.items()},
@@ -366,12 +371,10 @@ def stage_verify(cfg: Config, out: Path) -> int:
         "certification_failures": certification_failures,
     })
 
-    energy_rows = []
-    for i, t in enumerate(energies.times):
-        energy_rows.append([t, *energies.energies[i], *energies.rates[i]])
     write_csv(out / "energies.csv",
               ["t"] + [f"e_{j+1}" for j in range(model.N)]
-              + [f"de_{j+1}" for j in range(model.N)], energy_rows)
+              + [f"de_{j+1}" for j in range(model.N)],
+              np.column_stack([energies.times, energies.energies, energies.rates]))
 
     return EXIT_CERTIFICATION if certification_failures else EXIT_OK
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .eigenframe import SourceField, profile_source_field
 from .model import ModelSpec, build_custom, build_jinxin
 from .dynamics import PerturbationSpec, ShiftSpec, Trajectory, evolve
 from .profile import ProfileRep, exact_jinxin_profile, solve_profile
@@ -151,9 +152,10 @@ def _check_number(value, key_path, positive=False, nonnegative=False,
 class Config:
     """Validated configuration with builders for the run's domain objects.
 
-    ``model``, ``profile`` and ``trajectory`` are computed on first use and
-    cached on this instance, so every stage handed the same Config shares
-    them.  ``cli.run`` gives each call its own copy.
+    ``model``, ``profile``, ``profile_source`` and ``trajectory`` are
+    computed on first use and cached on this instance, so every stage
+    handed the same Config shares them.  ``cli.run`` gives each call its
+    own copy.
     """
 
     raw: dict = field(default_factory=_default_config)
@@ -210,6 +212,11 @@ class Config:
             grid = np.linspace(-pc["X"], pc["X"], int(pc["n"]))
             return exact_jinxin_profile(self.model, grid)
         return solve_profile(self.model, X=pc["X"], n=int(pc["n"]), tol=pc["tol"])
+
+    @cached_property
+    def profile_source(self) -> SourceField:
+        """Transformed source along the profile."""
+        return profile_source_field(self.model, self.profile)
 
     @cached_property
     def trajectory(self) -> Trajectory:

@@ -79,12 +79,17 @@ class ShiftSpec:
         return self.amplitude * np.sin(2.0 * math.pi * self.frequency * np.asarray(t, dtype=float))
 
     def delta_dot(self, t):
+        """ddelta at times t: a float for a float t, else an array shaped like t."""
+        scalar = isinstance(t, float)
+        if not scalar:
+            t = np.asarray(t, dtype=float)
         if self.kind == "zero":
-            return np.zeros_like(np.asarray(t, dtype=float))
+            return 0.0 if scalar else np.zeros_like(t)
         if self.kind == "linear":
-            return np.full_like(np.asarray(t, dtype=float), self.rate)
+            return float(self.rate) if scalar else np.full_like(t, self.rate)
         w = 2.0 * math.pi * self.frequency
-        return self.amplitude * w * np.cos(w * np.asarray(t, dtype=float))
+        dd = self.amplitude * w * np.cos(w * t)
+        return float(dd) if scalar else dd
 
 
 # --- initial perturbations -------------------------------------------------
@@ -158,16 +163,30 @@ class PerturbationSpec:
 
 # --- snapshots and trajectories --------------------------------------------
 
-@dataclass
 class Snapshot:
-    """Fields at one output time; W holds the spatial derivative of U."""
+    """Fields at one time.
 
-    t: float
-    grid: np.ndarray
-    U: np.ndarray
-    W: np.ndarray
-    b_left: np.ndarray
-    b_right: np.ndarray
+    ``W``, the spatial derivative of U, is either given (the analytic
+    derivative of the initial data) or formed by fourth-order differencing
+    with the boundary states on first read, so the steps between output
+    times never compute it.
+    """
+
+    def __init__(self, t: float, grid: np.ndarray, U: np.ndarray,
+                 b_left: np.ndarray, b_right: np.ndarray,
+                 W: np.ndarray | None = None):
+        self.t = t
+        self.grid = grid
+        self.U = U
+        self.b_left = b_left
+        self.b_right = b_right
+        if W is not None:
+            self.W = W
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        dx = float(self.grid[1] - self.grid[0])
+        return fd4_derivative(self.U, dx, self.b_left, self.b_right)
 
     def second_derivative(self) -> np.ndarray:
         """Fourth-order differencing of W, extended by zero beyond the grid."""
@@ -213,9 +232,7 @@ class Trajectory:
         return len(self.times)
 
     def snapshot(self, i: int) -> Snapshot:
-        U = self.states[i]
-        W = fd4_derivative(U, self.dx, self.b_left[i], self.b_right[i])
-        return Snapshot(t=float(self.times[i]), grid=self.grid, U=U, W=W,
+        return Snapshot(t=float(self.times[i]), grid=self.grid, U=self.states[i],
                         b_left=self.b_left[i], b_right=self.b_right[i])
 
     def perturbed_states(self, i: int) -> np.ndarray:
@@ -259,7 +276,7 @@ def make_initial(profile: ProfileRep, pert: PerturbationSpec,
         raise BudgetExceeded(
             f"initial C^1 norm {c1:.3e} exceeds budget {budget:.3e}",
             measured=c1, budget=budget)
-    return Snapshot(t=0.0, grid=x, U=U0, W=W0, b_left=bl, b_right=br)
+    return Snapshot(t=0.0, grid=x, U=U0, b_left=bl, b_right=br, W=W0)
 
 
 # --- interpolation on a uniform grid ---------------------------------------
@@ -297,30 +314,40 @@ def _cubic_at(pad: np.ndarray, s: np.ndarray, rows: tuple = ()) -> np.ndarray:
                                 for k in (-1, 0, 1, 2)))
 
 
-def _cubic_interp(f: np.ndarray, x0: float, dx: float, xq: np.ndarray,
-                  fill_left: float, fill_right: float) -> np.ndarray:
-    """Cubic Lagrange interpolation with flat extension beyond the grid."""
-    return _cubic_at(_edge_pad(f, 2, fill_left, fill_right), (xq - x0) / dx)
+def grid_step(grid: np.ndarray) -> float:
+    """Step of a uniform grid as ``np.linspace`` forms it, (x_last - x_0) / (n - 1).
+
+    A point located as (x - x_0) / step lands in its cell up to the rounding
+    of x alone; grid[1] - grid[0] carries the rounding of x_1, which grows
+    with the node index (6.3e-10 cells at the end of 4001 nodes on [-40, 40]).
+    """
+    return float(grid[-1] - grid[0]) / (len(grid) - 1)
 
 
-def _linear_interp(f: np.ndarray, x0: float, dx: float, xq: np.ndarray,
-                   fill_left: float, fill_right: float) -> np.ndarray:
+def _cubic_interp(f: np.ndarray, cells: np.ndarray, fill_left: float,
+                  fill_right: float) -> np.ndarray:
+    """Cubic Lagrange interpolation at cell positions (node k at k), flat beyond the grid."""
+    return _cubic_at(_edge_pad(f, 2, fill_left, fill_right), cells)
+
+
+def _linear_interp(f: np.ndarray, cells: np.ndarray, fill_left: float,
+                   fill_right: float) -> np.ndarray:
+    """Linear interpolation at cell positions (node k at k), flat beyond the grid."""
     n = len(f)
-    s = (xq - x0) / dx
-    i = np.floor(s).astype(int)
-    t = s - i
+    i = np.floor(cells).astype(int)
+    t = cells - i
     pad = _edge_pad(f, 1, fill_left, fill_right)
     idx = np.clip(i + 1, 0, n)
     nxt = np.clip(i + 2, 1, n + 1)
     out = (1.0 - t) * pad[idx] + t * pad[nxt]
-    out[s < -1.0] = fill_left
-    out[s > n] = fill_right
+    out[cells < -1.0] = fill_left
+    out[cells > n] = fill_right
     return out
 
 
-# For a uniform speed every node's foot is x_k + s dx with one offset s, and
-# |s| <= CFL_LIMIT < 1, so the interpolants above become fixed stencils: the
-# same pads and weights, read through one slice per stencil point.
+# For a uniform speed every node's foot is at cell k + s with one offset s,
+# and |s| <= CFL_LIMIT < 1, so the interpolants above become fixed stencils:
+# the same pads and weights, read through one slice per stencil point.
 
 def _shift_cubic(f: np.ndarray, s: float, fill_left: float,
                  fill_right: float) -> np.ndarray:
@@ -413,10 +440,15 @@ class Stepper:
                                          snap.t + 0.5 * dt, rows)
 
     def _begin(self, snap: Snapshot, dt: float):
-        """Frames at the perturbed state and CFL-checked shifted speeds (Ut, frames, c)."""
+        """Frames at the perturbed state and CFL-checked shifted speeds (Ut, frames, c).
+
+        c is lambda - ddelta per node (n, N), or one speed per family (N,)
+        when the frames are constant.
+        """
         Ut = self.Ubar + snap.U
         frames = self._frames(Ut)
-        c = frames.lambdas - float(self.shift.delta_dot(snap.t))  # (n, N)
+        lam = frames.lambdas[0] if frames.constant else frames.lambdas
+        c = lam - self.shift.delta_dot(snap.t)
         cfl = float(np.max(np.abs(c))) * dt / self.dx
         self.last_cfl = max(self.last_cfl, cfl)
         if cfl > CFL_LIMIT:
@@ -424,15 +456,14 @@ class Stepper:
         return Ut, frames, c
 
     def _finish(self, snap: Snapshot, dt: float, U_new: np.ndarray) -> Snapshot:
-        """Edge rows by the source alone, boundary states, blow-up guard, W."""
+        """Edge rows by the source alone, boundary states, blow-up guard."""
         U_new[[0, -1]] = self._ode_node_update(snap, [0, -1], dt)
         bl_new, br_new = self._advance_boundary(snap.b_left, snap.b_right, dt)
         amp = float(np.max(np.abs(U_new)))
         if amp > BLOWUP_FACTOR * self.budget:
             raise BlowUp(f"|U| = {amp:.3e} left the small-data regime "
                          f"(budget {self.budget:.3e})")
-        W = fd4_derivative(U_new, self.dx, bl_new, br_new)
-        return Snapshot(t=snap.t + dt, grid=snap.grid, U=U_new, W=W,
+        return Snapshot(t=snap.t + dt, grid=snap.grid, U=U_new,
                         b_left=bl_new, b_right=br_new)
 
     def step_reference(self, snap: Snapshot, dt: float) -> Snapshot:
@@ -459,23 +490,21 @@ class Stepper:
         For constant A the speed c_j is the same at every node, so the foot
         sits at the one offset s = -c_j dt / dx and each value is a fixed
         stencil on an edge-padded array.  Otherwise the foot is traced per
-        node with a midpoint correction and interpolated there.
+        node with a midpoint correction and interpolated there, located in
+        cells as the node index k plus its offset -c dt / dx.
         """
         if self.frames0 is not None:
-            s = -float(c[0, j]) * dt / self.dx
+            s = -float(c[j]) * dt / self.dx
             return (_shift_cubic(Phi[:, j], s, float(phi_bl[j]), float(phi_br[j])),
                     _shift_linear(E[:, j], s, E[0, j], E[-1, j]),
                     _shift_linear(G[:, j], 0.5 * s, G[0, j], G[-1, j]))
-        x = self.grid
-        x0 = float(x[0])
+        k = np.arange(len(self.grid), dtype=float)
         cj = c[:, j]
-        xf = x - cj * dt
-        c_mid = _linear_interp(cj, x0, self.dx, 0.5 * (x + xf), cj[0], cj[-1])
-        xf = x - c_mid * dt
-        Ef = _linear_interp(E[:, j], x0, self.dx, xf, E[0, j], E[-1, j])
-        Gm = _linear_interp(G[:, j], x0, self.dx, 0.5 * (x + xf), G[0, j], G[-1, j])
-        Phif = _cubic_interp(Phi[:, j], x0, self.dx, xf,
-                             float(phi_bl[j]), float(phi_br[j]))
+        c_mid = _linear_interp(cj, k - 0.5 * (cj * dt / self.dx), cj[0], cj[-1])
+        foot = k - c_mid * dt / self.dx
+        Ef = _linear_interp(E[:, j], foot, E[0, j], E[-1, j])
+        Gm = _linear_interp(G[:, j], 0.5 * (k + foot), G[0, j], G[-1, j])
+        Phif = _cubic_interp(Phi[:, j], foot, float(phi_bl[j]), float(phi_br[j]))
         return Phif, Ef, Gm
 
     def step_moc(self, snap: Snapshot, dt: float) -> Snapshot:
@@ -519,8 +548,9 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
     """Advance the perturbation to time T, storing n_out + 1 snapshots.
 
     The time step divides the output spacing exactly so runs at different
-    resolutions share output times.  The running C^1 budget check flags its
-    first violation in the trajectory instead of aborting.
+    resolutions share output times.  The C^1 budget check runs at output
+    times, the only times W is formed, and flags its first violation in the
+    trajectory instead of aborting.
     """
     if T <= 0:
         raise InvalidParam("horizon T must be positive")

@@ -10,6 +10,7 @@ from the endstate diagonals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,7 +119,8 @@ def decompose(A: np.ndarray, c_min: float = 0.0) -> EigenFrame:
 class FrameField:
     """Eigenframes at every grid node, with signs continued along the grid.
 
-    ``constant`` marks one decomposition (constant A) held as read-only views.
+    ``constant`` marks one decomposition (constant A) held as read-only views;
+    such a field builds the matrices of its products once, on first use.
     """
 
     grid: np.ndarray
@@ -127,18 +129,32 @@ class FrameField:
     R: np.ndarray        # (n, N, N)
     constant: bool = False
 
-    def _apply(self, M: np.ndarray, V: np.ndarray) -> np.ndarray:
-        if self.constant:
-            return V @ M[0].T
-        return np.einsum("njk,nk->nj", M, V)
+    @cached_property
+    def _L0T(self) -> np.ndarray:
+        return np.ascontiguousarray(self.L[0].T)
+
+    @cached_property
+    def _R0T(self) -> np.ndarray:
+        return np.ascontiguousarray(self.R[0].T)
+
+    @cached_property
+    def kron(self) -> np.ndarray:
+        """L0 (x) R0 of a constant field, arranged so that Q.reshape(n, N * N) @ kron
+        is L0 Q R0 per node, flattened: (L Q R)_jk = sum_ab L_ja Q_ab R_bk."""
+        N = self.L.shape[-1]
+        return np.einsum("ja,bk->abjk", self.L[0], self.R[0]).reshape(N * N, N * N)
 
     def to_diag(self, V: np.ndarray) -> np.ndarray:
         """Diagonal variables L V at every node of a field V (n, N)."""
-        return self._apply(self.L, V)
+        if self.constant:
+            return V @ self._L0T
+        return np.einsum("njk,nk->nj", self.L, V)
 
     def from_diag(self, Phi: np.ndarray) -> np.ndarray:
         """State field R Phi at every node of diagonal variables Phi (n, N)."""
-        return self._apply(self.R, Phi)
+        if self.constant:
+            return Phi @ self._R0T
+        return np.einsum("njk,nk->nj", self.R, Phi)
 
     @property
     def min_abs_lambda(self) -> float:
@@ -300,10 +316,8 @@ def transformed_source(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
     Q = model.Q_at(states)
     n, N = states.shape
     if model.A_is_constant:
-        # (L Q R)_jk = sum_ab L_ja Q_ab R_bk at every node as one product with L (x) R
-        K = np.einsum("ja,bk->abjk", frames.L[0], frames.R[0]).reshape(N * N, N * N)
-        M = (Q.reshape(n, N * N) @ K).reshape(n, N, N)
-        T = np.zeros((n, N, N))
+        M = (Q.reshape(n, N * N) @ frames.kron).reshape(n, N, N)
+        T = np.broadcast_to(0.0, (n, N, N))  # no frame transport; read-only
     else:
         M = np.matmul(np.matmul(frames.L, Q), frames.R)
         Rx = np.gradient(frames.R, grid, axis=0)

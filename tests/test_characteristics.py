@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,20 @@ def test_trace_straight_line(decay_run):
     p = trace(traj, 0, x0=-5.0)
     expect = -5.0 + 2.0 * p.times
     assert np.max(np.abs(p.positions - expect)) <= 1e-12
+
+
+def test_trace_at_constant_A_interpolates_no_field(jinxin_run, monkeypatch):
+    calls = []
+    monkeypatch.setattr(characteristics._FieldInterp, "eval",
+                        lambda self, s, x: calls.append(1))
+    sinusoid = ShiftSpec("sinusoid", amplitude=0.01, frequency=0.05)
+    traj = dataclasses.replace(jinxin_run, shift=sinusoid)
+    for j in (0, 1):
+        lam = float(traj.frames(0).lambdas[0, j])
+        assert lam == pytest.approx(-2.0 if j == 0 else 2.0, rel=1e-14)
+        p = trace(traj, j, x0=1.0)
+        assert calls == []
+        assert p.velocities.tolist() == [lam - sinusoid.delta_dot(s) for s in p.times]
 
 
 def test_trace_constant_shift_rate(decay_run):
@@ -218,7 +234,7 @@ def _pointwise_eval(times, grid, fields, s, x):
     m = max(0, min(m, len(times) - 2))
     w = (s - times[m]) / (times[m + 1] - times[m])
     w = min(max(w, 0.0), 1.0)
-    dx = float(grid[1] - grid[0])
+    dx = float(grid[-1] - grid[0]) / (len(grid) - 1)
     rows = []
     for f in (fields[m], fields[m + 1]):
         n = len(f)

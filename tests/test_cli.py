@@ -7,8 +7,17 @@ import json
 import numpy as np
 import pytest
 
-from relaxdamp import config
-from relaxdamp.cli import EXIT_CERTIFICATION, EXIT_CONFIG, EXIT_ERROR, EXIT_OK, main, run
+from relaxdamp import characteristics, config, eigenframe
+from relaxdamp.cli import (
+    EXIT_CERTIFICATION,
+    EXIT_CONFIG,
+    EXIT_ERROR,
+    EXIT_OK,
+    _fmt,
+    main,
+    run,
+    write_csv,
+)
 from relaxdamp.config import config_from_dict, parse_config
 from relaxdamp.errors import ParseError, ValidationError
 
@@ -195,6 +204,20 @@ def test_all_solves_profile_and_evolves_once(tmp_path, call_counts):
     assert call_counts == {"solve_profile": 2, "evolve": 2}
 
 
+def test_all_builds_the_profile_source_once(tmp_path, monkeypatch):
+    calls = []
+    original = eigenframe.profile_source_field
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (eigenframe, config, characteristics):
+        monkeypatch.setattr(module, "profile_source_field", counted)
+    assert run("all", config_from_dict(TINY), out_dir=str(tmp_path)) == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_verify_alone_runs_its_own_evolution(tmp_path, call_counts):
     assert run("verify", config_from_dict(TINY), out_dir=str(tmp_path)) == EXIT_OK
     assert call_counts == {"solve_profile": 1, "evolve": 1}
@@ -295,3 +318,16 @@ def test_csv_floats_have_full_precision(tmp_path):
     # 17 significant digits survive the round-trip exactly
     assert float(u1) == -np.tanh(float(x) / 8.0)
     assert len(u1.replace("-", "").replace(".", "").lstrip("0")) >= 16
+
+
+def test_csv_float_table_matches_value_by_value_formatting(tmp_path):
+    rng = np.random.default_rng(8)
+    table = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4))
+    table[0] = [0.0, -0.0, np.inf, np.nan]
+    table[1] = [1.0, -3.0, 1e17, 5e-324]
+    write_csv(tmp_path / "fast.csv", ["a", "b", "c", "d"], table)
+    want = "a,b,c,d\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in table)
+    assert (tmp_path / "fast.csv").read_text() == want
+    # rows that are not one float array keep _fmt's booleans, integers and strings
+    write_csv(tmp_path / "mixed.csv", ["s", "j", "x", "ok"], [["minus", 2, 0.1, True]])
+    assert (tmp_path / "mixed.csv").read_text() == "s,j,x,ok\nminus,2,0.10000000000000001,true\n"

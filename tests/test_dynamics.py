@@ -7,13 +7,16 @@ import pytest
 
 from conftest import scalar_model
 from relaxdamp.characteristics import accumulate_H, duhamel_residual, trace
+from relaxdamp import dynamics
 from relaxdamp.dynamics import (
+    CFL_LIMIT,
     PerturbationSpec,
     ShiftSpec,
     Stepper,
     diagonal_vars,
     evolve,
     fd4_derivative,
+    grid_step,
     make_initial,
     snapshot_diagonal_vars,
 )
@@ -35,6 +38,19 @@ def test_shift_specs_start_at_zero():
 def test_sinusoid_derivative_bound():
     spec = ShiftSpec("sinusoid", amplitude=0.0159154943, frequency=0.05)
     assert spec.eps_delta == pytest.approx(5e-3, rel=1e-6)
+
+
+@pytest.mark.parametrize("spec", [ShiftSpec("zero"), ShiftSpec("linear", rate=2e-3),
+                                  ShiftSpec("sinusoid", amplitude=0.01, frequency=0.05)])
+def test_delta_dot_float_for_float_and_array_for_array(spec):
+    t = np.linspace(0.0, 7.0, 12).reshape(3, 4)
+    arr = spec.delta_dot(t)
+    assert isinstance(arr, np.ndarray) and arr.shape == (3, 4)
+    for ti, want in zip(t.ravel().tolist(), arr.ravel()):
+        got = spec.delta_dot(ti)
+        assert type(got) is float and got == pytest.approx(want, rel=1e-15, abs=1e-18)
+        # bit for bit what a 0-d array gives
+        assert got == float(spec.delta_dot(np.asarray(ti)))
 
 
 def test_unknown_shift_kind():
@@ -103,6 +119,63 @@ def test_cfl_violation(jinxin, jinxin_profile):
     with pytest.raises(CFLViolation):
         Stepper(jinxin, jinxin_profile, snap.grid, ShiftSpec(kind="zero")) \
             .step_reference(snap, dt=0.05)  # speed 2, dx 0.02 -> CFL 5
+
+
+def test_moc_and_reference_cfl_limit_at_the_same_dt(jinxin, jinxin_profile):
+    # speeds +-2 - 0.3: the limit is set by |-2.3|, one speed per family at constant A
+    shift = ShiftSpec(kind="linear", rate=0.3)
+    snap = make_initial(jinxin_profile, PerturbationSpec(kind="zero"))
+    stepper = Stepper(jinxin, jinxin_profile, snap.grid, shift)
+    dt_limit = CFL_LIMIT * stepper.dx / 2.3
+    for backend in ("moc", "reference"):
+        stepper.step(snap, dt_limit * (1.0 - 1e-9), backend)
+    messages = set()
+    for backend in ("moc", "reference"):
+        with pytest.raises(CFLViolation) as err:
+            stepper.step(snap, dt_limit * (1.0 + 1e-9), backend)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+def test_evolve_differences_W_once_per_output_time(jinxin, jinxin_profile, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fd4_derivative(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "fd4_derivative", counted)
+    pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0)
+    traj = evolve(jinxin, jinxin_profile, pert, ShiftSpec(kind="zero"), T=1.0,
+                  backend="moc", dx=0.04, n_out=4)
+    assert round(1.0 / traj.dt) > 4 * 10
+    assert len(calls) == 4  # the budget check at each output time after t = 0
+
+
+def test_budget_violation_time_matches_W_formed_every_step():
+    # u_t + 2 u_x = +0.5 u grows e^{t/2}: C^1 = 1e-2 at t = 0 crosses 1.5e-2 near t = 0.81
+    model = scalar_model(speed=2.0, decay=-0.5)
+    prof = constant_profile(model, [0.0], X=20.0, n=1001)
+    pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0, direction=(1.0,))
+    T, n_out, budget = 2.0, 20, 1.5e-2
+    traj = evolve(model, prof, pert, ShiftSpec(kind="zero"), T=T, backend="moc",
+                  dx=0.04, n_out=n_out, budget=budget)
+
+    # the same steps with W formed after every one, checked at output times
+    snap = make_initial(prof, pert, traj.grid, budget)
+    stepper = Stepper(model, prof, traj.grid, ShiftSpec(kind="zero"), budget)
+    per_out = round(T / (n_out * traj.dt))
+    violation = None
+    for m in range(1, n_out + 1):
+        for k in range(per_out):
+            snap.t = (m - 1 + k / per_out) * (T / n_out)
+            snap = stepper.step_moc(snap, traj.dt)
+            W = fd4_derivative(snap.U, stepper.dx, snap.b_left, snap.b_right)
+        snap.t = m * (T / n_out)
+        if violation is None and max(np.max(np.abs(snap.U)), np.max(np.abs(W))) > budget:
+            violation = snap.t
+    assert violation is not None and 0.8 < violation < 1.0
+    assert traj.budget_violation_time == violation
 
 
 def test_blowup_guard(jinxin, jinxin_profile):
@@ -196,6 +269,23 @@ def test_moc_stencil_skips_interpolation_calls(a2_models, monkeypatch):
 
 
 # --- backend accuracy ---------------------------------------------------------
+
+def test_per_node_foot_cells_carry_no_index_drift(a2_models):
+    # zero speed puts every foot on its own node, which must read back exactly;
+    # cells formed as (x - x0) / (grid[1] - grid[0]) drift off the far nodes
+    _, per_node, prof = a2_models
+    grid = np.linspace(-20.0, 20.0, 1001)
+    assert np.max(np.abs((grid - grid[0]) / grid_step(grid) - np.arange(1001))) <= 1e-12
+    stepper = Stepper(per_node, prof, grid, ShiftSpec(kind="zero"))
+    rng = np.random.default_rng(5)
+    Phi, E, G = (rng.standard_normal((1001, 2)) for _ in range(3))
+    for j in range(2):
+        Phif, Ef, Gm = stepper._foot_values(j, np.zeros((1001, 2)), 0.01, Phi, E, G,
+                                            Phi[0], Phi[-1])
+        assert np.array_equal(Phif, Phi[:, j])
+        assert np.array_equal(Ef, E[:, j])
+        assert np.array_equal(Gm, G[:, j])
+
 
 def test_moc_matches_advection_decay_closed_form():
     model = scalar_model(speed=2.0, decay=0.25)
