@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -63,20 +64,24 @@ def _atomic_write(path: Path, data: str) -> None:
     os.replace(tmp, path)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], rows, template: str | None = None) -> None:
     """Write ``rows`` under ``header``.
 
     A float array is formatted row by row from ``.tolist()`` of blocks of
     rows, through one ``%.17g`` template, which writes every float as
-    ``_fmt`` does; any other sequence of rows goes value by value through
-    ``_fmt``.
+    ``_fmt`` does.  Rows of mixed types go through ``template`` when given
+    (``%s`` for strings, ``%d`` for integers, ``%.17g`` for floats, as
+    ``_fmt`` writes them), else value by value through ``_fmt``.
     """
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        template = ",".join(["%.17g"] * rows.shape[1])
-        body = [template % tuple(row) for start in range(0, len(rows), CSV_BLOCK)
-                for row in rows[start:start + CSV_BLOCK].tolist()]
-    else:
+        table = rows
+        template = ",".join(["%.17g"] * table.shape[1])
+        rows = (row for start in range(0, len(table), CSV_BLOCK)
+                for row in table[start:start + CSV_BLOCK].tolist())
+    if template is None:
         body = [",".join(_fmt(v) for v in row) for row in rows]
+    else:
+        body = [template % tuple(row) for row in rows]
     _atomic_write(path, "\n".join([",".join(header), *body]) + "\n")
 
 
@@ -219,12 +224,12 @@ def stage_check(cfg: Config, out: Path) -> int:
     spectrum_rows = []
     for side in ("minus", "plus"):
         scan = cert.scans[side]
-        for m, xi in enumerate(scan.xi_grid):
-            for j in range(N):
-                mu = scan.spectra[m, j]
-                spectrum_rows.append([side, xi, j + 1, mu.real, mu.imag])
+        mu = scan.spectra.ravel()
+        spectrum_rows += zip(itertools.repeat(side), np.repeat(scan.xi_grid, N).tolist(),
+                             itertools.cycle(range(1, N + 1)), mu.real.tolist(),
+                             mu.imag.tolist())
     write_csv(out / "spectrum.csv", ["side", "xi", "j", "re_mu", "im_mu"],
-              spectrum_rows)
+              spectrum_rows, template="%s,%.17g,%d,%.17g,%.17g")
     write_json(out / "assumptions.json", assumptions)
     return EXIT_OK if all_ok else EXIT_CERTIFICATION
 
@@ -309,10 +314,11 @@ def stage_verify(cfg: Config, out: Path) -> int:
     path_rows = []
     n_sub = int(vc["n_sub"])
     for p in paths:
-        for k in range(0, len(p.times), n_sub):
-            path_rows.append([p.family + 1, p.x0, p.times[k], p.positions[k],
-                              p.H[k]])
-    write_csv(out / "characteristics.csv", ["j", "x0", "s", "X", "H"], path_rows)
+        path_rows += zip(itertools.repeat(p.family + 1), itertools.repeat(p.x0),
+                         p.times[::n_sub].tolist(), p.positions[::n_sub].tolist(),
+                         p.H[::n_sub].tolist())
+    write_csv(out / "characteristics.csv", ["j", "x0", "s", "X", "H"], path_rows,
+              template="%d,%.17g,%.17g,%.17g,%.17g")
 
     kinds = [f"c{k}" for k in range(int(vc["K"]) + 1)]
     include_l2 = vc["include_l2"] and cfg.build_perturbation().kind != "offset"

@@ -5,6 +5,11 @@ matrices (L A R = Lambda, L R = I), splits the transformed source L Q R into
 diagonal and off-diagonal parts, solves the commutator equation
 [Theta, Lambda] = F for the conjugation matrix, and extracts the damping rate
 from the endstate diagonals.
+
+Eigendata come from LAPACK (``_decompose_batch``), except for the per-node
+frames of a state-dependent 2x2 A, which have a closed form
+(``_decompose_2x2``).  Both go through the same spectrum checks and the same
+sign convention.
 """
 
 from __future__ import annotations
@@ -109,6 +114,48 @@ def _decompose_batch(A: np.ndarray, c_min: float, grid: np.ndarray | None = None
     return lam, L, R
 
 
+def _decompose_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
+    """``_decompose_batch`` of a stack of real 2x2 matrices, in closed form.
+
+    The eigenvalues of [[a, b], [c, d]] are m -+ r, with m = (a + d)/2 and
+    r^2 = ((a - d)/2)^2 + b c; the root nearer zero is det / (the farther
+    root), which cancels nothing.  Column j of R is the larger of (b, l - a)
+    and (l - d, c) at l = lambda_j, each orthogonal to one row of A - l I,
+    and L = R^{-1} is the adjugate of R over its determinant.
+    """
+    if not np.all(np.isfinite(A)):  # refused as LAPACK refuses it
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    m = 0.5 * (a + d)
+    h = 0.5 * (a - d)
+    disc = h * h + b * c
+    r = np.sqrt(np.abs(disc))
+    far = m + np.copysign(r, m)
+    with np.errstate(divide="ignore", invalid="ignore"):  # far = 0: a double root
+        near = np.where(far != 0.0, (a * d - b * c) / far, 0.0)  # at 0, not NaN
+    w = np.stack([near, far], axis=1)
+    pair = disc < 0.0
+    if np.any(pair):
+        w = w.astype(complex)
+        w[pair] = m[pair, None] + np.outer(r[pair], [-1j, 1j])
+    lam, _ = _checked_spectrum(A, w, c_min, grid)
+    la = lam - a[:, None]
+    ld = lam - d[:, None]
+    b, c = b[:, None], c[:, None]
+    first = np.abs(b) + np.abs(la) >= np.abs(ld) + np.abs(c)
+    R = np.empty_like(A)
+    R[:, 0, :] = np.where(first, b, ld)
+    R[:, 1, :] = np.where(first, la, c)
+    _sign_fix(R)
+    det = R[:, 0, 0] * R[:, 1, 1] - R[:, 0, 1] * R[:, 1, 0]
+    L = np.empty_like(R)
+    L[:, 0, 0] = R[:, 1, 1] / det
+    L[:, 0, 1] = -R[:, 0, 1] / det
+    L[:, 1, 0] = -R[:, 1, 0] / det
+    L[:, 1, 1] = R[:, 0, 0] / det
+    return lam, L, R
+
+
 def decompose(A: np.ndarray, c_min: float = 0.0) -> EigenFrame:
     """Sorted real eigendecomposition of one matrix with L = R^{-1}."""
     lam, L, R = _decompose_batch(np.asarray(A, dtype=float)[None], c_min)
@@ -200,7 +247,12 @@ def _continue_signs(lambdas: np.ndarray, L: np.ndarray, R: np.ndarray) -> None:
 
 def frames_at_states(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
                      c_min: float = 0.0) -> FrameField:
-    """Decompose A at every state and continue eigenvector signs along the grid."""
+    """Decompose A at every state and continue eigenvector signs along the grid.
+
+    Constant A is decomposed once (LAPACK) and held as read-only views.  A
+    state-dependent A is decomposed at every node: in closed form when
+    N = 2, with LAPACK ``eig``/``inv`` otherwise.
+    """
     grid = np.asarray(grid, dtype=float)
     states = np.asarray(states, dtype=float)
     if model.A_is_constant:
@@ -209,7 +261,8 @@ def frames_at_states(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
         return FrameField(grid=grid, lambdas=np.broadcast_to(frame.lambdas, (n, N)),
                           L=np.broadcast_to(frame.L, (n, N, N)),
                           R=np.broadcast_to(frame.R, (n, N, N)), constant=True)
-    lam, L, R = _decompose_batch(model.A_at(states), c_min, grid)
+    decompose_stack = _decompose_2x2 if model.N == 2 else _decompose_batch
+    lam, L, R = decompose_stack(model.A_at(states), c_min, grid)
     _continue_signs(lam, L, R)
     return FrameField(grid=grid, lambdas=lam, L=L, R=R)
 

@@ -170,6 +170,19 @@ def exact_jinxin_profile(model: ModelSpec, grid: np.ndarray) -> ProfileRep:
     return prof
 
 
+def _sample_orbit(xi: np.ndarray, tail, sol, sol2) -> np.ndarray:
+    """Orbit states at the orbit parameters ``xi``: the linearized ``tail(xi)``
+    before the launch (xi < 0), then the dense output of the shot ``sol`` up to
+    its last time and of the continuation ``sol2`` beyond it."""
+    values = np.empty((len(xi), sol.y.shape[0]))
+    before = xi < 0.0
+    values[before] = tail(xi[before])
+    for part, dense in ((~before & (xi <= sol.t[-1]), sol.sol), (xi > sol.t[-1], sol2.sol)):
+        if np.any(part):  # OdeSolution cannot evaluate an empty array
+            values[part] = dense(xi[part]).T
+    return values
+
+
 def solve_profile(model: ModelSpec, X: float, n: int, tol: float = 1e-8) -> ProfileRep:
     """Shoot along the unstable manifold of U_minus and pin the crossing at x = 0.
 
@@ -246,15 +259,8 @@ def solve_profile(model: ModelSpec, X: float, n: int, tol: float = 1e-8) -> Prof
         raise NoConnection(f"orbit misses U+ by {miss:.3e} (tol {tol:.1e})")
 
     grid = np.linspace(-X, X, n)
-    values = np.empty((n, model.N))
-    for i, x in enumerate(grid):
-        xi = xi_star + x
-        if xi < 0.0:
-            values[i] = U_m + eta * w * np.exp(mu * xi)
-        elif xi <= sol.t[-1]:
-            values[i] = sol.sol(xi)
-        else:
-            values[i] = sol2.sol(xi)
+    values = _sample_orbit(xi_star + grid,
+                           lambda xi: U_m + eta * w * np.exp(mu * xi)[:, None], sol, sol2)
     d1, d2 = _derivative_samples(model, values)
     prof = ProfileRep(grid=grid, values=values, d1=d1, d2=d2,
                       U_minus=U_m.copy(), U_plus=U_p.copy())

@@ -55,21 +55,18 @@ class SpectralScan:
 
 
 def _scan_side(model: ModelSpec, side: str, xi_grid: np.ndarray) -> SpectralScan:
+    """All symbol spectra of one side from one stacked ``eigvals``; branches are
+    ordered by (Im, Re) at the first frequency and matched onward."""
     U = _endstate(model, side)
     A = model.A_at(U)
     Q = model.Q_at(U)
-    spectra = np.empty((len(xi_grid), model.N), dtype=complex)
-    prev = None
-    for m, xi in enumerate(xi_grid):
-        mu = np.linalg.eigvals(1j * xi * A + Q)
-        if prev is None:
-            mu = mu[np.lexsort((mu.real, mu.imag))]
-        else:
-            cost = np.abs(mu[None, :] - prev[:, None])
-            _, cols = linear_sum_assignment(cost)
-            mu = mu[cols]
-        spectra[m] = mu
-        prev = mu
+    spectra = np.linalg.eigvals(1j * xi_grid[:, None, None] * A + Q)
+    mu = spectra[0]
+    spectra[0] = mu[np.lexsort((mu.real, mu.imag))]
+    for m in range(1, len(xi_grid)):
+        mu = spectra[m]
+        _, cols = linear_sum_assignment(np.abs(mu[None, :] - spectra[m - 1][:, None]))
+        spectra[m] = mu[cols]
     return SpectralScan(side=side, xi_grid=xi_grid, spectra=spectra)
 
 

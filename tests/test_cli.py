@@ -331,3 +331,37 @@ def test_csv_float_table_matches_value_by_value_formatting(tmp_path):
     # rows that are not one float array keep _fmt's booleans, integers and strings
     write_csv(tmp_path / "mixed.csv", ["s", "j", "x", "ok"], [["minus", 2, 0.1, True]])
     assert (tmp_path / "mixed.csv").read_text() == "s,j,x,ok\nminus,2,0.10000000000000001,true\n"
+
+
+def test_csv_row_template_matches_value_by_value_formatting(tmp_path):
+    rng = np.random.default_rng(9)
+    floats = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e17, 5e-324, 0.1,
+              *(rng.standard_normal(60) * 10.0 ** rng.integers(-300, 300, 60))]
+    rows = [("minus" if k % 2 else "plus", x, k, np.float64(-x), np.int64(-k))
+            for k, x in enumerate(floats)]
+    write_csv(tmp_path / "t.csv", ["s", "x", "k", "y", "m"], rows,
+              template="%s,%.17g,%d,%.17g,%d")
+    want = "s,x,k,y,m\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    assert (tmp_path / "t.csv").read_text() == want
+
+
+def test_spectrum_csv_rows_match_value_by_value_formatting(tmp_path, monkeypatch):
+    from relaxdamp import spectral_stability
+
+    certs = []
+    certify = spectral_stability.dissipativity_certificate
+
+    def spy(*args, **kwargs):
+        certs.append(certify(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(spectral_stability, "dissipativity_certificate", spy)
+    assert run("check", config_from_dict({"profile": {"n": 501, "X": 10.0}}),
+               out_dir=str(tmp_path)) == EXIT_OK
+    lines = ["side,xi,j,re_mu,im_mu"]
+    for side in ("minus", "plus"):
+        scan = certs[0].scans[side]
+        for m, xi in enumerate(scan.xi_grid):
+            for j, mu in enumerate(scan.spectra[m]):
+                lines.append(",".join(_fmt(v) for v in (side, xi, j + 1, mu.real, mu.imag)))
+    assert (tmp_path / "spectrum.csv").read_text() == "\n".join(lines) + "\n"

@@ -213,6 +213,27 @@ def test_state_dependent_A_equilibrium_and_duhamel(varA, backend):
     assert duhamel_residual(traj, p) <= 1e-5
 
 
+def test_state_dependent_2x2_evolve_calls_no_lapack_per_step(varA, monkeypatch):
+    model, prof = varA
+    calls = {"eig": 0, "inv": 0}
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0)
+    traj = evolve(model, prof, pert, ShiftSpec(kind="zero"), T=0.5, backend="moc",
+                  dx=0.05, n_out=2)
+    assert round(traj.times[-1] / traj.dt) >= 40
+    assert calls["eig"] <= 2 and calls["inv"] <= 2, calls
+
+
 # --- uniform-speed moc stencil ---------------------------------------------------
 
 @pytest.fixture(scope="module")

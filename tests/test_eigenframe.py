@@ -16,7 +16,13 @@ from relaxdamp import (
     source_split,
     theta_matrix,
 )
-from relaxdamp.eigenframe import _continue_signs, endstate_splits, frames_at_states
+from relaxdamp.eigenframe import (
+    _continue_signs,
+    _decompose_2x2,
+    _decompose_batch,
+    endstate_splits,
+    frames_at_states,
+)
 from relaxdamp.errors import Characteristic, GapTooSmall, NotDissipative, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
 from relaxdamp.profile import solve_profile
@@ -266,3 +272,97 @@ def test_state_dependent_frames_continuous():
     lam = frames.lambdas[:, None, :] * np.eye(2)[None]
     recon = np.matmul(np.matmul(frames.R, lam), frames.L)
     assert np.max(np.abs(recon - m.A_at(states))) <= 1e-9
+
+
+# --- closed-form 2x2 eigenframes -------------------------------------------------
+
+def _real_spectrum_2x2(rng, n, lam):
+    """Stacks V diag(lam) V^{-1} with unit eigenvectors at least 0.3 rad apart."""
+    phi = rng.uniform(0.0, np.pi, n)
+    psi = phi + rng.uniform(0.3, np.pi - 0.3, n)
+    V = np.stack([np.stack([np.cos(phi), np.cos(psi)], axis=1),
+                  np.stack([np.sin(phi), np.sin(psi)], axis=1)], axis=1)
+    return V @ (lam[:, :, None] * np.eye(2)) @ np.linalg.inv(V)
+
+
+def _closed_form_cases():
+    rng = np.random.default_rng(17)
+    n = 400
+    lam = np.sort(rng.uniform(-5.0, 5.0, (n, 2)), axis=1)
+    lam[:, 1] += 0.05
+    general = _real_spectrum_2x2(rng, n, lam)
+    lower = np.zeros((n, 2, 2))  # b = 0
+    lower[:, 0, 0], lower[:, 1, 1] = lam[:, 1], lam[:, 0]
+    lower[:, 1, 0] = rng.uniform(-10.0, 10.0, n)
+    diagonal = lam[:, ::-1, None] * np.eye(2)
+    near = lam.copy()  # one speed within 1e-9 of zero
+    near[:, 0] = rng.uniform(-1e-9, 1e-9, n)
+    near[:, 1] = np.abs(near[:, 1]) + 0.5
+    near_char = _real_spectrum_2x2(rng, n, near)
+    upper = lam[:, :, None] * np.eye(2)  # strongly non-normal: |b| >> gap
+    upper[:, 0, 1] = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(3.0, 6.0, n)
+    scale = 10.0 ** rng.uniform(-5.0, 5.0, n)  # badly scaled: D B D^{-1}
+    scaled = general.copy()
+    scaled[:, 0, 1] *= scale
+    scaled[:, 1, 0] /= scale
+    return {"general": general, "b=0": lower, "diagonal": diagonal,
+            "near-characteristic": near_char, "non-normal": upper, "scaled": scaled}
+
+
+@pytest.mark.parametrize("case", list(_closed_form_cases()))
+def test_closed_form_2x2_matches_lapack(case):
+    A = _closed_form_cases()[case]
+    lam, L, R = _decompose_2x2(A, 0.0)
+    lam_ref, L_ref, R_ref = _decompose_batch(A, 0.0)
+
+    def rel(got, want):
+        axes = tuple(range(1, want.ndim))
+        return np.max(np.max(np.abs(got - want), axis=axes) / np.max(np.abs(want), axis=axes))
+
+    assert rel(lam, lam_ref) <= 1e-12
+    assert rel(R, R_ref) <= 1e-12
+    assert rel(L, L_ref) <= 1e-12
+    assert np.max(np.abs(L @ R - np.eye(2))) <= 1e-14
+    # same sign convention: the largest entry of every right eigenvector is +1
+    lead = np.take_along_axis(R, np.argmax(np.abs(R), axis=1)[:, None, :], axis=1)
+    assert np.all(lead == 1.0)
+    assert np.array_equal(np.argmax(np.abs(R), axis=1), np.argmax(np.abs(R_ref), axis=1))
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ([[1.0, 2.0], [-1.0, 3.0]], NotStrictlyHyperbolic, "complex eigenvalues"),
+    ([[2.0, 1.0], [0.0, 2.0]], NotStrictlyHyperbolic, "eigenvalue gap below"),
+    ([[0.5, 1.0], [0.0, 3.0]], Characteristic, "min [|]lambda[|] = 0.5 below bound 1"),
+])
+def test_closed_form_2x2_errors_name_x(bad, error, message):
+    A = np.tile(np.diag([-2.0, 3.0]), (6, 1, 1))
+    A[4] = bad
+    grid = np.linspace(0.0, 1.25, 6)
+    for decompose_stack in (_decompose_2x2, _decompose_batch):
+        with pytest.raises(error, match=f"^{message}.* at x = 1$"):
+            decompose_stack(A, 1.0, grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_closed_form_2x2_refuses_non_finite_matrices(bad):
+    A = np.tile(np.diag([-2.0, 3.0]), (3, 1, 1))
+    A[1, 1, 0] = bad
+    for decompose_stack in (_decompose_2x2, _decompose_batch):
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            decompose_stack(A, 0.0)
+
+
+def test_state_dependent_3x3_frames_stay_lapack():
+    u = Poly.variable(3, 0)
+    A = [[u, 1.0, 0.0], [0.5, 2.0, u.scaled(0.5)], [0.0, 0.3, u.scaled(-1.0)]]
+    m = build_custom("varA3", 3, A, [0.0, 0.0, 0.0],
+                     state_box=([-1.0] * 3, [1.0] * 3))
+    assert not m.A_is_constant
+    grid = np.linspace(-1.0, 1.0, 121)
+    states = np.zeros((121, 3))
+    states[:, 0] = np.linspace(-0.9, 0.9, 121)
+    frames = frames_at_states(m, grid, states)
+    lam, L, R = _decompose_batch(m.A_at(states), 0.0, grid)
+    _continue_signs(lam, L, R)
+    for got, want in ((frames.lambdas, lam), (frames.L, L), (frames.R, R)):
+        assert got.tobytes() == want.tobytes()

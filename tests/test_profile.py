@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from relaxdamp import profile as profile_module
 from relaxdamp import build_jinxin, exact_jinxin_profile, fit_decay, residual, solve_profile
 from relaxdamp.errors import NotApplicable, NoUnstableDirection, TailBelowNoise
 from relaxdamp.model import build_custom
@@ -155,3 +158,43 @@ def test_batched_derivative_samples_match_node_loop(jinxin):
         assert d1.tobytes() == g.tobytes()
         assert d2.tobytes() == dg_g.tobytes()
         assert d1.flags.c_contiguous and d2.flags.c_contiguous
+
+
+def _sample_orbit_loop(xi, tail, sol, sol2):
+    """Node-by-node orbit sampling, kept as the reference for ``_sample_orbit``."""
+    values = np.empty((len(xi), sol.y.shape[0]))
+    for i, s in enumerate(xi):
+        if s < 0.0:
+            values[i] = tail(np.array([s]))[0]
+        elif s <= sol.t[-1]:
+            values[i] = sol.sol(s)
+        else:
+            values[i] = sol2.sol(s)
+    return values
+
+
+def test_orbit_sampling_matches_node_loop(jinxin, monkeypatch):
+    seen = {}
+    sample = profile_module._sample_orbit
+
+    def spy(*args):
+        seen["args"], seen["values"] = args, sample(*args)
+        return seen["values"]
+
+    monkeypatch.setattr(profile_module, "_sample_orbit", spy)
+    prof = solve_profile(jinxin, X=40.0, n=4001)
+    assert prof.values is seen["values"]
+    xi, tail, sol, sol2 = seen["args"]
+    cases = [(xi, sol, sol2)]
+    # every branch: before the launch, a shot that ends past the midpoint
+    # crossing (where the continuation starts), then the continuation
+    cut = sol.t[np.argmax(sol.t > sol2.t[0] + 5.0)]
+    shot = SimpleNamespace(t=sol.t[sol.t <= cut], y=sol.y, sol=sol.sol)
+    cases.append((np.concatenate([np.linspace(-5.0, 0.0, 101), xi, [cut],
+                                  np.linspace(cut - 2.0, sol2.t[-1], 321)]), shot, sol2))
+    for points, first, second in cases:
+        got = profile_module._sample_orbit(points, tail, first, second)
+        want = _sample_orbit_loop(points, tail, first, second)
+        # the dense output sums terms of the state's size: 2 ulp of its largest entry
+        ulp = np.spacing(np.max(np.abs(want), axis=1, keepdims=True))
+        assert np.all(np.abs(got - want) <= 2.0 * ulp)

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from conftest import vara_model
 from relaxdamp import build_custom, build_jinxin
 from relaxdamp.errors import InvalidParam, PairingAmbiguous, ScanTooCoarse
 from relaxdamp.poly import Poly
 from relaxdamp.spectral_stability import (
+    _scan_side,
     dissipativity_certificate,
     expansion_check,
     hyperbolicity_scan,
@@ -148,3 +151,39 @@ def test_characteristic_shock_frame_fails():
     rep = hyperbolicity_scan(m, prof, c_min=0.01)
     assert not rep.passed
     assert rep.min_abs_lambda == pytest.approx(0.0, abs=1e-12)
+
+
+def _scan_side_loop(model, side, xi_grid):
+    """One ``eigvals`` per frequency, kept as the reference for the stacked scan."""
+    U = model.U_minus if side == "minus" else model.U_plus
+    A, Q = model.A_at(U), model.Q_at(U)
+    spectra = np.empty((len(xi_grid), model.N), dtype=complex)
+    prev = None
+    for m, xi in enumerate(xi_grid):
+        mu = np.linalg.eigvals(1j * xi * A + Q)
+        if prev is None:
+            mu = mu[np.lexsort((mu.real, mu.imag))]
+        else:
+            _, cols = linear_sum_assignment(np.abs(mu[None, :] - prev[:, None]))
+            mu = mu[cols]
+        spectra[m] = mu
+        prev = mu
+    return spectra
+
+
+def _coupled_3x3():
+    rows = [[-1.0, 0.4, 0.1], [0.3, -2.0, 0.5], [0.2, 0.6, -1.5]]
+    q = [sum((Poly.variable(3, k).scaled(c) for k, c in enumerate(row)),
+             Poly.constant(3, 0.0)) for row in rows]
+    return build_custom("coupled3", 3, [[0.4, 0.0, 0.0], [0.0, -0.6, 0.0], [0.0, 0.0, -1.6]],
+                        q, U_minus=[0.0] * 3, U_plus=[0.0] * 3,
+                        state_box=([-1.0] * 3, [1.0] * 3))
+
+
+@pytest.mark.parametrize("which", ["jinxin", "vara", "coupled3"])
+def test_stacked_scan_matches_per_frequency_loop(which, jinxin):
+    model = {"jinxin": jinxin, "vara": vara_model(), "coupled3": _coupled_3x3()}[which]
+    xi_grid = np.geomspace(0.01, 100.0, 2000)
+    for side in ("minus", "plus"):
+        got = _scan_side(model, side, xi_grid).spectra
+        assert got.tobytes() == _scan_side_loop(model, side, xi_grid).tobytes()
