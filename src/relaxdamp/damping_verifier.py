@@ -60,7 +60,7 @@ def ckb_norm(snap: Snapshot, K: int) -> float:
     if K >= 1:
         out = max(out, _interior_max(snap.W))
     if K >= 2:
-        out = max(out, _interior_max(snap.second_derivative()))
+        out = max(out, _interior_max(snap.Y))
     return out
 
 
@@ -83,7 +83,7 @@ def l2_h2_norms(snap: Snapshot, blend_width: float = 2.0) -> tuple[float, float,
     U = _offset_corrected(snap, blend_width)
     l2sq = float(np.sum(trapezoid4(U**2, dx)))
     w2sq = float(np.sum(trapezoid4(snap.W**2, dx)))
-    y2sq = float(np.sum(trapezoid4(snap.second_derivative()**2, dx)))
+    y2sq = float(np.sum(trapezoid4(snap.Y**2, dx)))
     return (np.sqrt(l2sq), np.sqrt(l2sq + w2sq), np.sqrt(l2sq + w2sq + y2sq))
 
 
@@ -148,19 +148,18 @@ def default_weight_constants(profile: ProfileRep) -> tuple[float, float]:
 def norm_series(traj: Trajectory, kind: str) -> np.ndarray:
     """Per-output-time norms: kind in c0|c1|c2|l2|h1|h2.
 
-    Each kind is computed once per trajectory (l2, h1 and h2 together) and
-    cached on it read-only.
+    All six kinds come from one pass over the output times, in which each
+    snapshot forms W and Y once; they are cached on the trajectory read-only.
     """
     cache = traj._norm_cache
-    if kind not in cache:
-        snaps = [traj.snapshot(i) for i in range(traj.n_times)]
-        if kind in ("c0", "c1", "c2"):
-            cache[kind] = np.array([ckb_norm(snap, int(kind[1])) for snap in snaps])
-        else:
-            sobolev = np.array([l2_h2_norms(snap) for snap in snaps])
-            cache.update(zip(("l2", "h1", "h2"), sobolev.T))
-        for vals in cache.values():
-            vals.flags.writeable = False
+    if not cache:
+        rows = []
+        for i in range(traj.n_times):
+            snap = traj.snapshot(i)
+            rows.append([ckb_norm(snap, K) for K in range(3)] + list(l2_h2_norms(snap)))
+        table = np.array(rows)
+        table.flags.writeable = False
+        cache.update(zip(("c0", "c1", "c2", "l2", "h1", "h2"), table.T))
     return cache[kind]
 
 

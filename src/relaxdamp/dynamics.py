@@ -169,7 +169,8 @@ class Snapshot:
     ``W``, the spatial derivative of U, is either given (the analytic
     derivative of the initial data) or formed by fourth-order differencing
     with the boundary states on first read, so the steps between output
-    times never compute it.
+    times never compute it.  ``Y``, the second derivative, is likewise
+    formed once, on first read.
     """
 
     def __init__(self, t: float, grid: np.ndarray, U: np.ndarray,
@@ -188,8 +189,9 @@ class Snapshot:
         dx = float(self.grid[1] - self.grid[0])
         return fd4_derivative(self.U, dx, self.b_left, self.b_right)
 
-    def second_derivative(self) -> np.ndarray:
-        """Fourth-order differencing of W, extended by zero beyond the grid."""
+    @cached_property
+    def Y(self) -> np.ndarray:
+        """Second derivative: fourth-order differencing of W, extended by zero beyond the grid."""
         dx = float(self.grid[1] - self.grid[0])
         zero = np.zeros_like(self.b_left)
         return fd4_derivative(self.W, dx, zero, zero)
@@ -236,7 +238,7 @@ class Trajectory:
                         b_left=self.b_left[i], b_right=self.b_right[i])
 
     def perturbed_states(self, i: int) -> np.ndarray:
-        return self.profile.eval(self.grid) + self.states[i]
+        return self.stepper.Ubar + self.states[i]
 
     def frames(self, i: int) -> FrameField:
         if self.model.A_is_constant:
@@ -248,7 +250,8 @@ class Trajectory:
 
     @cached_property
     def stepper(self) -> "Stepper":
-        """The stepper of this trajectory's grid, for its forcing fields (built once)."""
+        """The stepper of this trajectory's grid, for the profile there and its
+        forcing fields (built once)."""
         return Stepper(self.model, self.profile, self.grid, self.shift, self.budget)
 
     @cached_property
@@ -619,19 +622,10 @@ def diagonal_vars(snap: Snapshot, frames: FrameField,
     analogues with Y obtained by fourth-order differencing of W."""
     Phi, Psi = frames.to_diag(snap.U), frames.to_diag(snap.W)
     PsiT = Psi + np.einsum("njk,nk->nj", theta, Phi)
-    Y = snap.second_derivative()
-    Ups = frames.to_diag(Y)
+    Ups = frames.to_diag(snap.Y)
     UpsT = Ups + np.einsum("njk,nk->nj", theta, Psi)
     return DiagVars(Phi=Phi, Psi=Psi, PsiTilde=PsiT, Upsilon=Ups,
-                    UpsilonTilde=UpsT, Y=Y)
-
-
-def snapshot_diagonal_vars(model: ModelSpec, profile: ProfileRep,
-                           snap: Snapshot) -> DiagVars:
-    """Diagonal variables with frames and Theta taken at the perturbed state."""
-    Ut = profile.eval(snap.grid) + snap.U
-    sf = transformed_source(model, snap.grid, Ut)
-    return diagonal_vars(snap, sf.frames, sf.Theta)
+                    UpsilonTilde=UpsT, Y=snap.Y)
 
 
 def phi_and_forcing(traj: Trajectory, i: int):

@@ -170,16 +170,14 @@ def exact_jinxin_profile(model: ModelSpec, grid: np.ndarray) -> ProfileRep:
     return prof
 
 
-def _sample_orbit(xi: np.ndarray, tail, sol, sol2) -> np.ndarray:
+def _sample_orbit(xi: np.ndarray, tail, sol) -> np.ndarray:
     """Orbit states at the orbit parameters ``xi``: the linearized ``tail(xi)``
-    before the launch (xi < 0), then the dense output of the shot ``sol`` up to
-    its last time and of the continuation ``sol2`` beyond it."""
+    before the launch (xi < 0), then the dense output of the shot ``sol``."""
     values = np.empty((len(xi), sol.y.shape[0]))
     before = xi < 0.0
     values[before] = tail(xi[before])
-    for part, dense in ((~before & (xi <= sol.t[-1]), sol.sol), (xi > sol.t[-1], sol2.sol)):
-        if np.any(part):  # OdeSolution cannot evaluate an empty array
-            values[part] = dense(xi[part]).T
+    if not np.all(before):  # OdeSolution cannot evaluate an empty array
+        values[~before] = sol.sol(xi[~before]).T
     return values
 
 
@@ -248,19 +246,16 @@ def solve_profile(model: ModelSpec, X: float, n: int, tol: float = 1e-8) -> Prof
     rate_p = float(-stable.max()) if stable.size else mu
     xi_end = xi_star + X + np.log(scale / tol) / rate_p + 10.0
 
-    y_star = sol.sol(xi_star)
-    sol2 = solve_ivp(rhs, (xi_star, xi_end), y_star, method="RK45",
-                     rtol=tol / 10.0, atol=tol * 1e-4 * scale,
-                     events=[diverged], dense_output=True)
-    if sol2.t_events[0].size > 0 or not sol2.success:
-        raise NoConnection("orbit diverged past the midpoint crossing")
-    miss = np.max(np.abs(sol2.y[:, -1] - U_p))
+    if sol.t[-1] < xi_end:
+        raise NoConnection(f"shot ended at xi = {sol.t[-1]:.6g} before the connection "
+                           f"check at {xi_end:.6g}: {sol.message}")
+    miss = np.max(np.abs(sol.sol(xi_end) - U_p))
     if miss > tol:
         raise NoConnection(f"orbit misses U+ by {miss:.3e} (tol {tol:.1e})")
 
     grid = np.linspace(-X, X, n)
     values = _sample_orbit(xi_star + grid,
-                           lambda xi: U_m + eta * w * np.exp(mu * xi)[:, None], sol, sol2)
+                           lambda xi: U_m + eta * w * np.exp(mu * xi)[:, None], sol)
     d1, d2 = _derivative_samples(model, values)
     prof = ProfileRep(grid=grid, values=values, d1=d1, d2=d2,
                       U_minus=U_m.copy(), U_plus=U_p.copy())

@@ -314,3 +314,30 @@ def test_norm_series_computes_each_kind_once(monkeypatch):
             assert np.array_equal(series, want[kind])
             assert not series.flags.writeable
     assert calls == {"ckb": 3 * traj.n_times, "sobolev": traj.n_times}
+
+
+def test_norm_series_differences_each_snapshot_twice(monkeypatch):
+    import relaxdamp.damping_verifier as dvm
+    import relaxdamp.dynamics as dyn
+
+    model = scalar_model(speed=2.0, decay=0.25)
+    prof = constant_profile(model, [0.0], X=10.0, n=201)
+
+    def field(t, x):
+        return (1e-3 * np.exp(-0.25 * t) * np.exp(-0.5 * (x / 3.0) ** 2))[:, None]
+
+    traj = synthetic_trajectory(model, prof, field, T=2.0, n_out=4)
+    calls = []
+    fd4 = dyn.fd4_derivative
+
+    def counted(*args):
+        calls.append(args)
+        return fd4(*args)
+
+    monkeypatch.setattr(dyn, "fd4_derivative", counted)
+    dvm.norm_series(traj, "c0")
+    # W and Y once per output time, for all six kinds
+    assert len(calls) == 2 * traj.n_times
+    for kind in ("c1", "c2", "l2", "h1", "h2"):
+        dvm.norm_series(traj, kind)
+    assert len(calls) == 2 * traj.n_times

@@ -18,8 +18,8 @@ from relaxdamp.dynamics import (
     fd4_derivative,
     grid_step,
     make_initial,
-    snapshot_diagonal_vars,
 )
+from relaxdamp.eigenframe import transformed_source
 from relaxdamp.errors import BlowUp, BudgetExceeded, CFLViolation, InvalidParam
 from relaxdamp.model import build_custom
 from relaxdamp.profile import constant_profile, solve_profile
@@ -84,7 +84,8 @@ def test_offset_initial_endpoints(jinxin_profile):
 def test_zero_initial(jinxin, jinxin_profile):
     snap = make_initial(jinxin_profile, PerturbationSpec(kind="zero"))
     assert np.max(np.abs(snap.U)) == 0.0
-    dv = snapshot_diagonal_vars(jinxin, jinxin_profile, snap)
+    sf = transformed_source(jinxin, snap.grid, jinxin_profile.eval(snap.grid) + snap.U)
+    dv = diagonal_vars(snap, sf.frames, sf.Theta)
     for field in (dv.Phi, dv.Psi, dv.PsiTilde, dv.Upsilon, dv.UpsilonTilde):
         assert np.max(np.abs(field)) == 0.0
 

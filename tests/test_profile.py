@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
+from conftest import vara_model
 from relaxdamp import profile as profile_module
 from relaxdamp import build_jinxin, exact_jinxin_profile, fit_decay, residual, solve_profile
-from relaxdamp.errors import NotApplicable, NoUnstableDirection, TailBelowNoise
+from relaxdamp.errors import NoConnection, NotApplicable, NoUnstableDirection, TailBelowNoise
 from relaxdamp.model import build_custom
 from relaxdamp.poly import poly_matrix_eval
 from relaxdamp.profile import _derivative_samples, constant_profile, ode_rhs, ode_rhs_jacobian
@@ -160,16 +159,11 @@ def test_batched_derivative_samples_match_node_loop(jinxin):
         assert d1.flags.c_contiguous and d2.flags.c_contiguous
 
 
-def _sample_orbit_loop(xi, tail, sol, sol2):
+def _sample_orbit_loop(xi, tail, sol):
     """Node-by-node orbit sampling, kept as the reference for ``_sample_orbit``."""
     values = np.empty((len(xi), sol.y.shape[0]))
     for i, s in enumerate(xi):
-        if s < 0.0:
-            values[i] = tail(np.array([s]))[0]
-        elif s <= sol.t[-1]:
-            values[i] = sol.sol(s)
-        else:
-            values[i] = sol2.sol(s)
+        values[i] = tail(np.array([s]))[0] if s < 0.0 else sol.sol(s)
     return values
 
 
@@ -184,17 +178,45 @@ def test_orbit_sampling_matches_node_loop(jinxin, monkeypatch):
     monkeypatch.setattr(profile_module, "_sample_orbit", spy)
     prof = solve_profile(jinxin, X=40.0, n=4001)
     assert prof.values is seen["values"]
-    xi, tail, sol, sol2 = seen["args"]
-    cases = [(xi, sol, sol2)]
-    # every branch: before the launch, a shot that ends past the midpoint
-    # crossing (where the continuation starts), then the continuation
-    cut = sol.t[np.argmax(sol.t > sol2.t[0] + 5.0)]
-    shot = SimpleNamespace(t=sol.t[sol.t <= cut], y=sol.y, sol=sol.sol)
-    cases.append((np.concatenate([np.linspace(-5.0, 0.0, 101), xi, [cut],
-                                  np.linspace(cut - 2.0, sol2.t[-1], 321)]), shot, sol2))
-    for points, first, second in cases:
-        got = profile_module._sample_orbit(points, tail, first, second)
-        want = _sample_orbit_loop(points, tail, first, second)
+    xi, tail, sol = seen["args"]
+    # both branches: either side of the launch, then the shot up to its last time
+    mixed = np.concatenate([np.linspace(-5.0, 5.0, 201), xi,
+                            np.linspace(0.0, sol.t[-1], 321)])
+    for points in (xi, mixed):
+        got = profile_module._sample_orbit(points, tail, sol)
+        want = _sample_orbit_loop(points, tail, sol)
         # the dense output sums terms of the state's size: 2 ulp of its largest entry
         ulp = np.spacing(np.max(np.abs(want), axis=1, keepdims=True))
         assert np.all(np.abs(got - want) <= 2.0 * ulp)
+
+
+def _counted_solve_ivp(monkeypatch, t_end=None):
+    """Spy on the profile module's ``solve_ivp``; optionally end every t_span at t_end."""
+    spans = []
+    solve_ivp = profile_module.solve_ivp
+
+    def spy(fun, t_span, *args, **kwargs):
+        spans.append(t_span)
+        if t_end is not None:
+            t_span = (t_span[0], min(t_span[1], t_end))
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(profile_module, "solve_ivp", spy)
+    return spans
+
+
+@pytest.mark.parametrize("which, X", [("jinxin", 40.0), ("vara", 20.0)])
+def test_profile_is_one_shot(jinxin, monkeypatch, which, X):
+    model = {"jinxin": jinxin, "vara": vara_model()}[which]
+    spans = _counted_solve_ivp(monkeypatch)
+    prof = solve_profile(model, X=X, n=801)
+    assert len(spans) == 1
+    assert residual(prof, model) <= 1e-8
+
+
+def test_shot_ending_before_connection_check_raises(jinxin, monkeypatch):
+    # the midpoint crossing is near xi = 55, the connection check near 182
+    spans = _counted_solve_ivp(monkeypatch, t_end=100.0)
+    with pytest.raises(NoConnection, match="before the connection check"):
+        solve_profile(jinxin, X=40.0, n=801)
+    assert len(spans) == 1 and spans[0][1] > 100.0
