@@ -124,22 +124,32 @@ def trace(traj: Trajectory, j: int, x0: float, n_sub: int = 4) -> CharPath:
     return trace_many(traj, j, [x0], n_sub)[0]
 
 
-def accumulate_H(path: CharPath, traj: Trajectory) -> np.ndarray:
-    """Trapezoidal accumulation of the diagonal source along the path.
+def accumulate_H(paths: list[CharPath], traj: Trajectory) -> np.ndarray:
+    """Trapezoidal accumulation of the diagonal source along same-family paths.
 
-    Beyond the grid the integrand freezes at the endstate value of the exit
-    side, matching the far-field boundary treatment of the dynamics.
+    ``paths`` share one family and one sample-time vector, as one trace_many
+    call returns them; a single path is the list of one.  The family's source
+    field is stacked into one interpolant and read at every sample of every
+    path in one batch, then integrated by one cumulative sum along the
+    samples.  Beyond the grid the integrand freezes at the endstate value of
+    the exit side, matching the far-field boundary treatment of the dynamics.
+    Sets each path's ``H`` and returns them as a (path, sample) array.
     """
-    j = path.family
+    j, times = paths[0].family, paths[0].times
+    if any(p.family != j or not np.array_equal(p.times, times) for p in paths):
+        raise InvalidParam("accumulate_H needs paths of one family on shared sample times")
     E = _FieldInterp(traj, [traj.source_field(i).E_diag[:, j]
                             for i in range(traj.n_times)])
     E_minus, E_plus = traj.endstate_E_diag
-    X, x = path.grid_half_width, path.positions
+    X = paths[0].grid_half_width
+    x = np.stack([p.positions for p in paths], axis=1)
     vals = np.where(x < -X, E_minus[j], np.where(
-        x > X, E_plus[j], E.eval(path.times, x)))
-    H = np.concatenate([[0.0], np.cumsum(
-        0.5 * (vals[1:] + vals[:-1]) * np.diff(path.times))])
-    path.H = H
+        x > X, E_plus[j], E.eval(times[:, None], x)))
+    steps = 0.5 * (vals[1:] + vals[:-1]) * np.diff(times)[:, None]
+    H = np.zeros((len(paths), len(times)))
+    H[:, 1:] = np.cumsum(steps, axis=0).T
+    for p, h in zip(paths, H):
+        p.H = h
     return H
 
 
@@ -305,7 +315,7 @@ def duhamel_residual(traj: Trajectory, path: CharPath) -> float:
     """
     j = path.family
     if path.H is None:
-        accumulate_H(path, traj)
+        accumulate_H([path], traj)
     fields = [phi_and_forcing(traj, i) for i in range(traj.n_times)]
     Phi = _FieldInterp(traj, [F[:, j] for F, _ in fields])
     G_path = _FieldInterp(traj, [G[:, j] for _, G in fields]).eval(

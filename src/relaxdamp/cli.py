@@ -276,8 +276,7 @@ def stage_verify(cfg: Config, out: Path) -> int:
     paths = []
     for j in range(model.N):
         fam = chars.trace_many(traj, j, starts, n_sub=int(vc["n_sub"]))
-        for p in fam:
-            chars.accumulate_H(p, traj)
+        chars.accumulate_H(fam, traj)
         paths.extend(fam)
 
     certification_failures = []
@@ -357,6 +356,8 @@ def stage_verify(cfg: Config, out: Path) -> int:
             payload["theta_max"] = tab.theta_max
         except EmptyFeasible:
             payload["theta_max"] = None
+        if not tab.degenerate:
+            payload["saturated"] = tab.saturated
         return payload
 
     write_json(out / "damping.json", {
@@ -370,7 +371,7 @@ def stage_verify(cfg: Config, out: Path) -> int:
         "weighted_energy": {
             "initial": energies.energies[0],
             "final": energies.energies[-1],
-            "ratio": energies.energies[-1] / np.maximum(energies.energies[0], 1e-300),
+            "ratio": energies.ratio,
             "target_ratio": float(np.exp(-dr.theta_E * traj.times[-1])),
             "slack_constant": energies.slack_constant,
         },

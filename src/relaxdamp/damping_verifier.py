@@ -176,6 +176,12 @@ class EnergySeries:
     slack_constant: float    # smallest K with de/dt <= -2 theta_E e + K (forcing)
     flagged: np.ndarray      # times where the inequality needed the forcing term
 
+    @property
+    def ratio(self) -> list[float | None]:
+        """e_j(T) / e_j(0) per family; None for a family with e_j(0) = 0."""
+        return [float(final / initial) if initial > 0.0 else None
+                for initial, final in zip(self.energies[0], self.energies[-1])]
+
 
 def weighted_energy_series(traj: Trajectory, weights: list[WeightFn],
                            theta_E: float) -> EnergySeries:
@@ -232,6 +238,12 @@ class FeasibilityTable:
         return self.C_min <= self.C_cap
 
     @property
+    def saturated(self) -> bool:
+        """Whether the top rate of the grid is feasible: theta_max is then a
+        bound set by the grid, not by the series."""
+        return bool(self.feasible[-1])
+
+    @property
     def theta_max(self) -> float:
         if self.degenerate:
             return float(self.theta_grid[-1])
@@ -247,8 +259,12 @@ def feasibility_table(label: str, times: np.ndarray, series: np.ndarray,
     """Minimal constant per rate: C_min(theta) = max_t N(t) / D_theta(t).
 
     D_theta is the decayed initial value plus the trapezoid Duhamel integral
-    of the forcing on output times.  A zero initial value with zero forcing
-    short-circuits as degenerate (every rate trivially feasible).
+    of the forcing on output times.  One recursion over the output times
+    serves the whole rate grid: D is a (rate, time) table and the integral
+    and decay factors are vectors over the rates, each entry formed by the
+    same operations in the same order as a scalar recursion per rate.  A zero
+    initial value with zero forcing short-circuits as degenerate (every rate
+    trivially feasible).
     """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
@@ -259,19 +275,17 @@ def feasibility_table(label: str, times: np.ndarray, series: np.ndarray,
                                 forcing=forcing, theta_grid=theta_grid,
                                 C_min=np.zeros_like(theta_grid), C_cap=C_cap,
                                 degenerate=True)
-    C_min = np.empty_like(theta_grid)
-    for k, th in enumerate(theta_grid):
-        D = np.empty_like(times)
-        D[0] = series[0]
-        I = 0.0
-        for m in range(1, len(times)):
-            dt = times[m] - times[m - 1]
-            decay = np.exp(-th * dt)
-            I = decay * I + 0.5 * dt * (decay * forcing[m - 1] + forcing[m])
-            D[m] = np.exp(-th * times[m]) * series[0] + I
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(D > 0.0, series / D, np.where(series > 0.0, np.inf, 0.0))
-        C_min[k] = float(np.max(ratio))
+    D = np.empty((len(theta_grid), len(times)))
+    D[:, 0] = series[0]
+    I = np.zeros_like(theta_grid)
+    for m in range(1, len(times)):
+        dt = times[m] - times[m - 1]
+        decay = np.exp(-theta_grid * dt)
+        I = decay * I + 0.5 * dt * (decay * forcing[m - 1] + forcing[m])
+        D[:, m] = np.exp(-theta_grid * times[m]) * series[0] + I
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(D > 0.0, series / D, np.where(series > 0.0, np.inf, 0.0))
+    C_min = np.max(ratio, axis=1)
     return FeasibilityTable(label=label, times=times, series=series,
                             forcing=forcing, theta_grid=theta_grid,
                             C_min=C_min, C_cap=C_cap, degenerate=False)

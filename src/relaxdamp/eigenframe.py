@@ -15,7 +15,7 @@ sign convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -63,14 +63,35 @@ class DampingRate:
     E_plus: np.ndarray
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """np.max(a, axis=1) of an (n, k) array with short rows, NaN propagating alike.
+
+    numpy reduces a short axis with one tiny inner loop per row; one
+    elementwise maximum per column does the same work in k passes over n.
+    """
+    return reduce(np.maximum, a.T)
+
+
 def _sign_fix(R: np.ndarray) -> None:
-    """Scale each right eigenvector so its largest-magnitude entry equals +1."""
+    """Scale each right eigenvector so its largest-magnitude entry equals +1.
+
+    The first entry of largest magnitude leads, as np.argmax picks it; the
+    search runs entry by entry over the stack, each a pass over all matrices,
+    not one short search per matrix.  R is finite: both decompositions
+    refuse non-finite matrices before they reach it.
+    """
     N = R.shape[-1]
     for j in range(N):
-        col = R[..., :, j]
-        idx = np.argmax(np.abs(col), axis=-1)
-        lead = np.take_along_axis(col, idx[..., None], axis=-1)[..., 0]
-        R[..., :, j] = col / lead[..., None]
+        lead = R[..., 0, j].copy()  # R is divided by it in place
+        size = np.abs(lead)
+        for i in range(1, N):
+            entry = R[..., i, j]
+            mag = np.abs(entry)
+            larger = mag > size
+            lead = np.where(larger, entry, lead)
+            size = np.where(larger, mag, size)
+        for i in range(N):
+            R[..., i, j] /= lead
 
 
 def _checked_spectrum(A: np.ndarray, w: np.ndarray, c_min: float, x=None):
@@ -83,8 +104,8 @@ def _checked_spectrum(A: np.ndarray, w: np.ndarray, c_min: float, x=None):
     def where(i):
         return "" if x is None else f" at x = {x[i]:.6g}"
 
-    scale = 1.0 + np.max(np.abs(A), axis=(1, 2))
-    bad = np.max(np.abs(w.imag), axis=1) > DEGENERACY_TOL * scale
+    scale = 1.0 + _row_max(np.abs(A).reshape(len(A), -1))
+    bad = _row_max(np.abs(w.imag)) > DEGENERACY_TOL * scale
     if np.any(bad):
         i = int(np.argmax(bad))
         raise NotStrictlyHyperbolic(f"complex eigenvalues {w[i]}{where(i)}")

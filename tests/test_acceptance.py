@@ -204,8 +204,7 @@ def test_criterion_7_h_estimate(model, profile, run_gaussian):
     paths = []
     for j in (0, 1):
         fam = trace_many(run_gaussian, j, starts)
-        for p in fam:
-            accumulate_H(p, run_gaussian)
+        accumulate_H(fam, run_gaussian)
         paths.extend(fam)
     rep = verify_H_bound(paths, dr.theta_E, model=model, profile=profile,
                          compare_horizon=40.0, growth_tol=0.25)

@@ -19,7 +19,7 @@ from relaxdamp.characteristics import (
     verify_H_bound,
 )
 from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, _cubic_at, evolve
-from relaxdamp.errors import EpsilonTooLarge, NotBounded, NotStrictlyHyperbolic
+from relaxdamp.errors import EpsilonTooLarge, InvalidParam, NotBounded, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
 from relaxdamp.profile import constant_profile, solve_profile
 from relaxdamp.model import build_custom
@@ -77,7 +77,7 @@ def test_trace_constant_shift_rate(decay_run):
 def test_constant_damping_H_is_linear(decay_run):
     _, _, traj = decay_run
     p = trace(traj, 0, x0=-30.0)
-    H = accumulate_H(p, traj)
+    H = accumulate_H([p], traj)[0]
     assert np.max(np.abs(H + 0.25 * p.times)) <= 1e-10
 
 
@@ -117,8 +117,7 @@ def test_uniform_damping_bound_slack(decay_run):
     # field damps at 0.25 everywhere; theta_E = 0.125 leaves the bound slack
     _, _, traj = decay_run
     paths = trace_many(traj, 0, np.linspace(-10, 10, 5))
-    for p in paths:
-        accumulate_H(p, traj)
+    accumulate_H(paths, traj)
     rep = verify_H_bound(paths, theta_E=0.125)
     assert rep.C_emp_overall <= 1e-10
 
@@ -127,8 +126,7 @@ def test_not_bounded_when_rate_exceeds_damping(decay_run):
     # claiming twice the actual damping rate makes H + theta t grow linearly
     _, _, traj = decay_run
     paths = trace_many(traj, 0, np.linspace(-10, 10, 5))
-    for p in paths:
-        accumulate_H(p, traj)
+    accumulate_H(paths, traj)
     with pytest.raises(NotBounded):
         verify_H_bound(paths, theta_E=0.5, compare_horizon=10.0)
 
@@ -139,8 +137,7 @@ def test_H_bound_stable_across_horizons(jinxin, jinxin_profile, jinxin_run):
     paths = []
     for j in (0, 1):
         fam = trace_many(jinxin_run, j, starts)
-        for p in fam:
-            accumulate_H(p, jinxin_run)
+        accumulate_H(fam, jinxin_run)
         paths.extend(fam)
     rep = verify_H_bound(paths, dr.theta_E, model=jinxin, profile=jinxin_profile,
                          compare_horizon=10.0)
@@ -220,7 +217,7 @@ def test_duhamel_residual_builds_one_stepper(jinxin, jinxin_profile, monkeypatch
 
 def test_duhamel_consistency(jinxin_run):
     p = trace(jinxin_run, 1, x0=-30.0)
-    accumulate_H(p, jinxin_run)
+    accumulate_H([p], jinxin_run)
     assert duhamel_residual(jinxin_run, p) <= 1e-4
 
 
@@ -286,8 +283,8 @@ def test_H_increments_beyond_grid_use_endstate_source(jinxin_run):
     X = float(jinxin_run.grid[-1])
     seen = set()
     for j in (0, 1):
-        for p in trace_many(jinxin_run, j, [-30.0, 30.0]):
-            H = accumulate_H(p, jinxin_run)
+        paths = trace_many(jinxin_run, j, [-30.0, 30.0])
+        for p, H in zip(paths, accumulate_H(paths, jinxin_run)):
             x, s = p.positions, p.times
             for k in range(1, len(s)):
                 for side, E in ((-1.0, E_minus[j]), (1.0, E_plus[j])):
@@ -304,8 +301,45 @@ def test_accumulate_H_evaluates_the_field_in_one_batch(jinxin_run, monkeypatch):
         calls.append(np.shape(args[1]))
         return _cubic_at(*args, **kwargs)
 
-    p = trace(jinxin_run, 0, x0=5.0)
+    families = [trace_many(jinxin_run, j, np.linspace(-10.0, 10.0, 7)) for j in (0, 1)]
     monkeypatch.setattr(characteristics, "_cubic_at", counted)
-    accumulate_H(p, jinxin_run)
-    assert len(p.times) > 100
-    assert calls == [p.times.shape, p.times.shape]
+    for paths in families:
+        calls.clear()
+        accumulate_H(paths, jinxin_run)
+        shape = (len(paths[0].times), len(paths))
+        assert shape[0] > 100
+        assert calls == [shape, shape]  # one pair for the whole family
+
+
+def _per_path_H(path, traj):
+    """H of one path on its own: the family's field read along this path
+    alone, then one cumulative sum.  The batched accumulation must reproduce
+    it bit for bit."""
+    j = path.family
+    E = characteristics._FieldInterp(traj, [traj.source_field(i).E_diag[:, j]
+                                            for i in range(traj.n_times)])
+    E_minus, E_plus = traj.endstate_E_diag
+    X, x = path.grid_half_width, path.positions
+    vals = np.where(x < -X, E_minus[j], np.where(x > X, E_plus[j], E.eval(path.times, x)))
+    return np.concatenate([[0.0], np.cumsum(
+        0.5 * (vals[1:] + vals[:-1]) * np.diff(path.times))])
+
+
+@pytest.mark.parametrize("run", ["jinxin_run", "varA_run"])
+def test_batched_H_matches_per_path_H(run, request):
+    traj = request.getfixturevalue(run)
+    X = float(traj.grid[-1])
+    starts = np.concatenate([[-X + 0.5, X - 0.5], np.linspace(-0.6 * X, 0.6 * X, 9)])
+    for j in range(traj.model.N):
+        paths = trace_many(traj, j, starts)
+        H = accumulate_H(paths, traj)
+        assert H.shape == (len(paths), len(paths[0].times))
+        for p, h in zip(paths, H):
+            assert np.array_equal(p.H, _per_path_H(p, traj))
+            assert np.array_equal(h, p.H)
+
+
+def test_accumulate_H_rejects_mixed_families(jinxin_run):
+    paths = [trace(jinxin_run, j, 0.0) for j in (0, 1)]
+    with pytest.raises(InvalidParam):
+        accumulate_H(paths, jinxin_run)

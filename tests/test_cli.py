@@ -136,6 +136,8 @@ def test_evolve_and_verify_stages(tmp_path):
     assert damping["certification_failures"] == []
     for kind in ("c0", "c1", "c2", "l2", "h2"):
         assert damping["norm_tables"][kind]["theta_max"] is not None
+    for table in [*damping["norm_tables"].values(), *damping["slaving"].values()]:
+        assert table["saturated"] is True  # the top rate 0.3 is feasible
     hb = json.loads((tmp_path / "h_bound.json").read_text())
     assert hb["bounded"] is True
     assert (tmp_path / "characteristics.csv").exists()
@@ -168,6 +170,23 @@ def test_verify_empty_feasible_exit_code(tmp_path):
     damping = json.loads((tmp_path / "damping.json").read_text())
     assert damping["certification_failures"]
     assert damping["norm_tables"]["c0"]["theta_max"] is None
+    for table in [*damping["norm_tables"].values(), *damping["slaving"].values()]:
+        assert table["saturated"] is False
+
+
+def test_verify_zero_perturbation_has_no_energy_ratio(tmp_path):
+    # every family starts (and stays) at zero energy, and every table is degenerate
+    cfg = config_from_dict({
+        "dynamics": {"T": 2.0, "n_out": 4, "dx": 0.08, "perturbation": {"kind": "zero"}},
+        "profile": {"n": 2001},
+        "verify": {"n_paths": 4, "theta_grid": {"start": 0.01, "stop": 0.3, "num": 8}},
+    })
+    assert run("verify", cfg, out_dir=str(tmp_path)) == EXIT_OK
+    damping = json.loads((tmp_path / "damping.json").read_text())
+    assert damping["weighted_energy"]["ratio"] == [None, None]
+    for table in [*damping["norm_tables"].values(), *damping["slaving"].values()]:
+        assert table["degenerate"] is True
+        assert "saturated" not in table
 
 
 def test_all_deterministic(tmp_path):

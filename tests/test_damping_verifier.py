@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import scalar_model, synthetic_trajectory, vara_model
 from relaxdamp import build_custom, build_jinxin, damping_rate
@@ -20,6 +23,7 @@ from relaxdamp.damping_verifier import (
 )
 from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, Snapshot, evolve
 from relaxdamp.errors import Characteristic, EmptyFeasible, NotStrictlyHyperbolic, Unsupported
+from relaxdamp.poly import Poly
 from relaxdamp.profile import constant_profile, solve_profile
 
 
@@ -199,6 +203,27 @@ def test_energy_pure_decay_rate():
     assert np.max(np.abs(ratio + 2.0 * beta)) <= 1e-6
 
 
+def test_energy_ratio_is_none_for_a_family_starting_at_zero():
+    # diagonal A: Phi = U, so family 1 starts at exactly zero energy and grows
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    model = build_custom("diag", 2, [[-1.0, 0.0], [0.0, 2.0]],
+                         [x1.scaled(-0.1), x2.scaled(-0.1)],
+                         U_minus=[0.0, 0.0], U_plus=[0.0, 0.0],
+                         state_box=([-1.0, -1.0], [1.0, 1.0]))
+    prof = constant_profile(model, [0.0, 0.0], X=40.0, n=2001)
+
+    def field(t, x):
+        g = 1e-2 * np.exp(-0.5 * (x / 3.0) ** 2)
+        return np.column_stack([t * g, np.exp(-0.1 * t) * g])
+
+    traj = synthetic_trajectory(model, prof, field, T=1.0, n_out=10)
+    es = weighted_energy_series(traj, weight_fn(model, prof, 1.0, 0.25), theta_E=0.05)
+    assert es.energies[0, 0] == 0.0 < es.energies[-1, 0]
+    ratio = es.ratio
+    assert ratio[0] is None
+    assert ratio[1] == es.energies[-1, 1] / es.energies[0, 1]
+
+
 # --- feasibility -------------------------------------------------------------
 
 def test_feasibility_pure_decay_analytic():
@@ -220,6 +245,58 @@ def test_feasibility_zero_degenerate():
     tab = feasibility_table("zero", times, np.zeros(11), np.zeros(11),
                             np.array([0.1, 0.2]))
     assert tab.degenerate
+    assert tab.theta_max == pytest.approx(0.2)
+
+
+def _C_min_per_rate(times, series, forcing, theta_grid):
+    """C_min by one scalar recursion per rate over the output times; the
+    table, which runs the recursion for all rates at once, must match it bit
+    for bit."""
+    C_min = np.empty_like(theta_grid)
+    for k, th in enumerate(theta_grid):
+        D = np.empty_like(times)
+        D[0] = series[0]
+        I = 0.0
+        for m in range(1, len(times)):
+            dt = times[m] - times[m - 1]
+            decay = np.exp(-th * dt)
+            I = decay * I + 0.5 * dt * (decay * forcing[m - 1] + forcing[m])
+            D[m] = np.exp(-th * times[m]) * series[0] + I
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(D > 0.0, series / D, np.where(series > 0.0, np.inf, 0.0))
+        C_min[k] = float(np.max(ratio))
+    return C_min
+
+
+_values = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_feasibility_table_matches_scalar_recursion(data):
+    n_t = data.draw(st.integers(1, 40))
+    t0 = data.draw(st.floats(0.0, 5.0))
+    steps = data.draw(arrays(float, n_t - 1, elements=st.floats(1e-3, 3.0)))
+    times = t0 + np.concatenate([[0.0], np.cumsum(steps)])
+    series = data.draw(arrays(float, n_t, elements=_values))
+    forcing = data.draw(arrays(float, n_t, elements=_values))
+    theta_grid = data.draw(arrays(float, st.integers(1, 25), elements=st.floats(0.0, 2.0)))
+    assume(series[0] != 0.0 or np.max(forcing) != 0.0)
+    tab = feasibility_table("prop", times, series, forcing, theta_grid)
+    assert not tab.degenerate
+    assert np.array_equal(tab.C_min, _C_min_per_rate(times, series, forcing, theta_grid))
+
+
+def test_feasibility_table_saturation():
+    times = np.linspace(0.0, 20.0, 41)
+    series = np.exp(-0.2 * times)
+    forcing = np.zeros_like(times)
+    assert feasibility_table("slow", times, series, forcing, np.array([0.1, 0.2])).saturated
+    # the top rate needs C = e^{0.2 T} = e^4 > cap: feasible set ends inside the grid
+    tab = feasibility_table("fast", times, series, forcing, np.array([0.1, 0.2, 0.4]),
+                            C_cap=10.0)
+    assert tab.feasible.tolist() == [True, True, False]
+    assert not tab.saturated
     assert tab.theta_max == pytest.approx(0.2)
 
 

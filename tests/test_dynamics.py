@@ -210,7 +210,7 @@ def test_state_dependent_A_equilibrium_and_duhamel(varA, backend):
     traj = evolve(model, prof, pert, ShiftSpec(kind="zero"), T=1.0,
                   backend=backend, dx=0.05, n_out=4)
     p = trace(traj, 0, x0=0.0)
-    accumulate_H(p, traj)
+    accumulate_H([p], traj)
     assert duhamel_residual(traj, p) <= 1e-5
 
 

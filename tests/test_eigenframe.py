@@ -20,6 +20,8 @@ from relaxdamp.eigenframe import (
     _continue_signs,
     _decompose_2x2,
     _decompose_batch,
+    _row_max,
+    _sign_fix,
     endstate_splits,
     frames_at_states,
 )
@@ -350,6 +352,30 @@ def test_closed_form_2x2_refuses_non_finite_matrices(bad):
     for decompose_stack in (_decompose_2x2, _decompose_batch):
         with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
             decompose_stack(A, 0.0)
+
+
+def _sign_fix_by_argmax(R):
+    """Reference sign convention: each column divided by its np.argmax entry."""
+    out = R.copy()
+    for j in range(R.shape[-1]):
+        col = out[..., :, j]
+        idx = np.argmax(np.abs(col), axis=-1)
+        out[..., :, j] = col / np.take_along_axis(col, idx[..., None], axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_short_axis_reductions_match_numpy(N):
+    rng = np.random.default_rng(N)
+    R = rng.normal(size=(301, N, N))
+    R[::3, -1, :] = -R[::3, 0, :]  # ties of equal magnitude: the first entry leads
+    R[::5] = np.sign(R[::5])       # every entry of these columns ties at 1
+    fixed = R.copy()
+    _sign_fix(fixed)
+    assert np.array_equal(fixed, _sign_fix_by_argmax(R))
+    rows = np.abs(R).reshape(len(R), -1)
+    rows[7, -1] = np.nan
+    assert np.array_equal(_row_max(rows), np.max(rows, axis=1), equal_nan=True)
 
 
 def test_state_dependent_3x3_frames_stay_lapack():
