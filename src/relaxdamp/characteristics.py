@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, _cubic_at, grid_step, phi_and_forcing
-from .eigenframe import SourceField, decompose, profile_source_field, source_split
-from .errors import EpsilonTooLarge, InvalidParam, NotBounded, NotStrictlyHyperbolic
+from .eigenframe import SourceField, damping_rate, profile_source_field, source_diagonals
+from .errors import EpsilonTooLarge, InvalidParam, NotBounded
 from .model import ModelSpec
 from .profile import ProfileRep
 
@@ -234,55 +234,33 @@ def no_damping_radius(model: ModelSpec, profile: ProfileRep, eps_budget: float,
     """Smallest grid radius beyond which damping clears -theta_E with margin.
 
     Requires E_jj(Ubar(x)) + C_tail exp(-theta_tilde |x|) + C_lip eps <= -theta_E
-    for all |x| >= R: the tail term covers the frame-transport part of the
-    diagonal source (zero for state-independent A) and C_lip covers state
-    perturbations up to the budget.  ``source`` is the profile's transformed
-    source when the caller has it already.
+    for all |x| >= R, with E_jj = diag(L Q R): the profile source's damping
+    coefficient minus its frame transport, which the tail term covers (zero
+    for state-independent A).  C_lip covers state perturbations up to the
+    budget: the largest slope of E_jj on a 9^N state-box lattice from one
+    ``source_diagonals`` query, where points that are not strictly hyperbolic
+    are NaN and drop out.  ``source`` is the profile's transformed source when
+    the caller has it already.
     """
-    from .eigenframe import damping_rate
-
     if theta_E is None:
         theta_E = damping_rate(model).theta_E
     sf = source if source is not None else profile_source_field(model, profile)
-    frames = sf.frames
-    n, N = sf.E_diag.shape
-
-    # pure E part (no transport): diag of L Q R along the profile
-    M = np.matmul(np.matmul(frames.L, model.Q_at(profile.values)), frames.R)
-    E_pure = M[:, np.eye(N, dtype=bool)]
-
-    transport = np.max(np.abs(sf.E_diag - E_pure), axis=1)
+    N = model.N
+    T_diag = sf.transport[:, np.eye(N, dtype=bool)]
+    E_pure = sf.E_diag - T_diag
+    transport = np.max(np.abs(T_diag), axis=1)
     rates = [profile.decay_fits[(side, 1)].rate for side in ("minus", "plus")
              if (side, 1) in profile.decay_fits]
     theta_tilde = min(rates) if rates else 1.0
-    if np.max(transport) < 1e-13:
-        C_tail = 0.0
-    else:
-        env = transport / np.exp(-theta_tilde * np.abs(profile.grid))
-        C_tail = float(np.max(env))
+    C_tail = 0.0 if np.max(transport) < 1e-13 else float(np.max(
+        transport / np.exp(-theta_tilde * np.abs(profile.grid))))
 
-    # Lipschitz constant of E_jj over the state box, by lattice sampling; a
-    # point where A(U) is not strictly hyperbolic has no frame and stays NaN
-    lo, hi = model.state_box
-    axes = [np.linspace(lo[k], hi[k], 9) for k in range(model.N)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.N)
-    Evals = np.full((len(mesh), N), np.nan)
-    for i, U in enumerate(mesh):
-        try:
-            fr = decompose(model.A_at(U))
-            Evals[i] = np.diag(source_split(fr, model.Q_at(U)).E)
-        except NotStrictlyHyperbolic:
-            continue
-    Egrid = Evals.reshape(tuple(len(ax) for ax in axes) + (N,))
-    C_lip = 0.0
-    for k in range(model.N):
-        h = axes[k][1] - axes[k][0]
-        if h == 0.0:
-            continue
-        d = np.diff(Egrid, axis=k) / h
-        if np.all(np.isnan(d)):
-            continue
-        C_lip = max(C_lip, float(np.nanmax(np.abs(d))))
+    axes = np.linspace(*model.state_box, 9)  # (9, N): the lattice axes by column
+    mesh = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1)
+    E = source_diagonals(model, mesh.reshape(-1, N))[1].reshape(mesh.shape)
+    with np.errstate(invalid="ignore"):  # 0 / 0 on a flat side of the box
+        slopes = [np.abs(np.diff(E, axis=k)) / (axes[1, k] - axes[0, k]) for k in range(N)]
+    C_lip = max(float(np.nanmax(s, initial=0.0)) for s in slopes)
 
     margin = np.max(E_pure, axis=1) + C_tail * np.exp(
         -theta_tilde * np.abs(profile.grid)) + C_lip * eps_budget + theta_E

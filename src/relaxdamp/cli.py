@@ -181,18 +181,15 @@ def stage_check(cfg: Config, out: Path) -> int:
             "witness_side": cert.witness_side,
         },
     }
-    theta_payload: dict = {}
     try:
-        dr = ef.damping_rate(model)
+        dr = cfg.damping
         theta_payload = {
             "theta_E": dr.theta_E,
             "theta_E_signed": dr.theta_E_signed,
             "E_minus": dr.E_minus,
             "E_plus": dr.E_plus,
         }
-        lam_max = max(np.max(np.abs(ef.decompose(model.A_at(U)).lambdas))
-                      for U in (model.U_minus, model.U_plus))
-        xi_base = 10.0 * lam_max
+        xi_base = 10.0 * float(np.max(np.abs(ef.endstate_diagonals(model)[0])))
         expansions = {
             side: spec.expansion_check(model, side,
                                        [xi_base, 2 * xi_base, 4 * xi_base, 8 * xi_base])
@@ -266,7 +263,7 @@ def stage_verify(cfg: Config, out: Path) -> int:
     vc = cfg.verify_cfg
     dc = cfg.dynamics_cfg
     theta_grid = cfg.theta_grid()
-    dr = ef.damping_rate(model)
+    dr = cfg.damping
     shift = traj.shift
 
     radius = chars.no_damping_radius(model, prof, eps_budget=dc["budget"],

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .eigenframe import SourceField, profile_source_field
+from .eigenframe import DampingRate, SourceField, damping_rate, profile_source_field
 from .model import ModelSpec, build_custom, build_jinxin
 from .dynamics import PerturbationSpec, ShiftSpec, Trajectory, evolve
 from .profile import ProfileRep, exact_jinxin_profile, solve_profile
@@ -152,10 +152,10 @@ def _check_number(value, key_path, positive=False, nonnegative=False,
 class Config:
     """Validated configuration with builders for the run's domain objects.
 
-    ``model``, ``profile``, ``profile_source`` and ``trajectory`` are
-    computed on first use and cached on this instance, so every stage
-    handed the same Config shares them.  ``cli.run`` gives each call its
-    own copy.
+    ``model``, ``profile``, ``profile_source``, ``damping`` and
+    ``trajectory`` are computed on first use and cached on this instance, so
+    every stage handed the same Config shares them.  ``cli.run`` gives each
+    call its own copy.
     """
 
     raw: dict = field(default_factory=_default_config)
@@ -217,6 +217,12 @@ class Config:
     def profile_source(self) -> SourceField:
         """Transformed source along the profile."""
         return profile_source_field(self.model, self.profile)
+
+    @cached_property
+    def damping(self) -> DampingRate:
+        """Endstate damping rate theta_E.  NotDissipative propagates and, being
+        an exception, is not cached: every stage that asks raises it again."""
+        return damping_rate(self.model)
 
     @cached_property
     def trajectory(self) -> Trajectory:

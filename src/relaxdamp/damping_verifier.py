@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Snapshot, Trajectory, diagonal_vars
-from .eigenframe import lambdas_along_profile
+from .eigenframe import frames_at_states
 from .errors import EmptyFeasible, InvalidParam, Unsupported
 from .model import ModelSpec
 from .profile import ProfileRep
@@ -109,27 +109,27 @@ def weight_fn(model: ModelSpec, profile: ProfileRep, C_alpha: float,
     The log-increment over each grid cell is computed by 7-point Gauss
     quadrature of C e^{-c|y|} / lambda_j(Ubar(y)); the recorded residual
     re-evaluates the increments with 15 points and reports the worst mismatch
-    |alpha_{i+1} - alpha_i e^{-I_i}|.  The eigenvalues at all nodes of both
-    rules come from one checked query.  ``grid`` defaults to the profile's
-    own grid; pass the trajectory grid when they differ.
+    |alpha_{i+1} - alpha_i e^{-I_i}|.  The eigenvalues at the nodes of each
+    rule come from one ``frames_at_states`` query.  ``grid`` defaults to the
+    profile's own grid; pass the trajectory grid when they differ.
     """
     if C_alpha <= 0 or c_alpha <= 0:
         raise InvalidParam("weight constants must be positive")
     x = profile.grid if grid is None else np.asarray(grid, dtype=float)
     mid = 0.5 * (x[1:] + x[:-1])
     half = 0.5 * np.diff(x)
-    pts = [mid[:, None] + half[:, None] * nodes[None, :] for nodes, _ in (_GL7, _GL15)]
-    lam7, lam15 = np.split(lambdas_along_profile(
-        model, profile, np.concatenate([p.ravel() for p in pts]), c_min), [pts[0].size])
 
-    def increments(p, lam_p, wts):  # (N, cells) log-increments of every family
-        f = C_alpha * np.exp(-c_alpha * np.abs(p)) / lam_p.T.reshape((-1,) + p.shape)
-        return np.sum(f * wts, axis=-1) * half
+    def increments(nodes, wts):  # (N, cells) log-increments of every family
+        p = mid[:, None] + half[:, None] * nodes[None, :]
+        lam = frames_at_states(model, p.ravel(), profile.eval(p.ravel()), c_min).lambdas
+        f = C_alpha * np.exp(-c_alpha * np.abs(p)) / lam.T.reshape((-1,) + p.shape)
+        f *= wts
+        return np.sum(f, axis=-1) * half
 
-    inc7 = increments(pts[0], lam7, _GL7[1])
+    inc7 = increments(*_GL7)
     log_alpha = np.concatenate([np.zeros((model.N, 1)), np.cumsum(-inc7, axis=1)], axis=1)
     alpha = np.exp(log_alpha - np.max(log_alpha, axis=1, keepdims=True))
-    inc15 = increments(pts[1], lam15, _GL15[1])
+    inc15 = increments(*_GL15)
     resid = np.max(np.abs(alpha[:, 1:] - alpha[:, :-1] * np.exp(-inc15)), axis=1)
     return [WeightFn(family=j, grid=x, values=alpha[j], C_alpha=C_alpha,
                      c_alpha=c_alpha, ode_residual=float(resid[j]))

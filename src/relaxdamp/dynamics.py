@@ -34,7 +34,7 @@ import numpy as np
 from .eigenframe import (
     FrameField,
     SourceField,
-    endstate_splits,
+    endstate_diagonals,
     frames_at_states,
     transformed_source,
 )
@@ -257,7 +257,7 @@ class Trajectory:
     @cached_property
     def endstate_E_diag(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal transformed source at U- and U+ (computed once)."""
-        return tuple(np.diag(split.E) for split in endstate_splits(self.model))
+        return tuple(endstate_diagonals(self.model)[1])
 
     def source_field(self, i: int) -> SourceField:
         """Transformed source at output time i (cached)."""
@@ -446,7 +446,7 @@ class Stepper:
         """Frames at the perturbed state and CFL-checked shifted speeds (Ut, frames, c).
 
         c is lambda - ddelta per node (n, N), or one speed per family (N,)
-        when the frames are constant.
+        when the frames are constant.  CFLViolation names t, family and node x.
         """
         Ut = self.Ubar + snap.U
         frames = self._frames(Ut)
@@ -455,7 +455,10 @@ class Stepper:
         cfl = float(np.max(np.abs(c))) * dt / self.dx
         self.last_cfl = max(self.last_cfl, cfl)
         if cfl > CFL_LIMIT:
-            raise CFLViolation(f"CFL number {cfl:.3f} exceeds {CFL_LIMIT}")
+            worst = np.unravel_index(np.argmax(np.abs(c)), c.shape)
+            where = f"x = {self.grid[worst[0]]:.6g}, " if c.ndim == 2 else ""
+            raise CFLViolation(f"CFL number {cfl:.3f} exceeds {CFL_LIMIT} at "
+                               f"t = {snap.t:.6g} ({where}family {worst[-1] + 1})")
         return Ut, frames, c
 
     def _finish(self, snap: Snapshot, dt: float, U_new: np.ndarray) -> Snapshot:

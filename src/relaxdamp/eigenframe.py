@@ -6,10 +6,11 @@ diagonal and off-diagonal parts, solves the commutator equation
 [Theta, Lambda] = F for the conjugation matrix, and extracts the damping rate
 from the endstate diagonals.
 
-Eigendata come from LAPACK (``_decompose_batch``), except for the per-node
-frames of a state-dependent 2x2 A, which have a closed form
-(``_decompose_2x2``).  Both go through the same spectrum checks and the same
-sign convention.
+Every stack of states gets its eigendata from one batched query: frames along
+a field from ``frames_at_states`` (LAPACK, or a closed form for a state-dependent
+2x2 A), and the endstates and the no-damping radius's state-box lattice from
+``source_diagonals`` (one LAPACK ``eig``, NaN rows where A is not strictly
+hyperbolic), all with the same spectrum tests and sign convention.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ class EigenFrame:
 
 @dataclass(frozen=True)
 class SourceSplit:
-    """Diagonal/off-diagonal split E + F of L Q R, with the commutator matrix."""
+    """Diagonal/off-diagonal split E + F of L Q R."""
 
     E: np.ndarray
     F: np.ndarray
-    Theta: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,18 @@ def _sign_fix(R: np.ndarray) -> None:
             R[..., i, j] /= lead
 
 
+def _spectrum(A: np.ndarray, w: np.ndarray):
+    """Sorted Re of the eigenvalues ``w`` of ``A``, their order, pair/coalesced masks."""
+    scale = 1.0 + _row_max(np.abs(A).reshape(len(A), -1))
+    pair = _row_max(np.abs(w.imag)) > DEGENERACY_TOL * scale
+    order = np.argsort(w.real, axis=1)
+    lam = np.take_along_axis(w.real, order, axis=1)
+    coalesced = np.any(np.diff(lam, axis=1) < DEGENERACY_TOL * scale[:, None], axis=1)
+    return lam, order, pair, coalesced
+
+
 def _checked_spectrum(A: np.ndarray, w: np.ndarray, c_min: float, x=None):
-    """Sorted real parts of the eigenvalues ``w`` of the stack ``A``, and their order.
+    """``_spectrum`` of a stack that must be strictly hyperbolic: (lambdas, order).
 
     Raises NotStrictlyHyperbolic on complex pairs or coalescing eigenvalues
     and Characteristic when some |lambda_j| < c_min; with ``x`` given the
@@ -104,15 +114,10 @@ def _checked_spectrum(A: np.ndarray, w: np.ndarray, c_min: float, x=None):
     def where(i):
         return "" if x is None else f" at x = {x[i]:.6g}"
 
-    scale = 1.0 + _row_max(np.abs(A).reshape(len(A), -1))
-    bad = _row_max(np.abs(w.imag)) > DEGENERACY_TOL * scale
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    lam, order, pair, coalesced = _spectrum(A, w)
+    if np.any(pair):
+        i = int(np.argmax(pair))
         raise NotStrictlyHyperbolic(f"complex eigenvalues {w[i]}{where(i)}")
-    w = w.real
-    order = np.argsort(w, axis=1)
-    lam = np.take_along_axis(w, order, axis=1)
-    coalesced = np.any(np.diff(lam, axis=1) < DEGENERACY_TOL * scale[:, None], axis=1)
     if np.any(coalesced):
         i = int(np.argmax(coalesced))
         raise NotStrictlyHyperbolic(
@@ -124,15 +129,19 @@ def _checked_spectrum(A: np.ndarray, w: np.ndarray, c_min: float, x=None):
     return lam, order
 
 
+def _frames_of(V: np.ndarray, order: np.ndarray):
+    """(L, R) from ``eig``'s vectors V: columns in ``order``, sign-fixed, L = R^{-1}."""
+    R = np.take_along_axis(V.real, order[:, None, :], axis=2)
+    _sign_fix(R)
+    return np.linalg.inv(R), R
+
+
 def _decompose_batch(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
     """Sorted real eigendecompositions (lambdas, L, R) of a stack of matrices,
     checked by ``_checked_spectrum`` at the locations ``grid``."""
     w, V = np.linalg.eig(A)
     lam, order = _checked_spectrum(A, w, c_min, grid)
-    R = np.take_along_axis(V.real, order[:, None, :], axis=2)
-    _sign_fix(R)
-    L = np.linalg.inv(R)
-    return lam, L, R
+    return (lam, *_frames_of(V, order))
 
 
 def _decompose_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
@@ -160,6 +169,7 @@ def _decompose_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
         w = w.astype(complex)
         w[pair] = m[pair, None] + np.outer(r[pair], [-1j, 1j])
     lam, _ = _checked_spectrum(A, w, c_min, grid)
+    del m, h, disc, r, far, near, w, pair  # keeps the peak memory of a large stack low
     la = lam - a[:, None]
     ld = lam - d[:, None]
     b, c = b[:, None], c[:, None]
@@ -167,6 +177,7 @@ def _decompose_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
     R = np.empty_like(A)
     R[:, 0, :] = np.where(first, b, ld)
     R[:, 1, :] = np.where(first, la, c)
+    del la, ld, first  # likewise before L
     _sign_fix(R)
     det = R[:, 0, 0] * R[:, 1, 1] - R[:, 0, 1] * R[:, 1, 0]
     L = np.empty_like(R)
@@ -294,19 +305,8 @@ def frame_along_profile(model: ModelSpec, profile: ProfileRep,
     return frames_at_states(model, profile.grid, profile.values, c_min)
 
 
-def lambdas_along_profile(model: ModelSpec, profile: ProfileRep, x: np.ndarray,
-                          c_min: float = 0.0) -> np.ndarray:
-    """Checked sorted real eigenvalues of A(Ubar(x)) at points x, shape (len(x), N):
-    one decomposition when A is constant, else ``eigvals`` (no eigenvectors)."""
-    x = np.asarray(x, dtype=float)
-    if model.A_is_constant:
-        return frames_at_states(model, x, np.zeros((len(x), model.N)), c_min).lambdas
-    A = model.A_at(profile.eval(x))
-    return _checked_spectrum(A, np.linalg.eigvals(A), c_min, x)[0]
-
-
 def source_split(frame: EigenFrame, Qmat: np.ndarray) -> SourceSplit:
-    """Split L Q R into diagonal E and off-diagonal F (Theta not yet filled)."""
+    """Split L Q R into diagonal E and off-diagonal F."""
     M = frame.L @ np.asarray(Qmat, dtype=float) @ frame.R
     E = np.diag(np.diag(M))
     return SourceSplit(E=E, F=M - E)
@@ -336,22 +336,39 @@ def theta_matrix(frame: EigenFrame, F_tilde: np.ndarray,
     return _theta_field(frame.lambdas[None], F, gap_min)[0]
 
 
-def endstate_splits(model: ModelSpec) -> tuple[SourceSplit, SourceSplit]:
-    """Source splits at both endstates (Theta filled)."""
-    splits = []
-    for U in (model.U_minus, model.U_plus):
-        frame = decompose(model.A_at(U))
-        split = source_split(frame, model.Q_at(U))
-        theta = theta_matrix(frame, split.F)
-        splits.append(SourceSplit(E=split.E, F=split.F, Theta=theta))
-    return splits[0], splits[1]
+def source_diagonals(model: ModelSpec, states: np.ndarray):
+    """Sorted eigenvalues of A and the diagonal of L Q R at each row of ``states``.
+
+    One batched ``eig`` serves the whole stack.  A row where A is not strictly
+    hyperbolic (a complex pair or coalescing eigenvalues, the tests of
+    ``_checked_spectrum``) has no frame and is NaN in both (n, N) arrays.
+    """
+    states = np.asarray(states, dtype=float)
+    A = model.A_at(states)
+    w, V = np.linalg.eig(A)
+    lam, order, pair, coalesced = _spectrum(A, w)
+    ok = ~(pair | coalesced)
+    L, R = _frames_of(V[ok], order[ok])
+    E = np.full(lam.shape, np.nan)
+    E[ok] = np.matmul(np.matmul(L, model.Q_at(states[ok])), R)[
+        :, np.eye(model.N, dtype=bool)]
+    lam[~ok] = np.nan
+    return lam, E
+
+
+def endstate_diagonals(model: ModelSpec):
+    """``source_diagonals`` at (U-, U+): eigenvalues and diag(L Q R), rows in
+    that order; NotStrictlyHyperbolic when A is not strictly hyperbolic there."""
+    lam, E = source_diagonals(model, np.stack([model.U_minus, model.U_plus]))
+    for side, row in zip("-+", lam):
+        if np.isnan(row[0]):
+            raise NotStrictlyHyperbolic(f"A is not strictly hyperbolic at U{side}")
+    return lam, E
 
 
 def damping_rate(model: ModelSpec) -> DampingRate:
     """theta_E = -max_j E^{+-}_jj / 2; requires all endstate diagonals negative."""
-    sm, sp = endstate_splits(model)
-    e_minus = np.diag(sm.E)
-    e_plus = np.diag(sp.E)
+    _, (e_minus, e_plus) = endstate_diagonals(model)
     worst = float(max(e_minus.max(), e_plus.max()))
     if worst >= 0.0:
         raise NotDissipative(

@@ -242,7 +242,7 @@ def solve_profile(model: ModelSpec, X: float, n: int, tol: float = 1e-8) -> Prof
 
     # Approach rate at U+ sets how far past the grid the connection check runs.
     J_p = ode_rhs_jacobian(model, U_p)
-    stable = np.array([ev.real for ev in np.linalg.eigvals(J_p) if ev.real < -1e-12])
+    stable = np.array([ev.real for ev in np.linalg.eig(J_p)[0] if ev.real < -1e-12])
     rate_p = float(-stable.max()) if stable.size else mu
     xi_end = xi_star + X + np.log(scale / tol) / rate_p + 10.0
 

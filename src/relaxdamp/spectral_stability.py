@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidParam, PairingAmbiguous, ScanTooCoarse
-from .eigenframe import decompose, frames_at_states, source_split
+from .eigenframe import endstate_diagonals, frames_at_states
 from .model import ModelSpec
 from .profile import ProfileRep
 
@@ -146,10 +146,8 @@ def expansion_check(model: ModelSpec, side: str, xi_list) -> ExpansionCheck:
     Branches are matched by imaginary part against lambda_j xi; the pairing
     must be injective at every listed frequency.
     """
-    U = _endstate(model, side)
-    frame = decompose(model.A_at(U))
-    lam = frame.lambdas
-    E = np.diag(source_split(frame, model.Q_at(U)).E)
+    _endstate(model, side)
+    lam, E = (rows[0 if side == "minus" else 1] for rows in endstate_diagonals(model))
     xi_list = np.asarray(sorted(xi_list), dtype=float)
     if np.min(np.abs(xi_list)) < 10.0 * np.max(np.abs(lam)) * (1.0 - 1e-9):
         raise InvalidParam("expansion check needs |xi| >= 10 max |lambda|")

@@ -165,31 +165,96 @@ def test_no_damping_radius_constant_field():
     assert radius.C_lip == pytest.approx(0.0, abs=1e-12)
 
 
-def _fail_first_lattice_point(monkeypatch, exc):
-    # no_damping_radius calls decompose only in its state-box lattice loop
-    calls = []
-
-    def decompose(A, c_min=0.0):
-        calls.append(A)
-        if len(calls) == 1:
-            raise exc
-        return eigenframe.decompose(A, c_min)
-
-    monkeypatch.setattr(characteristics, "decompose", decompose)
+def _hyperbolicity_loss_case():
+    """A = [[0, 1], [u, 0]] with eigenvalues +-sqrt(u) and u in [-1, 3]: the
+    state-box lattice has complex (u < 0) and coalesced (u = 0) rows.  The
+    source q = (0, -v (1 + u^2/4)) makes E_jj depend on the state."""
+    q2 = [[-1.0, [0, 1]], [-0.25, [2, 1]]]
+    model = build_custom("loses-hyperbolicity", 2, [[0.0, 1.0], [Poly.variable(2, 0), 0.0]],
+                         [0.0, q2], state_box=([-1.0, -1.0], [3.0, 1.0]))
+    return model, constant_profile(model, [1.0, 0.0], X=10.0, n=101)
 
 
-def test_no_damping_radius_skips_non_hyperbolic_lattice_point(
-        jinxin, jinxin_profile, monkeypatch):
-    _fail_first_lattice_point(monkeypatch, NotStrictlyHyperbolic("complex pair"))
-    radius = no_damping_radius(jinxin, jinxin_profile, eps_budget=1e-2)
-    assert radius.C_lip == pytest.approx(0.25, rel=1e-6)
+def _lattice_oracle(model):
+    """E_jj on the 9^N state-box lattice by one decompose + source_split per
+    point (NaN where A is not strictly hyperbolic), the error message kinds
+    met, and the Lipschitz constant of E over the lattice."""
+    lo, hi = model.state_box
+    axes = [np.linspace(lo[k], hi[k], 9) for k in range(model.N)]
+    E = np.full((9,) * model.N + (model.N,), np.nan)
+    kinds = set()
+    for idx in np.ndindex(*E.shape[:-1]):
+        U = np.array([axes[k][i] for k, i in enumerate(idx)])
+        try:
+            fr = eigenframe.decompose(model.A_at(U))
+        except NotStrictlyHyperbolic as exc:
+            kinds.add(str(exc).split(" ")[0])
+            continue
+        E[idx] = np.diag(eigenframe.source_split(fr, model.Q_at(U)).E)
+    C_lip = max(float(np.nanmax(np.abs(np.diff(E, axis=k) / (axes[k][1] - axes[k][0]))))
+                for k in range(model.N))
+    return E, kinds, C_lip
 
 
-def test_no_damping_radius_propagates_unrelated_errors(
-        jinxin, jinxin_profile, monkeypatch):
-    _fail_first_lattice_point(monkeypatch, ValueError("broken lattice point"))
+def test_no_damping_radius_skips_non_hyperbolic_lattice_point(monkeypatch):
+    model, prof = _hyperbolicity_loss_case()
+    E_oracle, kinds, C_lip = _lattice_oracle(model)
+    assert kinds == {"complex", "eigenvalue"}  # complex pairs and a coalescence
+    seen = []
+
+    def recorded(model, states):
+        seen.append(eigenframe.source_diagonals(model, states)[1])
+        return None, seen[-1]
+
+    monkeypatch.setattr(characteristics, "source_diagonals", recorded)
+    radius = no_damping_radius(model, prof, eps_budget=1e-4, theta_E=0.1)
+    assert len(seen) == 1
+    assert seen[0].reshape(E_oracle.shape).tobytes() == E_oracle.tobytes()
+    assert radius.C_lip == C_lip > 0.0
+    assert radius.R == 0.0
+
+
+def test_no_damping_radius_propagates_unrelated_errors(monkeypatch):
+    model, prof = _hyperbolicity_loss_case()
+    source = eigenframe.profile_source_field(model, prof)
+
+    def broken(A):
+        raise ValueError("broken lattice point")
+
+    monkeypatch.setattr(np.linalg, "eig", broken)  # the lattice's batched query
     with pytest.raises(ValueError, match="broken lattice point"):
-        no_damping_radius(jinxin, jinxin_profile, eps_budget=1e-2)
+        no_damping_radius(model, prof, eps_budget=1e-4, theta_E=0.1, source=source)
+
+
+def _varA3_case():
+    u = Poly.variable(3, 0)
+    A = [[u, 1.0, 0.0], [0.5, 2.0, u.scaled(0.5)], [0.0, 0.3, u.scaled(-1.0)]]
+    q = [u.scaled(-1.0), Poly.variable(3, 1).scaled(-2.0), Poly.variable(3, 2).scaled(-0.5)]
+    model = build_custom("varA3", 3, A, q, state_box=([-0.5] * 3, [0.5] * 3))
+    return model, constant_profile(model, [0.0] * 3, X=10.0, n=101)
+
+
+@pytest.mark.parametrize("case", ["jinxin", "varA", "varA3"])
+def test_no_damping_radius_makes_one_eig_call(case, jinxin, jinxin_profile, monkeypatch):
+    # 9^N lattice points (81 at N = 2, 729 at N = 3) in one batched decomposition
+    if case == "jinxin":
+        model, prof = jinxin, jinxin_profile
+    elif case == "varA":
+        model = vara_model()
+        prof = solve_profile(model, X=20.0, n=401)
+    else:
+        model, prof = _varA3_case()
+    source = eigenframe.profile_source_field(model, prof)
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(A):
+        calls.append(len(A))
+        return eig(A)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    no_damping_radius(model, prof, eps_budget=1e-4, theta_E=0.1, source=source)
+    assert calls == [9 ** model.N]
 
 
 def test_epsilon_too_large(jinxin, jinxin_profile):

@@ -204,23 +204,25 @@ def test_all_deterministic(tmp_path):
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Count the profile solves and evolutions a Config makes."""
-    counts = {"solve_profile": 0, "evolve": 0}
+    """Count the profile solves, evolutions and damping-rate extractions a run makes."""
+    counts = {"solve_profile": 0, "evolve": 0, "damping_rate": 0}
     for name in counts:
         def counted(*args, _name=name, _original=getattr(config, name), **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(config, name, counted)
+        for module in (config, eigenframe):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     return counts
 
 
 def test_all_solves_profile_and_evolves_once(tmp_path, call_counts):
     cfg = config_from_dict(TINY)
     assert run("all", cfg, out_dir=str(tmp_path / "first")) == EXIT_OK
-    assert call_counts == {"solve_profile": 1, "evolve": 1}
+    assert call_counts == {"solve_profile": 1, "evolve": 1, "damping_rate": 1}
     # a second run on the same Config recomputes instead of sharing results
     assert run("all", cfg, out_dir=str(tmp_path / "second")) == EXIT_OK
-    assert call_counts == {"solve_profile": 2, "evolve": 2}
+    assert call_counts == {"solve_profile": 2, "evolve": 2, "damping_rate": 2}
 
 
 def test_all_builds_the_profile_source_once(tmp_path, monkeypatch):
@@ -239,7 +241,7 @@ def test_all_builds_the_profile_source_once(tmp_path, monkeypatch):
 
 def test_verify_alone_runs_its_own_evolution(tmp_path, call_counts):
     assert run("verify", config_from_dict(TINY), out_dir=str(tmp_path)) == EXIT_OK
-    assert call_counts == {"solve_profile": 1, "evolve": 1}
+    assert call_counts == {"solve_profile": 1, "evolve": 1, "damping_rate": 1}
 
 
 def test_all_matches_separate_stages(tmp_path):
@@ -384,3 +386,16 @@ def test_spectrum_csv_rows_match_value_by_value_formatting(tmp_path, monkeypatch
             for j, mu in enumerate(scan.spectra[m]):
                 lines.append(",".join(_fmt(v) for v in (side, xi, j + 1, mu.real, mu.imag)))
     assert (tmp_path / "spectrum.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_non_dissipative_verify_still_exits_3(tmp_path, call_counts):
+    # NotDissipative is not cached on the Config: check records it, verify raises it
+    cfg = config_from_dict({
+        "model": {"a": 0.5}, "profile": {"n": 1001},
+        "dynamics": {**TINY["dynamics"], "T": 0.4, "n_out": 2},
+        "verify": TINY["verify"]})
+    assert run("all", cfg, out_dir=str(tmp_path)) == EXIT_CERTIFICATION
+    assert call_counts == {"solve_profile": 1, "evolve": 1, "damping_rate": 2}
+    check = json.loads((tmp_path / "assumptions.json").read_text())
+    assert check["theta_E"] is None and "not_dissipative" in check
+    assert json.loads((tmp_path / "error.json").read_text())["type"] == "NotDissipative"

@@ -21,6 +21,7 @@ from relaxdamp.damping_verifier import (
     weight_fn,
     weighted_energy_series,
 )
+from relaxdamp.eigenframe import _decompose_2x2
 from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, Snapshot, evolve
 from relaxdamp.errors import Characteristic, EmptyFeasible, NotStrictlyHyperbolic, Unsupported
 from relaxdamp.poly import Poly
@@ -134,8 +135,17 @@ def test_weight_complex_pair_raises():
         weight_fn(m, prof, 1.0, 0.25)
 
 
-def _weights_per_family(model, profile, C_alpha, c_alpha):
-    """The weights as computed family by family with ``eigvals`` at every node."""
+def _eigvals_spectrum(A):
+    return np.sort(np.linalg.eigvals(A).real, axis=-1)
+
+
+def _closed_form_spectrum(A):
+    return _decompose_2x2(A.reshape(-1, 2, 2), 0.0)[0].reshape(A.shape[:-1])
+
+
+def _weights_per_family(model, profile, C_alpha, c_alpha, spectrum=_eigvals_spectrum):
+    """The weights as computed family by family, with the sorted eigenvalues
+    ``spectrum(A)`` at every node (``eigvals`` by default)."""
     x = profile.grid
     mid = 0.5 * (x[1:] + x[:-1])
     half = 0.5 * np.diff(x)
@@ -144,7 +154,7 @@ def _weights_per_family(model, profile, C_alpha, c_alpha):
         def increments(nodes, wts):
             pts = mid[:, None] + half[:, None] * nodes[None, :]
             A = model.A_at(profile.eval(pts.ravel()))
-            lam = np.sort(np.linalg.eigvals(A).real, axis=-1)[..., j].reshape(pts.shape)
+            lam = spectrum(A)[..., j].reshape(pts.shape)
             f = C_alpha * np.exp(-c_alpha * np.abs(pts)) / lam
             return np.sum(f * wts[None, :], axis=1) * half
 
@@ -173,9 +183,31 @@ def test_weights_match_per_family_eigvals(case, request):
     Ca, ca = default_weight_constants(prof)
     weights = weight_fn(model, prof, Ca, ca)
     assert [w.family for w in weights] == list(range(model.N))
-    for w, (alpha, resid) in zip(weights, _weights_per_family(model, prof, Ca, ca)):
-        assert np.array_equal(w.values, alpha)
-        assert w.ode_residual == resid
+    if model.A_is_constant:  # one decomposition: the eigvals oracle holds bit for bit
+        oracles = [(_weights_per_family(model, prof, Ca, ca), 0.0)]
+    else:  # closed-form eigenvalues: bit for bit against them, rounding against eigvals
+        oracles = [(_weights_per_family(model, prof, Ca, ca, _closed_form_spectrum), 0.0),
+                   (_weights_per_family(model, prof, Ca, ca), 1e-13)]
+    for oracle, rtol in oracles:
+        for w, (alpha, resid) in zip(weights, oracle):
+            if rtol == 0.0:
+                assert np.array_equal(w.values, alpha)
+                assert w.ode_residual == resid
+            else:
+                assert np.allclose(w.values, alpha, rtol=rtol, atol=0.0)
+                assert w.ode_residual == pytest.approx(resid, abs=1e-15)
+
+
+def test_weight_fn_takes_no_eigvals_for_state_dependent_2x2(vara_profile, monkeypatch):
+    # the closed-form frames serve a state-dependent 2x2 A: no LAPACK eigen-call
+    model, prof = vara_profile
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK eigen-call")
+
+    for name in ("eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert len(weight_fn(model, prof, *default_weight_constants(prof))) == 2
 
 
 # --- energies ----------------------------------------------------------------

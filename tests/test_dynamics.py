@@ -136,6 +136,20 @@ def test_moc_and_reference_cfl_limit_at_the_same_dt(jinxin, jinxin_profile):
             stepper.step(snap, dt_limit * (1.0 + 1e-9), backend)
         messages.add(str(err.value))
     assert len(messages) == 1
+    message = messages.pop()
+    assert "t = 0 " in message and "family 1" in message  # the speed -2.3
+
+
+def test_cfl_violation_names_the_fastest_node(varA):
+    # speeds +-sqrt(4 + 0.2 u) about u = 0 are fastest at the peak of a u bump
+    model, _ = varA
+    prof = constant_profile(model, [0.0, 0.0], X=10.0, n=501)
+    bump = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0, center=2.0,
+                            direction=(1.0, 0.0))
+    snap = make_initial(prof, bump)
+    for backend in ("moc", "reference"):
+        with pytest.raises(CFLViolation, match=r"at t = 0 \(x = 2, family [12]\)$"):
+            Stepper(model, prof, snap.grid, ShiftSpec(kind="zero")).step(snap, 0.05, backend)
 
 
 def test_evolve_differences_W_once_per_output_time(jinxin, jinxin_profile, monkeypatch):

@@ -22,8 +22,9 @@ from relaxdamp.eigenframe import (
     _decompose_batch,
     _row_max,
     _sign_fix,
-    endstate_splits,
+    endstate_diagonals,
     frames_at_states,
+    source_diagonals,
 )
 from relaxdamp.errors import Characteristic, GapTooSmall, NotDissipative, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
@@ -157,6 +158,12 @@ def test_sign_continuation_matches_node_loop():
     assert L.tobytes() == L_ref.tobytes()
 
 
+def _endstate_splits(model):
+    """``source_split`` at U- and U+ from one ``decompose`` each."""
+    return [source_split(decompose(model.A_at(U)), model.Q_at(U))
+            for U in (model.U_minus, model.U_plus)]
+
+
 def test_source_split_endstate_values(jinxin):
     # independent oracle: raw numpy eigendecomposition of A and L Q R product
     A = np.array([[0.0, 1.0], [4.0, 0.0]])
@@ -168,7 +175,7 @@ def test_source_split_endstate_values(jinxin):
         M = np.linalg.inv(R) @ Q @ R
         assert np.allclose(np.diag(M), E_expect, atol=1e-12)
 
-    sm, sp = endstate_splits(jinxin)
+    sm, sp = _endstate_splits(jinxin)
     assert np.allclose(np.diag(sm.E), (-0.75, -0.25), atol=1e-12)
     assert np.allclose(np.diag(sp.E), (-0.25, -0.75), atol=1e-12)
     assert sorted(np.round(np.abs([sm.F[0, 1], sm.F[1, 0]]), 12).tolist()) == [0.25, 0.75]
@@ -184,15 +191,15 @@ def test_source_split_zero_offdiagonal_when_Q_commutes():
 
 
 def test_theta_solves_commutator(jinxin):
-    sm, sp = endstate_splits(jinxin)
     fr = decompose(jinxin.A_at(jinxin.U_minus))
     lam = np.diag(fr.lambdas)
-    for split in (sm, sp):
-        resid = split.Theta @ lam - lam @ split.Theta - split.F
+    for split in _endstate_splits(jinxin):
+        Theta = theta_matrix(fr, split.F)
+        resid = Theta @ lam - lam @ Theta - split.F
         assert np.max(np.abs(resid)) <= 1e-12 * (1.0 + np.max(np.abs(split.F)))
-        assert np.all(np.diag(split.Theta) == 0.0)
+        assert np.all(np.diag(Theta) == 0.0)
         assert sorted(np.round(np.abs(
-            [split.Theta[0, 1], split.Theta[1, 0]]), 12).tolist()) == [0.0625, 0.1875]
+            [Theta[0, 1], Theta[1, 0]]), 12).tolist()) == [0.0625, 0.1875]
 
 
 def test_theta_zero_for_zero_F():
@@ -240,7 +247,7 @@ def test_damping_rate_supercharacteristic_fails():
     with pytest.raises(NotDissipative):
         damping_rate(m)
     # closed form: the unstable diagonal entry equals (|f'| - a)/(2 a eps) = 0.5
-    sm, _ = endstate_splits(m)
+    sm, _ = _endstate_splits(m)
     assert np.max(np.diag(sm.E)) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -392,3 +399,48 @@ def test_state_dependent_3x3_frames_stay_lapack():
     _continue_signs(lam, L, R)
     for got, want in ((frames.lambdas, lam), (frames.L, L), (frames.R, R)):
         assert got.tobytes() == want.tobytes()
+
+
+def _varA3_model():
+    u = Poly.variable(3, 0)
+    A = [[u, 1.0, 0.0], [0.5, 2.0, u.scaled(0.5)], [0.0, 0.3, u.scaled(-1.0)]]
+    q = [u.scaled(-1.0), Poly.variable(3, 1).scaled(-2.0), Poly.variable(3, 2).scaled(-0.5)]
+    return build_custom("varA3", 3, A, q, U_minus=[0.0] * 3, U_plus=[0.0] * 3,
+                        state_box=([-1.0] * 3, [1.0] * 3))
+
+
+@pytest.mark.parametrize("name", ["jinxin", "varA", "supercharacteristic", "varA3"])
+def test_endstate_diagonals_match_per_endstate_decompose(name, jinxin):
+    model = {"jinxin": jinxin, "varA": vara_model(),
+             "supercharacteristic": build_jinxin(a=0.5, eps=1.0, flux=[0, 0, 0.5],
+                                                 u_minus=1.0, u_plus=-1.0),
+             "varA3": _varA3_model()}[name]
+    lam, E = endstate_diagonals(model)
+    for k, U in enumerate((model.U_minus, model.U_plus)):
+        fr = decompose(model.A_at(U))
+        assert lam[k].tobytes() == fr.lambdas.tobytes()
+        assert E[k].tobytes() == np.diag(source_split(fr, model.Q_at(U)).E).tobytes()
+
+
+def test_endstate_diagonals_refuse_a_non_hyperbolic_endstate():
+    # A = [[0, 1], [u, 0]]: eigenvalues +-sqrt(u), complex at U+ (u = -1)
+    u = Poly.variable(2, 0)
+    m = build_custom("loses-hyperbolicity", 2, [[0.0, 1.0], [u, 0.0]],
+                     [0.0, Poly.variable(2, 1).scaled(-1.0)],
+                     U_minus=[1.0, 0.0], U_plus=[-1.0, 0.0])
+    with pytest.raises(NotStrictlyHyperbolic, match="at U[+]"):
+        endstate_diagonals(m)
+
+
+def test_source_diagonals_nan_rows_where_not_strictly_hyperbolic():
+    u = Poly.variable(2, 0)
+    m = build_custom("loses-hyperbolicity", 2, [[0.0, 1.0], [u, 0.0]],
+                     [0.0, Poly.variable(2, 1).scaled(-1.0)],
+                     state_box=([-1.0, -1.0], [3.0, 1.0]))
+    states = np.array([[-1.0, 0.0], [0.0, 0.5], [1.0, 0.0], [4.0, 0.2]])
+    lam, E = source_diagonals(m, states)
+    assert np.array_equal(np.isnan(lam), [[True, True], [True, True],
+                                          [False, False], [False, False]])
+    assert np.array_equal(np.isnan(E), np.isnan(lam))
+    assert np.allclose(lam[2:], [[-1.0, 1.0], [-2.0, 2.0]], rtol=0.0, atol=1e-14)
+    assert np.allclose(E[2:], -0.5, rtol=0.0, atol=1e-14)  # L Q R = -(1/2) [[1, -1], [-1, 1]]
