@@ -10,17 +10,20 @@ The right-hand side is evaluated in this subtracted form so U = 0 is an exact
 discrete equilibrium.  Two independent backends advance it: a first-order
 characteristic-upwind scheme ("reference") and a semi-Lagrangian scheme that
 integrates the diagonalized system along characteristics with a one-step
-Duhamel update ("moc").  Both evaluate it through ``Stepper.source``,
-advance the two outermost nodes by the full source without the advection
-term, and extend fields beyond the grid by the evolving boundary states.
+Duhamel update ("moc").  Both evaluate it through ``Stepper.source`` and
+extend fields beyond the grid by the evolving boundary states.  The two
+outermost nodes and the two boundary states are advanced together, as one
+four-row explicit midpoint by the source alone: the boundary states are
+perturbations of the far-field states, where Ubar_x = 0.
 
 When A is constant every node of family j moves at the same speed
 lambda_j - ddelta(t), so the moc foot sits at one offset s = -c_j dt / dx
 (in cells) from every node.  The foot values are then fixed stencils on
-edge-padded arrays: the 4-point cubic Lagrange stencil for Phi and 2-point
-stencils for E (at s) and the forcing G (at s / 2), the standard
-fixed-stencil semi-Lagrangian step (Staniforth & Cote, Mon. Wea. Rev. 119,
-1991).  A state-dependent A keeps per-node interpolation at each foot.
+edge-padded rows of family-major (N, n) fields: the 4-point cubic Lagrange
+stencil for Phi and 2-point stencils for E (at s) and the forcing G (at
+s / 2), the standard fixed-stencil semi-Lagrangian step (Staniforth & Cote,
+Mon. Wea. Rev. 119, 1991).  A state-dependent A keeps per-node interpolation
+at each foot.
 """
 
 from __future__ import annotations
@@ -373,6 +376,23 @@ def _shift_linear(f: np.ndarray, s: float, fill_left: float,
 
 # --- stepping --------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Base:
+    """Rows a perturbation is taken about: the states U, their x-derivative
+    U_x, and q and A there (A is None when it is constant, where the source
+    has no dA term)."""
+
+    U: np.ndarray
+    U_x: np.ndarray
+    q: np.ndarray
+    A: np.ndarray | None
+
+    @classmethod
+    def at(cls, model: ModelSpec, U: np.ndarray, U_x: np.ndarray) -> "_Base":
+        A = None if model.A_is_constant else model.A_at(U)
+        return cls(U=U, U_x=U_x, q=model.q_at(U), A=A)
+
+
 class Stepper:
     """Shared machinery for both backends on a fixed grid."""
 
@@ -385,29 +405,34 @@ class Stepper:
         self.grid = np.asarray(grid, dtype=float)
         self.dx = float(self.grid[1] - self.grid[0])
         self.Ubar = profile.eval(self.grid)
-        self.Ubar_x = profile.eval_d1(self.grid)
-        self.q_bar = model.q_at(self.Ubar)
-        self.A_bar = None if model.A_is_constant else model.A_at(self.Ubar)
-        self.frames0 = frames_at_states(model, self.grid, self.Ubar) \
-            if model.A_is_constant else None
-        # far-field states the boundary values perturb, and q there
-        self.base = np.stack([
+        Ubar_x = profile.eval_d1(self.grid)
+        self.about_profile = _Base.at(model, self.Ubar, Ubar_x)
+        # The edge nodes and the boundary states, which perturb the far-field
+        # states; Ubar_x = 0 at the far field.
+        far = np.stack([
             model.U_minus if model.U_minus is not None else self.Ubar[0],
             model.U_plus if model.U_plus is not None else self.Ubar[-1]])
-        self.q_base = model.q_at(self.base)
+        self.about_boundary = _Base.at(
+            model, np.concatenate([self.Ubar[[0, -1]], far]),
+            np.concatenate([Ubar_x[[0, -1]], np.zeros_like(far)]))
+        self.frames0 = None
+        if model.A_is_constant:
+            self.frames0 = frames_at_states(model, self.grid, self.Ubar)
+            # the columns of L0 (x) R0 that give diag(L0 Q R0)
+            self._kron_diag = np.ascontiguousarray(self.frames0.kron[:, ::model.N + 1])
         self.last_cfl = 0.0
 
-    def source(self, U: np.ndarray, t: float, rows=slice(None)) -> np.ndarray:
-        """Perturbation-form source at the selected rows; zero at U = 0 by construction."""
-        Ubar_x = self.Ubar_x[rows]
-        Ut = self.Ubar[rows] + U
-        S = self.model.q_at(Ut) - self.q_bar[rows]
-        if not self.model.A_is_constant:
-            dA = self.model.A_at(Ut) - self.A_bar[rows]
-            S -= np.einsum("nij,nj->ni", dA, Ubar_x)
+    def source(self, Ut: np.ndarray, t: float, about: _Base | None = None) -> np.ndarray:
+        """Perturbation-form source at the full states Ut, taken about the rows
+        ``about`` (the profile at every node by default); zero at Ut = about.U
+        by construction."""
+        about = self.about_profile if about is None else about
+        S = self.model.q_at(Ut) - about.q
+        if about.A is not None:
+            S -= np.einsum("nij,nj->ni", self.model.A_at(Ut) - about.A, about.U_x)
         dd = float(self.shift.delta_dot(t))
         if dd != 0.0:
-            S = S + dd * Ubar_x
+            S = S + dd * about.U_x
         return S
 
     def forcing(self, U: np.ndarray, t: float, sf: SourceField):
@@ -417,30 +442,32 @@ class Stepper:
         and the frame transport T (zero for state-independent A) from ``sf``.
         """
         Phi = sf.frames.to_diag(U)
-        G = sf.frames.to_diag(self.source(U, t)) - sf.E_diag * Phi
+        G = sf.frames.to_diag(self.source(self.Ubar + U, t)) - sf.E_diag * Phi
         if not self.model.A_is_constant:
             G += np.einsum("njk,nk->nj", sf.transport, Phi)
         return Phi, G
 
-    def _advance_boundary(self, bl, br, dt):
-        """Explicit midpoint for b' = q(base + b) - q(base), both edges stacked."""
-        b = np.stack([bl, br])
-        k1 = self.model.q_at(self.base + b) - self.q_base
-        k2 = self.model.q_at(self.base + (b + 0.5 * dt * k1)) - self.q_base
-        b_new = b + dt * k2
-        return b_new[0], b_new[1]
+    def _ode_node_update(self, V: np.ndarray, t: float, dt: float,
+                         about: _Base) -> np.ndarray:
+        """Explicit-midpoint update of perturbations V of the rows ``about`` by
+        the source alone (no advection)."""
+        k1 = self.source(about.U + V, t, about)
+        return V + dt * self.source(about.U + (V + 0.5 * dt * k1), t + 0.5 * dt, about)
+
+    def _advance_boundary(self, snap: Snapshot, dt: float) -> np.ndarray:
+        """U[0], U[-1], b_left and b_right one step on, as four rows.
+
+        One ``_ode_node_update`` advances the two edge nodes and the two
+        boundary states together.  At the far field Ubar_x = 0, so there the
+        dA and ddelta terms are exact zeros and b' = q(base + b) - q(base).
+        """
+        V = np.stack([snap.U[0], snap.U[-1], snap.b_left, snap.b_right])
+        return self._ode_node_update(V, snap.t, dt, self.about_boundary)
 
     def _frames(self, Ut: np.ndarray) -> FrameField:
         if self.frames0 is not None:
             return self.frames0
         return frames_at_states(self.model, self.grid, Ut)
-
-    def _ode_node_update(self, snap: Snapshot, rows, dt: float) -> np.ndarray:
-        """Explicit-midpoint update of the given rows by the source alone (no advection)."""
-        U_rows = snap.U[rows]
-        k1 = self.source(U_rows, snap.t, rows)
-        return U_rows + dt * self.source(U_rows + 0.5 * dt * k1,
-                                         snap.t + 0.5 * dt, rows)
 
     def _begin(self, snap: Snapshot, dt: float):
         """Frames at the perturbed state and CFL-checked shifted speeds (Ut, frames, c).
@@ -462,81 +489,114 @@ class Stepper:
         return Ut, frames, c
 
     def _finish(self, snap: Snapshot, dt: float, U_new: np.ndarray) -> Snapshot:
-        """Edge rows by the source alone, boundary states, blow-up guard."""
-        U_new[[0, -1]] = self._ode_node_update(snap, [0, -1], dt)
-        bl_new, br_new = self._advance_boundary(snap.b_left, snap.b_right, dt)
+        """Boundary rows and blow-up guard.
+
+        The edge rows of U_new and the new boundary states come from one
+        four-row explicit midpoint by the source alone (``_advance_boundary``).
+        """
+        rows = self._advance_boundary(snap, dt)
+        U_new[0], U_new[-1] = rows[0], rows[1]
         amp = float(np.max(np.abs(U_new)))
         if amp > BLOWUP_FACTOR * self.budget:
             raise BlowUp(f"|U| = {amp:.3e} left the small-data regime "
                          f"(budget {self.budget:.3e})")
         return Snapshot(t=snap.t + dt, grid=snap.grid, U=U_new,
-                        b_left=bl_new, b_right=br_new)
+                        b_left=rows[2], b_right=rows[3])
 
     def step_reference(self, snap: Snapshot, dt: float) -> Snapshot:
-        """First-order characteristic-upwind step with midpoint source."""
-        _, frames, c = self._begin(snap, dt)
+        """First-order characteristic-upwind step with midpoint source.
+
+        Both one-sided differences of every node come from the n + 1
+        differences of U padded by the boundary states.  Constant frames
+        diagonalize them in one product; per-node frames take one product per
+        side, as the L of node i applies to both of its differences.
+        """
+        Ut, frames, c = self._begin(snap, dt)
         U, t = snap.U, snap.t
-        Um = np.vstack([snap.b_left, U[:-1]])
-        Up = np.vstack([U[1:], snap.b_right])
-        phi_m = frames.to_diag((U - Um) / self.dx)
-        phi_p = frames.to_diag((Up - U) / self.dx)
+        pad = _edge_pad(U, 1, snap.b_left, snap.b_right)
+        D = (pad[1:] - pad[:-1]) / self.dx
+        if frames.constant:
+            phi = frames.to_diag(D)
+            phi_m, phi_p = phi[:-1], phi[1:]
+        else:
+            phi_m, phi_p = frames.to_diag(D[:-1]), frames.to_diag(D[1:])
         adv = frames.from_diag(c * np.where(c > 0.0, phi_m, phi_p))
         adv[0] = 0.0
         adv[-1] = 0.0
 
-        U_half = U + 0.5 * dt * (-adv + self.source(U, t))
-        U_new = U - dt * adv + dt * self.source(U_half, t + 0.5 * dt)
+        U_half = U + 0.5 * dt * (-adv + self.source(Ut, t))
+        U_new = U - dt * adv + dt * self.source(self.Ubar + U_half, t + 0.5 * dt)
         return self._finish(snap, dt, U_new)
 
-    def _foot_values(self, j: int, c: np.ndarray, dt: float, Phi: np.ndarray,
-                     E: np.ndarray, G: np.ndarray, phi_bl: np.ndarray,
-                     phi_br: np.ndarray):
-        """Family-j Phi and E at the characteristic foot and G at the segment midpoint.
+    def _foot_values(self, c: np.ndarray, dt: float, phi: np.ndarray, e: np.ndarray,
+                     g: np.ndarray, phi_left: float, phi_right: float):
+        """One family's Phi and E at the characteristic foot and G at the segment
+        midpoint, for per-node speeds c (n,).
 
-        For constant A the speed c_j is the same at every node, so the foot
-        sits at the one offset s = -c_j dt / dx and each value is a fixed
-        stencil on an edge-padded array.  Otherwise the foot is traced per
-        node with a midpoint correction and interpolated there, located in
-        cells as the node index k plus its offset -c dt / dx.
+        The foot is traced per node with a midpoint correction and
+        interpolated there, located in cells as the node index k plus its
+        offset -c dt / dx.
         """
-        if self.frames0 is not None:
-            s = -float(c[j]) * dt / self.dx
-            return (_shift_cubic(Phi[:, j], s, float(phi_bl[j]), float(phi_br[j])),
-                    _shift_linear(E[:, j], s, E[0, j], E[-1, j]),
-                    _shift_linear(G[:, j], 0.5 * s, G[0, j], G[-1, j]))
         k = np.arange(len(self.grid), dtype=float)
-        cj = c[:, j]
-        c_mid = _linear_interp(cj, k - 0.5 * (cj * dt / self.dx), cj[0], cj[-1])
+        c_mid = _linear_interp(c, k - 0.5 * (c * dt / self.dx), c[0], c[-1])
         foot = k - c_mid * dt / self.dx
-        Ef = _linear_interp(E[:, j], foot, E[0, j], E[-1, j])
-        Gm = _linear_interp(G[:, j], 0.5 * (k + foot), G[0, j], G[-1, j])
-        Phif = _cubic_interp(Phi[:, j], foot, float(phi_bl[j]), float(phi_br[j]))
+        Ef = _linear_interp(e, foot, e[0], e[-1])
+        Gm = _linear_interp(g, 0.5 * (k + foot), g[0], g[-1])
+        Phif = _cubic_interp(phi, foot, float(phi_left), float(phi_right))
         return Phif, Ef, Gm
 
     def step_moc(self, snap: Snapshot, dt: float) -> Snapshot:
         """Semi-Lagrangian step: cubic foot interpolation and one-step Duhamel.
 
-        Per family, the diagonal variable is interpolated at the foot of the
-        characteristic, and the damping exponent uses the trapezoid of the
-        diagonal source along the segment with the remaining forcing applied
-        at the midpoint.  For constant A the foot is one offset for every
-        node and the interpolations are fixed stencils; for state-dependent A
-        it is traced per node with a midpoint correction (``_foot_values``).
+        The diagonal variable Phi = L U, its damping exponent E and its
+        forcing G are family-major (N, n) arrays, one row per family.  Per
+        family, Phi is interpolated at the foot of the characteristic, and
+        the damping exponent uses the trapezoid of E along the segment with
+        G applied at the midpoint.  For constant A the step forms only
+        E = diag(L0 Q R0) of the transformed source, from one product with
+        the diagonal columns of L0 (x) R0; the foot is one offset for every
+        node and the interpolations are fixed stencils on contiguous rows.
+        For state-dependent A the transformed source supplies E and the
+        frame transport, and the foot is traced per node with a midpoint
+        correction (``_foot_values``).
         """
         Ut, frames, c = self._begin(snap, dt)
-        sf = transformed_source(self.model, self.grid, Ut, frames=frames,
-                                with_theta=False)
-        Phi, G = self.forcing(snap.U, snap.t, sf)
+        if frames.constant:
+            L0 = frames.L[0]
+            Phi = L0 @ snap.U.T
+            E = (self.model.Q_at(Ut).reshape(len(Ut), -1) @ self._kron_diag).T
+            G = L0 @ self.source(Ut, snap.t).T - E * Phi
+        else:
+            sf = transformed_source(self.model, self.grid, Ut, frames=frames,
+                                    with_theta=False)
+            Phi, G = (F.T for F in self.forcing(snap.U, snap.t, sf))
+            E = sf.E_diag.T
 
         phi_bl = frames.L[0] @ snap.b_left
         phi_br = frames.L[-1] @ snap.b_right
-        Phi_new = np.empty_like(Phi)
-        for j in range(self.model.N):
-            Phif, Ef, Gm = self._foot_values(j, c, dt, Phi, sf.E_diag, G,
-                                             phi_bl, phi_br)
-            h = 0.5 * dt * (Ef + sf.E_diag[:, j])
-            Phi_new[:, j] = np.exp(h) * Phif + dt * np.exp(0.5 * h) * Gm
-        return self._finish(snap, dt, frames.from_diag(Phi_new))
+        Phi_new = np.empty(Phi.shape)
+        for j, (phi, e, g) in enumerate(zip(Phi, E, G)):
+            if frames.constant:
+                s = -float(c[j]) * dt / self.dx
+                Phif = _shift_cubic(phi, s, float(phi_bl[j]), float(phi_br[j]))
+                Ef = _shift_linear(e, s, e[0], e[-1])
+                Gm = _shift_linear(g, 0.5 * s, g[0], g[-1])
+            else:
+                Phif, Ef, Gm = self._foot_values(c[:, j], dt, phi, e, g,
+                                                 phi_bl[j], phi_br[j])
+            # exp(h) Phif + dt exp(h / 2) Gm with h = dt (Ef + e) / 2, into row j
+            h = Ef
+            h += e
+            h *= 0.5 * dt
+            row = Phi_new[j]
+            np.exp(h, out=row)
+            row *= Phif
+            h *= 0.5
+            np.exp(h, out=h)
+            h *= dt
+            h *= Gm
+            row += h
+        return self._finish(snap, dt, frames.from_diag(Phi_new.T))
 
     def step(self, snap: Snapshot, dt: float, backend: str) -> Snapshot:
         if backend == "reference":

@@ -95,12 +95,27 @@ def _sign_fix(R: np.ndarray) -> None:
 
 
 def _spectrum(A: np.ndarray, w: np.ndarray):
-    """Sorted Re of the eigenvalues ``w`` of ``A``, their order, pair/coalesced masks."""
+    """Sorted Re of the eigenvalues ``w`` of ``A``, their order, pair/coalesced masks.
+
+    Two eigenvalues per row are ordered by one comparison, which leaves ties
+    (complex pairs among them) first index first, as ``argsort`` does.
+    """
     scale = 1.0 + _row_max(np.abs(A).reshape(len(A), -1))
     pair = _row_max(np.abs(w.imag)) > DEGENERACY_TOL * scale
-    order = np.argsort(w.real, axis=1)
-    lam = np.take_along_axis(w.real, order, axis=1)
-    coalesced = np.any(np.diff(lam, axis=1) < DEGENERACY_TOL * scale[:, None], axis=1)
+    if w.shape[1] == 2:
+        w0, w1 = w.real.T
+        swap = w1 < w0
+        order = np.empty(w.shape, dtype=np.intp)
+        order[:, 0] = swap
+        order[:, 1] = ~swap
+        lam = np.empty(w.shape)
+        lam[:, 0] = np.where(swap, w1, w0)
+        lam[:, 1] = np.where(swap, w0, w1)
+        coalesced = lam[:, 1] - lam[:, 0] < DEGENERACY_TOL * scale
+    else:
+        order = np.argsort(w.real, axis=1)
+        lam = np.take_along_axis(w.real, order, axis=1)
+        coalesced = np.any(np.diff(lam, axis=1) < DEGENERACY_TOL * scale[:, None], axis=1)
     return lam, order, pair, coalesced
 
 

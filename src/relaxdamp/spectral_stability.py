@@ -29,12 +29,22 @@ def _endstate(model: ModelSpec, side: str) -> np.ndarray:
     return U
 
 
+def _symbol_eigvals(model: ModelSpec, side: str, xi) -> np.ndarray:
+    """Unsorted eigenvalues of i xi A(U_side) + Q(U_side), one stacked ``eigvals``
+    for an array of frequencies xi (one row each)."""
+    U = _endstate(model, side)
+    xi = np.asarray(xi, dtype=float)[..., None, None]
+    return np.linalg.eigvals(1j * xi * model.A_at(U) + model.Q_at(U))
+
+
+def _by_im_re(mu: np.ndarray) -> np.ndarray:
+    """Each row of eigenvalues sorted by (Im, Re)."""
+    return np.take_along_axis(mu, np.lexsort((mu.real, mu.imag), axis=-1), axis=-1)
+
+
 def symbol_spectrum(model: ModelSpec, side: str, xi: float) -> np.ndarray:
     """Eigenvalues of i xi A(U_side) + Q(U_side), sorted by (Im, Re)."""
-    U = _endstate(model, side)
-    M = 1j * xi * model.A_at(U) + model.Q_at(U)
-    mu = np.linalg.eigvals(M)
-    return mu[np.lexsort((mu.real, mu.imag))]
+    return _by_im_re(_symbol_eigvals(model, side, xi))
 
 
 @dataclass
@@ -57,12 +67,8 @@ class SpectralScan:
 def _scan_side(model: ModelSpec, side: str, xi_grid: np.ndarray) -> SpectralScan:
     """All symbol spectra of one side from one stacked ``eigvals``; branches are
     ordered by (Im, Re) at the first frequency and matched onward."""
-    U = _endstate(model, side)
-    A = model.A_at(U)
-    Q = model.Q_at(U)
-    spectra = np.linalg.eigvals(1j * xi_grid[:, None, None] * A + Q)
-    mu = spectra[0]
-    spectra[0] = mu[np.lexsort((mu.real, mu.imag))]
+    spectra = _symbol_eigvals(model, side, xi_grid)
+    spectra[0] = _by_im_re(spectra[0])
     for m in range(1, len(xi_grid)):
         mu = spectra[m]
         _, cols = linear_sum_assignment(np.abs(mu[None, :] - spectra[m - 1][:, None]))
@@ -140,37 +146,40 @@ class ExpansionCheck:
     remainder_constant: float     # max over xi, j of |xi| * |Re mu_j - E_jj|
 
 
-def expansion_check(model: ModelSpec, side: str, xi_list) -> ExpansionCheck:
+def expansion_check(model: ModelSpec, side: str, xi_list,
+                    diagonals: tuple | None = None) -> ExpansionCheck:
     """Pair symbol branches to iota lambda_j xi + E_jj and bound the remainder.
 
     Branches are matched by imaginary part against lambda_j xi; the pairing
-    must be injective at every listed frequency.
+    must be injective at every listed frequency.  All symbol spectra come
+    from one stacked ``eigvals``.  ``diagonals`` is ``endstate_diagonals(model)``
+    when the caller already holds it.
     """
     _endstate(model, side)
-    lam, E = (rows[0 if side == "minus" else 1] for rows in endstate_diagonals(model))
+    if diagonals is None:
+        diagonals = endstate_diagonals(model)
+    lam, E = (rows[0 if side == "minus" else 1] for rows in diagonals)
     xi_list = np.asarray(sorted(xi_list), dtype=float)
     if np.min(np.abs(xi_list)) < 10.0 * np.max(np.abs(lam)) * (1.0 - 1e-9):
         raise InvalidParam("expansion check needs |xi| >= 10 max |lambda|")
-    n = len(xi_list)
-    re_b = np.empty((n, model.N))
-    im_over = np.empty((n, model.N))
-    worst = 0.0
-    gap = np.min(np.diff(lam)) if model.N > 1 else np.inf
-    for m, xi in enumerate(xi_list):
-        mu = symbol_spectrum(model, side, xi)
-        dist = np.abs(mu.imag[None, :] - lam[:, None] * xi)
-        pick = np.argmin(dist, axis=1)
-        if len(set(pick.tolist())) != model.N:
-            raise PairingAmbiguous(
-                f"branch imaginary parts cross at xi = {xi:.6g}")
-        if model.N > 1:
-            ranked = np.sort(dist, axis=1)
-            if np.any(ranked[:, 1] - ranked[:, 0] < 0.1 * gap * abs(xi)):
-                raise PairingAmbiguous(
-                    f"branch imaginary parts within tolerance at xi = {xi:.6g}")
-        re_b[m] = mu.real[pick]
-        im_over[m] = mu.imag[pick] / xi
-        worst = max(worst, float(np.max(np.abs(xi) * np.abs(mu.real[pick] - E))))
+    mu = _by_im_re(_symbol_eigvals(model, side, xi_list))
+    dist = np.abs(mu.imag[:, None, :] - lam[None, :, None] * xi_list[:, None, None])
+    pick = np.argmin(dist, axis=2)
+    picked = np.sort(pick, axis=1)
+    crossed = np.any(picked[:, 1:] == picked[:, :-1], axis=1)
+    close = np.zeros(len(xi_list), dtype=bool)
+    if model.N > 1:
+        gap = np.min(np.diff(lam))
+        ranked = np.sort(dist, axis=2)
+        close = np.any(ranked[:, :, 1] - ranked[:, :, 0]
+                       < 0.1 * gap * np.abs(xi_list)[:, None], axis=1)
+    if np.any(crossed | close):
+        m = int(np.argmax(crossed | close))
+        how = "cross" if crossed[m] else "within tolerance"
+        raise PairingAmbiguous(f"branch imaginary parts {how} at xi = {xi_list[m]:.6g}")
+    re_b = np.take_along_axis(mu.real, pick, axis=1)
+    im_over = np.take_along_axis(mu.imag, pick, axis=1) / xi_list[:, None]
+    worst = float(np.max(np.abs(xi_list)[:, None] * np.abs(re_b - E)))
     return ExpansionCheck(side=side, xi_list=xi_list, re_by_branch=re_b,
                           im_over_xi=im_over, E_diag=E, remainder_constant=worst)
 

@@ -21,7 +21,7 @@ from relaxdamp.dynamics import (
 )
 from relaxdamp.eigenframe import transformed_source
 from relaxdamp.errors import BlowUp, BudgetExceeded, CFLViolation, InvalidParam
-from relaxdamp.model import build_custom
+from relaxdamp.model import ModelSpec, build_custom
 from relaxdamp.profile import constant_profile, solve_profile
 
 
@@ -304,6 +304,82 @@ def test_moc_stencil_skips_interpolation_calls(a2_models, monkeypatch):
     assert calls["cubic"] > 0 and calls["linear"] > 0
 
 
+# --- one step's evaluations and the boundary rows ---------------------------------
+
+_SINUSOID = ShiftSpec("sinusoid", amplitude=0.01, frequency=0.05)
+_OFFSET = PerturbationSpec(kind="offset", d_minus=(2e-3, 1e-3), d_plus=(-2e-3, 5e-4))
+
+
+def test_constant_A_steps_form_only_what_they_read(jinxin, jinxin_profile, monkeypatch):
+    snap = make_initial(jinxin_profile, _GAUSS)
+    snap.t = 1.3  # ddelta != 0
+    stepper = Stepper(jinxin, jinxin_profile, snap.grid, _SINUSOID)
+    calls = dict.fromkeys(("q_at", "Q_at", "transformed_source", "frames_at_states"), 0)
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("q_at", "Q_at"):
+        count(ModelSpec, name)
+    for name in ("transformed_source", "frames_at_states"):
+        count(dynamics, name)
+    for backend, want in (("moc", {"q_at": 3, "Q_at": 1}), ("reference", {"q_at": 4, "Q_at": 0})):
+        calls.update(dict.fromkeys(calls, 0))
+        stepper.step(snap, 0.005, backend)
+        assert calls == {**want, "transformed_source": 0, "frames_at_states": 0}, backend
+
+
+def _separate_boundary_updates(model, prof, grid, shift, snap, dt):
+    """Edge rows and boundary states as two separate explicit midpoints: the
+    edge rows by the perturbation-form source, the boundary states by
+    b' = q(base + b) - q(base)."""
+    rows = [0, -1]
+    Ubar, Ubar_x = prof.eval(grid)[rows], prof.eval_d1(grid)[rows]
+
+    def source(U, t):
+        Ut = Ubar + U
+        S = model.q_at(Ut) - model.q_at(Ubar)
+        if not model.A_is_constant:
+            dA = model.A_at(Ut) - model.A_at(Ubar)
+            S -= np.einsum("nij,nj->ni", dA, Ubar_x)
+        dd = float(shift.delta_dot(t))
+        if dd != 0.0:
+            S = S + dd * Ubar_x
+        return S
+
+    U = snap.U[rows]
+    k1 = source(U, snap.t)
+    edges = U + dt * source(U + 0.5 * dt * k1, snap.t + 0.5 * dt)
+    base = np.stack([model.U_minus, model.U_plus])
+    q_base = model.q_at(base)
+    b = np.stack([snap.b_left, snap.b_right])
+    k1 = model.q_at(base + b) - q_base
+    k2 = model.q_at(base + (b + 0.5 * dt * k1)) - q_base
+    return np.vstack([edges, b + dt * k2])
+
+
+@pytest.mark.parametrize("case", ["jinxin", "varA"])
+def test_stacked_boundary_midpoint_matches_separate_updates(case, jinxin, jinxin_profile,
+                                                            varA):
+    model, prof, dt = (jinxin, jinxin_profile, 0.005) if case == "jinxin" else (*varA, 0.01)
+    snap = make_initial(prof, _OFFSET)
+    snap.t = 1.3
+    assert model.A_is_constant == (case == "jinxin")
+    stepper = Stepper(model, prof, snap.grid, _SINUSOID)
+    want = _separate_boundary_updates(model, prof, snap.grid, _SINUSOID, snap, dt)
+    assert np.max(np.abs(want[2:] - want[:2])) > 0.0  # boundary states differ from edges
+    assert np.array_equal(stepper._advance_boundary(snap, dt), want)
+    for backend in ("moc", "reference"):
+        new = stepper.step(snap, dt, backend)
+        got = np.vstack([new.U[0], new.U[-1], new.b_left, new.b_right])
+        assert np.array_equal(got, want), backend
+
+
 # --- backend accuracy ---------------------------------------------------------
 
 def test_per_node_foot_cells_carry_no_index_drift(a2_models):
@@ -316,8 +392,8 @@ def test_per_node_foot_cells_carry_no_index_drift(a2_models):
     rng = np.random.default_rng(5)
     Phi, E, G = (rng.standard_normal((1001, 2)) for _ in range(3))
     for j in range(2):
-        Phif, Ef, Gm = stepper._foot_values(j, np.zeros((1001, 2)), 0.01, Phi, E, G,
-                                            Phi[0], Phi[-1])
+        Phif, Ef, Gm = stepper._foot_values(np.zeros(1001), 0.01, Phi[:, j], E[:, j],
+                                            G[:, j], Phi[0, j], Phi[-1, j])
         assert np.array_equal(Phif, Phi[:, j])
         assert np.array_equal(Ef, E[:, j])
         assert np.array_equal(Gm, G[:, j])

@@ -22,6 +22,7 @@ from relaxdamp.eigenframe import (
     _decompose_batch,
     _row_max,
     _sign_fix,
+    _spectrum,
     endstate_diagonals,
     frames_at_states,
     source_diagonals,
@@ -383,6 +384,25 @@ def test_short_axis_reductions_match_numpy(N):
     rows = np.abs(R).reshape(len(R), -1)
     rows[7, -1] = np.nan
     assert np.array_equal(_row_max(rows), np.max(rows, axis=1), equal_nan=True)
+
+
+def test_two_eigenvalue_order_matches_argsort():
+    rng = np.random.default_rng(12)
+    A = rng.normal(size=(400, 2, 2))
+    w = np.linalg.eigvals(A)
+    assert np.any(w.imag != 0.0) and np.any(w.imag == 0.0)  # complex pairs and real rows
+    w[::7, 1] = w[::7, 0].real           # ties
+    w[3::7] = [0.0, -0.0]                # ties of signed zeros
+    w[5::7] = [-0.0, 0.0]
+    lam, order, pair, coalesced = _spectrum(A, w)
+    want = np.argsort(w.real, axis=1)
+    assert order.dtype == want.dtype and np.array_equal(order, want)
+    want_lam = np.take_along_axis(w.real, want, axis=1)
+    assert np.array_equal(lam, want_lam)
+    assert np.array_equal(np.signbit(lam), np.signbit(want_lam))
+    scale = 1.0 + np.max(np.abs(A).reshape(len(A), -1), axis=1)
+    assert np.array_equal(coalesced, np.diff(want_lam, axis=1)[:, 0] < 1e-10 * scale)
+    assert np.array_equal(pair, np.max(np.abs(w.imag), axis=1) > 1e-10 * scale)
 
 
 def test_state_dependent_3x3_frames_stay_lapack():

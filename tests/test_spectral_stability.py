@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from conftest import vara_model
-from relaxdamp import build_custom, build_jinxin
+from relaxdamp import build_custom, build_jinxin, decompose, source_split
 from relaxdamp.errors import InvalidParam, PairingAmbiguous, ScanTooCoarse
 from relaxdamp.poly import Poly
 from relaxdamp.spectral_stability import (
@@ -117,15 +117,71 @@ def test_expansion_requires_high_frequency(jinxin):
         expansion_check(jinxin, "plus", [5.0, 40.0])
 
 
-def test_expansion_pairing_ambiguous():
-    # nearly coalescing speeds with strong coupling mix the branches
+def _crossing_model():
+    """Nearly coalescing speeds with strong coupling, which mix the branches."""
     A = [[1.0, 0.0], [0.0, 1.0 + 1e-8]]
     q = [Poly.variable(2, 0).scaled(-1.0) + Poly.variable(2, 1).scaled(5.0),
          Poly.variable(2, 0).scaled(5.0) + Poly.variable(2, 1).scaled(-2.0)]
-    m = build_custom("near", 2, A, q, U_minus=[0.0, 0.0], U_plus=[0.0, 0.0],
-                     state_box=([-1.0, -1.0], [1.0, 1.0]))
+    return build_custom("near", 2, A, q, U_minus=[0.0, 0.0], U_plus=[0.0, 0.0],
+                        state_box=([-1.0, -1.0], [1.0, 1.0]))
+
+
+def test_expansion_pairing_ambiguous():
     with pytest.raises(PairingAmbiguous):
-        expansion_check(m, "plus", [20.0, 40.0])
+        expansion_check(_crossing_model(), "plus", [20.0, 40.0])
+
+
+def _expansion_per_frequency(model, side, xi_list):
+    """expansion_check one frequency at a time: its (re, im / xi, remainder),
+    or the message of the PairingAmbiguous it raises."""
+    U = model.U_minus if side == "minus" else model.U_plus
+    frame = decompose(model.A_at(U))
+    lam, E = frame.lambdas, np.diag(source_split(frame, model.Q_at(U)).E)
+    rows = []
+    worst = 0.0
+    gap = np.min(np.diff(lam)) if model.N > 1 else np.inf
+    for xi in sorted(xi_list):
+        mu = np.linalg.eigvals(1j * xi * model.A_at(U) + model.Q_at(U))
+        mu = mu[np.lexsort((mu.real, mu.imag))]
+        dist = np.abs(mu.imag[None, :] - lam[:, None] * xi)
+        pick = np.argmin(dist, axis=1)
+        if len(set(pick.tolist())) != model.N:
+            return f"branch imaginary parts cross at xi = {xi:.6g}"
+        ranked = np.sort(dist, axis=1)
+        if model.N > 1 and np.any(ranked[:, 1] - ranked[:, 0] < 0.1 * gap * abs(xi)):
+            return f"branch imaginary parts within tolerance at xi = {xi:.6g}"
+        rows.append((mu.real[pick], mu.imag[pick] / xi))
+        worst = max(worst, float(np.max(np.abs(xi) * np.abs(mu.real[pick] - E))))
+    re, im = (np.array(r) for r in zip(*rows))
+    return re, im, worst
+
+
+@pytest.mark.parametrize("name", ["jinxin", "varA", "near", "coupled3"])
+def test_stacked_expansion_check_matches_per_frequency_loop(name, jinxin):
+    u = Poly.variable(3, 0)
+    model, xi_list = {
+        "jinxin": (jinxin, [160.0, 20.0, 40.0, 80.0, 33.0]),
+        "varA": (vara_model(), [25.0, 50.0, 100.0, 200.0]),
+        "near": (_crossing_model(), [20.0, 40.0]),
+        "coupled3": (build_custom(
+            "coupled3", 3, [[-1.0, 0.5, 0.0], [0.0, 0.5, 0.2], [0.0, 0.0, 2.0]],
+            [u.scaled(-1.0) + Poly.variable(3, 1).scaled(0.3),
+             Poly.variable(3, 1).scaled(-2.0),
+             Poly.variable(3, 2).scaled(-0.5) + u.scaled(0.1)],
+            U_minus=[0.0, 0.0, 0.0], U_plus=[0.0, 0.0, 0.0],
+            state_box=([-1.0] * 3, [1.0] * 3)), [30.0, 60.0, 120.0]),
+    }[name]
+    for side in ("minus", "plus"):
+        want = _expansion_per_frequency(model, side, xi_list)
+        if isinstance(want, str):
+            with pytest.raises(PairingAmbiguous) as err:
+                expansion_check(model, side, xi_list)
+            assert str(err.value) == want
+            continue
+        res = expansion_check(model, side, xi_list)
+        assert np.array_equal(res.re_by_branch, want[0])
+        assert np.array_equal(res.im_over_xi, want[1])
+        assert res.remainder_constant == want[2]
 
 
 def test_hyperbolicity_scan_passes(jinxin, jinxin_profile):
