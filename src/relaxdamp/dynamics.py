@@ -415,11 +415,8 @@ class Stepper:
         self.about_boundary = _Base.at(
             model, np.concatenate([self.Ubar[[0, -1]], far]),
             np.concatenate([Ubar_x[[0, -1]], np.zeros_like(far)]))
-        self.frames0 = None
-        if model.A_is_constant:
-            self.frames0 = frames_at_states(model, self.grid, self.Ubar)
-            # the columns of L0 (x) R0 that give diag(L0 Q R0)
-            self._kron_diag = np.ascontiguousarray(self.frames0.kron[:, ::model.N + 1])
+        self.frames0 = frames_at_states(model, self.grid, self.Ubar) \
+            if model.A_is_constant else None
         self.last_cfl = 0.0
 
     def source(self, Ut: np.ndarray, t: float, about: _Base | None = None) -> np.ndarray:
@@ -435,16 +432,18 @@ class Stepper:
             S = S + dd * about.U_x
         return S
 
-    def forcing(self, U: np.ndarray, t: float, sf: SourceField):
+    def forcing(self, U: np.ndarray, t: float, frames: FrameField,
+                E_diag: np.ndarray, transport: np.ndarray | None = None):
         """Diagonal field Phi = L U and its Duhamel forcing G = L S - E Phi + T Phi.
 
-        Along a family-j characteristic d/ds Phi_j = E_jj Phi_j + G_j, with E
-        and the frame transport T (zero for state-independent A) from ``sf``.
+        Along a family-j characteristic d/ds Phi_j = E_jj Phi_j + G_j, with
+        E = ``E_diag`` (n, N) and the frame transport T (None for constant
+        frames, where it is zero).
         """
-        Phi = sf.frames.to_diag(U)
-        G = sf.frames.to_diag(self.source(self.Ubar + U, t)) - sf.E_diag * Phi
-        if not self.model.A_is_constant:
-            G += np.einsum("njk,nk->nj", sf.transport, Phi)
+        Phi = frames.to_diag(U)
+        G = frames.to_diag(self.source(self.Ubar + U, t)) - E_diag * Phi
+        if transport is not None:
+            G += np.einsum("njk,nk->nj", transport, Phi)
         return Phi, G
 
     def _ode_node_update(self, V: np.ndarray, t: float, dt: float,
@@ -507,19 +506,14 @@ class Stepper:
         """First-order characteristic-upwind step with midpoint source.
 
         Both one-sided differences of every node come from the n + 1
-        differences of U padded by the boundary states.  Constant frames
-        diagonalize them in one product; per-node frames take one product per
-        side, as the L of node i applies to both of its differences.
+        differences of U padded by the boundary states, diagonalized by the
+        frame of that node.
         """
         Ut, frames, c = self._begin(snap, dt)
         U, t = snap.U, snap.t
         pad = _edge_pad(U, 1, snap.b_left, snap.b_right)
         D = (pad[1:] - pad[:-1]) / self.dx
-        if frames.constant:
-            phi = frames.to_diag(D)
-            phi_m, phi_p = phi[:-1], phi[1:]
-        else:
-            phi_m, phi_p = frames.to_diag(D[:-1]), frames.to_diag(D[1:])
+        phi_m, phi_p = frames.to_diag(D[:-1]), frames.to_diag(D[1:])
         adv = frames.from_diag(c * np.where(c > 0.0, phi_m, phi_p))
         adv[0] = 0.0
         adv[-1] = 0.0
@@ -549,33 +543,29 @@ class Stepper:
         """Semi-Lagrangian step: cubic foot interpolation and one-step Duhamel.
 
         The diagonal variable Phi = L U, its damping exponent E and its
-        forcing G are family-major (N, n) arrays, one row per family.  Per
-        family, Phi is interpolated at the foot of the characteristic, and
-        the damping exponent uses the trapezoid of E along the segment with
-        G applied at the midpoint.  For constant A the step forms only
-        E = diag(L0 Q R0) of the transformed source, from one product with
-        the diagonal columns of L0 (x) R0; the foot is one offset for every
-        node and the interpolations are fixed stencils on contiguous rows.
-        For state-dependent A the transformed source supplies E and the
-        frame transport, and the foot is traced per node with a midpoint
-        correction (``_foot_values``).
+        forcing G are read family-major, as (N, n) views with one row per
+        family.  Per family, Phi is interpolated at the foot of the
+        characteristic, and the damping exponent uses the trapezoid of E
+        along the segment with G applied at the midpoint.  For constant A the
+        step forms only E = diag(L0 Q R0) of the transformed source
+        (``FrameField.conjugate_diag``); the foot is one offset for every
+        node and the interpolations are fixed stencils.  For state-dependent
+        A the transformed source supplies E and the frame transport, and the
+        foot is traced per node with a midpoint correction (``_foot_values``).
         """
         Ut, frames, c = self._begin(snap, dt)
         if frames.constant:
-            L0 = frames.L[0]
-            Phi = L0 @ snap.U.T
-            E = (self.model.Q_at(Ut).reshape(len(Ut), -1) @ self._kron_diag).T
-            G = L0 @ self.source(Ut, snap.t).T - E * Phi
+            E, transport = frames.conjugate_diag(self.model.Q_at(Ut)), None
         else:
             sf = transformed_source(self.model, self.grid, Ut, frames=frames,
                                     with_theta=False)
-            Phi, G = (F.T for F in self.forcing(snap.U, snap.t, sf))
-            E = sf.E_diag.T
+            E, transport = sf.E_diag, sf.transport
+        Phi, G = self.forcing(snap.U, snap.t, frames, E, transport)
 
         phi_bl = frames.L[0] @ snap.b_left
         phi_br = frames.L[-1] @ snap.b_right
-        Phi_new = np.empty(Phi.shape)
-        for j, (phi, e, g) in enumerate(zip(Phi, E, G)):
+        Phi_new = np.empty(Phi.T.shape)
+        for j, (phi, e, g) in enumerate(zip(Phi.T, E.T, G.T)):
             if frames.constant:
                 s = -float(c[j]) * dt / self.dx
                 Phif = _shift_cubic(phi, s, float(phi_bl[j]), float(phi_br[j]))
@@ -584,18 +574,8 @@ class Stepper:
             else:
                 Phif, Ef, Gm = self._foot_values(c[:, j], dt, phi, e, g,
                                                  phi_bl[j], phi_br[j])
-            # exp(h) Phif + dt exp(h / 2) Gm with h = dt (Ef + e) / 2, into row j
-            h = Ef
-            h += e
-            h *= 0.5 * dt
-            row = Phi_new[j]
-            np.exp(h, out=row)
-            row *= Phif
-            h *= 0.5
-            np.exp(h, out=h)
-            h *= dt
-            h *= Gm
-            row += h
+            h = 0.5 * dt * (Ef + e)
+            Phi_new[j] = np.exp(h) * Phif + dt * np.exp(0.5 * h) * Gm
         return self._finish(snap, dt, frames.from_diag(Phi_new.T))
 
     def step(self, snap: Snapshot, dt: float, backend: str) -> Snapshot:
@@ -697,5 +677,7 @@ def phi_and_forcing(traj: Trajectory, i: int):
     Uses the trajectory's one Stepper and its transformed source, so G
     collects everything the damping exponent E_jj does not.
     """
+    sf = traj.source_field(i)
+    transport = None if sf.frames.constant else sf.transport
     return traj.stepper.forcing(traj.states[i], float(traj.times[i]),
-                                traj.source_field(i))
+                                sf.frames, sf.E_diag, transport)

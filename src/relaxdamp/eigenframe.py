@@ -238,6 +238,16 @@ class FrameField:
         N = self.L.shape[-1]
         return np.einsum("ja,bk->abjk", self.L[0], self.R[0]).reshape(N * N, N * N)
 
+    @cached_property
+    def _kron_diag(self) -> np.ndarray:
+        N = self.L.shape[-1]
+        return np.ascontiguousarray(self.kron[:, ::N + 1])
+
+    def conjugate_diag(self, Q: np.ndarray) -> np.ndarray:
+        """diag(L0 Q R0) at every node of a stack Q (n, N, N), for a constant
+        field: one product with the diagonal columns of ``kron``."""
+        return Q.reshape(len(Q), -1) @ self._kron_diag
+
     def to_diag(self, V: np.ndarray) -> np.ndarray:
         """Diagonal variables L V at every node of a field V (n, N)."""
         if self.constant:

@@ -146,19 +146,15 @@ class ExpansionCheck:
     remainder_constant: float     # max over xi, j of |xi| * |Re mu_j - E_jj|
 
 
-def expansion_check(model: ModelSpec, side: str, xi_list,
-                    diagonals: tuple | None = None) -> ExpansionCheck:
+def expansion_check(model: ModelSpec, side: str, xi_list) -> ExpansionCheck:
     """Pair symbol branches to iota lambda_j xi + E_jj and bound the remainder.
 
     Branches are matched by imaginary part against lambda_j xi; the pairing
     must be injective at every listed frequency.  All symbol spectra come
-    from one stacked ``eigvals``.  ``diagonals`` is ``endstate_diagonals(model)``
-    when the caller already holds it.
+    from one stacked ``eigvals``.
     """
     _endstate(model, side)
-    if diagonals is None:
-        diagonals = endstate_diagonals(model)
-    lam, E = (rows[0 if side == "minus" else 1] for rows in diagonals)
+    lam, E = (rows[0 if side == "minus" else 1] for rows in endstate_diagonals(model))
     xi_list = np.asarray(sorted(xi_list), dtype=float)
     if np.min(np.abs(xi_list)) < 10.0 * np.max(np.abs(lam)) * (1.0 - 1e-9):
         raise InvalidParam("expansion check needs |xi| >= 10 max |lambda|")

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from relaxdamp import characteristics, config, eigenframe, spectral_stability
+from relaxdamp import characteristics, config, eigenframe
 from relaxdamp.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
@@ -101,21 +101,6 @@ def test_check_stage_default_passes(tmp_path):
     assert data["theta_E_signed"] == pytest.approx(-0.125, abs=1e-12)
     assert (tmp_path / "frames.csv").exists()
     assert (tmp_path / "spectrum.csv").exists()
-
-
-def test_check_queries_the_endstate_diagonals_once(tmp_path, monkeypatch):
-    calls = []
-    original = eigenframe.endstate_diagonals
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for module in (eigenframe, spectral_stability):
-        monkeypatch.setattr(module, "endstate_diagonals", counted)
-    cfg = config_from_dict({"profile": {"n": 1001}})
-    assert run("check", cfg, out_dir=str(tmp_path)) == EXIT_OK
-    assert len(calls) == 2  # once in Config.damping, once for lambda_max and the expansions
 
 
 def test_check_supercharacteristic_exit_code(tmp_path):

@@ -106,6 +106,16 @@ def test_to_diag_and_from_diag_match_einsum(case, request):
     assert np.max(np.abs(frames.from_diag(frames.to_diag(V)) - V)) <= 1e-12
 
 
+def test_conjugate_diag_is_the_diagonal_of_the_kron_product(jinxin, jinxin_profile):
+    frames = frame_along_profile(jinxin, jinxin_profile)
+    Q = np.random.default_rng(3).standard_normal((len(frames.grid), 2, 2))
+    full = (Q.reshape(len(Q), 4) @ frames.kron).reshape(-1, 2, 2)
+    got = frames.conjugate_diag(Q)
+    assert np.array_equal(got, np.diagonal(full, axis1=1, axis2=2))
+    want = np.einsum("ja,nab,bj->nj", frames.L[0], Q, frames.R[0])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(Q))
+
+
 def test_frames_reconstruct_A(jinxin, jinxin_profile):
     frames = frame_along_profile(jinxin, jinxin_profile)
     A = jinxin.A_at(jinxin_profile.values)
