@@ -254,7 +254,7 @@ class Trajectory:
     @cached_property
     def stepper(self) -> "Stepper":
         """The stepper of this trajectory's grid, for the profile there and its
-        forcing fields (built once)."""
+        forcing fields: the one ``evolve`` ran, or built once on first use."""
         return Stepper(self.model, self.profile, self.grid, self.shift, self.budget)
 
     @cached_property
@@ -638,11 +638,13 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
             if c1 > budget:
                 violation = float(snap.t)
 
-    return Trajectory(model=model, profile=profile, shift=shift, backend=backend,
+    traj = Trajectory(model=model, profile=profile, shift=shift, backend=backend,
                       grid=grid, times=np.linspace(0.0, T, n_times),
                       states=states, b_left=bls, b_right=brs, dt=dt,
                       cfl_observed=stepper.last_cfl, budget=budget,
                       budget_violation_time=violation)
+    traj.stepper = stepper  # fills the cached property: one Stepper per run
+    return traj
 
 
 # --- diagonal variables ----------------------------------------------------

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (
     InvalidParam,
@@ -25,6 +23,7 @@ from .errors import (
     TailBelowNoise,
 )
 from .model import ModelSpec
+from .ode import shoot
 from .poly import poly_matrix_eval
 
 NOISE_FLOOR = 1e-13
@@ -49,6 +48,62 @@ class DecayFit:
     is_lower_bound: bool = False
 
 
+class _CubicHermite:
+    """Piecewise cubic interpolant of samples y (n, ...) with slopes dydx on an
+    increasing grid x; the end intervals extrapolate.
+
+    The coefficients and the order of every sum are those of scipy's
+    ``CubicHermiteSpline`` and ``PPoly``, so both give the same bits.
+    """
+
+    CHUNK = 8192  # points per pass: keeps the temporaries in cache
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, dydx: np.ndarray):
+        dx = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        self.x = x
+        self.positions = np.arange(len(x), dtype=float)
+        # c[k, i] multiplies (x - x_i)^(3 - k) on interval i
+        self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+        self.value_shape = y.shape[1:]
+
+    def interval(self, x: np.ndarray) -> np.ndarray:
+        """searchsorted(self.x, x, side="right") - 1 clipped to [0, n - 2].
+
+        np.interp finds each point's interval with a search that starts from
+        the previous point's, and rounding can only carry its position to the
+        next node up, which the comparison takes back.
+        """
+        i = np.interp(x, self.x, self.positions).astype(np.intp)
+        i -= x < self.x[i]
+        return np.clip(i, 0, len(self.x) - 2, out=i)
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        width = self.c[0, 0].size
+        values = np.empty(len(flat) * width)
+        for start in range(0, len(flat), self.CHUNK):
+            xs = flat[start:start + self.CHUNK]
+            i = self.interval(xs)
+            # a fresh row per power, so every product runs along all the values
+            c = np.take(self.c, i, axis=1).reshape(4, -1)
+            s = np.repeat(xs - self.x[i], width)
+            out, c1, c0 = c[2], c[1], c[0]
+            out *= s
+            out += c[3]
+            s2 = s * s
+            c1 *= s2
+            out += c1
+            s2 *= s
+            c0 *= s2
+            out += c0
+            # PPoly sums from +0.0, so it returns +0.0 where this sum is -0.0
+            np.add(out, 0.0, out=values[start * width:start * width + out.size])
+        return values.reshape(x.shape + self.value_shape)
+
+
 @dataclass
 class ProfileRep:
     """Sampled stationary profile with exact d1, d2 samples and Hermite interpolation."""
@@ -62,8 +117,8 @@ class ProfileRep:
     decay_fits: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._interp = CubicHermiteSpline(self.grid, self.values, self.d1, axis=0)
-        self._interp_d1 = CubicHermiteSpline(self.grid, self.d1, self.d2, axis=0)
+        self._interp = _CubicHermite(self.grid, self.values, self.d1)
+        self._interp_d1 = _CubicHermite(self.grid, self.d1, self.d2)
 
     @property
     def half_width(self) -> float:
@@ -176,7 +231,7 @@ def _sample_orbit(xi: np.ndarray, tail, sol) -> np.ndarray:
     values = np.empty((len(xi), sol.y.shape[0]))
     before = xi < 0.0
     values[before] = tail(xi[before])
-    if not np.all(before):  # OdeSolution cannot evaluate an empty array
+    if not np.all(before):  # the dense solution cannot evaluate an empty array
         values[~before] = sol.sol(xi[~before]).T
     return values
 
@@ -219,6 +274,14 @@ def solve_profile(model: ModelSpec, X: float, n: int, tol: float = 1e-8) -> Prof
     center = 0.5 * (lo + hi)
     radius = 0.5 * np.max(hi - lo)
 
+    # Approach rate at U+ sets how far past the grid the connection check runs.
+    J_p = ode_rhs_jacobian(model, U_p)
+    stable = np.array([ev.real for ev in np.linalg.eig(J_p)[0] if ev.real < -1e-12])
+    rate_p = float(-stable.max()) if stable.size else mu
+
+    def connection_check(xi_star):
+        return xi_star + X + np.log(scale / tol) / rate_p + 10.0
+
     def rhs(_xi, y):
         return ode_rhs(model, y)
 
@@ -230,21 +293,20 @@ def solve_profile(model: ModelSpec, X: float, n: int, tol: float = 1e-8) -> Prof
         return np.max(np.abs(y - center)) - 3.0 * radius
     diverged.terminal = True
 
+    def until(t_events):
+        return connection_check(t_events[0][0]) if t_events[0] else np.inf
+
+    # The shot ends after the step that reaches the connection check; every
+    # step up to there is the step of a shot to xi_max.
     xi_max = 4.0 * (X + np.log(scale / eta) / mu + 50.0)
-    sol = solve_ivp(rhs, (0.0, xi_max), U_m + eta * w, method="RK45",
-                    rtol=tol / 10.0, atol=tol * 1e-4 * scale,
-                    events=[crossing, diverged], dense_output=True)
+    sol = shoot(rhs, (0.0, xi_max), U_m + eta * w, rtol=tol / 10.0,
+                atol=tol * 1e-4 * scale, events=[crossing, diverged], until=until)
     if sol.t_events[1].size > 0:
         raise NoConnection("orbit left the admissible region before the midpoint crossing")
     if sol.t_events[0].size == 0:
         raise NoConnection("orbit never crossed the endstate midpoint")
     xi_star = float(sol.t_events[0][0])
-
-    # Approach rate at U+ sets how far past the grid the connection check runs.
-    J_p = ode_rhs_jacobian(model, U_p)
-    stable = np.array([ev.real for ev in np.linalg.eig(J_p)[0] if ev.real < -1e-12])
-    rate_p = float(-stable.max()) if stable.size else mu
-    xi_end = xi_star + X + np.log(scale / tol) / rate_p + 10.0
+    xi_end = connection_check(xi_star)
 
     if sol.t[-1] < xi_end:
         raise NoConnection(f"shot ended at xi = {sol.t[-1]:.6g} before the connection "

@@ -8,10 +8,11 @@ scans strict hyperbolicity / non-characteristicity along the profile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidParam, PairingAmbiguous, ScanTooCoarse
 from .eigenframe import endstate_diagonals, frames_at_states
@@ -64,16 +65,33 @@ class SpectralScan:
         return self.spectra.real.max(axis=1)
 
 
+def _min_cost_permutation(cost, perms):
+    """The permutation p of ``perms`` with the least sum_i cost[i][p[i]]; on a
+    tie, the first of them.  An exact assignment by enumeration: ``perms``
+    holds all N! permutations, few for the N of a relaxation system."""
+    best, least = perms[0], math.inf
+    for p in perms:
+        total = 0.0
+        for row, j in zip(cost, p):
+            total += row[j]
+        if total < least:
+            best, least = p, total
+    return best
+
+
 def _scan_side(model: ModelSpec, side: str, xi_grid: np.ndarray) -> SpectralScan:
     """All symbol spectra of one side from one stacked ``eigvals``; branches are
-    ordered by (Im, Re) at the first frequency and matched onward."""
+    ordered by (Im, Re) at the first frequency and continued by the matching
+    that moves them least in total from one frequency to the next."""
     spectra = _symbol_eigvals(model, side, xi_grid)
-    spectra[0] = _by_im_re(spectra[0])
-    for m in range(1, len(xi_grid)):
-        mu = spectra[m]
-        _, cols = linear_sum_assignment(np.abs(mu[None, :] - spectra[m - 1][:, None]))
-        spectra[m] = mu[cols]
-    return SpectralScan(side=side, xi_grid=xi_grid, spectra=spectra)
+    rows = spectra.tolist()
+    rows[0] = _by_im_re(spectra[0]).tolist()
+    perms = list(permutations(range(model.N)))
+    for m in range(1, len(rows)):
+        prev, mu = rows[m - 1], rows[m]
+        p = _min_cost_permutation([[abs(b - a) for b in mu] for a in prev], perms)
+        rows[m] = [mu[j] for j in p]
+    return SpectralScan(side=side, xi_grid=xi_grid, spectra=np.array(rows))
 
 
 @dataclass

@@ -263,9 +263,6 @@ def test_epsilon_too_large(jinxin, jinxin_profile):
 
 
 def test_duhamel_residual_builds_one_stepper(jinxin, jinxin_profile, monkeypatch):
-    pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0)
-    traj = evolve(jinxin, jinxin_profile, pert, ShiftSpec(kind="zero"),
-                  T=2.0, backend="moc", dx=0.04, n_out=4)
     built = []
     original = dynamics.Stepper.__init__
 
@@ -274,9 +271,12 @@ def test_duhamel_residual_builds_one_stepper(jinxin, jinxin_profile, monkeypatch
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(dynamics.Stepper, "__init__", counted)
+    pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0)
+    traj = evolve(jinxin, jinxin_profile, pert, ShiftSpec(kind="zero"),
+                  T=2.0, backend="moc", dx=0.04, n_out=4)
     for j, x0 in ((0, 2.0), (1, -3.0)):
         duhamel_residual(traj, trace(traj, j, x0))
-    # one for the trajectory, not one per output time and path
+    # the evolution's own, not one more for the trajectory or per output time and path
     assert len(built) == 1
 
 

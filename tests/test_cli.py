@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relaxdamp import characteristics, config, eigenframe
+from relaxdamp import characteristics, config, dynamics, eigenframe
 from relaxdamp.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
@@ -223,6 +227,58 @@ def test_all_solves_profile_and_evolves_once(tmp_path, call_counts):
     # a second run on the same Config recomputes instead of sharing results
     assert run("all", cfg, out_dir=str(tmp_path / "second")) == EXIT_OK
     assert call_counts == {"solve_profile": 2, "evolve": 2, "damping_rate": 2}
+
+
+# The benchmark's shooting-profile Jin-Xin and varA runs.
+JINXIN_MOC = {
+    "profile": {"X": 40.0, "n": 4001, "method": "shooting"},
+    "dynamics": {"backend": "moc", "T": 3.2, "n_out": 8, "dx": 0.02,
+                 "shift": {"kind": "zero"}},
+}
+VARA_MOC = {
+    "model": {"kind": "custom", "name": "jinxin-varA", "N": 2,
+              "A": [[0.0, 1.0], [[[4.0, [0, 0]], [0.2, [1, 0]]], 0.0]],
+              "q": [0.0, [[0.5, [2, 0]], [-1.0, [0, 1]]]],
+              "U_minus": [1.0, 0.5], "U_plus": [-1.0, 0.5]},
+    "profile": {"X": 20.0, "n": 2001, "method": "shooting"},
+    "dynamics": {"backend": "moc", "T": 0.6, "n_out": 3, "dx": 0.04,
+                 "shift": {"kind": "zero"}},
+}
+
+
+def test_all_builds_one_stepper(tmp_path, monkeypatch):
+    built = []
+    original = dynamics.Stepper.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.Stepper, "__init__", counted)
+    assert run("all", config_from_dict(JINXIN_MOC), out_dir=str(tmp_path)) == EXIT_OK
+    # evolve's stepper also serves the verify stage's trajectory
+    assert len(built) == 1
+
+
+def test_all_loads_no_scipy(tmp_path):
+    configs = []
+    for name, payload in (("default", {}), ("varA", VARA_MOC)):
+        configs.append((str(write_config(tmp_path, payload, f"{name}.json")),
+                        str(tmp_path / name)))
+    script = (
+        "import sys\n"
+        "from relaxdamp import cli, config\n"
+        f"for path, out in {configs!r}:\n"
+        "    assert cli.run('all', config.parse_config(path), out) == cli.EXIT_OK, path\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_all_builds_the_profile_source_once(tmp_path, monkeypatch):

@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import vara_model
+from relaxdamp import ode
 from relaxdamp import profile as profile_module
 from relaxdamp import build_jinxin, exact_jinxin_profile, fit_decay, residual, solve_profile
 from relaxdamp.errors import NoConnection, NotApplicable, NoUnstableDirection, TailBelowNoise
 from relaxdamp.model import build_custom
 from relaxdamp.poly import poly_matrix_eval
-from relaxdamp.profile import _derivative_samples, constant_profile, ode_rhs, ode_rhs_jacobian
+from relaxdamp.profile import (
+    ProfileRep,
+    _derivative_samples,
+    constant_profile,
+    ode_rhs,
+    ode_rhs_jacobian,
+)
 
 
 def test_exact_profile_is_tanh(jinxin, jinxin_profile):
@@ -190,25 +197,25 @@ def test_orbit_sampling_matches_node_loop(jinxin, monkeypatch):
         assert np.all(np.abs(got - want) <= 2.0 * ulp)
 
 
-def _counted_solve_ivp(monkeypatch, t_end=None):
-    """Spy on the profile module's ``solve_ivp``; optionally end every t_span at t_end."""
+def _counted_shots(monkeypatch, t_end=None):
+    """Spy on the profile module's ``shoot``; optionally end every t_span at t_end."""
     spans = []
-    solve_ivp = profile_module.solve_ivp
+    shoot = profile_module.shoot
 
     def spy(fun, t_span, *args, **kwargs):
         spans.append(t_span)
         if t_end is not None:
             t_span = (t_span[0], min(t_span[1], t_end))
-        return solve_ivp(fun, t_span, *args, **kwargs)
+        return shoot(fun, t_span, *args, **kwargs)
 
-    monkeypatch.setattr(profile_module, "solve_ivp", spy)
+    monkeypatch.setattr(profile_module, "shoot", spy)
     return spans
 
 
 @pytest.mark.parametrize("which, X", [("jinxin", 40.0), ("vara", 20.0)])
 def test_profile_is_one_shot(jinxin, monkeypatch, which, X):
     model = {"jinxin": jinxin, "vara": vara_model()}[which]
-    spans = _counted_solve_ivp(monkeypatch)
+    spans = _counted_shots(monkeypatch)
     prof = solve_profile(model, X=X, n=801)
     assert len(spans) == 1
     assert residual(prof, model) <= 1e-8
@@ -216,7 +223,144 @@ def test_profile_is_one_shot(jinxin, monkeypatch, which, X):
 
 def test_shot_ending_before_connection_check_raises(jinxin, monkeypatch):
     # the midpoint crossing is near xi = 55, the connection check near 182
-    spans = _counted_solve_ivp(monkeypatch, t_end=100.0)
+    spans = _counted_shots(monkeypatch, t_end=100.0)
     with pytest.raises(NoConnection, match="before the connection check"):
         solve_profile(jinxin, X=40.0, n=801)
     assert len(spans) == 1 and spans[0][1] > 100.0
+
+
+# --- the shot and the interpolant against scipy ------------------------------------
+
+def _captured_shot(model, X, n, monkeypatch):
+    """solve_profile's profile, and the arguments and result of its one shot."""
+    seen = {}
+    shoot = profile_module.shoot
+
+    def spy(*args, **kwargs):
+        seen["args"], seen["kwargs"] = args, kwargs
+        seen["shot"] = shoot(*args, **kwargs)
+        return seen["shot"]
+
+    monkeypatch.setattr(profile_module, "shoot", spy)
+    prof = solve_profile(model, X=X, n=n)
+    monkeypatch.undo()
+    return prof, seen["args"], seen["kwargs"], seen["shot"]
+
+
+@pytest.mark.parametrize("which, X", [("jinxin", 40.0), ("vara", 20.0)])
+def test_shot_matches_scipy_rk45_bit_for_bit(jinxin, monkeypatch, which, X):
+    from scipy.integrate import solve_ivp
+
+    model = {"jinxin": jinxin, "vara": vara_model()}[which]
+    prof, (fun, t_span, y0), kw, shot = _captured_shot(model, X, 4001, monkeypatch)
+    ref = solve_ivp(fun, t_span, y0, method="RK45", rtol=kw["rtol"], atol=kw["atol"],
+                    events=kw["events"], dense_output=True)
+    steps = len(shot.t)
+    # the same steps, stopped early: scipy runs on to xi_max
+    assert shot.t.tobytes() == ref.t[:steps].tobytes()
+    assert shot.y.tobytes() == ref.y[:, :steps].tobytes()
+    assert steps < len(ref.t)
+    assert shot.t_events[0].tobytes() == ref.t_events[0].tobytes()
+    assert shot.t_events[1].size == ref.t_events[1].size == 0
+    xi = np.concatenate([np.linspace(0.0, shot.t[-1], 1001), shot.t[::-1], [shot.t[-1] / 3]])
+    assert shot.sol(xi).tobytes() == ref.sol(xi).tobytes()
+    assert shot.sol(xi[5]).tobytes() == ref.sol(xi[5]).tobytes()
+    # the shot stops after the first step that reaches the connection check
+    xi_star = ref.t_events[0][0]
+    xi_end = kw["until"](ref.t_events)
+    assert shot.t[-2] < xi_end <= shot.t[-1]
+    assert shot.sol(xi_end).tobytes() == ref.sol(xi_end).tobytes()  # the miss at U+
+    # and the grid samples past the launch are those of the full shot
+    xi = xi_star + prof.grid
+    past_launch = xi >= 0.0
+    assert prof.values[past_launch].tobytes() == ref.sol(xi[past_launch]).T.tobytes()
+
+
+def test_terminal_event_ends_the_shot_like_scipy():
+    from scipy.integrate import solve_ivp
+
+    def rhs(_t, y):
+        return np.array([y[1], -y[0]])
+
+    def down(_t, y):
+        return y[0]
+    down.direction = -1.0
+
+    def high(_t, y):
+        return y[1] - 0.5
+    high.terminal = True
+
+    y0 = np.array([1.0, 0.0])
+    ours = ode.shoot(rhs, (0.0, 20.0), y0, rtol=1e-9, atol=1e-12, events=[down, high])
+    ref = solve_ivp(rhs, (0.0, 20.0), y0, method="RK45", rtol=1e-9, atol=1e-12,
+                    events=[down, high], dense_output=True)
+    assert ours.status == ref.status == 1 and ours.message == ref.message
+    assert ours.t.tobytes() == ref.t.tobytes() and ours.y.tobytes() == ref.y.tobytes()
+    for mine, theirs in zip(ours.t_events, ref.t_events):
+        assert mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("f, bracket", [
+    (lambda x: x**2 - 2.0, (0.0, 3.0)),
+    (lambda x: np.cos(x) - x, (-1.0, 1.0)),
+    (lambda x: np.exp(x) - 1e3, (0.0, 50.0)),
+    (lambda x: x**3 - 2.0 * x - 5.0, (2.0, 3.0)),
+    (lambda x: np.tanh(x - 0.3), (-5.0, 5.0)),
+    (lambda x: x, (0.0, 1.0)),
+])
+def test_brentq_matches_scipy(f, bracket):
+    from scipy.optimize import brentq
+
+    tol = 4.0 * np.finfo(float).eps
+    assert ode.brentq(f, *bracket) == brentq(f, *bracket, xtol=tol, rtol=tol)
+
+
+@pytest.mark.parametrize("which, X", [("exact", 40.0), ("jinxin", 40.0), ("vara", 20.0)])
+def test_hermite_evaluator_matches_scipy(jinxin, jinxin_profile, which, X):
+    from scipy.interpolate import CubicHermiteSpline
+
+    if which == "exact":
+        prof = jinxin_profile
+    else:
+        prof = solve_profile({"jinxin": jinxin, "vara": vara_model()}[which], X=X, n=4001)
+    rng = np.random.default_rng(11)
+    off_grid = rng.uniform(-X, X, 20001)  # more than two evaluation chunks
+    outside = np.concatenate([rng.uniform(-2.0 * X, -X, 50), rng.uniform(X, 2.0 * X, 50),
+                              np.nextafter([-X, X], [-np.inf, np.inf])])
+    for points in (off_grid, outside, prof.grid, off_grid[1:].reshape(200, 100)):
+        for got, y, dydx in ((prof.eval, prof.values, prof.d1),
+                             (prof.eval_d1, prof.d1, prof.d2)):
+            want = CubicHermiteSpline(prof.grid, y, dydx, axis=0)
+            assert got(points).tobytes() == want(points).tobytes()
+            assert got(points[0]).tobytes() == want(points[0]).tobytes()
+
+
+@pytest.mark.parametrize("grid", [
+    np.linspace(-40.0, 40.0, 4001),
+    np.cumsum(np.random.default_rng(5).uniform(1e-3, 1.0, 500)),
+    np.geomspace(1.0, 1e6, 300),
+], ids=["uniform", "random-steps", "geometric"])
+def test_hermite_interval_is_searchsorted_right(grid):
+    interp = profile_module._CubicHermite(grid, np.zeros((len(grid), 1)),
+                                          np.zeros((len(grid), 1)))
+    rng = np.random.default_rng(6)
+    points = np.concatenate([
+        rng.uniform(grid[0] - 5.0, grid[-1] + 5.0, 20000), grid,
+        np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf)])
+    for pts in (points, np.sort(points)):
+        want = np.clip(np.searchsorted(grid, pts, side="right") - 1, 0, len(grid) - 2)
+        assert np.array_equal(interp.interval(pts), want)
+
+
+def test_hermite_evaluator_matches_scipy_on_signed_zeros():
+    from scipy.interpolate import CubicHermiteSpline
+
+    # at x = 0 every term of the first cubic is -0.0; PPoly sums from +0.0
+    grid = np.array([0.0, 0.5, 1.0])
+    values = np.array([[-0.0], [-1.0], [2.0]])
+    d1 = np.array([[-0.0], [-5.0], [1.0]])
+    prof = ProfileRep(grid=grid, values=values, d1=d1, d2=np.zeros_like(d1),
+                      U_minus=values[0], U_plus=values[-1])
+    want = CubicHermiteSpline(grid, values, d1, axis=0)
+    for x in (0.0, np.array([0.0, 0.25]), grid):
+        assert prof.eval(x).tobytes() == want(x).tobytes()

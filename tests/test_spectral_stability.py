@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import math
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from conftest import vara_model
 from relaxdamp import build_custom, build_jinxin, decompose, source_split
+from relaxdamp.config import config_from_dict
 from relaxdamp.errors import InvalidParam, PairingAmbiguous, ScanTooCoarse
 from relaxdamp.poly import Poly
 from relaxdamp.spectral_stability import (
+    _min_cost_permutation,
     _scan_side,
     dissipativity_certificate,
     expansion_check,
@@ -243,3 +251,51 @@ def test_stacked_scan_matches_per_frequency_loop(which, jinxin):
     for side in ("minus", "plus"):
         got = _scan_side(model, side, xi_grid).spectra
         assert got.tobytes() == _scan_side_loop(model, side, xi_grid).tobytes()
+
+
+_VARA_MODEL = {"kind": "custom", "name": "jinxin-varA", "N": 2,
+               "A": [[0.0, 1.0], [[[4.0, [0, 0]], [0.2, [1, 0]]], 0.0]],
+               "q": [0.0, [[0.5, [2, 0]], [-1.0, [0, 1]]]],
+               "U_minus": [1.0, 0.5], "U_plus": [-1.0, 0.5]}
+
+
+@pytest.mark.parametrize("payload", [
+    {},                              # the default config
+    {"spectral": {"n_xi": 2000}},    # the dense frequency scan of jinxin-dense-ref
+    {"model": _VARA_MODEL},
+], ids=["default", "jinxin-dense-ref", "varA"])
+def test_config_scans_match_assignment_matching(payload):
+    cfg = config_from_dict(payload)
+    sc = cfg.spectral_cfg
+    xi_grid = np.geomspace(sc["xi_min"], sc["xi_max"], int(sc["n_xi"]))
+    for side in ("minus", "plus"):
+        got = _scan_side(cfg.model, side, xi_grid).spectra
+        assert got.tobytes() == _scan_side_loop(cfg.model, side, xi_grid).tobytes()
+
+
+def _square_costs():
+    entries = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
+                        st.integers(0, 2).map(float))  # small integers make ties
+    return st.integers(1, 4).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=entries))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_square_costs())
+def test_permutation_matching_finds_the_assignment_optimum(cost):
+    n = len(cost)
+    perms = list(permutations(range(n)))
+    p = _min_cost_permutation(cost.tolist(), perms)
+    assert sorted(p) == list(range(n))
+    rows, cols = linear_sum_assignment(cost)
+    ours = math.fsum(cost[i, j] for i, j in enumerate(p))
+    theirs = math.fsum(cost[rows, cols])
+    assert ours == pytest.approx(theirs, rel=1e-12, abs=1e-9)
+
+
+def test_permutation_matching_breaks_ties_by_permutation_order():
+    perms = list(permutations(range(3)))
+    assert _min_cost_permutation([[1.0] * 3] * 3, perms) == (0, 1, 2)
+    assert _min_cost_permutation([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+                                 perms) == (0, 1, 2)
+    assert _min_cost_permutation([[1.0, 0.0], [0.0, 1.0]], [(0, 1), (1, 0)]) == (1, 0)
