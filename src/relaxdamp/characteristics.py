@@ -295,8 +295,8 @@ def duhamel_residual(traj: Trajectory, path: CharPath) -> float:
     if path.H is None:
         accumulate_H([path], traj)
     fields = [phi_and_forcing(traj, i) for i in range(traj.n_times)]
-    Phi = _FieldInterp(traj, [F[:, j] for F, _ in fields])
-    G_path = _FieldInterp(traj, [G[:, j] for _, G in fields]).eval(
+    Phi = _FieldInterp(traj, [F[j] for F, _ in fields])
+    G_path = _FieldInterp(traj, [G[j] for _, G in fields]).eval(
         path.times, path.positions)
     n_sub = (len(path.times) - 1) // (traj.n_times - 1)
     phi0 = Phi.eval(0.0, path.x0)

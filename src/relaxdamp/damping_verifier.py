@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Snapshot, Trajectory, diagonal_vars
-from .eigenframe import frames_at_states
+from .eigenframe import profile_lambdas
 from .errors import EmptyFeasible, InvalidParam, Unsupported
 from .model import ModelSpec
 from .profile import ProfileRep
@@ -110,7 +110,7 @@ def weight_fn(model: ModelSpec, profile: ProfileRep, C_alpha: float,
     quadrature of C e^{-c|y|} / lambda_j(Ubar(y)); the recorded residual
     re-evaluates the increments with 15 points and reports the worst mismatch
     |alpha_{i+1} - alpha_i e^{-I_i}|.  The eigenvalues at the nodes of each
-    rule come from one ``frames_at_states`` query.  ``grid`` defaults to the
+    rule come from one ``profile_lambdas`` query.  ``grid`` defaults to the
     profile's own grid; pass the trajectory grid when they differ.
     """
     if C_alpha <= 0 or c_alpha <= 0:
@@ -121,7 +121,7 @@ def weight_fn(model: ModelSpec, profile: ProfileRep, C_alpha: float,
 
     def increments(nodes, wts):  # (N, cells) log-increments of every family
         p = mid[:, None] + half[:, None] * nodes[None, :]
-        lam = frames_at_states(model, p.ravel(), profile.eval(p.ravel()), c_min).lambdas
+        lam = profile_lambdas(model, profile, p.ravel(), c_min)
         f = C_alpha * np.exp(-c_alpha * np.abs(p)) / lam.T.reshape((-1,) + p.shape)
         f *= wts
         return np.sum(f, axis=-1) * half

@@ -17,13 +17,16 @@ four-row explicit midpoint by the source alone: the boundary states are
 perturbations of the far-field states, where Ubar_x = 0.
 
 When A is constant every node of family j moves at the same speed
-lambda_j - ddelta(t), so the moc foot sits at one offset s = -c_j dt / dx
-(in cells) from every node.  The foot values are then fixed stencils on
-edge-padded rows of family-major (N, n) fields: the 4-point cubic Lagrange
-stencil for Phi and 2-point stencils for E (at s) and the forcing G (at
-s / 2), the standard fixed-stencil semi-Lagrangian step (Staniforth & Cote,
-Mon. Wea. Rev. 119, 1991).  A state-dependent A keeps per-node interpolation
-at each foot.
+c_j = lambda_j - ddelta(t), so the moc foot sits at one offset s_j = -c_j dt /
+dx (in cells) from every node: the standard fixed-stencil semi-Lagrangian
+step (Staniforth & Cote, Mon. Wea. Rev. 119, 1991).  The step forms Phi, E and
+G family-major, as (N, n) arrays with one row per family, and writes each
+once into an edge-padded buffer whose row j starts at column 1 - floor(s_j).
+The 4-point cubic Lagrange stencil for Phi and the 2-point stencils for E (at
+s) and G (at s / 2) are then 4 + 2 + 2 slices over all families at once.
+The offsets, the stencil weights, the speeds and their CFL check depend only
+on (dt, ddelta), and are formed once per pair.  A state-dependent A keeps
+per-node interpolation at each foot.
 """
 
 from __future__ import annotations
@@ -277,8 +280,8 @@ def make_initial(profile: ProfileRep, pert: PerturbationSpec,
     """Sample the perturbation and enforce the C^1 smallness budget."""
     x = profile.grid if grid is None else np.asarray(grid, dtype=float)
     U0, W0, bl, br = pert.sample(profile, x)
-    c1 = max(float(np.max(np.abs(U0))), float(np.max(np.abs(W0))))
-    if c1 > budget:
+    c1 = float(np.maximum(np.max(np.abs(U0)), np.max(np.abs(W0))))
+    if not c1 <= budget:  # non-finite data exceed it too
         raise BudgetExceeded(
             f"initial C^1 norm {c1:.3e} exceeds budget {budget:.3e}",
             measured=c1, budget=budget)
@@ -296,12 +299,17 @@ def _edge_pad(f: np.ndarray, width: int, fill_left, fill_right) -> np.ndarray:
     return pad
 
 
+def _cubic_weights(t):
+    """Weights of the cubic Lagrange interpolant through nodes -1, 0, 1, 2 at t."""
+    return (-t * (t - 1.0) * (t - 2.0) / 6.0,
+            (t * t - 1.0) * (t - 2.0) / 2.0,
+            -t * (t + 1.0) * (t - 2.0) / 2.0,
+            t * (t * t - 1.0) / 6.0)
+
+
 def _cubic_lagrange(t, fm1, f0, f1, f2):
     """Cubic Lagrange interpolant through nodes -1, 0, 1, 2, evaluated at t."""
-    wm1 = -t * (t - 1.0) * (t - 2.0) / 6.0
-    w0 = (t * t - 1.0) * (t - 2.0) / 2.0
-    w1 = -t * (t + 1.0) * (t - 2.0) / 2.0
-    w2 = t * (t * t - 1.0) / 6.0
+    wm1, w0, w1, w2 = _cubic_weights(t)
     return wm1 * fm1 + w0 * f0 + w1 * f1 + w2 * f2
 
 
@@ -351,27 +359,36 @@ def _linear_interp(f: np.ndarray, cells: np.ndarray, fill_left: float,
     return out
 
 
-# For a uniform speed every node's foot is at cell k + s with one offset s,
-# and |s| <= CFL_LIMIT < 1, so the interpolants above become fixed stencils:
-# the same pads and weights, read through one slice per stencil point.
+def _foot_stencil(s: np.ndarray):
+    """``_cubic_interp`` and ``_linear_interp`` at x_k + s_j dx as fixed stencils,
+    for offsets -1 < s_j < 1 cells: (offsets, cubic, foot, mid).
 
-def _shift_cubic(f: np.ndarray, s: float, fill_left: float,
-                 fill_right: float) -> np.ndarray:
-    """``_cubic_interp`` at x_k + s dx for every node k, for one offset -1 <= s < 1."""
-    n = len(f)
-    pad = _edge_pad(f, 2, fill_left, fill_right)
-    m = math.floor(s)
-    return _cubic_lagrange(s - m, *(pad[m + k:m + k + n] for k in range(1, 5)))
+    Row j of a pad holds node 0 of family j at column ``offsets[j]`` =
+    1 - floor(s_j), so every family's stencil points are the same columns:
+    columns k .. k + n - 1 for cubic weight k (nodes -1 .. 2 about the foot's
+    cell), 1 + k .. n + k for linear weight k at s (``foot``) and at s / 2
+    (``mid``, in the same cell as s).  Weights are (N, 1) columns.
+    """
+    m = np.floor(s)
+    t = (s - m)[:, None]
+    half = (0.5 * s)[:, None]
+    t_mid = half - np.floor(half)
+    return (tuple(int(o) for o in 1 - m), _cubic_weights(t), (1.0 - t, t),
+            (1.0 - t_mid, t_mid))
 
 
-def _shift_linear(f: np.ndarray, s: float, fill_left: float,
-                  fill_right: float) -> np.ndarray:
-    """``_linear_interp`` at x_k + s dx for every node k, for one offset -1 <= s < 1."""
-    n = len(f)
-    pad = _edge_pad(f, 1, fill_left, fill_right)
-    m = math.floor(s)
-    t = s - m
-    return (1.0 - t) * pad[m + 1:m + 1 + n] + t * pad[m + 2:m + 2 + n]
+class _Speeds:
+    """Shifted speeds c = lambda - ddelta of a constant frame at one (dt, ddelta),
+    CFL-checked when made; the moc step's foot stencils are formed on first read."""
+
+    def __init__(self, dt: float, dd: float, c: np.ndarray, dx: float):
+        self.key = (dt, dd)
+        self.c = c
+        self._s = -c * dt / dx
+
+    @cached_property
+    def stencil(self) -> tuple:
+        return _foot_stencil(self._s)
 
 
 # --- stepping --------------------------------------------------------------
@@ -415,8 +432,12 @@ class Stepper:
         self.about_boundary = _Base.at(
             model, np.concatenate([self.Ubar[[0, -1]], far]),
             np.concatenate([Ubar_x[[0, -1]], np.zeros_like(far)]))
-        self.frames0 = frames_at_states(model, self.grid, self.Ubar) \
-            if model.A_is_constant else None
+        self.frames0 = None
+        if model.A_is_constant:
+            self.frames0 = frames_at_states(model, self.grid, self.Ubar)
+            # edge-padded Phi, E and G rows of the fixed-stencil moc step
+            self._pads = np.empty((3, model.N, len(self.grid) + 3))
+        self._speeds = None
         self.last_cfl = 0.0
 
     def source(self, Ut: np.ndarray, t: float, about: _Base | None = None) -> np.ndarray:
@@ -432,26 +453,38 @@ class Stepper:
             S = S + dd * about.U_x
         return S
 
-    def forcing(self, U: np.ndarray, t: float, frames: FrameField,
-                E_diag: np.ndarray, transport: np.ndarray | None = None):
+    def forcing(self, U: np.ndarray, Ut: np.ndarray, t: float, frames: FrameField,
+                E: np.ndarray, transport: np.ndarray | None = None):
         """Diagonal field Phi = L U and its Duhamel forcing G = L S - E Phi + T Phi.
 
-        Along a family-j characteristic d/ds Phi_j = E_jj Phi_j + G_j, with
-        E = ``E_diag`` (n, N) and the frame transport T (None for constant
-        frames, where it is zero).
+        Along a family-j characteristic d/ds Phi_j = E_jj Phi_j + G_j.  Phi, G
+        and the damping exponent ``E`` are family-major, (N, n) with one row
+        per family; S is the source at the full states ``Ut`` = Ubar + U and T
+        the frame transport (None for constant frames, where it is zero).
         """
-        Phi = frames.to_diag(U)
-        G = frames.to_diag(self.source(self.Ubar + U, t)) - E_diag * Phi
+        Phi = frames.diag_rows(U)
+        G = frames.diag_rows(self.source(Ut, t))
+        G -= E * Phi
         if transport is not None:
-            G += np.einsum("njk,nk->nj", transport, Phi)
+            G += np.einsum("njk,nk->nj", transport, Phi.T).T
         return Phi, G
 
     def _ode_node_update(self, V: np.ndarray, t: float, dt: float,
                          about: _Base) -> np.ndarray:
         """Explicit-midpoint update of perturbations V of the rows ``about`` by
-        the source alone (no advection)."""
+        the source alone (no advection).
+
+        about.U + (V + (dt / 2) k1) and V + dt k2 are formed in place, in that
+        order of operations.
+        """
         k1 = self.source(about.U + V, t, about)
-        return V + dt * self.source(about.U + (V + 0.5 * dt * k1), t + 0.5 * dt, about)
+        k1 *= 0.5 * dt
+        k1 += V
+        k1 += about.U
+        k2 = self.source(k1, t + 0.5 * dt, about)
+        k2 *= dt
+        k2 += V
+        return k2
 
     def _advance_boundary(self, snap: Snapshot, dt: float) -> np.ndarray:
         """U[0], U[-1], b_left and b_right one step on, as four rows.
@@ -460,7 +493,7 @@ class Stepper:
         boundary states together.  At the far field Ubar_x = 0, so there the
         dA and ddelta terms are exact zeros and b' = q(base + b) - q(base).
         """
-        V = np.stack([snap.U[0], snap.U[-1], snap.b_left, snap.b_right])
+        V = np.array((snap.U[0], snap.U[-1], snap.b_left, snap.b_right))
         return self._ode_node_update(V, snap.t, dt, self.about_boundary)
 
     def _frames(self, Ut: np.ndarray) -> FrameField:
@@ -468,35 +501,48 @@ class Stepper:
             return self.frames0
         return frames_at_states(self.model, self.grid, Ut)
 
-    def _begin(self, snap: Snapshot, dt: float):
-        """Frames at the perturbed state and CFL-checked shifted speeds (Ut, frames, c).
-
-        c is lambda - ddelta per node (n, N), or one speed per family (N,)
-        when the frames are constant.  CFLViolation names t, family and node x.
-        """
-        Ut = self.Ubar + snap.U
-        frames = self._frames(Ut)
-        lam = frames.lambdas[0] if frames.constant else frames.lambdas
-        c = lam - self.shift.delta_dot(snap.t)
+    def _check_cfl(self, c: np.ndarray, dt: float, t: float) -> None:
+        """CFLViolation naming t, family and node x when max |c| dt / dx exceeds
+        the limit; c is per node (n, N) or one speed per family (N,)."""
         cfl = float(np.max(np.abs(c))) * dt / self.dx
         self.last_cfl = max(self.last_cfl, cfl)
         if cfl > CFL_LIMIT:
             worst = np.unravel_index(np.argmax(np.abs(c)), c.shape)
             where = f"x = {self.grid[worst[0]]:.6g}, " if c.ndim == 2 else ""
             raise CFLViolation(f"CFL number {cfl:.3f} exceeds {CFL_LIMIT} at "
-                               f"t = {snap.t:.6g} ({where}family {worst[-1] + 1})")
-        return Ut, frames, c
+                               f"t = {t:.6g} ({where}family {worst[-1] + 1})")
+
+    def _begin(self, snap: Snapshot, dt: float):
+        """Frames at the perturbed state and CFL-checked shifted speeds (Ut, frames, c).
+
+        c is lambda - ddelta per node (n, N), or one speed per family (N,)
+        when the frames are constant; those speeds and their check are formed
+        once per (dt, ddelta) and kept as ``self._speeds``.
+        """
+        Ut = self.Ubar + snap.U
+        frames = self._frames(Ut)
+        dd = self.shift.delta_dot(snap.t)
+        if not frames.constant:
+            c = frames.lambdas - dd
+            self._check_cfl(c, dt, snap.t)
+            return Ut, frames, c
+        if self._speeds is None or self._speeds.key != (dt, dd):
+            c = frames.lambdas[0] - dd
+            self._check_cfl(c, dt, snap.t)
+            self._speeds = _Speeds(dt, dd, c, self.dx)
+        return Ut, frames, self._speeds.c
 
     def _finish(self, snap: Snapshot, dt: float, U_new: np.ndarray) -> Snapshot:
         """Boundary rows and blow-up guard.
 
         The edge rows of U_new and the new boundary states come from one
         four-row explicit midpoint by the source alone (``_advance_boundary``).
+        A non-finite U_new fails the guard as well.
         """
         rows = self._advance_boundary(snap, dt)
         U_new[0], U_new[-1] = rows[0], rows[1]
         amp = float(np.max(np.abs(U_new)))
-        if amp > BLOWUP_FACTOR * self.budget:
+        if not amp <= BLOWUP_FACTOR * self.budget:
             raise BlowUp(f"|U| = {amp:.3e} left the small-data regime "
                          f"(budget {self.budget:.3e})")
         return Snapshot(t=snap.t + dt, grid=snap.grid, U=U_new,
@@ -539,19 +585,48 @@ class Stepper:
         Phif = _cubic_interp(phi, foot, float(phi_left), float(phi_right))
         return Phif, Ef, Gm
 
+    def _stencil_feet(self, stencil: tuple, Phi: np.ndarray, E: np.ndarray,
+                      G: np.ndarray, phi_left: np.ndarray, phi_right: np.ndarray):
+        """Phi and E at the feet and G at the segment midpoints of every family,
+        from family-major (N, n) fields, through the ``_foot_stencil`` given.
+
+        Each field is written once into its pad, flat beyond the grid: Phi
+        with the diagonal boundary states, E and G with their edge values.
+        """
+        offsets, (wm1, w0, w1, w2), foot, mid = stencil
+        n = Phi.shape[1]
+        for pad, F, left, right in zip(self._pads, (Phi, E, G),
+                                       (phi_left, E[:, 0], G[:, 0]),
+                                       (phi_right, E[:, -1], G[:, -1])):
+            pad[:, :2] = left[:, None]
+            pad[:, n + 1:] = right[:, None]
+            for row, F_row, o in zip(pad, F, offsets):
+                row[o:o + n] = F_row
+        P, Ep, Gp = self._pads
+        Phif = wm1 * P[:, :n]
+        Phif += w0 * P[:, 1:n + 1]
+        Phif += w1 * P[:, 2:n + 2]
+        Phif += w2 * P[:, 3:]
+        Ef = foot[0] * Ep[:, 1:n + 1]
+        Ef += foot[1] * Ep[:, 2:n + 2]
+        Gm = mid[0] * Gp[:, 1:n + 1]
+        Gm += mid[1] * Gp[:, 2:n + 2]
+        return Phif, Ef, Gm
+
     def step_moc(self, snap: Snapshot, dt: float) -> Snapshot:
         """Semi-Lagrangian step: cubic foot interpolation and one-step Duhamel.
 
         The diagonal variable Phi = L U, its damping exponent E and its
-        forcing G are read family-major, as (N, n) views with one row per
-        family.  Per family, Phi is interpolated at the foot of the
-        characteristic, and the damping exponent uses the trapezoid of E
-        along the segment with G applied at the midpoint.  For constant A the
-        step forms only E = diag(L0 Q R0) of the transformed source
-        (``FrameField.conjugate_diag``); the foot is one offset for every
-        node and the interpolations are fixed stencils.  For state-dependent
-        A the transformed source supplies E and the frame transport, and the
-        foot is traced per node with a midpoint correction (``_foot_values``).
+        forcing G are family-major, (N, n) arrays with one row per family.
+        Phi is interpolated at the foot of each node's characteristic, and
+        the damping exponent uses the trapezoid of E along the segment with G
+        applied at the midpoint, for all families at once.  For constant A
+        the step forms only E = diag(L0 Q R0) of the transformed source
+        (``FrameField.conjugate_diag``); the foot is one offset per family and
+        the interpolations are the fixed stencils of ``_stencil_feet``, formed
+        once per (dt, ddelta).  For state-dependent A the transformed source
+        supplies E and the frame transport, and each family's foot is traced
+        per node with a midpoint correction (``_foot_values``).
         """
         Ut, frames, c = self._begin(snap, dt)
         if frames.constant:
@@ -559,23 +634,30 @@ class Stepper:
         else:
             sf = transformed_source(self.model, self.grid, Ut, frames=frames,
                                     with_theta=False)
-            E, transport = sf.E_diag, sf.transport
-        Phi, G = self.forcing(snap.U, snap.t, frames, E, transport)
+            E, transport = sf.E_diag.T, sf.transport
+        Phi, G = self.forcing(snap.U, Ut, snap.t, frames, E, transport)
 
         phi_bl = frames.L[0] @ snap.b_left
         phi_br = frames.L[-1] @ snap.b_right
-        Phi_new = np.empty(Phi.T.shape)
-        for j, (phi, e, g) in enumerate(zip(Phi.T, E.T, G.T)):
-            if frames.constant:
-                s = -float(c[j]) * dt / self.dx
-                Phif = _shift_cubic(phi, s, float(phi_bl[j]), float(phi_br[j]))
-                Ef = _shift_linear(e, s, e[0], e[-1])
-                Gm = _shift_linear(g, 0.5 * s, g[0], g[-1])
-            else:
-                Phif, Ef, Gm = self._foot_values(c[:, j], dt, phi, e, g,
-                                                 phi_bl[j], phi_br[j])
-            h = 0.5 * dt * (Ef + e)
-            Phi_new[j] = np.exp(h) * Phif + dt * np.exp(0.5 * h) * Gm
+        if frames.constant:
+            Phif, Ef, Gm = self._stencil_feet(self._speeds.stencil, Phi, E, G,
+                                              phi_bl, phi_br)
+        else:
+            Phif, Ef, Gm = (np.empty(Phi.shape) for _ in range(3))
+            for j in range(len(Phi)):
+                Phif[j], Ef[j], Gm[j] = self._foot_values(
+                    c[:, j], dt, Phi[j], E[j], G[j], phi_bl[j], phi_br[j])
+        # Phi_new = exp(h) Phif + (dt exp(h / 2)) Gm with h = dt (Ef + E) / 2, in place
+        h = Ef
+        h += E
+        h *= 0.5 * dt
+        Phi_new = np.exp(h)
+        Phi_new *= Phif
+        h *= 0.5
+        np.exp(h, out=h)
+        h *= dt
+        h *= Gm
+        Phi_new += h
         return self._finish(snap, dt, frames.from_diag(Phi_new.T))
 
     def step(self, snap: Snapshot, dt: float, backend: str) -> Snapshot:
@@ -634,8 +716,8 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
         bls[m] = snap.b_left
         brs[m] = snap.b_right
         if violation is None:
-            c1 = max(np.max(np.abs(snap.U)), np.max(np.abs(snap.W)))
-            if c1 > budget:
+            c1 = np.maximum(np.max(np.abs(snap.U)), np.max(np.abs(snap.W)))
+            if not c1 <= budget:  # a NaN norm is a violation too
                 violation = float(snap.t)
 
     traj = Trajectory(model=model, profile=profile, shift=shift, backend=backend,
@@ -674,12 +756,13 @@ def diagonal_vars(snap: Snapshot, frames: FrameField,
 
 
 def phi_and_forcing(traj: Trajectory, i: int):
-    """Diagonal field Phi and its Duhamel forcing G at output time i.
+    """Diagonal field Phi and its Duhamel forcing G at output time i, family-major.
 
     Uses the trajectory's one Stepper and its transformed source, so G
     collects everything the damping exponent E_jj does not.
     """
     sf = traj.source_field(i)
     transport = None if sf.frames.constant else sf.transport
-    return traj.stepper.forcing(traj.states[i], float(traj.times[i]),
-                                sf.frames, sf.E_diag, transport)
+    return traj.stepper.forcing(traj.states[i], traj.perturbed_states(i),
+                                float(traj.times[i]), sf.frames, sf.E_diag.T,
+                                transport)

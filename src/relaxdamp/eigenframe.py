@@ -239,20 +239,28 @@ class FrameField:
         return np.einsum("ja,bk->abjk", self.L[0], self.R[0]).reshape(N * N, N * N)
 
     @cached_property
-    def _kron_diag(self) -> np.ndarray:
+    def _kron_diag_rows(self) -> np.ndarray:
         N = self.L.shape[-1]
-        return np.ascontiguousarray(self.kron[:, ::N + 1])
+        return np.ascontiguousarray(self.kron[:, ::N + 1].T)
 
     def conjugate_diag(self, Q: np.ndarray) -> np.ndarray:
         """diag(L0 Q R0) at every node of a stack Q (n, N, N), for a constant
-        field: one product with the diagonal columns of ``kron``."""
-        return Q.reshape(len(Q), -1) @ self._kron_diag
+        field, family-major (N, n): one product of the diagonal columns of
+        ``kron`` with the flattened stack."""
+        return self._kron_diag_rows @ Q.reshape(len(Q), -1).T
 
     def to_diag(self, V: np.ndarray) -> np.ndarray:
         """Diagonal variables L V at every node of a field V (n, N)."""
         if self.constant:
             return V @ self._L0T
         return np.einsum("njk,nk->nj", self.L, V)
+
+    def diag_rows(self, V: np.ndarray) -> np.ndarray:
+        """``to_diag(V)`` family-major, (N, n): for a constant field one
+        C-contiguous product L0 V^T, otherwise the transposed view."""
+        if self.constant:
+            return self.L[0] @ V.T
+        return self.to_diag(V).T
 
     def from_diag(self, Phi: np.ndarray) -> np.ndarray:
         """State field R Phi at every node of diagonal variables Phi (n, N)."""
@@ -281,23 +289,34 @@ class FrameField:
         return float(np.max(np.maximum(dR, dl) / dx))
 
 
+def _flip_parity(steps: np.ndarray) -> np.ndarray:
+    """Whether row i is flipped against row 0, for ``steps[i - 1]`` the signed
+    step from row i - 1 to row i (one column per independent sequence).
+
+    A negative step flips, a positive one keeps; one that is not strictly
+    signed (zero or NaN) restarts at unflipped.  Row i is thus flipped when
+    the negative steps since the last restart are odd in number.
+    """
+    n = len(steps) + 1
+    neg = np.zeros((n,) + steps.shape[1:], dtype=np.int64)
+    neg[1:] = np.cumsum(steps < 0, axis=0)
+    # last row at or before i whose step is not strictly signed
+    restart = np.zeros(neg.shape, dtype=np.int64)
+    rows = np.arange(1, n).reshape((-1,) + (1,) * (steps.ndim - 1))
+    restart[1:] = np.where((steps < 0) | (steps > 0), 0, rows)
+    restart = np.maximum.accumulate(restart, axis=0)
+    return (neg - np.take_along_axis(neg, restart, axis=0)) % 2 == 1
+
+
 def _continue_signs(lambdas: np.ndarray, L: np.ndarray, R: np.ndarray) -> None:
     """Flip signs so consecutive right eigenvectors have positive inner products.
 
     Flipping column j at node i - 1 negates its inner product with node i
-    exactly, so the sign of node i is the running product of the signs of
-    the raw inner products, restarted at +1 after one that is not strictly
-    signed (zero or NaN), where no flip is made.
+    exactly, so the sign of node i is the ``_flip_parity`` of the raw inner
+    products: restarted at +1 after one that is not strictly signed (zero or
+    NaN), where no flip is made.
     """
-    n, N = lambdas.shape
-    dots = np.einsum("ikj,ikj->ij", R[1:], R[:-1])
-    neg = np.zeros((n, N), dtype=np.int64)
-    neg[1:] = np.cumsum(dots < 0, axis=0)
-    # last node at or before i whose raw inner product is not strictly signed
-    restart = np.zeros((n, N), dtype=np.int64)
-    restart[1:] = np.where((dots < 0) | (dots > 0), 0, np.arange(1, n)[:, None])
-    restart = np.maximum.accumulate(restart, axis=0)
-    flip = (neg - np.take_along_axis(neg, restart, axis=0)) % 2 == 1
+    flip = _flip_parity(np.einsum("ikj,ikj->ij", R[1:], R[:-1]))
     np.negative(R, out=R, where=flip[:, None, :])
     np.negative(L, out=L, where=flip[:, :, None])
 
@@ -322,6 +341,18 @@ def frames_at_states(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
     lam, L, R = decompose_stack(model.A_at(states), c_min, grid)
     _continue_signs(lam, L, R)
     return FrameField(grid=grid, lambdas=lam, L=L, R=R)
+
+
+def profile_lambdas(model: ModelSpec, profile: ProfileRep, x: np.ndarray,
+                    c_min: float = 0.0) -> np.ndarray:
+    """Sorted eigenvalues of A(Ubar(x)) at points x, (len(x), N), with the
+    checks of ``frames_at_states``.  The profile is evaluated only where A
+    depends on the state; a constant A is decomposed once."""
+    x = np.asarray(x, dtype=float)
+    if model.A_is_constant:
+        lam = decompose(model.A_at(np.zeros(model.N)), c_min).lambdas
+        return np.broadcast_to(lam, (len(x), model.N))
+    return frames_at_states(model, x, profile.eval(x), c_min).lambdas
 
 
 def frame_along_profile(model: ModelSpec, profile: ProfileRep,

@@ -9,6 +9,7 @@ where ``powers`` has one exponent per state variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,23 +50,38 @@ class Poly:
             terms.append((float(c), powers))
         return cls(n_vars, tuple(terms))
 
-    @property
+    @cached_property
     def is_constant(self) -> bool:
         return all(all(p == 0 for p in powers) for _, powers in self.terms)
+
+    @cached_property
+    def value(self) -> float:
+        """A constant polynomial's value, summed in term order as evaluation sums it."""
+        total = 0.0
+        for coeff, _ in self.terms:
+            total += coeff
+        return total
+
+    @cached_property
+    def _monomials(self) -> tuple:
+        """Terms as (coeff, ((k, p), ...)) with the zero exponents dropped."""
+        return tuple((coeff, tuple((k, p) for k, p in enumerate(powers) if p))
+                     for coeff, powers in self.terms)
 
     def __call__(self, U: np.ndarray) -> np.ndarray:
         """Evaluate at states ``U`` of shape (..., n_vars); returns shape (...)."""
         U = np.asarray(U, dtype=float)
         out = np.zeros(U.shape[:-1], dtype=float)
-        for coeff, powers in self.terms:
-            term = coeff
-            for k, p in enumerate(powers):
-                if p == 1:
-                    term = term * U[..., k]
-                elif p > 1:
-                    term = term * U[..., k] ** p
-            out += term
+        self.add_to(out, U)
         return out
+
+    def add_to(self, out: np.ndarray, U: np.ndarray) -> None:
+        """out += the polynomial at ``U``, one monomial at a time."""
+        for coeff, factors in self._monomials:
+            term = coeff
+            for k, p in factors:
+                term = term * (U[..., k] if p == 1 else U[..., k] ** p)
+            out += term
 
     def diff(self, var: int) -> "Poly":
         """Exact partial derivative with respect to variable ``var``."""
@@ -87,14 +103,22 @@ class Poly:
         return Poly(self.n_vars, self.terms + other.terms)
 
 
+def _fill(out: np.ndarray, p: Poly, U: np.ndarray) -> None:
+    """Evaluate p at U into the zero-filled ``out``: a constant as its value."""
+    if p.is_constant:
+        if p.terms:
+            out[...] = p.value
+    else:
+        p.add_to(out, U)
+
+
 def poly_matrix_eval(entries, U: np.ndarray) -> np.ndarray:
     """Evaluate a nested sequence of Poly entries at U (..., n) -> (..., rows, cols)."""
     U = np.asarray(U, dtype=float)
     out = np.zeros(U.shape[:-1] + (len(entries), len(entries[0])), dtype=float)
     for i, row in enumerate(entries):
         for j, p in enumerate(row):
-            if p.terms:
-                out[..., i, j] = p(U)
+            _fill(out[..., i, j], p, U)
     return out
 
 
@@ -103,8 +127,7 @@ def poly_vector_eval(entries, U: np.ndarray) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     out = np.zeros(U.shape[:-1] + (len(entries),), dtype=float)
     for i, p in enumerate(entries):
-        if p.terms:
-            out[..., i] = p(U)
+        _fill(out[..., i], p, U)
     return out
 
 

@@ -15,7 +15,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import InvalidParam, PairingAmbiguous, ScanTooCoarse
-from .eigenframe import endstate_diagonals, frames_at_states
+from .eigenframe import _flip_parity, endstate_diagonals, frames_at_states
 from .model import ModelSpec
 from .profile import ProfileRep
 
@@ -82,8 +82,28 @@ def _min_cost_permutation(cost, perms):
 def _scan_side(model: ModelSpec, side: str, xi_grid: np.ndarray) -> SpectralScan:
     """All symbol spectra of one side from one stacked ``eigvals``; branches are
     ordered by (Im, Re) at the first frequency and continued by the matching
-    that moves them least in total from one frequency to the next."""
+    that moves them least in total from one frequency to the next.
+
+    For N = 2 there is no loop over frequencies.  Against the raw rows, the
+    matching at frequency m is a swap when the swap is strictly cheaper than
+    the raw order and the matching at m - 1 is not, or the other way round;
+    on a tie it is the raw order.  That is the ``_flip_parity`` of the cost
+    differences, formed as the enumeration forms its costs.
+    """
     spectra = _symbol_eigvals(model, side, xi_grid)
+    if model.N == 2:
+        spectra[0] = _by_im_re(spectra[0])
+        prev, mu = spectra[:-1], spectra[1:]
+
+        def dist(a, b):  # abs(b - a) of Python complex numbers
+            d = b - a
+            return np.hypot(d.real, d.imag)
+
+        keep = dist(prev[:, 0], mu[:, 0]) + dist(prev[:, 1], mu[:, 1])
+        swap = dist(prev[:, 0], mu[:, 1]) + dist(prev[:, 1], mu[:, 0])
+        swapped = _flip_parity(swap - keep)
+        spectra[swapped] = spectra[swapped, ::-1]
+        return SpectralScan(side=side, xi_grid=xi_grid, spectra=spectra)
     rows = spectra.tolist()
     rows[0] = _by_im_re(spectra[0]).tolist()
     perms = list(permutations(range(model.N)))

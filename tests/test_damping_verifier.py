@@ -168,6 +168,24 @@ def _weights_per_family(model, profile, C_alpha, c_alpha, spectrum=_eigvals_spec
     return out
 
 
+@pytest.mark.parametrize("case", ["jinxin", "vara"])
+def test_weights_evaluate_the_profile_only_where_A_varies(case, request, monkeypatch):
+    if case == "jinxin":
+        model, prof = request.getfixturevalue("jinxin"), request.getfixturevalue("jinxin_profile")
+    else:
+        model, prof = request.getfixturevalue("vara_profile")
+    points = []
+    original = type(prof).eval
+
+    def counted(self, x):
+        points.append(np.size(x))
+        return original(self, x)
+    monkeypatch.setattr(type(prof), "eval", counted)
+    weight_fn(model, prof, 1.0, 0.25)
+    cells = len(prof.grid) - 1
+    assert points == ([] if model.A_is_constant else [7 * cells, 15 * cells])
+
+
 @pytest.fixture(scope="module")
 def vara_profile():
     model = vara_model()

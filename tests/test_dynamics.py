@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,18 @@ def test_blowup_guard(jinxin, jinxin_profile):
                 budget=0.02).step_reference(snap, dt=0.004)
 
 
+@pytest.mark.parametrize("backend", ["reference", "moc"])
+def test_blowup_guard_catches_a_nan(backend, jinxin, jinxin_profile):
+    # NaN > limit is False: a guard written as amp > limit let this step on
+    snap = make_initial(jinxin_profile, _GAUSS)
+    snap.U[2000, 1] = np.nan
+    with pytest.raises(BlowUp, match="nan"):
+        Stepper(jinxin, jinxin_profile, snap.grid, ShiftSpec(kind="zero"),
+                budget=0.02).step(snap, 0.004, backend)
+    with pytest.raises(BudgetExceeded):
+        make_initial(jinxin_profile, PerturbationSpec(kind="gaussian", amplitude=np.nan))
+
+
 # --- state-dependent A ---------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -310,28 +324,145 @@ _SINUSOID = ShiftSpec("sinusoid", amplitude=0.01, frequency=0.05)
 _OFFSET = PerturbationSpec(kind="offset", d_minus=(2e-3, 1e-3), d_plus=(-2e-3, 5e-4))
 
 
+def _counter(monkeypatch, calls, owner, name):
+    """Count the calls of ``owner.name`` into ``calls[name]``."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_constant_A_steps_form_only_what_they_read(jinxin, jinxin_profile, monkeypatch):
     snap = make_initial(jinxin_profile, _GAUSS)
     snap.t = 1.3  # ddelta != 0
-    stepper = Stepper(jinxin, jinxin_profile, snap.grid, _SINUSOID)
-    calls = dict.fromkeys(("q_at", "Q_at", "transformed_source", "frames_at_states"), 0)
-
-    def count(owner, name):
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
-
+    calls = dict.fromkeys(("q_at", "Q_at", "transformed_source", "frames_at_states",
+                           "_check_cfl", "_foot_stencil"), 0)
     for name in ("q_at", "Q_at"):
-        count(ModelSpec, name)
-    for name in ("transformed_source", "frames_at_states"):
-        count(dynamics, name)
-    for backend, want in (("moc", {"q_at": 3, "Q_at": 1}), ("reference", {"q_at": 4, "Q_at": 0})):
-        calls.update(dict.fromkeys(calls, 0))
-        stepper.step(snap, 0.005, backend)
-        assert calls == {**want, "transformed_source": 0, "frames_at_states": 0}, backend
+        _counter(monkeypatch, calls, ModelSpec, name)
+    for name in ("transformed_source", "frames_at_states", "_foot_stencil"):
+        _counter(monkeypatch, calls, dynamics, name)
+    _counter(monkeypatch, calls, Stepper, "_check_cfl")
+    stepper = Stepper(jinxin, jinxin_profile, snap.grid, _SINUSOID)
+    # the speeds, their CFL check and the moc stencils are formed once per
+    # (dt, ddelta): a second step at the same pair forms none of them again
+    for backend, first, again in (
+            ("moc", {"q_at": 3, "Q_at": 1, "_check_cfl": 1, "_foot_stencil": 1},
+             {"q_at": 3, "Q_at": 1}),
+            ("reference", {"q_at": 4, "_check_cfl": 1}, {"q_at": 4})):
+        stepper._speeds = None
+        for want in (first, again):
+            calls.update(dict.fromkeys(calls, 0))
+            stepper.step(snap, 0.005, backend)
+            assert calls == {**dict.fromkeys(calls, 0), **want}, backend
+
+
+# --- the family-fused constant-A moc step ---------------------------------------
+
+def _shift_cubic(f, s, left, right):
+    """Cubic Lagrange interpolation at x_k + s dx of every node, -1 <= s < 1."""
+    n, m = len(f), math.floor(s)
+    pad = np.concatenate([[left, left], f, [right, right]])
+    fm1, f0, f1, f2 = (pad[m + k:m + k + n] for k in range(1, 5))
+    t = s - m
+    wm1 = -t * (t - 1.0) * (t - 2.0) / 6.0
+    w0 = (t * t - 1.0) * (t - 2.0) / 2.0
+    w1 = -t * (t + 1.0) * (t - 2.0) / 2.0
+    w2 = t * (t * t - 1.0) / 6.0
+    return wm1 * fm1 + w0 * f0 + w1 * f1 + w2 * f2
+
+
+def _shift_linear(f, s, left, right):
+    """Linear interpolation at x_k + s dx of every node, -1 <= s < 1."""
+    n, m = len(f), math.floor(s)
+    pad = np.concatenate([[left], f, [right]])
+    t = s - m
+    return (1.0 - t) * pad[m + 1:m + 1 + n] + t * pad[m + 2:m + 2 + n]
+
+
+def _per_family_constant_A_step(stepper, snap, dt):
+    """The constant-A moc step as it was written family by family: node-major
+    fields, one edge-padded copy and one fixed stencil per family and field,
+    and the boundary rows as a stacked explicit midpoint."""
+    model, frames, n = stepper.model, stepper.frames0, len(snap.U)
+    L0T, R0T = np.ascontiguousarray(frames.L[0].T), np.ascontiguousarray(frames.R[0].T)
+    kron_diag = np.ascontiguousarray(frames.kron[:, ::model.N + 1])
+    c = frames.lambdas[0] - stepper.shift.delta_dot(snap.t)
+    Ut = stepper.Ubar + snap.U
+    E = model.Q_at(Ut).reshape(n, -1) @ kron_diag
+    Phi = snap.U @ L0T
+    G = stepper.source(Ut, snap.t) @ L0T - E * Phi
+    phi_bl, phi_br = frames.L[0] @ snap.b_left, frames.L[-1] @ snap.b_right
+    Phi_new = np.empty(Phi.T.shape)
+    for j, (phi, e, g) in enumerate(zip(Phi.T, E.T, G.T)):
+        s = -float(c[j]) * dt / stepper.dx
+        Phif = _shift_cubic(phi, s, phi_bl[j], phi_br[j])
+        Ef = _shift_linear(e, s, e[0], e[-1])
+        Gm = _shift_linear(g, 0.5 * s, g[0], g[-1])
+        h = 0.5 * dt * (Ef + e)
+        Phi_new[j] = np.exp(h) * Phif + dt * np.exp(0.5 * h) * Gm
+    U_new = Phi_new.T @ R0T
+    about = stepper.about_boundary
+    V = np.stack([snap.U[0], snap.U[-1], snap.b_left, snap.b_right])
+    k1 = stepper.source(about.U + V, snap.t, about)
+    rows = V + dt * stepper.source(about.U + (V + 0.5 * dt * k1), snap.t + 0.5 * dt, about)
+    U_new[0], U_new[-1] = rows[0], rows[1]
+    return dynamics.Snapshot(t=snap.t + dt, grid=snap.grid, U=U_new,
+                             b_left=rows[2], b_right=rows[3])
+
+
+def _mixed_speed_3x3():
+    """Constant-A N = 3 model with family speeds of both signs and a nonlinear,
+    coupled source about the equilibrium U = 0."""
+    A = [[0.5, 1.0, 0.0], [0.2, -1.0, 0.3], [0.0, 0.4, 1.5]]
+    q = [[[-1.0, [1, 0, 0]], [0.2, [0, 1, 0]]],
+         [[-0.5, [0, 1, 0]], [0.3, [2, 0, 0]]],
+         [[-0.8, [0, 0, 1]], [0.1, [0, 1, 0]], [0.4, [1, 0, 1]]]]
+    return build_custom("mixed3", 3, A, q, U_minus=[0.0] * 3, U_plus=[0.0] * 3,
+                        state_box=([-1.0] * 3, [1.0] * 3))
+
+
+@pytest.mark.parametrize("case", ["jinxin-zero", "jinxin-sinusoid", "mixed3-zero",
+                                  "mixed3-linear"])
+def test_family_fused_step_matches_per_family_step_bit_for_bit(case, jinxin,
+                                                               jinxin_profile):
+    if case.startswith("jinxin"):
+        model, prof, pert = jinxin, jinxin_profile, _OFFSET
+    else:
+        model = _mixed_speed_3x3()
+        prof = constant_profile(model, [0.0] * 3, X=10.0, n=501)
+        pert = PerturbationSpec(kind="offset", d_minus=(2e-3, -1e-3, 5e-4),
+                                d_plus=(-1e-3, 1e-3, 2e-3))
+    shift = {"zero": ShiftSpec(kind="zero"), "sinusoid": _SINUSOID,
+             "linear": ShiftSpec(kind="linear", rate=0.3)}[case.split("-")[1]]
+    stepper = Stepper(model, prof, prof.grid, shift)
+    s = -(stepper.frames0.lambdas[0] - shift.delta_dot(0.0))
+    if model.N == 3:  # stencil rows at different pad offsets
+        assert np.min(s) < 0.0 < np.max(s)
+    dt = 0.8 * stepper.dx / float(np.max(np.abs(s)) + shift.eps_delta)
+    new = old = make_initial(prof, pert)
+    for k in range(120):
+        new.t = old.t = k * dt
+        new, old = stepper.step_moc(new, dt), _per_family_constant_A_step(stepper, old, dt)
+        for a, b in ((new.U, old.U), (new.b_left, old.b_left), (new.b_right, old.b_right)):
+            assert a.tobytes() == b.tobytes(), (case, k)
+    assert np.max(np.abs(new.U)) > 1e-4  # the data did not leave the grid
+
+
+@pytest.mark.parametrize("shift, stencils", [(ShiftSpec(kind="zero"), "one"),
+                                             (_SINUSOID, "every step")])
+def test_stencil_weights_and_cfl_check_formed_once_per_zero_shift_run(
+        shift, stencils, jinxin, jinxin_profile, monkeypatch):
+    calls = {"_check_cfl": 0, "_foot_stencil": 0}
+    _counter(monkeypatch, calls, Stepper, "_check_cfl")
+    _counter(monkeypatch, calls, dynamics, "_foot_stencil")
+    traj = evolve(jinxin, jinxin_profile, _GAUSS, shift, T=1.0, backend="moc",
+                  dx=0.02, n_out=4)
+    steps = round(1.0 / traj.dt)
+    assert steps >= 100
+    want = 1 if stencils == "one" else steps
+    assert calls == {"_check_cfl": want, "_foot_stencil": want}
 
 
 def _separate_boundary_updates(model, prof, grid, shift, snap, dt):

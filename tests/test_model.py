@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import vara_model
 from relaxdamp import build_custom, build_jinxin, eval_A, eval_Q, eval_q, validate_model
 from relaxdamp.errors import DegenerateShock, InvalidParam, OutOfDomain, ValidationFailed
 from relaxdamp.model import fd_jacobian
@@ -138,6 +139,56 @@ def test_validate_model_detects_wrong_jacobian():
     with pytest.raises(ValidationFailed) as err:
         validate_model(m, n_samples=20, seed=0)
     assert err.value.state is not None
+
+
+def _validate_model_loop(model, n_samples, seed):
+    """validate_model as one sample at a time: (worst error, worst state), or
+    the state of the first non-finite evaluation."""
+    rng = np.random.default_rng(seed)
+    lo, hi = model.state_box
+    samples = lo + (hi - lo) * rng.random((n_samples, model.N))
+    worst_err, worst_state = 0.0, samples[0]
+    for U in samples:
+        A, qv, Qv = model.A_at(U), model.q_at(U), model.Q_at(U)
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(qv))
+                and np.all(np.isfinite(Qv))):
+            return "non-finite", U
+        err = np.max(np.abs(Qv - fd_jacobian(model.q_at, U))) / (1.0 + np.max(np.abs(Qv)))
+        if err > worst_err:
+            worst_err, worst_state = err, U
+    return float(worst_err), worst_state
+
+
+def _cubic_3x3(scale=1.0):
+    q = [[[1.0, [3, 0, 0]], [-1.0, [0, 1, 0]]], [[0.3, [1, 2, 0]]],
+         [[-0.7 * scale, [0, 0, 5]], [0.2, [1, 1, 1]]]]
+    return build_custom("cubic3", 3, [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]],
+                        q, state_box=([-2.0] * 3, [2.0] * 3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("which", ["jinxin", "vara", "cubic3", "wrong-Q", "overflow"])
+def test_batched_validation_matches_the_sample_loop(which, jinxin):
+    wrong = build_custom("wrong", 2, [[0.0, 1.0], [1.0, 0.0]], [0.0, [[1.0, [2, 0]]]],
+                         Q_entries=[[0.0, 0.0], [[[2.1, [1, 0]]], 0.0]],
+                         state_box=([-1.0] * 2, [1.0] * 2))
+    model = {"jinxin": jinxin, "vara": vara_model(), "cubic3": _cubic_3x3(),
+             "wrong-Q": wrong, "overflow": _cubic_3x3(1e307)}[which]
+    for seed in range(4):
+        for n in (1, 5, 100):
+            want_err, want_state = _validate_model_loop(model, n, seed)
+            if want_err == "non-finite" or want_err > 1e-6:
+                with pytest.raises(ValidationFailed) as err:
+                    validate_model(model, n, seed)
+                assert np.array_equal(err.value.state, want_state)
+                if want_err == "non-finite":
+                    assert "non-finite" in str(err.value)
+                else:
+                    assert err.value.error == want_err
+            else:
+                report = validate_model(model, n, seed)
+                assert report.max_rel_jacobian_error == want_err
+                assert np.array_equal(report.worst_state, want_state)
 
 
 def test_validate_model_needs_samples(jinxin):

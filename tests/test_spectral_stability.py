@@ -273,6 +273,34 @@ def test_config_scans_match_assignment_matching(payload):
         assert got.tobytes() == _scan_side_loop(cfg.model, side, xi_grid).tobytes()
 
 
+def _scan_by_enumeration(spectra):
+    """Branch continuation frequency by frequency through ``_min_cost_permutation``."""
+    rows = spectra.tolist()
+    rows[0] = sorted(rows[0], key=lambda z: (z.imag, z.real))
+    perms = list(permutations(range(spectra.shape[1])))
+    for m in range(1, len(rows)):
+        prev, mu = rows[m - 1], rows[m]
+        p = _min_cost_permutation([[abs(b - a) for b in mu] for a in prev], perms)
+        rows[m] = [mu[j] for j in p]
+    return np.array(rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(arrays(np.complex128, st.tuples(st.integers(1, 40), st.just(2)),
+              elements=st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                                          allow_infinity=False).map(
+                                              lambda z: complex(round(z.real), z.imag))
+              | st.sampled_from([0j, 1 + 0j, -1 + 1j, 1j, 2 + 0j])))
+def test_two_branch_scan_matches_the_enumeration(spectra):
+    # small integers make exact ties, where the matching resets to the raw order
+    import relaxdamp.spectral_stability as ss
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ss, "_symbol_eigvals", lambda model, side, xi: spectra.copy())
+        got = _scan_side(decay_model(), "plus", np.arange(len(spectra), dtype=float)).spectra
+    assert got.tobytes() == _scan_by_enumeration(spectra).tobytes()
+
+
 def _square_costs():
     entries = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
                         st.integers(0, 2).map(float))  # small integers make ties
