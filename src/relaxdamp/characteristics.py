@@ -176,7 +176,6 @@ class HBoundReport:
 def verify_H_bound(paths: list[CharPath], theta_E: float,
                    model: ModelSpec | None = None,
                    profile: ProfileRep | None = None,
-                   c_nonchar: float | None = None,
                    eps_delta: float = 0.0,
                    compare_horizon: float | None = None,
                    growth_tol: float = 0.25,
@@ -200,9 +199,7 @@ def verify_H_bound(paths: list[CharPath], theta_E: float,
                           C_theory={})
     if model is not None and profile is not None:
         sf = source if source is not None else profile_source_field(model, profile)
-        speed = c_nonchar if c_nonchar is not None \
-            else float(np.min(np.abs(sf.frames.lambdas)))
-        speed = max(speed - eps_delta, 1e-12)
+        speed = max(float(np.min(np.abs(sf.frames.lambdas))) - eps_delta, 1e-12)
         for j in fams:
             excess = np.maximum(sf.E_diag[:, j] + theta_E, 0.0)
             report.C_theory[j] = float(np.trapezoid(excess, profile.grid) / speed)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .damping_verifier import EDGE_TRIM
 from .errors import ParseError, ValidationError
 from .eigenframe import DampingRate, SourceField, damping_rate, profile_source_field
 from .model import ModelSpec, build_custom, build_jinxin
@@ -131,10 +132,41 @@ def _require(cond: bool, message: str, key_path: str) -> None:
         raise ValidationError(f"{message} at {key_path}", key_path=key_path)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value, length: int | None = None) -> bool:
+    """Whether value is a list of numbers, of ``length`` entries if given."""
+    return (isinstance(value, list) and all(_is_number(v) for v in value)
+            and (length is None or len(value) == length))
+
+
+def _check_entry(entry, n: int, key_path: str) -> None:
+    """A custom polynomial entry: a number or a list of [coefficient, [n exponents]] terms."""
+    ok = _is_number(entry) or (isinstance(entry, list) and all(
+        isinstance(term, list) and len(term) == 2 and _is_number(term[0])
+        and _is_numbers(term[1], n)
+        and all(p >= 0 and float(p).is_integer() for p in term[1])
+        for term in entry))
+    _require(ok, f"expected a number or a list of [coefficient, [{n} exponents]] "
+             f"terms, got {entry!r}", key_path)
+
+
+def _check_entries(entries, n: int, key_path: str, square: bool = False) -> None:
+    """A list of n custom entries, or of n such lists when ``square``."""
+    _require(isinstance(entries, list) and len(entries) == n,
+             f"expected a list of {n} {'rows' if square else 'entries'}", key_path)
+    for i, entry in enumerate(entries):
+        if square:
+            _check_entries(entry, n, f"{key_path}[{i}]")
+        else:
+            _check_entry(entry, n, f"{key_path}[{i}]")
+
+
 def _check_number(value, key_path, positive=False, nonnegative=False,
                   integer=False, minimum=None, maximum=None):
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    _require(ok, f"expected a number, got {value!r}", key_path)
+    _require(_is_number(value), f"expected a number, got {value!r}", key_path)
     if integer:
         _require(float(value).is_integer(), f"expected an integer, got {value!r}",
                  key_path)
@@ -264,8 +296,8 @@ def _validate(raw: dict) -> None:
     if mc["kind"] == "jinxin":
         _check_number(mc["a"], "model.a", positive=True)
         _check_number(mc["eps"], "model.eps", positive=True)
-        _require(isinstance(mc["flux"], list) and len(mc["flux"]) >= 1,
-                 "flux must be a coefficient list", "model.flux")
+        _require(_is_numbers(mc["flux"]) and len(mc["flux"]) >= 1,
+                 "flux must be a list of coefficients", "model.flux")
         _check_number(mc["u_minus"], "model.u_minus")
         _check_number(mc["u_plus"], "model.u_plus")
         _require(mc["u_minus"] != mc["u_plus"], "endstates must differ",
@@ -273,12 +305,20 @@ def _validate(raw: dict) -> None:
     else:
         _check_number(mc.get("N", 0), "model.N", integer=True, minimum=1)
         n = int(mc["N"])
-        _require(isinstance(mc.get("A"), list) and len(mc["A"]) == n
-                 and all(isinstance(row, list) and len(row) == n
-                         for row in mc["A"]),
-                 f"A must be an {n}x{n} entry array", "model.A")
-        _require(isinstance(mc.get("q"), list) and len(mc["q"]) == n,
-                 f"q must list {n} entries", "model.q")
+        _check_entries(mc.get("A"), n, "model.A", square=True)
+        _check_entries(mc.get("q"), n, "model.q")
+        if mc.get("Q") is not None:
+            _check_entries(mc["Q"], n, "model.Q", square=True)
+        for key in ("U_minus", "U_plus"):
+            if mc.get(key) is not None:
+                _require(_is_numbers(mc[key], n), f"{key} must list {n} numbers",
+                         f"model.{key}")
+        box = mc.get("state_box")
+        if box is not None:
+            _require(isinstance(box, list) and len(box) == 2
+                     and all(_is_numbers(side, n) for side in box),
+                     f"state_box must be two lists of {n} numbers", "model.state_box")
+        _check_number(mc.get("shock_speed", 0.0), "model.shock_speed")
 
     pc = raw["profile"]
     _check_number(pc["X"], "profile.X", positive=True)
@@ -305,19 +345,29 @@ def _validate(raw: dict) -> None:
         _check_number(pk["amplitude"], "dynamics.perturbation.amplitude",
                       nonnegative=True)
         _check_number(pk["width"], "dynamics.perturbation.width", positive=True)
+        _check_number(pk["center"], "dynamics.perturbation.center")
+        _require(pk["direction"] is None or _is_numbers(pk["direction"]),
+                 "direction must be a list of numbers", "dynamics.perturbation.direction")
     if pk["kind"] == "offset":
-        _require(isinstance(pk["d_minus"], list),
-                 "offset needs d_minus", "dynamics.perturbation.d_minus")
-        _require(isinstance(pk["d_plus"], list),
-                 "offset needs d_plus", "dynamics.perturbation.d_plus")
+        for key in ("d_minus", "d_plus"):
+            _require(_is_numbers(pk[key]), f"offset needs {key} as a list of numbers",
+                     f"dynamics.perturbation.{key}")
         _check_number(pk["blend_width"], "dynamics.perturbation.blend_width",
                       positive=True)
+    if pk["kind"] == "shift_difference":
+        _check_number(pk["h"], "dynamics.perturbation.h")
     _require(dc["shift"]["kind"] in ("zero", "linear", "sinusoid"),
              "unknown shift kind", "dynamics.shift.kind")
+    for key in ("rate", "amplitude", "frequency"):
+        _check_number(dc["shift"][key], f"dynamics.shift.{key}")
     _check_number(dc["T"], "dynamics.T", positive=True)
     _require(dc["backend"] in ("moc", "reference"),
              "backend must be moc or reference", "dynamics.backend")
     _check_number(dc["dx"], "dynamics.dx", positive=True)
+    nodes = int(round(2.0 * pc["X"] / dc["dx"])) + 1  # as evolve lays out its grid
+    _require(nodes >= 2 * EDGE_TRIM + 1,
+             f"dx leaves {nodes} evolution nodes on [-X, X], fewer than the "
+             f"{2 * EDGE_TRIM + 1} the edge-trimmed norms need", "dynamics.dx")
     _check_number(dc["cfl"], "dynamics.cfl", positive=True, maximum=0.9)
     _check_number(dc["n_out"], "dynamics.n_out", integer=True, minimum=1)
     _check_number(dc["budget"], "dynamics.budget", positive=True)
@@ -337,10 +387,11 @@ def _validate(raw: dict) -> None:
     _check_number(vc["K"], "verify.K", integer=True, minimum=0, maximum=2)
     _require(isinstance(vc["include_l2"], bool), "include_l2 must be boolean",
              "verify.include_l2")
-    if vc["C_alpha"] is not None:
-        _check_number(vc["C_alpha"], "verify.C_alpha", positive=True)
-    if vc["c_alpha"] is not None:
-        _check_number(vc["c_alpha"], "verify.c_alpha", positive=True)
+    for key, other in (("C_alpha", "c_alpha"), ("c_alpha", "C_alpha")):
+        if vc[key] is not None:
+            _check_number(vc[key], f"verify.{key}", positive=True)
+            _require(vc[other] is not None, f"{key} needs {other} as well",
+                     f"verify.{other}")
     _check_number(vc["n_paths"], "verify.n_paths", integer=True, minimum=1)
     _check_number(vc["n_sub"], "verify.n_sub", integer=True, minimum=1)
     _check_number(vc["growth_tol"], "verify.growth_tol", positive=True)

@@ -10,11 +10,11 @@ The right-hand side is evaluated in this subtracted form so U = 0 is an exact
 discrete equilibrium.  Two independent backends advance it: a first-order
 characteristic-upwind scheme ("reference") and a semi-Lagrangian scheme that
 integrates the diagonalized system along characteristics with a one-step
-Duhamel update ("moc").  Both evaluate it through ``Stepper.source`` and
-extend fields beyond the grid by the evolving boundary states.  The two
-outermost nodes and the two boundary states are advanced together, as one
-four-row explicit midpoint by the source alone: the boundary states are
-perturbations of the far-field states, where Ubar_x = 0.
+Duhamel update ("moc").  Both evaluate it through ``Stepper.source`` on the
+rows of U edge-padded by the evolving boundary states, about the profile
+padded by the far-field states, where Ubar_x = 0.  The reference step is one
+explicit midpoint over all n + 2 rows, with no advection in the four edge
+rows; the moc step advances those four by the same midpoint.
 
 When A is constant every node of family j moves at the same speed
 c_j = lambda_j - ddelta(t), so the moc foot sits at one offset s_j = -c_j dt /
@@ -25,8 +25,8 @@ once into an edge-padded buffer whose row j starts at column 1 - floor(s_j).
 The 4-point cubic Lagrange stencil for Phi and the 2-point stencils for E (at
 s) and G (at s / 2) are then 4 + 2 + 2 slices over all families at once.
 The offsets, the stencil weights, the speeds and their CFL check depend only
-on (dt, ddelta), and are formed once per pair.  A state-dependent A keeps
-per-node interpolation at each foot.
+on (dt, ddelta), and are formed once per pair.  A state-dependent A traces
+each node's foot, for all families in one pass.
 """
 
 from __future__ import annotations
@@ -144,8 +144,10 @@ class PerturbationSpec:
             direction = np.zeros(N)
             if self.direction is None:
                 direction[-1] = 1.0
+            elif len(self.direction) != N:
+                raise InvalidParam("gaussian direction must have one entry per component")
             else:
-                direction[:] = np.asarray(self.direction, dtype=float)
+                direction[:] = self.direction
             z = (x - self.center) / self.width
             g = self.amplitude * np.exp(-0.5 * z * z)
             gx = -g * z / self.width
@@ -338,25 +340,27 @@ def grid_step(grid: np.ndarray) -> float:
     return float(grid[-1] - grid[0]) / (len(grid) - 1)
 
 
-def _cubic_interp(f: np.ndarray, cells: np.ndarray, fill_left: float,
-                  fill_right: float) -> np.ndarray:
-    """Cubic Lagrange interpolation at cell positions (node k at k), flat beyond the grid."""
-    return _cubic_at(_edge_pad(f, 2, fill_left, fill_right), cells)
+def _cell_reads(pad: np.ndarray, cells: np.ndarray):
+    """Offsets t of family-major cell positions (N, n) into their cells, and the
+    flat index in a node-major pad (rows, N) of row floor(cells) + 1 in each
+    position's family column."""
+    i = np.floor(cells)
+    N = pad.shape[1]
+    return cells - i, i.astype(np.intp) * N + np.arange(N, 2 * N)[:, None]
 
 
-def _linear_interp(f: np.ndarray, cells: np.ndarray, fill_left: float,
-                   fill_right: float) -> np.ndarray:
-    """Linear interpolation at cell positions (node k at k), flat beyond the grid."""
-    n = len(f)
-    i = np.floor(cells).astype(int)
-    t = cells - i
-    pad = _edge_pad(f, 1, fill_left, fill_right)
-    idx = np.clip(i + 1, 0, n)
-    nxt = np.clip(i + 2, 1, n + 1)
-    out = (1.0 - t) * pad[idx] + t * pad[nxt]
-    out[cells < -1.0] = fill_left
-    out[cells > n] = fill_right
-    return out
+def _cubic_interp(pad: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Cubic Lagrange interpolation at family-major cell positions (N, n) in
+    [-1, n), node k at k, of fields (n, N) edge-padded by two rows (n + 4, N)."""
+    t, at = _cell_reads(pad, cells)
+    return _cubic_lagrange(t, *(pad.ravel()[at + k * pad.shape[1]] for k in range(4)))
+
+
+def _linear_interp(pad: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Linear interpolation at family-major cell positions (N, n) in [-1, n),
+    node k at k, of fields (n, N) edge-padded by one row (n + 2, N)."""
+    t, at = _cell_reads(pad, cells)
+    return (1.0 - t) * pad.ravel()[at] + t * pad.ravel()[at + pad.shape[1]]
 
 
 def _foot_stencil(s: np.ndarray):
@@ -404,10 +408,8 @@ class _Base:
     q: np.ndarray
     A: np.ndarray | None
 
-    @classmethod
-    def at(cls, model: ModelSpec, U: np.ndarray, U_x: np.ndarray) -> "_Base":
-        A = None if model.A_is_constant else model.A_at(U)
-        return cls(U=U, U_x=U_x, q=model.q_at(U), A=A)
+    def rows(self, sel) -> "_Base":
+        return _Base(*(None if f is None else f[sel] for f in (self.U, self.U_x, self.q, self.A)))
 
 
 class Stepper:
@@ -421,17 +423,17 @@ class Stepper:
         self.budget = budget
         self.grid = np.asarray(grid, dtype=float)
         self.dx = float(self.grid[1] - self.grid[0])
-        self.Ubar = profile.eval(self.grid)
-        Ubar_x = profile.eval_d1(self.grid)
-        self.about_profile = _Base.at(model, self.Ubar, Ubar_x)
-        # The edge nodes and the boundary states, which perturb the far-field
-        # states; Ubar_x = 0 at the far field.
-        far = np.stack([
-            model.U_minus if model.U_minus is not None else self.Ubar[0],
-            model.U_plus if model.U_plus is not None else self.Ubar[-1]])
-        self.about_boundary = _Base.at(
-            model, np.concatenate([self.Ubar[[0, -1]], far]),
-            np.concatenate([Ubar_x[[0, -1]], np.zeros_like(far)]))
+        Ubar = profile.eval(self.grid)
+        # The rows of U edge-padded by the boundary states, which perturb the
+        # far-field states; Ubar_x = 0 at the far field.
+        U = _edge_pad(Ubar, 1, model.U_minus if model.U_minus is not None else Ubar[0],
+                      model.U_plus if model.U_plus is not None else Ubar[-1])
+        self.about = _Base(U, _edge_pad(profile.eval_d1(self.grid), 1, 0.0, 0.0),
+                           model.q_at(U), None if model.A_is_constant else model.A_at(U))
+        self.about_profile = self.about.rows(slice(1, -1))
+        # the edge nodes, then the boundary states
+        self.about_boundary = self.about.rows([1, -2, 0, -1])
+        self.Ubar = self.about_profile.U
         self.frames0 = None
         if model.A_is_constant:
             self.frames0 = frames_at_states(model, self.grid, self.Ubar)
@@ -469,30 +471,29 @@ class Stepper:
             G += np.einsum("njk,nk->nj", transport, Phi.T).T
         return Phi, G
 
-    def _ode_node_update(self, V: np.ndarray, t: float, dt: float,
-                         about: _Base) -> np.ndarray:
+    def _ode_node_update(self, V: np.ndarray, t: float, dt: float, about: _Base,
+                         adv: np.ndarray | None = None) -> np.ndarray:
         """Explicit-midpoint update of perturbations V of the rows ``about`` by
-        the source alone (no advection).
+        the source less a frozen advection term ``adv`` (none by default).
 
-        about.U + (V + (dt / 2) k1) and V + dt k2 are formed in place, in that
-        order of operations.
+        With k = S - adv, about.U + (V + (dt / 2) k1) and (V - dt adv) + dt S2
+        are formed in place, in that order of operations.
         """
         k1 = self.source(about.U + V, t, about)
+        if adv is not None:
+            k1 -= adv
         k1 *= 0.5 * dt
         k1 += V
         k1 += about.U
         k2 = self.source(k1, t + 0.5 * dt, about)
         k2 *= dt
-        k2 += V
+        k2 += V if adv is None else V - dt * adv
         return k2
 
     def _advance_boundary(self, snap: Snapshot, dt: float) -> np.ndarray:
-        """U[0], U[-1], b_left and b_right one step on, as four rows.
-
-        One ``_ode_node_update`` advances the two edge nodes and the two
-        boundary states together.  At the far field Ubar_x = 0, so there the
-        dA and ddelta terms are exact zeros and b' = q(base + b) - q(base).
-        """
+        """U[0], U[-1], b_left and b_right one step on, as four rows: one
+        ``_ode_node_update`` of the edge nodes and the boundary states, whose
+        far-field base has Ubar_x = 0, so there b' = q(base + b) - q(base)."""
         V = np.array((snap.U[0], snap.U[-1], snap.b_left, snap.b_right))
         return self._ode_node_update(V, snap.t, dt, self.about_boundary)
 
@@ -532,57 +533,52 @@ class Stepper:
             self._speeds = _Speeds(dt, dd, c, self.dx)
         return Ut, frames, self._speeds.c
 
-    def _finish(self, snap: Snapshot, dt: float, U_new: np.ndarray) -> Snapshot:
-        """Boundary rows and blow-up guard.
-
-        The edge rows of U_new and the new boundary states come from one
-        four-row explicit midpoint by the source alone (``_advance_boundary``).
-        A non-finite U_new fails the guard as well.
-        """
-        rows = self._advance_boundary(snap, dt)
-        U_new[0], U_new[-1] = rows[0], rows[1]
+    def _finish(self, snap: Snapshot, dt: float, U_new: np.ndarray,
+                b_left: np.ndarray, b_right: np.ndarray) -> Snapshot:
+        """Blow-up guard, then the snapshot one step on; a non-finite U_new
+        fails the guard as well."""
         amp = float(np.max(np.abs(U_new)))
         if not amp <= BLOWUP_FACTOR * self.budget:
             raise BlowUp(f"|U| = {amp:.3e} left the small-data regime "
                          f"(budget {self.budget:.3e})")
         return Snapshot(t=snap.t + dt, grid=snap.grid, U=U_new,
-                        b_left=rows[2], b_right=rows[3])
+                        b_left=b_left, b_right=b_right)
 
     def step_reference(self, snap: Snapshot, dt: float) -> Snapshot:
         """First-order characteristic-upwind step with midpoint source.
 
         Both one-sided differences of every node come from the n + 1
         differences of U padded by the boundary states, diagonalized by the
-        frame of that node.
+        frame of that node.  One explicit midpoint then advances all n + 2
+        rows, the upwind advection frozen and zero in the four edge rows.
         """
-        Ut, frames, c = self._begin(snap, dt)
-        U, t = snap.U, snap.t
-        pad = _edge_pad(U, 1, snap.b_left, snap.b_right)
-        D = (pad[1:] - pad[:-1]) / self.dx
+        _, frames, c = self._begin(snap, dt)
+        V = _edge_pad(snap.U, 1, snap.b_left, snap.b_right)
+        D = (V[1:] - V[:-1]) / self.dx
         phi_m, phi_p = frames.to_diag(D[:-1]), frames.to_diag(D[1:])
-        adv = frames.from_diag(c * np.where(c > 0.0, phi_m, phi_p))
-        adv[0] = 0.0
-        adv[-1] = 0.0
+        adv = np.zeros_like(V)
+        adv[2:-2] = frames.from_diag(c * np.where(c > 0.0, phi_m, phi_p))[1:-1]
+        V = self._ode_node_update(V, snap.t, dt, self.about, adv)
+        return self._finish(snap, dt, V[1:-1], V[0], V[-1])
 
-        U_half = U + 0.5 * dt * (-adv + self.source(Ut, t))
-        U_new = U - dt * adv + dt * self.source(self.Ubar + U_half, t + 0.5 * dt)
-        return self._finish(snap, dt, U_new)
+    def _node_feet(self, c: np.ndarray, dt: float, Phi: np.ndarray, E: np.ndarray,
+                   G: np.ndarray, phi_left: np.ndarray, phi_right: np.ndarray):
+        """Phi and E at the feet and G at the segment midpoints of every family,
+        for per-node speeds c (n, N) and family-major (N, n) fields.
 
-    def _foot_values(self, c: np.ndarray, dt: float, phi: np.ndarray, e: np.ndarray,
-                     g: np.ndarray, phi_left: float, phi_right: float):
-        """One family's Phi and E at the characteristic foot and G at the segment
-        midpoint, for per-node speeds c (n,).
-
-        The foot is traced per node with a midpoint correction and
-        interpolated there, located in cells as the node index k plus its
-        offset -c dt / dx.
+        Each node's foot is traced with a midpoint correction, located in
+        cells as the node index k plus its offset -c dt / dx.  c, E and G are
+        padded once by their edge values, Phi by the diagonal boundary states.
+        The feet are C-contiguous (N, n): the order of ``from_diag``'s sums
+        depends on it.
         """
-        k = np.arange(len(self.grid), dtype=float)
-        c_mid = _linear_interp(c, k - 0.5 * (c * dt / self.dx), c[0], c[-1])
+        k = np.arange(len(c), dtype=float)
+        s = np.ascontiguousarray(c.T) * dt / self.dx
+        c_mid = _linear_interp(_edge_pad(c, 1, c[0], c[-1]), k - 0.5 * s)
         foot = k - c_mid * dt / self.dx
-        Ef = _linear_interp(e, foot, e[0], e[-1])
-        Gm = _linear_interp(g, 0.5 * (k + foot), g[0], g[-1])
-        Phif = _cubic_interp(phi, foot, float(phi_left), float(phi_right))
+        Ef = _linear_interp(_edge_pad(E.T, 1, E[:, 0], E[:, -1]), foot)
+        Gm = _linear_interp(_edge_pad(G.T, 1, G[:, 0], G[:, -1]), 0.5 * (k + foot))
+        Phif = _cubic_interp(_edge_pad(Phi.T, 2, phi_left, phi_right), foot)
         return Phif, Ef, Gm
 
     def _stencil_feet(self, stencil: tuple, Phi: np.ndarray, E: np.ndarray,
@@ -625,8 +621,9 @@ class Stepper:
         (``FrameField.conjugate_diag``); the foot is one offset per family and
         the interpolations are the fixed stencils of ``_stencil_feet``, formed
         once per (dt, ddelta).  For state-dependent A the transformed source
-        supplies E and the frame transport, and each family's foot is traced
-        per node with a midpoint correction (``_foot_values``).
+        supplies E and the frame transport, and every node's foot is traced
+        with a midpoint correction, all families in one pass (``_node_feet``).
+        The four edge rows take the midpoint of ``_advance_boundary``.
         """
         Ut, frames, c = self._begin(snap, dt)
         if frames.constant:
@@ -643,10 +640,7 @@ class Stepper:
             Phif, Ef, Gm = self._stencil_feet(self._speeds.stencil, Phi, E, G,
                                               phi_bl, phi_br)
         else:
-            Phif, Ef, Gm = (np.empty(Phi.shape) for _ in range(3))
-            for j in range(len(Phi)):
-                Phif[j], Ef[j], Gm[j] = self._foot_values(
-                    c[:, j], dt, Phi[j], E[j], G[j], phi_bl[j], phi_br[j])
+            Phif, Ef, Gm = self._node_feet(c, dt, Phi, E, G, phi_bl, phi_br)
         # Phi_new = exp(h) Phif + (dt exp(h / 2)) Gm with h = dt (Ef + E) / 2, in place
         h = Ef
         h += E
@@ -658,7 +652,10 @@ class Stepper:
         h *= dt
         h *= Gm
         Phi_new += h
-        return self._finish(snap, dt, frames.from_diag(Phi_new.T))
+        U_new = frames.from_diag(Phi_new.T)
+        rows = self._advance_boundary(snap, dt)
+        U_new[0], U_new[-1] = rows[0], rows[1]
+        return self._finish(snap, dt, U_new, rows[2], rows[3])
 
     def step(self, snap: Snapshot, dt: float, backend: str) -> Snapshot:
         if backend == "reference":

@@ -37,6 +37,16 @@ def vara_model():
         U_minus=[1.0, 0.5], U_plus=[-1.0, 0.5])
 
 
+def vara3_model():
+    """3x3 model with A depending on u in three entries and a linear, decoupled
+    source; U = 0 is an equilibrium."""
+    u = Poly.variable(3, 0)
+    A = [[u, 1.0, 0.0], [0.5, 2.0, u.scaled(0.5)], [0.0, 0.3, u.scaled(-1.0)]]
+    q = [u.scaled(-1.0), Poly.variable(3, 1).scaled(-2.0), Poly.variable(3, 2).scaled(-0.5)]
+    return build_custom("varA3", 3, A, q, U_minus=[0.0] * 3, U_plus=[0.0] * 3,
+                        state_box=([-1.0] * 3, [1.0] * 3))
+
+
 def synthetic_trajectory(model, profile, field, T: float, n_out: int,
                          shift: ShiftSpec | None = None) -> Trajectory:
     """Fabricate a Trajectory from a manufactured field U(t, x)."""
@@ -53,4 +63,5 @@ def synthetic_trajectory(model, profile, field, T: float, n_out: int,
     )
 
 
-__all__ = ["scalar_model", "synthetic_trajectory", "constant_profile", "vara_model"]
+__all__ = ["scalar_model", "synthetic_trajectory", "constant_profile", "vara_model",
+           "vara3_model"]

@@ -387,6 +387,39 @@ def test_main_exit_codes(tmp_path):
                  "--out", str(tmp_path / "o3")]) == EXIT_CONFIG
 
 
+_JINXIN_BY_HAND = {"kind": "custom", "N": 2, "A": [[0.0, 1.0], [4.0, 0.0]],
+                   "q": [0.0, [[0.5, [2, 0]], [-1.0, [0, 1]]]],
+                   "U_minus": [1.0, 0.5], "U_plus": [-1.0, 0.5]}
+
+
+@pytest.mark.parametrize("payload, key_path", [
+    ({"model": {"kind": "jinxin", "flux": [0.0, "x", 0.5]}}, "model.flux"),
+    ({"model": {"kind": "jinxin", "flux": [0.0, None, 0.5]}}, "model.flux"),
+    ({"model": {**_JINXIN_BY_HAND, "A": [[0.0, 1.0], ["z", 0.0]]}}, "model.A[1][0]"),
+    ({"model": {**_JINXIN_BY_HAND, "q": [0.0, [[0.5, [2]]]]}}, "model.q[1]"),
+    ({"model": {**_JINXIN_BY_HAND, "U_minus": [1.0]}}, "model.U_minus"),
+    ({"dynamics": {"dx": 30.0}}, "dynamics.dx"),  # 4 nodes on [-40, 40]
+    ({"dynamics": {"perturbation": {"center": "x"}}}, "dynamics.perturbation.center"),
+    ({"dynamics": {"perturbation": {"kind": "shift_difference", "h": "x"}}},
+     "dynamics.perturbation.h"),
+    ({"dynamics": {"shift": {"kind": "sinusoid", "frequency": None}}},
+     "dynamics.shift.frequency"),
+])
+def test_malformed_config_exits_2_at_its_key(tmp_path, capsys, payload, key_path):
+    path = write_config(tmp_path, payload)
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.rstrip().endswith(f" at {key_path}")
+
+
+@pytest.mark.parametrize("given, missing", [("C_alpha", "c_alpha"), ("c_alpha", "C_alpha")])
+def test_weight_constants_given_together(given, missing):
+    # one alone must not give way silently to the profile's defaults
+    with pytest.raises(ValidationError) as err:
+        config_from_dict({"verify": {given: 5.0}})
+    assert err.value.key_path == f"verify.{missing}"
+    config_from_dict({"verify": {"C_alpha": 5.0, "c_alpha": 0.5}})
+
+
 def test_csv_floats_have_full_precision(tmp_path):
     cfg = config_from_dict({"profile": {"n": 501, "X": 10.0, "method": "exact"}})
     run("profile", cfg, out_dir=str(tmp_path))

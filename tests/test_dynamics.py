@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scalar_model
+from conftest import scalar_model, vara3_model
 from relaxdamp.characteristics import accumulate_H, duhamel_residual, trace
 from relaxdamp import dynamics
 from relaxdamp.dynamics import (
@@ -72,6 +72,14 @@ def test_gaussian_initial_peak(jinxin_profile):
     W_fd = fd4_derivative(snap.U, snap.grid[1] - snap.grid[0],
                           snap.b_left, snap.b_right)
     assert np.max(np.abs(W_fd - snap.W)) <= 1e-7
+
+
+@pytest.mark.parametrize("direction", [(1.0,), (0.0, 0.0, 1.0)])
+def test_gaussian_direction_needs_one_entry_per_component(jinxin_profile, direction):
+    # a short direction must not broadcast, into the conserved component too
+    pert = PerturbationSpec(kind="gaussian", amplitude=1e-3, direction=direction)
+    with pytest.raises(InvalidParam, match="direction"):
+        make_initial(jinxin_profile, pert)
 
 
 def test_offset_initial_endpoints(jinxin_profile):
@@ -350,7 +358,7 @@ def test_constant_A_steps_form_only_what_they_read(jinxin, jinxin_profile, monke
     for backend, first, again in (
             ("moc", {"q_at": 3, "Q_at": 1, "_check_cfl": 1, "_foot_stencil": 1},
              {"q_at": 3, "Q_at": 1}),
-            ("reference", {"q_at": 4, "_check_cfl": 1}, {"q_at": 4})):
+            ("reference", {"q_at": 2, "_check_cfl": 1}, {"q_at": 2})):
         stepper._speeds = None
         for want in (first, again):
             calls.update(dict.fromkeys(calls, 0))
@@ -402,7 +410,12 @@ def _per_family_constant_A_step(stepper, snap, dt):
         Gm = _shift_linear(g, 0.5 * s, g[0], g[-1])
         h = 0.5 * dt * (Ef + e)
         Phi_new[j] = np.exp(h) * Phif + dt * np.exp(0.5 * h) * Gm
-    U_new = Phi_new.T @ R0T
+    return _with_boundary_rows(stepper, snap, dt, Phi_new.T @ R0T)
+
+
+def _with_boundary_rows(stepper, snap, dt, U_new):
+    """The snapshot one step on, its edge rows and boundary states from one
+    stacked four-row explicit midpoint of the source."""
     about = stepper.about_boundary
     V = np.stack([snap.U[0], snap.U[-1], snap.b_left, snap.b_right])
     k1 = stepper.source(about.U + V, snap.t, about)
@@ -465,6 +478,97 @@ def test_stencil_weights_and_cfl_check_formed_once_per_zero_shift_run(
     assert calls == {"_check_cfl": want, "_foot_stencil": want}
 
 
+def _separate_reference_step(stepper, snap, dt):
+    """The reference step as it was written: its own explicit midpoint over
+    the n nodes, then the edge rows and boundary states replaced by the
+    stacked four-row midpoint."""
+    U, t = snap.U, snap.t
+    Ut = stepper.Ubar + U
+    frames = stepper._frames(Ut)
+    c = frames.lambdas - stepper.shift.delta_dot(t)
+    if frames.constant:
+        c = c[0]
+    pad = np.concatenate([snap.b_left[None], U, snap.b_right[None]])
+    D = (pad[1:] - pad[:-1]) / stepper.dx
+    phi_m, phi_p = frames.to_diag(D[:-1]), frames.to_diag(D[1:])
+    adv = frames.from_diag(c * np.where(c > 0.0, phi_m, phi_p))
+    adv[0] = 0.0
+    adv[-1] = 0.0
+    U_half = U + 0.5 * dt * (-adv + stepper.source(Ut, t))
+    U_new = U - dt * adv + dt * stepper.source(stepper.Ubar + U_half, t + 0.5 * dt)
+    return _with_boundary_rows(stepper, snap, dt, U_new)
+
+
+def _linear_at(f, cells, left, right):
+    """Linear interpolation of one field (n,) at cell positions, flat beyond the grid."""
+    n = len(f)
+    i = np.floor(cells).astype(int)
+    t = cells - i
+    pad = np.concatenate([[left], f, [right]])
+    out = (1.0 - t) * pad[np.clip(i + 1, 0, n)] + t * pad[np.clip(i + 2, 1, n + 1)]
+    out[cells < -1.0] = left
+    out[cells > n] = right
+    return out
+
+
+def _per_family_node_step(stepper, snap, dt):
+    """The state-dependent moc step as it was written: each family's foot
+    traced and each of its fields padded and interpolated on its own."""
+    model, dx, n = stepper.model, stepper.dx, len(snap.U)
+    Ut = stepper.Ubar + snap.U
+    frames = stepper._frames(Ut)
+    c = frames.lambdas - stepper.shift.delta_dot(snap.t)
+    sf = transformed_source(model, stepper.grid, Ut, frames=frames, with_theta=False)
+    E = sf.E_diag.T
+    Phi, G = stepper.forcing(snap.U, Ut, snap.t, frames, E, sf.transport)
+    phi_bl, phi_br = frames.L[0] @ snap.b_left, frames.L[-1] @ snap.b_right
+    Phif, Ef, Gm = (np.empty(Phi.shape) for _ in range(3))
+    k = np.arange(n, dtype=float)
+    for j in range(model.N):
+        cj = c[:, j]
+        c_mid = _linear_at(cj, k - 0.5 * (cj * dt / dx), cj[0], cj[-1])
+        foot = k - c_mid * dt / dx
+        Ef[j] = _linear_at(E[j], foot, E[j, 0], E[j, -1])
+        Gm[j] = _linear_at(G[j], 0.5 * (k + foot), G[j, 0], G[j, -1])
+        Phif[j] = dynamics._cubic_at(
+            np.concatenate([[phi_bl[j]] * 2, Phi[j], [phi_br[j]] * 2]), foot)
+    h = 0.5 * dt * (Ef + E)
+    Phi_new = np.exp(h) * Phif + dt * np.exp(0.5 * h) * Gm
+    return _with_boundary_rows(stepper, snap, dt, frames.from_diag(Phi_new.T))
+
+
+@pytest.mark.parametrize("backend", ["reference", "moc"])
+@pytest.mark.parametrize("shift", ["zero", "sinusoid"])
+@pytest.mark.parametrize("case", ["jinxin", "varA", "varA3"])
+def test_padded_row_steps_match_separate_steps_bit_for_bit(case, shift, backend, jinxin,
+                                                           jinxin_profile, varA):
+    if case == "varA3":
+        model = vara3_model()
+        prof = constant_profile(model, [0.0] * 3, X=10.0, n=501)
+        pert = PerturbationSpec(kind="offset", d_minus=(2e-3, -1e-3, 5e-4),
+                                d_plus=(-1e-3, 1e-3, 2e-3))
+    else:
+        model, prof = (jinxin, jinxin_profile) if case == "jinxin" else varA
+        pert = _OFFSET
+    shift = ShiftSpec(kind="zero") if shift == "zero" else _SINUSOID
+    stepper = Stepper(model, prof, prof.grid, shift)
+    if backend == "reference":
+        old_step = _separate_reference_step
+    else:
+        old_step = (_per_family_constant_A_step if model.A_is_constant
+                    else _per_family_node_step)
+    speed = float(np.max(np.abs(stepper._frames(stepper.Ubar).lambdas))) + shift.eps_delta
+    dt = 0.7 * stepper.dx / speed
+    new = old = start = make_initial(prof, pert)
+    for k in range(120):
+        new.t = old.t = k * dt
+        new, old = stepper.step(new, dt, backend), old_step(stepper, old, dt)
+        for a, b in ((new.U, old.U), (new.b_left, old.b_left), (new.b_right, old.b_right)):
+            assert a.tobytes() == b.tobytes(), (case, k)
+    for b, b0 in ((new.b_left, start.b_left), (new.b_right, start.b_right)):
+        assert np.max(np.abs(b - b0)) > 1e-5  # the boundary states moved
+
+
 def _separate_boundary_updates(model, prof, grid, shift, snap, dt):
     """Edge rows and boundary states as two separate explicit midpoints: the
     edge rows by the perturbation-form source, the boundary states by
@@ -521,13 +625,10 @@ def test_per_node_foot_cells_carry_no_index_drift(a2_models):
     assert np.max(np.abs((grid - grid[0]) / grid_step(grid) - np.arange(1001))) <= 1e-12
     stepper = Stepper(per_node, prof, grid, ShiftSpec(kind="zero"))
     rng = np.random.default_rng(5)
-    Phi, E, G = (rng.standard_normal((1001, 2)) for _ in range(3))
-    for j in range(2):
-        Phif, Ef, Gm = stepper._foot_values(np.zeros(1001), 0.01, Phi[:, j], E[:, j],
-                                            G[:, j], Phi[0, j], Phi[-1, j])
-        assert np.array_equal(Phif, Phi[:, j])
-        assert np.array_equal(Ef, E[:, j])
-        assert np.array_equal(Gm, G[:, j])
+    Phi, E, G = (rng.standard_normal((2, 1001)) for _ in range(3))
+    feet = stepper._node_feet(np.zeros((1001, 2)), 0.01, Phi, E, G, Phi[:, 0], Phi[:, -1])
+    for got, want in zip(feet, (Phi, E, G)):
+        assert np.array_equal(got, want)
 
 
 def test_moc_matches_advection_decay_closed_form():

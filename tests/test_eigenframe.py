@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import vara_model
+from conftest import vara3_model, vara_model
 from relaxdamp import (
     build_custom,
     build_jinxin,
@@ -448,20 +448,12 @@ def test_state_dependent_3x3_frames_stay_lapack():
         assert got.tobytes() == want.tobytes()
 
 
-def _varA3_model():
-    u = Poly.variable(3, 0)
-    A = [[u, 1.0, 0.0], [0.5, 2.0, u.scaled(0.5)], [0.0, 0.3, u.scaled(-1.0)]]
-    q = [u.scaled(-1.0), Poly.variable(3, 1).scaled(-2.0), Poly.variable(3, 2).scaled(-0.5)]
-    return build_custom("varA3", 3, A, q, U_minus=[0.0] * 3, U_plus=[0.0] * 3,
-                        state_box=([-1.0] * 3, [1.0] * 3))
-
-
 @pytest.mark.parametrize("name", ["jinxin", "varA", "supercharacteristic", "varA3"])
 def test_endstate_diagonals_match_per_endstate_decompose(name, jinxin):
     model = {"jinxin": jinxin, "varA": vara_model(),
              "supercharacteristic": build_jinxin(a=0.5, eps=1.0, flux=[0, 0, 0.5],
                                                  u_minus=1.0, u_plus=-1.0),
-             "varA3": _varA3_model()}[name]
+             "varA3": vara3_model()}[name]
     lam, E = endstate_diagonals(model)
     for k, U in enumerate((model.U_minus, model.U_plus)):
         fr = decompose(model.A_at(U))
