@@ -8,13 +8,16 @@ Ubar(x), which satisfies
 
 The right-hand side is evaluated in this subtracted form so U = 0 is an exact
 discrete equilibrium.  Two independent backends advance it: a first-order
-characteristic-upwind scheme ("reference") and a semi-Lagrangian scheme that
+characteristic-upwind scheme ("reference", LeVeque, Finite Volume Methods for
+Hyperbolic Problems, 2002, ch. 4-6) and a semi-Lagrangian scheme that
 integrates the diagonalized system along characteristics with a one-step
 Duhamel update ("moc").  Both evaluate it through ``Stepper.source`` on the
 rows of U edge-padded by the evolving boundary states, about the profile
 padded by the far-field states, where Ubar_x = 0.  The reference step is one
 explicit midpoint over all n + 2 rows, with no advection in the four edge
-rows; the moc step advances those four by the same midpoint.
+rows; the moc step advances those four by the same midpoint.  With constant
+frames the reference step diagonalizes the n + 1 differences of the padded
+rows once, and each family reads its upwind side as one slice of them.
 
 When A is constant every node of family j moves at the same speed
 c_j = lambda_j - ddelta(t), so the moc foot sits at one offset s_j = -c_j dt /
@@ -51,6 +54,7 @@ from .profile import ProfileRep
 BUDGET_DEFAULT = 0.02
 BLOWUP_FACTOR = 10.0
 CFL_LIMIT = 0.9
+GAUSSIAN_TAIL_MAX = 1e-3  # largest |U0(+-X)| / amplitude of a gaussian
 
 
 # --- prescribed phase shift ------------------------------------------------
@@ -113,6 +117,9 @@ class PerturbationSpec:
     the relaxing family in Jin-Xin-like systems: that keeps the conserved
     first-component mass at zero, so none of the perturbation feeds the
     translation mode that the prescribed (untracked) shift cannot absorb.
+    Its boundary states are zero, so at the grid ends it must have decayed
+    to GAUSSIAN_TAIL_MAX of its amplitude; a larger tail would start the
+    run with a jump at the domain edge.
     """
 
     kind: str
@@ -150,6 +157,12 @@ class PerturbationSpec:
                 direction[:] = self.direction
             z = (x - self.center) / self.width
             g = self.amplitude * np.exp(-0.5 * z * z)
+            tail = max(abs(g[0]), abs(g[-1]))
+            if tail > GAUSSIAN_TAIL_MAX * abs(self.amplitude):
+                raise InvalidParam(
+                    f"gaussian tail at the grid ends x = {x[0]:.6g}, {x[-1]:.6g} is "
+                    f"{tail / abs(self.amplitude):.3g} of its amplitude, above "
+                    f"{GAUSSIAN_TAIL_MAX}; narrow the gaussian or widen the domain")
             gx = -g * z / self.width
             return (g[:, None] * direction, gx[:, None] * direction,
                     np.zeros(N), np.zeros(N))
@@ -513,25 +526,26 @@ class Stepper:
             raise CFLViolation(f"CFL number {cfl:.3f} exceeds {CFL_LIMIT} at "
                                f"t = {t:.6g} ({where}family {worst[-1] + 1})")
 
-    def _begin(self, snap: Snapshot, dt: float):
-        """Frames at the perturbed state and CFL-checked shifted speeds (Ut, frames, c).
+    def _begin(self, snap: Snapshot, dt: float, Ut: np.ndarray | None = None):
+        """Frames at the perturbed states Ut = Ubar + U and CFL-checked shifted
+        speeds (frames, c).
 
-        c is lambda - ddelta per node (n, N), or one speed per family (N,)
-        when the frames are constant; those speeds and their check are formed
-        once per (dt, ddelta) and kept as ``self._speeds``.
+        Only frames that vary with the state read Ut, formed here when not
+        given.  c is lambda - ddelta per node (n, N), or one speed per family
+        (N,) when the frames are constant; those speeds and their check are
+        formed once per (dt, ddelta) and kept as ``self._speeds``.
         """
-        Ut = self.Ubar + snap.U
-        frames = self._frames(Ut)
         dd = self.shift.delta_dot(snap.t)
-        if not frames.constant:
+        if self.frames0 is None:
+            frames = self._frames(self.Ubar + snap.U if Ut is None else Ut)
             c = frames.lambdas - dd
             self._check_cfl(c, dt, snap.t)
-            return Ut, frames, c
+            return frames, c
         if self._speeds is None or self._speeds.key != (dt, dd):
-            c = frames.lambdas[0] - dd
+            c = self.frames0.lambdas[0] - dd
             self._check_cfl(c, dt, snap.t)
             self._speeds = _Speeds(dt, dd, c, self.dx)
-        return Ut, frames, self._speeds.c
+        return self.frames0, self._speeds.c
 
     def _finish(self, snap: Snapshot, dt: float, U_new: np.ndarray,
                 b_left: np.ndarray, b_right: np.ndarray) -> Snapshot:
@@ -548,16 +562,28 @@ class Stepper:
         """First-order characteristic-upwind step with midpoint source.
 
         Both one-sided differences of every node come from the n + 1
-        differences of U padded by the boundary states, diagonalized by the
-        frame of that node.  One explicit midpoint then advances all n + 2
-        rows, the upwind advection frozen and zero in the four edge rows.
+        differences D of U padded by the boundary states.  Constant frames
+        diagonalize D once, P = L0 D, and family j, at its one speed c_j,
+        reads the slice of P upwind of every node: rows [:-1] when c_j > 0,
+        else rows [1:].  Per-node frames diagonalize both sides by the frame
+        of each node and pick the side node by node.  One explicit midpoint
+        then advances all n + 2 rows, the upwind advection frozen and zero in
+        the four edge rows.
         """
-        _, frames, c = self._begin(snap, dt)
+        frames, c = self._begin(snap, dt)
         V = _edge_pad(snap.U, 1, snap.b_left, snap.b_right)
-        D = (V[1:] - V[:-1]) / self.dx
-        phi_m, phi_p = frames.to_diag(D[:-1]), frames.to_diag(D[1:])
-        adv = np.zeros_like(V)
-        adv[2:-2] = frames.from_diag(c * np.where(c > 0.0, phi_m, phi_p))[1:-1]
+        D = V[1:] - V[:-1]
+        D /= self.dx
+        adv = np.empty_like(V)
+        if frames.constant:
+            P = frames.to_diag(D)
+            upwind = np.empty_like(snap.U)
+            for j, c_j in enumerate(c):
+                np.multiply(c_j, P[:-1, j] if c_j > 0.0 else P[1:, j], out=upwind[:, j])
+        else:
+            upwind = c * np.where(c > 0.0, frames.to_diag(D[:-1]), frames.to_diag(D[1:]))
+        frames.from_diag(upwind, out=adv[1:-1])
+        adv[:2] = adv[-2:] = 0.0
         V = self._ode_node_update(V, snap.t, dt, self.about, adv)
         return self._finish(snap, dt, V[1:-1], V[0], V[-1])
 
@@ -625,7 +651,8 @@ class Stepper:
         with a midpoint correction, all families in one pass (``_node_feet``).
         The four edge rows take the midpoint of ``_advance_boundary``.
         """
-        Ut, frames, c = self._begin(snap, dt)
+        Ut = self.Ubar + snap.U
+        frames, c = self._begin(snap, dt, Ut)
         if frames.constant:
             E, transport = frames.conjugate_diag(self.model.Q_at(Ut)), None
         else:

@@ -159,14 +159,13 @@ def _decompose_batch(A: np.ndarray, c_min: float, grid: np.ndarray | None = None
     return (lam, *_frames_of(V, order))
 
 
-def _decompose_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
-    """``_decompose_batch`` of a stack of real 2x2 matrices, in closed form.
+def _eigvals_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None) -> np.ndarray:
+    """Sorted eigenvalues of a stack of real 2x2 matrices in closed form,
+    checked by ``_checked_spectrum`` at the locations ``grid``.
 
     The eigenvalues of [[a, b], [c, d]] are m -+ r, with m = (a + d)/2 and
     r^2 = ((a - d)/2)^2 + b c; the root nearer zero is det / (the farther
-    root), which cancels nothing.  Column j of R is the larger of (b, l - a)
-    and (l - d, c) at l = lambda_j, each orthogonal to one row of A - l I,
-    and L = R^{-1} is the adjugate of R over its determinant.
+    root), which cancels nothing.
     """
     if not np.all(np.isfinite(A)):  # refused as LAPACK refuses it
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
@@ -183,8 +182,19 @@ def _decompose_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
     if np.any(pair):
         w = w.astype(complex)
         w[pair] = m[pair, None] + np.outer(r[pair], [-1j, 1j])
-    lam, _ = _checked_spectrum(A, w, c_min, grid)
-    del m, h, disc, r, far, near, w, pair  # keeps the peak memory of a large stack low
+    return _checked_spectrum(A, w, c_min, grid)[0]
+
+
+def _decompose_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
+    """``_decompose_batch`` of a stack of real 2x2 matrices, in closed form.
+
+    The eigenvalues are those of ``_eigvals_2x2``.  Column j of R is the
+    larger of (b, l - a) and (l - d, c) at l = lambda_j, each orthogonal to
+    one row of A - l I, and L = R^{-1} is the adjugate of R over its
+    determinant.
+    """
+    lam = _eigvals_2x2(A, c_min, grid)
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
     la = lam - a[:, None]
     ld = lam - d[:, None]
     b, c = b[:, None], c[:, None]
@@ -192,7 +202,7 @@ def _decompose_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
     R = np.empty_like(A)
     R[:, 0, :] = np.where(first, b, ld)
     R[:, 1, :] = np.where(first, la, c)
-    del la, ld, first  # likewise before L
+    del la, ld, first  # keeps the peak memory of a large stack low
     _sign_fix(R)
     det = R[:, 0, 0] * R[:, 1, 1] - R[:, 0, 1] * R[:, 1, 0]
     L = np.empty_like(R)
@@ -262,11 +272,12 @@ class FrameField:
             return self.L[0] @ V.T
         return self.to_diag(V).T
 
-    def from_diag(self, Phi: np.ndarray) -> np.ndarray:
-        """State field R Phi at every node of diagonal variables Phi (n, N)."""
+    def from_diag(self, Phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """State field R Phi at every node of diagonal variables Phi (n, N),
+        written into ``out`` when given."""
         if self.constant:
-            return Phi @ self._R0T
-        return np.einsum("njk,nk->nj", self.R, Phi)
+            return np.matmul(Phi, self._R0T, out=out)
+        return np.einsum("njk,nk->nj", self.R, Phi, out=out)
 
     @property
     def min_abs_lambda(self) -> float:
@@ -345,14 +356,20 @@ def frames_at_states(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
 
 def profile_lambdas(model: ModelSpec, profile: ProfileRep, x: np.ndarray,
                     c_min: float = 0.0) -> np.ndarray:
-    """Sorted eigenvalues of A(Ubar(x)) at points x, (len(x), N), with the
-    checks of ``frames_at_states``.  The profile is evaluated only where A
-    depends on the state; a constant A is decomposed once."""
+    """Sorted eigenvalues of A(Ubar(x)) at points x, (len(x), N), equal to
+    ``frames_at_states(...).lambdas`` with its checks.  The profile is
+    evaluated only where A depends on the state; a constant A is decomposed
+    once.  For N = 2 no eigenvectors are formed; N >= 3 takes them from
+    ``frames_at_states``, whose LAPACK ``eig`` may round its eigenvalues
+    differently from ``eigvals``."""
     x = np.asarray(x, dtype=float)
     if model.A_is_constant:
         lam = decompose(model.A_at(np.zeros(model.N)), c_min).lambdas
         return np.broadcast_to(lam, (len(x), model.N))
-    return frames_at_states(model, x, profile.eval(x), c_min).lambdas
+    states = profile.eval(x)
+    if model.N == 2:
+        return _eigvals_2x2(model.A_at(states), c_min, x)
+    return frames_at_states(model, x, states, c_min).lambdas
 
 
 def frame_along_profile(model: ModelSpec, profile: ProfileRep,

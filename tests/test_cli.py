@@ -229,7 +229,8 @@ def test_all_solves_profile_and_evolves_once(tmp_path, call_counts):
     assert call_counts == {"solve_profile": 2, "evolve": 2, "damping_rate": 2}
 
 
-# The benchmark's shooting-profile Jin-Xin and varA runs.
+# The benchmark's shooting-profile Jin-Xin and varA runs, and its reference
+# run with a sinusoid shift and dense output, at a shorter horizon.
 JINXIN_MOC = {
     "profile": {"X": 40.0, "n": 4001, "method": "shooting"},
     "dynamics": {"backend": "moc", "T": 3.2, "n_out": 8, "dx": 0.02,
@@ -244,6 +245,31 @@ VARA_MOC = {
     "dynamics": {"backend": "moc", "T": 0.6, "n_out": 3, "dx": 0.04,
                  "shift": {"kind": "zero"}},
 }
+
+JINXIN_DENSE_REF = {
+    "profile": {"X": 40.0, "n": 4001, "method": "shooting"},
+    "spectral": {"n_xi": 2000},
+    "dynamics": {"backend": "reference", "T": 0.8, "n_out": 10, "dx": 0.02,
+                 "shift": {"kind": "sinusoid", "amplitude": 5e-3 / (2.0 * np.pi * 0.05),
+                           "frequency": 0.05}},
+    "verify": {"n_paths": 20, "theta_grid": {"start": 0.01, "stop": 0.3, "num": 120}},
+}
+
+
+def _all_twice_gives_the_same_bytes(cfg, tmp_path):
+    """Run ``all`` twice on cfg and compare all 11 artifacts byte by byte."""
+    out1, out2 = tmp_path / "run1", tmp_path / "run2"
+    assert run("all", cfg, out_dir=str(out1)) == EXIT_OK
+    assert run("all", cfg, out_dir=str(out2)) == EXIT_OK
+    names = sorted(path.name for path in out1.iterdir())
+    assert len(names) == 11
+    assert names == sorted(path.name for path in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_reference_backend_with_sinusoid_shift_all_is_deterministic(tmp_path):
+    _all_twice_gives_the_same_bytes(config_from_dict(JINXIN_DENSE_REF), tmp_path)
 
 
 def test_all_builds_one_stepper(tmp_path, monkeypatch):
@@ -339,15 +365,7 @@ VARA = {
 def test_state_dependent_A_all_is_deterministic(tmp_path, backend):
     payload = json.loads(json.dumps(VARA))
     payload["dynamics"]["backend"] = backend
-    cfg = config_from_dict(payload)
-    out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    assert run("all", cfg, out_dir=str(out1)) == EXIT_OK
-    assert run("all", cfg, out_dir=str(out2)) == EXIT_OK
-    names = sorted(path.name for path in out1.iterdir())
-    assert len(names) == 11
-    assert names == sorted(path.name for path in out2.iterdir())
-    for name in names:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    _all_twice_gives_the_same_bytes(config_from_dict(payload), tmp_path)
 
 
 def test_custom_model_config(tmp_path):

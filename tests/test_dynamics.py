@@ -21,7 +21,7 @@ from relaxdamp.dynamics import (
     grid_step,
     make_initial,
 )
-from relaxdamp.eigenframe import transformed_source
+from relaxdamp.eigenframe import FrameField, transformed_source
 from relaxdamp.errors import BlowUp, BudgetExceeded, CFLViolation, InvalidParam
 from relaxdamp.model import ModelSpec, build_custom
 from relaxdamp.profile import constant_profile, solve_profile
@@ -80,6 +80,37 @@ def test_gaussian_direction_needs_one_entry_per_component(jinxin_profile, direct
     pert = PerturbationSpec(kind="gaussian", amplitude=1e-3, direction=direction)
     with pytest.raises(InvalidParam, match="direction"):
         make_initial(jinxin_profile, pert)
+
+
+def _tail_width(ratio, reach):
+    """Width of a gaussian whose value at distance ``reach`` from its center is
+    ``ratio`` of its amplitude."""
+    return reach / math.sqrt(-2.0 * math.log(ratio))
+
+
+@pytest.mark.parametrize("center", [0.0, 3.0, -3.0])
+def test_gaussian_tail_at_the_grid_ends_is_bounded(jinxin_profile, center):
+    # the boundary states of a gaussian are zero, so a tail that has not
+    # decayed at +-X would start the run with a jump at the domain edge
+    reach = 40.0 - abs(center)  # to the grid end nearer the center
+    for ratio in (0.9e-3, 1.1e-3):
+        pert = PerturbationSpec(kind="gaussian", amplitude=-5e-3,
+                                width=_tail_width(ratio, reach), center=center)
+        if ratio < dynamics.GAUSSIAN_TAIL_MAX:
+            snap = make_initial(jinxin_profile, pert)
+            tail = np.max(np.abs(snap.U[[0, -1]]))
+            assert 0.85e-3 < tail / 5e-3 < dynamics.GAUSSIAN_TAIL_MAX
+            continue
+        with pytest.raises(InvalidParam,
+                           match=r"^gaussian tail at the grid ends x = -40, 40 is 0\.0011 "):
+            make_initial(jinxin_profile, pert)
+
+
+def test_wide_gaussian_fails_the_run_instead_of_jumping(jinxin, jinxin_profile):
+    # width 30 at X = 40: U(+-X) is 41% of the amplitude
+    pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=30.0)
+    with pytest.raises(InvalidParam, match="0.411 of its amplitude"):
+        evolve(jinxin, jinxin_profile, pert, ShiftSpec(kind="zero"), T=0.1, n_out=1)
 
 
 def test_offset_initial_endpoints(jinxin_profile):
@@ -346,19 +377,24 @@ def test_constant_A_steps_form_only_what_they_read(jinxin, jinxin_profile, monke
     snap = make_initial(jinxin_profile, _GAUSS)
     snap.t = 1.3  # ddelta != 0
     calls = dict.fromkeys(("q_at", "Q_at", "transformed_source", "frames_at_states",
-                           "_check_cfl", "_foot_stencil"), 0)
+                           "_check_cfl", "_foot_stencil", "to_diag", "from_diag"), 0)
     for name in ("q_at", "Q_at"):
         _counter(monkeypatch, calls, ModelSpec, name)
     for name in ("transformed_source", "frames_at_states", "_foot_stencil"):
         _counter(monkeypatch, calls, dynamics, name)
+    for name in ("to_diag", "from_diag"):
+        _counter(monkeypatch, calls, FrameField, name)
     _counter(monkeypatch, calls, Stepper, "_check_cfl")
     stepper = Stepper(jinxin, jinxin_profile, snap.grid, _SINUSOID)
     # the speeds, their CFL check and the moc stencils are formed once per
-    # (dt, ddelta): a second step at the same pair forms none of them again
+    # (dt, ddelta): a second step at the same pair forms none of them again;
+    # the reference step diagonalizes its differences once and transforms back once
     for backend, first, again in (
-            ("moc", {"q_at": 3, "Q_at": 1, "_check_cfl": 1, "_foot_stencil": 1},
-             {"q_at": 3, "Q_at": 1}),
-            ("reference", {"q_at": 2, "_check_cfl": 1}, {"q_at": 2})):
+            ("moc", {"q_at": 3, "Q_at": 1, "_check_cfl": 1, "_foot_stencil": 1,
+                     "from_diag": 1},
+             {"q_at": 3, "Q_at": 1, "from_diag": 1}),
+            ("reference", {"q_at": 2, "_check_cfl": 1, "to_diag": 1, "from_diag": 1},
+             {"q_at": 2, "to_diag": 1, "from_diag": 1})):
         stepper._speeds = None
         for want in (first, again):
             calls.update(dict.fromkeys(calls, 0))
@@ -537,19 +573,31 @@ def _per_family_node_step(stepper, snap, dt):
     return _with_boundary_rows(stepper, snap, dt, frames.from_diag(Phi_new.T))
 
 
+def _diagonal_3x3():
+    """Constant diagonal A with speeds of both signs and a linear relaxation
+    that couples the families, about the equilibrium U = 0."""
+    A = [[0.4, 0.0, 0.0], [0.0, -0.6, 0.0], [0.0, 0.0, -1.6]]
+    q = [[[-1.0, [1, 0, 0]], [0.2, [0, 1, 0]]],
+         [[-0.5, [0, 1, 0]]],
+         [[-0.8, [0, 0, 1]], [0.1, [1, 0, 0]]]]
+    return build_custom("diag3", 3, A, q, U_minus=[0.0] * 3, U_plus=[0.0] * 3,
+                        state_box=([-1.0] * 3, [1.0] * 3))
+
+
 @pytest.mark.parametrize("backend", ["reference", "moc"])
 @pytest.mark.parametrize("shift", ["zero", "sinusoid"])
-@pytest.mark.parametrize("case", ["jinxin", "varA", "varA3"])
+@pytest.mark.parametrize("case", ["jinxin", "varA", "varA3", "diag3", "scalar"])
 def test_padded_row_steps_match_separate_steps_bit_for_bit(case, shift, backend, jinxin,
                                                            jinxin_profile, varA):
-    if case == "varA3":
-        model = vara3_model()
-        prof = constant_profile(model, [0.0] * 3, X=10.0, n=501)
-        pert = PerturbationSpec(kind="offset", d_minus=(2e-3, -1e-3, 5e-4),
-                                d_plus=(-1e-3, 1e-3, 2e-3))
-    else:
+    if case in ("jinxin", "varA"):
         model, prof = (jinxin, jinxin_profile) if case == "jinxin" else varA
         pert = _OFFSET
+    else:
+        model = {"varA3": vara3_model, "diag3": _diagonal_3x3, "scalar": scalar_model}[case]()
+        assert model.A_is_constant == (case != "varA3")
+        prof = constant_profile(model, [0.0] * model.N, X=10.0, n=501)
+        pert = PerturbationSpec(kind="offset", d_minus=(2e-3, -1e-3, 5e-4)[:model.N],
+                                d_plus=(-1e-3, 1e-3, 2e-3)[:model.N])
     shift = ShiftSpec(kind="zero") if shift == "zero" else _SINUSOID
     stepper = Stepper(model, prof, prof.grid, shift)
     if backend == "reference":

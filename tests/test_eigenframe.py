@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from relaxdamp import (
     build_jinxin,
     damping_rate,
     decompose,
+    eigenframe,
     frame_along_profile,
     profile_source_field,
     source_split,
@@ -25,11 +28,12 @@ from relaxdamp.eigenframe import (
     _spectrum,
     endstate_diagonals,
     frames_at_states,
+    profile_lambdas,
     source_diagonals,
 )
 from relaxdamp.errors import Characteristic, GapTooSmall, NotDissipative, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
-from relaxdamp.profile import solve_profile
+from relaxdamp.profile import ProfileRep, solve_profile
 
 
 def test_decompose_jinxin_matrix():
@@ -104,6 +108,9 @@ def test_to_diag_and_from_diag_match_einsum(case, request):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(M)) * np.max(np.abs(V))
     assert np.max(np.abs(frames.from_diag(frames.to_diag(V)) - V)) <= 1e-12
+    out = np.empty((len(V) + 2, V.shape[1]))
+    assert frames.from_diag(V, out=out[1:-1]).base is out
+    assert out[1:-1].tobytes() == frames.from_diag(V).tobytes()
 
 
 def test_conjugate_diag_is_the_diagonal_of_the_kron_product(jinxin, jinxin_profile):
@@ -483,3 +490,66 @@ def test_source_diagonals_nan_rows_where_not_strictly_hyperbolic():
     assert np.array_equal(np.isnan(E), np.isnan(lam))
     assert np.allclose(lam[2:], [[-1.0, 1.0], [-2.0, 2.0]], rtol=0.0, atol=1e-14)
     assert np.allclose(E[2:], -0.5, rtol=0.0, atol=1e-14)  # L Q R = -(1/2) [[1, -1], [-1, 1]]
+
+
+# --- eigenvalues without frames ---------------------------------------------------
+
+def _gauss_points(grid, k=7):
+    """The k-point Gauss-Legendre nodes of every cell of ``grid``, flattened."""
+    nodes = np.polynomial.legendre.leggauss(k)[0]
+    mid, half = 0.5 * (grid[1:] + grid[:-1]), 0.5 * np.diff(grid)
+    return (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+
+
+@pytest.mark.parametrize("case", ["varA", "varA3"])
+def test_profile_lambdas_equal_the_frames_eigenvalues(case, monkeypatch):
+    if case == "varA":
+        model = vara_model()
+        prof = solve_profile(model, X=20.0, n=401)
+    else:  # u runs over [-0.9, 0.9] along x
+        model = vara3_model()
+        grid = np.linspace(-10.0, 10.0, 401)
+        values, d1, d2 = (np.zeros((401, 3)) for _ in range(3))
+        values[:, 0] = 0.9 * np.tanh(grid)
+        d1[:, 0] = 0.9 / np.cosh(grid) ** 2
+        d2[:, 0] = -2.0 * np.tanh(grid) * d1[:, 0]
+        prof = ProfileRep(grid=grid, values=values, d1=d1, d2=d2,
+                          U_minus=values[0], U_plus=values[-1])
+    x = _gauss_points(prof.grid)
+    want = frames_at_states(model, x, prof.eval(x)).lambdas
+    assert np.ptp(want[:, 0]) > 0.05  # the eigenvalues vary along the profile
+    calls = []
+    original = eigenframe._decompose_2x2
+    monkeypatch.setattr(eigenframe, "_decompose_2x2",
+                        lambda *args: calls.append(1) or original(*args))
+    assert profile_lambdas(model, prof, x).tobytes() == want.tobytes()
+    assert calls == []  # no eigenvectors for N = 2
+
+
+def _raised(fn):
+    with pytest.raises((Characteristic, NotStrictlyHyperbolic)) as err:
+        fn()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("A, c_min, error, message", [
+    # eigenvalues +-sqrt(0.5 u), complex where u < 0
+    ([[0.0, 1.0], [Poly.variable(2, 0).scaled(0.5), 0.0]], 0.0,
+     NotStrictlyHyperbolic, "complex eigenvalues"),
+    # a Jordan block at every state
+    ([[[[2.0, [0, 0]], [0.0, [1, 0]]], 1.0], [0.0, 2.0]], 0.0,
+     NotStrictlyHyperbolic, "eigenvalue gap below"),
+    # eigenvalues u and 3: characteristic where |u| < 0.5
+    ([[Poly.variable(2, 0), 0.0], [0.0, 3.0]], 0.5, Characteristic, "min [|]lambda[|] = "),
+])
+def test_profile_lambdas_raise_as_the_frames_do(A, c_min, error, message):
+    profile_model = vara_model()
+    prof = solve_profile(profile_model, X=20.0, n=401)
+    model = build_custom("bad", 2, A, [0.0, 0.0], U_minus=profile_model.U_minus,
+                         U_plus=profile_model.U_plus)
+    assert not model.A_is_constant
+    x = _gauss_points(prof.grid)
+    got = _raised(lambda: profile_lambdas(model, prof, x, c_min))
+    assert got == _raised(lambda: frames_at_states(model, x, prof.eval(x), c_min))
+    assert got[0] is error
+    assert re.match(f"^{message}.* at x = ", got[1])
