@@ -3,21 +3,17 @@
 from .model import ModelSpec, build_custom, build_jinxin, eval_A, eval_q, eval_Q, validate_model
 from .profile import ProfileRep, constant_profile, exact_jinxin_profile, fit_decay, residual, solve_profile
 from .eigenframe import (
-    EigenFrame,
     FrameField,
     SourceField,
-    SourceSplit,
     damping_rate,
-    decompose,
-    frame_along_profile,
-    profile_source_field,
-    source_split,
-    theta_matrix,
+    frames_at_states,
+    theta_field,
+    transformed_source,
 )
 
 from .dynamics import PerturbationSpec, ShiftSpec, Snapshot, Trajectory, evolve, make_initial
 from .damping_verifier import ckb_norm, fit_damping, l2_h2_norms, slaving_check, weight_fn
-from .characteristics import accumulate_H, no_damping_radius, trace, verify_H_bound
+from .characteristics import accumulate_H, no_damping_radius, trace_many, verify_H_bound
 from .config import Config, parse_config
 
 __all__ = [
@@ -25,13 +21,12 @@ __all__ = [
     "validate_model",
     "ProfileRep", "constant_profile", "exact_jinxin_profile", "fit_decay",
     "residual", "solve_profile",
-    "EigenFrame", "FrameField", "SourceField", "SourceSplit", "damping_rate",
-    "decompose", "frame_along_profile", "profile_source_field", "source_split",
-    "theta_matrix",
+    "FrameField", "SourceField", "damping_rate", "frames_at_states",
+    "theta_field", "transformed_source",
     "PerturbationSpec", "ShiftSpec", "Snapshot", "Trajectory", "evolve",
     "make_initial",
     "ckb_norm", "fit_damping", "l2_h2_norms", "slaving_check", "weight_fn",
-    "accumulate_H", "no_damping_radius", "trace", "verify_H_bound",
+    "accumulate_H", "no_damping_radius", "trace_many", "verify_H_bound",
     "Config", "parse_config",
 ]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, _cubic_at, grid_step, phi_and_forcing
-from .eigenframe import SourceField, damping_rate, profile_source_field, source_diagonals
+from .eigenframe import SourceField, source_diagonals
 from .errors import EpsilonTooLarge, InvalidParam, NotBounded
 from .model import ModelSpec
 from .profile import ProfileRep
@@ -119,11 +119,6 @@ def trace_many(traj: Trajectory, j: int, x0s, n_sub: int = 4) -> list[CharPath]:
             for p in range(len(x0s))]
 
 
-def trace(traj: Trajectory, j: int, x0: float, n_sub: int = 4) -> CharPath:
-    """Single-path convenience wrapper around trace_many."""
-    return trace_many(traj, j, [x0], n_sub)[0]
-
-
 def accumulate_H(paths: list[CharPath], traj: Trajectory) -> np.ndarray:
     """Trapezoidal accumulation of the diagonal source along same-family paths.
 
@@ -174,22 +169,20 @@ class HBoundReport:
 
 
 def verify_H_bound(paths: list[CharPath], theta_E: float,
-                   model: ModelSpec | None = None,
-                   profile: ProfileRep | None = None,
+                   source: SourceField | None = None,
                    eps_delta: float = 0.0,
                    compare_horizon: float | None = None,
-                   growth_tol: float = 0.25,
-                   source: SourceField | None = None) -> HBoundReport:
+                   growth_tol: float = 0.25) -> HBoundReport:
     """Empirical constant of the H-estimate over all paths and sampled pairs.
 
     When ``compare_horizon`` is given, the constant is also computed from the
     samples up to that time; growth beyond ``growth_tol`` (relative, with an
     absolute floor) raises NotBounded, the signature of a rate theta_E larger
-    than the field actually provides.  With model and profile supplied the
-    report carries the analytic-style comparison bound: the integral of the
-    positive part of (steady damping coefficient + theta_E) divided by the
-    slowest characteristic speed.  ``source`` is the profile's transformed
-    source when the caller has it already.
+    than the field actually provides.  With the profile's transformed
+    ``source`` supplied the report carries the analytic-style comparison
+    bound: the integral over its grid of the positive part of (steady damping
+    coefficient + theta_E) divided by the slowest characteristic speed less
+    ``eps_delta``.
     """
     fams = sorted({p.family for p in paths})
     C_emp = {j: max(_c_emp(p, theta_E) for p in paths if p.family == j)
@@ -197,12 +190,11 @@ def verify_H_bound(paths: list[CharPath], theta_E: float,
     overall = max(C_emp.values())
     report = HBoundReport(theta_E=theta_E, C_emp=C_emp, C_emp_overall=overall,
                           C_theory={})
-    if model is not None and profile is not None:
-        sf = source if source is not None else profile_source_field(model, profile)
-        speed = max(float(np.min(np.abs(sf.frames.lambdas))) - eps_delta, 1e-12)
+    if source is not None:
+        speed = max(source.frames.min_abs_lambda - eps_delta, 1e-12)
         for j in fams:
-            excess = np.maximum(sf.E_diag[:, j] + theta_E, 0.0)
-            report.C_theory[j] = float(np.trapezoid(excess, profile.grid) / speed)
+            excess = np.maximum(source.E_diag[:, j] + theta_E, 0.0)
+            report.C_theory[j] = float(np.trapezoid(excess, source.grid) / speed)
     if compare_horizon is not None:
         C_half = max(_c_emp(p, theta_E, t_max=compare_horizon) for p in paths)
         report.half_horizon = compare_horizon
@@ -226,8 +218,7 @@ class NoDampingRadius:
 
 
 def no_damping_radius(model: ModelSpec, profile: ProfileRep, eps_budget: float,
-                      theta_E: float | None = None,
-                      source: SourceField | None = None) -> NoDampingRadius:
+                      theta_E: float, source: SourceField) -> NoDampingRadius:
     """Smallest grid radius beyond which damping clears -theta_E with margin.
 
     Requires E_jj(Ubar(x)) + C_tail exp(-theta_tilde |x|) + C_lip eps <= -theta_E
@@ -236,15 +227,11 @@ def no_damping_radius(model: ModelSpec, profile: ProfileRep, eps_budget: float,
     for state-independent A).  C_lip covers state perturbations up to the
     budget: the largest slope of E_jj on a 9^N state-box lattice from one
     ``source_diagonals`` query, where points that are not strictly hyperbolic
-    are NaN and drop out.  ``source`` is the profile's transformed source when
-    the caller has it already.
+    are NaN and drop out.  ``source`` is the profile's transformed source.
     """
-    if theta_E is None:
-        theta_E = damping_rate(model).theta_E
-    sf = source if source is not None else profile_source_field(model, profile)
     N = model.N
-    T_diag = sf.transport[:, np.eye(N, dtype=bool)]
-    E_pure = sf.E_diag - T_diag
+    T_diag = source.transport[:, np.eye(N, dtype=bool)]
+    E_pure = source.E_diag - T_diag
     transport = np.max(np.abs(T_diag), axis=1)
     rates = [profile.decay_fits[(side, 1)].rate for side in ("minus", "plus")
              if (side, 1) in profile.decay_fits]

@@ -158,7 +158,7 @@ def stage_check(cfg: Config, out: Path) -> int:
         "certified": bool(a1_ok),
     }
 
-    hyp = spec.hyperbolicity_scan(model, prof, c_min=sc["c_min"])
+    hyp = spec.hyperbolicity_scan(cfg.profile_frames, c_min=sc["c_min"])
     assumptions["assumption2_hyperbolicity"] = {
         "min_abs_lambda": hyp.min_abs_lambda,
         "min_gap": hyp.min_gap,
@@ -279,9 +279,9 @@ def stage_verify(cfg: Config, out: Path) -> int:
     certification_failures = []
     try:
         hb = chars.verify_H_bound(
-            paths, dr.theta_E, model=model, profile=prof,
+            paths, dr.theta_E, source=cfg.profile_source,
             eps_delta=shift.eps_delta, compare_horizon=float(traj.times[-1]) / 2.0,
-            growth_tol=vc["growth_tol"], source=cfg.profile_source)
+            growth_tol=vc["growth_tol"])
         hb_payload = {
             "theta_E": dr.theta_E,
             "C_emp": {str(j): v for j, v in hb.C_emp.items()},

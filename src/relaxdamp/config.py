@@ -16,7 +16,8 @@ import numpy as np
 
 from .damping_verifier import EDGE_TRIM
 from .errors import ParseError, ValidationError
-from .eigenframe import DampingRate, SourceField, damping_rate, profile_source_field
+from .eigenframe import (DampingRate, FrameField, SourceField, damping_rate,
+                         frames_at_states, transformed_source)
 from .model import ModelSpec, build_custom, build_jinxin
 from .dynamics import PerturbationSpec, ShiftSpec, Trajectory, evolve
 from .profile import ProfileRep, exact_jinxin_profile, solve_profile
@@ -184,8 +185,8 @@ def _check_number(value, key_path, positive=False, nonnegative=False,
 class Config:
     """Validated configuration with builders for the run's domain objects.
 
-    ``model``, ``profile``, ``profile_source``, ``damping`` and
-    ``trajectory`` are computed on first use and cached on this instance, so
+    ``model``, ``profile``, ``profile_frames``, ``profile_source``, ``damping``
+    and ``trajectory`` are computed on first use and cached on this instance, so
     every stage handed the same Config shares them.  ``cli.run`` gives each
     call its own copy.
     """
@@ -246,9 +247,15 @@ class Config:
         return solve_profile(self.model, X=pc["X"], n=int(pc["n"]), tol=pc["tol"])
 
     @cached_property
+    def profile_frames(self) -> FrameField:
+        """Eigenframes of A at every profile node."""
+        return frames_at_states(self.model, self.profile.grid, self.profile.values)
+
+    @cached_property
     def profile_source(self) -> SourceField:
         """Transformed source along the profile."""
-        return profile_source_field(self.model, self.profile)
+        prof = self.profile
+        return transformed_source(self.model, prof.grid, prof.values, self.profile_frames)
 
     @cached_property
     def damping(self) -> DampingRate:
@@ -413,9 +420,7 @@ def parse_config(path) -> Config:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(given, dict):
         raise ValidationError("top-level config must be a JSON object")
-    raw = _merge(_default_config(), given, "")
-    _validate(raw)
-    return Config(raw=raw)
+    return config_from_dict(given)
 
 
 def config_from_dict(given: dict) -> Config:

@@ -465,7 +465,7 @@ class Stepper:
             S -= np.einsum("nij,nj->ni", self.model.A_at(Ut) - about.A, about.U_x)
         dd = float(self.shift.delta_dot(t))
         if dd != 0.0:
-            S = S + dd * about.U_x
+            S += dd * about.U_x
         return S
 
     def forcing(self, U: np.ndarray, Ut: np.ndarray, t: float, frames: FrameField,

@@ -29,27 +29,6 @@ DEGENERACY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class EigenFrame:
-    """Eigendata of the coefficient matrix at one state.
-
-    Rows of L are left eigenvectors, columns of R right eigenvectors, with
-    L R = I and eigenvalues sorted ascending.
-    """
-
-    lambdas: np.ndarray
-    L: np.ndarray
-    R: np.ndarray
-
-
-@dataclass(frozen=True)
-class SourceSplit:
-    """Diagonal/off-diagonal split E + F of L Q R."""
-
-    E: np.ndarray
-    F: np.ndarray
-
-
-@dataclass(frozen=True)
 class DampingRate:
     """Damping rate extracted from the endstate source diagonals.
 
@@ -213,12 +192,6 @@ def _decompose_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
     return lam, L, R
 
 
-def decompose(A: np.ndarray, c_min: float = 0.0) -> EigenFrame:
-    """Sorted real eigendecomposition of one matrix with L = R^{-1}."""
-    lam, L, R = _decompose_batch(np.asarray(A, dtype=float)[None], c_min)
-    return EigenFrame(lambdas=lam[0], L=L[0], R=R[0])
-
-
 @dataclass
 class FrameField:
     """Eigenframes at every grid node, with signs continued along the grid.
@@ -289,16 +262,6 @@ class FrameField:
             return float("inf")
         return float(np.min(np.diff(self.lambdas, axis=1)))
 
-    @property
-    def lipschitz(self) -> float:
-        """Recorded frame-continuity constant max |frame(x_{i+1}) - frame(x_i)| / dx."""
-        if len(self.grid) < 2:
-            return 0.0
-        dx = np.diff(self.grid)
-        dR = np.max(np.abs(np.diff(self.R, axis=0)), axis=(1, 2))
-        dl = np.max(np.abs(np.diff(self.lambdas, axis=0)), axis=1)
-        return float(np.max(np.maximum(dR, dl) / dx))
-
 
 def _flip_parity(steps: np.ndarray) -> np.ndarray:
     """Whether row i is flipped against row 0, for ``steps[i - 1]`` the signed
@@ -343,11 +306,11 @@ def frames_at_states(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     states = np.asarray(states, dtype=float)
     if model.A_is_constant:
-        frame = decompose(model.A_at(states[0]), c_min)
+        lam, L, R = _decompose_batch(model.A_at(states[:1]), c_min)
         n, N = states.shape
-        return FrameField(grid=grid, lambdas=np.broadcast_to(frame.lambdas, (n, N)),
-                          L=np.broadcast_to(frame.L, (n, N, N)),
-                          R=np.broadcast_to(frame.R, (n, N, N)), constant=True)
+        return FrameField(grid=grid, lambdas=np.broadcast_to(lam[0], (n, N)),
+                          L=np.broadcast_to(L[0], (n, N, N)),
+                          R=np.broadcast_to(R[0], (n, N, N)), constant=True)
     decompose_stack = _decompose_2x2 if model.N == 2 else _decompose_batch
     lam, L, R = decompose_stack(model.A_at(states), c_min, grid)
     _continue_signs(lam, L, R)
@@ -364,29 +327,16 @@ def profile_lambdas(model: ModelSpec, profile: ProfileRep, x: np.ndarray,
     differently from ``eigvals``."""
     x = np.asarray(x, dtype=float)
     if model.A_is_constant:
-        lam = decompose(model.A_at(np.zeros(model.N)), c_min).lambdas
-        return np.broadcast_to(lam, (len(x), model.N))
+        lam = _decompose_batch(model.A_at(np.zeros((1, model.N))), c_min)[0]
+        return np.broadcast_to(lam[0], (len(x), model.N))
     states = profile.eval(x)
     if model.N == 2:
         return _eigvals_2x2(model.A_at(states), c_min, x)
     return frames_at_states(model, x, states, c_min).lambdas
 
 
-def frame_along_profile(model: ModelSpec, profile: ProfileRep,
-                        c_min: float = 0.0) -> FrameField:
-    """Eigenframes at every profile node."""
-    return frames_at_states(model, profile.grid, profile.values, c_min)
-
-
-def source_split(frame: EigenFrame, Qmat: np.ndarray) -> SourceSplit:
-    """Split L Q R into diagonal E and off-diagonal F."""
-    M = frame.L @ np.asarray(Qmat, dtype=float) @ frame.R
-    E = np.diag(np.diag(M))
-    return SourceSplit(E=E, F=M - E)
-
-
-def _theta_field(lambdas: np.ndarray, F_tilde: np.ndarray,
-                 gap_min: float = GAP_MIN) -> np.ndarray:
+def theta_field(lambdas: np.ndarray, F_tilde: np.ndarray,
+                gap_min: float = GAP_MIN) -> np.ndarray:
     """Solve [Theta, Lambda] = F at every grid node.
 
     Theta_jk = F_jk / (lambda_k - lambda_j) off the diagonal, zero on it.
@@ -400,13 +350,6 @@ def _theta_field(lambdas: np.ndarray, F_tilde: np.ndarray,
     Theta = np.zeros_like(F_tilde)
     Theta[:, off] = F_tilde[:, off] / denom_off
     return Theta
-
-
-def theta_matrix(frame: EigenFrame, F_tilde: np.ndarray,
-                 gap_min: float = GAP_MIN) -> np.ndarray:
-    """Solve the commutator equation [Theta, Lambda] = F at one state."""
-    F = np.asarray(F_tilde, dtype=float)[None]
-    return _theta_field(frame.lambdas[None], F, gap_min)[0]
 
 
 def source_diagonals(model: ModelSpec, states: np.ndarray):
@@ -470,13 +413,11 @@ class SourceField:
 
 
 def transformed_source(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
-                       frames: FrameField | None = None,
-                       with_theta: bool = True) -> SourceField:
-    """Full transformed source L Q R - Lambda L dR/dx split along a state field."""
+                       frames: FrameField, with_theta: bool = True) -> SourceField:
+    """Full transformed source L Q R - Lambda L dR/dx split along a state field,
+    whose eigenframes ``frames`` are those of ``frames_at_states``."""
     grid = np.asarray(grid, dtype=float)
     states = np.asarray(states, dtype=float)
-    if frames is None:
-        frames = frames_at_states(model, grid, states)
     Q = model.Q_at(states)
     n, N = states.shape
     if model.A_is_constant:
@@ -491,12 +432,6 @@ def transformed_source(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
     E_diag = M[:, eye]
     F_tilde = M  # in place: M is fresh here and E_diag holds the diagonal
     F_tilde[:, eye] = 0.0
-    Theta = _theta_field(frames.lambdas, F_tilde) if with_theta else None
+    Theta = theta_field(frames.lambdas, F_tilde) if with_theta else None
     return SourceField(grid=grid, E_diag=E_diag, F_tilde=F_tilde, transport=T,
                        frames=frames, Theta=Theta)
-
-
-def profile_source_field(model: ModelSpec, profile: ProfileRep,
-                         frames: FrameField | None = None) -> SourceField:
-    """Transformed source along the stationary profile."""
-    return transformed_source(model, profile.grid, profile.values, frames)

@@ -15,9 +15,8 @@ from itertools import permutations
 import numpy as np
 
 from .errors import InvalidParam, PairingAmbiguous, ScanTooCoarse
-from .eigenframe import _flip_parity, endstate_diagonals, frames_at_states
+from .eigenframe import FrameField, _flip_parity, endstate_diagonals
 from .model import ModelSpec
-from .profile import ProfileRep
 
 XI_MIN_DEFAULT = 0.01
 N_XI_DEFAULT = 400
@@ -43,8 +42,9 @@ def _by_im_re(mu: np.ndarray) -> np.ndarray:
     return np.take_along_axis(mu, np.lexsort((mu.real, mu.imag), axis=-1), axis=-1)
 
 
-def symbol_spectrum(model: ModelSpec, side: str, xi: float) -> np.ndarray:
-    """Eigenvalues of i xi A(U_side) + Q(U_side), sorted by (Im, Re)."""
+def symbol_spectrum(model: ModelSpec, side: str, xi) -> np.ndarray:
+    """Eigenvalues of i xi A(U_side) + Q(U_side), sorted by (Im, Re); one row
+    per frequency for an array xi."""
     return _by_im_re(_symbol_eigvals(model, side, xi))
 
 
@@ -196,7 +196,7 @@ def expansion_check(model: ModelSpec, side: str, xi_list) -> ExpansionCheck:
     xi_list = np.asarray(sorted(xi_list), dtype=float)
     if np.min(np.abs(xi_list)) < 10.0 * np.max(np.abs(lam)) * (1.0 - 1e-9):
         raise InvalidParam("expansion check needs |xi| >= 10 max |lambda|")
-    mu = _by_im_re(_symbol_eigvals(model, side, xi_list))
+    mu = symbol_spectrum(model, side, xi_list)
     dist = np.abs(mu.imag[:, None, :] - lam[None, :, None] * xi_list[:, None, None])
     pick = np.argmin(dist, axis=2)
     picked = np.sort(pick, axis=1)
@@ -226,15 +226,14 @@ class HyperbolicityReport:
     passed: bool
 
 
-def hyperbolicity_scan(model: ModelSpec, profile: ProfileRep,
-                       c_min: float) -> HyperbolicityReport:
-    """Decompose A at every profile node and aggregate spectral margins.
+def hyperbolicity_scan(frames: FrameField, c_min: float) -> HyperbolicityReport:
+    """Aggregate the spectral margins of the eigenframes at every profile node.
 
-    Structural defects (complex or coalescing eigenvalues) propagate as
-    NotStrictlyHyperbolic with the offending location; falling short of the
-    requested non-characteristicity bound is reported as a failed scan.
+    Structural defects (complex or coalescing eigenvalues) raise
+    NotStrictlyHyperbolic with the offending location when ``frames`` are
+    built (``frames_at_states`` at c_min = 0); falling short of the requested
+    non-characteristicity bound is reported as a failed scan.
     """
-    frames = frames_at_states(model, profile.grid, profile.values, c_min=0.0)
     min_abs = frames.min_abs_lambda
     min_gap = frames.min_gap
     return HyperbolicityReport(

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from relaxdamp import build_custom, build_jinxin, exact_jinxin_profile
+from relaxdamp import (build_custom, build_jinxin, exact_jinxin_profile, frames_at_states,
+                       transformed_source)
 from relaxdamp.dynamics import ShiftSpec, Trajectory
 from relaxdamp.poly import Poly
 from relaxdamp.profile import constant_profile
@@ -37,6 +38,15 @@ def vara_model():
         U_minus=[1.0, 0.5], U_plus=[-1.0, 0.5])
 
 
+def anti_damped_core_model():
+    """Jin-Xin (a = 2, eps = 1) with q2 = u^2/2 - v + g (1 - u^2)(v - 1/2) at
+    g = 1.5 and endstates (+-1, 1/2).  The profile keeps v = 1/2, where
+    E_jj = -(2 +- u)/4 + g (1 - u^2)/2: damped endstates, an anti-damped core."""
+    q2 = [[1.25, [2, 0]], [0.5, [0, 1]], [-0.75, [0, 0]], [-1.5, [2, 1]]]
+    return build_custom("anti-damped-core", 2, [[0.0, 1.0], [4.0, 0.0]], [0.0, q2],
+                        U_minus=[1.0, 0.5], U_plus=[-1.0, 0.5])
+
+
 def vara3_model():
     """3x3 model with A depending on u in three entries and a linear, decoupled
     source; U = 0 is an equilibrium."""
@@ -45,6 +55,12 @@ def vara3_model():
     q = [u.scaled(-1.0), Poly.variable(3, 1).scaled(-2.0), Poly.variable(3, 2).scaled(-0.5)]
     return build_custom("varA3", 3, A, q, U_minus=[0.0] * 3, U_plus=[0.0] * 3,
                         state_box=([-1.0] * 3, [1.0] * 3))
+
+
+def profile_source(model, profile):
+    """Transformed source along the profile nodes, on their ``frames_at_states``."""
+    frames = frames_at_states(model, profile.grid, profile.values)
+    return transformed_source(model, profile.grid, profile.values, frames)
 
 
 def synthetic_trajectory(model, profile, field, T: float, n_out: int,
@@ -64,4 +80,4 @@ def synthetic_trajectory(model, profile, field, T: float, n_out: int,
 
 
 __all__ = ["scalar_model", "synthetic_trajectory", "constant_profile", "vara_model",
-           "vara3_model"]
+           "vara3_model", "anti_damped_core_model", "profile_source"]

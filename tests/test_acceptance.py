@@ -13,16 +13,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import scalar_model
+from conftest import profile_source, scalar_model
 from relaxdamp import (
     build_jinxin,
     damping_rate,
-    decompose,
     exact_jinxin_profile,
-    frame_along_profile,
-    profile_source_field,
+    frames_at_states,
     solve_profile,
-    theta_matrix,
+    theta_field,
 )
 from relaxdamp.characteristics import accumulate_H, no_damping_radius, trace_many, verify_H_bound
 from relaxdamp.cli import EXIT_CERTIFICATION, EXIT_CONFIG, EXIT_OK, main, run
@@ -35,6 +33,7 @@ from relaxdamp.damping_verifier import (
     weighted_energy_series,
 )
 from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, Stepper, evolve, make_initial
+from relaxdamp.eigenframe import _decompose_batch
 from relaxdamp.profile import constant_profile, residual
 from relaxdamp.spectral_stability import dissipativity_certificate, expansion_check
 
@@ -93,7 +92,7 @@ def test_criterion_1_profile_oracle(model, profile):
 
 
 def test_criterion_2_eigenframe(model, profile):
-    frames = frame_along_profile(model, profile)
+    frames = frames_at_states(model, profile.grid, profile.values)
     A = model.A_at(profile.values)
     lam = frames.lambdas[:, None, :] * np.eye(2)[None]
     diag_err = float(np.max(np.abs(np.matmul(np.matmul(frames.L, A), frames.R) - lam)))
@@ -101,11 +100,11 @@ def test_criterion_2_eigenframe(model, profile):
     scale = 1.0 + float(np.max(np.abs(A)))
     assert diag_err <= 1e-10 * scale
     assert ortho_err <= 1e-10
-    fr = decompose(np.array([[0.0, 1.0], [4.0, 0.0]]))
-    assert np.allclose(fr.lambdas, [-2.0, 2.0], atol=1e-12)
+    lams, _, Rs = _decompose_batch(np.array([[[0.0, 1.0], [4.0, 0.0]]]), 0.0)
+    assert np.allclose(lams[0], [-2.0, 2.0], atol=1e-12)
     for j, ref in enumerate((np.array([1.0, -2.0]), np.array([1.0, 2.0]))):
-        c = fr.R[:, j] @ ref / (ref @ ref)
-        assert np.max(np.abs(fr.R[:, j] - c * ref)) <= 1e-12
+        c = Rs[0][:, j] @ ref / (ref @ ref)
+        assert np.max(np.abs(Rs[0][:, j] - c * ref)) <= 1e-12
     print(f"criterion 2 PASS: |LAR-Lambda| {diag_err:.2e}, |LR-I| {ortho_err:.2e} "
           f"at {len(profile.grid)} nodes")
 
@@ -114,19 +113,19 @@ def test_criterion_3_source_split_theta(model, profile):
     dr = damping_rate(model)
     values = sorted(np.concatenate([dr.E_minus, dr.E_plus]).tolist())
     assert np.allclose(values, [-0.75, -0.75, -0.25, -0.25], atol=1e-12)
-    sf = profile_source_field(model, profile)
+    sf = profile_source(model, profile)
     lam = sf.frames.lambdas
     comm = (sf.Theta * lam[:, None, :] - lam[:, :, None] * sf.Theta) - sf.F_tilde
     node_resid = float(np.max(np.abs(comm)))
     assert node_resid <= 1e-12 * (1.0 + float(np.max(np.abs(sf.F_tilde))))
-    fr = decompose(model.A_at(model.U_minus))
-    lam_m = np.diag(fr.lambdas)
+    lams = _decompose_batch(model.A_at(model.U_minus[None]), 0.0)[0]
+    lam_m = np.diag(lams[0])
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
         F = rng.normal(size=(2, 2))
         np.fill_diagonal(F, 0.0)
-        Th = theta_matrix(fr, F)
+        Th = theta_field(lams, F[None])[0]
         worst = max(worst, float(np.max(np.abs(Th @ lam_m - lam_m @ Th - F))
                                  / (1.0 + np.max(np.abs(F)))))
     assert worst <= 1e-12
@@ -197,8 +196,9 @@ def test_criterion_6_backend_cross_validation(model, profile):
 
 def test_criterion_7_h_estimate(model, profile, run_gaussian):
     dr = damping_rate(model)
+    source = profile_source(model, profile)
     radius = no_damping_radius(model, profile, eps_budget=0.02,
-                               theta_E=dr.theta_E)
+                               theta_E=dr.theta_E, source=source)
     span = max(2.0 * radius.R, 10.0)
     starts = np.linspace(-span, span, 20)
     paths = []
@@ -206,7 +206,7 @@ def test_criterion_7_h_estimate(model, profile, run_gaussian):
         fam = trace_many(run_gaussian, j, starts)
         accumulate_H(fam, run_gaussian)
         paths.extend(fam)
-    rep = verify_H_bound(paths, dr.theta_E, model=model, profile=profile,
+    rep = verify_H_bound(paths, dr.theta_E, source=source,
                          compare_horizon=40.0, growth_tol=0.25)
     assert np.isfinite(rep.C_emp_overall)
     change = abs(rep.C_emp_overall - rep.C_emp_half)

@@ -1,0 +1,42 @@
+"""The package's public names.
+
+Every name in ``relaxdamp.__all__`` must resolve, a star import must work,
+and the single-state twins of the stacked eigen and characteristics layers
+must stay gone from the package namespace and from their modules.
+"""
+
+from __future__ import annotations
+
+import relaxdamp
+from relaxdamp import characteristics, eigenframe
+
+REMOVED = {
+    eigenframe: ("EigenFrame", "SourceSplit", "decompose", "source_split", "theta_matrix",
+                 "frame_along_profile", "profile_source_field", "_theta_field"),
+    characteristics: ("trace",),
+}
+
+
+def test_every_exported_name_resolves():
+    assert len(set(relaxdamp.__all__)) == len(relaxdamp.__all__)
+    for name in relaxdamp.__all__:
+        assert getattr(relaxdamp, name) is not None, name
+    # the stacked entry points stand in for the removed twins
+    assert {"frames_at_states", "theta_field", "transformed_source",
+            "trace_many"} <= set(relaxdamp.__all__)
+
+
+def test_star_import_binds_all():
+    namespace: dict = {}
+    exec("from relaxdamp import *", namespace)
+    assert set(relaxdamp.__all__) <= set(namespace)
+
+
+def test_removed_twins_stay_gone():
+    for module, names in REMOVED.items():
+        for name in names:
+            assert name not in relaxdamp.__all__, name
+            assert not hasattr(relaxdamp, name), name
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(eigenframe.FrameField, "lipschitz")
+

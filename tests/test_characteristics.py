@@ -7,18 +7,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import scalar_model, synthetic_trajectory, vara_model
+from conftest import (anti_damped_core_model, profile_source, scalar_model,
+                      synthetic_trajectory, vara_model)
 from relaxdamp import characteristics, damping_rate, dynamics, eigenframe
 from relaxdamp.characteristics import (
+    CharPath,
     accumulate_H,
     duhamel_residual,
     no_damping_radius,
     scan_trajectory_damping,
-    trace,
     trace_many,
     verify_H_bound,
 )
 from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, _cubic_at, evolve
+from relaxdamp.eigenframe import _decompose_batch
 from relaxdamp.errors import EpsilonTooLarge, InvalidParam, NotBounded, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
 from relaxdamp.profile import constant_profile, solve_profile
@@ -45,7 +47,7 @@ def decay_run():
 
 def test_trace_straight_line(decay_run):
     _, _, traj = decay_run
-    p = trace(traj, 0, x0=-5.0)
+    p = trace_many(traj, 0, [-5.0])[0]
     expect = -5.0 + 2.0 * p.times
     assert np.max(np.abs(p.positions - expect)) <= 1e-12
 
@@ -59,7 +61,7 @@ def test_trace_at_constant_A_interpolates_no_field(jinxin_run, monkeypatch):
     for j in (0, 1):
         lam = float(traj.frames(0).lambdas[0, j])
         assert lam == pytest.approx(-2.0 if j == 0 else 2.0, rel=1e-14)
-        p = trace(traj, j, x0=1.0)
+        p = trace_many(traj, j, [1.0])[0]
         assert calls == []
         assert p.velocities.tolist() == [lam - sinusoid.delta_dot(s) for s in p.times]
 
@@ -69,14 +71,14 @@ def test_trace_constant_shift_rate(decay_run):
     traj = evolve(model, prof, PerturbationSpec(kind="zero"),
                   ShiftSpec(kind="linear", rate=0.5), T=10.0,
                   backend="moc", dx=0.04, n_out=20)
-    p = trace(traj, 0, x0=0.0)
+    p = trace_many(traj, 0, [0.0])[0]
     expect = (2.0 - 0.5) * p.times
     assert np.max(np.abs(p.positions - expect)) <= 1e-12
 
 
 def test_constant_damping_H_is_linear(decay_run):
     _, _, traj = decay_run
-    p = trace(traj, 0, x0=-30.0)
+    p = trace_many(traj, 0, [-30.0])[0]
     H = accumulate_H([p], traj)[0]
     assert np.max(np.abs(H + 0.25 * p.times)) <= 1e-10
 
@@ -91,10 +93,10 @@ def test_tracer_refinement_order():
         return (0.5 * np.sin(0.3 * x) * np.exp(-0.05 * t))[:, None]
 
     traj = synthetic_trajectory(model, prof, field, T=8.0, n_out=16)
-    ref = trace(traj, 0, x0=-20.0, n_sub=64).positions[-1]
+    ref = trace_many(traj, 0, [-20.0], n_sub=64)[0].positions[-1]
     errs = []
     for n_sub in (2, 4, 8):
-        p = trace(traj, 0, x0=-20.0, n_sub=n_sub)
+        p = trace_many(traj, 0, [-20.0], n_sub=n_sub)[0]
         errs.append(abs(p.positions[-1] - ref))
     order1 = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
@@ -107,7 +109,7 @@ def test_exit_time_bound(jinxin, jinxin_run):
     bound = 2.0 * radius / (2.0 - eps_d)
     for j in (0, 1):
         for x0 in np.linspace(-radius, radius, 7):
-            p = trace(jinxin_run, j, x0)
+            p = trace_many(jinxin_run, j, [x0])[0]
             texit = p.exit_time_from(radius)
             assert texit is not None
             assert texit <= bound + 0.5  # sampling slack of one sub-step
@@ -139,7 +141,7 @@ def test_H_bound_stable_across_horizons(jinxin, jinxin_profile, jinxin_run):
         fam = trace_many(jinxin_run, j, starts)
         accumulate_H(fam, jinxin_run)
         paths.extend(fam)
-    rep = verify_H_bound(paths, dr.theta_E, model=jinxin, profile=jinxin_profile,
+    rep = verify_H_bound(paths, dr.theta_E, source=profile_source(jinxin, jinxin_profile),
                          compare_horizon=10.0)
     assert np.isfinite(rep.C_emp_overall)
     assert abs(rep.C_emp_overall - rep.C_emp_half) <= 0.05 * max(
@@ -148,8 +150,33 @@ def test_H_bound_stable_across_horizons(jinxin, jinxin_profile, jinxin_run):
     assert max(rep.C_theory.values()) <= 1e-12
 
 
+def test_C_theory_of_an_anti_damped_core():
+    # E_jj > 0 in the core, so the comparison bound is positive: the
+    # trapezoid integral of the closed form's (E_jj + theta_E)_+ over the
+    # slowest speed min |lambda| = 2
+    model = anti_damped_core_model()
+    prof = solve_profile(model, X=40.0, n=4001)
+    source = profile_source(model, prof)
+    u = prof.values[:, 0]
+    closed = np.stack([-(2.0 + u) / 4.0, -(2.0 - u) / 4.0], axis=1) \
+        + 0.75 * (1.0 - u ** 2)[:, None]
+    assert np.max(np.abs(source.E_diag - closed)) <= 1e-12
+    assert np.max(closed) == pytest.approx(0.2708, abs=1e-4)
+    theta_E = damping_rate(model).theta_E
+    paths = [CharPath(family=j, x0=0.0, times=np.linspace(0.0, 1.0, 5),
+                      positions=np.zeros(5), velocities=np.zeros(5), H=np.zeros(5))
+             for j in (0, 1)]
+    rep = verify_H_bound(paths, theta_E, source=source)
+    for j in (0, 1):
+        want = np.trapezoid(np.maximum(closed[:, j] + theta_E, 0.0), prof.grid) / 2.0
+        assert rep.C_theory[j] == pytest.approx(want, rel=1e-12)
+        assert rep.C_theory[j] == pytest.approx(1.8652, abs=1e-4)
+
+
 def test_no_damping_radius_jinxin(jinxin, jinxin_profile, jinxin_run):
-    radius = no_damping_radius(jinxin, jinxin_profile, eps_budget=1e-2)
+    radius = no_damping_radius(jinxin, jinxin_profile, eps_budget=1e-2,
+                               theta_E=damping_rate(jinxin).theta_E,
+                               source=profile_source(jinxin, jinxin_profile))
     assert radius.R == 0.0
     assert radius.C_lip == pytest.approx(0.25, rel=1e-6)
     assert radius.C_tail == 0.0
@@ -160,7 +187,9 @@ def test_no_damping_radius_jinxin(jinxin, jinxin_profile, jinxin_run):
 def test_no_damping_radius_constant_field():
     model = scalar_model(speed=2.0, decay=0.25)  # E = -2 theta_E everywhere
     prof = constant_profile(model, [0.0], X=20.0, n=201)
-    radius = no_damping_radius(model, prof, eps_budget=1e-3)
+    radius = no_damping_radius(model, prof, eps_budget=1e-3,
+                               theta_E=damping_rate(model).theta_E,
+                               source=profile_source(model, prof))
     assert radius.R == 0.0
     assert radius.C_lip == pytest.approx(0.0, abs=1e-12)
 
@@ -176,8 +205,8 @@ def _hyperbolicity_loss_case():
 
 
 def _lattice_oracle(model):
-    """E_jj on the 9^N state-box lattice by one decompose + source_split per
-    point (NaN where A is not strictly hyperbolic), the error message kinds
+    """E_jj on the 9^N state-box lattice by one single-matrix decomposition and
+    diag(L Q R) per point (NaN where A is not strictly hyperbolic), the error message kinds
     met, and the Lipschitz constant of E over the lattice."""
     lo, hi = model.state_box
     axes = [np.linspace(lo[k], hi[k], 9) for k in range(model.N)]
@@ -186,11 +215,11 @@ def _lattice_oracle(model):
     for idx in np.ndindex(*E.shape[:-1]):
         U = np.array([axes[k][i] for k, i in enumerate(idx)])
         try:
-            fr = eigenframe.decompose(model.A_at(U))
+            _, L, R = _decompose_batch(model.A_at(U)[None], 0.0)
         except NotStrictlyHyperbolic as exc:
             kinds.add(str(exc).split(" ")[0])
             continue
-        E[idx] = np.diag(eigenframe.source_split(fr, model.Q_at(U)).E)
+        E[idx] = np.diag(L[0] @ model.Q_at(U) @ R[0])
     C_lip = max(float(np.nanmax(np.abs(np.diff(E, axis=k) / (axes[k][1] - axes[k][0]))))
                 for k in range(model.N))
     return E, kinds, C_lip
@@ -200,6 +229,7 @@ def test_no_damping_radius_skips_non_hyperbolic_lattice_point(monkeypatch):
     model, prof = _hyperbolicity_loss_case()
     E_oracle, kinds, C_lip = _lattice_oracle(model)
     assert kinds == {"complex", "eigenvalue"}  # complex pairs and a coalescence
+    source = profile_source(model, prof)
     seen = []
 
     def recorded(model, states):
@@ -207,7 +237,7 @@ def test_no_damping_radius_skips_non_hyperbolic_lattice_point(monkeypatch):
         return None, seen[-1]
 
     monkeypatch.setattr(characteristics, "source_diagonals", recorded)
-    radius = no_damping_radius(model, prof, eps_budget=1e-4, theta_E=0.1)
+    radius = no_damping_radius(model, prof, eps_budget=1e-4, theta_E=0.1, source=source)
     assert len(seen) == 1
     assert seen[0].reshape(E_oracle.shape).tobytes() == E_oracle.tobytes()
     assert radius.C_lip == C_lip > 0.0
@@ -216,7 +246,7 @@ def test_no_damping_radius_skips_non_hyperbolic_lattice_point(monkeypatch):
 
 def test_no_damping_radius_propagates_unrelated_errors(monkeypatch):
     model, prof = _hyperbolicity_loss_case()
-    source = eigenframe.profile_source_field(model, prof)
+    source = profile_source(model, prof)
 
     def broken(A):
         raise ValueError("broken lattice point")
@@ -244,7 +274,7 @@ def test_no_damping_radius_makes_one_eig_call(case, jinxin, jinxin_profile, monk
         prof = solve_profile(model, X=20.0, n=401)
     else:
         model, prof = _varA3_case()
-    source = eigenframe.profile_source_field(model, prof)
+    source = profile_source(model, prof)
     calls = []
     eig = np.linalg.eig
 
@@ -259,7 +289,9 @@ def test_no_damping_radius_makes_one_eig_call(case, jinxin, jinxin_profile, monk
 
 def test_epsilon_too_large(jinxin, jinxin_profile):
     with pytest.raises(EpsilonTooLarge):
-        no_damping_radius(jinxin, jinxin_profile, eps_budget=10.0)
+        no_damping_radius(jinxin, jinxin_profile, eps_budget=10.0,
+                          theta_E=damping_rate(jinxin).theta_E,
+                          source=profile_source(jinxin, jinxin_profile))
 
 
 def test_duhamel_residual_builds_one_stepper(jinxin, jinxin_profile, monkeypatch):
@@ -275,13 +307,13 @@ def test_duhamel_residual_builds_one_stepper(jinxin, jinxin_profile, monkeypatch
     traj = evolve(jinxin, jinxin_profile, pert, ShiftSpec(kind="zero"),
                   T=2.0, backend="moc", dx=0.04, n_out=4)
     for j, x0 in ((0, 2.0), (1, -3.0)):
-        duhamel_residual(traj, trace(traj, j, x0))
+        duhamel_residual(traj, trace_many(traj, j, [x0])[0])
     # the evolution's own, not one more for the trajectory or per output time and path
     assert len(built) == 1
 
 
 def test_duhamel_consistency(jinxin_run):
-    p = trace(jinxin_run, 1, x0=-30.0)
+    p = trace_many(jinxin_run, 1, [-30.0])[0]
     accumulate_H([p], jinxin_run)
     assert duhamel_residual(jinxin_run, p) <= 1e-4
 
@@ -405,6 +437,6 @@ def test_batched_H_matches_per_path_H(run, request):
 
 
 def test_accumulate_H_rejects_mixed_families(jinxin_run):
-    paths = [trace(jinxin_run, j, 0.0) for j in (0, 1)]
+    paths = [trace_many(jinxin_run, j, [0.0])[0] for j in (0, 1)]
     with pytest.raises(InvalidParam):
         accumulate_H(paths, jinxin_run)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relaxdamp import characteristics, config, dynamics, eigenframe
+from relaxdamp import config, dynamics, eigenframe
 from relaxdamp.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
@@ -307,18 +307,31 @@ def test_all_loads_no_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
-def test_all_builds_the_profile_source_once(tmp_path, monkeypatch):
+def _count_calls(monkeypatch, name, modules):
+    """Count the calls of the eigenframe function ``name`` made through ``modules``."""
     calls = []
-    original = eigenframe.profile_source_field
+    original = getattr(eigenframe, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (eigenframe, config, characteristics):
-        monkeypatch.setattr(module, "profile_source_field", counted)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_all_builds_the_profile_source_once(tmp_path, monkeypatch):
+    # the config builds the profile's source; no other module can
+    calls = _count_calls(monkeypatch, "transformed_source", [config])
     assert run("all", config_from_dict(TINY), out_dir=str(tmp_path)) == EXIT_OK
     assert len(calls) == 1
+
+
+def test_check_decomposes_the_profile_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, "frames_at_states", [eigenframe, config, dynamics])
+    assert run("check", config_from_dict(TINY), out_dir=str(tmp_path)) == EXIT_OK
+    assert len(calls) == 1  # shared by the hyperbolicity scan and the profile source
 
 
 def test_verify_alone_runs_its_own_evolution(tmp_path, call_counts):

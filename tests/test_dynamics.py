@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import scalar_model, vara3_model
-from relaxdamp.characteristics import accumulate_H, duhamel_residual, trace
+from relaxdamp.characteristics import accumulate_H, duhamel_residual, trace_many
 from relaxdamp import dynamics
 from relaxdamp.dynamics import (
     CFL_LIMIT,
@@ -21,7 +21,7 @@ from relaxdamp.dynamics import (
     grid_step,
     make_initial,
 )
-from relaxdamp.eigenframe import FrameField, transformed_source
+from relaxdamp.eigenframe import FrameField, frames_at_states, transformed_source
 from relaxdamp.errors import BlowUp, BudgetExceeded, CFLViolation, InvalidParam
 from relaxdamp.model import ModelSpec, build_custom
 from relaxdamp.profile import constant_profile, solve_profile
@@ -125,7 +125,8 @@ def test_offset_initial_endpoints(jinxin_profile):
 def test_zero_initial(jinxin, jinxin_profile):
     snap = make_initial(jinxin_profile, PerturbationSpec(kind="zero"))
     assert np.max(np.abs(snap.U)) == 0.0
-    sf = transformed_source(jinxin, snap.grid, jinxin_profile.eval(snap.grid) + snap.U)
+    Ut = jinxin_profile.eval(snap.grid) + snap.U
+    sf = transformed_source(jinxin, snap.grid, Ut, frames_at_states(jinxin, snap.grid, Ut))
     dv = diagonal_vars(snap, sf.frames, sf.Theta)
     for field in (dv.Phi, dv.Psi, dv.PsiTilde, dv.Upsilon, dv.UpsilonTilde):
         assert np.max(np.abs(field)) == 0.0
@@ -276,7 +277,7 @@ def test_state_dependent_A_equilibrium_and_duhamel(varA, backend):
     pert = PerturbationSpec(kind="offset", d_minus=(2e-3, 0.0), d_plus=(-2e-3, 0.0))
     traj = evolve(model, prof, pert, ShiftSpec(kind="zero"), T=1.0,
                   backend=backend, dx=0.05, n_out=4)
-    p = trace(traj, 0, x0=0.0)
+    p = trace_many(traj, 0, [0.0])[0]
     accumulate_H([p], traj)
     assert duhamel_residual(traj, p) <= 1e-5
 
@@ -762,10 +763,8 @@ def test_sinusoid_shift_bounded_run(jinxin, jinxin_profile):
 def test_diagonal_vars_roundtrip(jinxin, jinxin_profile):
     pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0)
     snap = make_initial(jinxin_profile, pert)
-    from relaxdamp.eigenframe import transformed_source
-
     Ut = jinxin_profile.eval(snap.grid) + snap.U
-    sf = transformed_source(jinxin, snap.grid, Ut)
+    sf = transformed_source(jinxin, snap.grid, Ut, frames_at_states(jinxin, snap.grid, Ut))
     dv = diagonal_vars(snap, sf.frames, sf.Theta)
     # reconstruction U = R Phi and W = R Psi round-trip
     U_back = np.einsum("nkj,nj->nk", sf.frames.R, dv.Phi)
@@ -785,8 +784,6 @@ def test_diagonal_vars_spot_value(jinxin, jinxin_profile):
     snap = make_initial(jinxin_profile, pert)
     i0 = len(snap.grid) // 2
     snap.U[i0] = [1e-2, 0.0]
-    from relaxdamp.eigenframe import frames_at_states
-
     Ut = jinxin_profile.eval(snap.grid) + snap.U
     frames = frames_at_states(jinxin, snap.grid, Ut)
     Phi = np.einsum("njk,nk->nj", frames.L, snap.U)

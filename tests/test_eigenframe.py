@@ -7,18 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import vara3_model, vara_model
-from relaxdamp import (
-    build_custom,
-    build_jinxin,
-    damping_rate,
-    decompose,
-    eigenframe,
-    frame_along_profile,
-    profile_source_field,
-    source_split,
-    theta_matrix,
-)
+from conftest import profile_source, vara3_model, vara_model
+from relaxdamp import build_custom, build_jinxin, damping_rate, eigenframe, theta_field
 from relaxdamp.eigenframe import (
     _continue_signs,
     _decompose_2x2,
@@ -36,51 +26,56 @@ from relaxdamp.poly import Poly
 from relaxdamp.profile import ProfileRep, solve_profile
 
 
+JINXIN_A = np.array([[0.0, 1.0], [4.0, 0.0]])
+
+
 def test_decompose_jinxin_matrix():
-    A = np.array([[0.0, 1.0], [4.0, 0.0]])
-    fr = decompose(A)
-    assert np.allclose(fr.lambdas, [-2.0, 2.0])
-    assert np.max(np.abs(fr.L @ A @ fr.R - np.diag(fr.lambdas))) <= 1e-10 * 5.0
-    assert np.max(np.abs(fr.L @ fr.R - np.eye(2))) <= 1e-10
+    lam, L, R = (a[0] for a in _decompose_batch(JINXIN_A[None], 0.0))
+    assert np.allclose(lam, [-2.0, 2.0])
+    assert np.max(np.abs(L @ JINXIN_A @ R - np.diag(lam))) <= 1e-10 * 5.0
+    assert np.max(np.abs(L @ R - np.eye(2))) <= 1e-10
     # eigenvectors proportional to the hand computation (1, -2), (1, 2)
     for j, ref in enumerate((np.array([1.0, -2.0]), np.array([1.0, 2.0]))):
-        col = fr.R[:, j]
+        col = R[:, j]
         c = col @ ref / (ref @ ref)
         assert np.max(np.abs(col - c * ref)) <= 1e-12
 
 
 def test_decompose_already_diagonal():
-    fr = decompose(np.diag([-1.0, 3.0]))
-    assert np.allclose(fr.lambdas, [-1.0, 3.0])
-    assert np.allclose(fr.L, np.eye(2))
-    assert np.allclose(fr.R, np.eye(2))
+    lam, L, R = (a[0] for a in _decompose_batch(np.diag([-1.0, 3.0])[None], 0.0))
+    assert np.allclose(lam, [-1.0, 3.0])
+    assert np.allclose(L, np.eye(2))
+    assert np.allclose(R, np.eye(2))
 
 
 def test_decompose_defective_matrix():
     with pytest.raises(NotStrictlyHyperbolic):
-        decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        _decompose_batch(np.array([[[0.0, 1.0], [0.0, 0.0]]]), 0.0)
 
 
 def test_decompose_complex_pair():
     with pytest.raises(NotStrictlyHyperbolic):
-        decompose(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        _decompose_batch(np.array([[[0.0, 1.0], [-1.0, 0.0]]]), 0.0)
 
 
 def test_decompose_characteristic_bound():
     with pytest.raises(Characteristic):
-        decompose(np.diag([0.5, 2.0]), c_min=1.0)
+        _decompose_batch(np.diag([0.5, 2.0])[None], 1.0)
+
+
+def _profile_frames(model, profile):
+    return frames_at_states(model, profile.grid, profile.values)
 
 
 def test_frames_constant_along_profile(jinxin, jinxin_profile):
-    frames = frame_along_profile(jinxin, jinxin_profile)
+    frames = _profile_frames(jinxin, jinxin_profile)
     assert frames.min_abs_lambda == pytest.approx(2.0, abs=1e-12)
     assert frames.min_gap == pytest.approx(4.0, abs=1e-12)
     assert np.max(np.abs(frames.R - frames.R[0])) == 0.0
-    assert frames.lipschitz == 0.0
 
 
 def test_constant_field_shares_one_frame(jinxin, jinxin_profile):
-    frames = frame_along_profile(jinxin, jinxin_profile)
+    frames = _profile_frames(jinxin, jinxin_profile)
     assert frames.constant
     for field in (frames.lambdas, frames.L, frames.R):
         assert field.strides[0] == 0 and not field.flags.writeable
@@ -91,14 +86,14 @@ def test_constant_field_shares_one_frame(jinxin, jinxin_profile):
 @pytest.fixture(scope="module")
 def vara_frames():
     model = vara_model()
-    return frame_along_profile(model, solve_profile(model, X=20.0, n=401))
+    return _profile_frames(model, solve_profile(model, X=20.0, n=401))
 
 
 @pytest.mark.parametrize("case", ["constant", "vara"])
 def test_to_diag_and_from_diag_match_einsum(case, request):
     if case == "constant":
-        frames = frame_along_profile(request.getfixturevalue("jinxin"),
-                                     request.getfixturevalue("jinxin_profile"))
+        frames = _profile_frames(request.getfixturevalue("jinxin"),
+                                 request.getfixturevalue("jinxin_profile"))
     else:
         frames = request.getfixturevalue("vara_frames")
         assert not frames.constant
@@ -114,7 +109,7 @@ def test_to_diag_and_from_diag_match_einsum(case, request):
 
 
 def test_conjugate_diag_is_the_diagonal_of_the_kron_product(jinxin, jinxin_profile):
-    frames = frame_along_profile(jinxin, jinxin_profile)
+    frames = _profile_frames(jinxin, jinxin_profile)
     Q = np.random.default_rng(3).standard_normal((len(frames.grid), 2, 2))
     full = (Q.reshape(len(Q), 4) @ frames.kron).reshape(-1, 2, 2)
     got = frames.conjugate_diag(Q)  # family-major, (N, n)
@@ -128,7 +123,7 @@ def test_conjugate_diag_is_the_diagonal_of_the_kron_product(jinxin, jinxin_profi
 def test_family_major_products_keep_the_node_major_bits(jinxin, jinxin_profile, n):
     # the constant-A moc step reads L0 U^T and kron_diag^T Q^T; they must give
     # the bits of the node-major products U L0^T and Q kron_diag
-    frames = frame_along_profile(jinxin, jinxin_profile)
+    frames = _profile_frames(jinxin, jinxin_profile)
     rng = np.random.default_rng(n)
     for scale in (1e-8, 1e-2, 1.0, 1e3):
         U = scale * rng.standard_normal((n, 2))
@@ -141,7 +136,7 @@ def test_family_major_products_keep_the_node_major_bits(jinxin, jinxin_profile, 
 
 
 def test_frames_reconstruct_A(jinxin, jinxin_profile):
-    frames = frame_along_profile(jinxin, jinxin_profile)
+    frames = _profile_frames(jinxin, jinxin_profile)
     A = jinxin.A_at(jinxin_profile.values)
     lam = frames.lambdas[:, None, :] * np.eye(2)[None]
     recon = np.matmul(np.matmul(frames.R, lam), frames.L)
@@ -150,10 +145,7 @@ def test_frames_reconstruct_A(jinxin, jinxin_profile):
 
 def test_sign_continuation_restores_alignment():
     n = 11
-    base = decompose(np.array([[0.0, 1.0], [4.0, 0.0]]))
-    lam = np.tile(base.lambdas, (n, 1))
-    L = np.tile(base.L, (n, 1, 1))
-    R = np.tile(base.R, (n, 1, 1))
+    lam, L, R = (np.repeat(a, n, axis=0) for a in _decompose_batch(JINXIN_A[None], 0.0))
     R[5][:, 0] *= -1.0  # adversarial flip of one eigenvector
     L[5][0, :] *= -1.0
     _continue_signs(lam, L, R)
@@ -193,10 +185,15 @@ def test_sign_continuation_matches_node_loop():
     assert L.tobytes() == L_ref.tobytes()
 
 
-def _endstate_splits(model):
-    """``source_split`` at U- and U+ from one ``decompose`` each."""
-    return [source_split(decompose(model.A_at(U)), model.Q_at(U))
-            for U in (model.U_minus, model.U_plus)]
+def _endstate_products(model):
+    """L Q R at U- and U+, (2, N, N), from one stacked decomposition."""
+    U = np.stack([model.U_minus, model.U_plus])
+    _, L, R = _decompose_batch(model.A_at(U), 0.0)
+    return L @ model.Q_at(U) @ R
+
+
+def _off_diagonal(M):
+    return M * (1.0 - np.eye(M.shape[-1]))
 
 
 def test_source_split_endstate_values(jinxin):
@@ -210,54 +207,53 @@ def test_source_split_endstate_values(jinxin):
         M = np.linalg.inv(R) @ Q @ R
         assert np.allclose(np.diag(M), E_expect, atol=1e-12)
 
-    sm, sp = _endstate_splits(jinxin)
-    assert np.allclose(np.diag(sm.E), (-0.75, -0.25), atol=1e-12)
-    assert np.allclose(np.diag(sp.E), (-0.25, -0.75), atol=1e-12)
-    assert sorted(np.round(np.abs([sm.F[0, 1], sm.F[1, 0]]), 12).tolist()) == [0.25, 0.75]
-    assert sorted(np.round(np.abs([sp.F[0, 1], sp.F[1, 0]]), 12).tolist()) == [0.25, 0.75]
+    sm, sp = _endstate_products(jinxin)
+    assert np.allclose(np.diag(sm), (-0.75, -0.25), atol=1e-12)
+    assert np.allclose(np.diag(sp), (-0.25, -0.75), atol=1e-12)
+    assert sorted(np.round(np.abs([sm[0, 1], sm[1, 0]]), 12).tolist()) == [0.25, 0.75]
+    assert sorted(np.round(np.abs([sp[0, 1], sp[1, 0]]), 12).tolist()) == [0.25, 0.75]
 
 
 def test_source_split_zero_offdiagonal_when_Q_commutes():
-    fr = decompose(np.array([[0.0, 1.0], [4.0, 0.0]]))
-    Q = fr.R @ np.diag([-1.0, -2.0]) @ fr.L  # diagonal in the eigenbasis
-    split = source_split(fr, Q)
-    assert np.max(np.abs(split.F)) <= 1e-12
-    assert np.allclose(np.diag(split.E), [-1.0, -2.0])
+    _, L, R = (a[0] for a in _decompose_batch(JINXIN_A[None], 0.0))
+    Q = R @ np.diag([-1.0, -2.0]) @ L  # diagonal in the eigenbasis
+    M = L @ Q @ R
+    assert np.max(np.abs(_off_diagonal(M))) <= 1e-12
+    assert np.allclose(np.diag(M), [-1.0, -2.0])
 
 
 def test_theta_solves_commutator(jinxin):
-    fr = decompose(jinxin.A_at(jinxin.U_minus))
-    lam = np.diag(fr.lambdas)
-    for split in _endstate_splits(jinxin):
-        Theta = theta_matrix(fr, split.F)
-        resid = Theta @ lam - lam @ Theta - split.F
-        assert np.max(np.abs(resid)) <= 1e-12 * (1.0 + np.max(np.abs(split.F)))
+    lams = _decompose_batch(jinxin.A_at(jinxin.U_minus[None]), 0.0)[0]
+    lam = np.diag(lams[0])
+    for F in _off_diagonal(_endstate_products(jinxin)):
+        Theta = theta_field(lams, F[None])[0]
+        resid = Theta @ lam - lam @ Theta - F
+        assert np.max(np.abs(resid)) <= 1e-12 * (1.0 + np.max(np.abs(F)))
         assert np.all(np.diag(Theta) == 0.0)
         assert sorted(np.round(np.abs(
             [Theta[0, 1], Theta[1, 0]]), 12).tolist()) == [0.0625, 0.1875]
 
 
 def test_theta_zero_for_zero_F():
-    fr = decompose(np.array([[0.0, 1.0], [4.0, 0.0]]))
-    assert np.max(np.abs(theta_matrix(fr, np.zeros((2, 2))))) == 0.0
+    lams = _decompose_batch(JINXIN_A[None], 0.0)[0]
+    assert np.max(np.abs(theta_field(lams, np.zeros((1, 2, 2))))) == 0.0
 
 
 def test_theta_random_offdiagonal_property():
-    fr = decompose(np.array([[0.0, 1.0], [4.0, 0.0]]))
-    lam = np.diag(fr.lambdas)
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        F = rng.normal(size=(2, 2))
-        np.fill_diagonal(F, 0.0)
-        Th = theta_matrix(fr, F)
-        resid = Th @ lam - lam @ Th - F
-        assert np.max(np.abs(resid)) <= 1e-12 * (1.0 + np.max(np.abs(F)))
+    # 100 random F at one frame, solved as one stack
+    lams = np.repeat(_decompose_batch(JINXIN_A[None], 0.0)[0], 100, axis=0)
+    lam = lams[:, :, None] * np.eye(2)
+    F = _off_diagonal(np.random.default_rng(11).normal(size=(100, 2, 2)))
+    Th = theta_field(lams, F)
+    resid = Th @ lam - lam @ Th - F
+    assert np.all(np.max(np.abs(resid), axis=(1, 2))
+                  <= 1e-12 * (1.0 + np.max(np.abs(F), axis=(1, 2))))
 
 
 def test_theta_gap_guard():
-    fr = decompose(np.diag([1.0, 1.0 + 1e-7]))
+    lams = _decompose_batch(np.diag([1.0, 1.0 + 1e-7])[None], 0.0)[0]
     with pytest.raises(GapTooSmall):
-        theta_matrix(fr, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        theta_field(lams, np.array([[[0.0, 1.0], [1.0, 0.0]]]))
 
 
 def test_damping_rate_jinxin(jinxin):
@@ -282,12 +278,12 @@ def test_damping_rate_supercharacteristic_fails():
     with pytest.raises(NotDissipative):
         damping_rate(m)
     # closed form: the unstable diagonal entry equals (|f'| - a)/(2 a eps) = 0.5
-    sm, _ = _endstate_splits(m)
-    assert np.max(np.diag(sm.E)) == pytest.approx(0.5, abs=1e-12)
+    sm, _ = _endstate_products(m)
+    assert np.max(np.diag(sm)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_profile_source_field_commutator_everywhere(jinxin, jinxin_profile):
-    sf = profile_source_field(jinxin, jinxin_profile)
+    sf = profile_source(jinxin, jinxin_profile)
     lam = sf.frames.lambdas
     comm = (sf.Theta * lam[:, None, :] - lam[:, :, None] * sf.Theta) - sf.F_tilde
     scale = 1.0 + np.max(np.abs(sf.F_tilde))
@@ -297,7 +293,7 @@ def test_profile_source_field_commutator_everywhere(jinxin, jinxin_profile):
 
 
 def test_biorthogonality_along_profile(jinxin, jinxin_profile):
-    frames = frame_along_profile(jinxin, jinxin_profile)
+    frames = _profile_frames(jinxin, jinxin_profile)
     prod = np.matmul(frames.L, frames.R)
     assert np.max(np.abs(prod - np.eye(2))) <= 1e-10
 
@@ -312,7 +308,10 @@ def test_state_dependent_frames_continuous():
     frames = frames_at_states(m, grid, states)
     dots = np.einsum("nkj,nkj->nj", frames.R[1:], frames.R[:-1])
     assert np.all(dots > 0.0)
-    assert frames.lipschitz <= 2.0  # smooth frame on a well-separated spectrum
+    # smooth frame on a well-separated spectrum
+    step = np.maximum(np.max(np.abs(np.diff(frames.R, axis=0)), axis=(1, 2)),
+                      np.max(np.abs(np.diff(frames.lambdas, axis=0)), axis=1))
+    assert np.max(step / np.diff(grid)) <= 2.0
     lam = frames.lambdas[:, None, :] * np.eye(2)[None]
     recon = np.matmul(np.matmul(frames.R, lam), frames.L)
     assert np.max(np.abs(recon - m.A_at(states))) <= 1e-9
@@ -463,9 +462,9 @@ def test_endstate_diagonals_match_per_endstate_decompose(name, jinxin):
              "varA3": vara3_model()}[name]
     lam, E = endstate_diagonals(model)
     for k, U in enumerate((model.U_minus, model.U_plus)):
-        fr = decompose(model.A_at(U))
-        assert lam[k].tobytes() == fr.lambdas.tobytes()
-        assert E[k].tobytes() == np.diag(source_split(fr, model.Q_at(U)).E).tobytes()
+        lam_U, L, R = (a[0] for a in _decompose_batch(model.A_at(U)[None], 0.0))
+        assert lam[k].tobytes() == lam_U.tobytes()
+        assert E[k].tobytes() == np.diag(L @ model.Q_at(U) @ R).tobytes()
 
 
 def test_endstate_diagonals_refuse_a_non_hyperbolic_endstate():

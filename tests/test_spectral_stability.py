@@ -13,8 +13,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from conftest import vara_model
-from relaxdamp import build_custom, build_jinxin, decompose, source_split
+from relaxdamp import build_custom, build_jinxin, frames_at_states
 from relaxdamp.config import config_from_dict
+from relaxdamp.eigenframe import _decompose_batch
 from relaxdamp.errors import InvalidParam, PairingAmbiguous, ScanTooCoarse
 from relaxdamp.poly import Poly
 from relaxdamp.spectral_stability import (
@@ -143,8 +144,8 @@ def _expansion_per_frequency(model, side, xi_list):
     """expansion_check one frequency at a time: its (re, im / xi, remainder),
     or the message of the PairingAmbiguous it raises."""
     U = model.U_minus if side == "minus" else model.U_plus
-    frame = decompose(model.A_at(U))
-    lam, E = frame.lambdas, np.diag(source_split(frame, model.Q_at(U)).E)
+    lams, L, R = _decompose_batch(model.A_at(U)[None], 0.0)
+    lam, E = lams[0], np.diag(L[0] @ model.Q_at(U) @ R[0])
     rows = []
     worst = 0.0
     gap = np.min(np.diff(lam)) if model.N > 1 else np.inf
@@ -193,14 +194,16 @@ def test_stacked_expansion_check_matches_per_frequency_loop(name, jinxin):
 
 
 def test_hyperbolicity_scan_passes(jinxin, jinxin_profile):
-    rep = hyperbolicity_scan(jinxin, jinxin_profile, c_min=1.0)
+    frames = frames_at_states(jinxin, jinxin_profile.grid, jinxin_profile.values)
+    rep = hyperbolicity_scan(frames, c_min=1.0)
     assert rep.passed
     assert rep.min_abs_lambda == pytest.approx(2.0, abs=1e-12)
     assert rep.min_gap == pytest.approx(4.0, abs=1e-12)
 
 
 def test_hyperbolicity_scan_threshold_fail(jinxin, jinxin_profile):
-    rep = hyperbolicity_scan(jinxin, jinxin_profile, c_min=3.0)
+    frames = frames_at_states(jinxin, jinxin_profile.grid, jinxin_profile.values)
+    rep = hyperbolicity_scan(frames, c_min=3.0)
     assert not rep.passed
     assert rep.min_abs_lambda == pytest.approx(2.0, abs=1e-12)
 
@@ -212,7 +215,7 @@ def test_characteristic_shock_frame_fails():
     from relaxdamp.profile import constant_profile
 
     prof = constant_profile(m, m.U_minus, X=5.0, n=51)
-    rep = hyperbolicity_scan(m, prof, c_min=0.01)
+    rep = hyperbolicity_scan(frames_at_states(m, prof.grid, prof.values), c_min=0.01)
     assert not rep.passed
     assert rep.min_abs_lambda == pytest.approx(0.0, abs=1e-12)
 
