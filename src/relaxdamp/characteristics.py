@@ -123,8 +123,8 @@ def accumulate_H(paths: list[CharPath], traj: Trajectory) -> np.ndarray:
     """Trapezoidal accumulation of the diagonal source along same-family paths.
 
     ``paths`` share one family and one sample-time vector, as one trace_many
-    call returns them; a single path is the list of one.  The family's source
-    field is stacked into one interpolant and read at every sample of every
+    call returns them; a single path is the list of one.  The family's E_jj
+    (``traj.source_series``) is one interpolant, read at every sample of every
     path in one batch, then integrated by one cumulative sum along the
     samples.  Beyond the grid the integrand freezes at the endstate value of
     the exit side, matching the far-field boundary treatment of the dynamics.
@@ -133,8 +133,7 @@ def accumulate_H(paths: list[CharPath], traj: Trajectory) -> np.ndarray:
     j, times = paths[0].family, paths[0].times
     if any(p.family != j or not np.array_equal(p.times, times) for p in paths):
         raise InvalidParam("accumulate_H needs paths of one family on shared sample times")
-    E = _FieldInterp(traj, [traj.source_field(i).E_diag[:, j]
-                            for i in range(traj.n_times)])
+    E = _FieldInterp(traj, traj.source_series.E_diag[:, :, j])
     E_minus, E_plus = traj.endstate_E_diag
     X = paths[0].grid_half_width
     x = np.stack([p.positions for p in paths], axis=1)
@@ -227,15 +226,14 @@ def no_damping_radius(model: ModelSpec, profile: ProfileRep, eps_budget: float,
     for state-independent A).  C_lip covers state perturbations up to the
     budget: the largest slope of E_jj on a 9^N state-box lattice from one
     ``source_diagonals`` query, where points that are not strictly hyperbolic
-    are NaN and drop out.  ``source`` is the profile's transformed source.
+    are NaN and drop out.  ``source`` is the profile's transformed source;
+    theta_tilde is ``profile.tail_rate(1)``, or 1 for a profile without fits.
     """
     N = model.N
     T_diag = source.transport[:, np.eye(N, dtype=bool)]
     E_pure = source.E_diag - T_diag
     transport = np.max(np.abs(T_diag), axis=1)
-    rates = [profile.decay_fits[(side, 1)].rate for side in ("minus", "plus")
-             if (side, 1) in profile.decay_fits]
-    theta_tilde = min(rates) if rates else 1.0
+    theta_tilde = profile.tail_rate(1) if profile.decay_fits else 1.0
     C_tail = 0.0 if np.max(transport) < 1e-13 else float(np.max(
         transport / np.exp(-theta_tilde * np.abs(profile.grid))))
 
@@ -260,12 +258,8 @@ def no_damping_radius(model: ModelSpec, profile: ProfileRep, eps_budget: float,
 
 
 def scan_trajectory_damping(traj: Trajectory, R: float) -> float:
-    """Post-hoc sup of the diagonal source over |x| >= R along a trajectory."""
-    mask = np.abs(traj.grid) >= R
-    worst = -np.inf
-    for i in range(traj.n_times):
-        worst = max(worst, float(np.max(traj.source_field(i).E_diag[mask])))
-    return worst
+    """Post-hoc sup of E_jj (``traj.source_series``) over |x| >= R along a trajectory."""
+    return float(np.max(traj.source_series.E_diag[:, np.abs(traj.grid) >= R]))
 
 
 def duhamel_residual(traj: Trajectory, path: CharPath) -> float:

@@ -241,9 +241,9 @@ def _write_trajectory(cfg: Config, traj: dyn.Trajectory, out: Path) -> None:
     x = traj.grid[::sx]
     blocks = []
     for i in range(0, traj.n_times, st):
-        snap = traj.snapshot(i)
-        Phi, Psi = (traj.frames(i).to_diag(F) for F in (snap.U, snap.W))
-        blocks.append(np.column_stack([np.full(len(x), snap.t), x, snap.U[::sx],
+        U = traj.states[i]
+        Phi, Psi = (traj.frames(i).to_diag(F) for F in (U, traj.W[i]))
+        blocks.append(np.column_stack([np.full(len(x), traj.times[i]), x, U[::sx],
                                        Phi[::sx], Psi[::sx]]))
     write_csv(out / "trajectory.csv", header, np.vstack(blocks))
 
@@ -383,6 +383,12 @@ def stage_verify(cfg: Config, out: Path) -> int:
     return EXIT_CERTIFICATION if certification_failures else EXIT_OK
 
 
+# (error.json kind, exception class, exit code), matched in this order
+_ERROR_KINDS = (("config", ConfigError, EXIT_CONFIG),
+                ("certification", CertificationError, EXIT_CERTIFICATION),
+                ("error", RelaxDampError, EXIT_ERROR),
+                ("crash", Exception, EXIT_ERROR))
+
 STAGES = {
     "profile": [stage_profile],
     "check": [stage_check],
@@ -396,35 +402,26 @@ def run(subcommand: str, cfg: Config, out_dir: str | None = None) -> int:
     """Execute one subcommand; returns the process exit code.
 
     The stages share results computed on a fresh copy of ``cfg``, so no two
-    calls share them.
+    calls share them.  An exception goes to ``error.json`` with its kind,
+    the stage it left (profile, check, evolve or verify), type and message.
     """
     cfg = dataclasses.replace(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    code = EXIT_OK
+    code, name = EXIT_OK, None
     try:
         for stage in STAGES[subcommand]:
+            name = stage.__name__.removeprefix("stage_")
             stage_code = stage(cfg, out)
             code = max(code, stage_code)
             if stage_code not in (EXIT_OK, EXIT_CERTIFICATION):
                 break
-    except ConfigError as exc:
-        write_json(out / "error.json", {"kind": "config", "type": type(exc).__name__,
-                                        "message": str(exc)})
-        return EXIT_CONFIG
-    except CertificationError as exc:
-        write_json(out / "error.json", {"kind": "certification",
-                                        "type": type(exc).__name__,
-                                        "message": str(exc)})
-        return EXIT_CERTIFICATION
-    except RelaxDampError as exc:
-        write_json(out / "error.json", {"kind": "error", "type": type(exc).__name__,
-                                        "message": str(exc)})
-        return EXIT_ERROR
     except Exception as exc:  # noqa: BLE001 - serialized for CI triage
-        write_json(out / "error.json", {"kind": "crash", "type": type(exc).__name__,
-                                        "message": str(exc)})
-        return EXIT_ERROR
+        kind, exit_code = next((kind, code) for kind, cls, code in _ERROR_KINDS
+                               if isinstance(exc, cls))
+        write_json(out / "error.json", {"kind": kind, "stage": name,
+                                        "type": type(exc).__name__, "message": str(exc)})
+        return exit_code
     return code
 
 

@@ -14,12 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .damping_verifier import EDGE_TRIM
 from .errors import ParseError, ValidationError
 from .eigenframe import (DampingRate, FrameField, SourceField, damping_rate,
                          frames_at_states, transformed_source)
 from .model import ModelSpec, build_custom, build_jinxin
-from .dynamics import PerturbationSpec, ShiftSpec, Trajectory, evolve
+from .dynamics import EDGE_TRIM, PerturbationSpec, ShiftSpec, Trajectory, evolve
 from .profile import ProfileRep, exact_jinxin_profile, solve_profile
 
 

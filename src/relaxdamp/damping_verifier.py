@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Snapshot, Trajectory, diagonal_vars
+from .dynamics import Snapshot, Trajectory, interior_max
 from .eigenframe import profile_lambdas
 from .errors import EmptyFeasible, InvalidParam, Unsupported
 from .model import ModelSpec
 from .profile import ProfileRep
 
 C_CAP_DEFAULT = 1e3
-EDGE_TRIM = 2  # nodes dropped at each end of discrete sup norms (stencil width)
 
 _GL7 = np.polynomial.legendre.leggauss(7)
 _GL15 = np.polynomial.legendre.leggauss(15)
@@ -46,21 +45,17 @@ def trapezoid4(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
     return np.sum(y * w.reshape(shape), axis=axis) * dx
 
 
-def _interior_max(F: np.ndarray) -> float:
-    return float(np.max(np.abs(F[EDGE_TRIM:-EDGE_TRIM])))
-
-
 def ckb_norm(snap: Snapshot, K: int) -> float:
     """max over derivative orders <= K of the discrete sup norm."""
     if K > 2:
         raise Unsupported(f"derivative order {K} not implemented (K <= 2)")
     if K < 0:
         raise InvalidParam("K must be >= 0")
-    out = _interior_max(snap.U)
+    out = interior_max(snap.U)
     if K >= 1:
-        out = max(out, _interior_max(snap.W))
+        out = max(out, interior_max(snap.W))
     if K >= 2:
-        out = max(out, _interior_max(snap.Y))
+        out = max(out, interior_max(snap.Y))
     return out
 
 
@@ -137,10 +132,9 @@ def weight_fn(model: ModelSpec, profile: ProfileRep, C_alpha: float,
 
 
 def default_weight_constants(profile: ProfileRep) -> tuple[float, float]:
-    """C_alpha = 4 C_tail and c_alpha = theta_tilde / 2 from the profile fits."""
+    """C_alpha = 4 C_tail and c_alpha = ``profile.tail_rate(1)`` / 2 from the order-1 fits."""
     c_tail = max(profile.decay_fits[(side, 1)].amplitude for side in ("minus", "plus"))
-    theta = min(profile.decay_fits[(side, 1)].rate for side in ("minus", "plus"))
-    return 4.0 * c_tail, 0.5 * theta
+    return 4.0 * c_tail, 0.5 * profile.tail_rate(1)
 
 
 # --- series extraction -----------------------------------------------------
@@ -321,24 +315,16 @@ def slaving_check(traj: Trajectory, theta_grid,
     """Feasibility of the slaved estimates for PsiTilde and UpsilonTilde.
 
     Both derivative conjugates must admit a rate with the forcing
-    ||Phi||_C0 + |ddelta| alone, confirming that no self-forcing is needed.
+    ||Phi||_C0 + |ddelta| alone (all from ``traj.source_series``), confirming
+    that no self-forcing is needed.
     """
-    n_t = traj.n_times
-    psi_t = np.empty(n_t)
-    ups_t = np.empty(n_t)
-    phi_c0 = np.empty(n_t)
-    for i in range(n_t):
-        sf = traj.source_field(i)
-        dv = diagonal_vars(traj.snapshot(i), sf.frames, sf.Theta)
-        psi_t[i] = _interior_max(dv.PsiTilde)
-        ups_t[i] = _interior_max(dv.UpsilonTilde)
-        phi_c0[i] = _interior_max(dv.Phi)
-    dd = np.abs(traj.shift.delta_dot(traj.times))
-    forcing = phi_c0 + dd
+    sups = traj.source_series
+    forcing = sups.phi + np.abs(traj.shift.delta_dot(traj.times))
     theta_grid = np.asarray(theta_grid, dtype=float)
     out = {}
     empty = []
-    for label, series in (("psi_tilde", psi_t), ("upsilon_tilde", ups_t)):
+    for label, series in (("psi_tilde", sups.psi_tilde),
+                          ("upsilon_tilde", sups.upsilon_tilde)):
         table = feasibility_table(label, traj.times, series, forcing,
                                   theta_grid, C_cap)
         out[label] = table

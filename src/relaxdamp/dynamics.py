@@ -55,6 +55,7 @@ BUDGET_DEFAULT = 0.02
 BLOWUP_FACTOR = 10.0
 CFL_LIMIT = 0.9
 GAUSSIAN_TAIL_MAX = 1e-3  # largest |U0(+-X)| / amplitude of a gaussian
+EDGE_TRIM = 2  # nodes dropped at each end of discrete sup norms (stencil width)
 
 
 # --- prescribed phase shift ------------------------------------------------
@@ -184,38 +185,28 @@ class PerturbationSpec:
 
 # --- snapshots and trajectories --------------------------------------------
 
+@dataclass(eq=False)
 class Snapshot:
     """Fields at one time.
 
-    ``W``, the spatial derivative of U, is either given (the analytic
-    derivative of the initial data) or formed by fourth-order differencing
-    with the boundary states on first read, so the steps between output
-    times never compute it.  ``Y``, the second derivative, is likewise
-    formed once, on first read.
+    ``W``, the spatial derivative of U, is given where it is read: the
+    analytic derivative of the initial data, or an output time's row of
+    ``Trajectory.W``; the steps between output times carry none.  ``Y``, the
+    second derivative, is formed from W once, on first read.
     """
 
-    def __init__(self, t: float, grid: np.ndarray, U: np.ndarray,
-                 b_left: np.ndarray, b_right: np.ndarray,
-                 W: np.ndarray | None = None):
-        self.t = t
-        self.grid = grid
-        self.U = U
-        self.b_left = b_left
-        self.b_right = b_right
-        if W is not None:
-            self.W = W
-
-    @cached_property
-    def W(self) -> np.ndarray:
-        dx = float(self.grid[1] - self.grid[0])
-        return fd4_derivative(self.U, dx, self.b_left, self.b_right)
+    t: float
+    grid: np.ndarray
+    U: np.ndarray
+    b_left: np.ndarray
+    b_right: np.ndarray
+    W: np.ndarray | None = None
 
     @cached_property
     def Y(self) -> np.ndarray:
         """Second derivative: fourth-order differencing of W, extended by zero beyond the grid."""
-        dx = float(self.grid[1] - self.grid[0])
         zero = np.zeros_like(self.b_left)
-        return fd4_derivative(self.W, dx, zero, zero)
+        return fd4_derivative(self.W, float(self.grid[1] - self.grid[0]), zero, zero)
 
 
 def fd4_derivative(F: np.ndarray, dx: float, left: np.ndarray,
@@ -225,9 +216,28 @@ def fd4_derivative(F: np.ndarray, dx: float, left: np.ndarray,
     return (-pad[4:] + 8.0 * pad[3:-1] - 8.0 * pad[1:-3] + pad[:-4]) / (12.0 * dx)
 
 
+def interior_max(F: np.ndarray) -> float:
+    """Discrete sup norm of F without EDGE_TRIM nodes at each end."""
+    return float(np.max(np.abs(F[EDGE_TRIM:-EDGE_TRIM])))
+
+
+@dataclass
+class SourceSeries:
+    """E_jj at every output time (n_times, n, N), and the interior sup series
+    of Phi, PsiTilde and UpsilonTilde (n_times,)."""
+
+    E_diag: np.ndarray
+    phi: np.ndarray
+    psi_tilde: np.ndarray
+    upsilon_tilde: np.ndarray
+
+
 @dataclass
 class Trajectory:
-    """Stored output of one evolution run."""
+    """Stored output of one evolution run: U and the boundary states at every
+    output time.  Each per-output-time field is formed once, on first read:
+    the stack ``W`` of U_x, the frames of a state-dependent A (a constant A
+    reads the Stepper's), and ``source_series``, which keeps no F_tilde or Theta."""
 
     model: ModelSpec
     profile: ProfileRep
@@ -242,7 +252,6 @@ class Trajectory:
     cfl_observed: float
     budget: float
     budget_violation_time: float | None = None
-    _source_cache: dict = field(default_factory=dict, repr=False)
     _frame_cache: dict = field(default_factory=dict, repr=False)
     _norm_cache: dict = field(default_factory=dict, repr=False)
 
@@ -254,19 +263,25 @@ class Trajectory:
     def n_times(self) -> int:
         return len(self.times)
 
+    @cached_property
+    def W(self) -> np.ndarray:
+        """U_x at every output time, (n_times, n, N): fourth-order differences
+        of each stored U with its boundary states, row 0 included."""
+        return np.stack([fd4_derivative(U, self.dx, bl, br)
+                         for U, bl, br in zip(self.states, self.b_left, self.b_right)])
+
     def snapshot(self, i: int) -> Snapshot:
         return Snapshot(t=float(self.times[i]), grid=self.grid, U=self.states[i],
-                        b_left=self.b_left[i], b_right=self.b_right[i])
+                        b_left=self.b_left[i], b_right=self.b_right[i], W=self.W[i])
 
     def perturbed_states(self, i: int) -> np.ndarray:
         return self.stepper.Ubar + self.states[i]
 
     def frames(self, i: int) -> FrameField:
         if self.model.A_is_constant:
-            i = 0
+            return self.stepper.frames0
         if i not in self._frame_cache:
-            self._frame_cache[i] = frames_at_states(
-                self.model, self.grid, self.perturbed_states(i))
+            self._frame_cache[i] = frames_at_states(self.model, self.grid, self.perturbed_states(i))
         return self._frame_cache[i]
 
     @cached_property
@@ -281,12 +296,22 @@ class Trajectory:
         return tuple(endstate_diagonals(self.model)[1])
 
     def source_field(self, i: int) -> SourceField:
-        """Transformed source at output time i (cached)."""
-        if i not in self._source_cache:
-            self._source_cache[i] = transformed_source(
-                self.model, self.grid, self.perturbed_states(i),
-                frames=self.frames(i))
-        return self._source_cache[i]
+        """Transformed source at output time i, formed on every call."""
+        return transformed_source(self.model, self.grid, self.perturbed_states(i),
+                                  frames=self.frames(i))
+
+    @cached_property
+    def source_series(self) -> SourceSeries:
+        """One pass through ``source_field`` of every output time, keeping what
+        ``accumulate_H``, ``scan_trajectory_damping`` and ``slaving_check`` read."""
+        E = np.empty_like(self.states)
+        sups = np.empty((3, self.n_times))
+        for i in range(self.n_times):
+            sf = self.source_field(i)
+            E[i] = sf.E_diag
+            dv = diagonal_vars(self.snapshot(i), sf.frames, sf.Theta)
+            sups[:, i] = [interior_max(F) for F in (dv.Phi, dv.PsiTilde, dv.UpsilonTilde)]
+        return SourceSeries(E, *sups)
 
 
 def make_initial(profile: ProfileRep, pert: PerturbationSpec,
@@ -700,9 +725,10 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
     """Advance the perturbation to time T, storing n_out + 1 snapshots.
 
     The time step divides the output spacing exactly so runs at different
-    resolutions share output times.  The C^1 budget check runs at output
-    times, the only times W is formed, and flags its first violation in the
-    trajectory instead of aborting.
+    resolutions share output times.  The C^1 budget check reads the
+    trajectory's ``W`` stack after the last step, so W is formed only at
+    output times, and flags the first violation after t = 0 (where
+    ``make_initial`` checked the analytic W) instead of aborting.
     """
     if T <= 0:
         raise InvalidParam("horizon T must be positive")
@@ -722,34 +748,24 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
     dt = T / (n_out * per_out)
 
     n_times = n_out + 1
-    states = np.empty((n_times, n, model.N))
-    bls = np.empty((n_times, model.N))
-    brs = np.empty((n_times, model.N))
-    states[0] = snap.U
-    bls[0] = snap.b_left
-    brs[0] = snap.b_right
-    violation = None
-
+    states, bls, brs = (np.empty((n_times, *f.shape)) for f in (snap.U, snap.b_left, snap.b_right))
+    states[0], bls[0], brs[0] = snap.U, snap.b_left, snap.b_right
     for m in range(1, n_times):
         for k in range(per_out):
             # keep output times exact against roundoff drift
             snap.t = (m - 1 + k / per_out) * (T / n_out)
             snap = stepper.step(snap, dt, backend)
-        snap.t = m * (T / n_out)
-        states[m] = snap.U
-        bls[m] = snap.b_left
-        brs[m] = snap.b_right
-        if violation is None:
-            c1 = np.maximum(np.max(np.abs(snap.U)), np.max(np.abs(snap.W)))
-            if not c1 <= budget:  # a NaN norm is a violation too
-                violation = float(snap.t)
+        states[m], bls[m], brs[m] = snap.U, snap.b_left, snap.b_right
 
     traj = Trajectory(model=model, profile=profile, shift=shift, backend=backend,
                       grid=grid, times=np.linspace(0.0, T, n_times),
                       states=states, b_left=bls, b_right=brs, dt=dt,
-                      cfl_observed=stepper.last_cfl, budget=budget,
-                      budget_violation_time=violation)
+                      cfl_observed=stepper.last_cfl, budget=budget)
     traj.stepper = stepper  # fills the cached property: one Stepper per run
+    c1 = np.maximum(np.max(np.abs(states), axis=(1, 2)), np.max(np.abs(traj.W), axis=(1, 2)))
+    over = np.flatnonzero(~(c1[1:] <= budget))  # a NaN norm is a violation too
+    if over.size:
+        traj.budget_violation_time = float((over[0] + 1) * (T / n_out))
     return traj
 
 
@@ -764,7 +780,6 @@ class DiagVars:
     PsiTilde: np.ndarray
     Upsilon: np.ndarray
     UpsilonTilde: np.ndarray
-    Y: np.ndarray
 
 
 def diagonal_vars(snap: Snapshot, frames: FrameField,
@@ -775,8 +790,7 @@ def diagonal_vars(snap: Snapshot, frames: FrameField,
     PsiT = Psi + np.einsum("njk,nk->nj", theta, Phi)
     Ups = frames.to_diag(snap.Y)
     UpsT = Ups + np.einsum("njk,nk->nj", theta, Psi)
-    return DiagVars(Phi=Phi, Psi=Psi, PsiTilde=PsiT, Upsilon=Ups,
-                    UpsilonTilde=UpsT, Y=snap.Y)
+    return DiagVars(Phi=Phi, Psi=Psi, PsiTilde=PsiT, Upsilon=Ups, UpsilonTilde=UpsT)
 
 
 def phi_and_forcing(traj: Trajectory, i: int):

@@ -138,6 +138,16 @@ class ProfileRep:
     def decay_fit(self, side: str, order: int) -> DecayFit:
         return self.decay_fits[(side, order)]
 
+    def tail_rate(self, order: int = 1) -> float:
+        """The smaller fitted decay rate of the two tails at derivative order
+        ``order``; InvalidParam naming the side of a fit that does not decay."""
+        rates = [self.decay_fits[(side, order)].rate for side in ("minus", "plus")]
+        for side, rate in zip(("minus", "plus"), rates):
+            if not rate > 0.0:
+                raise InvalidParam(f"decay fit of the {side} tail at order {order} "
+                                   f"has rate {rate:.4g} <= 0, which is no decay rate")
+        return min(rates)
+
 
 def ode_rhs(model: ModelSpec, U: np.ndarray) -> np.ndarray:
     """Profile ODE right-hand side g(U) = A(U)^{-1} q(U)."""

@@ -19,7 +19,9 @@ from relaxdamp.characteristics import (
     trace_many,
     verify_H_bound,
 )
-from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, _cubic_at, evolve
+from relaxdamp.damping_verifier import feasibility_table, slaving_check
+from relaxdamp.dynamics import (PerturbationSpec, ShiftSpec, _cubic_at, diagonal_vars, evolve,
+                                interior_max)
 from relaxdamp.eigenframe import _decompose_batch
 from relaxdamp.errors import EpsilonTooLarge, InvalidParam, NotBounded, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
@@ -434,6 +436,59 @@ def test_batched_H_matches_per_path_H(run, request):
         for p, h in zip(paths, H):
             assert np.array_equal(p.H, _per_path_H(p, traj))
             assert np.array_equal(h, p.H)
+
+
+def _anti_damped_run(backend):
+    """A short run about the anti-damped-core profile."""
+    model = anti_damped_core_model()
+    prof = solve_profile(model, X=20.0, n=801)
+    pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0, center=0.3)
+    return evolve(model, prof, pert, ShiftSpec(kind="zero"), T=1.0, backend=backend,
+                  dx=0.05, n_out=4)
+
+
+@pytest.fixture(scope="module")
+def anti_damped_moc():
+    return _anti_damped_run("moc")
+
+
+@pytest.fixture(scope="module")
+def anti_damped_reference():
+    return _anti_damped_run("reference")
+
+
+@pytest.mark.parametrize("run", ["anti_damped_moc", "anti_damped_reference", "varA_run"])
+def test_source_series_readers_match_each_source_field(run, request):
+    # the readers of the trajectory's one source pass give the bits of a
+    # recomputation from source_field(i) at every output time, on E fields
+    # that vary along the grid (and are positive in the anti-damped core)
+    traj = request.getfixturevalue(run)
+    fields = [traj.source_field(i) for i in range(traj.n_times)]
+    if run == "varA_run":
+        assert np.ptp(fields[0].E_diag[:, 0]) > 0.4
+    else:
+        assert np.max(fields[0].E_diag) > 0.2
+    X = float(traj.grid[-1])
+    for j in range(traj.model.N):
+        paths = trace_many(traj, j, np.linspace(-0.6 * X, 0.6 * X, 7))
+        accumulate_H(paths, traj)
+        for p in paths:
+            assert np.array_equal(p.H, _per_path_H(p, traj))
+    for R in (0.0, 2.0, 0.5 * X):
+        mask = np.abs(traj.grid) >= R
+        want = max(float(np.max(sf.E_diag[mask])) for sf in fields)
+        assert scan_trajectory_damping(traj, R) == want
+    sups = np.array([[interior_max(F) for F in (dv.Phi, dv.PsiTilde, dv.UpsilonTilde)]
+                     for dv in (diagonal_vars(traj.snapshot(i), sf.frames, sf.Theta)
+                                for i, sf in enumerate(fields))]).T
+    assert np.min(sups) > 0.0
+    theta_grid = np.linspace(0.01, 0.3, 15)
+    forcing = sups[0] + np.abs(traj.shift.delta_dot(traj.times))
+    tables = slaving_check(traj, theta_grid, C_cap=np.inf)
+    for label, series in zip(("psi_tilde", "upsilon_tilde"), sups[1:]):
+        want = feasibility_table(label, traj.times, series, forcing, theta_grid, np.inf)
+        assert np.array_equal(tables[label].series, want.series)
+        assert np.array_equal(tables[label].C_min, want.C_min)
 
 
 def test_accumulate_H_rejects_mixed_families(jinxin_run):

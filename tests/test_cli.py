@@ -126,6 +126,19 @@ def test_crash_writes_error_json(tmp_path):
     assert code == EXIT_ERROR
     err = json.loads((tmp_path / "error.json").read_text())
     assert err["type"] == "NoUnstableDirection"
+    assert err["stage"] == "profile"
+    # a chain names the stage that failed
+    small = {"profile": {"n": 501, "X": 10.0}, "dynamics": {"T": 0.4, "n_out": 2}}
+    too_large = {"perturbation": {"kind": "gaussian", "amplitude": 0.5, "width": 2.0}}
+    for given, stage, kind in (
+            ({**small, "dynamics": {**small["dynamics"], **too_large}}, "evolve",
+             "BudgetExceeded"),
+            ({**small, "model": {"eps": 0.05}, "profile": {"n": 4001, "X": 10.0}},
+             "verify", "InvalidParam")):
+        out = tmp_path / stage
+        assert run("all", config_from_dict(given), out_dir=str(out)) == EXIT_ERROR
+        err = json.loads((out / "error.json").read_text())
+        assert (err["kind"], err["stage"], err["type"]) == ("error", stage, kind)
 
 
 def test_evolve_and_verify_stages(tmp_path):
@@ -308,9 +321,10 @@ def test_all_loads_no_scipy(tmp_path):
 
 
 def _count_calls(monkeypatch, name, modules):
-    """Count the calls of the eigenframe function ``name`` made through ``modules``."""
+    """Count the calls of the function ``name`` made through ``modules``, which
+    all hold the same one."""
     calls = []
-    original = getattr(eigenframe, name)
+    original = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -332,6 +346,24 @@ def test_check_decomposes_the_profile_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, "frames_at_states", [eigenframe, config, dynamics])
     assert run("check", config_from_dict(TINY), out_dir=str(tmp_path)) == EXIT_OK
     assert len(calls) == 1  # shared by the hyperbolicity scan and the profile source
+
+
+def test_each_output_time_is_read_once(tmp_path, monkeypatch):
+    fd4 = _count_calls(monkeypatch, "fd4_derivative", [dynamics])
+    sources = _count_calls(monkeypatch, "transformed_source", [config, dynamics])
+    frames = _count_calls(monkeypatch, "frames_at_states", [eigenframe, config, dynamics])
+    n_times = TINY["dynamics"]["n_out"] + 1
+    # evolve writes the norms: U_x (the W stack) and U_xx once per output
+    # time, and no transformed source
+    assert run("evolve", config_from_dict(TINY), out_dir=str(tmp_path / "evolve")) == EXIT_OK
+    assert (len(fd4), len(sources), len(frames)) == (2 * n_times, 0, 1)
+    for calls in (fd4, sources, frames):
+        calls.clear()
+    # all adds the source pass: one transformed source per output time, each
+    # reading U_xx again, and the profile's source; the constant A is
+    # decomposed for the profile and for the Stepper only
+    assert run("all", config_from_dict(TINY), out_dir=str(tmp_path / "all")) == EXIT_OK
+    assert (len(fd4), len(sources), len(frames)) == (3 * n_times, n_times + 1, 2)
 
 
 def test_verify_alone_runs_its_own_evolution(tmp_path, call_counts):

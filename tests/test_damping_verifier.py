@@ -22,8 +22,11 @@ from relaxdamp.damping_verifier import (
     weighted_energy_series,
 )
 from relaxdamp.eigenframe import _decompose_2x2
+from relaxdamp.characteristics import no_damping_radius
+from relaxdamp.config import config_from_dict
 from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, Snapshot, evolve
-from relaxdamp.errors import Characteristic, EmptyFeasible, NotStrictlyHyperbolic, Unsupported
+from relaxdamp.errors import (Characteristic, EmptyFeasible, InvalidParam,
+                              NotStrictlyHyperbolic, Unsupported)
 from relaxdamp.poly import Poly
 from relaxdamp.profile import constant_profile, solve_profile
 
@@ -116,6 +119,21 @@ def test_weight_lower_bound(jinxin, jinxin_profile):
     for j, C, c in ((0, 2.0, 0.1), (1, 1.0, 0.25)):
         wf = weight_fn(jinxin, jinxin_profile, C, c)[j]
         assert wf.values.min() >= np.exp(-2.0 * C / (c * 2.0)) * (1.0 - 1e-12)
+
+
+def test_non_decaying_tail_fit_names_side_order_and_rate():
+    # at eps = 0.05 the plus tail of U_x reaches the noise floor well inside
+    # X = 10, and its order-1 fit is rising although the profile is symmetric
+    cfg = config_from_dict({"model": {"eps": 0.05}, "profile": {"X": 10, "n": 4001}})
+    prof = cfg.profile
+    assert prof.decay_fits[("minus", 1)].rate > 4.0
+    assert prof.decay_fits[("plus", 1)].rate == pytest.approx(-0.1274, abs=1e-4)
+    message = r"^decay fit of the plus tail at order 1 has rate -0\.1274 <= 0"
+    with pytest.raises(InvalidParam, match=message):
+        default_weight_constants(prof)
+    with pytest.raises(InvalidParam, match=message):
+        no_damping_radius(cfg.model, prof, eps_budget=1e-2,
+                          theta_E=cfg.damping.theta_E, source=cfg.profile_source)
 
 
 def test_weight_characteristic_guard():

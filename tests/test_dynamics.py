@@ -206,7 +206,10 @@ def test_evolve_differences_W_once_per_output_time(jinxin, jinxin_profile, monke
     traj = evolve(jinxin, jinxin_profile, pert, ShiftSpec(kind="zero"), T=1.0,
                   backend="moc", dx=0.04, n_out=4)
     assert round(1.0 / traj.dt) > 4 * 10
-    assert len(calls) == 4  # the budget check at each output time after t = 0
+    # the W stack, row 0 included, which the budget check reads after t = 0
+    assert len(calls) == 5
+    assert traj.W.shape == traj.states.shape
+    assert len(calls) == 5
 
 
 def test_budget_violation_time_matches_W_formed_every_step():
