@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _cubic_at, grid_step, phi_and_forcing
 from .eigenframe import SourceField, source_diagonals
-from .errors import EpsilonTooLarge, InvalidParam, NotBounded
+from .errors import EpsilonTooLarge, InvalidParam
 from .model import ModelSpec
 from .profile import ProfileRep
 
@@ -163,8 +163,8 @@ class HBoundReport:
     C_emp: dict                 # family -> empirical constant
     C_emp_overall: float
     C_theory: dict              # family -> assembled integral bound
-    half_horizon: float | None = None
     C_emp_half: float | None = None
+    unbounded: str | None = None    # why C_emp grows with the horizon, if it does
 
 
 def verify_H_bound(paths: list[CharPath], theta_E: float,
@@ -176,12 +176,12 @@ def verify_H_bound(paths: list[CharPath], theta_E: float,
 
     When ``compare_horizon`` is given, the constant is also computed from the
     samples up to that time; growth beyond ``growth_tol`` (relative, with an
-    absolute floor) raises NotBounded, the signature of a rate theta_E larger
-    than the field actually provides.  With the profile's transformed
-    ``source`` supplied the report carries the analytic-style comparison
-    bound: the integral over its grid of the positive part of (steady damping
-    coefficient + theta_E) divided by the slowest characteristic speed less
-    ``eps_delta``.
+    absolute floor) is reported in ``unbounded``, the signature of a rate
+    theta_E larger than the field actually provides.  With the profile's
+    transformed ``source`` supplied the report carries the analytic-style
+    comparison bound: the integral over its grid of the positive part of
+    (steady damping coefficient + theta_E) divided by the slowest
+    characteristic speed less ``eps_delta``.
     """
     fams = sorted({p.family for p in paths})
     C_emp = {j: max(_c_emp(p, theta_E) for p in paths if p.family == j)
@@ -196,11 +196,10 @@ def verify_H_bound(paths: list[CharPath], theta_E: float,
             report.C_theory[j] = float(np.trapezoid(excess, source.grid) / speed)
     if compare_horizon is not None:
         C_half = max(_c_emp(p, theta_E, t_max=compare_horizon) for p in paths)
-        report.half_horizon = compare_horizon
         report.C_emp_half = C_half
         scale = max(abs(C_half), 0.1 * theta_E * compare_horizon)
         if overall - C_half > growth_tol * scale:
-            raise NotBounded(
+            report.unbounded = (
                 f"C_emp grows from {C_half:.4g} to {overall:.4g} across horizons; "
                 f"theta_E = {theta_E} exceeds the damping the field provides")
     return report

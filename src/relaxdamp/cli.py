@@ -26,14 +26,7 @@ from . import dynamics as dyn
 from . import eigenframe as ef
 from . import spectral_stability as spec
 from .config import Config, parse_config
-from .errors import (
-    CertificationError,
-    ConfigError,
-    EmptyFeasible,
-    NotBounded,
-    NotDissipative,
-    RelaxDampError,
-)
+from .errors import CertificationError, ConfigError, NotDissipative, RelaxDampError
 from .model import validate_model
 from .profile import residual
 
@@ -276,12 +269,11 @@ def stage_verify(cfg: Config, out: Path) -> int:
         chars.accumulate_H(fam, traj)
         paths.extend(fam)
 
-    certification_failures = []
-    try:
-        hb = chars.verify_H_bound(
-            paths, dr.theta_E, source=cfg.profile_source,
-            eps_delta=shift.eps_delta, compare_horizon=float(traj.times[-1]) / 2.0,
-            growth_tol=vc["growth_tol"])
+    hb = chars.verify_H_bound(
+        paths, dr.theta_E, source=cfg.profile_source,
+        eps_delta=shift.eps_delta, compare_horizon=float(traj.times[-1]) / 2.0,
+        growth_tol=vc["growth_tol"])
+    if hb.unbounded is None:
         hb_payload = {
             "theta_E": dr.theta_E,
             "C_emp": {str(j): v for j, v in hb.C_emp.items()},
@@ -290,9 +282,8 @@ def stage_verify(cfg: Config, out: Path) -> int:
             "C_theory": {str(j): v for j, v in hb.C_theory.items()},
             "bounded": True,
         }
-    except NotBounded as exc:
-        certification_failures.append(f"H-bound: {exc}")
-        hb_payload = {"theta_E": dr.theta_E, "bounded": False, "error": str(exc)}
+    else:
+        hb_payload = {"theta_E": dr.theta_E, "bounded": False, "error": hb.unbounded}
 
     c_nonchar = float(np.min(np.abs(traj.frames(0).lambdas)))
     exit_bound = 2.0 * radius.R / max(c_nonchar - shift.eps_delta, 1e-12)
@@ -320,19 +311,16 @@ def stage_verify(cfg: Config, out: Path) -> int:
     include_l2 = vc["include_l2"] and cfg.build_perturbation().kind != "offset"
     if include_l2:
         kinds += ["l2", "h2"]
-    tables = {}
-    for kind in kinds:
-        try:
-            tables[kind] = dv.fit_damping(traj, kind, theta_grid, C_cap=vc["C_cap"])
-        except EmptyFeasible as exc:
-            certification_failures.append(f"damping {kind}: {exc}")
-            if exc.table is not None:
-                tables[kind] = exc.table
-    try:
-        slaving = dv.slaving_check(traj, theta_grid, C_cap=vc["C_cap"])
-    except EmptyFeasible as exc:
-        certification_failures.append(f"slaving: {exc}")
-        slaving = exc.tables or {}
+    tables = {kind: dv.fit_damping(traj, kind, theta_grid, C_cap=vc["C_cap"])
+              for kind in kinds}
+    slaving = dv.slaving_check(traj, theta_grid, C_cap=vc["C_cap"])
+    certification_failures = [] if hb.unbounded is None else [f"H-bound: {hb.unbounded}"]
+    certification_failures += [f"damping {kind}: {kind}: no feasible rate under C_cap"
+                               for kind, tab in tables.items() if tab.theta_max is None]
+    unslaved = [label for label, tab in slaving.items() if tab.theta_max is None]
+    if unslaved:
+        certification_failures.append(
+            f"slaving: no feasible slaved rate for {', '.join(unslaved)}")
 
     if vc["C_alpha"] is not None and vc["c_alpha"] is not None:
         Ca, ca = vc["C_alpha"], vc["c_alpha"]
@@ -348,11 +336,8 @@ def stage_verify(cfg: Config, out: Path) -> int:
             "C_cap": tab.C_cap,
             "degenerate": tab.degenerate,
             "feasible": tab.feasible,
+            "theta_max": tab.theta_max,
         }
-        try:
-            payload["theta_max"] = tab.theta_max
-        except EmptyFeasible:
-            payload["theta_max"] = None
         if not tab.degenerate:
             payload["saturated"] = tab.saturated
         return payload

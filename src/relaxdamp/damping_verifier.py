@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import Snapshot, Trajectory, interior_max
 from .eigenframe import profile_lambdas
-from .errors import EmptyFeasible, InvalidParam, Unsupported
+from .errors import InvalidParam, Unsupported
 from .model import ModelSpec
 from .profile import ProfileRep
 
@@ -132,8 +132,18 @@ def weight_fn(model: ModelSpec, profile: ProfileRep, C_alpha: float,
 
 
 def default_weight_constants(profile: ProfileRep) -> tuple[float, float]:
-    """C_alpha = 4 C_tail and c_alpha = ``profile.tail_rate(1)`` / 2 from the order-1 fits."""
-    c_tail = max(profile.decay_fits[(side, 1)].amplitude for side in ("minus", "plus"))
+    """C_alpha = 4 C_tail and c_alpha = ``profile.tail_rate(1)`` / 2 from the order-1 fits.
+
+    A fit that only bounds its rate from below (a tail under the noise
+    floor) sets no weight: InvalidParam names its side.
+    """
+    fits = [profile.decay_fit(side, 1) for side in ("minus", "plus")]
+    for fit in fits:
+        if fit.is_lower_bound:
+            raise InvalidParam(f"decay fit of the {fit.side} tail at order 1 is only a "
+                               f"lower bound (rate >= {fit.rate:.4g}) from a tail under "
+                               "the noise floor, which sets no weight constants")
+    c_tail = max(fit.amplitude for fit in fits)
     return 4.0 * c_tail, 0.5 * profile.tail_rate(1)
 
 
@@ -144,13 +154,15 @@ def norm_series(traj: Trajectory, kind: str) -> np.ndarray:
 
     All six kinds come from one pass over the output times, in which each
     snapshot forms W and Y once; they are cached on the trajectory read-only.
+    Offset data is measured against the ramp of the run's ``blend_width``.
     """
     cache = traj._norm_cache
     if not cache:
         rows = []
         for i in range(traj.n_times):
             snap = traj.snapshot(i)
-            rows.append([ckb_norm(snap, K) for K in range(3)] + list(l2_h2_norms(snap)))
+            rows.append([ckb_norm(snap, K) for K in range(3)]
+                        + list(l2_h2_norms(snap, traj.blend_width)))
         table = np.array(rows)
         table.flags.writeable = False
         cache.update(zip(("c0", "c1", "c2", "l2", "h1", "h2"), table.T))
@@ -166,9 +178,7 @@ class EnergySeries:
     times: np.ndarray
     energies: np.ndarray     # (n_times, N)
     rates: np.ndarray        # centered d/dt of energies
-    theta_E: float
     slack_constant: float    # smallest K with de/dt <= -2 theta_E e + K (forcing)
-    flagged: np.ndarray      # times where the inequality needed the forcing term
 
     @property
     def ratio(self) -> list[float | None]:
@@ -183,8 +193,7 @@ def weighted_energy_series(traj: Trajectory, weights: list[WeightFn],
 
     The differential inequality de_j/dt <= -2 theta_E e_j + K (|ddelta| +
     ||Phi||_L2^2) is checked with the smallest constant K that makes it hold
-    at every interior output time; flagged entries mark where K > 0 was
-    needed.
+    at every interior output time.
     """
     if weights[0].grid.shape != traj.grid.shape \
             or not np.allclose(weights[0].grid, traj.grid):
@@ -207,9 +216,7 @@ def weighted_energy_series(traj: Trajectory, weights: list[WeightFn],
         need = np.where(excess > 0.0, excess / forcing[:, None], 0.0)
     interior = slice(1, -1)  # one-sided end differences are not second order
     K = float(np.max(need[interior])) if traj.n_times > 2 else 0.0
-    flagged = times[np.any(excess > 0.0, axis=1)]
-    return EnergySeries(times=times, energies=e, rates=rates, theta_E=theta_E,
-                        slack_constant=K, flagged=flagged)
+    return EnergySeries(times=times, energies=e, rates=rates, slack_constant=K)
 
 
 # --- damping feasibility ---------------------------------------------------
@@ -218,7 +225,6 @@ def weighted_energy_series(traj: Trajectory, weights: list[WeightFn],
 class FeasibilityTable:
     """C_min(theta) over a rate grid with the feasible set under the cap."""
 
-    label: str
     times: np.ndarray
     series: np.ndarray
     forcing: np.ndarray
@@ -238,17 +244,16 @@ class FeasibilityTable:
         return bool(self.feasible[-1])
 
     @property
-    def theta_max(self) -> float:
+    def theta_max(self) -> float | None:
+        """The largest feasible rate of the grid; None when no rate is feasible."""
         if self.degenerate:
             return float(self.theta_grid[-1])
-        ok = np.where(self.feasible)[0]
-        if ok.size == 0:
-            raise EmptyFeasible(f"{self.label}: no feasible rate under C_cap")
-        return float(self.theta_grid[ok[-1]])
+        ok = np.flatnonzero(self.feasible)
+        return float(self.theta_grid[ok[-1]]) if ok.size else None
 
 
-def feasibility_table(label: str, times: np.ndarray, series: np.ndarray,
-                      forcing: np.ndarray, theta_grid: np.ndarray,
+def feasibility_table(times: np.ndarray, series: np.ndarray, forcing: np.ndarray,
+                      theta_grid: np.ndarray,
                       C_cap: float = C_CAP_DEFAULT) -> FeasibilityTable:
     """Minimal constant per rate: C_min(theta) = max_t N(t) / D_theta(t).
 
@@ -265,10 +270,9 @@ def feasibility_table(label: str, times: np.ndarray, series: np.ndarray,
     forcing = np.asarray(forcing, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
     if series[0] == 0.0 and np.max(forcing) == 0.0:
-        return FeasibilityTable(label=label, times=times, series=series,
-                                forcing=forcing, theta_grid=theta_grid,
-                                C_min=np.zeros_like(theta_grid), C_cap=C_cap,
-                                degenerate=True)
+        return FeasibilityTable(times=times, series=series, forcing=forcing,
+                                theta_grid=theta_grid, C_min=np.zeros_like(theta_grid),
+                                C_cap=C_cap, degenerate=True)
     D = np.empty((len(theta_grid), len(times)))
     D[:, 0] = series[0]
     I = np.zeros_like(theta_grid)
@@ -280,9 +284,9 @@ def feasibility_table(label: str, times: np.ndarray, series: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(D > 0.0, series / D, np.where(series > 0.0, np.inf, 0.0))
     C_min = np.max(ratio, axis=1)
-    return FeasibilityTable(label=label, times=times, series=series,
-                            forcing=forcing, theta_grid=theta_grid,
-                            C_min=C_min, C_cap=C_cap, degenerate=False)
+    return FeasibilityTable(times=times, series=series, forcing=forcing,
+                            theta_grid=theta_grid, C_min=C_min, C_cap=C_cap,
+                            degenerate=False)
 
 
 def fit_damping(traj: Trajectory, norm_kind: str, theta_grid,
@@ -291,6 +295,7 @@ def fit_damping(traj: Trajectory, norm_kind: str, theta_grid,
 
     C^K_b kinds use the plain norms with forcing ||U||_C0 + |ddelta|; the
     L^2/H^2 kinds use squared norms with forcing ||U||_L2^2 + |ddelta|^2.
+    The table's ``theta_max`` is None when no rate is feasible under the cap.
     """
     if norm_kind not in ("c0", "c1", "c2", "l2", "h2"):
         raise InvalidParam(f"unknown norm kind {norm_kind!r}")
@@ -299,15 +304,10 @@ def fit_damping(traj: Trajectory, norm_kind: str, theta_grid,
         series = norm_series(traj, norm_kind)
         forcing = norm_series(traj, "c0") + dd
     else:
-        base = norm_series(traj, norm_kind) ** 2
-        series = base
+        series = norm_series(traj, norm_kind) ** 2
         forcing = norm_series(traj, "l2") ** 2 + dd**2
-    table = feasibility_table(norm_kind, traj.times, series, forcing,
-                              np.asarray(theta_grid, dtype=float), C_cap)
-    if not table.degenerate and not np.any(table.feasible):
-        raise EmptyFeasible(f"{norm_kind}: no feasible rate under C_cap",
-                            table=table)
-    return table
+    return feasibility_table(traj.times, series, forcing,
+                             np.asarray(theta_grid, dtype=float), C_cap)
 
 
 def slaving_check(traj: Trajectory, theta_grid,
@@ -316,21 +316,12 @@ def slaving_check(traj: Trajectory, theta_grid,
 
     Both derivative conjugates must admit a rate with the forcing
     ||Phi||_C0 + |ddelta| alone (all from ``traj.source_series``), confirming
-    that no self-forcing is needed.
+    that no self-forcing is needed: a table whose ``theta_max`` is None
+    found no slaved rate.
     """
     sups = traj.source_series
     forcing = sups.phi + np.abs(traj.shift.delta_dot(traj.times))
     theta_grid = np.asarray(theta_grid, dtype=float)
-    out = {}
-    empty = []
-    for label, series in (("psi_tilde", sups.psi_tilde),
-                          ("upsilon_tilde", sups.upsilon_tilde)):
-        table = feasibility_table(label, traj.times, series, forcing,
-                                  theta_grid, C_cap)
-        out[label] = table
-        if not table.degenerate and not np.any(table.feasible):
-            empty.append(label)
-    if empty:
-        raise EmptyFeasible(f"no feasible slaved rate for {', '.join(empty)}",
-                            tables=out)
-    return out
+    return {label: feasibility_table(traj.times, series, forcing, theta_grid, C_cap)
+            for label, series in (("psi_tilde", sups.psi_tilde),
+                                  ("upsilon_tilde", sups.upsilon_tilde))}

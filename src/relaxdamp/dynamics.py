@@ -252,6 +252,7 @@ class Trajectory:
     cfl_observed: float
     budget: float
     budget_violation_time: float | None = None
+    blend_width: float = 2.0    # far-field ramp width of offset initial data
     _frame_cache: dict = field(default_factory=dict, repr=False)
     _norm_cache: dict = field(default_factory=dict, repr=False)
 
@@ -760,7 +761,8 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
     traj = Trajectory(model=model, profile=profile, shift=shift, backend=backend,
                       grid=grid, times=np.linspace(0.0, T, n_times),
                       states=states, b_left=bls, b_right=brs, dt=dt,
-                      cfl_observed=stepper.last_cfl, budget=budget)
+                      cfl_observed=stepper.last_cfl, budget=budget,
+                      blend_width=pert.blend_width)
     traj.stepper = stepper  # fills the cached property: one Stepper per run
     c1 = np.maximum(np.max(np.abs(states), axis=(1, 2)), np.max(np.abs(traj.W), axis=(1, 2)))
     over = np.flatnonzero(~(c1[1:] <= budget))  # a NaN norm is a violation too

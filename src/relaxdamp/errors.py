@@ -58,18 +58,6 @@ class NoConnection(ProfileError):
     """Shooting orbit misses the right endstate."""
 
 
-class TailBelowNoise(ProfileError):
-    """Profile tail decayed below the numerical noise floor.
-
-    ``rate_lower_bound`` is the decay rate implied by reaching the floor
-    within the fitting window.
-    """
-
-    def __init__(self, message, rate_lower_bound=None):
-        super().__init__(message)
-        self.rate_lower_bound = rate_lower_bound
-
-
 # --- eigenframe ----------------------------------------------------------
 
 class NotStrictlyHyperbolic(CertificationError):
@@ -119,10 +107,6 @@ class BlowUp(RelaxDampError):
 
 # --- characteristics -----------------------------------------------------
 
-class NotBounded(CertificationError):
-    """Empirical H-estimate constant keeps growing with the horizon."""
-
-
 class EpsilonTooLarge(RelaxDampError):
     """No no-damping radius exists for the requested perturbation budget."""
 
@@ -131,19 +115,6 @@ class EpsilonTooLarge(RelaxDampError):
 
 class Unsupported(RelaxDampError):
     """Requested derivative order is not implemented."""
-
-
-class EmptyFeasible(CertificationError):
-    """No rate in the scanned grid admits a constant below the cap.
-
-    Carries the offending feasibility table(s) so reports can still show
-    the C_min curves.
-    """
-
-    def __init__(self, message, table=None, tables=None):
-        super().__init__(message)
-        self.table = table
-        self.tables = tables
 
 
 # --- config / cli --------------------------------------------------------

@@ -240,7 +240,6 @@ class ValidationReport:
     n_samples: int
     max_rel_jacobian_error: float
     worst_state: np.ndarray
-    finite_ok: bool
 
 
 def validate_model(model: ModelSpec, n_samples: int, seed: int = 0,
@@ -278,7 +277,6 @@ def validate_model(model: ModelSpec, n_samples: int, seed: int = 0,
         n_samples=n_samples,
         max_rel_jacobian_error=worst_err,
         worst_state=worst_state,
-        finite_ok=True,
     )
     if worst_err > tol:
         raise ValidationFailed(

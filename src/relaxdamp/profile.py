@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidParam,
-    NoConnection,
-    NotApplicable,
-    NoUnstableDirection,
-    TailBelowNoise,
-)
+from .errors import InvalidParam, NoConnection, NotApplicable, NoUnstableDirection
 from .model import ModelSpec
 from .ode import shoot
 from .poly import poly_matrix_eval
@@ -349,9 +343,10 @@ def fit_decay(profile: ProfileRep, k: int) -> dict:
     """Least-squares exponential fit of tail decay for derivative order k.
 
     Fits log|d^k(U - U_end)| against |x| on each tail and returns one
-    DecayFit per side.  Raises TailBelowNoise when the tail has already
-    decayed under the noise floor, carrying the rate lower bound implied by
-    hitting the floor inside the window.
+    DecayFit per side.  A tail already under the noise floor gets a fit of
+    amplitude NOISE_FLOOR flagged ``is_lower_bound``, whose rate is the
+    lower bound implied by hitting the floor inside the window; the other
+    side keeps its own fit.
     """
     if k > 2 or k < 0:
         raise InvalidParam(f"derivative order must be 0, 1, or 2, got {k}")
@@ -375,10 +370,9 @@ def fit_decay(profile: ProfileRep, k: int) -> dict:
             scale = float(data_full.max())
             bound = 0.0 if scale <= NOISE_FLOOR else \
                 float(np.log(scale / NOISE_FLOOR) / (TAIL_FRACTION * X))
-            raise TailBelowNoise(
-                f"{side} tail of order {k} below noise floor",
-                rate_lower_bound=bound,
-            )
+            fits[side] = DecayFit(side=side, order=k, amplitude=NOISE_FLOOR, rate=bound,
+                                  envelope_factor=1.0, is_lower_bound=True)
+            continue
         keep = data > NOISE_FLOOR
         coeffs = np.polyfit(ax[keep], np.log(data[keep]), 1)
         rate = -float(coeffs[0])
@@ -391,17 +385,7 @@ def fit_decay(profile: ProfileRep, k: int) -> dict:
 
 def _fit_all_orders(profile: ProfileRep) -> None:
     for k in range(3):
-        try:
-            fits = fit_decay(profile, k)
-        except TailBelowNoise as exc:
-            # tails already under the floor: keep the implied lower bound
-            for side in ("minus", "plus"):
-                profile.decay_fits[(side, k)] = DecayFit(
-                    side=side, order=k, amplitude=NOISE_FLOOR,
-                    rate=exc.rate_lower_bound or 0.0,
-                    envelope_factor=1.0, is_lower_bound=True)
-            continue
-        for side, fit in fits.items():
+        for side, fit in fit_decay(profile, k).items():
             profile.decay_fits[(side, k)] = fit
 
 

@@ -2,13 +2,18 @@
 
 Every name in ``relaxdamp.__all__`` must resolve, a star import must work,
 and the single-state twins of the stacked eigen and characteristics layers
-must stay gone from the package namespace and from their modules.
+must stay gone from the package namespace and from their modules.  Outcomes
+travel as data: only the CLI catches a toolkit error.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
+from pathlib import Path
+
 import relaxdamp
-from relaxdamp import characteristics, eigenframe
+from relaxdamp import characteristics, eigenframe, errors
 
 REMOVED = {
     eigenframe: ("EigenFrame", "SourceSplit", "decompose", "source_split", "theta_matrix",
@@ -40,3 +45,26 @@ def test_removed_twins_stay_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(eigenframe.FrameField, "lipschitz")
 
+
+def _caught_names(handler: ast.ExceptHandler) -> set[str]:
+    """The class names an ``except`` clause catches, plain or dotted."""
+    if handler.type is None:
+        return set()
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.id if isinstance(t, ast.Name) else t.attr
+            for t in types if isinstance(t, (ast.Name, ast.Attribute))}
+
+
+def test_only_the_cli_catches_toolkit_errors():
+    toolkit = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and issubclass(obj, errors.RelaxDampError)}
+    package = Path(relaxdamp.__file__).parent
+    caught = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and _caught_names(node) & toolkit:
+                caught.setdefault(path.name, []).append(node.lineno)
+    assert caught == {}

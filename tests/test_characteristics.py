@@ -23,7 +23,7 @@ from relaxdamp.damping_verifier import feasibility_table, slaving_check
 from relaxdamp.dynamics import (PerturbationSpec, ShiftSpec, _cubic_at, diagonal_vars, evolve,
                                 interior_max)
 from relaxdamp.eigenframe import _decompose_batch
-from relaxdamp.errors import EpsilonTooLarge, InvalidParam, NotBounded, NotStrictlyHyperbolic
+from relaxdamp.errors import EpsilonTooLarge, InvalidParam, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
 from relaxdamp.profile import constant_profile, solve_profile
 from relaxdamp.model import build_custom
@@ -131,8 +131,11 @@ def test_not_bounded_when_rate_exceeds_damping(decay_run):
     _, _, traj = decay_run
     paths = trace_many(traj, 0, np.linspace(-10, 10, 5))
     accumulate_H(paths, traj)
-    with pytest.raises(NotBounded):
-        verify_H_bound(paths, theta_E=0.5, compare_horizon=10.0)
+    rep = verify_H_bound(paths, theta_E=0.5, compare_horizon=10.0)
+    assert rep.unbounded.startswith("C_emp grows from ")
+    assert rep.unbounded.endswith(
+        "across horizons; theta_E = 0.5 exceeds the damping the field provides")
+    assert rep.C_emp_overall > rep.C_emp_half
 
 
 def test_H_bound_stable_across_horizons(jinxin, jinxin_profile, jinxin_run):
@@ -148,6 +151,7 @@ def test_H_bound_stable_across_horizons(jinxin, jinxin_profile, jinxin_run):
     assert np.isfinite(rep.C_emp_overall)
     assert abs(rep.C_emp_overall - rep.C_emp_half) <= 0.05 * max(
         abs(rep.C_emp_half), 0.01)
+    assert rep.unbounded is None
     # uniform damping beyond theta_E: the comparison bound is zero as well
     assert max(rep.C_theory.values()) <= 1e-12
 
@@ -486,7 +490,7 @@ def test_source_series_readers_match_each_source_field(run, request):
     forcing = sups[0] + np.abs(traj.shift.delta_dot(traj.times))
     tables = slaving_check(traj, theta_grid, C_cap=np.inf)
     for label, series in zip(("psi_tilde", "upsilon_tilde"), sups[1:]):
-        want = feasibility_table(label, traj.times, series, forcing, theta_grid, np.inf)
+        want = feasibility_table(traj.times, series, forcing, theta_grid, np.inf)
         assert np.array_equal(tables[label].series, want.series)
         assert np.array_equal(tables[label].C_min, want.C_min)
 

@@ -185,10 +185,44 @@ def test_verify_empty_feasible_exit_code(tmp_path):
     })
     assert run("verify", cfg, out_dir=str(tmp_path)) == EXIT_CERTIFICATION
     damping = json.loads((tmp_path / "damping.json").read_text())
-    assert damping["certification_failures"]
+    assert damping["certification_failures"] == [
+        *(f"damping {kind}: {kind}: no feasible rate under C_cap"
+          for kind in ("c0", "c1", "c2", "l2", "h2")),
+        "slaving: no feasible slaved rate for psi_tilde, upsilon_tilde",
+    ]
     assert damping["norm_tables"]["c0"]["theta_max"] is None
+    assert json.loads((tmp_path / "h_bound.json").read_text())["bounded"] is True
     for table in [*damping["norm_tables"].values(), *damping["slaving"].values()]:
         assert table["saturated"] is False
+
+
+ANTI_DAMPED_CORE = {
+    "kind": "custom", "name": "anti-damped-core", "N": 2,
+    "A": [[0.0, 1.0], [4.0, 0.0]],
+    "q": [0.0, [[1.25, [2, 0]], [0.5, [0, 1]], [-0.75, [0, 0]], [-1.5, [2, 1]]]],
+    "U_minus": [1.0, 0.5], "U_plus": [-1.0, 0.5],
+}
+
+
+def test_verify_unbounded_H_exits_3(tmp_path):
+    # conftest.anti_damped_core_model: the core's anti-damping outweighs
+    # theta_E = 1/8 along the characteristics, so C_emp keeps growing
+    cfg = config_from_dict({
+        "model": ANTI_DAMPED_CORE,
+        "profile": {"X": 20.0, "n": 2001},
+        "dynamics": {"T": 4.0, "n_out": 8, "dx": 0.04},
+        "verify": {"n_paths": 6, "theta_grid": {"start": 0.01, "stop": 0.3, "num": 8}},
+    })
+    assert run("verify", cfg, out_dir=str(tmp_path)) == EXIT_CERTIFICATION
+    h_bound = json.loads((tmp_path / "h_bound.json").read_text())
+    message = ("C_emp grows from 0.6232 to 1.358 across horizons; theta_E = "
+               f"{h_bound['theta_E']!r} exceeds the damping the field provides")
+    assert h_bound["bounded"] is False
+    assert h_bound["theta_E"] == pytest.approx(0.125, abs=1e-12)
+    assert h_bound["error"] == message
+    assert "C_emp" not in h_bound
+    damping = json.loads((tmp_path / "damping.json").read_text())
+    assert damping["certification_failures"] == [f"H-bound: {message}"]
 
 
 def test_verify_zero_perturbation_has_no_energy_ratio(tmp_path):

@@ -16,6 +16,7 @@ from relaxdamp.damping_verifier import (
     feasibility_table,
     fit_damping,
     l2_h2_norms,
+    norm_series,
     slaving_check,
     trapezoid4,
     weight_fn,
@@ -25,10 +26,9 @@ from relaxdamp.eigenframe import _decompose_2x2
 from relaxdamp.characteristics import no_damping_radius
 from relaxdamp.config import config_from_dict
 from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, Snapshot, evolve
-from relaxdamp.errors import (Characteristic, EmptyFeasible, InvalidParam,
-                              NotStrictlyHyperbolic, Unsupported)
+from relaxdamp.errors import Characteristic, InvalidParam, NotStrictlyHyperbolic, Unsupported
 from relaxdamp.poly import Poly
-from relaxdamp.profile import constant_profile, solve_profile
+from relaxdamp.profile import constant_profile, exact_jinxin_profile, solve_profile
 
 
 def make_snapshot(grid, U, W=None, b=None):
@@ -93,6 +93,19 @@ def test_l2_zero_and_gaussian_identity():
     assert l2**2 == pytest.approx(A**2 * w * np.sqrt(np.pi), abs=1e-8)
 
 
+def test_offset_norms_use_the_runs_blend_width(jinxin, jinxin_profile):
+    # offset data is its own far-field ramp at t = 0, so its L2 norm is 0
+    # at every blend width, not only at the default 2
+    for blend_width in (1.0, 2.0):
+        pert = PerturbationSpec(kind="offset", d_minus=(1e-3, 0.0), d_plus=(-1e-3, 0.0),
+                                blend_width=blend_width)
+        traj = evolve(jinxin, jinxin_profile, pert, ShiftSpec(kind="zero"),
+                      T=0.2, dx=0.08, n_out=1)
+        assert traj.blend_width == blend_width
+        assert norm_series(traj, "l2")[0] == 0.0
+        assert norm_series(traj, "l2")[1] > 0.0
+
+
 def test_quadrature_fourth_order():
     exact = (np.exp(4.0) - np.exp(-4.0)) * 10.0
     errs = []
@@ -134,6 +147,32 @@ def test_non_decaying_tail_fit_names_side_order_and_rate():
     with pytest.raises(InvalidParam, match=message):
         no_damping_radius(cfg.model, prof, eps_budget=1e-2,
                           theta_E=cfg.damping.theta_E, source=cfg.profile_source)
+
+
+def _exact_profile(eps):
+    model = build_jinxin(a=2.0, eps=eps, flux=[0.0, 0.0, 0.5], u_minus=1.0, u_plus=-1.0)
+    return exact_jinxin_profile(model, np.linspace(-10.0, 10.0, 4001))
+
+
+def test_lower_bound_tail_fits_set_no_weight_constants():
+    # at eps = 0.01 both U_x tails fall under the noise floor inside X = 10:
+    # their fits only bound the rate, and weights built on C_tail = 1e-13 would
+    # all be 1 to 12 digits
+    prof = _exact_profile(0.01)
+    assert all(prof.decay_fit(side, 1).is_lower_bound for side in ("minus", "plus"))
+    with pytest.raises(InvalidParam,
+                       match=r"^decay fit of the minus tail at order 1 is only a lower bound"):
+        default_weight_constants(prof)
+
+
+@pytest.mark.parametrize("eps, want", [
+    (0.05, (39.99999999718081, 2.499999999994178)),
+    (0.2, (9.955937031886247, 0.6247467692347846)),
+])
+def test_weight_constants_of_resolved_tails(eps, want):
+    prof = _exact_profile(eps)
+    assert not any(prof.decay_fit(side, 1).is_lower_bound for side in ("minus", "plus"))
+    assert default_weight_constants(prof) == pytest.approx(want, rel=1e-12)
 
 
 def test_weight_characteristic_guard():
@@ -299,8 +338,7 @@ def test_feasibility_pure_decay_analytic():
     series = np.exp(-0.2 * times)
     forcing = np.zeros_like(times)
     theta_grid = np.array([0.05, 0.1, 0.2, 0.25, 0.3])
-    tab = feasibility_table("test", times, series, forcing, theta_grid,
-                            C_cap=1e3)
+    tab = feasibility_table(times, series, forcing, theta_grid, C_cap=1e3)
     # C_min = 1 for theta <= 0.2 and e^{(theta - 0.2) T} beyond
     assert np.allclose(tab.C_min[:3], 1.0, rtol=1e-12)
     assert tab.C_min[3] == pytest.approx(np.exp(0.05 * 40.0), rel=1e-10)
@@ -310,8 +348,7 @@ def test_feasibility_pure_decay_analytic():
 
 def test_feasibility_zero_degenerate():
     times = np.linspace(0.0, 10.0, 11)
-    tab = feasibility_table("zero", times, np.zeros(11), np.zeros(11),
-                            np.array([0.1, 0.2]))
+    tab = feasibility_table(times, np.zeros(11), np.zeros(11), np.array([0.1, 0.2]))
     assert tab.degenerate
     assert tab.theta_max == pytest.approx(0.2)
 
@@ -350,7 +387,7 @@ def test_feasibility_table_matches_scalar_recursion(data):
     forcing = data.draw(arrays(float, n_t, elements=_values))
     theta_grid = data.draw(arrays(float, st.integers(1, 25), elements=st.floats(0.0, 2.0)))
     assume(series[0] != 0.0 or np.max(forcing) != 0.0)
-    tab = feasibility_table("prop", times, series, forcing, theta_grid)
+    tab = feasibility_table(times, series, forcing, theta_grid)
     assert not tab.degenerate
     assert np.array_equal(tab.C_min, _C_min_per_rate(times, series, forcing, theta_grid))
 
@@ -359,10 +396,9 @@ def test_feasibility_table_saturation():
     times = np.linspace(0.0, 20.0, 41)
     series = np.exp(-0.2 * times)
     forcing = np.zeros_like(times)
-    assert feasibility_table("slow", times, series, forcing, np.array([0.1, 0.2])).saturated
+    assert feasibility_table(times, series, forcing, np.array([0.1, 0.2])).saturated
     # the top rate needs C = e^{0.2 T} = e^4 > cap: feasible set ends inside the grid
-    tab = feasibility_table("fast", times, series, forcing, np.array([0.1, 0.2, 0.4]),
-                            C_cap=10.0)
+    tab = feasibility_table(times, series, forcing, np.array([0.1, 0.2, 0.4]), C_cap=10.0)
     assert tab.feasible.tolist() == [True, True, False]
     assert not tab.saturated
     assert tab.theta_max == pytest.approx(0.2)
@@ -408,8 +444,11 @@ def test_slaving_check_adversarial_growth():
         return (1e-3 * np.sin(k * x) * np.exp(-0.5 * (x / 10.0) ** 2))[:, None]
 
     traj = synthetic_trajectory(model, prof, field, T=20.0, n_out=40)
-    with pytest.raises(EmptyFeasible):
-        slaving_check(traj, np.linspace(0.01, 0.3, 15), C_cap=10.0)
+    tables = slaving_check(traj, np.linspace(0.01, 0.3, 15), C_cap=10.0)
+    assert not tables["upsilon_tilde"].degenerate
+    assert not np.any(tables["upsilon_tilde"].feasible)
+    assert tables["upsilon_tilde"].theta_max is None
+    assert tables["psi_tilde"].theta_max is not None
 
 
 def test_l2_cross_norm_consistency(jinxin, jinxin_profile):

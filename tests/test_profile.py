@@ -9,12 +9,14 @@ from conftest import vara_model
 from relaxdamp import ode
 from relaxdamp import profile as profile_module
 from relaxdamp import build_jinxin, exact_jinxin_profile, fit_decay, residual, solve_profile
-from relaxdamp.errors import NoConnection, NotApplicable, NoUnstableDirection, TailBelowNoise
+from relaxdamp.errors import NoConnection, NotApplicable, NoUnstableDirection
 from relaxdamp.model import build_custom
 from relaxdamp.poly import poly_matrix_eval
 from relaxdamp.profile import (
+    NOISE_FLOOR,
     ProfileRep,
     _derivative_samples,
+    _fit_all_orders,
     constant_profile,
     ode_rhs,
     ode_rhs_jacobian,
@@ -123,9 +125,32 @@ def test_residual_detects_injected_corruption(jinxin, jinxin_profile):
 
 
 def test_fit_decay_constant_profile_below_noise(jinxin):
+    # both tails sit on the floor of a flat profile: lower bounds of rate 0
     prof = constant_profile(jinxin, jinxin.U_plus, X=10.0, n=101)
-    with pytest.raises(TailBelowNoise):
-        fit_decay(prof, 0)
+    fits = fit_decay(prof, 0)
+    assert sorted(fits) == ["minus", "plus"]
+    for side, fit in fits.items():
+        assert (fit.side, fit.order) == (side, 0)
+        assert fit.is_lower_bound
+        assert fit.amplitude == NOISE_FLOOR
+        assert fit.rate == 0.0
+
+
+def test_tail_under_noise_keeps_the_other_sides_fit(jinxin):
+    # an exact minus tail next to a clean 1e-2 e^{-x} plus tail: the minus
+    # fits are lower bounds, the plus fits keep the true rate 1 at every order
+    x = np.linspace(-10.0, 10.0, 2001)
+    tail = np.where(x > 0.0, 1e-2 * np.exp(-x), 0.0)[:, None] * [1.0, 0.0]
+    ends = np.where(x[:, None] > 0.0, jinxin.U_plus, jinxin.U_minus)
+    prof = ProfileRep(grid=x, values=ends + tail, d1=-tail, d2=tail.copy(),
+                      U_minus=jinxin.U_minus.copy(), U_plus=jinxin.U_plus.copy())
+    _fit_all_orders(prof)
+    for k in range(3):
+        minus, plus = prof.decay_fit("minus", k), prof.decay_fit("plus", k)
+        assert minus.is_lower_bound and minus.amplitude == NOISE_FLOOR
+        assert not plus.is_lower_bound
+        assert plus.rate == pytest.approx(1.0, abs=1e-9)
+        assert plus.amplitude == pytest.approx(1e-2, rel=1e-8)
 
 
 def test_endstate_gap_matches_tail_size(jinxin_profile):
