@@ -273,17 +273,16 @@ def stage_verify(cfg: Config, out: Path) -> int:
         paths, dr.theta_E, source=cfg.profile_source,
         eps_delta=shift.eps_delta, compare_horizon=float(traj.times[-1]) / 2.0,
         growth_tol=vc["growth_tol"])
-    if hb.unbounded is None:
-        hb_payload = {
-            "theta_E": dr.theta_E,
-            "C_emp": {str(j): v for j, v in hb.C_emp.items()},
-            "C_emp_overall": hb.C_emp_overall,
-            "C_emp_half_horizon": hb.C_emp_half,
-            "C_theory": {str(j): v for j, v in hb.C_theory.items()},
-            "bounded": True,
-        }
-    else:
-        hb_payload = {"theta_E": dr.theta_E, "bounded": False, "error": hb.unbounded}
+    hb_payload = {
+        "theta_E": dr.theta_E,
+        "C_emp": {str(j): v for j, v in hb.C_emp.items()},
+        "C_emp_overall": hb.C_emp_overall,
+        "C_emp_half_horizon": hb.C_emp_half,
+        "C_theory": {str(j): v for j, v in hb.C_theory.items()},
+        "bounded": hb.unbounded is None,
+    }
+    if hb.unbounded is not None:
+        hb_payload["error"] = hb.unbounded
 
     c_nonchar = float(np.min(np.abs(traj.frames(0).lambdas)))
     exit_bound = 2.0 * radius.R / max(c_nonchar - shift.eps_delta, 1e-12)

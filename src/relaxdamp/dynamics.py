@@ -28,23 +28,34 @@ once into an edge-padded buffer whose row j starts at column 1 - floor(s_j).
 The 4-point cubic Lagrange stencil for Phi and the 2-point stencils for E (at
 s) and G (at s / 2) are then 4 + 2 + 2 slices over all families at once.
 The offsets, the stencil weights, the speeds and their CFL check depend only
-on (dt, ddelta), and are formed once per pair.  A state-dependent A traces
-each node's foot, for all families in one pass.
+on (dt, ddelta), and are formed once per pair.
+
+A state-dependent A is evaluated once per step, at the node states Ubar + U:
+the frames are decomposed from it and keep it, and the source's dA term
+reads it.  E and the frame transport come from
+``source_diagonal_and_transport``, with dR/dx by the stepper's one
+``grid_gradient``, and no F_tilde is formed.
+Each node's foot is traced for all families in one pass, and one cell
+lookup per foot serves both the Phi and the E read there.  ``evolve``
+decomposes A at each output time for the step that starts there and hands
+those frames to the ``Trajectory``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .eigenframe import (
     FrameField,
+    GridGradient,
     SourceField,
     endstate_diagonals,
     frames_at_states,
+    source_diagonal_and_transport,
     transformed_source,
 )
 from .errors import BlowUp, BudgetExceeded, CFLViolation, InvalidParam
@@ -298,8 +309,9 @@ class Trajectory:
 
     def source_field(self, i: int) -> SourceField:
         """Transformed source at output time i, formed on every call."""
+        gradient = None if self.model.A_is_constant else self.stepper.grid_gradient
         return transformed_source(self.model, self.grid, self.perturbed_states(i),
-                                  frames=self.frames(i))
+                                  frames=self.frames(i), gradient=gradient)
 
     @cached_property
     def source_series(self) -> SourceSeries:
@@ -341,11 +353,23 @@ def _edge_pad(f: np.ndarray, width: int, fill_left, fill_right) -> np.ndarray:
 
 
 def _cubic_weights(t):
-    """Weights of the cubic Lagrange interpolant through nodes -1, 0, 1, 2 at t."""
-    return (-t * (t - 1.0) * (t - 2.0) / 6.0,
-            (t * t - 1.0) * (t - 2.0) / 2.0,
-            -t * (t + 1.0) * (t - 2.0) / 2.0,
-            t * (t * t - 1.0) / 6.0)
+    """Weights of the cubic Lagrange interpolant through nodes -1, 0, 1, 2 at t:
+    -t (t - 1)(t - 2) / 6, (t^2 - 1)(t - 2) / 2, -t (t + 1)(t - 2) / 2 and
+    t (t^2 - 1) / 6, each product taken left to right, with the factors
+    they share formed once."""
+    neg, t2, sq = -t, t - 2.0, t * t
+    sq -= 1.0
+    wm1 = neg * (t - 1.0)
+    wm1 *= t2
+    wm1 /= 6.0
+    w0 = sq * t2
+    w0 /= 2.0
+    w1 = neg * (t + 1.0)
+    w1 *= t2
+    w1 /= 2.0
+    w2 = t * sq
+    w2 /= 6.0
+    return wm1, w0, w1, w2
 
 
 def _cubic_lagrange(t, fm1, f0, f1, f2):
@@ -379,26 +403,24 @@ def grid_step(grid: np.ndarray) -> float:
     return float(grid[-1] - grid[0]) / (len(grid) - 1)
 
 
-def _cell_reads(pad: np.ndarray, cells: np.ndarray):
+def _cell_reads(cells: np.ndarray, width: int):
     """Offsets t of family-major cell positions (N, n) into their cells, and the
-    flat index in a node-major pad (rows, N) of row floor(cells) + 1 in each
-    position's family column."""
+    flat index, in a node-major pad of rows ``width`` long whose first N
+    columns hold the families, of row floor(cells) + 1 in each position's
+    family column."""
     i = np.floor(cells)
-    N = pad.shape[1]
-    return cells - i, i.astype(np.intp) * N + np.arange(N, 2 * N)[:, None]
+    return cells - i, i.astype(np.intp) * width + np.arange(width, width + len(cells))[:, None]
 
 
-def _cubic_interp(pad: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Cubic Lagrange interpolation at family-major cell positions (N, n) in
-    [-1, n), node k at k, of fields (n, N) edge-padded by two rows (n + 4, N)."""
-    t, at = _cell_reads(pad, cells)
+def _cubic_interp(pad: np.ndarray, t: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Cubic Lagrange interpolation at the ``_cell_reads`` (t, at) of positions
+    in [-1, n), node k at k, of fields edge-padded by two rows (n + 4, width)."""
     return _cubic_lagrange(t, *(pad.ravel()[at + k * pad.shape[1]] for k in range(4)))
 
 
-def _linear_interp(pad: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Linear interpolation at family-major cell positions (N, n) in [-1, n),
-    node k at k, of fields (n, N) edge-padded by one row (n + 2, N)."""
-    t, at = _cell_reads(pad, cells)
+def _linear_interp(pad: np.ndarray, t: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Linear interpolation at the ``_cell_reads`` (t, at) of positions in
+    [-1, n), node k at k, of fields edge-padded by one row (n + 2, width)."""
     return (1.0 - t) * pad.ravel()[at] + t * pad.ravel()[at + pad.shape[1]]
 
 
@@ -481,14 +503,24 @@ class Stepper:
         self._speeds = None
         self.last_cfl = 0.0
 
-    def source(self, Ut: np.ndarray, t: float, about: _Base | None = None) -> np.ndarray:
+    @cached_property
+    def grid_gradient(self) -> GridGradient:
+        """d/dx of (n, N, N) fields on the grid, for the frame transport of a
+        state-dependent A."""
+        N = self.model.N
+        return GridGradient(self.grid, (N, N))
+
+    def source(self, Ut: np.ndarray, t: float, about: _Base | None = None,
+               A: np.ndarray | None = None) -> np.ndarray:
         """Perturbation-form source at the full states Ut, taken about the rows
         ``about`` (the profile at every node by default); zero at Ut = about.U
-        by construction."""
+        by construction.  ``A`` is A(Ut) where the caller holds it."""
         about = self.about_profile if about is None else about
         S = self.model.q_at(Ut) - about.q
         if about.A is not None:
-            S -= np.einsum("nij,nj->ni", self.model.A_at(Ut) - about.A, about.U_x)
+            if A is None:
+                A = self.model.A_at(Ut)
+            S -= np.einsum("nij,nj->ni", A - about.A, about.U_x)
         dd = float(self.shift.delta_dot(t))
         if dd != 0.0:
             S += dd * about.U_x
@@ -500,11 +532,12 @@ class Stepper:
 
         Along a family-j characteristic d/ds Phi_j = E_jj Phi_j + G_j.  Phi, G
         and the damping exponent ``E`` are family-major, (N, n) with one row
-        per family; S is the source at the full states ``Ut`` = Ubar + U and T
-        the frame transport (None for constant frames, where it is zero).
+        per family; S is the source at the full states ``Ut`` = Ubar + U, with
+        the A(Ut) that state-dependent frames were decomposed from, and T the
+        frame transport (None for constant frames, where it is zero).
         """
         Phi = frames.diag_rows(U)
-        G = frames.diag_rows(self.source(Ut, t))
+        G = frames.diag_rows(self.source(Ut, t, A=frames.A))
         G -= E * Phi
         if transport is not None:
             G += np.einsum("njk,nk->nj", transport, Phi.T).T
@@ -552,18 +585,21 @@ class Stepper:
             raise CFLViolation(f"CFL number {cfl:.3f} exceeds {CFL_LIMIT} at "
                                f"t = {t:.6g} ({where}family {worst[-1] + 1})")
 
-    def _begin(self, snap: Snapshot, dt: float, Ut: np.ndarray | None = None):
+    def _begin(self, snap: Snapshot, dt: float, Ut: np.ndarray | None = None,
+               frames: FrameField | None = None):
         """Frames at the perturbed states Ut = Ubar + U and CFL-checked shifted
         speeds (frames, c).
 
-        Only frames that vary with the state read Ut, formed here when not
-        given.  c is lambda - ddelta per node (n, N), or one speed per family
-        (N,) when the frames are constant; those speeds and their check are
-        formed once per (dt, ddelta) and kept as ``self._speeds``.
+        Frames that vary with the state are decomposed here from Ut (formed
+        when not given) unless ``frames`` are given.  c is lambda - ddelta per
+        node (n, N), or one speed per family (N,) when the frames are
+        constant; those speeds and their check are formed once per
+        (dt, ddelta) and kept as ``self._speeds``.
         """
         dd = self.shift.delta_dot(snap.t)
         if self.frames0 is None:
-            frames = self._frames(self.Ubar + snap.U if Ut is None else Ut)
+            if frames is None:
+                frames = self._frames(self.Ubar + snap.U if Ut is None else Ut)
             c = frames.lambdas - dd
             self._check_cfl(c, dt, snap.t)
             return frames, c
@@ -584,7 +620,8 @@ class Stepper:
         return Snapshot(t=snap.t + dt, grid=snap.grid, U=U_new,
                         b_left=b_left, b_right=b_right)
 
-    def step_reference(self, snap: Snapshot, dt: float) -> Snapshot:
+    def step_reference(self, snap: Snapshot, dt: float,
+                       frames: FrameField | None = None) -> Snapshot:
         """First-order characteristic-upwind step with midpoint source.
 
         Both one-sided differences of every node come from the n + 1
@@ -594,9 +631,9 @@ class Stepper:
         else rows [1:].  Per-node frames diagonalize both sides by the frame
         of each node and pick the side node by node.  One explicit midpoint
         then advances all n + 2 rows, the upwind advection frozen and zero in
-        the four edge rows.
+        the four edge rows.  ``frames``, when given, are those at Ubar + U.
         """
-        frames, c = self._begin(snap, dt)
+        frames, c = self._begin(snap, dt, frames=frames)
         V = _edge_pad(snap.U, 1, snap.b_left, snap.b_right)
         D = V[1:] - V[:-1]
         D /= self.dx
@@ -619,18 +656,30 @@ class Stepper:
         for per-node speeds c (n, N) and family-major (N, n) fields.
 
         Each node's foot is traced with a midpoint correction, located in
-        cells as the node index k plus its offset -c dt / dx.  c, E and G are
-        padded once by their edge values, Phi by the diagonal boundary states.
-        The feet are C-contiguous (N, n): the order of ``from_diag``'s sums
+        cells as the node index k plus its offset -c dt / dx.  c and G are
+        padded once by their edge values.  Phi, padded by the diagonal
+        boundary states, and E, by its edge values, share one pad of two rows
+        at each end, so one cell lookup per foot serves both reads there.  The
+        feet are C-contiguous (N, n): the order of ``from_diag``'s sums
         depends on it.
         """
-        k = np.arange(len(c), dtype=float)
-        s = np.ascontiguousarray(c.T) * dt / self.dx
-        c_mid = _linear_interp(_edge_pad(c, 1, c[0], c[-1]), k - 0.5 * s)
+        n, N = c.shape
+        k = np.arange(n, dtype=float)
+        s = np.multiply(c.T, dt, out=np.empty((N, n)))
+        s /= self.dx
+        c_mid = _linear_interp(_edge_pad(c, 1, c[0], c[-1]), *_cell_reads(k - 0.5 * s, N))
         foot = k - c_mid * dt / self.dx
-        Ef = _linear_interp(_edge_pad(E.T, 1, E[:, 0], E[:, -1]), foot)
-        Gm = _linear_interp(_edge_pad(G.T, 1, G[:, 0], G[:, -1]), 0.5 * (k + foot))
-        Phif = _cubic_interp(_edge_pad(Phi.T, 2, phi_left, phi_right), foot)
+        Gm = _linear_interp(_edge_pad(G.T, 1, G[:, 0], G[:, -1]),
+                            *_cell_reads(0.5 * (k + foot), N))
+        pad = np.empty((n + 4, 2 * N))
+        for cols, F, left, right in ((slice(N), Phi, phi_left, phi_right),
+                                     (slice(N, None), E, E[:, 0], E[:, -1])):
+            pad[2:-2, cols] = F.T
+            pad[:2, cols] = left
+            pad[-2:, cols] = right
+        t, at = _cell_reads(foot, 2 * N)
+        Phif = _cubic_interp(pad, t, at)
+        Ef = _linear_interp(pad, t, at + 3 * N)  # one row on, in E's columns
         return Phif, Ef, Gm
 
     def _stencil_feet(self, stencil: tuple, Phi: np.ndarray, E: np.ndarray,
@@ -661,7 +710,8 @@ class Stepper:
         Gm += mid[1] * Gp[:, 2:n + 2]
         return Phif, Ef, Gm
 
-    def step_moc(self, snap: Snapshot, dt: float) -> Snapshot:
+    def step_moc(self, snap: Snapshot, dt: float,
+                 frames: FrameField | None = None) -> Snapshot:
         """Semi-Lagrangian step: cubic foot interpolation and one-step Duhamel.
 
         The diagonal variable Phi = L U, its damping exponent E and its
@@ -672,19 +722,22 @@ class Stepper:
         the step forms only E = diag(L0 Q R0) of the transformed source
         (``FrameField.conjugate_diag``); the foot is one offset per family and
         the interpolations are the fixed stencils of ``_stencil_feet``, formed
-        once per (dt, ddelta).  For state-dependent A the transformed source
-        supplies E and the frame transport, and every node's foot is traced
-        with a midpoint correction, all families in one pass (``_node_feet``).
-        The four edge rows take the midpoint of ``_advance_boundary``.
+        once per (dt, ddelta).  For state-dependent A,
+        ``source_diagonal_and_transport`` supplies E and the frame transport
+        (dR/dx by the grid's one ``grid_gradient``), the source reuses the A(Ut) the frames were
+        decomposed from, and every node's foot is traced with a midpoint
+        correction, all families in one pass (``_node_feet``).  ``frames``,
+        when given, are those at Ubar + U.  The four edge rows take the
+        midpoint of ``_advance_boundary``.
         """
         Ut = self.Ubar + snap.U
-        frames, c = self._begin(snap, dt, Ut)
+        frames, c = self._begin(snap, dt, Ut, frames)
         if frames.constant:
             E, transport = frames.conjugate_diag(self.model.Q_at(Ut)), None
         else:
-            sf = transformed_source(self.model, self.grid, Ut, frames=frames,
-                                    with_theta=False)
-            E, transport = sf.E_diag.T, sf.transport
+            E, transport = source_diagonal_and_transport(self.model, Ut, frames,
+                                                         self.grid_gradient)
+            E = E.T
         Phi, G = self.forcing(snap.U, Ut, snap.t, frames, E, transport)
 
         phi_bl = frames.L[0] @ snap.b_left
@@ -710,11 +763,13 @@ class Stepper:
         U_new[0], U_new[-1] = rows[0], rows[1]
         return self._finish(snap, dt, U_new, rows[2], rows[3])
 
-    def step(self, snap: Snapshot, dt: float, backend: str) -> Snapshot:
+    def step(self, snap: Snapshot, dt: float, backend: str,
+             frames: FrameField | None = None) -> Snapshot:
+        """One step of ``backend``; ``frames``, when given, are those at Ubar + U."""
         if backend == "reference":
-            return self.step_reference(snap, dt)
+            return self.step_reference(snap, dt, frames)
         if backend == "moc":
-            return self.step_moc(snap, dt)
+            return self.step_moc(snap, dt, frames)
         raise InvalidParam(f"unknown backend {backend!r}")
 
 
@@ -729,7 +784,10 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
     resolutions share output times.  The C^1 budget check reads the
     trajectory's ``W`` stack after the last step, so W is formed only at
     output times, and flags the first violation after t = 0 (where
-    ``make_initial`` checked the analytic W) instead of aborting.
+    ``make_initial`` checked the analytic W) instead of aborting.  Frames
+    that vary with the state are decomposed at each output time before the
+    step that starts there, which they begin, and handed to the trajectory;
+    only the final time's are left for it to form.
     """
     if T <= 0:
         raise InvalidParam("horizon T must be positive")
@@ -751,18 +809,23 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
     n_times = n_out + 1
     states, bls, brs = (np.empty((n_times, *f.shape)) for f in (snap.U, snap.b_left, snap.b_right))
     states[0], bls[0], brs[0] = snap.U, snap.b_left, snap.b_right
+    kept = {}  # frames of a state-dependent A at the output times they begin
     for m in range(1, n_times):
+        if not frames.constant:
+            if m > 1:
+                frames = stepper._frames(stepper.Ubar + snap.U)
+            kept[m - 1] = replace(frames, A=None)  # the trajectory keeps no A
         for k in range(per_out):
             # keep output times exact against roundoff drift
             snap.t = (m - 1 + k / per_out) * (T / n_out)
-            snap = stepper.step(snap, dt, backend)
+            snap = stepper.step(snap, dt, backend, frames if k == 0 else None)
         states[m], bls[m], brs[m] = snap.U, snap.b_left, snap.b_right
 
     traj = Trajectory(model=model, profile=profile, shift=shift, backend=backend,
                       grid=grid, times=np.linspace(0.0, T, n_times),
                       states=states, b_left=bls, b_right=brs, dt=dt,
                       cfl_observed=stepper.last_cfl, budget=budget,
-                      blend_width=pert.blend_width)
+                      blend_width=pert.blend_width, _frame_cache=kept)
     traj.stepper = stepper  # fills the cached property: one Stepper per run
     c1 = np.maximum(np.max(np.abs(states), axis=(1, 2)), np.max(np.abs(traj.W), axis=(1, 2)))
     over = np.flatnonzero(~(c1[1:] <= budget))  # a NaN norm is a violation too

@@ -10,7 +10,15 @@ Every stack of states gets its eigendata from one batched query: frames along
 a field from ``frames_at_states`` (LAPACK, or a closed form for a state-dependent
 2x2 A), and the endstates and the no-damping radius's state-box lattice from
 ``source_diagonals`` (one LAPACK ``eig``, NaN rows where A is not strictly
-hyperbolic), all with the same spectrum tests and sign convention.
+hyperbolic), all with the same spectrum tests and sign convention.  Along a
+field the eigenvector signs are continued by the running parity of the
+negative inner products of neighbouring nodes, an exclusive-or scan, and
+flipped by one product with +-1 where any node flips.
+
+The frame transport -Lambda L dR/dx takes dR/dx from a ``GridGradient``:
+``np.gradient``'s uneven-spacing weights, formed once per grid.  The moc step
+reads only E_jj and the transport (``source_diagonal_and_transport``);
+``transformed_source`` also splits off F_tilde and solves for Theta.
 """
 
 from __future__ import annotations
@@ -77,10 +85,14 @@ def _spectrum(A: np.ndarray, w: np.ndarray):
     """Sorted Re of the eigenvalues ``w`` of ``A``, their order, pair/coalesced masks.
 
     Two eigenvalues per row are ordered by one comparison, which leaves ties
-    (complex pairs among them) first index first, as ``argsort`` does.
+    (complex pairs among them) first index first, as ``argsort`` does.  A
+    real ``w`` has no pair and is not searched for one.
     """
     scale = 1.0 + _row_max(np.abs(A).reshape(len(A), -1))
-    pair = _row_max(np.abs(w.imag)) > DEGENERACY_TOL * scale
+    if np.iscomplexobj(w):
+        pair = _row_max(np.abs(w.imag)) > DEGENERACY_TOL * scale
+    else:
+        pair = np.zeros(len(w), dtype=bool)
     if w.shape[1] == 2:
         w0, w1 = w.real.T
         swap = w1 < w0
@@ -116,7 +128,7 @@ def _checked_spectrum(A: np.ndarray, w: np.ndarray, c_min: float, x=None):
         i = int(np.argmax(coalesced))
         raise NotStrictlyHyperbolic(
             f"eigenvalue gap below {DEGENERACY_TOL} in {lam[i]}{where(i)}")
-    if np.min(np.abs(lam)) < c_min:
+    if c_min > 0.0 and np.min(np.abs(lam)) < c_min:  # no |lambda| is below 0
         i = int(np.argmin(np.min(np.abs(lam), axis=1)))
         raise Characteristic(
             f"min |lambda| = {np.min(np.abs(lam)):.6g} below bound {c_min}{where(i)}")
@@ -154,8 +166,8 @@ def _eigvals_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None) ->
     disc = h * h + b * c
     r = np.sqrt(np.abs(disc))
     far = m + np.copysign(r, m)
-    with np.errstate(divide="ignore", invalid="ignore"):  # far = 0: a double root
-        near = np.where(far != 0.0, (a * d - b * c) / far, 0.0)  # at 0, not NaN
+    near = np.zeros_like(far)  # far = 0: a double root at 0, not NaN
+    np.divide(a * d - b * c, far, out=near, where=far != 0.0)
     w = np.stack([near, far], axis=1)
     pair = disc < 0.0
     if np.any(pair):
@@ -170,25 +182,28 @@ def _decompose_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
     The eigenvalues are those of ``_eigvals_2x2``.  Column j of R is the
     larger of (b, l - a) and (l - d, c) at l = lambda_j, each orthogonal to
     one row of A - l I, and L = R^{-1} is the adjugate of R over its
-    determinant.
+    determinant.  The entries of R are formed and sign-fixed as contiguous
+    rows over the stack, ``rows[i, j]`` = R[:, i, j], and read from there.
     """
     lam = _eigvals_2x2(A, c_min, grid)
     a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
-    la = lam - a[:, None]
-    ld = lam - d[:, None]
-    b, c = b[:, None], c[:, None]
+    lam_rows = np.ascontiguousarray(lam.T)
+    la = lam_rows - a
+    ld = lam_rows - d
     first = np.abs(b) + np.abs(la) >= np.abs(ld) + np.abs(c)
-    R = np.empty_like(A)
-    R[:, 0, :] = np.where(first, b, ld)
-    R[:, 1, :] = np.where(first, la, c)
+    rows = np.empty((2, 2, len(A)))
+    rows[0] = np.where(first, b, ld)
+    rows[1] = np.where(first, la, c)
     del la, ld, first  # keeps the peak memory of a large stack low
-    _sign_fix(R)
-    det = R[:, 0, 0] * R[:, 1, 1] - R[:, 0, 1] * R[:, 1, 0]
-    L = np.empty_like(R)
-    L[:, 0, 0] = R[:, 1, 1] / det
-    L[:, 0, 1] = -R[:, 0, 1] / det
-    L[:, 1, 0] = -R[:, 1, 0] / det
-    L[:, 1, 1] = R[:, 0, 0] / det
+    _sign_fix(np.moveaxis(rows, -1, 0))  # the (node, i, j) view, fixed in place
+    (r00, r01), (r10, r11) = rows
+    det = r00 * r11 - r01 * r10
+    R, L = np.empty_like(A), np.empty_like(A)
+    R[:, 0, 0], R[:, 0, 1], R[:, 1, 0], R[:, 1, 1] = r00, r01, r10, r11
+    L[:, 0, 0] = r11 / det
+    L[:, 0, 1] = -r01 / det
+    L[:, 1, 0] = -r10 / det
+    L[:, 1, 1] = r00 / det
     return lam, L, R
 
 
@@ -197,7 +212,9 @@ class FrameField:
     """Eigenframes at every grid node, with signs continued along the grid.
 
     ``constant`` marks one decomposition (constant A) held as read-only views;
-    such a field builds the matrices of its products once, on first use.
+    such a field builds the matrices of its products once, on first use.  A
+    state-dependent field from ``frames_at_states`` keeps the matrices ``A``
+    it decomposed, which the source at those states reads.
     """
 
     grid: np.ndarray
@@ -205,6 +222,7 @@ class FrameField:
     L: np.ndarray        # (n, N, N)
     R: np.ndarray        # (n, N, N)
     constant: bool = False
+    A: np.ndarray | None = None  # (n, N, N), or None
 
     @cached_property
     def _L0T(self) -> np.ndarray:
@@ -269,17 +287,21 @@ def _flip_parity(steps: np.ndarray) -> np.ndarray:
 
     A negative step flips, a positive one keeps; one that is not strictly
     signed (zero or NaN) restarts at unflipped.  Row i is thus flipped when
-    the negative steps since the last restart are odd in number.
+    the negative steps since the last restart are odd in number: the running
+    exclusive-or of the negative steps, against its value at that restart.
     """
-    n = len(steps) + 1
-    neg = np.zeros((n,) + steps.shape[1:], dtype=np.int64)
-    neg[1:] = np.cumsum(steps < 0, axis=0)
+    neg = steps < 0
+    flip = np.zeros((len(steps) + 1,) + steps.shape[1:], dtype=bool)
+    np.logical_xor.accumulate(neg, axis=0, out=flip[1:])
+    restarts = ~(neg | (steps > 0))
+    if not restarts.any():
+        return flip
     # last row at or before i whose step is not strictly signed
-    restart = np.zeros(neg.shape, dtype=np.int64)
-    rows = np.arange(1, n).reshape((-1,) + (1,) * (steps.ndim - 1))
-    restart[1:] = np.where((steps < 0) | (steps > 0), 0, rows)
+    restart = np.zeros(flip.shape, dtype=np.intp)
+    rows = np.arange(1, len(flip)).reshape((-1,) + (1,) * (steps.ndim - 1))
+    restart[1:] = np.where(restarts, rows, 0)
     restart = np.maximum.accumulate(restart, axis=0)
-    return (neg - np.take_along_axis(neg, restart, axis=0)) % 2 == 1
+    return flip ^ np.take_along_axis(flip, restart, axis=0)
 
 
 def _continue_signs(lambdas: np.ndarray, L: np.ndarray, R: np.ndarray) -> None:
@@ -288,11 +310,14 @@ def _continue_signs(lambdas: np.ndarray, L: np.ndarray, R: np.ndarray) -> None:
     Flipping column j at node i - 1 negates its inner product with node i
     exactly, so the sign of node i is the ``_flip_parity`` of the raw inner
     products: restarted at +1 after one that is not strictly signed (zero or
-    NaN), where no flip is made.
+    NaN), where no flip is made.  The flips scale R's columns and L's rows by
+    -1, which negates exactly, and only when some node flips.
     """
     flip = _flip_parity(np.einsum("ikj,ikj->ij", R[1:], R[:-1]))
-    np.negative(R, out=R, where=flip[:, None, :])
-    np.negative(L, out=L, where=flip[:, :, None])
+    if flip.any():
+        sign = np.where(flip, -1.0, 1.0)
+        R *= sign[:, None, :]
+        L *= sign[:, :, None]
 
 
 def frames_at_states(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
@@ -301,7 +326,7 @@ def frames_at_states(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
 
     Constant A is decomposed once (LAPACK) and held as read-only views.  A
     state-dependent A is decomposed at every node: in closed form when
-    N = 2, with LAPACK ``eig``/``inv`` otherwise.
+    N = 2, with LAPACK ``eig``/``inv`` otherwise; the field keeps A(states).
     """
     grid = np.asarray(grid, dtype=float)
     states = np.asarray(states, dtype=float)
@@ -312,9 +337,10 @@ def frames_at_states(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
                           L=np.broadcast_to(L[0], (n, N, N)),
                           R=np.broadcast_to(R[0], (n, N, N)), constant=True)
     decompose_stack = _decompose_2x2 if model.N == 2 else _decompose_batch
-    lam, L, R = decompose_stack(model.A_at(states), c_min, grid)
+    A = model.A_at(states)
+    lam, L, R = decompose_stack(A, c_min, grid)
     _continue_signs(lam, L, R)
-    return FrameField(grid=grid, lambdas=lam, L=L, R=R)
+    return FrameField(grid=grid, lambdas=lam, L=L, R=R, A=A)
 
 
 def profile_lambdas(model: ModelSpec, profile: ProfileRep, x: np.ndarray,
@@ -393,6 +419,65 @@ def damping_rate(model: ModelSpec) -> DampingRate:
                        E_minus=e_minus, E_plus=e_plus)
 
 
+class GridGradient:
+    """``np.gradient(F, grid, axis=0)`` of fields F (n, *shape) on one grid, bit
+    for bit, with the spacing weights numpy forms on every call formed once:
+    second-order differences weighted for uneven spacing inside, and
+    one-sided differences at the two ends.  Spacings that are all equal take
+    numpy's uniform formula, as numpy does.  The inner weights are stored at
+    the full size of a field, so each product is one pass over contiguous
+    memory."""
+
+    def __init__(self, grid: np.ndarray, shape: tuple = ()):
+        h = np.diff(np.asarray(grid, dtype=float))
+        self.h0, self.hn = h[0], h[-1]
+        self.weights = None
+        if not (h == h[0]).all():
+            h1, h2 = h[:-1], h[1:]
+            size = int(np.prod(shape))
+            self.weights = tuple(np.repeat(w, size).reshape((-1,) + tuple(shape)) for w in (
+                -h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2))))
+
+    def __call__(self, F: np.ndarray) -> np.ndarray:
+        out = np.empty_like(F)
+        inner = out[1:-1]
+        if self.weights is None:
+            np.subtract(F[2:], F[:-2], out=inner)
+            inner /= 2.0 * self.h0
+        else:
+            a, b, c = self.weights
+            np.multiply(a, F[:-2], out=inner)
+            inner += b * F[1:-1]
+            inner += c * F[2:]
+        first, last = out[:1], out[-1:]
+        np.subtract(F[1:2], F[:1], out=first)
+        first /= self.h0
+        np.subtract(F[-1:], F[-2:-1], out=last)
+        last /= self.hn
+        return out
+
+
+def _frame_transport(frames: FrameField, gradient: GridGradient) -> np.ndarray:
+    """Frame-transport matrix -Lambda L dR/dx at every node, (n, N, N)."""
+    T = np.matmul(frames.L, gradient(frames.R))
+    T *= -frames.lambdas[:, :, None]
+    return T
+
+
+def source_diagonal_and_transport(model: ModelSpec, states: np.ndarray,
+                                  frames: FrameField, gradient: GridGradient):
+    """``transformed_source``'s E_diag (n, N) and transport (n, N, N) along a
+    state-dependent field, with ``gradient`` the derivative on its grid.
+
+    Only the diagonals of L Q R and of the transport are added; no F_tilde
+    is formed.
+    """
+    M = np.matmul(np.matmul(frames.L, model.Q_at(states)), frames.R)
+    T = _frame_transport(frames, gradient)
+    E = M.diagonal(axis1=1, axis2=2) + T.diagonal(axis1=1, axis2=2)
+    return E, T
+
+
 @dataclass
 class SourceField:
     """Transformed source along a state field.
@@ -413,9 +498,12 @@ class SourceField:
 
 
 def transformed_source(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
-                       frames: FrameField, with_theta: bool = True) -> SourceField:
+                       frames: FrameField, with_theta: bool = True,
+                       gradient: GridGradient | None = None) -> SourceField:
     """Full transformed source L Q R - Lambda L dR/dx split along a state field,
-    whose eigenframes ``frames`` are those of ``frames_at_states``."""
+    whose eigenframes ``frames`` are those of ``frames_at_states``.  dR/dx is
+    taken by ``gradient``, the ``GridGradient`` of ``grid``, formed here when
+    not given."""
     grid = np.asarray(grid, dtype=float)
     states = np.asarray(states, dtype=float)
     Q = model.Q_at(states)
@@ -425,9 +513,10 @@ def transformed_source(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
         T = np.broadcast_to(0.0, (n, N, N))  # no frame transport; read-only
     else:
         M = np.matmul(np.matmul(frames.L, Q), frames.R)
-        Rx = np.gradient(frames.R, grid, axis=0)
-        T = -frames.lambdas[:, :, None] * np.matmul(frames.L, Rx)
-        M = M + T
+        if gradient is None:
+            gradient = GridGradient(grid, (N, N))
+        T = _frame_transport(frames, gradient)
+        M += T
     eye = np.eye(N, dtype=bool)
     E_diag = M[:, eye]
     F_tilde = M  # in place: M is fresh here and E_diag holds the diagonal

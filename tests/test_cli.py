@@ -220,7 +220,11 @@ def test_verify_unbounded_H_exits_3(tmp_path):
     assert h_bound["bounded"] is False
     assert h_bound["theta_E"] == pytest.approx(0.125, abs=1e-12)
     assert h_bound["error"] == message
-    assert "C_emp" not in h_bound
+    # the constants behind the verdict are written on both branches
+    assert {"C_emp", "C_emp_overall", "C_emp_half_horizon", "C_theory"} <= set(h_bound)
+    assert (f"from {h_bound['C_emp_half_horizon']:.4g} to {h_bound['C_emp_overall']:.4g} "
+            in message)
+    assert h_bound["C_emp_overall"] == max(h_bound["C_emp"].values())
     damping = json.loads((tmp_path / "damping.json").read_text())
     assert damping["certification_failures"] == [f"H-bound: {message}"]
 
@@ -398,6 +402,31 @@ def test_each_output_time_is_read_once(tmp_path, monkeypatch):
     # decomposed for the profile and for the Stepper only
     assert run("all", config_from_dict(TINY), out_dir=str(tmp_path / "all")) == EXIT_OK
     assert (len(fd4), len(sources), len(frames)) == (3 * n_times, n_times + 1, 2)
+
+
+def test_state_dependent_output_frames_come_from_the_evolution(tmp_path, monkeypatch):
+    sources = _count_calls(monkeypatch, "transformed_source", [config, dynamics])
+    frames = _count_calls(monkeypatch, "frames_at_states", [eigenframe, config, dynamics])
+    steps = []
+    step = dynamics.Stepper.step
+
+    def counted_step(self, *args, **kwargs):
+        steps.append(1)
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.Stepper, "step", counted_step)
+    n_times = VARA["dynamics"]["n_out"] + 1
+    # one decomposition per step: the first step after each output time
+    # begins from the frames evolve formed there, and no transformed source
+    assert run("evolve", config_from_dict(VARA), out_dir=str(tmp_path / "evolve")) == EXIT_OK
+    assert len(steps) > n_times
+    assert (len(frames), len(sources)) == (len(steps), 0)
+    for calls in (steps, sources, frames):
+        calls.clear()
+    # all adds the profile's frames and the final time's, and one transformed
+    # source per output time plus the profile's
+    assert run("all", config_from_dict(VARA), out_dir=str(tmp_path / "all")) == EXIT_OK
+    assert (len(frames), len(sources)) == (len(steps) + 2, n_times + 1)
 
 
 def test_verify_alone_runs_its_own_evolution(tmp_path, call_counts):

@@ -21,6 +21,7 @@ from relaxdamp.dynamics import (
     grid_step,
     make_initial,
 )
+from relaxdamp import eigenframe
 from relaxdamp.eigenframe import FrameField, frames_at_states, transformed_source
 from relaxdamp.errors import BlowUp, BudgetExceeded, CFLViolation, InvalidParam
 from relaxdamp.model import ModelSpec, build_custom
@@ -299,11 +300,36 @@ def test_state_dependent_2x2_evolve_calls_no_lapack_per_step(varA, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
+    # one A(U) per step at the grid's states, which the frames and the source
+    # share; d/dx weights formed once for the grid
+    n = int(round(2.0 * prof.half_width / 0.05)) + 1
+    grid_A, gradients = [], []
+    A_at, gradient_init = ModelSpec.A_at, eigenframe.GridGradient.__init__
+
+    def counted_A_at(self, U):
+        if len(U) == n:
+            grid_A.append(1)
+        return A_at(self, U)
+
+    def counted_init(self, *args, **kwargs):
+        gradients.append(1)
+        gradient_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelSpec, "A_at", counted_A_at)
+    monkeypatch.setattr(eigenframe.GridGradient, "__init__", counted_init)
     pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0)
     traj = evolve(model, prof, pert, ShiftSpec(kind="zero"), T=0.5, backend="moc",
                   dx=0.05, n_out=2)
-    assert round(traj.times[-1] / traj.dt) >= 40
+    steps = round(traj.times[-1] / traj.dt)
+    assert steps >= 40 and len(traj.grid) == n
     assert calls["eig"] <= 2 and calls["inv"] <= 2, calls
+    assert (len(grid_A), len(gradients)) == (steps, 1)
+    # the frames evolve handed over are those the trajectory would form
+    for i in range(traj.n_times):
+        fresh = frames_at_states(model, traj.grid, traj.perturbed_states(i))
+        for got, want in zip((traj.frames(i).lambdas, traj.frames(i).L, traj.frames(i).R),
+                             (fresh.lambdas, fresh.L, fresh.R)):
+            assert got.tobytes() == want.tobytes(), i
 
 
 # --- uniform-speed moc stencil ---------------------------------------------------
@@ -554,13 +580,19 @@ def _linear_at(f, cells, left, right):
 def _per_family_node_step(stepper, snap, dt):
     """The state-dependent moc step as it was written: each family's foot
     traced and each of its fields padded and interpolated on its own."""
-    model, dx, n = stepper.model, stepper.dx, len(snap.U)
     Ut = stepper.Ubar + snap.U
     frames = stepper._frames(Ut)
-    c = frames.lambdas - stepper.shift.delta_dot(snap.t)
-    sf = transformed_source(model, stepper.grid, Ut, frames=frames, with_theta=False)
+    sf = transformed_source(stepper.model, stepper.grid, Ut, frames=frames, with_theta=False)
     E = sf.E_diag.T
     Phi, G = stepper.forcing(snap.U, Ut, snap.t, frames, E, sf.transport)
+    return _per_family_feet_update(stepper, snap, dt, frames, Phi, E, G)
+
+
+def _per_family_feet_update(stepper, snap, dt, frames, Phi, E, G):
+    """The per-node moc update from family-major Phi, E and G: each family's
+    foot traced and each of its fields padded and interpolated on its own."""
+    model, dx, n = stepper.model, stepper.dx, len(snap.U)
+    c = frames.lambdas - stepper.shift.delta_dot(snap.t)
     phi_bl, phi_br = frames.L[0] @ snap.b_left, frames.L[-1] @ snap.b_right
     Phif, Ef, Gm = (np.empty(Phi.shape) for _ in range(3))
     k = np.arange(n, dtype=float)
@@ -575,6 +607,72 @@ def _per_family_node_step(stepper, snap, dt):
     h = 0.5 * dt * (Ef + E)
     Phi_new = np.exp(h) * Phif + dt * np.exp(0.5 * h) * Gm
     return _with_boundary_rows(stepper, snap, dt, frames.from_diag(Phi_new.T))
+
+
+def _cumsum_flip_parity(steps):
+    """Sign-continuation parity by counting: the negative steps since the
+    last one not strictly signed, odd or even (cumsum, then % 2)."""
+    n = len(steps) + 1
+    neg = np.zeros((n,) + steps.shape[1:], dtype=np.int64)
+    neg[1:] = np.cumsum(steps < 0, axis=0)
+    restart = np.zeros(neg.shape, dtype=np.int64)
+    rows = np.arange(1, n).reshape((-1,) + (1,) * (steps.ndim - 1))
+    restart[1:] = np.where((steps < 0) | (steps > 0), 0, rows)
+    restart = np.maximum.accumulate(restart, axis=0)
+    return (neg - np.take_along_axis(neg, restart, axis=0)) % 2 == 1
+
+
+def _node_step_with_full_source(stepper, snap, dt):
+    """The state-dependent moc step with the eigen side formed in full: the
+    sign flips counted by cumsum and applied by np.negative(where=), the
+    whole transformed source L Q R - Lambda L dR/dx with dR/dx from
+    np.gradient, and the source's dA term from a second A(Ut)."""
+    model, grid = stepper.model, stepper.grid
+    Ut = stepper.Ubar + snap.U
+    decompose = eigenframe._decompose_2x2 if model.N == 2 else eigenframe._decompose_batch
+    lam, L, R = decompose(model.A_at(Ut), 0.0, grid)
+    flip = _cumsum_flip_parity(np.einsum("ikj,ikj->ij", R[1:], R[:-1]))
+    np.negative(R, out=R, where=flip[:, None, :])
+    np.negative(L, out=L, where=flip[:, :, None])
+    frames = FrameField(grid=grid, lambdas=lam, L=L, R=R)
+    M = np.matmul(np.matmul(L, model.Q_at(Ut)), R)
+    T = -lam[:, :, None] * np.matmul(L, np.gradient(R, grid, axis=0))
+    M = M + T
+    eye = np.eye(model.N, dtype=bool)
+    E = M[:, eye].T
+    M[:, eye] = 0.0  # F_tilde
+    Phi = frames.to_diag(snap.U).T
+    G = frames.to_diag(stepper.source(Ut, snap.t)).T
+    G -= E * Phi
+    G += np.einsum("njk,nk->nj", T, Phi.T).T
+    return _per_family_feet_update(stepper, snap, dt, frames, Phi, E, G)
+
+
+@pytest.mark.parametrize("case", ["varA", "varA3"])
+def test_lean_node_step_matches_full_source_step_bit_for_bit(case, varA):
+    # varA decomposes in closed form, varA3 (N = 3) with LAPACK
+    if case == "varA":
+        model, prof = varA
+        pert = _OFFSET
+    else:
+        model = vara3_model()
+        prof = constant_profile(model, [0.0] * 3, X=10.0, n=501)
+        pert = PerturbationSpec(kind="offset", d_minus=(2e-3, -1e-3, 5e-4),
+                                d_plus=(-1e-3, 1e-3, 2e-3))
+    shift = ShiftSpec(kind="linear", rate=0.3)
+    stepper = Stepper(model, prof, prof.grid, shift)
+    assert stepper.frames0 is None and shift.delta_dot(0.0) != 0.0
+    speed = float(np.max(np.abs(stepper._frames(stepper.Ubar).lambdas))) + shift.eps_delta
+    dt = 0.7 * stepper.dx / speed
+    new = old = make_initial(prof, pert)
+    for k in range(60):
+        new.t = old.t = k * dt
+        # every other step begins from frames formed outside it, as evolve hands them
+        frames = stepper._frames(stepper.Ubar + new.U) if k % 2 else None
+        new, old = stepper.step_moc(new, dt, frames), _node_step_with_full_source(stepper, old, dt)
+        for a, b in ((new.U, old.U), (new.b_left, old.b_left), (new.b_right, old.b_right)):
+            assert a.tobytes() == b.tobytes(), (case, k)
+    assert np.max(np.abs(new.U)) > 1e-4
 
 
 def _diagonal_3x3():

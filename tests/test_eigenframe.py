@@ -6,12 +6,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import profile_source, vara3_model, vara_model
 from relaxdamp import build_custom, build_jinxin, damping_rate, eigenframe, theta_field
 from relaxdamp.eigenframe import (
     _continue_signs,
     _decompose_2x2,
+    _flip_parity,
     _decompose_batch,
     _row_max,
     _sign_fix,
@@ -183,6 +187,61 @@ def test_sign_continuation_matches_node_loop():
     _continue_signs(lam, L, R)
     assert R.tobytes() == R_ref.tobytes()
     assert L.tobytes() == L_ref.tobytes()
+
+
+def _flip_parity_loop(steps):
+    """Row-by-row flip parity: a negative step toggles, a positive one keeps,
+    any other (zero or NaN) restarts at unflipped."""
+    flip = np.zeros((len(steps) + 1,) + steps.shape[1:], dtype=bool)
+    for i, step in enumerate(steps, start=1):
+        flip[i] = np.where(step < 0, ~flip[i - 1], (step > 0) & flip[i - 1])
+    return flip
+
+
+_STEP_SHAPES = st.one_of(st.tuples(st.integers(0, 30)),
+                         st.tuples(st.integers(0, 30), st.integers(1, 3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    arrays(np.float64, _STEP_SHAPES,
+           elements=st.sampled_from([-2.5, -1.0, -1e-300, -0.0, 0.0, 1e-300, 3.0, np.nan])),
+    arrays(np.float64, _STEP_SHAPES, elements=st.floats(allow_nan=True)),
+    arrays(np.int64, _STEP_SHAPES, elements=st.integers(-3, 3))))
+def test_flip_parity_matches_row_loop(steps):
+    got = _flip_parity(steps)
+    assert got.dtype == bool and got.shape == (len(steps) + 1,) + steps.shape[1:]
+    assert np.array_equal(got, _flip_parity_loop(steps))
+
+
+def test_continue_signs_with_forced_flips_negates_exactly():
+    # every third node flips both columns, some entries are zero, and one
+    # inner product is exactly zero: the flips must equal np.negative's
+    rng = np.random.default_rng(11)
+    n = 60
+    theta = np.linspace(0.0, 1.0, n)
+    R = np.empty((n, 2, 2))
+    R[:, 0, 0], R[:, 1, 0] = np.cos(theta), np.sin(theta)
+    R[:, 0, 1], R[:, 1, 1] = -np.sin(theta), np.cos(theta)
+    R[0] = np.eye(2)  # zeros that flip to -0.0
+    R[::3] *= -1.0
+    R[30, :, 1] = [R[29, 1, 1], -R[29, 0, 1]]  # orthogonal to its predecessor
+    R[40:] *= rng.choice([-1.0, 1.0], size=(n - 40, 1, 2))
+    L = np.linalg.inv(R)
+    lam = np.tile([-1.0, 1.0], (n, 1))
+    dots = np.einsum("ikj,ikj->ij", R[1:], R[:-1])
+    assert dots[29, 1] == 0.0 and np.any(dots < 0.0)
+    flip = _flip_parity_loop(dots)
+    L_ref, R_ref = L.copy(), R.copy()
+    np.negative(R_ref, out=R_ref, where=flip[:, None, :])
+    np.negative(L_ref, out=L_ref, where=flip[:, :, None])
+    _continue_signs(lam, L, R)
+    assert R.tobytes() == R_ref.tobytes() and L.tobytes() == L_ref.tobytes()
+    after = np.einsum("ikj,ikj->ij", R[1:], R[:-1])
+    assert np.all((after > 0.0) | (np.arange(1, n)[:, None] == 30))
+    # with nothing to flip, nothing is written
+    R.flags.writeable = L.flags.writeable = False
+    _continue_signs(lam, L, R)
 
 
 def _endstate_products(model):
