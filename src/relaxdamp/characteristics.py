@@ -257,8 +257,24 @@ def no_damping_radius(model: ModelSpec, profile: ProfileRep, eps_budget: float,
 
 
 def scan_trajectory_damping(traj: Trajectory, R: float) -> float:
-    """Post-hoc sup of E_jj (``traj.source_series``) over |x| >= R along a trajectory."""
-    return float(np.max(traj.source_series.E_diag[:, np.abs(traj.grid) >= R]))
+    """Post-hoc sup of E_jj (``traj.source_series``) over |x| >= R along a trajectory.
+
+    On the ascending grid the nodes with |x| >= R are two slices, x <= -R and
+    x >= R, found by ``searchsorted``; the two slice maxima over every output
+    time and family are joined by ``np.maximum`` (one slice serves when the
+    two meet, at R <= 0).  A NaN of E_jj there makes the sup NaN.  Either
+    sign of a zero sup may come out when both +0 and -0 attain it, as from
+    ``np.max`` over any other order of the same values.
+    """
+    E, grid = traj.source_series.E_diag, traj.grid
+    lo = np.searchsorted(grid, -R, side="right")
+    hi = np.searchsorted(grid, R, side="left")
+    if hi <= lo:
+        return float(np.max(E))
+    left, right = E[:, :lo], E[:, hi:]
+    if left.size and right.size:
+        return float(np.maximum(np.max(left), np.max(right)))
+    return float(np.max(right if right.size else left))  # no node at all: ValueError
 
 
 def duhamel_residual(traj: Trajectory, path: CharPath) -> float:

@@ -60,21 +60,30 @@ def _atomic_write(path: Path, data: str) -> None:
 def write_csv(path: Path, header: list[str], rows, template: str | None = None) -> None:
     """Write ``rows`` under ``header``.
 
-    A float array is formatted row by row from ``.tolist()`` of blocks of
-    rows, through one ``%.17g`` template, which writes every float as
-    ``_fmt`` does.  Rows of mixed types go through ``template`` when given
-    (``%s`` for strings, ``%d`` for integers, ``%.17g`` for floats, as
-    ``_fmt`` writes them), else value by value through ``_fmt``.
+    A float array is written through one ``%.17g`` template, which writes
+    every float as ``_fmt`` does; rows of mixed types go through
+    ``template`` when given (``%s`` for strings, ``%d`` for integers,
+    ``%.17g`` for floats, as ``_fmt`` writes them).  Either way
+    ``CSV_BLOCK`` rows at a time are flattened to one tuple of Python
+    values (a float array's by ``.tolist()``) and formatted by one ``%`` of
+    the template repeated once per row.  Other rows go value by value
+    through ``_fmt``.
     """
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        table = rows
-        template = ",".join(["%.17g"] * table.shape[1])
-        rows = (row for start in range(0, len(table), CSV_BLOCK)
-                for row in table[start:start + CSV_BLOCK].tolist())
+        template = ",".join(["%.17g"] * rows.shape[1])
+        blocks = ((len(block), block.ravel().tolist())
+                  for block in (rows[start:start + CSV_BLOCK]
+                                for start in range(0, len(rows), CSV_BLOCK)))
+    elif template is not None:
+        rows = iter(rows)
+        blocks = ((len(block), itertools.chain.from_iterable(block))
+                  for block in iter(lambda: list(itertools.islice(rows, CSV_BLOCK)), []))
     if template is None:
         body = [",".join(_fmt(v) for v in row) for row in rows]
     else:
-        body = [template % tuple(row) for row in rows]
+        full = "\n".join([template] * CSV_BLOCK)
+        body = [(full if count == CSV_BLOCK else "\n".join([template] * count)) % tuple(values)
+                for count, values in blocks]
     _atomic_write(path, "\n".join([",".join(header), *body]) + "\n")
 
 
@@ -84,6 +93,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "fbiu":  # tolist() gives Python floats, bools and ints
+            return obj.tolist()
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
@@ -373,6 +384,20 @@ _ERROR_KINDS = (("config", ConfigError, EXIT_CONFIG),
                 ("error", RelaxDampError, EXIT_ERROR),
                 ("crash", Exception, EXIT_ERROR))
 
+
+def _raised_at(exc: BaseException) -> str:
+    """``module:function:line`` of the innermost relaxdamp frame that ``exc``
+    passed through, where it was raised or, from a library, called."""
+    where = ""
+    tb = exc.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.split(".")[0] == "relaxdamp":
+            where = f"{module}:{tb.tb_frame.f_code.co_name}:{tb.tb_lineno}"
+        tb = tb.tb_next
+    return where
+
+
 STAGES = {
     "profile": [stage_profile],
     "check": [stage_check],
@@ -387,7 +412,8 @@ def run(subcommand: str, cfg: Config, out_dir: str | None = None) -> int:
 
     The stages share results computed on a fresh copy of ``cfg``, so no two
     calls share them.  An exception goes to ``error.json`` with its kind,
-    the stage it left (profile, check, evolve or verify), type and message.
+    the stage it left (profile, check, evolve or verify), where in relaxdamp
+    it was raised (``_raised_at``), type and message.
     """
     cfg = dataclasses.replace(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
@@ -403,7 +429,7 @@ def run(subcommand: str, cfg: Config, out_dir: str | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - serialized for CI triage
         kind, exit_code = next((kind, code) for kind, cls, code in _ERROR_KINDS
                                if isinstance(exc, cls))
-        write_json(out / "error.json", {"kind": kind, "stage": name,
+        write_json(out / "error.json", {"kind": kind, "stage": name, "where": _raised_at(exc),
                                         "type": type(exc).__name__, "message": str(exc)})
         return exit_code
     return code

@@ -32,7 +32,17 @@ _GL15 = np.polynomial.legendre.leggauss(15)
 # --- discrete norms --------------------------------------------------------
 
 def trapezoid4(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
-    """Composite trapezoid with Gregory end corrections (fourth order)."""
+    """Composite trapezoid with Gregory end corrections (fourth order).
+
+    The result is ``np.sum(y * w, axis) * dx`` bit for bit.  Along axis 0
+    of a C-ordered (n, k) integrand with k >= 2 that sum adds the rows one
+    after another, starting from +0.  Here each column is summed in that
+    order by one ``np.add.accumulate`` along a contiguous row of the
+    transposed products, and the +0 start is added last (it only turns a
+    sum of -0 into +0).  A 1-D or one-column integrand keeps numpy's
+    pairwise sum.  A NaN sample, or +inf and -inf in one column, makes
+    that column's integral NaN.
+    """
     n = y.shape[axis]
     if n < 7:
         return np.trapezoid(y, dx=dx, axis=axis)
@@ -40,6 +50,11 @@ def trapezoid4(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
     w[[0, -1]] = 3.0 / 8.0
     w[[1, -2]] = 7.0 / 6.0
     w[[2, -3]] = 23.0 / 24.0
+    if y.ndim == 2 and axis == 0 and y.shape[1] > 1 and y.flags.c_contiguous:
+        cols = np.multiply(y.T, w, out=np.empty(y.shape[::-1]))
+        total = np.add.accumulate(cols, axis=1)[:, -1]
+        total += 0.0
+        return total * dx
     shape = [1] * y.ndim
     shape[axis] = n
     return np.sum(y * w.reshape(shape), axis=axis) * dx

@@ -544,14 +544,16 @@ class Stepper:
         return Phi, G
 
     def _ode_node_update(self, V: np.ndarray, t: float, dt: float, about: _Base,
-                         adv: np.ndarray | None = None) -> np.ndarray:
+                         adv: np.ndarray | None = None,
+                         A: np.ndarray | None = None) -> np.ndarray:
         """Explicit-midpoint update of perturbations V of the rows ``about`` by
         the source less a frozen advection term ``adv`` (none by default).
+        ``A``, when given, is A(about.U + V), which the first source reads.
 
         With k = S - adv, about.U + (V + (dt / 2) k1) and (V - dt adv) + dt S2
         are formed in place, in that order of operations.
         """
-        k1 = self.source(about.U + V, t, about)
+        k1 = self.source(about.U + V, t, about, A)
         if adv is not None:
             k1 -= adv
         k1 *= 0.5 * dt
@@ -632,9 +634,18 @@ class Stepper:
         of each node and pick the side node by node.  One explicit midpoint
         then advances all n + 2 rows, the upwind advection frozen and zero in
         the four edge rows.  ``frames``, when given, are those at Ubar + U.
+        The midpoint's first source reads A there from state-dependent frames
+        that keep it (``FrameField.A``, the same sums Ubar + U) and evaluates
+        A only at the two boundary states.
         """
         frames, c = self._begin(snap, dt, frames=frames)
         V = _edge_pad(snap.U, 1, snap.b_left, snap.b_right)
+        A = None
+        if not frames.constant and frames.A is not None:
+            A = np.empty(V.shape + V.shape[-1:])
+            A[1:-1] = frames.A
+            ends = [0, -1]
+            A[ends] = self.model.A_at(self.about.U[ends] + V[ends])
         D = V[1:] - V[:-1]
         D /= self.dx
         adv = np.empty_like(V)
@@ -647,7 +658,7 @@ class Stepper:
             upwind = c * np.where(c > 0.0, frames.to_diag(D[:-1]), frames.to_diag(D[1:]))
         frames.from_diag(upwind, out=adv[1:-1])
         adv[:2] = adv[-2:] = 0.0
-        V = self._ode_node_update(V, snap.t, dt, self.about, adv)
+        V = self._ode_node_update(V, snap.t, dt, self.about, adv, A)
         return self._finish(snap, dt, V[1:-1], V[0], V[-1])
 
     def _node_feet(self, c: np.ndarray, dt: float, Phi: np.ndarray, E: np.ndarray,

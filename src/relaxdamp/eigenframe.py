@@ -366,15 +366,23 @@ def theta_field(lambdas: np.ndarray, F_tilde: np.ndarray,
     """Solve [Theta, Lambda] = F at every grid node.
 
     Theta_jk = F_jk / (lambda_k - lambda_j) off the diagonal, zero on it.
+    Each off-diagonal pair (j, k) is one difference of two contiguous rows
+    of lambda^T and one division along the grid.  GapTooSmall is one
+    ``np.min`` of |lambda_k - lambda_j| over every pair and node: a NaN
+    eigenvalue makes that minimum NaN, which raises nothing, and makes its
+    pairs' entries of Theta NaN.
     """
-    denom = lambdas[:, None, :] - lambdas[:, :, None]
     N = lambdas.shape[1]
-    off = ~np.eye(N, dtype=bool)
-    denom_off = denom[:, off]
-    if denom_off.size and np.min(np.abs(denom_off)) < gap_min:
+    pairs = [(j, k) for j in range(N) for k in range(N) if j != k]
+    lam = np.ascontiguousarray(lambdas.T)
+    denom = np.empty((len(pairs), len(lambdas)))
+    for d, (j, k) in zip(denom, pairs):
+        np.subtract(lam[k], lam[j], out=d)
+    if denom.size and np.min(np.abs(denom)) < gap_min:
         raise GapTooSmall(f"eigenvalue gap below {gap_min} along the field")
     Theta = np.zeros_like(F_tilde)
-    Theta[:, off] = F_tilde[:, off] / denom_off
+    for d, (j, k) in zip(denom, pairs):
+        np.divide(F_tilde[:, j, k], d, out=Theta[:, j, k])
     return Theta
 
 

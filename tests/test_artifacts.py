@@ -1,0 +1,82 @@
+"""The artifact comparison of ``tests/artifacts.py``."""
+
+from __future__ import annotations
+
+import json
+import shutil
+
+import pytest
+from artifacts import compare_dirs, main
+
+from relaxdamp.cli import EXIT_OK, run
+from relaxdamp.config import config_from_dict
+
+SMALL = {"profile": {"n": 501, "X": 10.0}, "dynamics": {"T": 0.4, "n_out": 2, "dx": 0.04},
+         "verify": {"n_paths": 4, "theta_grid": {"start": 0.01, "stop": 0.3, "num": 8}}}
+
+
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    outs = [tmp_path_factory.mktemp(name) for name in ("old", "new")]
+    for out in outs:
+        assert run("all", config_from_dict(SMALL), out_dir=str(out)) == EXIT_OK
+    return outs
+
+
+def _edit_json(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def test_two_runs_deviate_nowhere(two_runs):
+    report = compare_dirs(*two_runs)
+    assert report.identical and main([str(d) for d in two_runs]) == 0
+    assert len(report.identical_files) == 11 and all(report.identical_files.values())
+    assert report.max_abs == report.max_rel == 0.0
+    assert report.deviating == report.verdicts == report.structure == []
+
+
+def test_changed_cell_and_leaf_are_located(two_runs, tmp_path):
+    old, new = two_runs[0], tmp_path / "new"
+    shutil.copytree(two_runs[1], new)
+    lines = (new / "norms.csv").read_text().splitlines()
+    cells = lines[2].split(",")
+    c1 = float(cells[2])
+    cells[2] = repr(c1 * (1.0 + 1e-6))
+    lines[2] = ",".join(cells)
+    (new / "norms.csv").write_text("\n".join(lines) + "\n")
+    initial = json.loads((new / "damping.json").read_text())["weighted_energy"]["initial"]
+
+    def bump(payload):
+        payload["weighted_energy"]["initial"][1] += 0.5
+
+    _edit_json(new / "damping.json", bump)
+
+    report = compare_dirs(old, new)
+    assert not report.identical and main([str(old), str(new)]) == 1
+    assert report.verdicts == report.structure == []
+    assert {name for name, same in report.identical_files.items() if not same} == {
+        "norms.csv", "damping.json"}
+    by_place = {(f.file, f.field): f for f in report.deviating}
+    assert set(by_place) == {("norms.csv", "c1"), ("damping.json", "weighted_energy.initial")}
+    cell = by_place["norms.csv", "c1"]
+    assert cell.abs_at == cell.rel_at == "1"  # the second data row
+    assert cell.max_abs == pytest.approx(1e-6 * c1) and cell.max_rel == pytest.approx(1e-6)
+    leaf = by_place["damping.json", "weighted_energy.initial"]
+    assert leaf.abs_at == leaf.rel_at == "1"
+    assert leaf.max_abs == pytest.approx(0.5)
+    assert leaf.max_rel == pytest.approx(0.5 / (initial[1] + 0.5))
+
+
+def test_changed_verdict_is_flagged(two_runs, tmp_path):
+    new = tmp_path / "new"
+    shutil.copytree(two_runs[1], new)
+
+    def unbound(payload):
+        payload["bounded"] = False
+
+    _edit_json(new / "h_bound.json", unbound)
+    report = compare_dirs(two_runs[0], new)
+    assert report.verdicts == ["h_bound.json: bounded: True != False"]
+    assert [(f.file, f.field) for f in report.deviating] == [("h_bound.json", "bounded")]

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (anti_damped_core_model, profile_source, scalar_model,
                       synthetic_trajectory, vara_model)
@@ -493,6 +497,32 @@ def test_source_series_readers_match_each_source_field(run, request):
         want = feasibility_table(traj.times, series, forcing, theta_grid, np.inf)
         assert np.array_equal(tables[label].series, want.series)
         assert np.array_equal(tables[label].C_min, want.C_min)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_scan_slices_match_the_mask_bit_for_bit(data):
+    # |x| >= R read as two searchsorted slices against one boolean gather, at
+    # R on a node, between nodes, at 0 and beyond the grid, with NaN in E
+    n_t, n, N = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (1, 25), (1, 3)))
+    X = data.draw(st.sampled_from([1.0, 7.3, 40.0]))
+    grid = np.linspace(-X, X, n)
+    E = data.draw(arrays(np.float64, (n_t, n, N), elements=st.one_of(
+        st.sampled_from([-0.5, -0.0, 0.0, np.nan, -np.inf]), st.floats(-3.0, 3.0))))
+    R = data.draw(st.one_of(st.sampled_from(np.abs(grid).tolist() + [0.0]),
+                            st.floats(0.0, 1.2 * X)))
+    traj = SimpleNamespace(grid=grid, source_series=SimpleNamespace(E_diag=E))
+    inside = E[:, np.abs(grid) >= R]
+    if not inside.size:
+        with pytest.raises(ValueError):
+            scan_trajectory_damping(traj, R)
+        return
+    want, got = float(np.max(inside)), scan_trajectory_damping(traj, R)
+    assert np.array_equal(got, want, equal_nan=True)
+    zeros = np.signbit(inside[inside == 0.0])
+    if want != 0.0 or zeros.all() or not zeros.any():
+        # a zero sup attained by both +0 and -0 has no defined sign
+        assert np.signbit(got) == np.signbit(want)
 
 
 def test_accumulate_H_rejects_mixed_families(jinxin_run):

@@ -7,17 +7,22 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from relaxdamp import config, dynamics, eigenframe
+from relaxdamp import cli, config, dynamics, eigenframe
 from relaxdamp.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
     EXIT_ERROR,
     EXIT_OK,
     _fmt,
+    _jsonable,
     main,
     run,
     write_csv,
@@ -127,18 +132,31 @@ def test_crash_writes_error_json(tmp_path):
     err = json.loads((tmp_path / "error.json").read_text())
     assert err["type"] == "NoUnstableDirection"
     assert err["stage"] == "profile"
-    # a chain names the stage that failed
+    _assert_raised_at(err, "relaxdamp.profile", "NoUnstableDirection")
+    # a chain names the stage that failed, and where in relaxdamp it was raised
     small = {"profile": {"n": 501, "X": 10.0}, "dynamics": {"T": 0.4, "n_out": 2}}
     too_large = {"perturbation": {"kind": "gaussian", "amplitude": 0.5, "width": 2.0}}
-    for given, stage, kind in (
+    for given, stage, kind, module in (
             ({**small, "dynamics": {**small["dynamics"], **too_large}}, "evolve",
-             "BudgetExceeded"),
+             "BudgetExceeded", "relaxdamp.dynamics"),
             ({**small, "model": {"eps": 0.05}, "profile": {"n": 4001, "X": 10.0}},
-             "verify", "InvalidParam")):
+             "verify", "InvalidParam", "relaxdamp.profile")):
         out = tmp_path / stage
         assert run("all", config_from_dict(given), out_dir=str(out)) == EXIT_ERROR
         err = json.loads((out / "error.json").read_text())
         assert (err["kind"], err["stage"], err["type"]) == ("error", stage, kind)
+        _assert_raised_at(err, module, kind)
+
+
+def _assert_raised_at(err, module, kind):
+    """``where`` is module:function:line of the raise statement of ``kind``."""
+    name, function, line = err["where"].split(":")
+    assert name == module
+    source = Path(sys.modules[module].__file__).read_text().splitlines()
+    raise_line = int(line)
+    assert f"raise {kind}(" in source[raise_line - 1]
+    defs = [text for text in source[:raise_line] if text.lstrip().startswith("def ")]
+    assert defs[-1].lstrip().startswith(f"def {function}(")
 
 
 def test_evolve_and_verify_stages(tmp_path):
@@ -558,7 +576,8 @@ def test_csv_floats_have_full_precision(tmp_path):
 
 def test_csv_float_table_matches_value_by_value_formatting(tmp_path):
     rng = np.random.default_rng(8)
-    table = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4))
+    shape = (2 * cli.CSV_BLOCK + 5, 4)  # two whole blocks and a partial one
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
     table[0] = [0.0, -0.0, np.inf, np.nan]
     table[1] = [1.0, -3.0, 1e17, 5e-324]
     write_csv(tmp_path / "fast.csv", ["a", "b", "c", "d"], table)
@@ -579,6 +598,72 @@ def test_csv_row_template_matches_value_by_value_formatting(tmp_path):
               template="%s,%.17g,%d,%.17g,%d")
     want = "s,x,k,y,m\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     assert (tmp_path / "t.csv").read_text() == want
+
+
+_CSV_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e17]),
+                       st.floats())
+
+
+def _rows_one_by_one(header, rows, template):
+    return "\n".join([",".join(header), *(template % tuple(row) for row in rows)]) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), block=st.sampled_from([1, 3, 8, cli.CSV_BLOCK]))
+def test_csv_blocks_match_per_row_formatting(tmp_path_factory, data, block):
+    # 0 rows, whole blocks and a partial last block, for float tables and
+    # for rows through a %s,%d,%.17g template
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    n_rows = data.draw(st.integers(0, 3 * block + 2) if block < 10 else st.integers(0, 20))
+    table = data.draw(arrays(np.float64, (n_rows, data.draw(st.integers(1, 4))),
+                             elements=_CSV_FLOATS))
+    header = [f"c{k}" for k in range(table.shape[1])]
+    rows = [(data.draw(st.sampled_from(["minus", "plus", "a b"])), x, k, np.int64(-k))
+            for k, x in enumerate(data.draw(st.lists(_CSV_FLOATS, max_size=n_rows)))]
+    with mock.patch.object(cli, "CSV_BLOCK", block):
+        write_csv(path, header, table)
+        assert path.read_text() == _rows_one_by_one(
+            header, table.tolist(), ",".join(["%.17g"] * table.shape[1]))
+        write_csv(path, ["s", "x", "k", "m"], iter(rows), template="%s,%.17g,%d,%d")
+        assert path.read_text() == _rows_one_by_one(["s", "x", "k", "m"], rows,
+                                                    "%s,%.17g,%d,%d")
+
+
+def _jsonable_by_leaf(obj):
+    """The recursive conversion, one Python conversion per leaf."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable_by_leaf(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_by_leaf(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable_by_leaf(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    return obj
+
+
+_shapes = st.tuples(st.integers(0, 4)) | st.tuples(st.integers(0, 3), st.integers(0, 3))
+_json_leaves = st.one_of(
+    arrays(np.float64, _shapes, elements=_CSV_FLOATS),
+    arrays(np.float32, _shapes, elements=st.floats(width=32)),
+    arrays(np.bool_, _shapes), arrays(np.int64, _shapes), arrays(np.uint8, _shapes),
+    arrays(np.object_, _shapes, elements=st.sampled_from(
+        [None, "s", 1.5, True, np.int64(3), np.bool_(False), np.float64(-0.0)])),
+    st.floats(), st.booleans(), st.integers(-10, 10), st.none(), st.text(max_size=3),
+    st.builds(np.float64, st.floats()), st.builds(np.bool_, st.booleans()),
+    st.builds(np.int64, st.integers(-10, 10)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.recursive(_json_leaves, lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=12))
+def test_jsonable_matches_leaf_by_leaf_conversion(obj):
+    got, want = _jsonable(obj), _jsonable_by_leaf(obj)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_spectrum_csv_rows_match_value_by_value_formatting(tmp_path, monkeypatch):

@@ -115,6 +115,35 @@ def test_quadrature_fourth_order():
     assert errs[0] / errs[1] >= 4.0  # halving the step cuts error at least 4x
 
 
+_EDGE_VALUES = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.5, 1e308])
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(y=st.one_of(
+    arrays(np.float64, st.tuples(st.integers(7, 60), st.integers(1, 5)),
+           elements=st.one_of(_EDGE_VALUES, st.floats(-1e3, 1e3))),
+    arrays(np.float64, st.tuples(st.integers(7, 60), st.integers(1, 4)),
+           elements=st.floats(allow_nan=True, allow_infinity=True)),
+    arrays(np.float64, st.integers(7, 60), elements=st.one_of(_EDGE_VALUES, st.floats()))),
+    dx=st.sampled_from([0.02, 1.0, 0.1]))
+def test_trapezoid4_matches_weighted_sum_bit_for_bit(y, dx):
+    # C-ordered (n, k) columns summed by one accumulate, 1-D by the pairwise sum
+    n = len(y)
+    w = np.ones(n)
+    w[[0, -1]] = 3.0 / 8.0
+    w[[1, -2]] = 7.0 / 6.0
+    w[[2, -3]] = 23.0 / 24.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.sum(y * (w[:, None] if y.ndim == 2 else w), axis=0) * dx
+        got = trapezoid4(y, dx)
+    assert y.flags.c_contiguous and got.shape == want.shape
+    assert _same_bits(got, want)
+
+
 # --- weights -----------------------------------------------------------------
 
 def test_weight_constant_speed_closed_form(jinxin, jinxin_profile):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -330,6 +331,34 @@ def test_state_dependent_2x2_evolve_calls_no_lapack_per_step(varA, monkeypatch):
         for got, want in zip((traj.frames(i).lambdas, traj.frames(i).L, traj.frames(i).R),
                              (fresh.lambdas, fresh.L, fresh.R)):
             assert got.tobytes() == want.tobytes(), i
+
+
+def test_state_dependent_reference_step_reuses_the_frames_A(varA, monkeypatch):
+    # the midpoint's first source takes A at Ubar + U from the frames decomposed
+    # from it and evaluates only the two boundary states: the same bits as
+    # evaluating A on every padded row
+    model, prof = varA
+    stepper = Stepper(model, prof, prof.grid, _SINUSOID)
+    snap = make_initial(prof, _OFFSET)
+    snap.t = 0.7
+    frames = stepper._frames(stepper.Ubar + snap.U)
+    assert frames.A is not None and len(prof.grid) == 801
+    sizes = []
+    A_at = ModelSpec.A_at
+
+    def counted_A_at(self, U):
+        sizes.append(len(U))
+        return A_at(self, U)
+
+    monkeypatch.setattr(ModelSpec, "A_at", counted_A_at)
+    full = stepper.step_reference(snap, 0.01, dataclasses.replace(frames, A=None))
+    assert sizes == [803, 803]
+    sizes.clear()
+    lean = stepper.step_reference(snap, 0.01)
+    assert sizes == [801, 2, 803]
+    for a, b in ((lean.U, full.U), (lean.b_left, full.b_left), (lean.b_right, full.b_right)):
+        assert a.tobytes() == b.tobytes()
+    assert np.max(np.abs(lean.U - snap.U)) > 0.0
 
 
 # --- uniform-speed moc stencil ---------------------------------------------------

@@ -315,6 +315,51 @@ def test_theta_gap_guard():
         theta_field(lams, np.array([[[0.0, 1.0], [1.0, 0.0]]]))
 
 
+def _theta_by_mask(lambdas, F_tilde, gap_min=eigenframe.GAP_MIN):
+    """Theta through one broadcast difference and a boolean off-diagonal mask."""
+    denom = lambdas[:, None, :] - lambdas[:, :, None]
+    off = ~np.eye(lambdas.shape[1], dtype=bool)
+    denom_off = denom[:, off]
+    if denom_off.size and np.min(np.abs(denom_off)) < gap_min:
+        raise GapTooSmall("gap")
+    Theta = np.zeros_like(F_tilde)
+    Theta[:, off] = F_tilde[:, off] / denom_off
+    return Theta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_theta_field_matches_mask_formula_bit_for_bit(data):
+    n, N = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 3))
+    lam_values = st.one_of(st.sampled_from([-1.0, 0.5, 2.0, 2.0 + 1e-7, np.nan, -0.0]),
+                           st.floats(-5.0, 5.0))
+    lambdas = data.draw(arrays(np.float64, (n, N), elements=lam_values))
+    F = data.draw(arrays(np.float64, (n, N, N), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, np.inf, np.nan]), st.floats(-1e3, 1e3))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            want = _theta_by_mask(lambdas, F)
+        except GapTooSmall:
+            with pytest.raises(GapTooSmall):
+                theta_field(lambdas, F)
+            return
+        got = theta_field(lambdas, F)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_theta_field_nan_eigenvalue_raises_no_gap_error():
+    # a NaN makes the gap minimum NaN: no GapTooSmall, NaN in its pairs only
+    lams = np.array([[1.0, 1.0], [np.nan, 2.0], [-1.0, 1.0]])
+    with np.errstate(divide="ignore"):
+        Th = theta_field(lams, np.ones((3, 2, 2)))
+    assert np.all(np.isinf(Th[0, [0, 1], [1, 0]]))  # the zero gap is not guarded
+    assert np.isnan(Th[1, 0, 1]) and np.isnan(Th[1, 1, 0])
+    assert np.array_equal(Th[2], [[0.0, 0.5], [-0.5, 0.0]])
+    with pytest.raises(GapTooSmall):
+        theta_field(lams[[0, 2]], np.ones((2, 2, 2)))
+
+
 def test_damping_rate_jinxin(jinxin):
     dr = damping_rate(jinxin)
     assert dr.theta_E == pytest.approx(0.125, abs=1e-12)
