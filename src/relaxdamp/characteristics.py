@@ -11,11 +11,12 @@ margin for perturbations of the allowed size.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, _cubic_at, grid_step, phi_and_forcing
+from .dynamics import Trajectory, _cubic_lagrange, grid_step, phi_and_forcing
 from .eigenframe import SourceField, source_diagonals
 from .errors import EpsilonTooLarge, InvalidParam
 from .model import ModelSpec
@@ -50,95 +51,138 @@ class CharPath:
 class _FieldInterp:
     """Linear-in-time, cubic-in-space interpolation of per-output-time fields.
 
-    ``columns`` holds one grid field per output time of ``traj``; each is
-    extended flat by its own end values beyond the grid.
+    ``fields`` holds one grid field per output time of ``traj``, (n_times, n),
+    or k of them, (n_times, n, k).  They are read where they are, without a
+    padded copy: each field extends flat by its own end values beyond the
+    grid through stencil node indices clamped to the grid.
     """
 
-    def __init__(self, traj: Trajectory, columns):
+    def __init__(self, traj: Trajectory, fields):
+        fields = np.asarray(fields)
         self.times = traj.times
+        self.time_list = traj.times.tolist()
         self.x0 = float(traj.grid[0])
         self.dx = grid_step(traj.grid)
-        self.pad = np.pad(np.stack(columns), ((0, 0), (2, 2)), mode="edge")
+        self.n = fields.shape[1]
+        self.n_fields = fields.shape[2] if fields.ndim == 3 else 1
+        self.flat = fields.ravel()
 
-    def eval(self, s, xq) -> np.ndarray:
-        """Field values at the samples (s, xq), broadcast against each other."""
+    def cell(self, s: float) -> tuple[int, float]:
+        """Output interval m of one time s and the weight w of its end, as
+        ``eval`` forms them, in Python numbers."""
+        times = self.time_list
+        m = min(max(bisect_right(times, s) - 1, 0), len(times) - 2)
+        w = (s - times[m]) / (times[m + 1] - times[m])
+        return m, min(max(w, 0.0), 1.0)
+
+    def eval(self, s, xq, rows=0) -> np.ndarray:
+        """Values of field ``rows`` at the samples (s, xq), all broadcast
+        against each other."""
         times = self.times
         m = np.clip(np.searchsorted(times, s, side="right") - 1, 0, len(times) - 2)
         w = np.clip((s - times[m]) / (times[m + 1] - times[m]), 0.0, 1.0)
+        return self.at(m, w, xq, rows)
+
+    def at(self, m, w, xq, rows=0) -> np.ndarray:
+        """Values of field ``rows`` at positions xq in output interval m, a
+        fraction w of the way to its end.
+
+        The four stencil nodes of every position at both ends of the interval
+        are one gather, (node, end, ...), and one ``_cubic_lagrange`` call
+        forms both ends.  The cell index is clamped to [-2, n] before the
+        nodes i - 1 .. i + 2 are clamped to the grid: the same nodes are
+        read, and i - 1 cannot overflow (NaN casts to the least integer).
+        """
         cells = (xq - self.x0) / self.dx
-        a0 = _cubic_at(self.pad, cells, (m,))
-        a1 = _cubic_at(self.pad, cells, (m + 1,))
+        i = np.floor(cells).astype(int)
+        n, k = self.n, self.n_fields
+        lead = (1,) * np.ndim(i)
+        nodes = np.minimum(np.maximum(i, -2), n) + np.arange(-1, 3).reshape((4, 1) + lead)
+        nodes = np.minimum(np.maximum(nodes, 0), n - 1)
+        ends = np.array([0, n * k]).reshape((1, 2) + lead)
+        at = nodes * k + ends + (m * (n * k) + rows)
+        a0, a1 = _cubic_lagrange(cells - i, *self.flat[at])
         return (1.0 - w) * a0 + w * a1
 
 
-def trace_many(traj: Trajectory, j: int, x0s, n_sub: int = 4) -> list[CharPath]:
-    """RK2 integration of a batch of family-j characteristics.
+def trace_many(traj: Trajectory, j, x0s, n_sub: int = 4) -> list[CharPath]:
+    """RK2 integration of characteristics from the starts ``x0s``, of one
+    family j or of each family of a sequence j.
 
-    Sub-steps subdivide each output interval so the time interpolation of the
-    velocity field stays piecewise smooth along the integration.  With
-    constant frames lambda_j is one number, so the velocity is lambda_j -
-    ddelta(s) at every position and no field is interpolated.
+    All families advance together, as one (family, start) array of
+    positions, so each velocity evaluation locates its time once, in Python
+    numbers, for every path.  Sub-steps subdivide each output interval so
+    the time interpolation of the velocity field stays piecewise smooth
+    along the integration.  With constant frames lambda_j is one number per
+    family, so the velocity is lambda_j - ddelta(s) at every position and no
+    field is interpolated; otherwise lambda_j of every output time is one
+    ``_FieldInterp``.  The paths come back family-major, each family's in
+    the order of the starts.
     """
+    fams = [int(j)] if np.ndim(j) == 0 else [int(f) for f in j]
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     frames0 = traj.frames(0)
     if frames0.constant:
-        lam_j = float(frames0.lambdas[0, j])
+        lam = frames0.lambdas[0, fams][:, None]
 
         def velocity(s, x):
-            return np.full_like(x, lam_j - traj.shift.delta_dot(s))
+            return lam - traj.shift.delta_dot(s)
     else:
-        lam = _FieldInterp(traj, [traj.frames(i).lambdas[:, j]
-                                  for i in range(traj.n_times)])
+        field = _FieldInterp(traj, np.stack([traj.frames(i).lambdas[:, fams]
+                                             for i in range(traj.n_times)]))
+        rows = np.arange(len(fams))[:, None]
 
         def velocity(s, x):
-            return lam.eval(s, x) - traj.shift.delta_dot(s)
+            return field.at(*field.cell(s), x, rows) - traj.shift.delta_dot(s)
 
-    times = traj.times
+    times = traj.times.tolist()
     n_samples = (len(times) - 1) * n_sub + 1
     ts = np.empty(n_samples)
-    Xs = np.empty((n_samples, len(x0s)))
+    Xs = np.empty((n_samples, len(fams), len(x0s)))
     Vs = np.empty_like(Xs)
-    ts[0] = times[0]
+    s = ts[0] = times[0]
     Xs[0] = x0s
-    Vs[0] = velocity(ts[0], Xs[0])
+    Vs[0] = velocity(s, Xs[0])
     k = 0
     for m in range(len(times) - 1):
         h = (times[m + 1] - times[m]) / n_sub
         for _ in range(n_sub):
-            s, x = ts[k], Xs[k]
+            x = Xs[k]
             v1 = Vs[k]  # velocity(s, x), stored with sample k
             v2 = velocity(s + 0.5 * h, x + 0.5 * h * v1)
             k += 1
-            ts[k] = s + h
+            s = ts[k] = s + h
             Xs[k] = x + h * v2
-            Vs[k] = velocity(ts[k], Xs[k])
+            Vs[k] = velocity(s, Xs[k])
     X_half = float(traj.grid[-1])
-    return [CharPath(family=j, x0=float(x0s[p]), times=ts.copy(),
-                     positions=Xs[:, p].copy(), velocities=Vs[:, p].copy(),
+    return [CharPath(family=f, x0=float(x0), times=ts.copy(),
+                     positions=Xs[:, a, p].copy(), velocities=Vs[:, a, p].copy(),
                      grid_half_width=X_half)
-            for p in range(len(x0s))]
+            for a, f in enumerate(fams) for p, x0 in enumerate(x0s)]
 
 
 def accumulate_H(paths: list[CharPath], traj: Trajectory) -> np.ndarray:
-    """Trapezoidal accumulation of the diagonal source along same-family paths.
+    """Trapezoidal accumulation of the diagonal source along paths of any families.
 
-    ``paths`` share one family and one sample-time vector, as one trace_many
-    call returns them; a single path is the list of one.  The family's E_jj
-    (``traj.source_series``) is one interpolant, read at every sample of every
-    path in one batch, then integrated by one cumulative sum along the
-    samples.  Beyond the grid the integrand freezes at the endstate value of
-    the exit side, matching the far-field boundary treatment of the dynamics.
-    Sets each path's ``H`` and returns them as a (path, sample) array.
+    ``paths`` share one sample-time vector, as one trace_many call returns
+    them; a single path is the list of one.  E_jj of every family
+    (``traj.source_series``) is one ``_FieldInterp``, read at every sample
+    of every path, each in its own family, in one batch, then integrated by
+    one cumulative sum along the samples.  Beyond the grid the integrand
+    freezes at the endstate value of the exit side, matching the far-field
+    boundary treatment of the dynamics.  Sets each path's ``H`` and returns
+    them as a (path, sample) array.
     """
-    j, times = paths[0].family, paths[0].times
-    if any(p.family != j or not np.array_equal(p.times, times) for p in paths):
-        raise InvalidParam("accumulate_H needs paths of one family on shared sample times")
-    E = _FieldInterp(traj, traj.source_series.E_diag[:, :, j])
+    times = paths[0].times
+    if any(not np.array_equal(p.times, times) for p in paths):
+        raise InvalidParam("accumulate_H needs paths on shared sample times")
+    E = _FieldInterp(traj, traj.source_series.E_diag)
     E_minus, E_plus = traj.endstate_E_diag
     X = paths[0].grid_half_width
+    fams = np.array([p.family for p in paths])
     x = np.stack([p.positions for p in paths], axis=1)
-    vals = np.where(x < -X, E_minus[j], np.where(
-        x > X, E_plus[j], E.eval(times[:, None], x)))
+    vals = np.where(x < -X, E_minus[fams], np.where(
+        x > X, E_plus[fams], E.eval(times[:, None], x, fams)))
     steps = 0.5 * (vals[1:] + vals[:-1]) * np.diff(times)[:, None]
     H = np.zeros((len(paths), len(times)))
     H[:, 1:] = np.cumsum(steps, axis=0).T

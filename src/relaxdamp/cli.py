@@ -126,6 +126,7 @@ def stage_profile(cfg: Config, out: Path) -> int:
                 "amplitude": fit.amplitude,
                 "rate": fit.rate,
                 "envelope_factor": fit.envelope_factor,
+                "is_lower_bound": fit.is_lower_bound,
             }
             for (side, k), fit in sorted(prof.decay_fits.items())
         },
@@ -146,14 +147,13 @@ def stage_check(cfg: Config, out: Path) -> int:
     }
 
     res = residual(prof, model)
-    rates = {f"{side}_{k}": prof.decay_fits[(side, k)].rate
-             for side in ("minus", "plus") for k in range(3)}
-    tail_bound = max(
-        prof.decay_fits[(side, 0)].amplitude
-        * np.exp(-prof.decay_fits[(side, 0)].rate * prof.half_width)
-        for side in ("minus", "plus"))
+    fits = {f"{side}_{k}": prof.decay_fits[(side, k)]
+            for side in ("minus", "plus") for k in range(3)}
+    rates = {name: fit.rate for name, fit in fits.items()}
+    tail_bound = max(fit.amplitude * np.exp(-fit.rate * prof.half_width)
+                     for fit in (fits["minus_0"], fits["plus_0"]))
     a1_ok = (res <= 1e-8 * (1.0 + float(np.max(np.abs(prof.values))))
-             and all(r > 0 for r in rates.values())
+             and all(fit.rate > 0 and not fit.is_lower_bound for fit in fits.values())
              and prof.endstate_gap <= max(1e-6, 2.0 * tail_bound))
     assumptions["assumption1_profile"] = {
         "residual": res,
@@ -274,11 +274,8 @@ def stage_verify(cfg: Config, out: Path) -> int:
                                      theta_E=dr.theta_E, source=cfg.profile_source)
     span = max(2.0 * radius.R, 10.0)
     starts = np.linspace(-span, span, int(vc["n_paths"]))
-    paths = []
-    for j in range(model.N):
-        fam = chars.trace_many(traj, j, starts, n_sub=int(vc["n_sub"]))
-        chars.accumulate_H(fam, traj)
-        paths.extend(fam)
+    paths = chars.trace_many(traj, range(model.N), starts, n_sub=int(vc["n_sub"]))
+    chars.accumulate_H(paths, traj)
 
     hb = chars.verify_H_bound(
         paths, dr.theta_E, source=cfg.profile_source,

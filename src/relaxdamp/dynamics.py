@@ -378,21 +378,6 @@ def _cubic_lagrange(t, fm1, f0, f1, f2):
     return wm1 * fm1 + w0 * f0 + w1 * f1 + w2 * f2
 
 
-def _cubic_at(pad: np.ndarray, s: np.ndarray, rows: tuple = ()) -> np.ndarray:
-    """Cubic Lagrange interpolation at cell positions s of width-2 edge-padded data.
-
-    ``pad`` is one padded field (n + 4,) or a stack of them (k, n + 4); for a
-    stack, ``rows`` holds the row index of each position, broadcast against s.
-    Positions beyond the grid read the padding, a flat extension.
-    """
-    n = pad.shape[-1] - 4
-    i = np.floor(s).astype(int)
-    t = s - i
-    idx = np.clip(i, -2, n + 1) + 2  # into pad, stencil at idx-1 .. idx+2
-    return _cubic_lagrange(t, *(pad[rows + (np.clip(idx + k, 0, n + 3),)]
-                                for k in (-1, 0, 1, 2)))
-
-
 def grid_step(grid: np.ndarray) -> float:
     """Step of a uniform grid as ``np.linspace`` forms it, (x_last - x_0) / (n - 1).
 

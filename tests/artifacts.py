@@ -10,6 +10,14 @@ of a JSON file) must match exactly; any difference there is listed apart.
 A digest of each directory, sha256 over every file's name and bytes, shows
 byte identity at a glance.  Exits 0 when the two directories are byte
 identical, else 1.
+
+    python tests/artifacts.py --golden
+
+rewrites every digest under ``tests/golden/`` from a fresh ``run("all")``
+of the config next to it (``<name>.config.json`` -> ``<name>.digest.json``).
+A digest (``digest_artifacts``) holds the exit code, every JSON leaf, and per
+CSV column its max |.|, the row of that max and the l2 norm; ``compare_digests``
+checks a fresh digest against a committed one.
 """
 
 from __future__ import annotations
@@ -18,10 +26,14 @@ import hashlib
 import json
 import math
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 VERDICT_KEYS = ("certified", "certification_failures", "bounded", "theta_max", "saturated")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @dataclass
@@ -178,8 +190,68 @@ def compare_dirs(old, new) -> Comparison:
     return report
 
 
+def _column_digest(cells: list[str]) -> dict:
+    """max |.|, its first row and the l2 norm of a numeric column; the sha256
+    of the text of any other column."""
+    try:
+        a = np.abs(np.array([float(c) for c in cells]))
+    except ValueError:
+        return {"sha256": hashlib.sha256("\n".join(cells).encode()).hexdigest()}
+    return {"max_abs": float(np.max(a)), "argmax": int(np.argmax(a)),
+            "l2": float(np.sqrt(np.sum(a * a)))}
+
+
+def digest_artifacts(directory, exit_code: int) -> dict:
+    """The exit code, every JSON leaf, and a ``_column_digest`` of every CSV
+    column of the artifacts in ``directory``."""
+    out = {"exit_code": exit_code, "json": {}, "csv": {}}
+    for path in sorted(Path(directory).iterdir()):
+        if path.suffix == ".json":
+            out["json"][path.name] = json.loads(path.read_text())
+        elif path.suffix == ".csv":
+            header, *rows = (line.split(",") for line in path.read_text().splitlines())
+            out["csv"][path.name] = {"rows": len(rows), "columns": {
+                name: _column_digest([row[c] for row in rows])
+                for c, name in enumerate(header)}}
+    return out
+
+
+def compare_digests(golden: dict, fresh: dict, rel_tol: float = 1e-12) -> list[str]:
+    """Where ``fresh`` departs from ``golden``, through the leaf-by-leaf JSON
+    comparison: any verdict field (``VERDICT_KEYS``) or structure difference,
+    and every key path whose relative deviation exceeds ``rel_tol`` (a
+    non-number that differs deviates by inf).  Empty when the two agree."""
+    report = Comparison(digests=("golden", "fresh"))
+    _compare_json("digest", golden, fresh, report)
+    return [f"verdict {v}" for v in report.verdicts] + report.structure + [
+        f"{f.field}: rel {f.max_rel:.3g} at {f.rel_at}"
+        for f in report.fields if f.max_rel > rel_tol]
+
+
+def run_digest(config: dict) -> dict:
+    """Digest of a fresh ``run("all")`` of ``config`` in a temporary directory."""
+    # imported here: comparing two directories needs no relaxdamp on the path
+    from relaxdamp.cli import run
+    from relaxdamp.config import config_from_dict
+
+    with tempfile.TemporaryDirectory() as out:
+        code = run("all", config_from_dict(config), out_dir=out)
+        return digest_artifacts(out, code)
+
+
+def write_golden() -> None:
+    for config in sorted(GOLDEN.glob("*.config.json")):
+        target = config.with_name(config.name.replace(".config.", ".digest."))
+        payload = run_digest(json.loads(config.read_text()))
+        target.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        print(f"wrote {target.name}")
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if args == ["--golden"]:
+        write_golden()
+        return 0
     if len(args) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2

@@ -6,7 +6,7 @@ import json
 import shutil
 
 import pytest
-from artifacts import compare_dirs, main
+from artifacts import compare_digests, compare_dirs, digest_artifacts, main
 
 from relaxdamp.cli import EXIT_OK, run
 from relaxdamp.config import config_from_dict
@@ -80,3 +80,59 @@ def test_changed_verdict_is_flagged(two_runs, tmp_path):
     report = compare_dirs(two_runs[0], new)
     assert report.verdicts == ["h_bound.json: bounded: True != False"]
     assert [(f.file, f.field) for f in report.deviating] == [("h_bound.json", "bounded")]
+
+
+def test_digest_holds_every_leaf_and_column(two_runs):
+    d = digest_artifacts(two_runs[0], EXIT_OK)
+    assert d["exit_code"] == EXIT_OK
+    assert len(d["json"]) + len(d["csv"]) == 11
+    assert d["json"]["h_bound.json"] == json.loads((two_runs[0] / "h_bound.json").read_text())
+    norms = d["csv"]["norms.csv"]
+    rows = [line.split(",") for line in (two_runs[0] / "norms.csv").read_text().splitlines()]
+    t = [float(r[0]) for r in rows[1:]]
+    assert norms["rows"] == len(t) and list(norms["columns"]) == rows[0]
+    assert norms["columns"]["t"] == {"max_abs": max(t), "argmax": t.index(max(t)),
+                                     "l2": pytest.approx(sum(v * v for v in t) ** 0.5,
+                                                         rel=1e-15)}
+    assert set(d["csv"]["spectrum.csv"]["columns"]["side"]) == {"sha256"}
+    assert compare_digests(d, digest_artifacts(two_runs[1], EXIT_OK)) == []
+
+
+def test_digest_comparison_tolerates_rounding_but_not_verdicts(two_runs):
+    golden = digest_artifacts(two_runs[0], EXIT_OK)
+
+    def edited(edit):
+        fresh = json.loads(json.dumps(golden))
+        edit(fresh)
+        return compare_digests(golden, fresh)
+
+    def scale(factor):
+        def edit(d):
+            d["csv"]["norms.csv"]["columns"]["c1"]["l2"] *= factor
+        return edit
+
+    assert edited(scale(1.0 + 1e-13)) == []
+    assert edited(scale(1.0 + 1e-11)) == ["csv.norms.csv.columns.c1.l2: rel 1e-11 at None"]
+
+    def theta(d):
+        d["json"]["damping.json"]["norm_tables"]["c0"]["theta_max"] *= 1.0 + 1e-15
+
+    assert edited(theta)[0].startswith(
+        "verdict digest: json.damping.json.norm_tables.c0.theta_max: 0.3")
+
+    def exit_code(d):
+        d["exit_code"] = 3
+
+    assert edited(exit_code) == ["exit_code: rel 1 at None"]
+
+    def flag(d):
+        d["json"]["profile.json"]["decay_fits"]["plus_0"]["is_lower_bound"] = True
+
+    assert edited(flag) == [
+        "json.profile.json.decay_fits.plus_0.is_lower_bound: rel inf at None"]
+
+    def drop(d):
+        del d["json"]["profile.json"]["decay_fits"]["plus_0"]["is_lower_bound"]
+
+    assert edited(drop) == [
+        "digest: json.profile.json.decay_fits.plus_0.is_lower_bound only in old"]

@@ -24,8 +24,8 @@ from relaxdamp.characteristics import (
     verify_H_bound,
 )
 from relaxdamp.damping_verifier import feasibility_table, slaving_check
-from relaxdamp.dynamics import (PerturbationSpec, ShiftSpec, _cubic_at, diagonal_vars, evolve,
-                                interior_max)
+from relaxdamp.dynamics import (PerturbationSpec, ShiftSpec, _cubic_lagrange, diagonal_vars,
+                                evolve, interior_max)
 from relaxdamp.eigenframe import _decompose_batch
 from relaxdamp.errors import EpsilonTooLarge, InvalidParam, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
@@ -60,8 +60,8 @@ def test_trace_straight_line(decay_run):
 
 def test_trace_at_constant_A_interpolates_no_field(jinxin_run, monkeypatch):
     calls = []
-    monkeypatch.setattr(characteristics._FieldInterp, "eval",
-                        lambda self, s, x: calls.append(1))
+    monkeypatch.setattr(characteristics._FieldInterp, "at",
+                        lambda self, *args: calls.append(1))
     sinusoid = ShiftSpec("sinusoid", amplitude=0.01, frequency=0.05)
     traj = dataclasses.replace(jinxin_run, shift=sinusoid)
     for j in (0, 1):
@@ -404,18 +404,18 @@ def test_H_increments_beyond_grid_use_endstate_source(jinxin_run):
 def test_accumulate_H_evaluates_the_field_in_one_batch(jinxin_run, monkeypatch):
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[1]))
-        return _cubic_at(*args, **kwargs)
+    def counted(t, *nodes):
+        calls.append(np.shape(nodes[0]))
+        return _cubic_lagrange(t, *nodes)
 
-    families = [trace_many(jinxin_run, j, np.linspace(-10.0, 10.0, 7)) for j in (0, 1)]
-    monkeypatch.setattr(characteristics, "_cubic_at", counted)
-    for paths in families:
+    paths = trace_many(jinxin_run, (0, 1), np.linspace(-10.0, 10.0, 7))
+    monkeypatch.setattr(characteristics, "_cubic_lagrange", counted)
+    for batch in (paths, paths[:7], paths[3:9]):
         calls.clear()
-        accumulate_H(paths, jinxin_run)
-        shape = (len(paths[0].times), len(paths))
-        assert shape[0] > 100
-        assert calls == [shape, shape]  # one pair for the whole family
+        accumulate_H(batch, jinxin_run)
+        shape = (2, len(batch[0].times), len(batch))
+        assert shape[1] > 100
+        assert calls == [shape]  # one call, both output rows, for every path
 
 
 def _per_path_H(path, traj):
@@ -432,18 +432,24 @@ def _per_path_H(path, traj):
         0.5 * (vals[1:] + vals[:-1]) * np.diff(path.times))])
 
 
-@pytest.mark.parametrize("run", ["jinxin_run", "varA_run"])
+@pytest.mark.parametrize("run", ["jinxin_run", "varA_run", "anti_damped_moc"])
 def test_batched_H_matches_per_path_H(run, request):
+    # paths of every family in one call, in any order, against each path on
+    # its own and against one call per family
     traj = request.getfixturevalue(run)
     X = float(traj.grid[-1])
     starts = np.concatenate([[-X + 0.5, X - 0.5], np.linspace(-0.6 * X, 0.6 * X, 9)])
+    paths = trace_many(traj, range(traj.model.N), starts)
+    H = accumulate_H(paths, traj)
+    assert H.shape == (len(paths), len(paths[0].times))
+    for p, h in zip(paths, H):
+        assert np.array_equal(p.H, _per_path_H(p, traj))
+        assert np.array_equal(h, p.H)
     for j in range(traj.model.N):
-        paths = trace_many(traj, j, starts)
-        H = accumulate_H(paths, traj)
-        assert H.shape == (len(paths), len(paths[0].times))
-        for p, h in zip(paths, H):
-            assert np.array_equal(p.H, _per_path_H(p, traj))
-            assert np.array_equal(h, p.H)
+        rows = slice(j * len(starts), (j + 1) * len(starts))
+        assert np.array_equal(accumulate_H(trace_many(traj, j, starts), traj), H[rows])
+    order = np.random.default_rng(5).permutation(len(paths))  # families interleaved
+    assert np.array_equal(accumulate_H([paths[i] for i in order], traj), H[order])
 
 
 def _anti_damped_run(backend):
@@ -525,7 +531,78 @@ def test_scan_slices_match_the_mask_bit_for_bit(data):
         assert np.signbit(got) == np.signbit(want)
 
 
-def test_accumulate_H_rejects_mixed_families(jinxin_run):
-    paths = [trace_many(jinxin_run, j, [0.0])[0] for j in (0, 1)]
+def test_accumulate_H_rejects_mismatched_sample_times(jinxin_run):
+    paths = [trace_many(jinxin_run, j, [0.0], n_sub=n_sub)[0] for j, n_sub in ((0, 4), (1, 2))]
     with pytest.raises(InvalidParam):
         accumulate_H(paths, jinxin_run)
+    shorter = dataclasses.replace(paths[0], times=paths[0].times[:-1],
+                                  positions=paths[0].positions[:-1])
+    with pytest.raises(InvalidParam):
+        accumulate_H([trace_many(jinxin_run, 0, [1.0])[0], shorter], jinxin_run)
+
+
+# --- the batched tracer against a scalar-time recurrence -------------------------
+
+def _scalar_rk2(traj, j, x0, n_sub):
+    """One family-j characteristic by the RK2 recurrence, one start and one
+    scalar time at a time: each speed is lambda_j - ddelta(s), lambda_j read
+    through ``_pointwise_eval`` unless the frames are constant.  The batched
+    tracer must reproduce it bit for bit."""
+    times = traj.times
+    if traj.frames(0).constant:
+        lam_j = float(traj.frames(0).lambdas[0, j])
+
+        def velocity(s, x):
+            return lam_j - traj.shift.delta_dot(s)
+    else:
+        lam = np.stack([traj.frames(i).lambdas[:, j] for i in range(traj.n_times)])
+
+        def velocity(s, x):
+            return _pointwise_eval(times, traj.grid, lam, s, x) - traj.shift.delta_dot(s)
+
+    ts, xs = [float(times[0])], [x0]
+    vs = [velocity(ts[0], x0)]
+    for m in range(len(times) - 1):
+        h = (times[m + 1] - times[m]) / n_sub
+        for _ in range(n_sub):
+            s, x, v1 = ts[-1], xs[-1], vs[-1]
+            v2 = velocity(s + 0.5 * h, x + 0.5 * h * v1)
+            ts.append(s + h)
+            xs.append(x + h * v2)
+            vs.append(velocity(ts[-1], xs[-1]))
+    return np.array(ts), np.array(xs, dtype=float), np.array(vs, dtype=float)
+
+
+@pytest.fixture(scope="module")
+def jinxin_sinusoid_run(jinxin_run):
+    sinusoid = ShiftSpec("sinusoid", amplitude=0.01, frequency=0.05)
+    return dataclasses.replace(jinxin_run, shift=sinusoid)
+
+
+@pytest.mark.parametrize("run,n_sub", [("varA_run", 4), ("varA_run", 3),
+                                       ("jinxin_sinusoid_run", 4), ("anti_damped_moc", 2)])
+def test_batched_trace_matches_scalar_recurrence(run, n_sub, request):
+    # per-node speeds (varA), constant frames under a sinusoid shift, and the
+    # anti-damped core; starts beyond both grid ends, at an edge so the path
+    # leaves the grid, inside, and NaN, whose path stays NaN
+    traj = request.getfixturevalue(run)
+    X = float(traj.grid[-1])
+    starts = [-X - 3.0, -X + 0.2, -1.3, 0.0, 2.7, X - 0.2, X + 3.0, np.nan]
+    with np.errstate(invalid="ignore"):  # the cell index of NaN
+        paths = trace_many(traj, range(traj.model.N), starts, n_sub=n_sub)
+        singles = [trace_many(traj, j, starts, n_sub=n_sub) for j in range(traj.model.N)]
+        scalar = [_scalar_rk2(traj, p.family, p.x0, n_sub) for p in paths]
+    assert [p.family for p in paths] == [j for j in range(traj.model.N) for _ in starts]
+    assert np.array_equal([p.x0 for p in paths], np.tile(starts, traj.model.N), equal_nan=True)
+    for p, (ts, xs, vs) in zip(paths, scalar):
+        assert np.array_equal(p.times, ts)
+        assert np.array_equal(p.positions, xs, equal_nan=True)
+        assert np.array_equal(p.velocities, vs, equal_nan=True)
+    assert all(np.isnan(p.positions).all() for p in paths if np.isnan(p.x0))
+    left = [p for p in paths if abs(p.x0) == X - 0.2 and p.exit_time is not None]
+    assert left  # some edge start leaves the grid
+    for j, single in enumerate(singles):
+        for a, b in zip(single, paths[j * len(starts):(j + 1) * len(starts)], strict=True):
+            assert a.family == b.family == j
+            for name in ("times", "positions", "velocities"):
+                assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from relaxdamp import cli, config, dynamics, eigenframe
+from relaxdamp import characteristics, cli, config, dynamics, eigenframe
 from relaxdamp.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
@@ -98,6 +98,7 @@ def test_profile_stage_artifacts(tmp_path):
     meta = json.loads((tmp_path / "profile.json").read_text())
     assert meta["residual"] <= 1e-10
     assert meta["decay_fits"]["plus_0"]["rate"] == pytest.approx(0.25, rel=0.02)
+    assert not any(fit["is_lower_bound"] for fit in meta["decay_fits"].values())
 
 
 def test_check_stage_default_passes(tmp_path):
@@ -121,6 +122,23 @@ def test_check_supercharacteristic_exit_code(tmp_path):
     cert = data["assumption3_dissipativity"]["certificate"]
     assert cert["passed"] is False
     assert cert["witness_xi"] is not None
+
+
+def test_check_refuses_lower_bound_decay_rates(tmp_path):
+    # at eps = 0.01 every tail is under the noise floor inside X = 10: the
+    # six rates are only lower bounds (about 6-7, where the exact rate is 25)
+    cfg = config_from_dict({"model": {"eps": 0.01},
+                            "profile": {"X": 10, "n": 4001, "method": "exact"}})
+    assert run("profile", cfg, out_dir=str(tmp_path)) == EXIT_OK
+    fits = json.loads((tmp_path / "profile.json").read_text())["decay_fits"]
+    assert len(fits) == 6 and all(fit["is_lower_bound"] for fit in fits.values())
+    assert run("check", cfg, out_dir=str(tmp_path)) == EXIT_CERTIFICATION
+    data = json.loads((tmp_path / "assumptions.json").read_text())
+    a1 = data["assumption1_profile"]
+    assert a1["certified"] is False and data["certified"] is False
+    assert all(rate > 0 for rate in a1["decay_rates"].values())
+    assert data["assumption2_hyperbolicity"]["certified"] is True
+    assert data["assumption3_dissipativity"]["certified"] is True
 
 
 def test_crash_writes_error_json(tmp_path):
@@ -485,6 +503,21 @@ VARA = {
     },
     "verify": {"n_paths": 4, "theta_grid": {"start": 0.01, "stop": 0.3, "num": 8}},
 }
+
+
+@pytest.mark.parametrize("payload", [TINY, VARA], ids=["tiny", "varA"])
+def test_all_traces_every_family_in_one_pass(tmp_path, monkeypatch, payload):
+    calls = {"trace_many": [], "accumulate_H": []}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(characteristics, name), **kwargs):
+            calls[_name].append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(characteristics, name, counted)
+    assert run("all", config_from_dict(payload), out_dir=str(tmp_path)) == EXIT_OK
+    assert len(calls["trace_many"]) == len(calls["accumulate_H"]) == 1
+    n_paths = payload["verify"]["n_paths"]
+    paths = calls["accumulate_H"][0][0]
+    assert [p.family for p in paths] == [j for j in (0, 1) for _ in range(n_paths)]
 
 
 @pytest.mark.parametrize("backend", ["moc", "reference"])

@@ -606,6 +606,16 @@ def _linear_at(f, cells, left, right):
     return out
 
 
+def _cubic_at(pad, cells):
+    """Cubic Lagrange interpolation of one field edge-padded by two nodes
+    (n + 4,) at cell positions, each stencil read clamped into the pad."""
+    n = len(pad) - 4
+    i = np.floor(cells).astype(int)
+    idx = np.clip(i, -2, n + 1) + 2
+    return dynamics._cubic_lagrange(cells - i, *(pad[np.clip(idx + k, 0, n + 3)]
+                                                 for k in (-1, 0, 1, 2)))
+
+
 def _per_family_node_step(stepper, snap, dt):
     """The state-dependent moc step as it was written: each family's foot
     traced and each of its fields padded and interpolated on its own."""
@@ -631,7 +641,7 @@ def _per_family_feet_update(stepper, snap, dt, frames, Phi, E, G):
         foot = k - c_mid * dt / dx
         Ef[j] = _linear_at(E[j], foot, E[j, 0], E[j, -1])
         Gm[j] = _linear_at(G[j], 0.5 * (k + foot), G[j, 0], G[j, -1])
-        Phif[j] = dynamics._cubic_at(
+        Phif[j] = _cubic_at(
             np.concatenate([[phi_bl[j]] * 2, Phi[j], [phi_br[j]] * 2]), foot)
     h = 0.5 * dt * (Ef + E)
     Phi_new = np.exp(h) * Phif + dt * np.exp(0.5 * h) * Gm
