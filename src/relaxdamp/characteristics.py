@@ -89,20 +89,21 @@ class _FieldInterp:
 
         The four stencil nodes of every position at both ends of the interval
         are one gather, (node, end, ...), and one ``_cubic_lagrange`` call
-        forms both ends.  The cell index is clamped to [-2, n] before the
-        nodes i - 1 .. i + 2 are clamped to the grid: the same nodes are
-        read, and i - 1 cannot overflow (NaN casts to the least integer).
+        forms both ends.  The cell floor(x) is clamped to [-2, n] as a float
+        before the nodes i - 1 .. i + 2 are clamped to the grid: the same
+        nodes are read, and only those small integers are cast.  A position
+        that is not finite reads NaN.
         """
         cells = (xq - self.x0) / self.dx
-        i = np.floor(cells).astype(int)
+        floor = np.floor(cells)
         n, k = self.n, self.n_fields
+        i = np.fmin(np.fmax(floor, -2.0), n).astype(np.intp)  # NaN goes to -2
         lead = (1,) * np.ndim(i)
-        nodes = np.minimum(np.maximum(i, -2), n) + np.arange(-1, 3).reshape((4, 1) + lead)
-        nodes = np.minimum(np.maximum(nodes, 0), n - 1)
+        nodes = np.minimum(np.maximum(i + np.arange(-1, 3).reshape((4, 1) + lead), 0), n - 1)
         ends = np.array([0, n * k]).reshape((1, 2) + lead)
         at = nodes * k + ends + (m * (n * k) + rows)
-        a0, a1 = _cubic_lagrange(cells - i, *self.flat[at])
-        return (1.0 - w) * a0 + w * a1
+        a0, a1 = _cubic_lagrange(cells - floor, *self.flat[at])
+        return np.where(np.isfinite(cells), (1.0 - w) * a0 + w * a1, np.nan)
 
 
 def trace_many(traj: Trajectory, j, x0s, n_sub: int = 4) -> list[CharPath]:
@@ -225,27 +226,40 @@ def verify_H_bound(paths: list[CharPath], theta_E: float,
     transformed ``source`` supplied the report carries the analytic-style
     comparison bound: the integral over its grid of the positive part of
     (steady damping coefficient + theta_E) divided by the slowest
-    characteristic speed less ``eps_delta``.
+    characteristic speed less ``eps_delta``.  A path whose constant is not
+    finite at either horizon (a NaN or infinite H, as a NaN position gives)
+    makes its family's constant and the overall one NaN, in any order of
+    the paths, and sets ``unbounded`` naming the families.
     """
-    fams = sorted({p.family for p in paths})
-    C_emp = {j: max(_c_emp(p, theta_E) for p in paths if p.family == j)
-             for j in fams}
-    overall = max(C_emp.values())
+    family = np.array([p.family for p in paths])
+    full = np.array([_c_emp(p, theta_E) for p in paths])
+    fams = sorted(set(family.tolist()))
+    # np.max keeps a NaN wherever it is; Python's max keeps or drops it by order
+    C_emp = {j: float(np.max(full[family == j])) for j in fams}
+    overall = float(np.max(full))
     report = HBoundReport(theta_E=theta_E, C_emp=C_emp, C_emp_overall=overall,
                           C_theory={})
+    not_finite = ~np.isfinite(full)
     if source is not None:
         speed = max(source.frames.min_abs_lambda - eps_delta, 1e-12)
         for j in fams:
             excess = np.maximum(source.E_diag[:, j] + theta_E, 0.0)
             report.C_theory[j] = float(np.trapezoid(excess, source.grid) / speed)
     if compare_horizon is not None:
-        C_half = max(_c_emp(p, theta_E, t_max=compare_horizon) for p in paths)
+        half = np.array([_c_emp(p, theta_E, t_max=compare_horizon) for p in paths])
+        C_half = float(np.max(half))
         report.C_emp_half = C_half
+        not_finite |= ~np.isfinite(half)
         scale = max(abs(C_half), 0.1 * theta_E * compare_horizon)
         if overall - C_half > growth_tol * scale:
             report.unbounded = (
                 f"C_emp grows from {C_half:.4g} to {overall:.4g} across horizons; "
                 f"theta_E = {theta_E} exceeds the damping the field provides")
+    if not_finite.any():
+        bad = sorted(set(family[not_finite].tolist()))
+        report.unbounded = (
+            f"C_emp is not finite on {int(not_finite.sum())} of the {len(paths)} paths "
+            f"(family {', '.join(str(j + 1) for j in bad)})")
     return report
 
 

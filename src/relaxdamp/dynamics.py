@@ -38,7 +38,14 @@ reads it.  E and the frame transport come from
 Each node's foot is traced for all families in one pass, and one cell
 lookup per foot serves both the Phi and the E read there.  ``evolve``
 decomposes A at each output time for the step that starts there and hands
-those frames to the ``Trajectory``.
+those frames to the ``Trajectory``.  Every per-node product of this path
+(L U, R Phi, the transport T Phi, the source's dA term, and L Q R in
+``eigenframe``) is a ``poly.node_matmul``: one multiply-add over the node
+axis per component pair, each entry summed left to right from +0.  No
+``np.einsum`` or stacked ``np.matmul`` runs, and the sums do not depend on
+memory layout.  A, q and Q come from ``poly``'s evaluators: on the column
+views of a stack here, on Python floats at a single state (the profile
+shot), with the same bits either way.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from .eigenframe import (
 )
 from .errors import BlowUp, BudgetExceeded, CFLViolation, InvalidParam
 from .model import ModelSpec
+from .poly import node_matmul
 from .profile import ProfileRep
 
 BUDGET_DEFAULT = 0.02
@@ -505,7 +513,7 @@ class Stepper:
         if about.A is not None:
             if A is None:
                 A = self.model.A_at(Ut)
-            S -= np.einsum("nij,nj->ni", A - about.A, about.U_x)
+            S -= node_matmul(A - about.A, about.U_x)
         dd = float(self.shift.delta_dot(t))
         if dd != 0.0:
             S += dd * about.U_x
@@ -525,7 +533,7 @@ class Stepper:
         G = frames.diag_rows(self.source(Ut, t, A=frames.A))
         G -= E * Phi
         if transport is not None:
-            G += np.einsum("njk,nk->nj", transport, Phi.T).T
+            G += node_matmul(transport, Phi.T).T
         return Phi, G
 
     def _ode_node_update(self, V: np.ndarray, t: float, dt: float, about: _Base,
@@ -655,9 +663,7 @@ class Stepper:
         cells as the node index k plus its offset -c dt / dx.  c and G are
         padded once by their edge values.  Phi, padded by the diagonal
         boundary states, and E, by its edge values, share one pad of two rows
-        at each end, so one cell lookup per foot serves both reads there.  The
-        feet are C-contiguous (N, n): the order of ``from_diag``'s sums
-        depends on it.
+        at each end, so one cell lookup per foot serves both reads there.
         """
         n, N = c.shape
         k = np.arange(n, dtype=float)
@@ -848,9 +854,9 @@ def diagonal_vars(snap: Snapshot, frames: FrameField,
     """Phi = L U, Psi = L W, PsiTilde = Psi + Theta Phi, and the second-derivative
     analogues with Y obtained by fourth-order differencing of W."""
     Phi, Psi = frames.to_diag(snap.U), frames.to_diag(snap.W)
-    PsiT = Psi + np.einsum("njk,nk->nj", theta, Phi)
+    PsiT = Psi + node_matmul(theta, Phi)
     Ups = frames.to_diag(snap.Y)
-    UpsT = Ups + np.einsum("njk,nk->nj", theta, Psi)
+    UpsT = Ups + node_matmul(theta, Psi)
     return DiagVars(Phi=Phi, Psi=Psi, PsiTilde=PsiT, Upsilon=Ups, UpsilonTilde=UpsT)
 
 

@@ -19,6 +19,16 @@ The frame transport -Lambda L dR/dx takes dR/dx from a ``GridGradient``:
 ``np.gradient``'s uneven-spacing weights, formed once per grid.  The moc step
 reads only E_jj and the transport (``source_diagonal_and_transport``);
 ``transformed_source`` also splits off F_tilde and solves for Theta.
+
+Along a state-dependent field every per-node product (``to_diag``,
+``diag_rows``, ``from_diag``, the inner products of the sign continuation,
+L Q R and the transport) is a ``poly.node_matmul`` or ``poly.node_dot``:
+N or N^2 multiply-adds over the node axis, each entry summed left to right
+from +0, which is ``np.einsum``'s sum at N = 2.  ``source_diagonal_and_transport``
+forms each E_jj as the same sum that ``transformed_source`` forms for it.
+A constant field keeps its one-matrix products.  A, q and Q at a single
+state are evaluated on Python floats (``poly``) with the bits of that state
+in a stack, and a constant A there is the model's one read-only matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ import numpy as np
 
 from .errors import Characteristic, GapTooSmall, NotDissipative, NotStrictlyHyperbolic
 from .model import ModelSpec
+from .poly import node_dot, node_matmul
 from .profile import ProfileRep
 
 GAP_MIN = 1e-6  # absolute eigenvalue-gap floor guarding the Theta division
@@ -254,21 +265,23 @@ class FrameField:
         """Diagonal variables L V at every node of a field V (n, N)."""
         if self.constant:
             return V @ self._L0T
-        return np.einsum("njk,nk->nj", self.L, V)
+        return self.diag_rows(V).T
 
     def diag_rows(self, V: np.ndarray) -> np.ndarray:
-        """``to_diag(V)`` family-major, (N, n): for a constant field one
-        C-contiguous product L0 V^T, otherwise the transposed view."""
+        """``to_diag(V)`` family-major, (N, n), C-contiguous: for a constant
+        field one product L0 V^T, otherwise one ``node_matmul`` into the rows."""
         if self.constant:
             return self.L[0] @ V.T
-        return self.to_diag(V).T
+        rows = np.empty(V.shape[::-1])
+        node_matmul(self.L, V, out=rows.T)
+        return rows
 
     def from_diag(self, Phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """State field R Phi at every node of diagonal variables Phi (n, N),
         written into ``out`` when given."""
         if self.constant:
             return np.matmul(Phi, self._R0T, out=out)
-        return np.einsum("njk,nk->nj", self.R, Phi, out=out)
+        return node_matmul(self.R, Phi, out=out)
 
     @property
     def min_abs_lambda(self) -> float:
@@ -313,7 +326,10 @@ def _continue_signs(lambdas: np.ndarray, L: np.ndarray, R: np.ndarray) -> None:
     NaN), where no flip is made.  The flips scale R's columns and L's rows by
     -1, which negates exactly, and only when some node flips.
     """
-    flip = _flip_parity(np.einsum("ikj,ikj->ij", R[1:], R[:-1]))
+    steps = np.empty((len(R) - 1, R.shape[-1]))
+    for j, step in enumerate(steps.T):
+        node_dot([(R[1:, k, j], R[:-1, k, j]) for k in range(R.shape[1])], step)
+    flip = _flip_parity(steps)
     if flip.any():
         sign = np.where(flip, -1.0, 1.0)
         R *= sign[:, None, :]
@@ -467,7 +483,7 @@ class GridGradient:
 
 def _frame_transport(frames: FrameField, gradient: GridGradient) -> np.ndarray:
     """Frame-transport matrix -Lambda L dR/dx at every node, (n, N, N)."""
-    T = np.matmul(frames.L, gradient(frames.R))
+    T = node_matmul(frames.L, gradient(frames.R))
     T *= -frames.lambdas[:, :, None]
     return T
 
@@ -477,13 +493,19 @@ def source_diagonal_and_transport(model: ModelSpec, states: np.ndarray,
     """``transformed_source``'s E_diag (n, N) and transport (n, N, N) along a
     state-dependent field, with ``gradient`` the derivative on its grid.
 
-    Only the diagonals of L Q R and of the transport are added; no F_tilde
-    is formed.
+    Only the diagonals of L Q R and of the transport are added, each
+    diagonal entry of L Q R the ``node_dot`` that ``transformed_source``
+    forms for it; no F_tilde is formed.  E is the transposed view of
+    family-major rows.
     """
-    M = np.matmul(np.matmul(frames.L, model.Q_at(states)), frames.R)
+    LQ, R = node_matmul(frames.L, model.Q_at(states)), frames.R
     T = _frame_transport(frames, gradient)
-    E = M.diagonal(axis1=1, axis2=2) + T.diagonal(axis1=1, axis2=2)
-    return E, T
+    N = R.shape[-1]
+    E = np.empty((N, len(R)))
+    for j, row in enumerate(E):
+        node_dot([(LQ[:, j, k], R[:, k, j]) for k in range(N)], row)
+        row += T[:, j, j]
+    return E.T, T
 
 
 @dataclass
@@ -520,7 +542,7 @@ def transformed_source(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
         M = (Q.reshape(n, N * N) @ frames.kron).reshape(n, N, N)
         T = np.broadcast_to(0.0, (n, N, N))  # no frame transport; read-only
     else:
-        M = np.matmul(np.matmul(frames.L, Q), frames.R)
+        M = node_matmul(node_matmul(frames.L, Q), frames.R)
         if gradient is None:
             gradient = GridGradient(grid, (N, N))
         T = _frame_transport(frames, gradient)

@@ -55,13 +55,18 @@ class ModelSpec:
 
     @cached_property
     def _A_const(self) -> np.ndarray:
-        return poly_matrix_eval(self.A_entries, np.zeros(self.N))
+        A = poly_matrix_eval(self.A_entries, np.zeros(self.N))
+        A.flags.writeable = False
+        return A
 
-    # Unchecked batched evaluators for hot loops; the public eval_* wrappers
-    # enforce the state box.
+    # Unchecked evaluators for hot loops, at one state (N,) or a stack
+    # (..., N); the public eval_* wrappers enforce the state box.  A constant
+    # A is the one read-only matrix, broadcast over a stack.
     def A_at(self, U: np.ndarray) -> np.ndarray:
         U = np.asarray(U, dtype=float)
         if self.A_is_constant:
+            if U.ndim == 1:
+                return self._A_const
             return np.broadcast_to(self._A_const, U.shape[:-1] + (self.N, self.N))
         return poly_matrix_eval(self.A_entries, U)
 

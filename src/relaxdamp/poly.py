@@ -4,6 +4,19 @@ Model coefficients are specified as polynomial entries so that Jacobians and
 the higher profile derivatives can be computed in closed form instead of by
 finite differences.  A polynomial is a list of monomials ``(coeff, powers)``
 where ``powers`` has one exponent per state variable.
+
+Entries are evaluated on component columns: the Python floats of a single
+state (``U.tolist()``) or the column views ``U[..., k]`` of a stack.  Both
+run one monomial loop in one order, summed from +0 (a float, or a
+zero-filled output array), with x * x for a square and numpy's ``power``
+for higher exponents, and a constant entry is the sum of its coefficients.
+So a state gives the same bits alone as in a stack, and a single state
+costs no per-entry numpy call.
+
+Per-node products of small matrices over a stack of nodes (``node_matmul``)
+are taken on component columns too: each entry is a ``node_dot``, a sum of
+multiply-adds over the node axis, left to right from +0.  For two terms
+that is ``np.einsum``'s sum, signed zeros included.
 """
 
 from __future__ import annotations
@@ -55,33 +68,23 @@ class Poly:
         return all(all(p == 0 for p in powers) for _, powers in self.terms)
 
     @cached_property
-    def value(self) -> float:
-        """A constant polynomial's value, summed in term order as evaluation sums it."""
-        total = 0.0
-        for coeff, _ in self.terms:
-            total += coeff
-        return total
-
-    @cached_property
     def _monomials(self) -> tuple:
         """Terms as (coeff, ((k, p), ...)) with the zero exponents dropped."""
         return tuple((coeff, tuple((k, p) for k, p in enumerate(powers) if p))
                      for coeff, powers in self.terms)
 
-    def __call__(self, U: np.ndarray) -> np.ndarray:
-        """Evaluate at states ``U`` of shape (..., n_vars); returns shape (...)."""
-        U = np.asarray(U, dtype=float)
-        out = np.zeros(U.shape[:-1], dtype=float)
-        self.add_to(out, U)
-        return out
-
-    def add_to(self, out: np.ndarray, U: np.ndarray) -> None:
-        """out += the polynomial at ``U``, one monomial at a time."""
+    def at(self, columns, total=0.0):
+        """The polynomial at component ``columns`` (see the module docstring),
+        added to ``total``: +0.0 for floats, which gives a float, or a
+        zero-filled array for column views, which the sum accumulates in
+        place.  Each monomial is its coefficient times its factors, left to
+        right."""
         for coeff, factors in self._monomials:
             term = coeff
             for k, p in factors:
-                term = term * (U[..., k] if p == 1 else U[..., k] ** p)
-            out += term
+                term = term * (columns[k] if p == 1 else _power(columns[k], p))
+            total += term
+        return total
 
     def diff(self, var: int) -> "Poly":
         """Exact partial derivative with respect to variable ``var``."""
@@ -103,31 +106,69 @@ class Poly:
         return Poly(self.n_vars, self.terms + other.terms)
 
 
-def _fill(out: np.ndarray, p: Poly, U: np.ndarray) -> None:
-    """Evaluate p at U into the zero-filled ``out``: a constant as its value."""
-    if p.is_constant:
-        if p.terms:
-            out[...] = p.value
-    else:
-        p.add_to(out, U)
+def _power(x, p: int):
+    """x ** p of a column, p >= 2: numpy's for an array, which squares x ** 2
+    (x * x) and takes its vectorized pow above that.  A float takes x * x for
+    a square and numpy's power above, since numpy's pow need not round as
+    libm's does: the bits of the column it belongs to."""
+    if isinstance(x, np.ndarray):
+        return x ** p
+    return x * x if p == 2 else float(np.power(x, p))
+
+
+def _columns(U: np.ndarray):
+    """Component columns of states U (..., n): floats for one state, else views."""
+    return U.tolist() if U.ndim == 1 else [U[..., k] for k in range(U.shape[-1])]
 
 
 def poly_matrix_eval(entries, U: np.ndarray) -> np.ndarray:
     """Evaluate a nested sequence of Poly entries at U (..., n) -> (..., rows, cols)."""
     U = np.asarray(U, dtype=float)
-    out = np.zeros(U.shape[:-1] + (len(entries), len(entries[0])), dtype=float)
+    columns = _columns(U)
+    if U.ndim == 1:
+        return np.array([[p.at(columns) for p in row] for row in entries])
+    out = np.zeros(U.shape[:-1] + (len(entries), len(entries[0])))
     for i, row in enumerate(entries):
         for j, p in enumerate(row):
-            _fill(out[..., i, j], p, U)
+            p.at(columns, out[..., i, j])
     return out
 
 
 def poly_vector_eval(entries, U: np.ndarray) -> np.ndarray:
     """Evaluate a sequence of Poly entries at U (..., n) -> (..., len(entries))."""
     U = np.asarray(U, dtype=float)
-    out = np.zeros(U.shape[:-1] + (len(entries),), dtype=float)
+    columns = _columns(U)
+    if U.ndim == 1:
+        return np.array([p.at(columns) for p in entries])
+    out = np.zeros(U.shape[:-1] + (len(entries),))
     for i, p in enumerate(entries):
-        _fill(out[..., i], p, U)
+        p.at(columns, out[..., i])
+    return out
+
+
+def node_dot(pairs, out: np.ndarray) -> np.ndarray:
+    """Sum of the products a * b of the ``pairs`` of node arrays, into ``out``:
+    ((+0 + a_0 b_0) + a_1 b_1) + ..., left to right."""
+    (a, b), *rest = pairs
+    np.multiply(a, b, out=out)
+    out += 0.0  # +0 + x: turns only a -0 into +0
+    for a, b in rest:
+        out += a * b
+    return out
+
+
+def node_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-node product of a (..., I, K) with matrices b (..., K, J) or vectors
+    b (..., K): (..., I, J) or (..., I), written into ``out`` when given.  Each
+    entry is one ``node_dot`` of K pairs of component columns over the nodes."""
+    vector = b.ndim == a.ndim - 1
+    if out is None:
+        out = np.empty(a.shape[:-1] if vector else a.shape[:-1] + b.shape[-1:])
+    b3, out3 = (b[..., None], out[..., None]) if vector else (b, out)
+    K = a.shape[-1]
+    for i in range(a.shape[-2]):
+        for j in range(b3.shape[-1]):
+            node_dot([(a[..., i, k], b3[..., k, j]) for k in range(K)], out3[..., i, j])
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidParam, NoConnection, NotApplicable, NoUnstableDirection
 from .model import ModelSpec
 from .ode import shoot
-from .poly import poly_matrix_eval
+from .poly import node_matmul, poly_matrix_eval
 
 NOISE_FLOOR = 1e-13
 TAIL_FRACTION = 0.5  # decay fits use |x| in [TAIL_FRACTION*X, X]
@@ -393,5 +393,5 @@ def residual(profile: ProfileRep, model: ModelSpec) -> float:
     """Discrete sup over grid nodes of |A(U) U_x - q(U)|."""
     A = model.A_at(profile.values)
     q = model.q_at(profile.values)
-    r = np.einsum("nij,nj->ni", A, profile.d1) - q
+    r = node_matmul(A, profile.d1) - q
     return float(np.max(np.abs(r)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -140,6 +141,34 @@ def test_not_bounded_when_rate_exceeds_damping(decay_run):
     assert rep.unbounded.endswith(
         "across horizons; theta_E = 0.5 exceeds the damping the field provides")
     assert rep.C_emp_overall > rep.C_emp_half
+
+
+def _nan_H_paths(families=(0, 0)):
+    """Two paths on t = 0..4: H = -0.2 t, and H = 0.5 t turning NaN after t = 2."""
+    t = np.linspace(0.0, 4.0, 5)
+    H_nan = 0.5 * t
+    H_nan[t > 2.0] = np.nan
+    return [CharPath(family=j, x0=x0, times=t, positions=np.zeros(5),
+                     velocities=np.zeros(5), H=H)
+            for j, x0, H in zip(families, (0.0, 1.0), (-0.2 * t, H_nan))]
+
+
+@pytest.mark.parametrize("families, named", [((0, 0), "family 1"), ((1, 0), "family 1")])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_nan_H_is_unbounded_in_either_order(families, named, reverse):
+    # Python's max keeps or drops a NaN by the order of the paths, and the
+    # growth test is false for NaN: neither may decide the verdict
+    paths = _nan_H_paths(families)
+    if reverse:
+        paths = paths[::-1]
+    rep = verify_H_bound(paths, theta_E=0.1, compare_horizon=2.0)
+    assert rep.unbounded == f"C_emp is not finite on 1 of the 2 paths ({named})"
+    assert np.isnan(rep.C_emp_overall) and np.isnan(rep.C_emp[0])
+    assert rep.C_emp_half == pytest.approx(1.2)  # the NaN starts after t = 2
+    if families[0] != families[1]:
+        assert rep.C_emp[1] == 0.0  # the good path's own family stays finite
+    rep = verify_H_bound(paths, theta_E=0.1)  # no second horizon: flagged as well
+    assert rep.unbounded == f"C_emp is not finite on 1 of the 2 paths ({named})"
 
 
 def test_H_bound_stable_across_horizons(jinxin, jinxin_profile, jinxin_run):
@@ -333,7 +362,10 @@ def test_duhamel_consistency(jinxin_run):
 def _pointwise_eval(times, grid, fields, s, x):
     """One (s, x) sample through a single-point evaluator: cubic Lagrange in
     space on each bracketing output row, flat beyond the grid, then linear in
-    time.  The array evaluator must reproduce it bit for bit."""
+    time; NaN at a NaN position.  The array evaluator must reproduce it bit
+    for bit."""
+    if np.isnan(x):
+        return np.nan
     m = int(np.searchsorted(times, s, side="right")) - 1
     m = max(0, min(m, len(times) - 2))
     w = (s - times[m]) / (times[m + 1] - times[m])
@@ -588,7 +620,8 @@ def test_batched_trace_matches_scalar_recurrence(run, n_sub, request):
     traj = request.getfixturevalue(run)
     X = float(traj.grid[-1])
     starts = [-X - 3.0, -X + 0.2, -1.3, 0.0, 2.7, X - 0.2, X + 3.0, np.nan]
-    with np.errstate(invalid="ignore"):  # the cell index of NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN start reads NaN, and warns of nothing
         paths = trace_many(traj, range(traj.model.N), starts, n_sub=n_sub)
         singles = [trace_many(traj, j, starts, n_sub=n_sub) for j in range(traj.model.N)]
         scalar = [_scalar_rk2(traj, p.family, p.x0, n_sub) for p in paths]

@@ -265,6 +265,29 @@ def test_verify_unbounded_H_exits_3(tmp_path):
     assert damping["certification_failures"] == [f"H-bound: {message}"]
 
 
+@pytest.mark.parametrize("which", [0, -1])
+def test_verify_nan_H_exits_3(tmp_path, monkeypatch, which):
+    # one path's H turns NaN half way: the H-bound must fail, whichever path it is
+    accumulate_H = characteristics.accumulate_H
+
+    def nan_tail(paths, traj):
+        H = accumulate_H(paths, traj)
+        path = paths[which]
+        path.H = np.where(path.times > 0.5 * path.times[-1], np.nan, path.H)
+        return H
+
+    monkeypatch.setattr(characteristics, "accumulate_H", nan_tail)
+    assert run("verify", config_from_dict(TINY), out_dir=str(tmp_path)) == EXIT_CERTIFICATION
+    n_paths = 2 * TINY["verify"]["n_paths"]
+    family = 1 if which == 0 else 2
+    message = f"C_emp is not finite on 1 of the {n_paths} paths (family {family})"
+    h_bound = json.loads((tmp_path / "h_bound.json").read_text())
+    assert h_bound["bounded"] is False and h_bound["error"] == message
+    assert np.isnan(h_bound["C_emp_overall"]) and np.isfinite(h_bound["C_emp_half_horizon"])
+    damping = json.loads((tmp_path / "damping.json").read_text())
+    assert damping["certification_failures"] == [f"H-bound: {message}"]
+
+
 def test_verify_zero_perturbation_has_no_energy_ratio(tmp_path):
     # every family starts (and stays) at zero energy, and every table is degenerate
     cfg = config_from_dict({

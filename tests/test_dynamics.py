@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scalar_model, vara3_model
+from conftest import scalar_model, vara3_model, vara_model
 from relaxdamp.characteristics import accumulate_H, duhamel_residual, trace_many
 from relaxdamp import dynamics
 from relaxdamp.dynamics import (
@@ -26,6 +26,7 @@ from relaxdamp import eigenframe
 from relaxdamp.eigenframe import FrameField, frames_at_states, transformed_source
 from relaxdamp.errors import BlowUp, BudgetExceeded, CFLViolation, InvalidParam
 from relaxdamp.model import ModelSpec, build_custom
+from relaxdamp.poly import node_matmul
 from relaxdamp.profile import constant_profile, solve_profile
 
 
@@ -665,17 +666,19 @@ def _node_step_with_full_source(stepper, snap, dt):
     """The state-dependent moc step with the eigen side formed in full: the
     sign flips counted by cumsum and applied by np.negative(where=), the
     whole transformed source L Q R - Lambda L dR/dx with dR/dx from
-    np.gradient, and the source's dA term from a second A(Ut)."""
+    np.gradient, and the source's dA term from a second A(Ut).  Per-node
+    products are full ``node_matmul`` products, the step's kernel."""
     model, grid = stepper.model, stepper.grid
     Ut = stepper.Ubar + snap.U
     decompose = eigenframe._decompose_2x2 if model.N == 2 else eigenframe._decompose_batch
     lam, L, R = decompose(model.A_at(Ut), 0.0, grid)
-    flip = _cumsum_flip_parity(np.einsum("ikj,ikj->ij", R[1:], R[:-1]))
+    flip = _cumsum_flip_parity(
+        np.diagonal(node_matmul(R[1:].swapaxes(1, 2), R[:-1]), axis1=1, axis2=2))
     np.negative(R, out=R, where=flip[:, None, :])
     np.negative(L, out=L, where=flip[:, :, None])
     frames = FrameField(grid=grid, lambdas=lam, L=L, R=R)
-    M = np.matmul(np.matmul(L, model.Q_at(Ut)), R)
-    T = -lam[:, :, None] * np.matmul(L, np.gradient(R, grid, axis=0))
+    M = node_matmul(node_matmul(L, model.Q_at(Ut)), R)
+    T = -lam[:, :, None] * node_matmul(L, np.gradient(R, grid, axis=0))
     M = M + T
     eye = np.eye(model.N, dtype=bool)
     E = M[:, eye].T
@@ -683,7 +686,7 @@ def _node_step_with_full_source(stepper, snap, dt):
     Phi = frames.to_diag(snap.U).T
     G = frames.to_diag(stepper.source(Ut, snap.t)).T
     G -= E * Phi
-    G += np.einsum("njk,nk->nj", T, Phi.T).T
+    G += node_matmul(T, Phi.T).T
     return _per_family_feet_update(stepper, snap, dt, frames, Phi, E, G)
 
 
@@ -712,6 +715,27 @@ def test_lean_node_step_matches_full_source_step_bit_for_bit(case, varA):
         for a, b in ((new.U, old.U), (new.b_left, old.b_left), (new.b_right, old.b_right)):
             assert a.tobytes() == b.tobytes(), (case, k)
     assert np.max(np.abs(new.U)) > 1e-4
+
+
+@pytest.mark.parametrize("backend", ["moc", "reference"])
+def test_state_dependent_steps_call_no_einsum(backend, monkeypatch):
+    # every per-node contraction of the step is a node_matmul / node_dot over
+    # component columns, whose sums do not depend on einsum's order or layout
+    model = vara_model()
+    prof = solve_profile(model, X=20.0, n=201)
+    stepper = Stepper(model, prof, prof.grid, ShiftSpec(kind="linear", rate=0.3))
+    snap = make_initial(prof, PerturbationSpec(kind="gaussian", amplitude=1e-3, width=1.0))
+    calls = []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    for frames in (None, stepper._frames(stepper.Ubar + snap.U)):  # formed inside, and given
+        snap = stepper.step(snap, 0.2 * stepper.dx, backend, frames)
+    assert calls == []
 
 
 def _diagonal_3x3():

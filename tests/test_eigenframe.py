@@ -102,10 +102,18 @@ def test_to_diag_and_from_diag_match_einsum(case, request):
         frames = request.getfixturevalue("vara_frames")
         assert not frames.constant
     V = np.random.default_rng(2).standard_normal(frames.lambdas.shape)
+    V[::5] = -0.0  # signed zero products: einsum sums them from +0
+    V[1::7, 0] = 0.0
     for got, M in ((frames.to_diag(V), frames.L), (frames.from_diag(V), frames.R)):
         want = np.einsum("njk,nk->nj", M, V)
         assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(M)) * np.max(np.abs(V))
+        if frames.constant:  # a BLAS product with the one frame
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(M)) * np.max(np.abs(V))
+        else:  # per-node sums from +0, left to right: einsum's bits at N = 2
+            assert got.tobytes() == want.tobytes()
+    if not frames.constant:
+        assert frames.diag_rows(V).flags.c_contiguous
+        assert frames.diag_rows(V).tobytes() == frames.to_diag(V).T.tobytes()
     assert np.max(np.abs(frames.from_diag(frames.to_diag(V)) - V)) <= 1e-12
     out = np.empty((len(V) + 2, V.shape[1]))
     assert frames.from_diag(V, out=out[1:-1]).base is out

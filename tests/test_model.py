@@ -9,7 +9,7 @@ from conftest import vara_model
 from relaxdamp import build_custom, build_jinxin, eval_A, eval_Q, eval_q, validate_model
 from relaxdamp.errors import DegenerateShock, InvalidParam, OutOfDomain, ValidationFailed
 from relaxdamp.model import fd_jacobian
-from relaxdamp.poly import Poly, poly_matrix_eval, poly_vector_eval
+from relaxdamp.poly import Poly, _power, poly_matrix_eval, poly_vector_eval
 
 
 def rankine_hugoniot(flux, um, up):
@@ -81,6 +81,63 @@ def test_poly_eval_matches_filled_monomials():
                 assert np.array_equal(got[..., i, j], _poly_eval_full(entries[i][j], U))
             assert np.array_equal(vec[..., i], _poly_eval_full(entries[i][1], U))
         assert np.array_equal(vec[..., 2], np.zeros(U.shape[:-1]))
+
+
+def _signed_states(rng, n, n_vars):
+    """Random states with signed zeros, NaN and infinities among their components."""
+    U = 3.0 * rng.standard_normal((n, n_vars))
+    U[::5, 0] = -0.0
+    U[1::5, 0] = 0.0
+    U[::7, -1] = -0.0
+    U[3::11, 1] = np.nan
+    U[4::13, 0] = np.inf
+    U[5::17, -1] = -np.inf
+    return U
+
+
+def test_single_state_evaluation_matches_the_stack_bit_for_bit():
+    # one state evaluates on Python floats, a stack on column views: exponents
+    # 0-4, constant and empty entries, products whose sum is a signed zero
+    x, y, z = (Poly.variable(3, k) for k in range(3))
+    entries = [
+        [Poly(3, ()), Poly.constant(3, -2.5), Poly(3, ((1.5, (0, 0, 0)), (-0.25, (0, 0, 0))))],
+        [Poly(3, ((0.7, (1, 2, 3)), (-1.5, (0, 0, 0)))),
+         Poly(3, ((1.0, (4, 0, 0)), (-2.0, (0, 3, 1)), (0.5, (0, 0, 2)))),
+         x + y.scaled(-1.0)],
+        [Poly(3, ((2.0, (0, 4, 0)),)), Poly(3, ((-1.0, (3, 0, 0)), (1.0, (0, 0, 0)))),
+         Poly(3, ((1.0, (1, 1, 0)), (1.0, (0, 1, 1))))],
+    ]
+    U = _signed_states(np.random.default_rng(4), 400, 3)
+    with np.errstate(invalid="ignore"):  # numpy warns of inf * 0 and inf - inf
+        stack = poly_matrix_eval(entries, U)
+        vec = poly_vector_eval(entries[1] + entries[2], U)
+        assert poly_matrix_eval(entries, U.reshape(20, 20, 3)).tobytes() == stack.tobytes()
+    for k, u in enumerate(U):
+        assert poly_matrix_eval(entries, u).tobytes() == stack[k].tobytes(), k
+        assert poly_vector_eval(entries[1] + entries[2], u).tobytes() == vec[k].tobytes(), k
+    assert np.isnan(stack).any() and np.isinf(stack).any()
+    # x y + y z sums signed zero products, and a sum from +0 is never -0
+    assert (stack[:, 2, 2] == 0.0).sum() >= 10
+    assert not (np.signbit(stack) & (stack == 0.0)).any()
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_float_powers_are_numpys(p):
+    # numpy's vectorized pow need not round as libm's does, so a float takes
+    # a power above 2 through numpy, and a square as x * x: the bits of a
+    # stack's column
+    col = 3.0 * np.random.default_rng(p).standard_normal((5000, 2))[:, 0]
+    want = (col ** p).tobytes()
+    assert np.array([_power(v, p) for v in col.tolist()]).tobytes() == want
+    assert _power(col, p).tobytes() == want
+    u = Poly(1, ((1.0, (p,)),))
+    assert np.array([u.at([v]) for v in col.tolist()]).tobytes() == want
+
+
+def test_constant_A_at_one_state_is_the_cached_matrix(jinxin):
+    A = jinxin.A_at(jinxin.U_minus)
+    assert A is jinxin.A_at(np.array([0.3, -0.2])) and not A.flags.writeable
+    assert np.array_equal(A, jinxin.A_at(np.zeros((3, 2)))[1])
 
 
 def test_eval_outside_box_raises(jinxin):

@@ -272,6 +272,14 @@ def _captured_shot(model, X, n, monkeypatch):
     return prof, seen["args"], seen["kwargs"], seen["shot"]
 
 
+def _stacked_rhs(model):
+    """The profile ODE's right-hand side with A and q evaluated as a stack of
+    one state (column views), not on the floats of the state."""
+    def rhs(_xi, y):
+        return np.linalg.solve(model.A_at(y[None])[0], model.q_at(y[None])[0])
+    return rhs
+
+
 @pytest.mark.parametrize("which, X", [("jinxin", 40.0), ("vara", 20.0)])
 def test_shot_matches_scipy_rk45_bit_for_bit(jinxin, monkeypatch, which, X):
     from scipy.integrate import solve_ivp
@@ -280,6 +288,12 @@ def test_shot_matches_scipy_rk45_bit_for_bit(jinxin, monkeypatch, which, X):
     prof, (fun, t_span, y0), kw, shot = _captured_shot(model, X, 4001, monkeypatch)
     ref = solve_ivp(fun, t_span, y0, method="RK45", rtol=kw["rtol"], atol=kw["atol"],
                     events=kw["events"], dense_output=True)
+    # the shot evaluates A and q on the floats of one state: scipy's orbit with
+    # them evaluated as a stack is the same, bit for bit
+    stacked = solve_ivp(_stacked_rhs(model), t_span, y0, method="RK45", rtol=kw["rtol"],
+                        atol=kw["atol"], events=kw["events"], dense_output=True)
+    assert stacked.t.tobytes() == ref.t.tobytes() and stacked.y.tobytes() == ref.y.tobytes()
+    assert stacked.t_events[0].tobytes() == ref.t_events[0].tobytes()
     steps = len(shot.t)
     # the same steps, stopped early: scipy runs on to xi_max
     assert shot.t.tobytes() == ref.t[:steps].tobytes()
