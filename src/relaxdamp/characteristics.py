@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, _cubic_lagrange, grid_step, phi_and_forcing
+from .dynamics import Trajectory, _cubic_lagrange, grid_step
 from .eigenframe import SourceField, source_diagonals
 from .errors import EpsilonTooLarge, InvalidParam
 from .model import ModelSpec
@@ -24,28 +24,29 @@ from .profile import ProfileRep
 
 
 @dataclass
-class CharPath:
-    """One characteristic curve with its Duhamel exponent samples."""
+class CharPaths:
+    """Characteristic curves of one ``trace_many`` call, stacked by path.
 
-    family: int
-    x0: float
-    times: np.ndarray
-    positions: np.ndarray
-    velocities: np.ndarray
-    H: np.ndarray | None = None
-    grid_half_width: float = 0.0
+    Path p is of family ``family[p]`` from ``x0[p]``; the paths are
+    family-major, each family's in the order of the starts.  All share the
+    sample ``times``; ``positions`` and ``velocities`` are (sample, path)
+    views of the tracer's arrays, and ``H`` (sample, path) is the Duhamel
+    exponent that ``accumulate_H`` sets.
+    """
 
-    @property
-    def exit_time(self) -> float | None:
-        """First sample time at which the path leaves the grid."""
-        return self.exit_time_from(self.grid_half_width)
+    family: np.ndarray      # (P,)
+    x0: np.ndarray          # (P,)
+    times: np.ndarray       # (S,)
+    positions: np.ndarray   # (S, P)
+    velocities: np.ndarray  # (S, P)
+    grid_half_width: float
+    H: np.ndarray | None = None  # (S, P)
 
-    def exit_time_from(self, radius: float) -> float | None:
-        """First sample time with |X| > radius."""
-        out = np.abs(self.positions) > radius
-        if not np.any(out):
-            return None
-        return float(self.times[np.argmax(out)])
+    def exit_times(self, radius: float | None = None) -> np.ndarray:
+        """First sample time of each path with |X| > radius (the grid
+        half-width by default); NaN for a path that never leaves."""
+        out = np.abs(self.positions) > (self.grid_half_width if radius is None else radius)
+        return np.where(out.any(axis=0), self.times[np.argmax(out, axis=0)], np.nan)
 
 
 class _FieldInterp:
@@ -106,7 +107,7 @@ class _FieldInterp:
         return np.where(np.isfinite(cells), (1.0 - w) * a0 + w * a1, np.nan)
 
 
-def trace_many(traj: Trajectory, j, x0s, n_sub: int = 4) -> list[CharPath]:
+def trace_many(traj: Trajectory, j, x0s, n_sub: int = 4) -> CharPaths:
     """RK2 integration of characteristics from the starts ``x0s``, of one
     family j or of each family of a sequence j.
 
@@ -117,8 +118,8 @@ def trace_many(traj: Trajectory, j, x0s, n_sub: int = 4) -> list[CharPath]:
     along the integration.  With constant frames lambda_j is one number per
     family, so the velocity is lambda_j - ddelta(s) at every position and no
     field is interpolated; otherwise lambda_j of every output time is one
-    ``_FieldInterp``.  The paths come back family-major, each family's in
-    the order of the starts.
+    ``_FieldInterp``.  The paths come back as one ``CharPaths``,
+    family-major, each family's in the order of the starts.
     """
     fams = [int(j)] if np.ndim(j) == 0 else [int(f) for f in j]
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
@@ -155,51 +156,40 @@ def trace_many(traj: Trajectory, j, x0s, n_sub: int = 4) -> list[CharPath]:
             s = ts[k] = s + h
             Xs[k] = x + h * v2
             Vs[k] = velocity(s, Xs[k])
-    X_half = float(traj.grid[-1])
-    return [CharPath(family=f, x0=float(x0), times=ts.copy(),
-                     positions=Xs[:, a, p].copy(), velocities=Vs[:, a, p].copy(),
-                     grid_half_width=X_half)
-            for a, f in enumerate(fams) for p, x0 in enumerate(x0s)]
+    return CharPaths(family=np.repeat(fams, len(x0s)), x0=np.tile(x0s, len(fams)),
+                     times=ts, positions=Xs.reshape(n_samples, -1),
+                     velocities=Vs.reshape(n_samples, -1),
+                     grid_half_width=float(traj.grid[-1]))
 
 
-def accumulate_H(paths: list[CharPath], traj: Trajectory) -> np.ndarray:
+def accumulate_H(paths: CharPaths, traj: Trajectory) -> np.ndarray:
     """Trapezoidal accumulation of the diagonal source along paths of any families.
 
-    ``paths`` share one sample-time vector, as one trace_many call returns
-    them; a single path is the list of one.  E_jj of every family
-    (``traj.source_series``) is one ``_FieldInterp``, read at every sample
-    of every path, each in its own family, in one batch, then integrated by
-    one cumulative sum along the samples.  Beyond the grid the integrand
-    freezes at the endstate value of the exit side, matching the far-field
-    boundary treatment of the dynamics.  Sets each path's ``H`` and returns
-    them as a (path, sample) array.
+    E_jj of every family (``traj.source_series``) is one ``_FieldInterp``,
+    read at every sample of every path, each in its own family, in one
+    batch, then integrated by one cumulative sum along the samples.  Beyond
+    the grid the integrand freezes at the endstate value of the exit side,
+    matching the far-field boundary treatment of the dynamics.  Sets
+    ``paths.H`` and returns it, (sample, path).
     """
-    times = paths[0].times
-    if any(not np.array_equal(p.times, times) for p in paths):
-        raise InvalidParam("accumulate_H needs paths on shared sample times")
     E = _FieldInterp(traj, traj.source_series.E_diag)
     E_minus, E_plus = traj.endstate_E_diag
-    X = paths[0].grid_half_width
-    fams = np.array([p.family for p in paths])
-    x = np.stack([p.positions for p in paths], axis=1)
+    X, x, fams, times = paths.grid_half_width, paths.positions, paths.family, paths.times
     vals = np.where(x < -X, E_minus[fams], np.where(
         x > X, E_plus[fams], E.eval(times[:, None], x, fams)))
-    steps = 0.5 * (vals[1:] + vals[:-1]) * np.diff(times)[:, None]
-    H = np.zeros((len(paths), len(times)))
-    H[:, 1:] = np.cumsum(steps, axis=0).T
-    for p, h in zip(paths, H):
-        p.H = h
+    H = np.zeros(x.shape)
+    np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(times)[:, None], axis=0, out=H[1:])
+    paths.H = H
     return H
 
 
-def _c_emp(path: CharPath, theta_E: float, t_max: float | None = None) -> float:
-    """max over sampled pairs s <= t of H(t) - H(s) + theta_E (t - s)."""
-    if path.H is None:
+def _c_emp(paths: CharPaths, theta_E: float, t_max: float | None = None) -> np.ndarray:
+    """Per path, max over sampled pairs s <= t of H(t) - H(s) + theta_E (t - s)."""
+    if paths.H is None:
         raise InvalidParam("accumulate_H must run before the H-bound")
-    mask = slice(None) if t_max is None else path.times <= t_max + 1e-12
-    g = path.H[mask] + theta_E * path.times[mask]
-    running_min = np.minimum.accumulate(g)
-    return float(np.max(g - running_min))
+    mask = slice(None) if t_max is None else paths.times <= t_max + 1e-12
+    g = paths.H[mask] + theta_E * paths.times[mask][:, None]
+    return np.max(g - np.minimum.accumulate(g, axis=0), axis=0)
 
 
 @dataclass
@@ -212,7 +202,7 @@ class HBoundReport:
     unbounded: str | None = None    # why C_emp grows with the horizon, if it does
 
 
-def verify_H_bound(paths: list[CharPath], theta_E: float,
+def verify_H_bound(paths: CharPaths, theta_E: float,
                    source: SourceField | None = None,
                    eps_delta: float = 0.0,
                    compare_horizon: float | None = None,
@@ -231,8 +221,8 @@ def verify_H_bound(paths: list[CharPath], theta_E: float,
     makes its family's constant and the overall one NaN, in any order of
     the paths, and sets ``unbounded`` naming the families.
     """
-    family = np.array([p.family for p in paths])
-    full = np.array([_c_emp(p, theta_E) for p in paths])
+    family = paths.family
+    full = _c_emp(paths, theta_E)
     fams = sorted(set(family.tolist()))
     # np.max keeps a NaN wherever it is; Python's max keeps or drops it by order
     C_emp = {j: float(np.max(full[family == j])) for j in fams}
@@ -246,7 +236,7 @@ def verify_H_bound(paths: list[CharPath], theta_E: float,
             excess = np.maximum(source.E_diag[:, j] + theta_E, 0.0)
             report.C_theory[j] = float(np.trapezoid(excess, source.grid) / speed)
     if compare_horizon is not None:
-        half = np.array([_c_emp(p, theta_E, t_max=compare_horizon) for p in paths])
+        half = _c_emp(paths, theta_E, t_max=compare_horizon)
         C_half = float(np.max(half))
         report.C_emp_half = C_half
         not_finite |= ~np.isfinite(half)
@@ -258,7 +248,7 @@ def verify_H_bound(paths: list[CharPath], theta_E: float,
     if not_finite.any():
         bad = sorted(set(family[not_finite].tolist()))
         report.unbounded = (
-            f"C_emp is not finite on {int(not_finite.sum())} of the {len(paths)} paths "
+            f"C_emp is not finite on {int(not_finite.sum())} of the {len(family)} paths "
             f"(family {', '.join(str(j + 1) for j in bad)})")
     return report
 
@@ -335,34 +325,39 @@ def scan_trajectory_damping(traj: Trajectory, R: float) -> float:
     return float(np.max(right if right.size else left))  # no node at all: ValueError
 
 
-def duhamel_residual(traj: Trajectory, path: CharPath) -> float:
+def duhamel_residual(traj: Trajectory, paths: CharPaths) -> np.ndarray:
     """Consistency of the stored field with its Duhamel representation.
 
-    Reconstructs Phi_j(t, X(t)) from Phi_j(0, x0) e^{H(t)} plus the
-    accumulated forcing integral and returns the worst mismatch at output
-    times while the path stays inside the grid.
+    Along a family-j characteristic d/ds Phi_j = E_jj Phi_j + G_j, with
+    Phi = L U and G = L S - E Phi + T Phi from the trajectory's one Stepper
+    and transformed source at every output time.  Reconstructs
+    Phi_j(t, X(t)) from Phi_j(0, x0) e^{H(t)} plus the accumulated forcing
+    integral and returns, per path, the worst mismatch at output times while
+    the path stays inside the grid; NaN for a path whose mismatch is NaN
+    there, as a NaN start gives.
     """
-    j = path.family
-    if path.H is None:
-        accumulate_H([path], traj)
-    fields = [phi_and_forcing(traj, i) for i in range(traj.n_times)]
-    Phi = _FieldInterp(traj, [F[j] for F, _ in fields])
-    G_path = _FieldInterp(traj, [G[j] for _, G in fields]).eval(
-        path.times, path.positions)
-    n_sub = (len(path.times) - 1) // (traj.n_times - 1)
-    phi0 = Phi.eval(0.0, path.x0)
+    if paths.H is None:
+        accumulate_H(paths, traj)
+    phi_fields, g_fields = [], []  # (n, N) at every output time
+    for i in range(traj.n_times):
+        sf = traj.source_field(i)
+        transport = None if sf.frames.constant else sf.transport
+        F, G = traj.stepper.forcing(traj.states[i], traj.perturbed_states(i),
+                                    float(traj.times[i]), sf.frames, sf.E_diag.T, transport)
+        phi_fields.append(F.T)
+        g_fields.append(G.T)
+    Phi = _FieldInterp(traj, np.stack(phi_fields))
+    times, X, H, fams = paths.times, paths.positions, paths.H, paths.family
+    G_path = _FieldInterp(traj, np.stack(g_fields)).eval(times[:, None], X, fams)
+    n_sub = (len(times) - 1) // (traj.n_times - 1)
+    phi0 = Phi.eval(0.0, paths.x0, fams)
     ks = np.arange(traj.n_times) * n_sub
-    stored = Phi.eval(path.times[ks], path.positions[ks])
-    worst = 0.0
-    exit_t = path.exit_time
+    stored = Phi.eval(times[ks][:, None], X[ks], fams)
+    exit_t = paths.exit_times()
+    worst = np.zeros(len(fams))
     for m, k in enumerate(ks):
-        t = path.times[k]
-        if exit_t is not None and t >= exit_t:
-            break
-        H_t = path.H[k]
-        ts = path.times[:k + 1]
-        integrand = np.exp(H_t - path.H[:k + 1]) * G_path[:k + 1]
-        integral = np.trapezoid(integrand, ts) if k > 0 else 0.0
-        recon = phi0 * np.exp(H_t) + integral
-        worst = max(worst, abs(recon - stored[m]))
+        integrand = np.exp(H[k] - H[:k + 1]) * G_path[:k + 1]
+        integral = np.trapezoid(integrand, times[:k + 1], axis=0)  # 0 at k = 0
+        mismatch = np.abs(phi0 * np.exp(H[k]) + integral - stored[m])
+        worst = np.where(times[k] >= exit_t, worst, np.maximum(worst, mismatch))
     return worst

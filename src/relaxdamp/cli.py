@@ -305,14 +305,12 @@ def stage_verify(cfg: Config, out: Path) -> int:
     })
     write_json(out / "h_bound.json", hb_payload)
 
-    path_rows = []
-    n_sub = int(vc["n_sub"])
-    for p in paths:
-        path_rows += zip(itertools.repeat(p.family + 1), itertools.repeat(p.x0),
-                         p.times[::n_sub].tolist(), p.positions[::n_sub].tolist(),
-                         p.H[::n_sub].tolist())
-    write_csv(out / "characteristics.csv", ["j", "x0", "s", "X", "H"], path_rows,
-              template="%d,%.17g,%.17g,%.17g,%.17g")
+    out_rows = slice(None, None, int(vc["n_sub"]))  # the samples at output times
+    n_out, n_paths = paths.positions[out_rows].shape
+    write_csv(out / "characteristics.csv", ["j", "x0", "s", "X", "H"], np.column_stack([
+        np.repeat(paths.family + 1.0, n_out), np.repeat(paths.x0, n_out),
+        np.tile(paths.times[out_rows], n_paths), paths.positions[out_rows].T.ravel(),
+        paths.H[out_rows].T.ravel()]))
 
     kinds = [f"c{k}" for k in range(int(vc["K"]) + 1)]
     include_l2 = vc["include_l2"] and cfg.build_perturbation().kind != "offset"
@@ -354,8 +352,8 @@ def stage_verify(cfg: Config, out: Path) -> int:
         "slaving": {k: table_payload(t) for k, t in slaving.items()},
         "weights": {
             "C_alpha": Ca, "c_alpha": ca,
-            "ode_residual": max(w.ode_residual for w in weights),
-            "min_alpha": min(float(np.min(w.values)) for w in weights),
+            "ode_residual": np.max(weights.ode_residual),
+            "min_alpha": np.min(weights.values),
         },
         "weighted_energy": {
             "initial": energies.energies[0],

@@ -300,6 +300,7 @@ def _validate(raw: dict) -> None:
     _require(mc["kind"] in ("jinxin", "custom"),
              f"kind must be jinxin or custom, got {mc['kind']!r}", "model.kind")
     if mc["kind"] == "jinxin":
+        n = 2  # the model's N, which state vectors below must match
         _check_number(mc["a"], "model.a", positive=True)
         _check_number(mc["eps"], "model.eps", positive=True)
         _require(_is_numbers(mc["flux"]) and len(mc["flux"]) >= 1,
@@ -352,11 +353,12 @@ def _validate(raw: dict) -> None:
                       nonnegative=True)
         _check_number(pk["width"], "dynamics.perturbation.width", positive=True)
         _check_number(pk["center"], "dynamics.perturbation.center")
-        _require(pk["direction"] is None or _is_numbers(pk["direction"]),
-                 "direction must be a list of numbers", "dynamics.perturbation.direction")
+        _require(pk["direction"] is None or _is_numbers(pk["direction"], n),
+                 f"direction must be a list of {n} numbers",
+                 "dynamics.perturbation.direction")
     if pk["kind"] == "offset":
         for key in ("d_minus", "d_plus"):
-            _require(_is_numbers(pk[key]), f"offset needs {key} as a list of numbers",
+            _require(_is_numbers(pk[key], n), f"offset needs {key} as a list of {n} numbers",
                      f"dynamics.perturbation.{key}")
         _check_number(pk["blend_width"], "dynamics.perturbation.blend_width",
                       positive=True)

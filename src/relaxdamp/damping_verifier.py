@@ -100,26 +100,26 @@ def l2_h2_norms(snap: Snapshot, blend_width: float = 2.0) -> tuple[float, float,
 # --- L^2 weight functions --------------------------------------------------
 
 @dataclass
-class WeightFn:
-    """Spatial weight solving alpha' = -(C e^{-c|x|} / lambda_j(Ubar)) alpha."""
+class Weights:
+    """Spatial weights solving alpha_j' = -(C e^{-c|x|} / lambda_j(Ubar)) alpha_j,
+    one row of ``values`` and one ``ode_residual`` per family."""
 
-    family: int
-    grid: np.ndarray
-    values: np.ndarray
+    grid: np.ndarray          # (n,)
+    values: np.ndarray        # (N, n)
     C_alpha: float
     c_alpha: float
-    ode_residual: float
+    ode_residual: np.ndarray  # (N,)
 
 
 def weight_fn(model: ModelSpec, profile: ProfileRep, C_alpha: float,
               c_alpha: float, c_min: float = 1e-8,
-              grid: np.ndarray | None = None) -> list[WeightFn]:
+              grid: np.ndarray | None = None) -> Weights:
     """Integrate the weight ODE in closed form for every family, max alpha = 1.
 
     The log-increment over each grid cell is computed by 7-point Gauss
-    quadrature of C e^{-c|y|} / lambda_j(Ubar(y)); the recorded residual
-    re-evaluates the increments with 15 points and reports the worst mismatch
-    |alpha_{i+1} - alpha_i e^{-I_i}|.  The eigenvalues at the nodes of each
+    quadrature of C e^{-c|y|} / lambda_j(Ubar(y)); the recorded residual of
+    each family re-evaluates the increments with 15 points and is its worst
+    mismatch |alpha_{i+1} - alpha_i e^{-I_i}|.  The eigenvalues at the nodes of each
     rule come from one ``profile_lambdas`` query.  ``grid`` defaults to the
     profile's own grid; pass the trajectory grid when they differ.
     """
@@ -141,9 +141,8 @@ def weight_fn(model: ModelSpec, profile: ProfileRep, C_alpha: float,
     alpha = np.exp(log_alpha - np.max(log_alpha, axis=1, keepdims=True))
     inc15 = increments(*_GL15)
     resid = np.max(np.abs(alpha[:, 1:] - alpha[:, :-1] * np.exp(-inc15)), axis=1)
-    return [WeightFn(family=j, grid=x, values=alpha[j], C_alpha=C_alpha,
-                     c_alpha=c_alpha, ode_residual=float(resid[j]))
-            for j in range(model.N)]
+    return Weights(grid=x, values=alpha, C_alpha=C_alpha, c_alpha=c_alpha,
+                   ode_residual=resid)
 
 
 def default_weight_constants(profile: ProfileRep) -> tuple[float, float]:
@@ -202,7 +201,7 @@ class EnergySeries:
                 for initial, final in zip(self.energies[0], self.energies[-1])]
 
 
-def weighted_energy_series(traj: Trajectory, weights: list[WeightFn],
+def weighted_energy_series(traj: Trajectory, weights: Weights,
                            theta_E: float) -> EnergySeries:
     """Energies, their discrete time derivatives, and the decay-slack fit.
 
@@ -210,8 +209,7 @@ def weighted_energy_series(traj: Trajectory, weights: list[WeightFn],
     ||Phi||_L2^2) is checked with the smallest constant K that makes it hold
     at every interior output time.
     """
-    if weights[0].grid.shape != traj.grid.shape \
-            or not np.allclose(weights[0].grid, traj.grid):
+    if weights.grid.shape != traj.grid.shape or not np.allclose(weights.grid, traj.grid):
         raise InvalidParam("weights and trajectory live on different grids")
     dx = traj.dx
     times = traj.times
@@ -221,7 +219,7 @@ def weighted_energy_series(traj: Trajectory, weights: list[WeightFn],
     for i in range(traj.n_times):
         Phi = traj.frames(i).to_diag(traj.states[i])
         for j in range(N):
-            e[i, j] = trapezoid4(weights[j].values * Phi[:, j] ** 2, dx)
+            e[i, j] = trapezoid4(weights.values[j] * Phi[:, j] ** 2, dx)
         phi_l2sq[i] = float(np.sum(trapezoid4(Phi**2, dx)))
     rates = np.gradient(e, times, axis=0)
     dd = np.abs(traj.shift.delta_dot(times))

@@ -858,16 +858,3 @@ def diagonal_vars(snap: Snapshot, frames: FrameField,
     Ups = frames.to_diag(snap.Y)
     UpsT = Ups + node_matmul(theta, Psi)
     return DiagVars(Phi=Phi, Psi=Psi, PsiTilde=PsiT, Upsilon=Ups, UpsilonTilde=UpsT)
-
-
-def phi_and_forcing(traj: Trajectory, i: int):
-    """Diagonal field Phi and its Duhamel forcing G at output time i, family-major.
-
-    Uses the trajectory's one Stepper and its transformed source, so G
-    collects everything the damping exponent E_jj does not.
-    """
-    sf = traj.source_field(i)
-    transport = None if sf.frames.constant else sf.transport
-    return traj.stepper.forcing(traj.states[i], traj.perturbed_states(i),
-                                float(traj.times[i]), sf.frames, sf.E_diag.T,
-                                transport)

@@ -524,11 +524,11 @@ class SourceField:
     F_tilde: np.ndarray    # (n, N, N)
     transport: np.ndarray  # (n, N, N)
     frames: FrameField
-    Theta: np.ndarray | None = None
+    Theta: np.ndarray      # (n, N, N)
 
 
 def transformed_source(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
-                       frames: FrameField, with_theta: bool = True,
+                       frames: FrameField,
                        gradient: GridGradient | None = None) -> SourceField:
     """Full transformed source L Q R - Lambda L dR/dx split along a state field,
     whose eigenframes ``frames`` are those of ``frames_at_states``.  dR/dx is
@@ -551,6 +551,5 @@ def transformed_source(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
     E_diag = M[:, eye]
     F_tilde = M  # in place: M is fresh here and E_diag holds the diagonal
     F_tilde[:, eye] = 0.0
-    Theta = theta_field(frames.lambdas, F_tilde) if with_theta else None
     return SourceField(grid=grid, E_diag=E_diag, F_tilde=F_tilde, transport=T,
-                       frames=frames, Theta=Theta)
+                       frames=frames, Theta=theta_field(frames.lambdas, F_tilde))

@@ -18,6 +18,13 @@ of the config next to it (``<name>.config.json`` -> ``<name>.digest.json``).
 A digest (``digest_artifacts``) holds the exit code, every JSON leaf, and per
 CSV column its max |.|, the row of that max and the l2 norm; ``compare_digests``
 checks a fresh digest against a committed one.
+
+    PYTHONPATH=<checkout>/src python tests/artifacts.py --run OUT_DIR
+
+runs every ``tests/golden`` config through ``run("all")`` into
+``OUT_DIR/<name>`` with the relaxdamp on the path, so two checkouts are
+compared by one ``--run`` from each and this script on each pair of
+``<name>`` directories.  Exits with the largest exit code of the runs.
 """
 
 from __future__ import annotations
@@ -239,11 +246,30 @@ def run_digest(config: dict) -> dict:
         return digest_artifacts(out, code)
 
 
+def _golden_configs():
+    """(name, config) of every ``tests/golden`` case, by name."""
+    for path in sorted(GOLDEN.glob("*.config.json")):
+        yield path.name.removesuffix(".config.json"), json.loads(path.read_text())
+
+
+def run_golden(out_dir) -> int:
+    """``run("all")`` of every golden config into ``out_dir/<name>``; the
+    largest exit code."""
+    from relaxdamp.cli import run
+    from relaxdamp.config import config_from_dict
+
+    code = 0
+    for name, config in _golden_configs():
+        out = Path(out_dir) / name
+        code = max(code, run("all", config_from_dict(config), out_dir=str(out)))
+        print(f"ran {name} into {out}")
+    return code
+
+
 def write_golden() -> None:
-    for config in sorted(GOLDEN.glob("*.config.json")):
-        target = config.with_name(config.name.replace(".config.", ".digest."))
-        payload = run_digest(json.loads(config.read_text()))
-        target.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    for name, config in _golden_configs():
+        target = GOLDEN / f"{name}.digest.json"
+        target.write_text(json.dumps(run_digest(config), sort_keys=True, indent=1) + "\n")
         print(f"wrote {target.name}")
 
 
@@ -252,6 +278,8 @@ def main(argv=None) -> int:
     if args == ["--golden"]:
         write_golden()
         return 0
+    if len(args) == 2 and args[0] == "--run":
+        return run_golden(args[1])
     if len(args) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2

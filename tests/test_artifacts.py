@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import shutil
 
+import artifacts
 import pytest
 from artifacts import compare_digests, compare_dirs, digest_artifacts, main
 
@@ -136,3 +137,16 @@ def test_digest_comparison_tolerates_rounding_but_not_verdicts(two_runs):
 
     assert edited(drop) == [
         "digest: json.profile.json.decay_fits.plus_0.is_lower_bound only in old"]
+
+
+def test_run_writes_every_golden_config_into_its_own_directory(two_runs, tmp_path,
+                                                                monkeypatch, capsys):
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    (golden / "small.config.json").write_text(json.dumps(SMALL))
+    monkeypatch.setattr(artifacts, "GOLDEN", golden)
+    out = tmp_path / "out"
+    assert main(["--run", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"ran small into {out / 'small'}\n"
+    assert [p.name for p in out.iterdir()] == ["small"]
+    assert main([str(two_runs[0]), str(out / "small")]) == 0  # byte identical

@@ -16,7 +16,8 @@ from conftest import (anti_damped_core_model, profile_source, scalar_model,
                       synthetic_trajectory, vara_model)
 from relaxdamp import characteristics, damping_rate, dynamics, eigenframe
 from relaxdamp.characteristics import (
-    CharPath,
+    CharPaths,
+    _c_emp,
     accumulate_H,
     duhamel_residual,
     no_damping_radius,
@@ -28,7 +29,7 @@ from relaxdamp.damping_verifier import feasibility_table, slaving_check
 from relaxdamp.dynamics import (PerturbationSpec, ShiftSpec, _cubic_lagrange, diagonal_vars,
                                 evolve, interior_max)
 from relaxdamp.eigenframe import _decompose_batch
-from relaxdamp.errors import EpsilonTooLarge, InvalidParam, NotStrictlyHyperbolic
+from relaxdamp.errors import EpsilonTooLarge, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
 from relaxdamp.profile import constant_profile, solve_profile
 from relaxdamp.model import build_custom
@@ -54,9 +55,10 @@ def decay_run():
 
 def test_trace_straight_line(decay_run):
     _, _, traj = decay_run
-    p = trace_many(traj, 0, [-5.0])[0]
+    p = trace_many(traj, 0, [-5.0])
+    assert p.positions.shape == (len(p.times), 1)
     expect = -5.0 + 2.0 * p.times
-    assert np.max(np.abs(p.positions - expect)) <= 1e-12
+    assert np.max(np.abs(p.positions[:, 0] - expect)) <= 1e-12
 
 
 def test_trace_at_constant_A_interpolates_no_field(jinxin_run, monkeypatch):
@@ -68,9 +70,9 @@ def test_trace_at_constant_A_interpolates_no_field(jinxin_run, monkeypatch):
     for j in (0, 1):
         lam = float(traj.frames(0).lambdas[0, j])
         assert lam == pytest.approx(-2.0 if j == 0 else 2.0, rel=1e-14)
-        p = trace_many(traj, j, [1.0])[0]
+        p = trace_many(traj, j, [1.0])
         assert calls == []
-        assert p.velocities.tolist() == [lam - sinusoid.delta_dot(s) for s in p.times]
+        assert p.velocities[:, 0].tolist() == [lam - sinusoid.delta_dot(s) for s in p.times]
 
 
 def test_trace_constant_shift_rate(decay_run):
@@ -78,16 +80,17 @@ def test_trace_constant_shift_rate(decay_run):
     traj = evolve(model, prof, PerturbationSpec(kind="zero"),
                   ShiftSpec(kind="linear", rate=0.5), T=10.0,
                   backend="moc", dx=0.04, n_out=20)
-    p = trace_many(traj, 0, [0.0])[0]
+    p = trace_many(traj, 0, [0.0])
     expect = (2.0 - 0.5) * p.times
-    assert np.max(np.abs(p.positions - expect)) <= 1e-12
+    assert np.max(np.abs(p.positions[:, 0] - expect)) <= 1e-12
 
 
 def test_constant_damping_H_is_linear(decay_run):
     _, _, traj = decay_run
-    p = trace_many(traj, 0, [-30.0])[0]
-    H = accumulate_H([p], traj)[0]
-    assert np.max(np.abs(H + 0.25 * p.times)) <= 1e-10
+    p = trace_many(traj, 0, [-30.0])
+    H = accumulate_H(p, traj)
+    assert H is p.H and H.shape == p.positions.shape
+    assert np.max(np.abs(H[:, 0] + 0.25 * p.times)) <= 1e-10
 
 
 def test_tracer_refinement_order():
@@ -100,11 +103,11 @@ def test_tracer_refinement_order():
         return (0.5 * np.sin(0.3 * x) * np.exp(-0.05 * t))[:, None]
 
     traj = synthetic_trajectory(model, prof, field, T=8.0, n_out=16)
-    ref = trace_many(traj, 0, [-20.0], n_sub=64)[0].positions[-1]
+    ref = trace_many(traj, 0, [-20.0], n_sub=64).positions[-1, 0]
     errs = []
     for n_sub in (2, 4, 8):
-        p = trace_many(traj, 0, [-20.0], n_sub=n_sub)[0]
-        errs.append(abs(p.positions[-1] - ref))
+        p = trace_many(traj, 0, [-20.0], n_sub=n_sub)
+        errs.append(abs(p.positions[-1, 0] - ref))
     order1 = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
     assert min(order1, order2) >= 1.8
@@ -114,12 +117,9 @@ def test_exit_time_bound(jinxin, jinxin_run):
     radius = 10.0
     eps_d = 0.0
     bound = 2.0 * radius / (2.0 - eps_d)
-    for j in (0, 1):
-        for x0 in np.linspace(-radius, radius, 7):
-            p = trace_many(jinxin_run, j, [x0])[0]
-            texit = p.exit_time_from(radius)
-            assert texit is not None
-            assert texit <= bound + 0.5  # sampling slack of one sub-step
+    texit = trace_many(jinxin_run, (0, 1), np.linspace(-radius, radius, 7)).exit_times(radius)
+    assert texit.shape == (14,) and not np.isnan(texit).any()
+    assert np.all(texit <= bound + 0.5)  # sampling slack of one sub-step
 
 
 def test_uniform_damping_bound_slack(decay_run):
@@ -143,14 +143,28 @@ def test_not_bounded_when_rate_exceeds_damping(decay_run):
     assert rep.C_emp_overall > rep.C_emp_half
 
 
+def _record(times, family, H):
+    """A ``CharPaths`` on ``times`` with one path per entry of ``family``,
+    each parked at x = 0, and the exponents ``H`` (sample, path)."""
+    zeros = np.zeros((len(times), len(family)))
+    return CharPaths(family=np.asarray(family), x0=zeros[0], times=times, positions=zeros,
+                     velocities=zeros, grid_half_width=1.0, H=H)
+
+
+def _select(paths, columns):
+    """The paths ``columns`` of a record, in that order, as a record."""
+    return dataclasses.replace(
+        paths, family=paths.family[columns], x0=paths.x0[columns],
+        positions=paths.positions[:, columns], velocities=paths.velocities[:, columns],
+        H=None if paths.H is None else paths.H[:, columns])
+
+
 def _nan_H_paths(families=(0, 0)):
     """Two paths on t = 0..4: H = -0.2 t, and H = 0.5 t turning NaN after t = 2."""
     t = np.linspace(0.0, 4.0, 5)
     H_nan = 0.5 * t
     H_nan[t > 2.0] = np.nan
-    return [CharPath(family=j, x0=x0, times=t, positions=np.zeros(5),
-                     velocities=np.zeros(5), H=H)
-            for j, x0, H in zip(families, (0.0, 1.0), (-0.2 * t, H_nan))]
+    return _record(t, families, H=np.column_stack([-0.2 * t, H_nan]))
 
 
 @pytest.mark.parametrize("families, named", [((0, 0), "family 1"), ((1, 0), "family 1")])
@@ -160,7 +174,7 @@ def test_nan_H_is_unbounded_in_either_order(families, named, reverse):
     # growth test is false for NaN: neither may decide the verdict
     paths = _nan_H_paths(families)
     if reverse:
-        paths = paths[::-1]
+        paths = _select(paths, [1, 0])
     rep = verify_H_bound(paths, theta_E=0.1, compare_horizon=2.0)
     assert rep.unbounded == f"C_emp is not finite on 1 of the 2 paths ({named})"
     assert np.isnan(rep.C_emp_overall) and np.isnan(rep.C_emp[0])
@@ -171,14 +185,62 @@ def test_nan_H_is_unbounded_in_either_order(families, named, reverse):
     assert rep.unbounded == f"C_emp is not finite on 1 of the 2 paths ({named})"
 
 
+def _scalar_c_emp(times, H, theta_E, t_max=None):
+    """The empirical constant of one path as a scalar formula: max over
+    sampled pairs s <= t of H(t) - H(s) + theta_E (t - s)."""
+    mask = slice(None) if t_max is None else times <= t_max + 1e-12
+    g = H[mask] + theta_E * times[mask]
+    return float(np.max(g - np.minimum.accumulate(g)))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("t_max", [None, 2.0, 3.5])
+def test_stacked_c_emp_matches_per_path_formula(jinxin_run, reverse, t_max):
+    # the NaN paths in either column order, and paths of a real run
+    nan_paths = _nan_H_paths()
+    if reverse:
+        nan_paths = _select(nan_paths, [1, 0])
+    run_paths = trace_many(jinxin_run, (0, 1), np.linspace(-12.0, 12.0, 5))
+    accumulate_H(run_paths, jinxin_run)
+    for paths in (nan_paths, run_paths):
+        for theta_E in (0.0, 0.1, 0.25):
+            got = _c_emp(paths, theta_E, t_max)
+            want = np.array([_scalar_c_emp(paths.times, H, theta_E, t_max)
+                             for H in paths.H.T])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.isnan(_c_emp(nan_paths, 0.1)).tolist() == [reverse, not reverse]
+
+
+def _exit_times_by_path(paths, radius):
+    """First sample time of each path with |X| > radius, one path and one
+    sample at a time; NaN for a path that stays."""
+    out = []
+    for p in range(len(paths.family)):
+        leaves = [k for k, x in enumerate(paths.positions[:, p].tolist()) if abs(x) > radius]
+        out.append(float(paths.times[leaves[0]]) if leaves else np.nan)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("run", ["jinxin_sinusoid_run", "varA_run"])
+def test_exit_times_match_per_path_loop(run, request):
+    # starts beyond both ends, at an edge, inside and NaN, at the grid
+    # half-width and at radii inside it
+    traj = request.getfixturevalue(run)
+    X = float(traj.grid[-1])
+    paths = trace_many(traj, range(traj.model.N), [-X - 3.0, -X + 0.2, -1.3, 0.0, 2.7,
+                                                  X - 0.2, X + 3.0, np.nan])
+    for radius in (None, X, 0.5 * X, 2.0, 0.0):
+        got = paths.exit_times(radius)
+        want = _exit_times_by_path(paths, X if radius is None else radius)
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got).any() and np.isfinite(got).any()
+    assert np.isnan(paths.exit_times()[np.isnan(paths.x0)]).all()
+
+
 def test_H_bound_stable_across_horizons(jinxin, jinxin_profile, jinxin_run):
     dr = damping_rate(jinxin)
-    starts = np.linspace(-10, 10, 10)
-    paths = []
-    for j in (0, 1):
-        fam = trace_many(jinxin_run, j, starts)
-        accumulate_H(fam, jinxin_run)
-        paths.extend(fam)
+    paths = trace_many(jinxin_run, (0, 1), np.linspace(-10, 10, 10))
+    accumulate_H(paths, jinxin_run)
     rep = verify_H_bound(paths, dr.theta_E, source=profile_source(jinxin, jinxin_profile),
                          compare_horizon=10.0)
     assert np.isfinite(rep.C_emp_overall)
@@ -202,9 +264,7 @@ def test_C_theory_of_an_anti_damped_core():
     assert np.max(np.abs(source.E_diag - closed)) <= 1e-12
     assert np.max(closed) == pytest.approx(0.2708, abs=1e-4)
     theta_E = damping_rate(model).theta_E
-    paths = [CharPath(family=j, x0=0.0, times=np.linspace(0.0, 1.0, 5),
-                      positions=np.zeros(5), velocities=np.zeros(5), H=np.zeros(5))
-             for j in (0, 1)]
+    paths = _record(np.linspace(0.0, 1.0, 5), (0, 1), H=np.zeros((5, 2)))
     rep = verify_H_bound(paths, theta_E, source=source)
     for j in (0, 1):
         want = np.trapezoid(np.maximum(closed[:, j] + theta_E, 0.0), prof.grid) / 2.0
@@ -346,15 +406,63 @@ def test_duhamel_residual_builds_one_stepper(jinxin, jinxin_profile, monkeypatch
     traj = evolve(jinxin, jinxin_profile, pert, ShiftSpec(kind="zero"),
                   T=2.0, backend="moc", dx=0.04, n_out=4)
     for j, x0 in ((0, 2.0), (1, -3.0)):
-        duhamel_residual(traj, trace_many(traj, j, [x0])[0])
+        duhamel_residual(traj, trace_many(traj, j, [x0]))
     # the evolution's own, not one more for the trajectory or per output time and path
     assert len(built) == 1
 
 
 def test_duhamel_consistency(jinxin_run):
-    p = trace_many(jinxin_run, 1, [-30.0])[0]
-    accumulate_H([p], jinxin_run)
-    assert duhamel_residual(jinxin_run, p) <= 1e-4
+    p = trace_many(jinxin_run, 1, [-30.0])
+    accumulate_H(p, jinxin_run)
+    worst = duhamel_residual(jinxin_run, p)
+    assert worst.shape == (1,) and worst[0] <= 1e-4
+
+
+def _duhamel_by_path(traj, paths, p):
+    """The worst Duhamel mismatch of path p as one loop over its output
+    times, with the family's Phi and G fields on their own; it stops at the
+    first output time by which the path has left the grid."""
+    j = paths.family[p]
+    Phi, G = [], []
+    for i in range(traj.n_times):
+        sf = traj.source_field(i)
+        F, forcing = traj.stepper.forcing(
+            traj.states[i], traj.perturbed_states(i), float(traj.times[i]), sf.frames,
+            sf.E_diag.T, None if sf.frames.constant else sf.transport)
+        Phi.append(F[j])
+        G.append(forcing[j])
+    times, x, H = paths.times, paths.positions[:, p], paths.H[:, p]
+    Phi = characteristics._FieldInterp(traj, Phi)
+    G_path = characteristics._FieldInterp(traj, G).eval(times, x)
+    n_sub = (len(times) - 1) // (traj.n_times - 1)
+    phi0 = Phi.eval(0.0, paths.x0[p])
+    worst = 0.0
+    for m in range(traj.n_times):
+        k = m * n_sub
+        if np.any(np.abs(x[:k + 1]) > paths.grid_half_width):
+            break
+        integral = np.trapezoid(np.exp(H[k] - H[:k + 1]) * G_path[:k + 1],
+                                times[:k + 1]) if k else 0.0
+        worst = max(worst, abs(phi0 * np.exp(H[k]) + integral - Phi.eval(times[k], x[k])))
+    return worst
+
+
+@pytest.mark.parametrize("run", ["jinxin_run", "varA_run"])
+def test_stacked_duhamel_residual_matches_per_path_loop(run, request):
+    # paths of both families that stay inside, that leave the grid, and that
+    # start beyond it; the stacked trapezoid sums in another order, so the
+    # two agree to rounding of the reconstructed field, not bit for bit
+    traj = request.getfixturevalue(run)
+    X = float(traj.grid[-1])
+    paths = trace_many(traj, (0, 1), [-X - 1.0, -X + 0.5, -2.0, 0.0, 3.0, X - 0.5, np.nan])
+    worst = duhamel_residual(traj, paths)
+    assert paths.H is not None and worst.shape == (14,)
+    # a NaN start reads NaN, where a loop over Python's max would read 0
+    assert np.isnan(worst).tolist() == [False] * 6 + [True] + [False] * 6 + [True]
+    want = np.array([_duhamel_by_path(traj, paths, p) for p in range(14)])
+    finite = np.isfinite(paths.x0)
+    assert np.isfinite(paths.exit_times()).any() and (want > 0.0).any()
+    assert np.allclose(worst[finite], want[finite], rtol=0.0, atol=1e-14)
 
 
 # --- array field evaluator -------------------------------------------------------
@@ -421,15 +529,14 @@ def test_H_increments_beyond_grid_use_endstate_source(jinxin_run):
     E_minus, E_plus = jinxin_run.endstate_E_diag
     X = float(jinxin_run.grid[-1])
     seen = set()
-    for j in (0, 1):
-        paths = trace_many(jinxin_run, j, [-30.0, 30.0])
-        for p, H in zip(paths, accumulate_H(paths, jinxin_run)):
-            x, s = p.positions, p.times
-            for k in range(1, len(s)):
-                for side, E in ((-1.0, E_minus[j]), (1.0, E_plus[j])):
-                    if side * x[k - 1] > X and side * x[k] > X:
-                        seen.add(side)
-                        assert H[k] == H[k - 1] + 0.5 * (E + E) * (s[k] - s[k - 1])
+    paths = trace_many(jinxin_run, (0, 1), [-30.0, 30.0])
+    s = paths.times
+    for j, x, H in zip(paths.family, paths.positions.T, accumulate_H(paths, jinxin_run).T):
+        for k in range(1, len(s)):
+            for side, E in ((-1.0, E_minus[j]), (1.0, E_plus[j])):
+                if side * x[k - 1] > X and side * x[k] > X:
+                    seen.add(side)
+                    assert H[k] == H[k - 1] + 0.5 * (E + E) * (s[k] - s[k - 1])
     assert seen == {-1.0, 1.0}
 
 
@@ -442,26 +549,26 @@ def test_accumulate_H_evaluates_the_field_in_one_batch(jinxin_run, monkeypatch):
 
     paths = trace_many(jinxin_run, (0, 1), np.linspace(-10.0, 10.0, 7))
     monkeypatch.setattr(characteristics, "_cubic_lagrange", counted)
-    for batch in (paths, paths[:7], paths[3:9]):
+    for batch in (paths, _select(paths, slice(7)), _select(paths, slice(3, 9))):
         calls.clear()
         accumulate_H(batch, jinxin_run)
-        shape = (2, len(batch[0].times), len(batch))
+        shape = (2, len(batch.times), len(batch.family))
         assert shape[1] > 100
         assert calls == [shape]  # one call, both output rows, for every path
 
 
-def _per_path_H(path, traj):
-    """H of one path on its own: the family's field read along this path
+def _per_path_H(paths, p, traj):
+    """H of path p on its own: the family's field read along this path
     alone, then one cumulative sum.  The batched accumulation must reproduce
     it bit for bit."""
-    j = path.family
+    j = paths.family[p]
     E = characteristics._FieldInterp(traj, [traj.source_field(i).E_diag[:, j]
                                             for i in range(traj.n_times)])
     E_minus, E_plus = traj.endstate_E_diag
-    X, x = path.grid_half_width, path.positions
-    vals = np.where(x < -X, E_minus[j], np.where(x > X, E_plus[j], E.eval(path.times, x)))
+    X, x = paths.grid_half_width, paths.positions[:, p]
+    vals = np.where(x < -X, E_minus[j], np.where(x > X, E_plus[j], E.eval(paths.times, x)))
     return np.concatenate([[0.0], np.cumsum(
-        0.5 * (vals[1:] + vals[:-1]) * np.diff(path.times))])
+        0.5 * (vals[1:] + vals[:-1]) * np.diff(paths.times))])
 
 
 @pytest.mark.parametrize("run", ["jinxin_run", "varA_run", "anti_damped_moc"])
@@ -473,15 +580,14 @@ def test_batched_H_matches_per_path_H(run, request):
     starts = np.concatenate([[-X + 0.5, X - 0.5], np.linspace(-0.6 * X, 0.6 * X, 9)])
     paths = trace_many(traj, range(traj.model.N), starts)
     H = accumulate_H(paths, traj)
-    assert H.shape == (len(paths), len(paths[0].times))
-    for p, h in zip(paths, H):
-        assert np.array_equal(p.H, _per_path_H(p, traj))
-        assert np.array_equal(h, p.H)
+    assert H is paths.H and H.shape == (len(paths.times), traj.model.N * len(starts))
+    for p in range(H.shape[1]):
+        assert np.array_equal(H[:, p], _per_path_H(paths, p, traj))
     for j in range(traj.model.N):
-        rows = slice(j * len(starts), (j + 1) * len(starts))
-        assert np.array_equal(accumulate_H(trace_many(traj, j, starts), traj), H[rows])
-    order = np.random.default_rng(5).permutation(len(paths))  # families interleaved
-    assert np.array_equal(accumulate_H([paths[i] for i in order], traj), H[order])
+        columns = slice(j * len(starts), (j + 1) * len(starts))
+        assert np.array_equal(accumulate_H(trace_many(traj, j, starts), traj), H[:, columns])
+    order = np.random.default_rng(5).permutation(H.shape[1])  # families interleaved
+    assert np.array_equal(accumulate_H(_select(paths, order), traj), H[:, order])
 
 
 def _anti_damped_run(backend):
@@ -518,8 +624,8 @@ def test_source_series_readers_match_each_source_field(run, request):
     for j in range(traj.model.N):
         paths = trace_many(traj, j, np.linspace(-0.6 * X, 0.6 * X, 7))
         accumulate_H(paths, traj)
-        for p in paths:
-            assert np.array_equal(p.H, _per_path_H(p, traj))
+        for p in range(7):
+            assert np.array_equal(paths.H[:, p], _per_path_H(paths, p, traj))
     for R in (0.0, 2.0, 0.5 * X):
         mask = np.abs(traj.grid) >= R
         want = max(float(np.max(sf.E_diag[mask])) for sf in fields)
@@ -561,16 +667,6 @@ def test_scan_slices_match_the_mask_bit_for_bit(data):
     if want != 0.0 or zeros.all() or not zeros.any():
         # a zero sup attained by both +0 and -0 has no defined sign
         assert np.signbit(got) == np.signbit(want)
-
-
-def test_accumulate_H_rejects_mismatched_sample_times(jinxin_run):
-    paths = [trace_many(jinxin_run, j, [0.0], n_sub=n_sub)[0] for j, n_sub in ((0, 4), (1, 2))]
-    with pytest.raises(InvalidParam):
-        accumulate_H(paths, jinxin_run)
-    shorter = dataclasses.replace(paths[0], times=paths[0].times[:-1],
-                                  positions=paths[0].positions[:-1])
-    with pytest.raises(InvalidParam):
-        accumulate_H([trace_many(jinxin_run, 0, [1.0])[0], shorter], jinxin_run)
 
 
 # --- the batched tracer against a scalar-time recurrence -------------------------
@@ -624,18 +720,23 @@ def test_batched_trace_matches_scalar_recurrence(run, n_sub, request):
         warnings.simplefilter("error")  # a NaN start reads NaN, and warns of nothing
         paths = trace_many(traj, range(traj.model.N), starts, n_sub=n_sub)
         singles = [trace_many(traj, j, starts, n_sub=n_sub) for j in range(traj.model.N)]
-        scalar = [_scalar_rk2(traj, p.family, p.x0, n_sub) for p in paths]
-    assert [p.family for p in paths] == [j for j in range(traj.model.N) for _ in starts]
-    assert np.array_equal([p.x0 for p in paths], np.tile(starts, traj.model.N), equal_nan=True)
-    for p, (ts, xs, vs) in zip(paths, scalar):
-        assert np.array_equal(p.times, ts)
-        assert np.array_equal(p.positions, xs, equal_nan=True)
-        assert np.array_equal(p.velocities, vs, equal_nan=True)
-    assert all(np.isnan(p.positions).all() for p in paths if np.isnan(p.x0))
-    left = [p for p in paths if abs(p.x0) == X - 0.2 and p.exit_time is not None]
-    assert left  # some edge start leaves the grid
+        scalar = [_scalar_rk2(traj, j, x0, n_sub) for j, x0 in zip(paths.family, paths.x0)]
+    assert paths.family.tolist() == [j for j in range(traj.model.N) for _ in starts]
+    assert np.array_equal(paths.x0, np.tile(starts, traj.model.N), equal_nan=True)
+    # views of the tracer's (sample, family, start) arrays, not copies
+    for field in (paths.positions, paths.velocities):
+        assert field.base.shape == (len(paths.times), traj.model.N, len(starts))
+    for p, (ts, xs, vs) in enumerate(scalar):
+        assert np.array_equal(paths.times, ts)
+        assert np.array_equal(paths.positions[:, p], xs, equal_nan=True)
+        assert np.array_equal(paths.velocities[:, p], vs, equal_nan=True)
+    assert np.isnan(paths.positions[:, np.isnan(paths.x0)]).all()
+    edge = np.abs(paths.x0) == X - 0.2
+    assert np.isfinite(paths.exit_times()[edge]).any()  # some edge start leaves the grid
     for j, single in enumerate(singles):
-        for a, b in zip(single, paths[j * len(starts):(j + 1) * len(starts)], strict=True):
-            assert a.family == b.family == j
-            for name in ("times", "positions", "velocities"):
-                assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+        columns = slice(j * len(starts), (j + 1) * len(starts))
+        assert np.array_equal(single.family, paths.family[columns])
+        assert np.array_equal(single.times, paths.times)
+        for name in ("positions", "velocities"):
+            assert np.array_equal(getattr(single, name), getattr(paths, name)[:, columns],
+                                  equal_nan=True)

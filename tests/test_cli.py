@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from relaxdamp import characteristics, cli, config, dynamics, eigenframe
+from relaxdamp import damping_verifier as dv
 from relaxdamp.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
@@ -272,8 +273,8 @@ def test_verify_nan_H_exits_3(tmp_path, monkeypatch, which):
 
     def nan_tail(paths, traj):
         H = accumulate_H(paths, traj)
-        path = paths[which]
-        path.H = np.where(path.times > 0.5 * path.times[-1], np.nan, path.H)
+        paths.H[:, which] = np.where(paths.times > 0.5 * paths.times[-1], np.nan,
+                                     paths.H[:, which])
         return H
 
     monkeypatch.setattr(characteristics, "accumulate_H", nan_tail)
@@ -286,6 +287,23 @@ def test_verify_nan_H_exits_3(tmp_path, monkeypatch, which):
     assert np.isnan(h_bound["C_emp_overall"]) and np.isfinite(h_bound["C_emp_half_horizon"])
     damping = json.loads((tmp_path / "damping.json").read_text())
     assert damping["certification_failures"] == [f"H-bound: {message}"]
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_nan_weight_reaches_damping_json(tmp_path, monkeypatch, which):
+    # a NaN residual or weight of either family is written, in any family order
+    weight_fn = dv.weight_fn
+
+    def nan_family(*args, **kwargs):
+        weights = weight_fn(*args, **kwargs)
+        weights.ode_residual[which] = np.nan
+        weights.values[which, 3] = np.nan
+        return weights
+
+    monkeypatch.setattr(dv, "weight_fn", nan_family)
+    run("verify", config_from_dict(TINY), out_dir=str(tmp_path))
+    weights = json.loads((tmp_path / "damping.json").read_text())["weights"]
+    assert np.isnan(weights["ode_residual"]) and np.isnan(weights["min_alpha"])
 
 
 def test_verify_zero_perturbation_has_no_energy_ratio(tmp_path):
@@ -530,17 +548,25 @@ VARA = {
 
 @pytest.mark.parametrize("payload", [TINY, VARA], ids=["tiny", "varA"])
 def test_all_traces_every_family_in_one_pass(tmp_path, monkeypatch, payload):
-    calls = {"trace_many": [], "accumulate_H": []}
+    calls = {"trace_many": [], "accumulate_H": [], "verify_H_bound": []}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(characteristics, name), **kwargs):
             calls[_name].append(args)
             return _original(*args, **kwargs)
         monkeypatch.setattr(characteristics, name, counted)
     assert run("all", config_from_dict(payload), out_dir=str(tmp_path)) == EXIT_OK
-    assert len(calls["trace_many"]) == len(calls["accumulate_H"]) == 1
+    assert [len(args) for args in calls.values()] == [1, 1, 1]
     n_paths = payload["verify"]["n_paths"]
     paths = calls["accumulate_H"][0][0]
-    assert [p.family for p in paths] == [j for j in (0, 1) for _ in range(n_paths)]
+    assert paths is calls["verify_H_bound"][0][0]  # one record from tracer to H-bound
+    assert paths.family.tolist() == [j for j in (0, 1) for _ in range(n_paths)]
+    assert paths.H.shape == (len(paths.times), 2 * n_paths)
+    rows = (tmp_path / "characteristics.csv").read_text().splitlines()
+    n_sub = config_from_dict(payload).verify_cfg["n_sub"]
+    assert len(rows) == 1 + 2 * n_paths * len(paths.times[::n_sub])
+    j, x0, s, X, H = rows[-1].split(",")
+    assert j == "2" and float(x0) == paths.x0[-1] and float(s) == paths.times[-1]
+    assert float(X) == paths.positions[-1, -1] and float(H) == paths.H[-1, -1]
 
 
 @pytest.mark.parametrize("backend", ["moc", "reference"])
@@ -609,6 +635,35 @@ def test_malformed_config_exits_2_at_its_key(tmp_path, capsys, payload, key_path
     path = write_config(tmp_path, payload)
     assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err.rstrip().endswith(f" at {key_path}")
+
+
+_DIAGONAL_3 = {"kind": "custom", "N": 3, "A": [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                               [0.0, 0.0, 2.0]],
+               "q": [0.0, 0.0, 0.0], "U_minus": [0.0] * 3, "U_plus": [0.0] * 3}
+
+
+@pytest.mark.parametrize("model", [{"kind": "jinxin"}, _JINXIN_BY_HAND, _DIAGONAL_3],
+                         ids=["jinxin", "custom2", "custom3"])
+@pytest.mark.parametrize("key", ["direction", "d_minus", "d_plus"])
+def test_state_vector_of_the_wrong_length_exits_2(tmp_path, capsys, model, key):
+    # a perturbation vector must have the model's N entries (2 for jinxin);
+    # one of the wrong length is refused at its key, before any stage runs
+    n = model.get("N", 2)
+    kind = "gaussian" if key == "direction" else "offset"
+    right = {"kind": kind, "direction": [1.0] + [0.0] * (n - 1),
+             "d_minus": [1e-3] * n, "d_plus": [-1e-3] * n}
+    config_from_dict({"model": model, "dynamics": {"perturbation": right}})
+    for length in (n - 1, n + 1):
+        wrong = {**right, key: [1e-3] * length}
+        path = write_config(tmp_path, {"model": model, "dynamics": {"perturbation": wrong}})
+        out = tmp_path / f"out{length}"
+        assert main(["all", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.rstrip()
+        assert err.endswith(f"must be a list of {n} numbers at dynamics.perturbation.{key}"
+                            if key == "direction" else
+                            f"needs {key} as a list of {n} numbers "
+                            f"at dynamics.perturbation.{key}")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("given, missing", [("C_alpha", "c_alpha"), ("c_alpha", "C_alpha")])

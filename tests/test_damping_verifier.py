@@ -149,18 +149,19 @@ def test_trapezoid4_matches_weighted_sum_bit_for_bit(y, dx):
 def test_weight_constant_speed_closed_form(jinxin, jinxin_profile):
     # family 1 has lambda = +2 everywhere; alpha decays by exp of the
     # antiderivative of e^{-c|x|}: total log drop 2C/(c lambda) (1 - e^{-cX})
-    wf = weight_fn(jinxin, jinxin_profile, C_alpha=1.0, c_alpha=0.25)[1]
+    wf = weight_fn(jinxin, jinxin_profile, C_alpha=1.0, c_alpha=0.25)
+    alpha = wf.values[1]
     drop = (1.0 / (0.25 * 2.0)) * 2.0 * (1.0 - np.exp(-0.25 * 40.0))
-    assert wf.values.max() == pytest.approx(1.0)
-    assert wf.values.min() == pytest.approx(np.exp(-drop), rel=1e-10)
-    assert wf.ode_residual <= 1e-10
-    assert 0.0 < wf.values.min() < wf.values.max()
+    assert alpha.max() == pytest.approx(1.0)
+    assert alpha.min() == pytest.approx(np.exp(-drop), rel=1e-10)
+    assert wf.ode_residual[1] <= 1e-10
+    assert 0.0 < alpha.min() < alpha.max()
 
 
 def test_weight_lower_bound(jinxin, jinxin_profile):
     for j, C, c in ((0, 2.0, 0.1), (1, 1.0, 0.25)):
-        wf = weight_fn(jinxin, jinxin_profile, C, c)[j]
-        assert wf.values.min() >= np.exp(-2.0 * C / (c * 2.0)) * (1.0 - 1e-12)
+        alpha = weight_fn(jinxin, jinxin_profile, C, c).values[j]
+        assert alpha.min() >= np.exp(-2.0 * C / (c * 2.0)) * (1.0 - 1e-12)
 
 
 def test_non_decaying_tail_fit_names_side_order_and_rate():
@@ -286,20 +287,22 @@ def test_weights_match_per_family_eigvals(case, request):
         model, prof = request.getfixturevalue("vara_profile")
     Ca, ca = default_weight_constants(prof)
     weights = weight_fn(model, prof, Ca, ca)
-    assert [w.family for w in weights] == list(range(model.N))
+    assert weights.values.shape == (model.N, len(prof.grid))
+    assert weights.ode_residual.shape == (model.N,)
     if model.A_is_constant:  # one decomposition: the eigvals oracle holds bit for bit
         oracles = [(_weights_per_family(model, prof, Ca, ca), 0.0)]
     else:  # closed-form eigenvalues: bit for bit against them, rounding against eigvals
         oracles = [(_weights_per_family(model, prof, Ca, ca, _closed_form_spectrum), 0.0),
                    (_weights_per_family(model, prof, Ca, ca), 1e-13)]
     for oracle, rtol in oracles:
-        for w, (alpha, resid) in zip(weights, oracle):
+        for values, residual, (alpha, resid) in zip(weights.values, weights.ode_residual,
+                                                    oracle, strict=True):
             if rtol == 0.0:
-                assert np.array_equal(w.values, alpha)
-                assert w.ode_residual == resid
+                assert np.array_equal(values, alpha)
+                assert residual == resid
             else:
-                assert np.allclose(w.values, alpha, rtol=rtol, atol=0.0)
-                assert w.ode_residual == pytest.approx(resid, abs=1e-15)
+                assert np.allclose(values, alpha, rtol=rtol, atol=0.0)
+                assert residual == pytest.approx(resid, abs=1e-15)
 
 
 def test_weight_fn_takes_no_eigvals_for_state_dependent_2x2(vara_profile, monkeypatch):
@@ -311,7 +314,7 @@ def test_weight_fn_takes_no_eigvals_for_state_dependent_2x2(vara_profile, monkey
 
     for name in ("eigvals", "eig"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    assert len(weight_fn(model, prof, *default_weight_constants(prof))) == 2
+    assert weight_fn(model, prof, *default_weight_constants(prof)).values.shape[0] == 2
 
 
 # --- energies ----------------------------------------------------------------

@@ -283,9 +283,9 @@ def test_state_dependent_A_equilibrium_and_duhamel(varA, backend):
     pert = PerturbationSpec(kind="offset", d_minus=(2e-3, 0.0), d_plus=(-2e-3, 0.0))
     traj = evolve(model, prof, pert, ShiftSpec(kind="zero"), T=1.0,
                   backend=backend, dx=0.05, n_out=4)
-    p = trace_many(traj, 0, [0.0])[0]
-    accumulate_H([p], traj)
-    assert duhamel_residual(traj, p) <= 1e-5
+    p = trace_many(traj, 0, [0.0])
+    accumulate_H(p, traj)
+    assert duhamel_residual(traj, p)[0] <= 1e-5
 
 
 def test_state_dependent_2x2_evolve_calls_no_lapack_per_step(varA, monkeypatch):
@@ -622,7 +622,7 @@ def _per_family_node_step(stepper, snap, dt):
     traced and each of its fields padded and interpolated on its own."""
     Ut = stepper.Ubar + snap.U
     frames = stepper._frames(Ut)
-    sf = transformed_source(stepper.model, stepper.grid, Ut, frames=frames, with_theta=False)
+    sf = transformed_source(stepper.model, stepper.grid, Ut, frames=frames)
     E = sf.E_diag.T
     Phi, G = stepper.forcing(snap.U, Ut, snap.t, frames, E, sf.transport)
     return _per_family_feet_update(stepper, snap, dt, frames, Phi, E, G)
