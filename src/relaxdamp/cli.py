@@ -333,6 +333,8 @@ def stage_verify(cfg: Config, out: Path) -> int:
         Ca, ca = dv.default_weight_constants(prof)
     weights = dv.weight_fn(model, prof, Ca, ca, grid=traj.grid)
     energies = dv.weighted_energy_series(traj, weights, dr.theta_E)
+    certification_failures += [f"weighted energy: non-finite energy for family {j + 1}"
+                               for j in np.flatnonzero(~np.isfinite(energies.energies).all(0))]
 
     def table_payload(tab):
         payload = {

@@ -325,6 +325,13 @@ def _validate(raw: dict) -> None:
             _require(isinstance(box, list) and len(box) == 2
                      and all(_is_numbers(side, n) for side in box),
                      f"state_box must be two lists of {n} numbers", "model.state_box")
+            lo, hi = box
+            _require(all(a < b for a, b in zip(lo, hi)),
+                     "state_box needs lo < hi in every component", "model.state_box")
+            for key in ("U_minus", "U_plus"):
+                _require(mc.get(key) is None
+                         or all(a <= u <= b for a, u, b in zip(lo, mc[key], hi)),
+                         f"state_box must contain {key}", "model.state_box")
         _check_number(mc.get("shock_speed", 0.0), "model.shock_speed")
 
     pc = raw["profile"]

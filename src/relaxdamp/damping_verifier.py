@@ -13,6 +13,7 @@ the L^2/H^2 variants).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,8 +197,10 @@ class EnergySeries:
 
     @property
     def ratio(self) -> list[float | None]:
-        """e_j(T) / e_j(0) per family; None for a family with e_j(0) = 0."""
-        return [float(final / initial) if initial > 0.0 else None
+        """e_j(T) / e_j(0) per family: NaN when either energy is not finite,
+        None for a family with e_j(0) = 0."""
+        return [float("nan") if not (math.isfinite(initial) and math.isfinite(final))
+                else float(final / initial) if initial > 0.0 else None
                 for initial, final in zip(self.energies[0], self.energies[-1])]
 
 
@@ -207,7 +210,7 @@ def weighted_energy_series(traj: Trajectory, weights: Weights,
 
     The differential inequality de_j/dt <= -2 theta_E e_j + K (|ddelta| +
     ||Phi||_L2^2) is checked with the smallest constant K that makes it hold
-    at every interior output time.
+    at every interior output time; a NaN excess over that bound makes K NaN.
     """
     if weights.grid.shape != traj.grid.shape or not np.allclose(weights.grid, traj.grid):
         raise InvalidParam("weights and trajectory live on different grids")
@@ -226,7 +229,7 @@ def weighted_energy_series(traj: Trajectory, weights: Weights,
     forcing = dd + phi_l2sq
     excess = rates + 2.0 * theta_E * e
     with np.errstate(divide="ignore", invalid="ignore"):
-        need = np.where(excess > 0.0, excess / forcing[:, None], 0.0)
+        need = np.where(excess <= 0.0, 0.0, excess / forcing[:, None])
     interior = slice(1, -1)  # one-sided end differences are not second order
     K = float(np.max(need[interior])) if traj.n_times > 2 else 0.0
     return EnergySeries(times=times, energies=e, rates=rates, slack_constant=K)

@@ -8,12 +8,17 @@ solution lookup; ``ivp.py`` for the event test) and of the Brent root search
 (``optimize/Zeros/brentq.c``) that locates events on a step's dense output.
 The same tableau, the same ``np.dot`` calls and the same order of floating
 point operations give the same steps, event times and dense values as scipy,
-bit for bit, with numpy alone.  Only forward integration of real states is
-supported.
+bit for bit, with numpy alone.  The bookkeeping around those calls runs on
+Python floats, which round as numpy's scalars do: the RMS norm is
+``np.linalg.norm``'s own sqrt(x . x) through ``math.sqrt``, the smallest
+step comes from ``math.nextafter``, the event signs are compared one event
+at a time, and the stage rows of the tableau are sliced once, at import.
+Only forward integration of real states is supported.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -48,6 +53,8 @@ P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 N_STAGES = 6
+# (stage, its row of A, its time in the step) for the stages after the first
+STAGES = tuple((s, A[s, :s], float(C[s])) for s in range(1, N_STAGES))
 ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
 
 SAFETY = 0.9
@@ -64,15 +71,16 @@ MESSAGES = {
 }
 
 
-def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size ** 0.5
+def _rms(x: np.ndarray) -> float:
+    """RMS of a 1-D x: np.linalg.norm's own sqrt(x . x), over sqrt(size)."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _rk_step(fun, t, y, f, h, K):
     """One Dormand-Prince step of size h; the stages go to the rows of K."""
     K[0] = f
-    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
+    for s, a, c in STAGES:
+        dy = np.dot(K[:s].T, a) * h
         K[s] = fun(t + c * h, y + dy)
     y_new = y + h * np.dot(K[:-1].T, B)
     f_new = fun(t + h, y_new)
@@ -102,7 +110,7 @@ def _step(fun, t, y, f, h_abs, t_bound, rtol, atol, K):
     Returns the new time, state and slope and the next proposed size, or
     None once the size falls under ten spacings of floats at t.
     """
-    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+    min_step = 10 * abs(math.nextafter(t, math.inf) - t)
     h_abs = max(h_abs, min_step)
     rejected = False
     while h_abs >= min_step:
@@ -195,14 +203,11 @@ class Shot:
     message: str
 
 
-def _active_events(g, g_new, direction) -> np.ndarray:
-    """Indices of the events whose sign changed over a step in their direction."""
-    g, g_new = np.asarray(g), np.asarray(g_new)
-    up = (g <= 0) & (g_new >= 0)
-    down = (g >= 0) & (g_new <= 0)
-    either = up | down
-    mask = up & (direction > 0) | down & (direction < 0) | either & (direction == 0)
-    return np.nonzero(mask)[0]
+def _active_events(g, g_new, direction) -> list:
+    """Indices of the events whose sign changed over a step in their direction:
+    up (g <= 0 <= g_new) for direction >= 0, down (g >= 0 >= g_new) for <= 0."""
+    return [i for i, (a, b, d) in enumerate(zip(g, g_new, direction))
+            if d >= 0 and a <= 0 <= b or d <= 0 and a >= 0 >= b]
 
 
 def brentq(f, xa: float, xb: float) -> float:
@@ -274,7 +279,7 @@ def shoot(fun, t_span, y0, rtol: float, atol, events=(), until=None) -> Shot:
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound - t, rtol, atol)
     K = np.empty((N_STAGES + 1, y.size))
-    direction = np.array([getattr(event, "direction", 0) for event in events], dtype=float)
+    direction = [float(getattr(event, "direction", 0)) for event in events]
     terminal = np.array([bool(getattr(event, "terminal", False)) for event in events])
     g = [event(t, y) for event in events]
     t_events = [[] for _ in events]
@@ -295,7 +300,8 @@ def shoot(fun, t_span, y0, rtol: float, atol, events=(), until=None) -> Shot:
 
         g_new = [event(t, y) for event in events]
         active = _active_events(g, g_new, direction)
-        if active.size:
+        if active:
+            active = np.array(active)
             roots = np.asarray([brentq(lambda s, event=events[i]: event(s, piece(s)), t_old, t)
                                 for i in active])
             if terminal[active].any():

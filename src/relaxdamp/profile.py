@@ -144,8 +144,43 @@ class ProfileRep:
 
 
 def ode_rhs(model: ModelSpec, U: np.ndarray) -> np.ndarray:
-    """Profile ODE right-hand side g(U) = A(U)^{-1} q(U)."""
-    return np.linalg.solve(model.A_at(U), model.q_at(U))
+    """Profile ODE right-hand side g(U) = A(U)^{-1} q(U) at one state U (N,).
+
+    For N = 2 the entries are evaluated on the floats of U, the loop
+    ``A_at`` and ``q_at`` run for one state, and ``_solve_2x2`` solves.
+    """
+    if model.N != 2:
+        return np.linalg.solve(model.A_at(U), model.q_at(U))
+    u = U.tolist()
+    (a11, a12), (a21, a22) = [[p.at(u) for p in row] for row in model.A_entries]
+    b1, b2 = [p.at(u) for p in model.q_entries]
+    return _solve_2x2(a11, a12, a21, a22, b1, b2)
+
+
+def _solve_2x2(a11: float, a12: float, a21: float, a22: float,
+               b1: float, b2: float) -> np.ndarray:
+    """x solving [[a11, a12], [a21, a22]] x = (b1, b2) in LAPACK's order.
+
+    Partial pivoting swaps the rows only if |a21| > |a11|; then l =
+    a21 (1/a11), u22 = a22 - l a12, x2 = (b2 - l b1)/u22 and x1 = (b1 -
+    a12 x2)/a11.  LAPACK fuses the products l b1 and a12 x2 of the two
+    substitutions into multiply-adds, which this rounds apart, so its bits
+    are those of ``np.linalg.solve`` whenever both products are exact, as
+    when they vanish for a diagonal or an anti-diagonal A, such as the
+    [[0, 1], [c^2, 0]] of a Jin-Xin shock at s = 0.  Otherwise they may
+    differ in the last bits.
+    An exact zero pivot raises LinAlgError, as ``np.linalg.solve`` does.
+    """
+    if abs(a21) > abs(a11):
+        a11, a12, a21, a22, b1, b2 = a21, a22, a11, a12, b2, b1
+    if a11 == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    l21 = a21 * (1.0 / a11)
+    u22 = a22 - l21 * a12
+    if u22 == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    x2 = (b2 - l21 * b1) / u22
+    return np.array([(b1 - a12 * x2) / a11, x2])
 
 
 def _rhs_and_jacobian(model: ModelSpec, U: np.ndarray):

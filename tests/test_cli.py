@@ -306,6 +306,29 @@ def test_nan_weight_reaches_damping_json(tmp_path, monkeypatch, which):
     assert np.isnan(weights["ode_residual"]) and np.isnan(weights["min_alpha"])
 
 
+@pytest.mark.parametrize("which", [0, 1])
+def test_nan_weighted_energy_exits_3(tmp_path, monkeypatch, which):
+    # a NaN weight makes one family's energies NaN: its ratio and the slack
+    # constant are NaN, not null and not the other family's finite slack,
+    # and the run fails certification naming the family
+    weight_fn = dv.weight_fn
+
+    def nan_weight(*args, **kwargs):
+        weights = weight_fn(*args, **kwargs)
+        weights.values[which, 3] = np.nan
+        return weights
+
+    monkeypatch.setattr(dv, "weight_fn", nan_weight)
+    assert run("all", config_from_dict(TINY), out_dir=str(tmp_path)) == EXIT_CERTIFICATION
+    damping = json.loads((tmp_path / "damping.json").read_text())
+    energy = damping["weighted_energy"]
+    assert np.isnan(energy["initial"][which]) and np.isnan(energy["final"][which])
+    assert np.isnan(energy["ratio"][which]) and np.isfinite(energy["ratio"][1 - which])
+    assert np.isnan(energy["slack_constant"])
+    assert damping["certification_failures"] == [
+        f"weighted energy: non-finite energy for family {which + 1}"]
+
+
 def test_verify_zero_perturbation_has_no_energy_ratio(tmp_path):
     # every family starts (and stays) at zero energy, and every table is degenerate
     cfg = config_from_dict({
@@ -664,6 +687,45 @@ def test_state_vector_of_the_wrong_length_exits_2(tmp_path, capsys, model, key):
                             f"needs {key} as a list of {n} numbers "
                             f"at dynamics.perturbation.{key}")
         assert not out.exists()
+
+
+_VARA = {"kind": "custom", "name": "jinxin-varA", "N": 2,
+         "A": [[0.0, 1.0], [[[4.0, [0, 0]], [0.2, [1, 0]]], 0.0]],
+         "q": [0.0, [[0.5, [2, 0]], [-1.0, [0, 1]]]],
+         "U_minus": [1.0, 0.5], "U_plus": [-1.0, 0.5]}
+
+
+@pytest.mark.parametrize("box, message", [
+    ([[2.0, 2.0], [-2.0, -1.0]], "state_box needs lo < hi in every component"),
+    ([[-2.0, 0.5], [2.0, 0.5]], "state_box needs lo < hi in every component"),
+    ([[5.0, 5.0], [6.0, 6.0]], "state_box must contain U_minus"),
+    ([[-2.0, 0.0], [0.5, 1.0]], "state_box must contain U_minus"),
+    ([[-0.5, 0.0], [2.0, 1.0]], "state_box must contain U_plus"),
+], ids=["reversed", "flat", "disjoint", "misses-minus", "misses-plus"])
+def test_state_box_that_is_empty_or_misses_an_endstate_exits_2(tmp_path, capsys, box,
+                                                               message):
+    # a reversed box disarms the shot's divergence guard, and a box away
+    # from the endstates takes C_lip on states the run never visits
+    path = write_config(tmp_path, {"model": {**_VARA, "state_box": box}})
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.rstrip().endswith(f"{message} at model.state_box")
+    assert not out.exists()
+
+
+def test_padded_and_touching_state_boxes_pass():
+    # the default padded box, given explicitly, and a box whose faces hold
+    # the endstates are both admissible
+    from relaxdamp.model import _padded_box
+
+    lo, hi = _padded_box([_VARA["U_minus"], _VARA["U_plus"]])
+    for box in ([lo.tolist(), hi.tolist()], [[-1.0, 0.0], [1.0, 1.0]]):
+        cfg = config_from_dict({"model": {**_VARA, "state_box": box}})
+        assert cfg.model.state_box[0].tolist() == box[0]
+    default = config_from_dict({"model": _VARA}).model.state_box
+    assert default[0].tolist() == lo.tolist() and default[1].tolist() == hi.tolist()
+    jinxin = config_from_dict({}).model
+    assert jinxin.in_box(jinxin.U_minus) and jinxin.in_box(jinxin.U_plus)
 
 
 @pytest.mark.parametrize("given, missing", [("C_alpha", "c_alpha"), ("c_alpha", "C_alpha")])

@@ -20,7 +20,8 @@ CASES = sorted(path.name.removesuffix(".config.json") for path in GOLDEN.glob("*
 
 
 def test_every_case_has_a_digest():
-    assert CASES == ["default-T8", "jinxin-dense-ref", "jinxin-moc", "varA-moc"]
+    assert CASES == ["default-T8", "jinxin-dense-ref", "jinxin-moc", "jinxin-moving-T8",
+                     "varA-moc"]
     assert all((GOLDEN / f"{name}.digest.json").is_file() for name in CASES)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import vara_model
 from relaxdamp import ode
@@ -20,6 +22,7 @@ from relaxdamp.profile import (
     constant_profile,
     ode_rhs,
     ode_rhs_jacobian,
+    _solve_2x2,
 )
 
 
@@ -182,13 +185,99 @@ def test_batched_derivative_samples_match_node_loop(jinxin):
     for model in (jinxin, varA):
         values = solve_profile(model, X=20.0, n=401).values
         d1, d2 = _derivative_samples(model, values)
-        g = np.stack([ode_rhs(model, U) for U in values])
-        dg_g = np.stack([_node_jacobian(model, U) @ ode_rhs(model, U) for U in values])
+        g = np.stack([np.linalg.solve(model.A_at(U), model.q_at(U)) for U in values])
+        dg_g = np.stack([_node_jacobian(model, U) @ gU for U, gU in zip(values, g)])
         assert all(np.array_equal(ode_rhs_jacobian(model, U), _node_jacobian(model, U))
                    for U in values[::40])
         assert d1.tobytes() == g.tobytes()
         assert d2.tobytes() == dg_g.tobytes()
         assert d1.flags.c_contiguous and d2.flags.c_contiguous
+
+
+# --- the one-state 2x2 solve of the shot ----------------------------------------
+
+_ENTRY = st.floats(-1e3, 1e3, allow_subnormal=False)
+_POWER_OF_TWO = st.builds(lambda sign, k: sign * 2.0 ** k, st.sampled_from([-1.0, 1.0]),
+                          st.integers(-20, 20))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ENTRY, st.one_of(st.just(0.0), _POWER_OF_TWO), _ENTRY, _ENTRY,
+       st.one_of(st.just(0.0), _POWER_OF_TWO), _ENTRY, st.booleans())
+@example(2.0, 0.0, 2.0, 1.0, 0.5, 0.75, False)  # a tie |a21| = |a11| keeps the rows
+@example(0.0, 0.0, 3.0, 1.0, 1.0, 2.0, True)  # [[0, 1], [c^2, 0]]: swapped by LAPACK
+def test_solve_2x2_is_lapack_bit_for_bit_when_no_fused_product_rounds(
+        p11, p12, p21, p22, c1, c2, swap):
+    # LAPACK's pivoted system [[p11, p12], [p21, p22]] (|p21| <= |p11|) with
+    # right side (c1, c2): with p12 and c1 zero or a power of two, the
+    # products l p12, l c1 and p12 x2 are exact, so they round alike fused or
+    # not, and every other operation is the closed form's: the bits must be
+    # np.linalg.solve's.  A zero p12 and a zero l give the diagonal and
+    # anti-diagonal A of an s = 0 shock.
+    if abs(p21) > abs(p11):
+        p11, p21 = p21, p11
+    rows, rhs = [[p11, p12], [p21, p22]], [c1, c2]
+    if swap and abs(p21) < abs(p11):  # LAPACK swaps them back
+        rows, rhs = rows[::-1], rhs[::-1]
+    A, b = np.array(rows), np.array(rhs)
+    try:
+        want = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _solve_2x2(*rows[0], *rows[1], *rhs)
+        return
+    assert _solve_2x2(*rows[0], *rows[1], *rhs).tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=6, max_size=6))
+def test_solve_2x2_agrees_with_lapack_on_well_conditioned_systems(entries):
+    # LAPACK's fused products differ from the closed form's by rounding: the
+    # two agree within 4 eps ||A|| ||A^-1|| ||x|| (infinity norms)
+    A, b = np.array(entries[:4]).reshape(2, 2), np.array(entries[4:])
+    norm = np.max(np.sum(np.abs(A), axis=1))
+    assume(abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) > 1e-3 * norm ** 2)
+    want = np.linalg.solve(A, b)
+    cond = norm * np.max(np.sum(np.abs(np.linalg.inv(A)), axis=1))
+    bound = 4.0 * np.finfo(float).eps * cond * np.max(np.abs(want))
+    assert np.max(np.abs(_solve_2x2(*entries) - want)) <= bound
+
+
+@pytest.mark.parametrize("A", [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 2.0]],
+                               [[1.0, 2.0], [2.0, 4.0]], [[3.0, 1.0], [0.0, 0.0]]])
+def test_solve_2x2_zero_pivot_is_singular(A):
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        np.linalg.solve(np.array(A), np.ones(2))
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _solve_2x2(*A[0], *A[1], 1.0, 1.0)
+
+
+@pytest.mark.parametrize("where", range(6))
+def test_solve_2x2_propagates_nan(where):
+    entries = [2.0, 1.0, 4.0, 3.0, 1.0, -1.0]
+    entries[where] = np.nan
+    assert np.all(np.isnan(_solve_2x2(*entries)))
+
+
+@pytest.mark.parametrize("which", ["jinxin", "vara"])
+def test_solve_profile_makes_a_fixed_number_of_lapack_solves(jinxin, monkeypatch, which):
+    # the shot solves each state in closed form: only the stacked solves at
+    # U- and U+ and those of the derivative samples reach np.linalg.solve
+    model = {"jinxin": jinxin, "vara": vara_model()}[which]
+    solve = np.linalg.solve
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    counts = []
+    for X, n in ((20.0, 401), (40.0, 4001)):
+        calls.clear()
+        solve_profile(model, X=X, n=n)
+        counts.append(len(calls))
+    assert counts == [6, 6]
 
 
 def _sample_orbit_loop(xi, tail, sol):
@@ -315,6 +404,22 @@ def test_shot_matches_scipy_rk45_bit_for_bit(jinxin, monkeypatch, which, X):
     assert prof.values[past_launch].tobytes() == ref.sol(xi[past_launch]).T.tobytes()
 
 
+def test_moving_shock_profile_matches_lapack_rhs(monkeypatch):
+    # s = 0.2: A = [[-s, 1], [a^2, -s]] eliminates a nonzero entry, where the
+    # closed form rounds the products LAPACK fuses; the shot takes the same
+    # steps to rounding and the profile pinned at its crossing stays put
+    model = build_jinxin(a=2.0, eps=1.0, flux=[0, 0, 0.5], u_minus=1.2, u_plus=-0.8)
+    assert model.shock_speed == pytest.approx(0.2)
+    prof, *_, shot = _captured_shot(model, 40.0, 4001, monkeypatch)
+    monkeypatch.setattr(profile_module, "ode_rhs",
+                        lambda m, U: np.linalg.solve(m.A_at(U), m.q_at(U)))
+    ref, *_, ref_shot = _captured_shot(model, 40.0, 4001, monkeypatch)
+    assert len(shot.t) == len(ref_shot.t)
+    assert shot.t_events[0][0] == pytest.approx(ref_shot.t_events[0][0], abs=1e-11)
+    assert np.max(np.abs(prof.values - ref.values)) <= 1e-14
+    assert np.max(np.abs(prof.d1 - ref.d1)) <= 1e-14
+
+
 def test_terminal_event_ends_the_shot_like_scipy():
     from scipy.integrate import solve_ivp
 
@@ -352,6 +457,27 @@ def test_brentq_matches_scipy(f, bracket):
 
     tol = 4.0 * np.finfo(float).eps
     assert ode.brentq(f, *bracket) == brentq(f, *bracket, xtol=tol, rtol=tol)
+
+
+def test_rms_on_floats_is_numpys_norm():
+    # the step control's RMS: np.linalg.norm's sqrt(x . x) over sqrt(size), bit for bit
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 7):
+        xs = rng.standard_normal((300, size)) * 10.0 ** rng.integers(-8, 8, (300, 1))
+        for x in xs:
+            assert ode._rms(x) == np.linalg.norm(x) / x.size ** 0.5
+
+
+def test_active_events_match_the_sign_change_masks():
+    # one event at a time against scipy's masks over the event vector
+    values = [-1.0, -0.0, 0.0, 2.0, np.nan]
+    g, g_new, direction = (np.array(v) for v in zip(*[
+        (a, b, d) for a in values for b in values for d in (-1.0, 0.0, 1.0, np.nan)]))
+    up = (g <= 0) & (g_new >= 0)
+    down = (g >= 0) & (g_new <= 0)
+    mask = up & (direction > 0) | down & (direction < 0) | (up | down) & (direction == 0)
+    got = ode._active_events(g.tolist(), g_new.tolist(), direction.tolist())
+    assert got == np.nonzero(mask)[0].tolist()
 
 
 @pytest.mark.parametrize("which, X", [("exact", 40.0), ("jinxin", 40.0), ("vara", 20.0)])
