@@ -234,7 +234,7 @@ def verify_H_bound(paths: CharPaths, theta_E: float,
         speed = max(source.frames.min_abs_lambda - eps_delta, 1e-12)
         for j in fams:
             excess = np.maximum(source.E_diag[:, j] + theta_E, 0.0)
-            report.C_theory[j] = float(np.trapezoid(excess, source.grid) / speed)
+            report.C_theory[j] = float(np.trapezoid(excess, source.frames.grid) / speed)
     if compare_horizon is not None:
         half = _c_emp(paths, theta_E, t_max=compare_horizon)
         C_half = float(np.max(half))

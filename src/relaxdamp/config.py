@@ -8,6 +8,7 @@ verification run.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .eigenframe import (DampingRate, FrameField, SourceField, damping_rate,
                          frames_at_states, transformed_source)
-from .model import ModelSpec, build_custom, build_jinxin
+from .model import ModelSpec, build_custom, build_jinxin, state_box_problem
 from .dynamics import EDGE_TRIM, PerturbationSpec, ShiftSpec, Trajectory, evolve
 from .profile import ProfileRep, exact_jinxin_profile, solve_profile
 
@@ -133,7 +134,10 @@ def _require(cond: bool, message: str, key_path: str) -> None:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that is a finite float: no bool, NaN, +-Infinity, or
+    integer beyond the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_numbers(value, length: int | None = None) -> bool:
@@ -253,8 +257,7 @@ class Config:
     @cached_property
     def profile_source(self) -> SourceField:
         """Transformed source along the profile."""
-        prof = self.profile
-        return transformed_source(self.model, prof.grid, prof.values, self.profile_frames)
+        return transformed_source(self.model, self.profile.values, self.profile_frames)
 
     @cached_property
     def damping(self) -> DampingRate:
@@ -325,13 +328,8 @@ def _validate(raw: dict) -> None:
             _require(isinstance(box, list) and len(box) == 2
                      and all(_is_numbers(side, n) for side in box),
                      f"state_box must be two lists of {n} numbers", "model.state_box")
-            lo, hi = box
-            _require(all(a < b for a, b in zip(lo, hi)),
-                     "state_box needs lo < hi in every component", "model.state_box")
-            for key in ("U_minus", "U_plus"):
-                _require(mc.get(key) is None
-                         or all(a <= u <= b for a, u, b in zip(lo, mc[key], hi)),
-                         f"state_box must contain {key}", "model.state_box")
+            problem = state_box_problem(*box, mc.get("U_minus"), mc.get("U_plus"))
+            _require(problem is None, problem, "model.state_box")
         _check_number(mc.get("shock_speed", 0.0), "model.shock_speed")
 
     pc = raw["profile"]

@@ -33,8 +33,7 @@ on (dt, ddelta), and are formed once per pair.
 A state-dependent A is evaluated once per step, at the node states Ubar + U:
 the frames are decomposed from it and keep it, and the source's dA term
 reads it.  E and the frame transport come from
-``source_diagonal_and_transport``, with dR/dx by the stepper's one
-``grid_gradient``, and no F_tilde is formed.
+``source_diagonal_and_transport``, and no F_tilde is formed.
 Each node's foot is traced for all families in one pass, and one cell
 lookup per foot serves both the Phi and the E read there.  ``evolve``
 decomposes A at each output time for the step that starts there and hands
@@ -58,7 +57,6 @@ import numpy as np
 
 from .eigenframe import (
     FrameField,
-    GridGradient,
     SourceField,
     endstate_diagonals,
     frames_at_states,
@@ -317,9 +315,7 @@ class Trajectory:
 
     def source_field(self, i: int) -> SourceField:
         """Transformed source at output time i, formed on every call."""
-        gradient = None if self.model.A_is_constant else self.stepper.grid_gradient
-        return transformed_source(self.model, self.grid, self.perturbed_states(i),
-                                  frames=self.frames(i), gradient=gradient)
+        return transformed_source(self.model, self.perturbed_states(i), self.frames(i))
 
     @cached_property
     def source_series(self) -> SourceSeries:
@@ -495,13 +491,6 @@ class Stepper:
             self._pads = np.empty((3, model.N, len(self.grid) + 3))
         self._speeds = None
         self.last_cfl = 0.0
-
-    @cached_property
-    def grid_gradient(self) -> GridGradient:
-        """d/dx of (n, N, N) fields on the grid, for the frame transport of a
-        state-dependent A."""
-        N = self.model.N
-        return GridGradient(self.grid, (N, N))
 
     def source(self, Ut: np.ndarray, t: float, about: _Base | None = None,
                A: np.ndarray | None = None) -> np.ndarray:
@@ -725,10 +714,10 @@ class Stepper:
         (``FrameField.conjugate_diag``); the foot is one offset per family and
         the interpolations are the fixed stencils of ``_stencil_feet``, formed
         once per (dt, ddelta).  For state-dependent A,
-        ``source_diagonal_and_transport`` supplies E and the frame transport
-        (dR/dx by the grid's one ``grid_gradient``), the source reuses the A(Ut) the frames were
-        decomposed from, and every node's foot is traced with a midpoint
-        correction, all families in one pass (``_node_feet``).  ``frames``,
+        ``source_diagonal_and_transport`` supplies E and the frame transport,
+        the source reuses the A(Ut) the frames were decomposed from, and
+        every node's foot is traced with a midpoint correction, all families
+        in one pass (``_node_feet``).  ``frames``,
         when given, are those at Ubar + U.  The four edge rows take the
         midpoint of ``_advance_boundary``.
         """
@@ -737,8 +726,7 @@ class Stepper:
         if frames.constant:
             E, transport = frames.conjugate_diag(self.model.Q_at(Ut)), None
         else:
-            E, transport = source_diagonal_and_transport(self.model, Ut, frames,
-                                                         self.grid_gradient)
+            E, transport = source_diagonal_and_transport(self.model, Ut, frames)
             E = E.T
         Phi, G = self.forcing(snap.U, Ut, snap.t, frames, E, transport)
 

@@ -15,10 +15,11 @@ field the eigenvector signs are continued by the running parity of the
 negative inner products of neighbouring nodes, an exclusive-or scan, and
 flipped by one product with +-1 where any node flips.
 
-The frame transport -Lambda L dR/dx takes dR/dx from a ``GridGradient``:
-``np.gradient``'s uneven-spacing weights, formed once per grid.  The moc step
-reads only E_jj and the transport (``source_diagonal_and_transport``);
-``transformed_source`` also splits off F_tilde and solves for Theta.
+The frame transport -Lambda L dR/dx takes dR/dx from ``np.gradient`` at the
+one spacing of the frames' uniform grid: centred differences inside, one-sided
+at the two ends.  The moc step reads only E_jj and the transport
+(``source_diagonal_and_transport``); ``transformed_source`` also splits off
+F_tilde and solves for Theta.
 
 Along a state-dependent field every per-node product (``to_diag``,
 ``diag_rows``, ``from_diag``, the inner products of the sign continuation,
@@ -443,55 +444,19 @@ def damping_rate(model: ModelSpec) -> DampingRate:
                        E_minus=e_minus, E_plus=e_plus)
 
 
-class GridGradient:
-    """``np.gradient(F, grid, axis=0)`` of fields F (n, *shape) on one grid, bit
-    for bit, with the spacing weights numpy forms on every call formed once:
-    second-order differences weighted for uneven spacing inside, and
-    one-sided differences at the two ends.  Spacings that are all equal take
-    numpy's uniform formula, as numpy does.  The inner weights are stored at
-    the full size of a field, so each product is one pass over contiguous
-    memory."""
-
-    def __init__(self, grid: np.ndarray, shape: tuple = ()):
-        h = np.diff(np.asarray(grid, dtype=float))
-        self.h0, self.hn = h[0], h[-1]
-        self.weights = None
-        if not (h == h[0]).all():
-            h1, h2 = h[:-1], h[1:]
-            size = int(np.prod(shape))
-            self.weights = tuple(np.repeat(w, size).reshape((-1,) + tuple(shape)) for w in (
-                -h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2))))
-
-    def __call__(self, F: np.ndarray) -> np.ndarray:
-        out = np.empty_like(F)
-        inner = out[1:-1]
-        if self.weights is None:
-            np.subtract(F[2:], F[:-2], out=inner)
-            inner /= 2.0 * self.h0
-        else:
-            a, b, c = self.weights
-            np.multiply(a, F[:-2], out=inner)
-            inner += b * F[1:-1]
-            inner += c * F[2:]
-        first, last = out[:1], out[-1:]
-        np.subtract(F[1:2], F[:1], out=first)
-        first /= self.h0
-        np.subtract(F[-1:], F[-2:-1], out=last)
-        last /= self.hn
-        return out
-
-
-def _frame_transport(frames: FrameField, gradient: GridGradient) -> np.ndarray:
-    """Frame-transport matrix -Lambda L dR/dx at every node, (n, N, N)."""
-    T = node_matmul(frames.L, gradient(frames.R))
+def _frame_transport(frames: FrameField) -> np.ndarray:
+    """Frame-transport matrix -Lambda L dR/dx at every node, (n, N, N), with
+    dR/dx by ``np.gradient`` at the spacing of the frames' uniform grid."""
+    dx = frames.grid[1] - frames.grid[0]
+    T = node_matmul(frames.L, np.gradient(frames.R, dx, axis=0))
     T *= -frames.lambdas[:, :, None]
     return T
 
 
 def source_diagonal_and_transport(model: ModelSpec, states: np.ndarray,
-                                  frames: FrameField, gradient: GridGradient):
+                                  frames: FrameField):
     """``transformed_source``'s E_diag (n, N) and transport (n, N, N) along a
-    state-dependent field, with ``gradient`` the derivative on its grid.
+    state-dependent field.
 
     Only the diagonals of L Q R and of the transport are added, each
     diagonal entry of L Q R the ``node_dot`` that ``transformed_source``
@@ -499,7 +464,7 @@ def source_diagonal_and_transport(model: ModelSpec, states: np.ndarray,
     family-major rows.
     """
     LQ, R = node_matmul(frames.L, model.Q_at(states)), frames.R
-    T = _frame_transport(frames, gradient)
+    T = _frame_transport(frames)
     N = R.shape[-1]
     E = np.empty((N, len(R)))
     for j, row in enumerate(E):
@@ -519,7 +484,6 @@ class SourceField:
     conjugation matrix.
     """
 
-    grid: np.ndarray
     E_diag: np.ndarray     # (n, N)
     F_tilde: np.ndarray    # (n, N, N)
     transport: np.ndarray  # (n, N, N)
@@ -527,14 +491,11 @@ class SourceField:
     Theta: np.ndarray      # (n, N, N)
 
 
-def transformed_source(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
-                       frames: FrameField,
-                       gradient: GridGradient | None = None) -> SourceField:
+def transformed_source(model: ModelSpec, states: np.ndarray,
+                       frames: FrameField) -> SourceField:
     """Full transformed source L Q R - Lambda L dR/dx split along a state field,
-    whose eigenframes ``frames`` are those of ``frames_at_states``.  dR/dx is
-    taken by ``gradient``, the ``GridGradient`` of ``grid``, formed here when
-    not given."""
-    grid = np.asarray(grid, dtype=float)
+    whose eigenframes ``frames`` are those of ``frames_at_states`` on the
+    field's grid."""
     states = np.asarray(states, dtype=float)
     Q = model.Q_at(states)
     n, N = states.shape
@@ -543,13 +504,11 @@ def transformed_source(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
         T = np.broadcast_to(0.0, (n, N, N))  # no frame transport; read-only
     else:
         M = node_matmul(node_matmul(frames.L, Q), frames.R)
-        if gradient is None:
-            gradient = GridGradient(grid, (N, N))
-        T = _frame_transport(frames, gradient)
+        T = _frame_transport(frames)
         M += T
     eye = np.eye(N, dtype=bool)
     E_diag = M[:, eye]
     F_tilde = M  # in place: M is fresh here and E_diag holds the diagonal
     F_tilde[:, eye] = 0.0
-    return SourceField(grid=grid, E_diag=E_diag, F_tilde=F_tilde, transport=T,
+    return SourceField(E_diag=E_diag, F_tilde=F_tilde, transport=T,
                        frames=frames, Theta=theta_field(frames.lambdas, F_tilde))

@@ -126,6 +126,19 @@ def _padded_box(points) -> tuple[np.ndarray, np.ndarray]:
     return lo - pad, hi + pad
 
 
+def state_box_problem(lo, hi, U_minus=None, U_plus=None) -> str | None:
+    """Why (lo, hi) is not an admissible state box, or None when it is: it
+    needs lo < hi in every component and must contain each given endstate,
+    faces included."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if not np.all(lo < hi):
+        return "state_box needs lo < hi in every component"
+    for key, U in (("U_minus", U_minus), ("U_plus", U_plus)):
+        if U is not None and not np.all((lo <= U) & (U <= hi)):
+            return f"state_box must contain {key}"
+    return None
+
+
 def build_jinxin(a: float, eps: float, flux, u_minus: float, u_plus: float) -> ModelSpec:
     """Jin-Xin relaxation of u_t + f(u)_x = 0 in the frame of its shock.
 
@@ -190,7 +203,8 @@ def build_custom(
 
     ``Q_entries`` defaults to the exact Jacobian of ``q_entries``; passing it
     explicitly is only useful for injecting a deliberately wrong Jacobian in
-    validation tests.  Without endstates an explicit ``state_box`` is required.
+    validation tests.  Without endstates an explicit ``state_box`` is required;
+    a given one must pass ``state_box_problem``.
     """
     if N < 1:
         raise InvalidParam(f"state dimension must be positive, got {N}")
@@ -211,6 +225,11 @@ def build_custom(
     else:
         state_box = (np.asarray(state_box[0], dtype=float),
                      np.asarray(state_box[1], dtype=float))
+        if any(side.shape != (N,) for side in state_box):
+            raise InvalidParam(f"state_box must be two lists of {N} numbers")
+        problem = state_box_problem(*state_box, U_minus, U_plus)
+        if problem is not None:
+            raise InvalidParam(problem)
 
     model = ModelSpec(
         name=name, N=N, params=params or {}, state_box=state_box,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -180,12 +179,9 @@ class DenseSolution:
         reverse[order] = np.arange(order.shape[0])
         t_sorted = t[order]
         segments = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, last)
-        ys = []
-        start = 0
-        for segment, group in groupby(segments):
-            end = start + len(list(group))
-            ys.append(self.pieces[segment](t_sorted[start:end]))
-            start = end
+        bounds = np.flatnonzero(np.diff(segments)) + 1  # where a run of one step starts
+        ys = [self.pieces[segment](run) for segment, run in
+              zip(segments[np.r_[0, bounds]].tolist(), np.split(t_sorted, bounds))]
         return np.hstack(ys)[:, reverse]
 
 

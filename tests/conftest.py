@@ -60,7 +60,7 @@ def vara3_model():
 def profile_source(model, profile):
     """Transformed source along the profile nodes, on their ``frames_at_states``."""
     frames = frames_at_states(model, profile.grid, profile.values)
-    return transformed_source(model, profile.grid, profile.values, frames)
+    return transformed_source(model, profile.values, frames)
 
 
 def synthetic_trajectory(model, profile, field, T: float, n_out: int,

@@ -2,22 +2,25 @@
 
 Every name in ``relaxdamp.__all__`` must resolve, a star import must work,
 and the single-state twins of the stacked eigen and characteristics layers
-must stay gone from the package namespace and from their modules.  Outcomes
-travel as data: only the CLI catches a toolkit error.
+must stay gone from the package namespace and from their modules, as must
+the frame transport's derivative object and its parameters.  Outcomes travel
+as data: only the CLI catches a toolkit error.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import relaxdamp
-from relaxdamp import characteristics, eigenframe, errors
+from relaxdamp import characteristics, dynamics, eigenframe, errors
 
 REMOVED = {
     eigenframe: ("EigenFrame", "SourceSplit", "decompose", "source_split", "theta_matrix",
-                 "frame_along_profile", "profile_source_field", "_theta_field"),
+                 "frame_along_profile", "profile_source_field", "_theta_field",
+                 "GridGradient"),
     characteristics: ("trace",),
 }
 
@@ -44,6 +47,14 @@ def test_removed_twins_stay_gone():
             assert not hasattr(relaxdamp, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(eigenframe.FrameField, "lipschitz")
+
+
+def test_frame_transport_takes_its_spacing_from_the_frames():
+    assert not hasattr(dynamics.Stepper, "grid_gradient")
+    assert "grid" not in {f.name for f in dataclasses.fields(eigenframe.SourceField)}
+    for fn in (eigenframe.transformed_source, eigenframe.source_diagonal_and_transport):
+        params = inspect.signature(fn).parameters
+        assert not {"grid", "gradient"} & set(params), fn.__name__
 
 
 def _caught_names(handler: ast.ExceptHandler) -> set[str]:

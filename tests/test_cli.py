@@ -660,6 +660,27 @@ def test_malformed_config_exits_2_at_its_key(tmp_path, capsys, payload, key_path
     assert capsys.readouterr().err.rstrip().endswith(f" at {key_path}")
 
 
+@pytest.mark.parametrize("payload, key_path", [
+    ({"dynamics": {"shift": {"kind": "linear", "rate": float("nan")}}}, "dynamics.shift.rate"),
+    ({"dynamics": {"T": float("inf")}}, "dynamics.T"),
+    ({"model": {"kind": "jinxin", "u_minus": float("inf")}}, "model.u_minus"),
+    ({"dynamics": {"perturbation": {"center": float("nan")}}}, "dynamics.perturbation.center"),
+    ({"model": {"kind": "jinxin", "a": 10 ** 400}}, "model.a"),
+    ({"model": {**_JINXIN_BY_HAND, "U_minus": [float("nan"), 0.5]}}, "model.U_minus"),
+    ({"model": {**_JINXIN_BY_HAND, "A": [[0.0, 1.0], [[[-float("inf"), [0, 0]]], 0.0]]}},
+     "model.A[1][0]"),
+], ids=["nan-rate", "inf-T", "inf-endstate", "nan-center", "huge-int", "nan-vector",
+        "inf-coefficient"])
+def test_non_finite_number_exits_2_at_its_key(tmp_path, capsys, payload, key_path):
+    # Python's json reads NaN, Infinity and integers beyond the float range;
+    # each is refused at its key before any stage runs
+    path = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.rstrip().endswith(f" at {key_path}")
+    assert not out.exists()
+
+
 _DIAGONAL_3 = {"kind": "custom", "N": 3, "A": [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                                [0.0, 0.0, 2.0]],
                "q": [0.0, 0.0, 0.0], "U_minus": [0.0] * 3, "U_plus": [0.0] * 3}

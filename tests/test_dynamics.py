@@ -129,7 +129,7 @@ def test_zero_initial(jinxin, jinxin_profile):
     snap = make_initial(jinxin_profile, PerturbationSpec(kind="zero"))
     assert np.max(np.abs(snap.U)) == 0.0
     Ut = jinxin_profile.eval(snap.grid) + snap.U
-    sf = transformed_source(jinxin, snap.grid, Ut, frames_at_states(jinxin, snap.grid, Ut))
+    sf = transformed_source(jinxin, Ut, frames_at_states(jinxin, snap.grid, Ut))
     dv = diagonal_vars(snap, sf.frames, sf.Theta)
     for field in (dv.Phi, dv.Psi, dv.PsiTilde, dv.Upsilon, dv.UpsilonTilde):
         assert np.max(np.abs(field)) == 0.0
@@ -303,29 +303,24 @@ def test_state_dependent_2x2_evolve_calls_no_lapack_per_step(varA, monkeypatch):
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
     # one A(U) per step at the grid's states, which the frames and the source
-    # share; d/dx weights formed once for the grid
+    # share
     n = int(round(2.0 * prof.half_width / 0.05)) + 1
-    grid_A, gradients = [], []
-    A_at, gradient_init = ModelSpec.A_at, eigenframe.GridGradient.__init__
+    grid_A = []
+    A_at = ModelSpec.A_at
 
     def counted_A_at(self, U):
         if len(U) == n:
             grid_A.append(1)
         return A_at(self, U)
 
-    def counted_init(self, *args, **kwargs):
-        gradients.append(1)
-        gradient_init(self, *args, **kwargs)
-
     monkeypatch.setattr(ModelSpec, "A_at", counted_A_at)
-    monkeypatch.setattr(eigenframe.GridGradient, "__init__", counted_init)
     pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0)
     traj = evolve(model, prof, pert, ShiftSpec(kind="zero"), T=0.5, backend="moc",
                   dx=0.05, n_out=2)
     steps = round(traj.times[-1] / traj.dt)
     assert steps >= 40 and len(traj.grid) == n
     assert calls["eig"] <= 2 and calls["inv"] <= 2, calls
-    assert (len(grid_A), len(gradients)) == (steps, 1)
+    assert len(grid_A) == steps
     # the frames evolve handed over are those the trajectory would form
     for i in range(traj.n_times):
         fresh = frames_at_states(model, traj.grid, traj.perturbed_states(i))
@@ -622,7 +617,7 @@ def _per_family_node_step(stepper, snap, dt):
     traced and each of its fields padded and interpolated on its own."""
     Ut = stepper.Ubar + snap.U
     frames = stepper._frames(Ut)
-    sf = transformed_source(stepper.model, stepper.grid, Ut, frames=frames)
+    sf = transformed_source(stepper.model, Ut, frames)
     E = sf.E_diag.T
     Phi, G = stepper.forcing(snap.U, Ut, snap.t, frames, E, sf.transport)
     return _per_family_feet_update(stepper, snap, dt, frames, Phi, E, G)
@@ -666,8 +661,9 @@ def _node_step_with_full_source(stepper, snap, dt):
     """The state-dependent moc step with the eigen side formed in full: the
     sign flips counted by cumsum and applied by np.negative(where=), the
     whole transformed source L Q R - Lambda L dR/dx with dR/dx from
-    np.gradient, and the source's dA term from a second A(Ut).  Per-node
-    products are full ``node_matmul`` products, the step's kernel."""
+    np.gradient at the grid spacing, and the source's dA term from a second
+    A(Ut).  Per-node products are full ``node_matmul`` products, the step's
+    kernel."""
     model, grid = stepper.model, stepper.grid
     Ut = stepper.Ubar + snap.U
     decompose = eigenframe._decompose_2x2 if model.N == 2 else eigenframe._decompose_batch
@@ -678,7 +674,7 @@ def _node_step_with_full_source(stepper, snap, dt):
     np.negative(L, out=L, where=flip[:, :, None])
     frames = FrameField(grid=grid, lambdas=lam, L=L, R=R)
     M = node_matmul(node_matmul(L, model.Q_at(Ut)), R)
-    T = -lam[:, :, None] * node_matmul(L, np.gradient(R, grid, axis=0))
+    T = -lam[:, :, None] * node_matmul(L, np.gradient(R, grid[1] - grid[0], axis=0))
     M = M + T
     eye = np.eye(model.N, dtype=bool)
     E = M[:, eye].T
@@ -928,7 +924,7 @@ def test_diagonal_vars_roundtrip(jinxin, jinxin_profile):
     pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0)
     snap = make_initial(jinxin_profile, pert)
     Ut = jinxin_profile.eval(snap.grid) + snap.U
-    sf = transformed_source(jinxin, snap.grid, Ut, frames_at_states(jinxin, snap.grid, Ut))
+    sf = transformed_source(jinxin, Ut, frames_at_states(jinxin, snap.grid, Ut))
     dv = diagonal_vars(snap, sf.frames, sf.Theta)
     # reconstruction U = R Phi and W = R Psi round-trip
     U_back = np.einsum("nkj,nj->nk", sf.frames.R, dv.Phi)

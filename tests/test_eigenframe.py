@@ -410,6 +410,31 @@ def test_biorthogonality_along_profile(jinxin, jinxin_profile):
     assert np.max(np.abs(prod - np.eye(2))) <= 1e-10
 
 
+def test_frame_transport_converges_at_second_order():
+    # The varA profile at four nested resolutions on X = 20: on the n = 501
+    # nodes inside the ends, the transport's successive differences shrink
+    # 4-fold per halving of dx (centred differences), and every level agrees
+    # with the chain-rule transport -Lambda L (dR/dU Ubar'), whose dR/dU is a
+    # central difference of the frames in state space.
+    model, delta = vara_model(), 1e-5
+    transport, chain_err, scale = [], [], None
+    for n in (501, 1001, 2001, 4001):
+        prof = solve_profile(model, X=20.0, n=n)
+        frames = _profile_frames(model, prof)
+        T = profile_source(model, prof).transport
+        dR = (frames_at_states(model, prof.grid, prof.values + delta * prof.d1).R
+              - frames_at_states(model, prof.grid, prof.values - delta * prof.d1).R)
+        chain = -frames.lambdas[:, :, None] * np.matmul(frames.L, dR / (2.0 * delta))
+        coarse = slice(0, None, (n - 1) // 500)
+        transport.append(T[coarse][1:-1])
+        chain_err.append(np.max(np.abs(T - chain)[coarse][1:-1]))
+        scale = np.max(np.abs(T))
+    diffs = [np.max(np.abs(a - b)) for a, b in zip(transport, transport[1:])]
+    ratios = [a / b for a, b in zip(diffs, diffs[1:])]
+    assert all(3.5 <= r <= 4.5 for r in ratios), ratios
+    assert max(chain_err) <= 1e-4 * scale, (chain_err, scale)
+
+
 def test_state_dependent_frames_continuous():
     # A(U) = [[u1, 1], [1, -u1]]: eigenvalues +-sqrt(1 + u1^2), smooth frames
     A = [[Poly.variable(2, 0), 1.0], [1.0, Poly.variable(2, 0).scaled(-1.0)]]

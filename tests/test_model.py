@@ -259,6 +259,28 @@ def test_custom_rejects_non_equilibrium_endstates():
                      U_minus=[0.0], U_plus=[1.0])
 
 
+@pytest.mark.parametrize("box, message", [
+    (([2.0, 2.0], [-2.0, -1.0]), "state_box needs lo < hi in every component"),
+    (([5.0, 5.0], [6.0, 6.0]), "state_box must contain U_minus"),
+    (([-2.0], [2.0]), "state_box must be two lists of 2 numbers"),
+], ids=["reversed", "disjoint", "short"])
+def test_custom_rejects_a_state_box_that_is_empty_or_misses_an_endstate(box, message):
+    # a reversed box makes the no-damping radius's C_lip 0 and disarms the
+    # shot's divergence guard; a disjoint one takes C_lip on states never
+    # visited; a short one would be broadcast over the components
+    vara = vara_model()
+
+    def rebuild(state_box):
+        return build_custom(vara.name, vara.N, vara.A_entries, vara.q_entries,
+                            U_minus=vara.U_minus, U_plus=vara.U_plus, state_box=state_box)
+
+    with pytest.raises(InvalidParam, match=f"^{message}$"):
+        rebuild(box)
+    # the default padded box, given explicitly, passes
+    assert all(np.array_equal(a, b) for a, b in zip(rebuild(vara.state_box).state_box,
+                                                      vara.state_box))
+
+
 def test_state_box_padding(jinxin):
     lo, hi = jinxin.state_box
     # segment u in [-1, 1]: pad = 0.5 * 2 + 0.5 = 1.5
