@@ -11,7 +11,6 @@ margin for perturbations of the allowed size.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,20 +60,11 @@ class _FieldInterp:
     def __init__(self, traj: Trajectory, fields):
         fields = np.asarray(fields)
         self.times = traj.times
-        self.time_list = traj.times.tolist()
         self.x0 = float(traj.grid[0])
         self.dx = grid_step(traj.grid)
         self.n = fields.shape[1]
         self.n_fields = fields.shape[2] if fields.ndim == 3 else 1
         self.flat = fields.ravel()
-
-    def cell(self, s: float) -> tuple[int, float]:
-        """Output interval m of one time s and the weight w of its end, as
-        ``eval`` forms them, in Python numbers."""
-        times = self.time_list
-        m = min(max(bisect_right(times, s) - 1, 0), len(times) - 2)
-        w = (s - times[m]) / (times[m + 1] - times[m])
-        return m, min(max(w, 0.0), 1.0)
 
     def eval(self, s, xq, rows=0) -> np.ndarray:
         """Values of field ``rows`` at the samples (s, xq), all broadcast
@@ -112,10 +102,10 @@ def trace_many(traj: Trajectory, j, x0s, n_sub: int = 4) -> CharPaths:
     family j or of each family of a sequence j.
 
     All families advance together, as one (family, start) array of
-    positions, so each velocity evaluation locates its time once, in Python
-    numbers, for every path.  Sub-steps subdivide each output interval so
-    the time interpolation of the velocity field stays piecewise smooth
-    along the integration.  With constant frames lambda_j is one number per
+    positions, so each velocity evaluation locates its time once for every
+    path.  Sub-steps subdivide each output interval so the time
+    interpolation of the velocity field stays piecewise smooth along the
+    integration.  With constant frames lambda_j is one number per
     family, so the velocity is lambda_j - ddelta(s) at every position and no
     field is interpolated; otherwise lambda_j of every output time is one
     ``_FieldInterp``.  The paths come back as one ``CharPaths``,
@@ -135,7 +125,7 @@ def trace_many(traj: Trajectory, j, x0s, n_sub: int = 4) -> CharPaths:
         rows = np.arange(len(fams))[:, None]
 
         def velocity(s, x):
-            return field.at(*field.cell(s), x, rows) - traj.shift.delta_dot(s)
+            return field.eval(s, x, rows) - traj.shift.delta_dot(s)
 
     times = traj.times.tolist()
     n_samples = (len(times) - 1) * n_sub + 1
@@ -323,41 +313,3 @@ def scan_trajectory_damping(traj: Trajectory, R: float) -> float:
     if left.size and right.size:
         return float(np.maximum(np.max(left), np.max(right)))
     return float(np.max(right if right.size else left))  # no node at all: ValueError
-
-
-def duhamel_residual(traj: Trajectory, paths: CharPaths) -> np.ndarray:
-    """Consistency of the stored field with its Duhamel representation.
-
-    Along a family-j characteristic d/ds Phi_j = E_jj Phi_j + G_j, with
-    Phi = L U and G = L S - E Phi + T Phi from the trajectory's one Stepper
-    and transformed source at every output time.  Reconstructs
-    Phi_j(t, X(t)) from Phi_j(0, x0) e^{H(t)} plus the accumulated forcing
-    integral and returns, per path, the worst mismatch at output times while
-    the path stays inside the grid; NaN for a path whose mismatch is NaN
-    there, as a NaN start gives.
-    """
-    if paths.H is None:
-        accumulate_H(paths, traj)
-    phi_fields, g_fields = [], []  # (n, N) at every output time
-    for i in range(traj.n_times):
-        sf = traj.source_field(i)
-        transport = None if sf.frames.constant else sf.transport
-        F, G = traj.stepper.forcing(traj.states[i], traj.perturbed_states(i),
-                                    float(traj.times[i]), sf.frames, sf.E_diag.T, transport)
-        phi_fields.append(F.T)
-        g_fields.append(G.T)
-    Phi = _FieldInterp(traj, np.stack(phi_fields))
-    times, X, H, fams = paths.times, paths.positions, paths.H, paths.family
-    G_path = _FieldInterp(traj, np.stack(g_fields)).eval(times[:, None], X, fams)
-    n_sub = (len(times) - 1) // (traj.n_times - 1)
-    phi0 = Phi.eval(0.0, paths.x0, fams)
-    ks = np.arange(traj.n_times) * n_sub
-    stored = Phi.eval(times[ks][:, None], X[ks], fams)
-    exit_t = paths.exit_times()
-    worst = np.zeros(len(fams))
-    for m, k in enumerate(ks):
-        integrand = np.exp(H[k] - H[:k + 1]) * G_path[:k + 1]
-        integral = np.trapezoid(integrand, times[:k + 1], axis=0)  # 0 at k = 0
-        mismatch = np.abs(phi0 * np.exp(H[k]) + integral - stored[m])
-        worst = np.where(times[k] >= exit_t, worst, np.maximum(worst, mismatch))
-    return worst

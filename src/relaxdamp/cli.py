@@ -41,16 +41,6 @@ CSV_BLOCK = 256
 
 # --- artifact writers -------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
 def _atomic_write(path: Path, data: str) -> None:
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     tmp.write_text(data, encoding="utf-8", newline="\n")
@@ -58,55 +48,41 @@ def _atomic_write(path: Path, data: str) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows, template: str | None = None) -> None:
-    """Write ``rows`` under ``header``.
+    """Write ``rows`` under ``header``: a float table, or rows of mixed types
+    through ``template`` (``%s`` for strings, ``%d`` for integers, ``%.17g``
+    for floats).
 
-    A float array is written through one ``%.17g`` template, which writes
-    every float as ``_fmt`` does; rows of mixed types go through
-    ``template`` when given (``%s`` for strings, ``%d`` for integers,
-    ``%.17g`` for floats, as ``_fmt`` writes them).  Either way
-    ``CSV_BLOCK`` rows at a time are flattened to one tuple of Python
-    values (a float array's by ``.tolist()``) and formatted by one ``%`` of
-    the template repeated once per row.  Other rows go value by value
-    through ``_fmt``.
+    A float table is written through one ``%.17g`` template.  Either way
+    ``CSV_BLOCK`` rows at a time are flattened to one tuple of Python values
+    (a float table's by ``.tolist()``) and formatted by one ``%`` of the
+    template repeated once per row.
     """
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+    if template is None:
         template = ",".join(["%.17g"] * rows.shape[1])
         blocks = ((len(block), block.ravel().tolist())
                   for block in (rows[start:start + CSV_BLOCK]
                                 for start in range(0, len(rows), CSV_BLOCK)))
-    elif template is not None:
+    else:
         rows = iter(rows)
         blocks = ((len(block), itertools.chain.from_iterable(block))
                   for block in iter(lambda: list(itertools.islice(rows, CSV_BLOCK)), []))
-    if template is None:
-        body = [",".join(_fmt(v) for v in row) for row in rows]
-    else:
-        full = "\n".join([template] * CSV_BLOCK)
-        body = [(full if count == CSV_BLOCK else "\n".join([template] * count)) % tuple(values)
-                for count, values in blocks]
+    full = "\n".join([template] * CSV_BLOCK)
+    body = [(full if count == CSV_BLOCK else "\n".join([template] * count)) % tuple(values)
+            for count, values in blocks]
     _atomic_write(path, "\n".join([",".join(header), *body]) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "fbiu":  # tolist() gives Python floats, bools and ints
-            return obj.tolist()
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
+def _json_default(obj):
+    """Python values of the numpy arrays and scalars that ``json`` does not
+    encode itself (an np.float64 is a float, and needs none)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    text = json.dumps(payload, default=_json_default, sort_keys=True, indent=2)
+    _atomic_write(path, text + "\n")
 
 
 # --- pipeline stages --------------------------------------------------------
@@ -251,9 +227,8 @@ def _write_trajectory(cfg: Config, traj: dyn.Trajectory, out: Path) -> None:
                                        Phi[::sx], Psi[::sx]]))
     write_csv(out / "trajectory.csv", header, np.vstack(blocks))
 
-    kinds = ("c0", "c1", "c2", "l2", "h2")
-    write_csv(out / "norms.csv", ["t", *kinds, "abs_ddelta"], np.column_stack(
-        [traj.times, *(dv.norm_series(traj, k) for k in kinds),
+    write_csv(out / "norms.csv", ["t", *dv.NORM_KINDS, "abs_ddelta"], np.column_stack(
+        [traj.times, *(dv.norm_series(traj, k) for k in dv.NORM_KINDS),
          np.abs(traj.shift.delta_dot(traj.times))]))
 
 
@@ -292,7 +267,7 @@ def stage_verify(cfg: Config, out: Path) -> int:
     if hb.unbounded is not None:
         hb_payload["error"] = hb.unbounded
 
-    c_nonchar = float(np.min(np.abs(traj.frames(0).lambdas)))
+    c_nonchar = traj.frames(0).min_abs_lambda
     exit_bound = 2.0 * radius.R / max(c_nonchar - shift.eps_delta, 1e-12)
     hb_payload.update({
         "no_damping_radius": {
@@ -312,10 +287,9 @@ def stage_verify(cfg: Config, out: Path) -> int:
         np.tile(paths.times[out_rows], n_paths), paths.positions[out_rows].T.ravel(),
         paths.H[out_rows].T.ravel()]))
 
-    kinds = [f"c{k}" for k in range(int(vc["K"]) + 1)]
-    include_l2 = vc["include_l2"] and cfg.build_perturbation().kind != "offset"
-    if include_l2:
-        kinds += ["l2", "h2"]
+    # the L^2/H^2 estimate is for localised data: offset data certifies C^K_b only
+    localised = cfg.build_perturbation().kind != "offset"
+    kinds = [kind for kind in dv.NORM_KINDS if localised or kind.startswith("c")]
     tables = {kind: dv.fit_damping(traj, kind, theta_grid, C_cap=vc["C_cap"])
               for kind in kinds}
     slaving = dv.slaving_check(traj, theta_grid, C_cap=vc["C_cap"])

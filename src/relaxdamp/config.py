@@ -76,8 +76,6 @@ def _default_config() -> dict:
         "verify": {
             "theta_grid": {"start": 0.01, "stop": 0.3, "num": 30},
             "C_cap": 1000.0,
-            "K": 2,
-            "include_l2": True,
             "C_alpha": None,
             "c_alpha": None,
             "n_paths": 20,
@@ -397,9 +395,6 @@ def _validate(raw: dict) -> None:
              "verify.theta_grid.stop")
     _check_number(tg["num"], "verify.theta_grid.num", integer=True, minimum=2)
     _check_number(vc["C_cap"], "verify.C_cap", positive=True)
-    _check_number(vc["K"], "verify.K", integer=True, minimum=0, maximum=2)
-    _require(isinstance(vc["include_l2"], bool), "include_l2 must be boolean",
-             "verify.include_l2")
     for key, other in (("C_alpha", "c_alpha"), ("c_alpha", "C_alpha")):
         if vc[key] is not None:
             _check_number(vc[key], f"verify.{key}", positive=True)

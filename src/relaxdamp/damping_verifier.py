@@ -18,13 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Snapshot, Trajectory, interior_max
+from .dynamics import Snapshot, Trajectory, far_field_ramp, interior_max
 from .eigenframe import profile_lambdas
 from .errors import InvalidParam, Unsupported
 from .model import ModelSpec
 from .profile import ProfileRep
 
 C_CAP_DEFAULT = 1e3
+
+# the norms whose damping ``verify`` certifies and ``norms.csv`` records:
+# C^K_b for K <= 2, then L^2 and H^2
+NORM_KINDS = ("c0", "c1", "c2", "l2", "h2")
 
 _GL7 = np.polynomial.legendre.leggauss(7)
 _GL15 = np.polynomial.legendre.leggauss(15)
@@ -80,7 +84,7 @@ def _offset_corrected(snap: Snapshot, blend_width: float) -> np.ndarray:
     bl, br = snap.b_left, snap.b_right
     if np.max(np.abs(bl)) == 0.0 and np.max(np.abs(br)) == 0.0:
         return snap.U
-    sig = 0.5 * (1.0 + np.tanh(snap.grid / blend_width))
+    sig = far_field_ramp(snap.grid, blend_width)
     return snap.U - (bl[None, :] + sig[:, None] * (br - bl)[None, :])
 
 
@@ -313,10 +317,10 @@ def fit_damping(traj: Trajectory, norm_kind: str, theta_grid,
     L^2/H^2 kinds use squared norms with forcing ||U||_L2^2 + |ddelta|^2.
     The table's ``theta_max`` is None when no rate is feasible under the cap.
     """
-    if norm_kind not in ("c0", "c1", "c2", "l2", "h2"):
+    if norm_kind not in NORM_KINDS:
         raise InvalidParam(f"unknown norm kind {norm_kind!r}")
     dd = np.abs(traj.shift.delta_dot(traj.times))
-    if norm_kind in ("c0", "c1", "c2"):
+    if norm_kind.startswith("c"):
         series = norm_series(traj, norm_kind)
         forcing = norm_series(traj, "c0") + dd
     else:

@@ -122,6 +122,11 @@ class ShiftSpec:
 
 # --- initial perturbations -------------------------------------------------
 
+def far_field_ramp(x: np.ndarray, blend_width: float) -> np.ndarray:
+    """Offset data's blend from its left to its right far-field state."""
+    return 0.5 * (1.0 + np.tanh(x / blend_width))
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Initial perturbation shapes with analytic derivatives.
@@ -189,7 +194,7 @@ class PerturbationSpec:
             dp = np.asarray(self.d_plus, dtype=float)
             if dm.shape != (N,) or dp.shape != (N,):
                 raise InvalidParam("offset endsets must have one entry per component")
-            sig = 0.5 * (1.0 + np.tanh(x / self.blend_width))
+            sig = far_field_ramp(x, self.blend_width)
             sigx = 0.5 / (self.blend_width * np.cosh(x / self.blend_width) ** 2)
             U0 = dm[None, :] + sig[:, None] * (dp - dm)[None, :]
             W0 = sigx[:, None] * (dp - dm)[None, :]

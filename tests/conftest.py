@@ -7,6 +7,7 @@ import pytest
 
 from relaxdamp import (build_custom, build_jinxin, exact_jinxin_profile, frames_at_states,
                        transformed_source)
+from relaxdamp.characteristics import CharPaths, _FieldInterp, accumulate_H
 from relaxdamp.dynamics import ShiftSpec, Trajectory
 from relaxdamp.poly import Poly
 from relaxdamp.profile import constant_profile
@@ -79,5 +80,43 @@ def synthetic_trajectory(model, profile, field, T: float, n_out: int,
     )
 
 
+def duhamel_residual(traj: Trajectory, paths: CharPaths) -> np.ndarray:
+    """Consistency of the stored field with its Duhamel representation.
+
+    Along a family-j characteristic d/ds Phi_j = E_jj Phi_j + G_j, with
+    Phi = L U and G = L S - E Phi + T Phi from the trajectory's one Stepper
+    and transformed source at every output time.  Reconstructs
+    Phi_j(t, X(t)) from Phi_j(0, x0) e^{H(t)} plus the accumulated forcing
+    integral and returns, per path, the worst mismatch at output times while
+    the path stays inside the grid; NaN for a path whose mismatch is NaN
+    there, as a NaN start gives.
+    """
+    if paths.H is None:
+        accumulate_H(paths, traj)
+    phi_fields, g_fields = [], []  # (n, N) at every output time
+    for i in range(traj.n_times):
+        sf = traj.source_field(i)
+        transport = None if sf.frames.constant else sf.transport
+        F, G = traj.stepper.forcing(traj.states[i], traj.perturbed_states(i),
+                                    float(traj.times[i]), sf.frames, sf.E_diag.T, transport)
+        phi_fields.append(F.T)
+        g_fields.append(G.T)
+    Phi = _FieldInterp(traj, np.stack(phi_fields))
+    times, X, H, fams = paths.times, paths.positions, paths.H, paths.family
+    G_path = _FieldInterp(traj, np.stack(g_fields)).eval(times[:, None], X, fams)
+    n_sub = (len(times) - 1) // (traj.n_times - 1)
+    phi0 = Phi.eval(0.0, paths.x0, fams)
+    ks = np.arange(traj.n_times) * n_sub
+    stored = Phi.eval(times[ks][:, None], X[ks], fams)
+    exit_t = paths.exit_times()
+    worst = np.zeros(len(fams))
+    for m, k in enumerate(ks):
+        integrand = np.exp(H[k] - H[:k + 1]) * G_path[:k + 1]
+        integral = np.trapezoid(integrand, times[:k + 1], axis=0)  # 0 at k = 0
+        mismatch = np.abs(phi0 * np.exp(H[k]) + integral - stored[m])
+        worst = np.where(times[k] >= exit_t, worst, np.maximum(worst, mismatch))
+    return worst
+
+
 __all__ = ["scalar_model", "synthetic_trajectory", "constant_profile", "vara_model",
-           "vara3_model", "anti_damped_core_model", "profile_source"]
+           "vara3_model", "anti_damped_core_model", "profile_source", "duhamel_residual"]

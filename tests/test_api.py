@@ -3,7 +3,8 @@
 Every name in ``relaxdamp.__all__`` must resolve, a star import must work,
 and the single-state twins of the stacked eigen and characteristics layers
 must stay gone from the package namespace and from their modules, as must
-the frame transport's derivative object and its parameters.  Outcomes travel
+the frame transport's derivative object and its parameters, the artifact
+writers' second formatting paths and the tracer's second time lookup.  Outcomes travel
 as data: only the CLI catches a toolkit error.
 """
 
@@ -15,13 +16,14 @@ import inspect
 from pathlib import Path
 
 import relaxdamp
-from relaxdamp import characteristics, dynamics, eigenframe, errors
+from relaxdamp import characteristics, cli, dynamics, eigenframe, errors
 
 REMOVED = {
     eigenframe: ("EigenFrame", "SourceSplit", "decompose", "source_split", "theta_matrix",
                  "frame_along_profile", "profile_source_field", "_theta_field",
                  "GridGradient"),
-    characteristics: ("trace",),
+    characteristics: ("trace", "duhamel_residual"),
+    cli: ("_fmt", "_jsonable"),
 }
 
 
@@ -47,6 +49,7 @@ def test_removed_twins_stay_gone():
             assert not hasattr(relaxdamp, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(eigenframe.FrameField, "lipschitz")
+    assert not hasattr(characteristics._FieldInterp, "cell")
 
 
 def test_frame_transport_takes_its_spacing_from_the_frames():

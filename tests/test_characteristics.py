@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (anti_damped_core_model, profile_source, scalar_model,
+from conftest import (anti_damped_core_model, duhamel_residual, profile_source, scalar_model,
                       synthetic_trajectory, vara_model)
 from relaxdamp import characteristics, damping_rate, dynamics, eigenframe
 from relaxdamp.characteristics import (
     CharPaths,
     _c_emp,
     accumulate_H,
-    duhamel_residual,
     no_damping_radius,
     scan_trajectory_damping,
     trace_many,

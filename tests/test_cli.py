@@ -22,8 +22,6 @@ from relaxdamp.cli import (
     EXIT_CONFIG,
     EXIT_ERROR,
     EXIT_OK,
-    _fmt,
-    _jsonable,
     main,
     run,
     write_csv,
@@ -196,6 +194,40 @@ def test_evolve_and_verify_stages(tmp_path):
     assert hb["bounded"] is True
     assert (tmp_path / "characteristics.csv").exists()
     assert (tmp_path / "energies.csv").exists()
+
+
+@pytest.mark.parametrize("perturbation, kinds", [
+    (TINY["dynamics"]["perturbation"], dv.NORM_KINDS),
+    ({"kind": "offset", "d_minus": [1e-3, 0.0], "d_plus": [0.0, 0.0]}, ("c0", "c1", "c2")),
+], ids=["gaussian", "offset"])
+def test_verify_certifies_every_norm_kind(tmp_path, perturbation, kinds):
+    # offset data leaves damping.json's L^2/H^2 tables out, not norms.csv's columns
+    dynamics_cfg = {**TINY["dynamics"], "T": 1.0, "n_out": 4, "perturbation": perturbation}
+    cfg = config_from_dict({**TINY, "dynamics": dynamics_cfg})
+    assert run("all", cfg, out_dir=str(tmp_path)) == EXIT_OK
+    damping = json.loads((tmp_path / "damping.json").read_text())
+    assert sorted(damping["norm_tables"]) == sorted(kinds)
+    header = (tmp_path / "norms.csv").read_text().splitlines()[0]
+    assert header == ",".join(["t", *dv.NORM_KINDS, "abs_ddelta"])
+
+
+@pytest.mark.parametrize("key, value", [("K", 1), ("include_l2", False)])
+def test_verify_option_that_drops_norm_tables_exits_2(tmp_path, capsys, key, value):
+    with pytest.raises(ValidationError) as err:
+        config_from_dict({"verify": {key: value}})
+    assert err.value.key_path == f"verify.{key}"
+    path = write_config(tmp_path, {"verify": {key: value}})
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.rstrip() == f"config error: unknown key verify.{key}"
+    assert not out.exists()
+
+
+def test_readme_configuration_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == config._default_config()
 
 
 def test_verify_on_coarser_grid_than_profile(tmp_path):
@@ -768,6 +800,16 @@ def test_csv_floats_have_full_precision(tmp_path):
     assert len(u1.replace("-", "").replace(".", "").lstrip("0")) >= 16
 
 
+def _fmt(value) -> str:
+    """One value as the CSV templates write it: %d for an integer, %.17g for
+    a float, %s for anything else."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
 def test_csv_float_table_matches_value_by_value_formatting(tmp_path):
     rng = np.random.default_rng(8)
     shape = (2 * cli.CSV_BLOCK + 5, 4)  # two whole blocks and a partial one
@@ -777,9 +819,6 @@ def test_csv_float_table_matches_value_by_value_formatting(tmp_path):
     write_csv(tmp_path / "fast.csv", ["a", "b", "c", "d"], table)
     want = "a,b,c,d\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in table)
     assert (tmp_path / "fast.csv").read_text() == want
-    # rows that are not one float array keep _fmt's booleans, integers and strings
-    write_csv(tmp_path / "mixed.csv", ["s", "j", "x", "ok"], [["minus", 2, 0.1, True]])
-    assert (tmp_path / "mixed.csv").read_text() == "s,j,x,ok\nminus,2,0.10000000000000001,true\n"
 
 
 def test_csv_row_template_matches_value_by_value_formatting(tmp_path):
@@ -856,8 +895,10 @@ _json_leaves = st.one_of(
 @given(st.recursive(_json_leaves, lambda inner: st.lists(inner, max_size=3)
                     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=12))
 def test_jsonable_matches_leaf_by_leaf_conversion(obj):
-    got, want = _jsonable(obj), _jsonable_by_leaf(obj)
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    # write_json's indent=2 takes json's Python encoder, no indent its C encoder
+    for indent in (None, 2):
+        got = json.dumps(obj, default=cli._json_default, sort_keys=True, indent=indent)
+        assert got == json.dumps(_jsonable_by_leaf(obj), sort_keys=True, indent=indent)
 
 
 def test_spectrum_csv_rows_match_value_by_value_formatting(tmp_path, monkeypatch):

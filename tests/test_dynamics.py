@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scalar_model, vara3_model, vara_model
-from relaxdamp.characteristics import accumulate_H, duhamel_residual, trace_many
+from conftest import duhamel_residual, scalar_model, vara3_model, vara_model
+from relaxdamp.characteristics import accumulate_H, trace_many
 from relaxdamp import dynamics
 from relaxdamp.dynamics import (
     CFL_LIMIT,
