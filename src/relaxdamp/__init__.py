@@ -12,7 +12,7 @@ from .eigenframe import (
 )
 
 from .dynamics import PerturbationSpec, ShiftSpec, Snapshot, Trajectory, evolve, make_initial
-from .damping_verifier import ckb_norm, fit_damping, l2_h2_norms, slaving_check, weight_fn
+from .damping_verifier import fit_damping, slaving_check, weight_fn
 from .characteristics import accumulate_H, no_damping_radius, trace_many, verify_H_bound
 from .config import Config, parse_config
 
@@ -25,7 +25,7 @@ __all__ = [
     "theta_field", "transformed_source",
     "PerturbationSpec", "ShiftSpec", "Snapshot", "Trajectory", "evolve",
     "make_initial",
-    "ckb_norm", "fit_damping", "l2_h2_norms", "slaving_check", "weight_fn",
+    "fit_damping", "slaving_check", "weight_fn",
     "accumulate_H", "no_damping_radius", "trace_many", "verify_H_bound",
     "Config", "parse_config",
 ]

@@ -19,7 +19,7 @@ from .errors import ParseError, ValidationError
 from .eigenframe import (DampingRate, FrameField, SourceField, damping_rate,
                          frames_at_states, transformed_source)
 from .model import ModelSpec, build_custom, build_jinxin, state_box_problem
-from .dynamics import EDGE_TRIM, PerturbationSpec, ShiftSpec, Trajectory, evolve
+from .dynamics import CFL_LIMIT, EDGE_TRIM, PerturbationSpec, ShiftSpec, Trajectory, evolve
 from .profile import ProfileRep, exact_jinxin_profile, solve_profile
 
 
@@ -379,7 +379,7 @@ def _validate(raw: dict) -> None:
     _require(nodes >= 2 * EDGE_TRIM + 1,
              f"dx leaves {nodes} evolution nodes on [-X, X], fewer than the "
              f"{2 * EDGE_TRIM + 1} the edge-trimmed norms need", "dynamics.dx")
-    _check_number(dc["cfl"], "dynamics.cfl", positive=True, maximum=0.9)
+    _check_number(dc["cfl"], "dynamics.cfl", positive=True, maximum=CFL_LIMIT)
     _check_number(dc["n_out"], "dynamics.n_out", integer=True, minimum=1)
     _check_number(dc["budget"], "dynamics.budget", positive=True)
     _check_number(dc["trajectory_stride_x"], "dynamics.trajectory_stride_x",

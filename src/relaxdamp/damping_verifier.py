@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Snapshot, Trajectory, far_field_ramp, interior_max
+from .dynamics import Trajectory, far_field_ramp, interior_max
 from .eigenframe import profile_lambdas
-from .errors import InvalidParam, Unsupported
+from .errors import InvalidParam
 from .model import ModelSpec
 from .profile import ProfileRep
 
@@ -63,43 +63,6 @@ def trapezoid4(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
     shape = [1] * y.ndim
     shape[axis] = n
     return np.sum(y * w.reshape(shape), axis=axis) * dx
-
-
-def ckb_norm(snap: Snapshot, K: int) -> float:
-    """max over derivative orders <= K of the discrete sup norm."""
-    if K > 2:
-        raise Unsupported(f"derivative order {K} not implemented (K <= 2)")
-    if K < 0:
-        raise InvalidParam("K must be >= 0")
-    out = interior_max(snap.U)
-    if K >= 1:
-        out = max(out, interior_max(snap.W))
-    if K >= 2:
-        out = max(out, interior_max(snap.Y))
-    return out
-
-
-def _offset_corrected(snap: Snapshot, blend_width: float) -> np.ndarray:
-    """Subtract the far-field ramp for nonlocalised data."""
-    bl, br = snap.b_left, snap.b_right
-    if np.max(np.abs(bl)) == 0.0 and np.max(np.abs(br)) == 0.0:
-        return snap.U
-    sig = far_field_ramp(snap.grid, blend_width)
-    return snap.U - (bl[None, :] + sig[:, None] * (br - bl)[None, :])
-
-
-def l2_h2_norms(snap: Snapshot, blend_width: float = 2.0) -> tuple[float, float, float]:
-    """(||U||_L2, ||U||_H1, ||U||_H2) by end-corrected trapezoid quadrature.
-
-    Offset data is measured against its far-field ramp; derivative fields are
-    square-integrable as they stand.
-    """
-    dx = float(snap.grid[1] - snap.grid[0])
-    U = _offset_corrected(snap, blend_width)
-    l2sq = float(np.sum(trapezoid4(U**2, dx)))
-    w2sq = float(np.sum(trapezoid4(snap.W**2, dx)))
-    y2sq = float(np.sum(trapezoid4(snap.Y**2, dx)))
-    return (np.sqrt(l2sq), np.sqrt(l2sq + w2sq), np.sqrt(l2sq + w2sq + y2sq))
 
 
 # --- L^2 weight functions --------------------------------------------------
@@ -169,22 +132,32 @@ def default_weight_constants(profile: ProfileRep) -> tuple[float, float]:
 # --- series extraction -----------------------------------------------------
 
 def norm_series(traj: Trajectory, kind: str) -> np.ndarray:
-    """Per-output-time norms: kind in c0|c1|c2|l2|h1|h2.
+    """Per-output-time norms: kind in ``NORM_KINDS``.
 
-    All six kinds come from one pass over the output times, in which each
-    snapshot forms W and Y once; they are cached on the trajectory read-only.
-    Offset data is measured against the ramp of the run's ``blend_width``.
+    All kinds come from one pass over the output times, which reads U and W
+    from the trajectory's stacks and forms Y once per time; they are cached
+    on the trajectory read-only.  c_K is the largest ``interior_max`` of the
+    derivatives of order <= K; l2 and h2 use ``trapezoid4``.  Offset data is
+    measured in l2 and h2 against the far-field ramp of the run's
+    ``blend_width``; derivative fields are square-integrable as they stand.
     """
     cache = traj._norm_cache
     if not cache:
-        rows = []
+        dx = traj.dx
+        ramp = far_field_ramp(traj.grid, traj.blend_width)[:, None]
+        table = np.empty((traj.n_times, len(NORM_KINDS)))
         for i in range(traj.n_times):
-            snap = traj.snapshot(i)
-            rows.append([ckb_norm(snap, K) for K in range(3)]
-                        + list(l2_h2_norms(snap, traj.blend_width)))
-        table = np.array(rows)
+            U, W, Y = traj.states[i], traj.W[i], traj.Y_at(i)
+            c0 = interior_max(U)
+            c1 = max(c0, interior_max(W))
+            c2 = max(c1, interior_max(Y))
+            bl, br = traj.b_left[i], traj.b_right[i]
+            if np.max(np.abs(bl)) != 0.0 or np.max(np.abs(br)) != 0.0:
+                U = U - (bl[None, :] + ramp * (br - bl)[None, :])
+            l2sq, w2sq, y2sq = (float(np.sum(trapezoid4(F**2, dx))) for F in (U, W, Y))
+            table[i] = c0, c1, c2, np.sqrt(l2sq), np.sqrt(l2sq + w2sq + y2sq)
         table.flags.writeable = False
-        cache.update(zip(("c0", "c1", "c2", "l2", "h1", "h2"), table.T))
+        cache.update(zip(NORM_KINDS, table.T))
     return cache[kind]
 
 

@@ -209,26 +209,13 @@ class PerturbationSpec:
 
 @dataclass(eq=False)
 class Snapshot:
-    """Fields at one time.
-
-    ``W``, the spatial derivative of U, is given where it is read: the
-    analytic derivative of the initial data, or an output time's row of
-    ``Trajectory.W``; the steps between output times carry none.  ``Y``, the
-    second derivative, is formed from W once, on first read.
-    """
+    """The stepper's state at one time: U and the boundary states."""
 
     t: float
     grid: np.ndarray
     U: np.ndarray
     b_left: np.ndarray
     b_right: np.ndarray
-    W: np.ndarray | None = None
-
-    @cached_property
-    def Y(self) -> np.ndarray:
-        """Second derivative: fourth-order differencing of W, extended by zero beyond the grid."""
-        zero = np.zeros_like(self.b_left)
-        return fd4_derivative(self.W, float(self.grid[1] - self.grid[0]), zero, zero)
 
 
 def fd4_derivative(F: np.ndarray, dx: float, left: np.ndarray,
@@ -259,7 +246,9 @@ class Trajectory:
     """Stored output of one evolution run: U and the boundary states at every
     output time.  Each per-output-time field is formed once, on first read:
     the stack ``W`` of U_x, the frames of a state-dependent A (a constant A
-    reads the Stepper's), and ``source_series``, which keeps no F_tilde or Theta."""
+    reads the Stepper's), and ``source_series``, which keeps no F_tilde or Theta.
+    U_xx is not stored: ``Y_at`` forms it for one output time, and the norm
+    pass and the source pass each call it once per output time."""
 
     model: ModelSpec
     profile: ProfileRep
@@ -293,9 +282,11 @@ class Trajectory:
         return np.stack([fd4_derivative(U, self.dx, bl, br)
                          for U, bl, br in zip(self.states, self.b_left, self.b_right)])
 
-    def snapshot(self, i: int) -> Snapshot:
-        return Snapshot(t=float(self.times[i]), grid=self.grid, U=self.states[i],
-                        b_left=self.b_left[i], b_right=self.b_right[i], W=self.W[i])
+    def Y_at(self, i: int) -> np.ndarray:
+        """U_xx at output time i, formed on every call: fourth-order
+        differences of ``W[i]``, extended by zero beyond the grid."""
+        zero = np.zeros_like(self.b_left[i])
+        return fd4_derivative(self.W[i], self.dx, zero, zero)
 
     def perturbed_states(self, i: int) -> np.ndarray:
         return self.stepper.Ubar + self.states[i]
@@ -325,14 +316,20 @@ class Trajectory:
     @cached_property
     def source_series(self) -> SourceSeries:
         """One pass through ``source_field`` of every output time, keeping what
-        ``accumulate_H``, ``scan_trajectory_damping`` and ``slaving_check`` read."""
+        ``accumulate_H``, ``scan_trajectory_damping`` and ``slaving_check`` read:
+        E_jj and the interior sups of Phi = L U, PsiTilde = L W + Theta Phi
+        and UpsilonTilde = L Y + Theta Psi."""
         E = np.empty_like(self.states)
         sups = np.empty((3, self.n_times))
         for i in range(self.n_times):
             sf = self.source_field(i)
             E[i] = sf.E_diag
-            dv = diagonal_vars(self.snapshot(i), sf.frames, sf.Theta)
-            sups[:, i] = [interior_max(F) for F in (dv.Phi, dv.PsiTilde, dv.UpsilonTilde)]
+            Phi = sf.frames.to_diag(self.states[i])
+            Psi = sf.frames.to_diag(self.W[i])
+            Ups = sf.frames.to_diag(self.Y_at(i))
+            sups[:, i] = (interior_max(Phi),
+                          interior_max(Psi + node_matmul(sf.Theta, Phi)),
+                          interior_max(Ups + node_matmul(sf.Theta, Psi)))
         return SourceSeries(E, *sups)
 
 
@@ -347,7 +344,7 @@ def make_initial(profile: ProfileRep, pert: PerturbationSpec,
         raise BudgetExceeded(
             f"initial C^1 norm {c1:.3e} exceeds budget {budget:.3e}",
             measured=c1, budget=budget)
-    return Snapshot(t=0.0, grid=x, U=U0, b_left=bl, b_right=br, W=W0)
+    return Snapshot(t=0.0, grid=x, U=U0, b_left=bl, b_right=br)
 
 
 # --- interpolation on a uniform grid ---------------------------------------
@@ -790,6 +787,9 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
         raise InvalidParam("n_out must be >= 1")
     X = profile.half_width if X is None else float(X)
     n = int(round(2.0 * X / dx)) + 1
+    if n < 2 * EDGE_TRIM + 1:
+        raise InvalidParam(f"dx = {dx:.6g} leaves {n} grid nodes on [-{X:.6g}, {X:.6g}], "
+                           f"fewer than the {2 * EDGE_TRIM + 1} the edge-trimmed norms need")
     grid = np.linspace(-X, X, n)
 
     snap = make_initial(profile, pert, grid, budget)
@@ -827,27 +827,3 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
     if over.size:
         traj.budget_violation_time = float((over[0] + 1) * (T / n_out))
     return traj
-
-
-# --- diagonal variables ----------------------------------------------------
-
-@dataclass
-class DiagVars:
-    """Diagonalized fields of one snapshot."""
-
-    Phi: np.ndarray
-    Psi: np.ndarray
-    PsiTilde: np.ndarray
-    Upsilon: np.ndarray
-    UpsilonTilde: np.ndarray
-
-
-def diagonal_vars(snap: Snapshot, frames: FrameField,
-                  theta: np.ndarray) -> DiagVars:
-    """Phi = L U, Psi = L W, PsiTilde = Psi + Theta Phi, and the second-derivative
-    analogues with Y obtained by fourth-order differencing of W."""
-    Phi, Psi = frames.to_diag(snap.U), frames.to_diag(snap.W)
-    PsiT = Psi + node_matmul(theta, Phi)
-    Ups = frames.to_diag(snap.Y)
-    UpsT = Ups + node_matmul(theta, Psi)
-    return DiagVars(Phi=Phi, Psi=Psi, PsiTilde=PsiT, Upsilon=Ups, UpsilonTilde=UpsT)

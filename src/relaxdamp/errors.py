@@ -111,12 +111,6 @@ class EpsilonTooLarge(RelaxDampError):
     """No no-damping radius exists for the requested perturbation budget."""
 
 
-# --- damping verifier ----------------------------------------------------
-
-class Unsupported(RelaxDampError):
-    """Requested derivative order is not implemented."""
-
-
 # --- config / cli --------------------------------------------------------
 
 class ConfigError(RelaxDampError):

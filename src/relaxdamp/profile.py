@@ -22,7 +22,6 @@ from .poly import node_matmul, poly_matrix_eval
 
 NOISE_FLOOR = 1e-13
 TAIL_FRACTION = 0.5  # decay fits use |x| in [TAIL_FRACTION*X, X]
-ENVELOPE_SLACK = 1.05
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from .eigenframe import FrameField, _flip_parity, endstate_diagonals
 from .model import ModelSpec
 
 XI_MIN_DEFAULT = 0.01
-N_XI_DEFAULT = 400
 
 
 def _endstate(model: ModelSpec, side: str) -> np.ndarray:

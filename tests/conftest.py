@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from relaxdamp import (build_custom, build_jinxin, exact_jinxin_profile, frames_at_states,
                        transformed_source)
 from relaxdamp.characteristics import CharPaths, _FieldInterp, accumulate_H
-from relaxdamp.dynamics import ShiftSpec, Trajectory
-from relaxdamp.poly import Poly
+from relaxdamp.dynamics import ShiftSpec, Trajectory, fd4_derivative
+from relaxdamp.poly import Poly, node_matmul
 from relaxdamp.profile import constant_profile
 
 
@@ -78,6 +80,19 @@ def synthetic_trajectory(model, profile, field, T: float, n_out: int,
         b_left=zeros, b_right=zeros.copy(), dt=times[1] - times[0],
         cfl_observed=0.0, budget=1.0,
     )
+
+
+def diagonal_vars(traj: Trajectory, i: int, sf) -> SimpleNamespace:
+    """Diagonal variables at output time i, in the frames and Theta of the
+    transformed source ``sf``: Phi = L U, Psi = L W, PsiTilde = Psi + Theta Phi,
+    Upsilon = L Y and UpsilonTilde = Upsilon + Theta Psi, with Y the
+    fourth-order differences of W extended by zero beyond the grid.  The
+    per-output-time oracle of ``Trajectory.source_series``."""
+    zero = np.zeros(traj.model.N)
+    Y = fd4_derivative(traj.W[i], traj.dx, zero, zero)
+    Phi, Psi, Ups = (sf.frames.to_diag(F) for F in (traj.states[i], traj.W[i], Y))
+    return SimpleNamespace(Phi=Phi, Psi=Psi, PsiTilde=Psi + node_matmul(sf.Theta, Phi),
+                           Upsilon=Ups, UpsilonTilde=Ups + node_matmul(sf.Theta, Psi))
 
 
 def duhamel_residual(traj: Trajectory, paths: CharPaths) -> np.ndarray:

@@ -1,8 +1,9 @@
 """The package's public names.
 
 Every name in ``relaxdamp.__all__`` must resolve, a star import must work,
-and the single-state twins of the stacked eigen and characteristics layers
-must stay gone from the package namespace and from their modules, as must
+and the single-state twins of the stacked eigen, characteristics, norm and
+diagonal-variable layers must stay gone from the package namespace and from
+their modules, with ``Snapshot`` left as the stepper's state, as must
 the frame transport's derivative object and its parameters, the artifact
 writers' second formatting paths and the tracer's second time lookup.  Outcomes travel
 as data: only the CLI catches a toolkit error.
@@ -16,7 +17,7 @@ import inspect
 from pathlib import Path
 
 import relaxdamp
-from relaxdamp import characteristics, cli, dynamics, eigenframe, errors
+from relaxdamp import characteristics, cli, damping_verifier, dynamics, eigenframe, errors
 
 REMOVED = {
     eigenframe: ("EigenFrame", "SourceSplit", "decompose", "source_split", "theta_matrix",
@@ -24,6 +25,9 @@ REMOVED = {
                  "GridGradient"),
     characteristics: ("trace", "duhamel_residual"),
     cli: ("_fmt", "_jsonable"),
+    damping_verifier: ("ckb_norm", "l2_h2_norms", "_offset_corrected"),
+    dynamics: ("diagonal_vars", "DiagVars"),
+    errors: ("Unsupported",),
 }
 
 
@@ -50,6 +54,14 @@ def test_removed_twins_stay_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(eigenframe.FrameField, "lipschitz")
     assert not hasattr(characteristics._FieldInterp, "cell")
+
+
+def test_snapshot_is_the_steppers_state():
+    # the analysis passes read the trajectory's stacks, not per-time snapshots
+    assert [f.name for f in dataclasses.fields(dynamics.Snapshot)] == [
+        "t", "grid", "U", "b_left", "b_right"]
+    assert not hasattr(dynamics.Snapshot, "Y")
+    assert not hasattr(dynamics.Trajectory, "snapshot")
 
 
 def test_frame_transport_takes_its_spacing_from_the_frames():

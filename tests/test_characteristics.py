@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (anti_damped_core_model, duhamel_residual, profile_source, scalar_model,
-                      synthetic_trajectory, vara_model)
+from conftest import (anti_damped_core_model, diagonal_vars, duhamel_residual, profile_source,
+                      scalar_model, synthetic_trajectory, vara_model)
 from relaxdamp import characteristics, damping_rate, dynamics, eigenframe
 from relaxdamp.characteristics import (
     CharPaths,
@@ -25,8 +25,7 @@ from relaxdamp.characteristics import (
     verify_H_bound,
 )
 from relaxdamp.damping_verifier import feasibility_table, slaving_check
-from relaxdamp.dynamics import (PerturbationSpec, ShiftSpec, _cubic_lagrange, diagonal_vars,
-                                evolve, interior_max)
+from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, _cubic_lagrange, evolve, interior_max
 from relaxdamp.eigenframe import _decompose_batch
 from relaxdamp.errors import EpsilonTooLarge, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
@@ -630,8 +629,7 @@ def test_source_series_readers_match_each_source_field(run, request):
         want = max(float(np.max(sf.E_diag[mask])) for sf in fields)
         assert scan_trajectory_damping(traj, R) == want
     sups = np.array([[interior_max(F) for F in (dv.Phi, dv.PsiTilde, dv.UpsilonTilde)]
-                     for dv in (diagonal_vars(traj.snapshot(i), sf.frames, sf.Theta)
-                                for i, sf in enumerate(fields))]).T
+                     for dv in (diagonal_vars(traj, i, sf) for i, sf in enumerate(fields))]).T
     assert np.min(sups) > 0.0
     theta_grid = np.linspace(0.01, 0.3, 15)
     forcing = sups[0] + np.abs(traj.shift.delta_dot(traj.times))

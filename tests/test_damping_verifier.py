@@ -11,11 +11,10 @@ from hypothesis.extra.numpy import arrays
 from conftest import scalar_model, synthetic_trajectory, vara_model
 from relaxdamp import build_custom, build_jinxin, damping_rate
 from relaxdamp.damping_verifier import (
-    ckb_norm,
+    NORM_KINDS,
     default_weight_constants,
     feasibility_table,
     fit_damping,
-    l2_h2_norms,
     norm_series,
     slaving_check,
     trapezoid4,
@@ -25,21 +24,43 @@ from relaxdamp.damping_verifier import (
 from relaxdamp.eigenframe import _decompose_2x2
 from relaxdamp.characteristics import no_damping_radius
 from relaxdamp.config import config_from_dict
-from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, Snapshot, evolve
-from relaxdamp.errors import Characteristic, InvalidParam, NotStrictlyHyperbolic, Unsupported
+from relaxdamp.dynamics import (PerturbationSpec, ShiftSpec, Trajectory, evolve, far_field_ramp,
+                                fd4_derivative, interior_max)
+from relaxdamp.errors import Characteristic, InvalidParam, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
 from relaxdamp.profile import constant_profile, exact_jinxin_profile, solve_profile
 
 
-def make_snapshot(grid, U, W=None, b=None):
-    N = U.shape[1]
-    zero = np.zeros(N)
-    if W is None:
-        from relaxdamp.dynamics import fd4_derivative
+def still_trajectory(grid, U, b=None):
+    """A Trajectory with the one output time t = 0, holding U (n, N) on
+    ``grid`` with boundary states b on both sides (zero by default)."""
+    b = np.zeros(U.shape[1]) if b is None else b
+    return Trajectory(model=None, profile=None, shift=ShiftSpec(kind="zero"),
+                      backend="synthetic", grid=grid, times=np.zeros(1), states=U[None],
+                      b_left=b[None], b_right=b[None].copy(), dt=0.0, cfl_observed=0.0,
+                      budget=1.0)
 
-        W = fd4_derivative(U, grid[1] - grid[0], zero, zero)
-    return Snapshot(t=0.0, grid=grid, U=U, W=W, b_left=b if b is not None else zero,
-                    b_right=b if b is not None else zero)
+
+def snapshot_norms(traj, i):
+    """The ``NORM_KINDS`` at output time i, formed from that time's fields
+    alone: the per-output-time oracle of ``norm_series``."""
+    dx, U, W = traj.dx, traj.states[i], traj.W[i]
+    zero = np.zeros(U.shape[1])
+    Y = fd4_derivative(W, dx, zero, zero)
+    c = [interior_max(U)]
+    for F in (W, Y):
+        c.append(max(c[-1], interior_max(F)))
+    bl, br = traj.b_left[i], traj.b_right[i]
+    if np.max(np.abs(bl)) != 0.0 or np.max(np.abs(br)) != 0.0:
+        sig = far_field_ramp(traj.grid, traj.blend_width)
+        U = U - (bl[None, :] + sig[:, None] * (br - bl)[None, :])
+    l2sq, w2sq, y2sq = (float(np.sum(trapezoid4(F**2, dx))) for F in (U, W, Y))
+    return dict(zip(NORM_KINDS, c + [np.sqrt(l2sq), np.sqrt(l2sq + w2sq + y2sq)]))
+
+
+def oracle_series(traj):
+    rows = [snapshot_norms(traj, i) for i in range(traj.n_times)]
+    return {kind: np.array([row[kind] for row in rows]) for kind in NORM_KINDS}
 
 
 # --- norms -------------------------------------------------------------------
@@ -47,29 +68,23 @@ def make_snapshot(grid, U, W=None, b=None):
 def test_ckb_constant_field():
     grid = np.linspace(-10, 10, 201)
     U = np.tile([1e-2, 0.0], (201, 1))
-    snap = make_snapshot(grid, U, W=np.zeros_like(U), b=np.array([1e-2, 0.0]))
-    for K in range(3):
-        assert ckb_norm(snap, K) == pytest.approx(1e-2)
+    traj = still_trajectory(grid, U, b=np.array([1e-2, 0.0]))
+    for kind in ("c0", "c1", "c2"):
+        assert norm_series(traj, kind)[0] == pytest.approx(1e-2)
+    # the field is its own far-field state; its derivatives are round-off
+    assert norm_series(traj, "l2")[0] == 0.0
+    assert norm_series(traj, "h2")[0] <= 1e-15
 
 
 def test_ckb_gaussian_dominated_by_peak():
     grid = np.linspace(-40, 40, 4001)
     A, w = 1e-2, 2.0
     g = A * np.exp(-0.5 * (grid / w) ** 2)
-    U = g[:, None] * np.array([1.0, 0.0])
-    W = (-g * grid / w**2)[:, None] * np.array([1.0, 0.0])
-    snap = make_snapshot(grid, U, W=W)
+    traj = still_trajectory(grid, g[:, None] * np.array([1.0, 0.0]))
     # max slope A/(w sqrt(e)) = 3.03e-3 is below the peak
-    assert ckb_norm(snap, 0) == pytest.approx(A)
-    assert ckb_norm(snap, 1) == pytest.approx(A)
-    assert np.max(np.abs(W)) == pytest.approx(A / (w * np.sqrt(np.e)), rel=1e-3)
-
-
-def test_ckb_unsupported_order():
-    grid = np.linspace(-1, 1, 21)
-    snap = make_snapshot(grid, np.zeros((21, 1)))
-    with pytest.raises(Unsupported):
-        ckb_norm(snap, 3)
+    assert norm_series(traj, "c0")[0] == pytest.approx(A)
+    assert norm_series(traj, "c1")[0] == pytest.approx(A)
+    assert np.max(np.abs(traj.W[0])) == pytest.approx(A / (w * np.sqrt(np.e)), rel=1e-3)
 
 
 def test_ckb_norms_nested(jinxin, jinxin_profile):
@@ -77,20 +92,19 @@ def test_ckb_norms_nested(jinxin, jinxin_profile):
                             direction=(0.0, 1.0))
     traj = evolve(jinxin, jinxin_profile, pert, ShiftSpec(kind="zero"),
                   T=2.0, backend="moc", dx=0.04, n_out=4)
-    for i in range(traj.n_times):
-        snap = traj.snapshot(i)
-        assert ckb_norm(snap, 0) <= ckb_norm(snap, 1) <= ckb_norm(snap, 2)
+    c0, c1, c2 = (norm_series(traj, kind) for kind in ("c0", "c1", "c2"))
+    assert np.all(c0 <= c1) and np.all(c1 <= c2)
+    assert np.all(norm_series(traj, "l2") <= norm_series(traj, "h2"))
 
 
 def test_l2_zero_and_gaussian_identity():
     grid = np.linspace(-40, 40, 4001)
-    snap = make_snapshot(grid, np.zeros((4001, 2)))
-    assert l2_h2_norms(snap) == (0.0, 0.0, 0.0)
+    traj = still_trajectory(grid, np.zeros((4001, 2)))
+    assert norm_series(traj, "l2")[0] == norm_series(traj, "h2")[0] == 0.0
     A, w = 1e-2, 2.0
     g = A * np.exp(-0.5 * (grid / w) ** 2)
-    snap = make_snapshot(grid, g[:, None] * np.array([1.0, 0.0]))
-    l2, _, _ = l2_h2_norms(snap)
-    assert l2**2 == pytest.approx(A**2 * w * np.sqrt(np.pi), abs=1e-8)
+    traj = still_trajectory(grid, g[:, None] * np.array([1.0, 0.0]))
+    assert norm_series(traj, "l2")[0] ** 2 == pytest.approx(A**2 * w * np.sqrt(np.pi), abs=1e-8)
 
 
 def test_offset_norms_use_the_runs_blend_width(jinxin, jinxin_profile):
@@ -104,6 +118,9 @@ def test_offset_norms_use_the_runs_blend_width(jinxin, jinxin_profile):
         assert traj.blend_width == blend_width
         assert norm_series(traj, "l2")[0] == 0.0
         assert norm_series(traj, "l2")[1] > 0.0
+        want = oracle_series(traj)
+        for kind in NORM_KINDS:
+            assert np.array_equal(norm_series(traj, kind), want[kind])
 
 
 def test_quadrature_fourth_order():
@@ -496,53 +513,10 @@ def test_l2_cross_norm_consistency(jinxin, jinxin_profile):
     assert np.all(l2.feasible[c0.feasible])
 
 
-def test_norm_series_computes_each_kind_once(monkeypatch):
-    import relaxdamp.damping_verifier as dvm
-
-    model = scalar_model(speed=2.0, decay=0.25)
-    prof = constant_profile(model, [0.0], X=20.0, n=801)
-
-    def field(t, x):
-        return (1e-3 * np.exp(-0.25 * t) * np.exp(-0.5 * (x / 3.0) ** 2))[:, None]
-
-    traj = synthetic_trajectory(model, prof, field, T=4.0, n_out=8)
-    want = {f"c{K}": [ckb_norm(traj.snapshot(i), K) for i in range(traj.n_times)]
-            for K in range(3)}
-    sobolev = np.array([l2_h2_norms(traj.snapshot(i)) for i in range(traj.n_times)])
-    want.update(zip(("l2", "h1", "h2"), sobolev.T))
-
-    calls = {"ckb": 0, "sobolev": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(dvm, "ckb_norm", counted("ckb", dvm.ckb_norm))
-    monkeypatch.setattr(dvm, "l2_h2_norms", counted("sobolev", dvm.l2_h2_norms))
-    grid = np.linspace(0.01, 0.3, 5)
-    for _ in range(2):
-        for kind in ("c0", "c1", "c2", "l2", "h2"):
-            fit_damping(traj, kind, grid)
-        for kind in want:
-            series = dvm.norm_series(traj, kind)
-            assert np.array_equal(series, want[kind])
-            assert not series.flags.writeable
-    assert calls == {"ckb": 3 * traj.n_times, "sobolev": traj.n_times}
-
-
-def test_norm_series_differences_each_snapshot_twice(monkeypatch):
-    import relaxdamp.damping_verifier as dvm
+def _counted_fd4(monkeypatch):
+    """Record the arguments of every ``dynamics.fd4_derivative`` call."""
     import relaxdamp.dynamics as dyn
 
-    model = scalar_model(speed=2.0, decay=0.25)
-    prof = constant_profile(model, [0.0], X=10.0, n=201)
-
-    def field(t, x):
-        return (1e-3 * np.exp(-0.25 * t) * np.exp(-0.5 * (x / 3.0) ** 2))[:, None]
-
-    traj = synthetic_trajectory(model, prof, field, T=2.0, n_out=4)
     calls = []
     fd4 = dyn.fd4_derivative
 
@@ -551,9 +525,54 @@ def test_norm_series_differences_each_snapshot_twice(monkeypatch):
         return fd4(*args)
 
     monkeypatch.setattr(dyn, "fd4_derivative", counted)
-    dvm.norm_series(traj, "c0")
-    # W and Y once per output time, for all six kinds
-    assert len(calls) == 2 * traj.n_times
-    for kind in ("c1", "c2", "l2", "h1", "h2"):
-        dvm.norm_series(traj, kind)
-    assert len(calls) == 2 * traj.n_times
+    return calls
+
+
+def test_norm_series_computes_each_kind_once(monkeypatch):
+    model = scalar_model(speed=2.0, decay=0.25)
+    prof = constant_profile(model, [0.0], X=20.0, n=801)
+
+    def field(t, x):
+        return (1e-3 * np.exp(-0.25 * t) * np.exp(-0.5 * (x / 3.0) ** 2))[:, None]
+
+    traj = synthetic_trajectory(model, prof, field, T=4.0, n_out=8)
+    want = oracle_series(traj)
+    calls = _counted_fd4(monkeypatch)
+    grid = np.linspace(0.01, 0.3, 5)
+    for _ in range(2):
+        for kind in NORM_KINDS:
+            fit_damping(traj, kind, grid)
+        for kind in NORM_KINDS:
+            series = norm_series(traj, kind)
+            assert np.array_equal(series, want[kind])
+            assert not series.flags.writeable
+    # the oracle formed W already; the one pass formed Y once per output time
+    assert len(calls) == traj.n_times
+    assert set(traj._norm_cache) == set(NORM_KINDS)
+
+
+def test_norm_series_differences_each_snapshot_twice(monkeypatch):
+    model = scalar_model(speed=2.0, decay=0.25)
+    prof = constant_profile(model, [0.0], X=10.0, n=201)
+
+    def field(t, x):
+        return (1e-3 * np.exp(-0.25 * t) * np.exp(-0.5 * (x / 3.0) ** 2))[:, None]
+
+    traj = synthetic_trajectory(model, prof, field, T=2.0, n_out=4)
+    calls = _counted_fd4(monkeypatch)
+    n = traj.n_times
+    norm_series(traj, "c0")
+    # per output time, W once (the trajectory's stack), then Y once, for every kind
+    assert len(calls) == 2 * n
+    for kind in NORM_KINDS:
+        norm_series(traj, kind)
+    assert len(calls) == 2 * n
+    # the source pass forms its own Y once per output time from the same W
+    assert traj.source_series.phi.shape == (n,)
+    assert len(calls) == 3 * n
+    zero = np.zeros(1)
+    for i in range(n):
+        assert np.array_equal(calls[i][0], traj.states[i])
+        for Y_call in (calls[n + i], calls[2 * n + i]):
+            assert np.array_equal(Y_call[0], traj.W[i])
+            assert np.array_equal(Y_call[2], zero) and np.array_equal(Y_call[3], zero)

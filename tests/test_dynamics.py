@@ -8,18 +8,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import duhamel_residual, scalar_model, vara3_model, vara_model
+from conftest import diagonal_vars, duhamel_residual, scalar_model, vara3_model, vara_model
 from relaxdamp.characteristics import accumulate_H, trace_many
 from relaxdamp import dynamics
+from relaxdamp.damping_verifier import NORM_KINDS, norm_series
 from relaxdamp.dynamics import (
     CFL_LIMIT,
+    EDGE_TRIM,
     PerturbationSpec,
     ShiftSpec,
     Stepper,
-    diagonal_vars,
     evolve,
     fd4_derivative,
     grid_step,
+    interior_max,
     make_initial,
 )
 from relaxdamp import eigenframe
@@ -74,7 +76,8 @@ def test_gaussian_initial_peak(jinxin_profile):
     # analytic derivative ties to the fourth-order differenced field
     W_fd = fd4_derivative(snap.U, snap.grid[1] - snap.grid[0],
                           snap.b_left, snap.b_right)
-    assert np.max(np.abs(W_fd - snap.W)) <= 1e-7
+    W0 = pert.sample(jinxin_profile, snap.grid)[1]
+    assert np.max(np.abs(W_fd - W0)) <= 1e-7
 
 
 @pytest.mark.parametrize("direction", [(1.0,), (0.0, 0.0, 1.0)])
@@ -128,11 +131,15 @@ def test_offset_initial_endpoints(jinxin_profile):
 def test_zero_initial(jinxin, jinxin_profile):
     snap = make_initial(jinxin_profile, PerturbationSpec(kind="zero"))
     assert np.max(np.abs(snap.U)) == 0.0
-    Ut = jinxin_profile.eval(snap.grid) + snap.U
-    sf = transformed_source(jinxin, Ut, frames_at_states(jinxin, snap.grid, Ut))
-    dv = diagonal_vars(snap, sf.frames, sf.Theta)
-    for field in (dv.Phi, dv.Psi, dv.PsiTilde, dv.Upsilon, dv.UpsilonTilde):
-        assert np.max(np.abs(field)) == 0.0
+    assert np.max(np.abs(np.concatenate([snap.b_left, snap.b_right]))) == 0.0
+    # the zero state stays zero, and so do its diagonal variables and norms
+    traj = evolve(jinxin, jinxin_profile, PerturbationSpec(kind="zero"), ShiftSpec(kind="zero"),
+                  T=0.2, dx=0.08, n_out=1)
+    sups = traj.source_series
+    for series in (sups.phi, sups.psi_tilde, sups.upsilon_tilde):
+        assert np.max(series) == 0.0
+    for kind in NORM_KINDS:
+        assert np.max(norm_series(traj, kind)) == 0.0
 
 
 def test_budget_exceeded(jinxin_profile):
@@ -140,6 +147,33 @@ def test_budget_exceeded(jinxin_profile):
     with pytest.raises(BudgetExceeded) as err:
         make_initial(jinxin_profile, pert, budget=0.02)
     assert err.value.measured == pytest.approx(0.5)
+
+
+def test_budget_reads_the_analytic_slope(jinxin_profile):
+    # |U0| = 0.015 is inside the budget; the analytic slope A / (w sqrt(e)) is not
+    pert = PerturbationSpec(kind="gaussian", amplitude=0.015, width=0.2)
+    with pytest.raises(BudgetExceeded) as err:
+        make_initial(jinxin_profile, pert, budget=0.02)
+    W0 = pert.sample(jinxin_profile, jinxin_profile.grid)[1]
+    assert err.value.measured == np.max(np.abs(W0))
+    assert err.value.measured == pytest.approx(0.015 / (0.2 * math.sqrt(math.e)), rel=1e-3)
+
+
+@pytest.mark.parametrize("dx, nodes", [(30.0, 4), (100.0, 2)])
+def test_evolve_refuses_a_grid_without_trimmed_interior(jinxin, jinxin_profile, dx, nodes):
+    # at X = 40 these leave fewer than 2 EDGE_TRIM + 1 nodes: no interior node
+    # survives the edge trim of the norms
+    assert nodes < 2 * EDGE_TRIM + 1
+    with pytest.raises(InvalidParam, match=f"^dx = {dx:g} leaves {nodes} grid nodes "):
+        evolve(jinxin, jinxin_profile, PerturbationSpec(kind="zero"), ShiftSpec(kind="zero"),
+               T=0.1, dx=dx, n_out=1)
+
+
+def test_evolve_runs_on_the_smallest_trimmable_grid(jinxin, jinxin_profile):
+    traj = evolve(jinxin, jinxin_profile, PerturbationSpec(kind="zero"), ShiftSpec(kind="zero"),
+                  T=0.1, dx=20.0, n_out=1)
+    assert len(traj.grid) == 2 * EDGE_TRIM + 1
+    assert np.max(norm_series(traj, "c2")) == 0.0
 
 
 def test_shift_difference_perturbation(jinxin_profile):
@@ -922,20 +956,25 @@ def test_sinusoid_shift_bounded_run(jinxin, jinxin_profile):
 
 def test_diagonal_vars_roundtrip(jinxin, jinxin_profile):
     pert = PerturbationSpec(kind="gaussian", amplitude=1e-2, width=2.0)
-    snap = make_initial(jinxin_profile, pert)
-    Ut = jinxin_profile.eval(snap.grid) + snap.U
-    sf = transformed_source(jinxin, Ut, frames_at_states(jinxin, snap.grid, Ut))
-    dv = diagonal_vars(snap, sf.frames, sf.Theta)
-    # reconstruction U = R Phi and W = R Psi round-trip
-    U_back = np.einsum("nkj,nj->nk", sf.frames.R, dv.Phi)
-    W_back = np.einsum("nkj,nj->nk", sf.frames.R, dv.Psi)
-    assert np.max(np.abs(U_back - snap.U)) <= 1e-12
-    assert np.max(np.abs(W_back - snap.W)) <= 1e-12
-    # conjugation identity holds by construction (modulo reassociation rounding)
-    resid = dv.PsiTilde - dv.Psi - np.einsum("njk,nk->nj", sf.Theta, dv.Phi)
-    assert np.max(np.abs(resid)) <= 1e-15
-    resid2 = dv.UpsilonTilde - dv.Upsilon - np.einsum("njk,nk->nj", sf.Theta, dv.Psi)
-    assert np.max(np.abs(resid2)) <= 1e-15
+    traj = evolve(jinxin, jinxin_profile, pert, ShiftSpec(kind="zero"),
+                  T=0.5, backend="moc", dx=0.04, n_out=1)
+    for i in range(traj.n_times):
+        sf = traj.source_field(i)
+        dv = diagonal_vars(traj, i, sf)
+        # reconstruction U = R Phi and W = R Psi round-trip
+        U_back = np.einsum("nkj,nj->nk", sf.frames.R, dv.Phi)
+        W_back = np.einsum("nkj,nj->nk", sf.frames.R, dv.Psi)
+        assert np.max(np.abs(U_back - traj.states[i])) <= 1e-12
+        assert np.max(np.abs(W_back - traj.W[i])) <= 1e-12
+        # conjugation identity holds by construction (modulo reassociation rounding)
+        resid = dv.PsiTilde - dv.Psi - np.einsum("njk,nk->nj", sf.Theta, dv.Phi)
+        assert np.max(np.abs(resid)) <= 1e-15
+        resid2 = dv.UpsilonTilde - dv.Upsilon - np.einsum("njk,nk->nj", sf.Theta, dv.Psi)
+        assert np.max(np.abs(resid2)) <= 1e-15
+        # the source pass keeps the interior sups of these same fields
+        sups = traj.source_series
+        assert [sups.phi[i], sups.psi_tilde[i], sups.upsilon_tilde[i]] == [
+            interior_max(F) for F in (dv.Phi, dv.PsiTilde, dv.UpsilonTilde)]
 
 
 def test_diagonal_vars_spot_value(jinxin, jinxin_profile):
@@ -966,8 +1005,9 @@ def test_trajectory_snapshot_consistency(jinxin, jinxin_profile):
                             direction=(0.0, 1.0))
     traj = evolve(jinxin, jinxin_profile, pert, ShiftSpec(kind="zero"),
                   T=1.0, backend="moc", dx=0.04, n_out=2)
-    snap = traj.snapshot(2)
-    assert snap.t == pytest.approx(1.0)
-    W_fd = fd4_derivative(snap.U, traj.dx, snap.b_left, snap.b_right)
-    assert np.array_equal(snap.W, W_fd)
+    assert traj.times[2] == pytest.approx(1.0)
+    W_fd = fd4_derivative(traj.states[2], traj.dx, traj.b_left[2], traj.b_right[2])
+    assert np.array_equal(traj.W[2], W_fd)
+    zero = np.zeros(2)
+    assert np.array_equal(traj.Y_at(2), fd4_derivative(W_fd, traj.dx, zero, zero))
     assert traj.budget_violation_time is None

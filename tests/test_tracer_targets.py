@@ -32,3 +32,23 @@ def test_tracer_installs_and_uninstalls_every_span():
     finally:
         t.uninstall()
     assert dyn._cubic_interp is original
+
+
+def test_every_span_target_resolves_to_a_callable():
+    # resolved as ``Tracer.install`` does: the module under the package, then
+    # the attribute path, the last name in the owner's own namespace
+    import importlib
+
+    tracer = _load_tracer()
+    missing = []
+    for name in tracer.SPANS:
+        module_name, _, qualname = name.partition(".")
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        *path, attr = qualname.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None or not callable(vars(owner).get(attr)):
+            missing.append(name)
+    assert missing == []
+    assert {"damping_verifier.norm_series", "dynamics.Trajectory.source_field",
+            "dynamics.fd4_derivative"} <= set(tracer.SPANS)
