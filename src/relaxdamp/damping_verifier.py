@@ -140,7 +140,10 @@ def norm_series(traj: Trajectory, kind: str) -> np.ndarray:
     derivatives of order <= K; l2 and h2 use ``trapezoid4``.  Offset data is
     measured in l2 and h2 against the far-field ramp of the run's
     ``blend_width``; derivative fields are square-integrable as they stand.
+    Any other kind raises InvalidParam before the pass runs.
     """
+    if kind not in NORM_KINDS:
+        raise InvalidParam(f"unknown norm kind {kind!r}")
     cache = traj._norm_cache
     if not cache:
         dx = traj.dx
@@ -290,8 +293,6 @@ def fit_damping(traj: Trajectory, norm_kind: str, theta_grid,
     L^2/H^2 kinds use squared norms with forcing ||U||_L2^2 + |ddelta|^2.
     The table's ``theta_max`` is None when no rate is feasible under the cap.
     """
-    if norm_kind not in NORM_KINDS:
-        raise InvalidParam(f"unknown norm kind {norm_kind!r}")
     dd = np.abs(traj.shift.delta_dot(traj.times))
     if norm_kind.startswith("c"):
         series = norm_series(traj, norm_kind)

@@ -11,7 +11,7 @@ discrete equilibrium.  Two independent backends advance it: a first-order
 characteristic-upwind scheme ("reference", LeVeque, Finite Volume Methods for
 Hyperbolic Problems, 2002, ch. 4-6) and a semi-Lagrangian scheme that
 integrates the diagonalized system along characteristics with a one-step
-Duhamel update ("moc").  Both evaluate it through ``Stepper.source`` on the
+Duhamel update ("moc").  Both evaluate it, ``Stepper.source``'s sum, on the
 rows of U edge-padded by the evolving boundary states, about the profile
 padded by the far-field states, where Ubar_x = 0.  The reference step is one
 explicit midpoint over all n + 2 rows, with no advection in the four edge
@@ -22,13 +22,21 @@ rows once, and each family reads its upwind side as one slice of them.
 When A is constant every node of family j moves at the same speed
 c_j = lambda_j - ddelta(t), so the moc foot sits at one offset s_j = -c_j dt /
 dx (in cells) from every node: the standard fixed-stencil semi-Lagrangian
-step (Staniforth & Cote, Mon. Wea. Rev. 119, 1991).  The step forms Phi, E and
-G family-major, as (N, n) arrays with one row per family, and writes each
-once into an edge-padded buffer whose row j starts at column 1 - floor(s_j).
-The 4-point cubic Lagrange stencil for Phi and the 2-point stencils for E (at
-s) and G (at s / 2) are then 4 + 2 + 2 slices over all families at once.
-The offsets, the stencil weights, the speeds and their CFL check depend only
-on (dt, ddelta), and are formed once per pair.
+step (Staniforth & Cote, Mon. Wea. Rev. 119, 1991).  That step works on
+component-major rows, (N, n + 2) with one column per node and one per
+boundary state (``_FrameRows``).  One q pass there gives the source S, and
+one product of a coefficient matrix, composed once per Stepper from L0, R0
+and the terms of Q, gives Phi = L0 U with the diagonal boundary states,
+L0 S and E = diag(L0 Q R0).  S at the edge and boundary columns is also the
+first stage of the four edge rows' midpoint, so only its second stage calls
+``Stepper.source``.  Phi, G = L0 S - E Phi and E are written once each into
+a buffer whose row j starts at column 1 - floor(s_j).  The 4-point cubic
+Lagrange stencil for Phi and the 2-point stencils for G (at s / 2) and E (at
+s) are then 4 + 2 slices over all families at once, G and E sharing theirs.
+The linear weights carry dt, and those of E also E at the node, so the
+Duhamel update is Phi_new = e (e Phif + dt Gm) with one exp per step,
+e = exp(dt (Ef + E) / 4).  The offsets, the stencil weights, the speeds and
+their CFL check depend only on (dt, ddelta), and are formed once per pair.
 
 A state-dependent A is evaluated once per step, at the node states Ubar + U:
 the frames are decomposed from it and keep it, and the source's dA term
@@ -415,22 +423,30 @@ def _linear_interp(pad: np.ndarray, t: np.ndarray, at: np.ndarray) -> np.ndarray
     return (1.0 - t) * pad.ravel()[at] + t * pad.ravel()[at + pad.shape[1]]
 
 
-def _foot_stencil(s: np.ndarray):
-    """``_cubic_interp`` and ``_linear_interp`` at x_k + s_j dx as fixed stencils,
-    for offsets -1 < s_j < 1 cells: (offsets, cubic, foot, mid).
+def _foot_stencil(s: np.ndarray, dt: float):
+    """The constant-frame moc step's interpolations at x_k + s_j dx as fixed
+    stencils, for offsets -1 < s_j < 1 cells: (offsets, cubic, linear).
 
     Row j of a pad holds node 0 of family j at column ``offsets[j]`` =
     1 - floor(s_j), so every family's stencil points are the same columns:
     columns k .. k + n - 1 for cubic weight k (nodes -1 .. 2 about the foot's
-    cell), 1 + k .. n + k for linear weight k at s (``foot``) and at s / 2
-    (``mid``, in the same cell as s).  Weights are (N, 1) columns.
+    cell), and 1 + k .. n + k for linear weight k, in the cell of s and of
+    s / 2 alike.  ``linear[k]`` holds linear weight k of the G and the E
+    pad, (2, N, 1): dt times the weight at s / 2, and dt / 4 times the
+    weight at s plus dt / 4 in the column of the node itself (k = 0 when
+    s_j >= 0, else k = 1).  So the two slices give dt G at the segment
+    midpoint and dt (E at the foot + E at the node) / 4.  Weights are (N, 1)
+    columns.
     """
     m = np.floor(s)
     t = (s - m)[:, None]
     half = (0.5 * s)[:, None]
     t_mid = half - np.floor(half)
-    return (tuple(int(o) for o in 1 - m), _cubic_weights(t), (1.0 - t, t),
-            (1.0 - t_mid, t_mid))
+    node = (m == 0.0)[:, None]
+    quarter = 0.25 * dt
+    linear = np.array([[dt * (1.0 - t_mid), quarter * ((1.0 - t) + node)],
+                       [dt * t_mid, quarter * (t + ~node)]])
+    return tuple(int(o) for o in 1 - m), _cubic_weights(t), linear
 
 
 class _Speeds:
@@ -444,7 +460,92 @@ class _Speeds:
 
     @cached_property
     def stencil(self) -> tuple:
-        return _foot_stencil(self._s)
+        return _foot_stencil(self._s, self.key[0])
+
+
+class _FrameRows:
+    """The constant-frame moc step's fields on component-major rows, one column
+    per node of U padded by the boundary states, (N, n + 2), about the
+    profile padded by the far-field states (``Stepper.about``, transposed).
+
+    ``Y`` stacks the rows a step writes, [V; Ut; S; X; 1]: the perturbation
+    V, the full states Ut = about + V, the source S (``Stepper.source``'s sum
+    in every column), the distinct monomials X of degree 2 or more among the
+    terms of Q at Ut, and ones.  ``B`` is composed once from L0, R0 and the
+    terms of Q, so that one product B Y gives [Phi; L0 S; E]: Phi = L0 V and
+    E_j = (L0 Q R0)_jj, whose constant, linear and higher terms read the
+    ones, the Ut and the X rows.  ``P`` holds that product, ``pads`` the
+    rows the foot stencils read.
+    """
+
+    def __init__(self, model: ModelSpec, frames: FrameField, about: _Base):
+        N, width = model.N, len(about.U)
+        L0, R0 = frames.L[0], frames.R[0]
+        self.about_U, self.about_q, self.about_U_x = (
+            np.ascontiguousarray(f.T) for f in (about.U, about.q, about.U_x))
+        terms = [(a, b, coeff, powers) for a, row in enumerate(model.Q_entries)
+                 for b, entry in enumerate(row) for coeff, powers in entry.terms]
+        self.monomials = sorted({powers for *_, powers in terms if sum(powers) > 1})
+        self.Y = np.empty((3 * N + len(self.monomials) + 1, width))
+        self.Y[-1] = 1.0
+        self.B = np.zeros((3 * N, len(self.Y)))
+        self.B[:N, :N] = self.B[N:2 * N, 2 * N:3 * N] = L0
+        for a, b, coeff, powers in terms:
+            degree = sum(powers)
+            column = (-1 if degree == 0 else N + powers.index(1) if degree == 1
+                      else 3 * N + self.monomials.index(powers))
+            self.B[2 * N:, column] += coeff * L0[:, a] * R0[b]
+        self.P = np.empty((3, N, width))
+        self.pads = np.empty((3, N, width + 1))
+
+    def evaluate(self, model: ModelSpec, snap: Snapshot, dd: float):
+        """The rows V and S (N, n + 2) at the snapshot with shift rate ``dd``,
+        and P = [Phi; G; E] (3, N, n + 2) with G = L0 S - E Phi.  S is what
+        ``Stepper.source`` gives at those states, bit for bit."""
+        N = model.N
+        V, Ut, S = self.Y[:N], self.Y[N:2 * N], self.Y[2 * N:3 * N]
+        V[:, 0], V[:, 1:-1], V[:, -1] = snap.b_left, snap.U.T, snap.b_right
+        np.add(self.about_U, V, out=Ut)
+        model.q_at(Ut.T, out=S.T)
+        S -= self.about_q
+        if dd != 0.0:
+            S += dd * self.about_U_x
+        for row, powers in zip(self.Y[3 * N:-1], self.monomials):
+            np.prod([Ut[k] ** p for k, p in enumerate(powers) if p], axis=0, out=row)
+        np.matmul(self.B, self.Y, out=self.P.reshape(3 * N, -1))
+        Phi, G, E = self.P
+        G -= E * Phi
+        return V, S
+
+    def advance(self, stencil: tuple) -> np.ndarray:
+        """Phi one step on from the last ``evaluate``, (N, n): e (e Phif + dt Gm)
+        with e = exp(dt (Ef + E) / 4), one exp for both factors.
+
+        Each field is written once into its pad, flat beyond the grid: Phi
+        with the diagonal boundary states, G and E with their edge values.
+        The linear weights of ``_foot_stencil`` carry dt and E at the node,
+        so G and E go through one pair of slices."""
+        offsets, (wm1, w0, w1, w2), linear = stencil
+        P, pads = self.P, self.pads
+        n = P.shape[-1] - 2
+        P[1:, :, 0] = P[1:, :, 1]
+        P[1:, :, -1] = P[1:, :, -2]
+        pads[..., 0], pads[..., -1] = P[..., 0], P[..., -1]
+        for j, o in enumerate(offsets):
+            pads[:, j, o - 1:o + n + 1] = P[:, j]
+        Phi = pads[0]
+        Phif = wm1 * Phi[:, :n]
+        Phif += w0 * Phi[:, 1:n + 1]
+        Phif += w1 * Phi[:, 2:n + 2]
+        Phif += w2 * Phi[:, 3:]
+        GE = linear[0] * pads[1:, :, 1:n + 1]
+        GE += linear[1] * pads[1:, :, 2:n + 2]
+        Gm, e = GE
+        np.exp(e, out=e)
+        Phif *= e
+        Phif += Gm
+        Phif *= e
+        return Phif
 
 
 # --- stepping --------------------------------------------------------------
@@ -489,10 +590,13 @@ class Stepper:
         self.frames0 = None
         if model.A_is_constant:
             self.frames0 = frames_at_states(model, self.grid, self.Ubar)
-            # edge-padded Phi, E and G rows of the fixed-stencil moc step
-            self._pads = np.empty((3, model.N, len(self.grid) + 3))
         self._speeds = None
         self.last_cfl = 0.0
+
+    @cached_property
+    def _rows(self) -> _FrameRows:
+        """The constant-frame moc step's rows and buffers, made on its first step."""
+        return _FrameRows(self.model, self.frames0, self.about)
 
     def source(self, Ut: np.ndarray, t: float, about: _Base | None = None,
                A: np.ndarray | None = None) -> np.ndarray:
@@ -529,15 +633,18 @@ class Stepper:
 
     def _ode_node_update(self, V: np.ndarray, t: float, dt: float, about: _Base,
                          adv: np.ndarray | None = None,
-                         A: np.ndarray | None = None) -> np.ndarray:
+                         A: np.ndarray | None = None,
+                         k1: np.ndarray | None = None) -> np.ndarray:
         """Explicit-midpoint update of perturbations V of the rows ``about`` by
         the source less a frozen advection term ``adv`` (none by default).
-        ``A``, when given, is A(about.U + V), which the first source reads.
+        ``A``, when given, is A(about.U + V), which the first source reads;
+        ``k1``, when given, is that first source, and is overwritten.
 
         With k = S - adv, about.U + (V + (dt / 2) k1) and (V - dt adv) + dt S2
         are formed in place, in that order of operations.
         """
-        k1 = self.source(about.U + V, t, about, A)
+        if k1 is None:
+            k1 = self.source(about.U + V, t, about, A)
         if adv is not None:
             k1 -= adv
         k1 *= 0.5 * dt
@@ -675,34 +782,6 @@ class Stepper:
         Ef = _linear_interp(pad, t, at + 3 * N)  # one row on, in E's columns
         return Phif, Ef, Gm
 
-    def _stencil_feet(self, stencil: tuple, Phi: np.ndarray, E: np.ndarray,
-                      G: np.ndarray, phi_left: np.ndarray, phi_right: np.ndarray):
-        """Phi and E at the feet and G at the segment midpoints of every family,
-        from family-major (N, n) fields, through the ``_foot_stencil`` given.
-
-        Each field is written once into its pad, flat beyond the grid: Phi
-        with the diagonal boundary states, E and G with their edge values.
-        """
-        offsets, (wm1, w0, w1, w2), foot, mid = stencil
-        n = Phi.shape[1]
-        for pad, F, left, right in zip(self._pads, (Phi, E, G),
-                                       (phi_left, E[:, 0], G[:, 0]),
-                                       (phi_right, E[:, -1], G[:, -1])):
-            pad[:, :2] = left[:, None]
-            pad[:, n + 1:] = right[:, None]
-            for row, F_row, o in zip(pad, F, offsets):
-                row[o:o + n] = F_row
-        P, Ep, Gp = self._pads
-        Phif = wm1 * P[:, :n]
-        Phif += w0 * P[:, 1:n + 1]
-        Phif += w1 * P[:, 2:n + 2]
-        Phif += w2 * P[:, 3:]
-        Ef = foot[0] * Ep[:, 1:n + 1]
-        Ef += foot[1] * Ep[:, 2:n + 2]
-        Gm = mid[0] * Gp[:, 1:n + 1]
-        Gm += mid[1] * Gp[:, 2:n + 2]
-        return Phif, Ef, Gm
-
     def step_moc(self, snap: Snapshot, dt: float,
                  frames: FrameField | None = None) -> Snapshot:
         """Semi-Lagrangian step: cubic foot interpolation and one-step Duhamel.
@@ -711,47 +790,55 @@ class Stepper:
         forcing G are family-major, (N, n) arrays with one row per family.
         Phi is interpolated at the foot of each node's characteristic, and
         the damping exponent uses the trapezoid of E along the segment with G
-        applied at the midpoint, for all families at once.  For constant A
-        the step forms only E = diag(L0 Q R0) of the transformed source
-        (``FrameField.conjugate_diag``); the foot is one offset per family and
-        the interpolations are the fixed stencils of ``_stencil_feet``, formed
-        once per (dt, ddelta).  For state-dependent A,
-        ``source_diagonal_and_transport`` supplies E and the frame transport,
-        the source reuses the A(Ut) the frames were decomposed from, and
-        every node's foot is traced with a midpoint correction, all families
-        in one pass (``_node_feet``).  ``frames``,
-        when given, are those at Ubar + U.  The four edge rows take the
-        midpoint of ``_advance_boundary``.
+        applied at the midpoint, for all families at once.
+
+        For constant A the fields live on the component-major rows of
+        ``_FrameRows``: one q pass and one product give S, Phi, L0 S and
+        E = diag(L0 Q R0), the boundary states' Phi included.  The foot is
+        one offset per family, and the stencils of ``_foot_stencil``, formed
+        once per (dt, ddelta), carry dt and E at the node, so
+        Phi_new = e (e Phif + dt Gm) with one exp, e = exp(dt (Ef + E) / 4).
+        The four edge rows take the midpoint of ``_advance_boundary``, with
+        its rows and its first stage read from the V and S columns.
+
+        For state-dependent A, ``source_diagonal_and_transport`` supplies E
+        and the frame transport, the source reuses the A(Ut) the frames were
+        decomposed from, and every node's foot is traced with a midpoint
+        correction, all families in one pass (``_node_feet``); Phi_new =
+        exp(h) Phif + dt exp(h / 2) Gm with h = dt (Ef + E) / 2, and the edge
+        rows take the whole midpoint of ``_advance_boundary``.  ``frames``,
+        when given, are those at Ubar + U.
         """
-        Ut = self.Ubar + snap.U
-        frames, c = self._begin(snap, dt, Ut, frames)
-        if frames.constant:
-            E, transport = frames.conjugate_diag(self.model.Q_at(Ut)), None
+        if self.frames0 is not None:
+            self._begin(snap, dt)
+            V, S = self._rows.evaluate(self.model, snap, self._speeds.key[1])  # ddelta
+            Phi_new = self._rows.advance(self._speeds.stencil)
+            n = len(snap.U)
+            cols = [1, n, 0, n + 1]  # the edge nodes, then the boundary states
+            rows = self._ode_node_update(V[:, cols].T, snap.t, dt, self.about_boundary,
+                                         k1=S[:, cols].T)
+            frames = self.frames0
         else:
+            Ut = self.Ubar + snap.U
+            frames, c = self._begin(snap, dt, Ut, frames)
             E, transport = source_diagonal_and_transport(self.model, Ut, frames)
             E = E.T
-        Phi, G = self.forcing(snap.U, Ut, snap.t, frames, E, transport)
-
-        phi_bl = frames.L[0] @ snap.b_left
-        phi_br = frames.L[-1] @ snap.b_right
-        if frames.constant:
-            Phif, Ef, Gm = self._stencil_feet(self._speeds.stencil, Phi, E, G,
-                                              phi_bl, phi_br)
-        else:
-            Phif, Ef, Gm = self._node_feet(c, dt, Phi, E, G, phi_bl, phi_br)
-        # Phi_new = exp(h) Phif + (dt exp(h / 2)) Gm with h = dt (Ef + E) / 2, in place
-        h = Ef
-        h += E
-        h *= 0.5 * dt
-        Phi_new = np.exp(h)
-        Phi_new *= Phif
-        h *= 0.5
-        np.exp(h, out=h)
-        h *= dt
-        h *= Gm
-        Phi_new += h
+            Phi, G = self.forcing(snap.U, Ut, snap.t, frames, E, transport)
+            Phif, Ef, Gm = self._node_feet(c, dt, Phi, E, G, frames.L[0] @ snap.b_left,
+                                           frames.L[-1] @ snap.b_right)
+            # Phi_new = exp(h) Phif + (dt exp(h / 2)) Gm with h = dt (Ef + E) / 2, in place
+            h = Ef
+            h += E
+            h *= 0.5 * dt
+            Phi_new = np.exp(h)
+            Phi_new *= Phif
+            h *= 0.5
+            np.exp(h, out=h)
+            h *= dt
+            h *= Gm
+            Phi_new += h
+            rows = self._advance_boundary(snap, dt)
         U_new = frames.from_diag(Phi_new.T)
-        rows = self._advance_boundary(snap, dt)
         U_new[0], U_new[-1] = rows[0], rows[1]
         return self._finish(snap, dt, U_new, rows[2], rows[3])
 

@@ -251,17 +251,6 @@ class FrameField:
         N = self.L.shape[-1]
         return np.einsum("ja,bk->abjk", self.L[0], self.R[0]).reshape(N * N, N * N)
 
-    @cached_property
-    def _kron_diag_rows(self) -> np.ndarray:
-        N = self.L.shape[-1]
-        return np.ascontiguousarray(self.kron[:, ::N + 1].T)
-
-    def conjugate_diag(self, Q: np.ndarray) -> np.ndarray:
-        """diag(L0 Q R0) at every node of a stack Q (n, N, N), for a constant
-        field, family-major (N, n): one product of the diagonal columns of
-        ``kron`` with the flattened stack."""
-        return self._kron_diag_rows @ Q.reshape(len(Q), -1).T
-
     def to_diag(self, V: np.ndarray) -> np.ndarray:
         """Diagonal variables L V at every node of a field V (n, N)."""
         if self.constant:

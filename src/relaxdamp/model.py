@@ -70,8 +70,8 @@ class ModelSpec:
             return np.broadcast_to(self._A_const, U.shape[:-1] + (self.N, self.N))
         return poly_matrix_eval(self.A_entries, U)
 
-    def q_at(self, U: np.ndarray) -> np.ndarray:
-        return poly_vector_eval(self.q_entries, U)
+    def q_at(self, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return poly_vector_eval(self.q_entries, U, out)
 
     def Q_at(self, U: np.ndarray) -> np.ndarray:
         return poly_matrix_eval(self.Q_entries, U)

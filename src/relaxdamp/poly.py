@@ -134,13 +134,17 @@ def poly_matrix_eval(entries, U: np.ndarray) -> np.ndarray:
     return out
 
 
-def poly_vector_eval(entries, U: np.ndarray) -> np.ndarray:
-    """Evaluate a sequence of Poly entries at U (..., n) -> (..., len(entries))."""
+def poly_vector_eval(entries, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate a sequence of Poly entries at U (..., n) -> (..., len(entries)),
+    into ``out`` (zero-filled here) when given for a stack."""
     U = np.asarray(U, dtype=float)
     columns = _columns(U)
     if U.ndim == 1:
         return np.array([p.at(columns) for p in entries])
-    out = np.zeros(U.shape[:-1] + (len(entries),))
+    if out is None:
+        out = np.zeros(U.shape[:-1] + (len(entries),))
+    else:
+        out.fill(0.0)
     for i, p in enumerate(entries):
         p.at(columns, out[..., i])
     return out

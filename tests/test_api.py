@@ -5,8 +5,10 @@ and the single-state twins of the stacked eigen, characteristics, norm and
 diagonal-variable layers must stay gone from the package namespace and from
 their modules, with ``Snapshot`` left as the stepper's state, as must
 the frame transport's derivative object and its parameters, the artifact
-writers' second formatting paths and the tracer's second time lookup.  Outcomes travel
-as data: only the CLI catches a toolkit error.
+writers' second formatting paths, the tracer's second time lookup, and the
+constant frame's diag(L0 Q R0) from ``kron`` with the moc step's
+per-field stencils (the step's row product forms E).  Outcomes travel as
+data: only the CLI catches a toolkit error.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ REMOVED = {
     cli: ("_fmt", "_jsonable"),
     damping_verifier: ("ckb_norm", "l2_h2_norms", "_offset_corrected"),
     dynamics: ("diagonal_vars", "DiagVars"),
+    dynamics.Stepper: ("_stencil_feet",),
+    eigenframe.FrameField: ("conjugate_diag", "_kron_diag_rows"),
     errors: ("Unsupported",),
 }
 

@@ -551,6 +551,24 @@ def test_norm_series_computes_each_kind_once(monkeypatch):
     assert set(traj._norm_cache) == set(NORM_KINDS)
 
 
+@pytest.mark.parametrize("kind", ["h1", "C0", ""])
+def test_unknown_norm_kind_is_refused_before_the_norm_pass(kind, monkeypatch):
+    model = scalar_model(speed=2.0, decay=0.25)
+    prof = constant_profile(model, [0.0], X=10.0, n=201)
+
+    def field(t, x):
+        return (1e-3 * np.exp(-0.25 * t) * np.exp(-0.5 * (x / 3.0) ** 2))[:, None]
+
+    traj = synthetic_trajectory(model, prof, field, T=2.0, n_out=4)
+    traj.W  # formed before the counter
+    calls = _counted_fd4(monkeypatch)
+    for refuse in (lambda: norm_series(traj, kind),
+                   lambda: fit_damping(traj, kind, np.array([0.1]))):
+        with pytest.raises(InvalidParam, match=f"unknown norm kind {kind!r}"):
+            refuse()
+    assert calls == [] and traj._norm_cache == {}
+
+
 def test_norm_series_differences_each_snapshot_twice(monkeypatch):
     model = scalar_model(speed=2.0, decay=0.25)
     prof = constant_profile(model, [0.0], X=10.0, n=201)

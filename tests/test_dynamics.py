@@ -27,7 +27,7 @@ from relaxdamp.dynamics import (
 from relaxdamp import eigenframe
 from relaxdamp.eigenframe import FrameField, frames_at_states, transformed_source
 from relaxdamp.errors import BlowUp, BudgetExceeded, CFLViolation, InvalidParam
-from relaxdamp.model import ModelSpec, build_custom
+from relaxdamp.model import ModelSpec, build_custom, build_jinxin
 from relaxdamp.poly import node_matmul
 from relaxdamp.profile import constant_profile, solve_profile
 
@@ -466,29 +466,47 @@ def test_constant_A_steps_form_only_what_they_read(jinxin, jinxin_profile, monke
     snap = make_initial(jinxin_profile, _GAUSS)
     snap.t = 1.3  # ddelta != 0
     calls = dict.fromkeys(("q_at", "Q_at", "transformed_source", "frames_at_states",
-                           "_check_cfl", "_foot_stencil", "to_diag", "from_diag"), 0)
-    for name in ("q_at", "Q_at"):
-        _counter(monkeypatch, calls, ModelSpec, name)
+                           "_check_cfl", "_foot_stencil", "to_diag", "from_diag",
+                           "source", "_ode_node_update", "_advance_boundary"), 0)
+    _counter(monkeypatch, calls, ModelSpec, "Q_at")
     for name in ("transformed_source", "frames_at_states", "_foot_stencil"):
         _counter(monkeypatch, calls, dynamics, name)
     for name in ("to_diag", "from_diag"):
         _counter(monkeypatch, calls, FrameField, name)
-    _counter(monkeypatch, calls, Stepper, "_check_cfl")
+    for name in ("_check_cfl", "source", "_ode_node_update", "_advance_boundary"):
+        _counter(monkeypatch, calls, Stepper, name)
+    q_rows = []  # the states of each q evaluation
+    q_at = ModelSpec.q_at
+
+    def counted_q_at(self, U, out=None):
+        calls["q_at"] += 1
+        q_rows.append(len(U))
+        return q_at(self, U, out)
+    monkeypatch.setattr(ModelSpec, "q_at", counted_q_at)
     stepper = Stepper(jinxin, jinxin_profile, snap.grid, _SINUSOID)
+    n = len(snap.grid)
     # the speeds, their CFL check and the moc stencils are formed once per
-    # (dt, ddelta): a second step at the same pair forms none of them again;
-    # the reference step diagonalizes its differences once and transforms back once
-    for backend, first, again in (
-            ("moc", {"q_at": 3, "Q_at": 1, "_check_cfl": 1, "_foot_stencil": 1,
-                     "from_diag": 1},
-             {"q_at": 3, "Q_at": 1, "from_diag": 1}),
-            ("reference", {"q_at": 2, "_check_cfl": 1, "to_diag": 1, "from_diag": 1},
-             {"q_at": 2, "to_diag": 1, "from_diag": 1})):
+    # (dt, ddelta): a second step at the same pair forms none of them again.
+    # The moc step evaluates q once on the n + 2 padded rows and once in the
+    # four-row second stage of the boundary midpoint, whose first stage it
+    # reads from those rows, and Q not at all; the reference step
+    # diagonalizes its differences once and transforms back once
+    midpoint = {"_ode_node_update": 1}
+    for backend, first, again, rows in (
+            ("moc", {"q_at": 2, "_check_cfl": 1, "_foot_stencil": 1, "from_diag": 1,
+                     "source": 1, **midpoint},
+             {"q_at": 2, "from_diag": 1, "source": 1, **midpoint}, [n + 2, 4]),
+            ("reference", {"q_at": 2, "_check_cfl": 1, "to_diag": 1, "from_diag": 1,
+                           "source": 2, **midpoint},
+             {"q_at": 2, "to_diag": 1, "from_diag": 1, "source": 2, **midpoint},
+             [n + 2, n + 2])):
         stepper._speeds = None
         for want in (first, again):
             calls.update(dict.fromkeys(calls, 0))
+            q_rows.clear()
             stepper.step(snap, 0.005, backend)
             assert calls == {**dict.fromkeys(calls, 0), **want}, backend
+            assert q_rows == rows, backend
 
 
 # --- the family-fused constant-A moc step ---------------------------------------
@@ -506,18 +524,22 @@ def _shift_cubic(f, s, left, right):
     return wm1 * fm1 + w0 * f0 + w1 * f1 + w2 * f2
 
 
-def _shift_linear(f, s, left, right):
-    """Linear interpolation at x_k + s dx of every node, -1 <= s < 1."""
+def _shift_linear(f, s, left, right, weights=None):
+    """Linear interpolation at x_k + s dx of every node, -1 <= s < 1: the
+    weights (1 - t, t) of the two nodes about each foot, or ``weights``."""
     n, m = len(f), math.floor(s)
     pad = np.concatenate([[left], f, [right]])
     t = s - m
-    return (1.0 - t) * pad[m + 1:m + 1 + n] + t * pad[m + 2:m + 2 + n]
+    w0, w1 = (1.0 - t, t) if weights is None else weights
+    return w0 * pad[m + 1:m + 1 + n] + w1 * pad[m + 2:m + 2 + n]
 
 
 def _per_family_constant_A_step(stepper, snap, dt):
-    """The constant-A moc step as it was written family by family: node-major
-    fields, one edge-padded copy and one fixed stencil per family and field,
-    and the boundary rows as a stacked explicit midpoint."""
+    """The constant-A moc step as it was written before the row product:
+    node-major fields, E as diag(L0 Q R0) from the flattened Q and the
+    diagonal columns of ``FrameField.kron``, one edge-padded copy and one
+    fixed stencil per family and field, two exps (exp(h) and exp(h / 2)),
+    and the boundary rows as a whole stacked explicit midpoint."""
     model, frames, n = stepper.model, stepper.frames0, len(snap.U)
     L0T, R0T = np.ascontiguousarray(frames.L[0].T), np.ascontiguousarray(frames.R[0].T)
     kron_diag = np.ascontiguousarray(frames.kron[:, ::model.N + 1])
@@ -538,12 +560,43 @@ def _per_family_constant_A_step(stepper, snap, dt):
     return _with_boundary_rows(stepper, snap, dt, Phi_new.T @ R0T)
 
 
-def _with_boundary_rows(stepper, snap, dt, U_new):
+def _per_family_row_step(stepper, snap, dt):
+    """The constant-A moc step in its own order of operations, family by
+    family: S and [Phi; G; E] from the stepper's row product, then one
+    edge-padded copy and one fixed stencil per family and field, E at the
+    node and dt / 4 folded into the foot weights, dt into the midpoint
+    weights, one exp, and the boundary rows' midpoint started from S."""
+    dd = stepper.shift.delta_dot(snap.t)
+    c = stepper.frames0.lambdas[0] - dd
+    _, S = stepper._rows.evaluate(stepper.model, snap, dd)
+    S, (Phi, G, E) = S.copy(), stepper._rows.P.copy()
+    n = len(snap.U)
+    Phi_new = np.empty((len(Phi), n))
+    for j, (phi, g, e) in enumerate(zip(Phi, G[:, 1:-1], E[:, 1:-1])):
+        s = -float(c[j]) * dt / stepper.dx
+        m = math.floor(s)
+        t, half = s - m, 0.5 * s
+        t_mid = half - math.floor(half)
+        node = 1.0 if m == 0 else 0.0  # the node's own column in the foot's cell
+        quarter = 0.25 * dt
+        Phif = _shift_cubic(phi[1:-1], s, phi[0], phi[-1])
+        h = _shift_linear(e, s, e[0], e[-1],
+                          (quarter * ((1.0 - t) + node), quarter * (t + (1.0 - node))))
+        Gm = _shift_linear(g, s, g[0], g[-1], (dt * (1.0 - t_mid), dt * t_mid))
+        ex = np.exp(h)
+        Phi_new[j] = ex * (ex * Phif + Gm)
+    k1 = S[:, [1, n, 0, n + 1]].T
+    return _with_boundary_rows(stepper, snap, dt, stepper.frames0.from_diag(Phi_new.T), k1)
+
+
+def _with_boundary_rows(stepper, snap, dt, U_new, k1=None):
     """The snapshot one step on, its edge rows and boundary states from one
-    stacked four-row explicit midpoint of the source."""
+    stacked four-row explicit midpoint of the source; ``k1``, when given, is
+    its first stage."""
     about = stepper.about_boundary
     V = np.stack([snap.U[0], snap.U[-1], snap.b_left, snap.b_right])
-    k1 = stepper.source(about.U + V, snap.t, about)
+    if k1 is None:
+        k1 = stepper.source(about.U + V, snap.t, about)
     rows = V + dt * stepper.source(about.U + (V + 0.5 * dt * k1), snap.t + 0.5 * dt, about)
     U_new[0], U_new[-1] = rows[0], rows[1]
     return dynamics.Snapshot(t=snap.t + dt, grid=snap.grid, U=U_new,
@@ -561,10 +614,9 @@ def _mixed_speed_3x3():
                         state_box=([-1.0] * 3, [1.0] * 3))
 
 
-@pytest.mark.parametrize("case", ["jinxin-zero", "jinxin-sinusoid", "mixed3-zero",
-                                  "mixed3-linear"])
-def test_family_fused_step_matches_per_family_step_bit_for_bit(case, jinxin,
-                                                               jinxin_profile):
+def _fused_case(case, jinxin, jinxin_profile):
+    """(stepper, dt, initial snapshot) of a family-fused step case: a
+    Jin-Xin or mixed3 model with offset data, at a step of 0.8 CFL."""
     if case.startswith("jinxin"):
         model, prof, pert = jinxin, jinxin_profile, _OFFSET
     else:
@@ -576,16 +628,97 @@ def test_family_fused_step_matches_per_family_step_bit_for_bit(case, jinxin,
              "linear": ShiftSpec(kind="linear", rate=0.3)}[case.split("-")[1]]
     stepper = Stepper(model, prof, prof.grid, shift)
     s = -(stepper.frames0.lambdas[0] - shift.delta_dot(0.0))
-    if model.N == 3:  # stencil rows at different pad offsets
+    if model.N == 3:  # stencil rows at different pad offsets, the node in either column
         assert np.min(s) < 0.0 < np.max(s)
     dt = 0.8 * stepper.dx / float(np.max(np.abs(s)) + shift.eps_delta)
-    new = old = make_initial(prof, pert)
+    return stepper, dt, make_initial(prof, pert)
+
+
+_FUSED_CASES = ["jinxin-zero", "jinxin-sinusoid", "mixed3-zero", "mixed3-linear"]
+
+
+@pytest.mark.parametrize("case", _FUSED_CASES)
+def test_family_fused_step_matches_per_family_step_bit_for_bit(case, jinxin,
+                                                               jinxin_profile):
+    stepper, dt, start = _fused_case(case, jinxin, jinxin_profile)
+    new = old = start
     for k in range(120):
         new.t = old.t = k * dt
-        new, old = stepper.step_moc(new, dt), _per_family_constant_A_step(stepper, old, dt)
+        new, old = stepper.step_moc(new, dt), _per_family_row_step(stepper, old, dt)
         for a, b in ((new.U, old.U), (new.b_left, old.b_left), (new.b_right, old.b_right)):
             assert a.tobytes() == b.tobytes(), (case, k)
     assert np.max(np.abs(new.U)) > 1e-4  # the data did not leave the grid
+
+
+# Per step the row step and the two-exp Q kron step differ only in rounding:
+# E as a sum over Q's terms against one over Q's entries, e^2 against exp(h),
+# the factor e against exp(h / 2), and the order of a few sums: a few units
+# in the last place of each value, 8 eps per step at most.  The scheme does
+# not amplify (the interpolation weights sum to 1 and the exponents are
+# negative), so after 120 steps the gap stays below 120 * 8 eps of max |U|.
+_ROUNDING_PER_STEP = 8.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("case", _FUSED_CASES)
+def test_row_step_matches_two_exp_kron_step_to_rounding(case, jinxin, jinxin_profile):
+    stepper, dt, start = _fused_case(case, jinxin, jinxin_profile)
+    new = old = start
+    for k in range(120):
+        new.t = old.t = k * dt
+        new, old = stepper.step_moc(new, dt), _per_family_constant_A_step(stepper, old, dt)
+        scale = max(np.max(np.abs(old.U)), np.max(np.abs(old.b_left)),
+                    np.max(np.abs(old.b_right)))
+        for a, b in ((new.U, old.U), (new.b_left, old.b_left), (new.b_right, old.b_right)):
+            assert np.max(np.abs(a - b)) <= (k + 1) * _ROUNDING_PER_STEP * scale, (case, k)
+    assert not np.array_equal(new.U, old.U)  # two orders of operations, not one
+
+
+def _cubic_flux_jinxin():
+    """Jin-Xin with f(u) = u^3 / 3 - u: Q_21 = u^2 - 1, a monomial of degree 2."""
+    return build_jinxin(a=2.0, eps=1.0, flux=[0.0, -1.0, 0.0, 1.0 / 3.0],
+                        u_minus=0.5, u_plus=-0.5)
+
+
+@pytest.mark.parametrize("case", ["jinxin", "cubic-flux", "mixed3"])
+def test_row_product_gives_the_source_and_the_diagonal_of_the_kron_product(
+        case, jinxin, jinxin_profile):
+    if case == "jinxin":
+        model, prof = jinxin, jinxin_profile
+    else:
+        model = _cubic_flux_jinxin() if case == "cubic-flux" else _mixed_speed_3x3()
+        prof = constant_profile(model, [0.0] * model.N, X=10.0, n=501)
+    stepper = Stepper(model, prof, prof.grid, _SINUSOID)
+    if case == "cubic-flux":
+        assert stepper._rows.monomials == [(2, 0)]
+    N, n = model.N, len(prof.grid)
+    frames, about = stepper.frames0, stepper.about
+    rng = np.random.default_rng(3)
+    snap = dynamics.Snapshot(t=1.3, grid=prof.grid, U=1e-2 * rng.standard_normal((n, N)),
+                             b_left=1e-2 * rng.standard_normal(N),
+                             b_right=1e-2 * rng.standard_normal(N))
+    dd = _SINUSOID.delta_dot(snap.t)
+    V_rows, S = (f.copy() for f in stepper._rows.evaluate(model, snap, dd))
+    Phi, G, E = stepper._rows.P.copy()
+    V = np.vstack([snap.b_left, snap.U, snap.b_right])
+    assert V_rows.tobytes() == V.T.tobytes()
+    Ut = about.U + V
+    # S is Stepper.source's sum in every column, the four boundary rows included
+    assert S.T.tobytes() == stepper.source(Ut, snap.t, about).tobytes()
+    assert np.max(np.abs(Phi - frames.L[0] @ V.T)) <= 1e-15 * np.max(np.abs(V))
+    Q = model.Q_at(Ut)
+    want = np.einsum("ja,nab,bj->jn", frames.L[0], Q, frames.R[0])
+    kron = np.diagonal((Q.reshape(n + 2, N * N) @ frames.kron).reshape(-1, N, N),
+                       axis1=1, axis2=2).T
+    tol = 1e-14 * np.max(np.abs(Q))
+    assert np.max(np.abs(E - want)) <= tol and np.max(np.abs(E - kron)) <= tol
+    LS = frames.L[0] @ S
+    assert np.max(np.abs(G - (LS - E * Phi))) <= 1e-14 * np.max(np.abs(LS))
+    # zero data and no shift: the source and the diagonal fields are exactly zero
+    still = Stepper(model, prof, prof.grid, ShiftSpec(kind="zero"))
+    zero = dynamics.Snapshot(t=0.0, grid=prof.grid, U=np.zeros((n, N)),
+                             b_left=np.zeros(N), b_right=np.zeros(N))
+    _, S0 = still._rows.evaluate(model, zero, 0.0)
+    assert not np.any(S0) and not np.any(still._rows.P[:2])
 
 
 @pytest.mark.parametrize("shift, stencils", [(ShiftSpec(kind="zero"), "one"),
@@ -798,8 +931,7 @@ def test_padded_row_steps_match_separate_steps_bit_for_bit(case, shift, backend,
     if backend == "reference":
         old_step = _separate_reference_step
     else:
-        old_step = (_per_family_constant_A_step if model.A_is_constant
-                    else _per_family_node_step)
+        old_step = _per_family_row_step if model.A_is_constant else _per_family_node_step
     speed = float(np.max(np.abs(stepper._frames(stepper.Ubar).lambdas))) + shift.eps_delta
     dt = 0.7 * stepper.dx / speed
     new = old = start = make_initial(prof, pert)

@@ -120,31 +120,17 @@ def test_to_diag_and_from_diag_match_einsum(case, request):
     assert out[1:-1].tobytes() == frames.from_diag(V).tobytes()
 
 
-def test_conjugate_diag_is_the_diagonal_of_the_kron_product(jinxin, jinxin_profile):
-    frames = _profile_frames(jinxin, jinxin_profile)
-    Q = np.random.default_rng(3).standard_normal((len(frames.grid), 2, 2))
-    full = (Q.reshape(len(Q), 4) @ frames.kron).reshape(-1, 2, 2)
-    got = frames.conjugate_diag(Q)  # family-major, (N, n)
-    assert got.shape == (2, len(Q)) and got.flags.c_contiguous
-    assert np.array_equal(got, np.diagonal(full, axis1=1, axis2=2).T)
-    want = np.einsum("ja,nab,bj->jn", frames.L[0], Q, frames.R[0])
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(Q))
-
-
 @pytest.mark.parametrize("n", [7, 1001, 4001])
 def test_family_major_products_keep_the_node_major_bits(jinxin, jinxin_profile, n):
-    # the constant-A moc step reads L0 U^T and kron_diag^T Q^T; they must give
-    # the bits of the node-major products U L0^T and Q kron_diag
+    # ``Stepper.forcing`` reads L0 U^T; it must give the bits of the
+    # node-major product U L0^T
     frames = _profile_frames(jinxin, jinxin_profile)
     rng = np.random.default_rng(n)
     for scale in (1e-8, 1e-2, 1.0, 1e3):
         U = scale * rng.standard_normal((n, 2))
-        Q = scale * rng.standard_normal((n, 2, 2))
         Phi = frames.diag_rows(U)
         assert Phi.flags.c_contiguous
         assert np.array_equal(Phi, frames.to_diag(U).T)
-        kron_diag = np.ascontiguousarray(frames.kron[:, ::3])  # as the node-major step read it
-        assert np.array_equal(frames.conjugate_diag(Q), (Q.reshape(n, 4) @ kron_diag).T)
 
 
 def test_frames_reconstruct_A(jinxin, jinxin_profile):
