@@ -11,36 +11,40 @@ discrete equilibrium.  Two independent backends advance it: a first-order
 characteristic-upwind scheme ("reference", LeVeque, Finite Volume Methods for
 Hyperbolic Problems, 2002, ch. 4-6) and a semi-Lagrangian scheme that
 integrates the diagonalized system along characteristics with a one-step
-Duhamel update ("moc").  Both evaluate it, ``Stepper.source``'s sum, on the
-rows of U edge-padded by the evolving boundary states, about the profile
-padded by the far-field states, where Ubar_x = 0.  The reference step is one
-explicit midpoint over all n + 2 rows, with no advection in the four edge
-rows; the moc step advances those four by the same midpoint.  With constant
-frames the reference step diagonalizes the n + 1 differences of the padded
-rows once, and each family reads its upwind side as one slice of them.
+Duhamel update ("moc").  The sum is written once, in ``Stepper.source``, and
+every step opens with one pass of it over the n + 2 rows of U edge-padded by
+the evolving boundary states, about the profile padded by the far-field
+states, where Ubar_x = 0.  That pass is the first stage of every explicit
+midpoint: the reference step's over all n + 2 rows, with no advection in the
+four edge rows, and the four-row ``_advance_boundary`` that the moc step
+gives its edge rows.  The moc step also reads its forcing G from it.  With
+constant frames the reference step diagonalizes the n + 1 differences of the
+padded rows once, and each family reads its upwind side as one slice of them.
+
+Both moc kernels end in one Duhamel update, ``_duhamel_update``:
+Phi_new = e (e Phif + dt Gm) with one exp, e = exp(dt (Ef + E) / 4), for Phi
+at the foot, G at the segment midpoint and E at the foot and at the node.
 
 When A is constant every node of family j moves at the same speed
 c_j = lambda_j - ddelta(t), so the moc foot sits at one offset s_j = -c_j dt /
 dx (in cells) from every node: the standard fixed-stencil semi-Lagrangian
 step (Staniforth & Cote, Mon. Wea. Rev. 119, 1991).  That step works on
 component-major rows, (N, n + 2) with one column per node and one per
-boundary state (``_FrameRows``).  One q pass there gives the source S, and
-one product of a coefficient matrix, composed once per Stepper from L0, R0
-and the terms of Q, gives Phi = L0 U with the diagonal boundary states,
-L0 S and E = diag(L0 Q R0).  S at the edge and boundary columns is also the
-first stage of the four edge rows' midpoint, so only its second stage calls
-``Stepper.source``.  Phi, G = L0 S - E Phi and E are written once each into
+boundary state (``_FrameRows``).  The source pass writes S there, and one
+product of a coefficient matrix, composed once per Stepper from L0, R0 and
+the terms of Q, gives Phi = L0 U with the diagonal boundary states, L0 S and
+E = diag(L0 Q R0).  Phi, G = L0 S - E Phi and E are written once each into
 a buffer whose row j starts at column 1 - floor(s_j).  The 4-point cubic
 Lagrange stencil for Phi and the 2-point stencils for G (at s / 2) and E (at
 s) are then 4 + 2 slices over all families at once, G and E sharing theirs.
-The linear weights carry dt, and those of E also E at the node, so the
-Duhamel update is Phi_new = e (e Phif + dt Gm) with one exp per step,
-e = exp(dt (Ef + E) / 4).  The offsets, the stencil weights, the speeds and
-their CFL check depend only on (dt, ddelta), and are formed once per pair.
+The linear weights carry dt, and those of E also E at the node, so they give
+dt Gm and the exponent of the Duhamel update directly.  The offsets, the
+stencil weights, the speeds and their CFL check depend only on (dt, ddelta),
+and are formed once per pair.
 
 A state-dependent A is evaluated once per step, at the node states Ubar + U:
-the frames are decomposed from it and keep it, and the source's dA term
-reads it.  E and the frame transport come from
+the frames are decomposed from it and keep it, and the source pass reads it
+there (``Stepper._padded_A``).  E and the frame transport come from
 ``source_diagonal_and_transport``, and no F_tilde is formed.
 Each node's foot is traced for all families in one pass, and one cell
 lookup per foot serves both the Phi and the E read there.  ``evolve``
@@ -201,7 +205,7 @@ class PerturbationSpec:
             dm = np.asarray(self.d_minus, dtype=float)
             dp = np.asarray(self.d_plus, dtype=float)
             if dm.shape != (N,) or dp.shape != (N,):
-                raise InvalidParam("offset endsets must have one entry per component")
+                raise InvalidParam("offset endstates must have one entry per component")
             sig = far_field_ramp(x, self.blend_width)
             sigx = 0.5 / (self.blend_width * np.cosh(x / self.blend_width) ** 2)
             U0 = dm[None, :] + sig[:, None] * (dp - dm)[None, :]
@@ -463,14 +467,28 @@ class _Speeds:
         return _foot_stencil(self._s, self.key[0])
 
 
+def _duhamel_update(Phif: np.ndarray, dtGm: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The moc step's one-step Duhamel update of dPhi_j/ds = E_jj Phi_j + G_j
+    along each characteristic: Phi_new = e (e Phif + dt Gm) with e = exp(q),
+    q = dt (Ef + E) / 4, the trapezoid of E over the segment in the exponent
+    and G at its midpoint.  Written in place into Phif, with q overwritten."""
+    np.exp(q, out=q)
+    Phif *= q
+    Phif += dtGm
+    Phif *= q
+    return Phif
+
+
 class _FrameRows:
     """The constant-frame moc step's fields on component-major rows, one column
     per node of U padded by the boundary states, (N, n + 2), about the
-    profile padded by the far-field states (``Stepper.about``, transposed).
+    profile padded by the far-field states: ``about`` holds the rows of
+    ``Stepper.about`` in that layout, as transposed views, so the source
+    pass reads and writes every operand in one memory order.
 
     ``Y`` stacks the rows a step writes, [V; Ut; S; X; 1]: the perturbation
-    V, the full states Ut = about + V, the source S (``Stepper.source``'s sum
-    in every column), the distinct monomials X of degree 2 or more among the
+    V, the full states Ut = about + V, the source S (``Stepper.source`` writes
+    it), the distinct monomials X of degree 2 or more among the
     terms of Q at Ut, and ones.  ``B`` is composed once from L0, R0 and the
     terms of Q, so that one product B Y gives [Phi; L0 S; E]: Phi = L0 V and
     E_j = (L0 Q R0)_jj, whose constant, linear and higher terms read the
@@ -481,8 +499,8 @@ class _FrameRows:
     def __init__(self, model: ModelSpec, frames: FrameField, about: _Base):
         N, width = model.N, len(about.U)
         L0, R0 = frames.L[0], frames.R[0]
-        self.about_U, self.about_q, self.about_U_x = (
-            np.ascontiguousarray(f.T) for f in (about.U, about.q, about.U_x))
+        self.about = _Base(*(np.ascontiguousarray(f.T).T for f in (about.U, about.U_x, about.q)),
+                           None)
         terms = [(a, b, coeff, powers) for a, row in enumerate(model.Q_entries)
                  for b, entry in enumerate(row) for coeff, powers in entry.terms]
         self.monomials = sorted({powers for *_, powers in terms if sum(powers) > 1})
@@ -498,18 +516,15 @@ class _FrameRows:
         self.P = np.empty((3, N, width))
         self.pads = np.empty((3, N, width + 1))
 
-    def evaluate(self, model: ModelSpec, snap: Snapshot, dd: float):
-        """The rows V and S (N, n + 2) at the snapshot with shift rate ``dd``,
-        and P = [Phi; G; E] (3, N, n + 2) with G = L0 S - E Phi.  S is what
-        ``Stepper.source`` gives at those states, bit for bit."""
-        N = model.N
+    def evaluate(self, stepper: "Stepper", snap: Snapshot):
+        """The rows V and S (N, n + 2) of the snapshot, S from the step's one
+        ``stepper.source`` pass, and P = [Phi; G; E] (3, N, n + 2) with
+        G = L0 S - E Phi."""
+        N = self.P.shape[1]
         V, Ut, S = self.Y[:N], self.Y[N:2 * N], self.Y[2 * N:3 * N]
         V[:, 0], V[:, 1:-1], V[:, -1] = snap.b_left, snap.U.T, snap.b_right
-        np.add(self.about_U, V, out=Ut)
-        model.q_at(Ut.T, out=S.T)
-        S -= self.about_q
-        if dd != 0.0:
-            S += dd * self.about_U_x
+        np.add(self.about.U.T, V, out=Ut)
+        stepper.source(Ut.T, snap.t, self.about, out=S.T)
         for row, powers in zip(self.Y[3 * N:-1], self.monomials):
             np.prod([Ut[k] ** p for k, p in enumerate(powers) if p], axis=0, out=row)
         np.matmul(self.B, self.Y, out=self.P.reshape(3 * N, -1))
@@ -518,13 +533,13 @@ class _FrameRows:
         return V, S
 
     def advance(self, stencil: tuple) -> np.ndarray:
-        """Phi one step on from the last ``evaluate``, (N, n): e (e Phif + dt Gm)
-        with e = exp(dt (Ef + E) / 4), one exp for both factors.
+        """Phi one step on from the last ``evaluate``, (N, n), by
+        ``_duhamel_update``.
 
         Each field is written once into its pad, flat beyond the grid: Phi
         with the diagonal boundary states, G and E with their edge values.
         The linear weights of ``_foot_stencil`` carry dt and E at the node,
-        so G and E go through one pair of slices."""
+        so G and E go through one pair of slices to dt Gm and the exponent."""
         offsets, (wm1, w0, w1, w2), linear = stencil
         P, pads = self.P, self.pads
         n = P.shape[-1] - 2
@@ -540,12 +555,7 @@ class _FrameRows:
         Phif += w2 * Phi[:, 3:]
         GE = linear[0] * pads[1:, :, 1:n + 1]
         GE += linear[1] * pads[1:, :, 2:n + 2]
-        Gm, e = GE
-        np.exp(e, out=e)
-        Phif *= e
-        Phif += Gm
-        Phif *= e
-        return Phif
+        return _duhamel_update(Phif, *GE)
 
 
 # --- stepping --------------------------------------------------------------
@@ -565,6 +575,9 @@ class _Base:
         return _Base(*(None if f is None else f[sel] for f in (self.U, self.U_x, self.q, self.A)))
 
 
+_EDGE_ROWS = [1, -2, 0, -1]  # of the padded rows: the edge nodes, then the boundary states
+
+
 class Stepper:
     """Shared machinery for both backends on a fixed grid."""
 
@@ -576,17 +589,14 @@ class Stepper:
         self.budget = budget
         self.grid = np.asarray(grid, dtype=float)
         self.dx = float(self.grid[1] - self.grid[0])
-        Ubar = profile.eval(self.grid)
+        self.Ubar = Ubar = profile.eval(self.grid)
         # The rows of U edge-padded by the boundary states, which perturb the
         # far-field states; Ubar_x = 0 at the far field.
         U = _edge_pad(Ubar, 1, model.U_minus if model.U_minus is not None else Ubar[0],
                       model.U_plus if model.U_plus is not None else Ubar[-1])
         self.about = _Base(U, _edge_pad(profile.eval_d1(self.grid), 1, 0.0, 0.0),
                            model.q_at(U), None if model.A_is_constant else model.A_at(U))
-        self.about_profile = self.about.rows(slice(1, -1))
-        # the edge nodes, then the boundary states
-        self.about_boundary = self.about.rows([1, -2, 0, -1])
-        self.Ubar = self.about_profile.U
+        self.about_boundary = self.about.rows(_EDGE_ROWS)
         self.frames0 = None
         if model.A_is_constant:
             self.frames0 = frames_at_states(model, self.grid, self.Ubar)
@@ -598,13 +608,13 @@ class Stepper:
         """The constant-frame moc step's rows and buffers, made on its first step."""
         return _FrameRows(self.model, self.frames0, self.about)
 
-    def source(self, Ut: np.ndarray, t: float, about: _Base | None = None,
-               A: np.ndarray | None = None) -> np.ndarray:
+    def source(self, Ut: np.ndarray, t: float, about: _Base, A: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
         """Perturbation-form source at the full states Ut, taken about the rows
-        ``about`` (the profile at every node by default); zero at Ut = about.U
-        by construction.  ``A`` is A(Ut) where the caller holds it."""
-        about = self.about_profile if about is None else about
-        S = self.model.q_at(Ut) - about.q
+        ``about``; zero at Ut = about.U by construction.  ``A`` is A(Ut) where
+        the caller holds it; ``out``, when given, receives the sum."""
+        S = self.model.q_at(Ut, out)
+        S -= about.q
         if about.A is not None:
             if A is None:
                 A = self.model.A_at(Ut)
@@ -614,37 +624,27 @@ class Stepper:
             S += dd * about.U_x
         return S
 
-    def forcing(self, U: np.ndarray, Ut: np.ndarray, t: float, frames: FrameField,
-                E: np.ndarray, transport: np.ndarray | None = None):
-        """Diagonal field Phi = L U and its Duhamel forcing G = L S - E Phi + T Phi.
-
-        Along a family-j characteristic d/ds Phi_j = E_jj Phi_j + G_j.  Phi, G
-        and the damping exponent ``E`` are family-major, (N, n) with one row
-        per family; S is the source at the full states ``Ut`` = Ubar + U, with
-        the A(Ut) that state-dependent frames were decomposed from, and T the
-        frame transport (None for constant frames, where it is zero).
-        """
-        Phi = frames.diag_rows(U)
-        G = frames.diag_rows(self.source(Ut, t, A=frames.A))
-        G -= E * Phi
-        if transport is not None:
-            G += node_matmul(transport, Phi.T).T
-        return Phi, G
+    def _padded_A(self, V: np.ndarray, frames: FrameField) -> np.ndarray | None:
+        """A at the padded rows about.U + V of a state-dependent A: the A that
+        ``frames`` were decomposed from inside, A_at at the two boundary
+        states; None (the source evaluates it) when the frames keep none."""
+        if frames.constant or frames.A is None:
+            return None
+        A = np.empty(V.shape + V.shape[-1:])
+        A[1:-1] = frames.A
+        ends = [0, -1]
+        A[ends] = self.model.A_at(self.about.U[ends] + V[ends])
+        return A
 
     def _ode_node_update(self, V: np.ndarray, t: float, dt: float, about: _Base,
-                         adv: np.ndarray | None = None,
-                         A: np.ndarray | None = None,
-                         k1: np.ndarray | None = None) -> np.ndarray:
+                         k1: np.ndarray, adv: np.ndarray | None = None) -> np.ndarray:
         """Explicit-midpoint update of perturbations V of the rows ``about`` by
         the source less a frozen advection term ``adv`` (none by default).
-        ``A``, when given, is A(about.U + V), which the first source reads;
-        ``k1``, when given, is that first source, and is overwritten.
+        ``k1`` is the source at about.U + V, and is overwritten.
 
         With k = S - adv, about.U + (V + (dt / 2) k1) and (V - dt adv) + dt S2
         are formed in place, in that order of operations.
         """
-        if k1 is None:
-            k1 = self.source(about.U + V, t, about, A)
         if adv is not None:
             k1 -= adv
         k1 *= 0.5 * dt
@@ -655,12 +655,15 @@ class Stepper:
         k2 += V if adv is None else V - dt * adv
         return k2
 
-    def _advance_boundary(self, snap: Snapshot, dt: float) -> np.ndarray:
+    def _advance_boundary(self, V: np.ndarray, S: np.ndarray, t: float,
+                          dt: float) -> np.ndarray:
         """U[0], U[-1], b_left and b_right one step on, as four rows: one
-        ``_ode_node_update`` of the edge nodes and the boundary states, whose
-        far-field base has Ubar_x = 0, so there b' = q(base + b) - q(base)."""
-        V = np.array((snap.U[0], snap.U[-1], snap.b_left, snap.b_right))
-        return self._ode_node_update(V, snap.t, dt, self.about_boundary)
+        ``_ode_node_update`` of the edge nodes and the boundary states of the
+        padded rows V (n + 2, N), its first stage read from the source S
+        there.  Their far-field base has Ubar_x = 0, so b' = q(base + b) -
+        q(base)."""
+        return self._ode_node_update(V[_EDGE_ROWS], t, dt, self.about_boundary,
+                                     S[_EDGE_ROWS])
 
     def _frames(self, Ut: np.ndarray) -> FrameField:
         if self.frames0 is not None:
@@ -683,8 +686,8 @@ class Stepper:
         """Frames at the perturbed states Ut = Ubar + U and CFL-checked shifted
         speeds (frames, c).
 
-        Frames that vary with the state are decomposed here from Ut (formed
-        when not given) unless ``frames`` are given.  c is lambda - ddelta per
+        Frames that vary with the state are decomposed here from Ut unless
+        ``frames`` are given.  c is lambda - ddelta per
         node (n, N), or one speed per family (N,) when the frames are
         constant; those speeds and their check are formed once per
         (dt, ddelta) and kept as ``self._speeds``.
@@ -692,7 +695,7 @@ class Stepper:
         dd = self.shift.delta_dot(snap.t)
         if self.frames0 is None:
             if frames is None:
-                frames = self._frames(self.Ubar + snap.U if Ut is None else Ut)
+                frames = self._frames(Ut)
             c = frames.lambdas - dd
             self._check_cfl(c, dt, snap.t)
             return frames, c
@@ -724,19 +727,13 @@ class Stepper:
         else rows [1:].  Per-node frames diagonalize both sides by the frame
         of each node and pick the side node by node.  One explicit midpoint
         then advances all n + 2 rows, the upwind advection frozen and zero in
-        the four edge rows.  ``frames``, when given, are those at Ubar + U.
-        The midpoint's first source reads A there from state-dependent frames
-        that keep it (``FrameField.A``, the same sums Ubar + U) and evaluates
-        A only at the two boundary states.
+        the four edge rows, from the step's one source pass as its first
+        stage.  ``frames``, when given, are those at Ubar + U.
         """
-        frames, c = self._begin(snap, dt, frames=frames)
         V = _edge_pad(snap.U, 1, snap.b_left, snap.b_right)
-        A = None
-        if not frames.constant and frames.A is not None:
-            A = np.empty(V.shape + V.shape[-1:])
-            A[1:-1] = frames.A
-            ends = [0, -1]
-            A[ends] = self.model.A_at(self.about.U[ends] + V[ends])
+        Ut = self.about.U + V
+        frames, c = self._begin(snap, dt, Ut[1:-1], frames)
+        S = self.source(Ut, snap.t, self.about, self._padded_A(V, frames))
         D = V[1:] - V[:-1]
         D /= self.dx
         adv = np.empty_like(V)
@@ -749,7 +746,7 @@ class Stepper:
             upwind = c * np.where(c > 0.0, frames.to_diag(D[:-1]), frames.to_diag(D[1:]))
         frames.from_diag(upwind, out=adv[1:-1])
         adv[:2] = adv[-2:] = 0.0
-        V = self._ode_node_update(V, snap.t, dt, self.about, adv, A)
+        V = self._ode_node_update(V, snap.t, dt, self.about, S, adv)
         return self._finish(snap, dt, V[1:-1], V[0], V[-1])
 
     def _node_feet(self, c: np.ndarray, dt: float, Phi: np.ndarray, E: np.ndarray,
@@ -787,57 +784,51 @@ class Stepper:
         """Semi-Lagrangian step: cubic foot interpolation and one-step Duhamel.
 
         The diagonal variable Phi = L U, its damping exponent E and its
-        forcing G are family-major, (N, n) arrays with one row per family.
-        Phi is interpolated at the foot of each node's characteristic, and
-        the damping exponent uses the trapezoid of E along the segment with G
-        applied at the midpoint, for all families at once.
+        forcing G = L S - E Phi + T Phi (T the frame transport, zero for
+        constant frames) are family-major, (N, n) arrays with one row per
+        family.  Phi is interpolated at the foot of each node's
+        characteristic, E there too, and G at the segment midpoint, for all
+        families at once; ``_duhamel_update`` then gives Phi_new =
+        e (e Phif + dt Gm) with one exp, e = exp(dt (Ef + E) / 4).  S is the
+        step's one source pass over the n + 2 padded rows, and its edge and
+        boundary rows are the first stage of the ``_advance_boundary``
+        midpoint that gives the four edge rows.
 
         For constant A the fields live on the component-major rows of
-        ``_FrameRows``: one q pass and one product give S, Phi, L0 S and
+        ``_FrameRows``: the source pass and one product give S, Phi, L0 S and
         E = diag(L0 Q R0), the boundary states' Phi included.  The foot is
         one offset per family, and the stencils of ``_foot_stencil``, formed
-        once per (dt, ddelta), carry dt and E at the node, so
-        Phi_new = e (e Phif + dt Gm) with one exp, e = exp(dt (Ef + E) / 4).
-        The four edge rows take the midpoint of ``_advance_boundary``, with
-        its rows and its first stage read from the V and S columns.
+        once per (dt, ddelta), carry dt and E at the node.
 
         For state-dependent A, ``source_diagonal_and_transport`` supplies E
-        and the frame transport, the source reuses the A(Ut) the frames were
-        decomposed from, and every node's foot is traced with a midpoint
-        correction, all families in one pass (``_node_feet``); Phi_new =
-        exp(h) Phif + dt exp(h / 2) Gm with h = dt (Ef + E) / 2, and the edge
-        rows take the whole midpoint of ``_advance_boundary``.  ``frames``,
-        when given, are those at Ubar + U.
+        and T, the source pass reads the A(Ut) the frames were decomposed
+        from, and every node's foot is traced with a midpoint correction, all
+        families in one pass (``_node_feet``).  ``frames``, when given, are
+        those at Ubar + U.
         """
         if self.frames0 is not None:
             self._begin(snap, dt)
-            V, S = self._rows.evaluate(self.model, snap, self._speeds.key[1])  # ddelta
+            V, S = (F.T for F in self._rows.evaluate(self, snap))
             Phi_new = self._rows.advance(self._speeds.stencil)
-            n = len(snap.U)
-            cols = [1, n, 0, n + 1]  # the edge nodes, then the boundary states
-            rows = self._ode_node_update(V[:, cols].T, snap.t, dt, self.about_boundary,
-                                         k1=S[:, cols].T)
             frames = self.frames0
         else:
-            Ut = self.Ubar + snap.U
-            frames, c = self._begin(snap, dt, Ut, frames)
-            E, transport = source_diagonal_and_transport(self.model, Ut, frames)
+            V = _edge_pad(snap.U, 1, snap.b_left, snap.b_right)
+            Ut = self.about.U + V
+            frames, c = self._begin(snap, dt, Ut[1:-1], frames)
+            S = self.source(Ut, snap.t, self.about, self._padded_A(V, frames))
+            E, transport = source_diagonal_and_transport(self.model, Ut[1:-1], frames)
             E = E.T
-            Phi, G = self.forcing(snap.U, Ut, snap.t, frames, E, transport)
-            Phif, Ef, Gm = self._node_feet(c, dt, Phi, E, G, frames.L[0] @ snap.b_left,
-                                           frames.L[-1] @ snap.b_right)
-            # Phi_new = exp(h) Phif + (dt exp(h / 2)) Gm with h = dt (Ef + E) / 2, in place
-            h = Ef
-            h += E
-            h *= 0.5 * dt
-            Phi_new = np.exp(h)
-            Phi_new *= Phif
-            h *= 0.5
-            np.exp(h, out=h)
-            h *= dt
-            h *= Gm
-            Phi_new += h
-            rows = self._advance_boundary(snap, dt)
+            Phi = frames.diag_rows(snap.U)
+            G = frames.diag_rows(S[1:-1])
+            G -= E * Phi
+            G += node_matmul(transport, Phi.T).T
+            Phif, q, Gm = self._node_feet(c, dt, Phi, E, G, frames.L[0] @ snap.b_left,
+                                          frames.L[-1] @ snap.b_right)
+            q += E
+            q *= 0.25 * dt
+            Gm *= dt
+            Phi_new = _duhamel_update(Phif, Gm, q)
+        rows = self._advance_boundary(V, S, snap.t, dt)
         U_new = frames.from_diag(Phi_new.T)
         U_new[0], U_new[-1] = rows[0], rows[1]
         return self._finish(snap, dt, U_new, rows[2], rows[3])
@@ -855,8 +846,7 @@ class Stepper:
 def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
            shift: ShiftSpec, T: float, backend: str = "moc",
            dx: float = 0.02, cfl: float = 0.45, n_out: int = 200,
-           budget: float = BUDGET_DEFAULT,
-           X: float | None = None) -> Trajectory:
+           budget: float = BUDGET_DEFAULT) -> Trajectory:
     """Advance the perturbation to time T, storing n_out + 1 snapshots.
 
     The time step divides the output spacing exactly so runs at different
@@ -872,7 +862,7 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
         raise InvalidParam("horizon T must be positive")
     if n_out < 1:
         raise InvalidParam("n_out must be >= 1")
-    X = profile.half_width if X is None else float(X)
+    X = profile.half_width
     n = int(round(2.0 * X / dx)) + 1
     if n < 2 * EDGE_TRIM + 1:
         raise InvalidParam(f"dx = {dx:.6g} leaves {n} grid nodes on [-{X:.6g}, {X:.6g}], "
@@ -909,6 +899,7 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
                       cfl_observed=stepper.last_cfl, budget=budget,
                       blend_width=pert.blend_width, _frame_cache=kept)
     traj.stepper = stepper  # fills the cached property: one Stepper per run
+    vars(stepper).pop("_rows", None)  # the moc row buffers: nothing after evolve steps
     c1 = np.maximum(np.max(np.abs(states), axis=(1, 2)), np.max(np.abs(traj.W), axis=(1, 2)))
     over = np.flatnonzero(~(c1[1:] <= budget))  # a NaN norm is a violation too
     if over.size:

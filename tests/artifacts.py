@@ -9,7 +9,8 @@ index where each occurs.  The verdict fields (``VERDICT_KEYS``, at any depth
 of a JSON file) must match exactly; any difference there is listed apart.
 A digest of each directory, sha256 over every file's name and bytes, shows
 byte identity at a glance.  Exits 0 when the two directories are byte
-identical, else 1.
+identical, else 1; a reader that closes the pipe early (``| head``) ends it
+quietly with 1.
 
     python tests/artifacts.py --golden
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -289,4 +291,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:  # the reader (``| head``) stopped reading: stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

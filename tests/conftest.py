@@ -95,12 +95,27 @@ def diagonal_vars(traj: Trajectory, i: int, sf) -> SimpleNamespace:
                            Upsilon=Ups, UpsilonTilde=Ups + node_matmul(sf.Theta, Psi))
 
 
+def duhamel_forcing(traj: Trajectory, i: int):
+    """Phi = L U and its Duhamel forcing G = L S - E Phi + T Phi at output time
+    i, family-major (N, n): S from the trajectory's one Stepper, about the
+    profile at every node, and E and the frame transport T (zero for constant
+    frames) from its transformed source."""
+    sf, stepper = traj.source_field(i), traj.stepper
+    S = stepper.source(traj.perturbed_states(i), float(traj.times[i]),
+                       stepper.about.rows(slice(1, -1)))
+    Phi = sf.frames.diag_rows(traj.states[i])
+    G = sf.frames.diag_rows(S)
+    G -= sf.E_diag.T * Phi
+    if not sf.frames.constant:
+        G += node_matmul(sf.transport, Phi.T).T
+    return Phi, G
+
+
 def duhamel_residual(traj: Trajectory, paths: CharPaths) -> np.ndarray:
     """Consistency of the stored field with its Duhamel representation.
 
-    Along a family-j characteristic d/ds Phi_j = E_jj Phi_j + G_j, with
-    Phi = L U and G = L S - E Phi + T Phi from the trajectory's one Stepper
-    and transformed source at every output time.  Reconstructs
+    Along a family-j characteristic d/ds Phi_j = E_jj Phi_j + G_j, with Phi
+    and G from ``duhamel_forcing`` at every output time.  Reconstructs
     Phi_j(t, X(t)) from Phi_j(0, x0) e^{H(t)} plus the accumulated forcing
     integral and returns, per path, the worst mismatch at output times while
     the path stays inside the grid; NaN for a path whose mismatch is NaN
@@ -110,10 +125,7 @@ def duhamel_residual(traj: Trajectory, paths: CharPaths) -> np.ndarray:
         accumulate_H(paths, traj)
     phi_fields, g_fields = [], []  # (n, N) at every output time
     for i in range(traj.n_times):
-        sf = traj.source_field(i)
-        transport = None if sf.frames.constant else sf.transport
-        F, G = traj.stepper.forcing(traj.states[i], traj.perturbed_states(i),
-                                    float(traj.times[i]), sf.frames, sf.E_diag.T, transport)
+        F, G = duhamel_forcing(traj, i)
         phi_fields.append(F.T)
         g_fields.append(G.T)
     Phi = _FieldInterp(traj, np.stack(phi_fields))
@@ -134,4 +146,5 @@ def duhamel_residual(traj: Trajectory, paths: CharPaths) -> np.ndarray:
 
 
 __all__ = ["scalar_model", "synthetic_trajectory", "constant_profile", "vara_model",
-           "vara3_model", "anti_damped_core_model", "profile_source", "duhamel_residual"]
+           "vara3_model", "anti_damped_core_model", "profile_source", "duhamel_forcing",
+           "duhamel_residual"]

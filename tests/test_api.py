@@ -7,8 +7,10 @@ their modules, with ``Snapshot`` left as the stepper's state, as must
 the frame transport's derivative object and its parameters, the artifact
 writers' second formatting paths, the tracer's second time lookup, and the
 constant frame's diag(L0 Q R0) from ``kron`` with the moc step's
-per-field stencils (the step's row product forms E).  Outcomes travel as
-data: only the CLI catches a toolkit error.
+per-field stencils (the step's row product forms E), and every second way
+into the source: each step opens with one ``Stepper.source`` pass whose
+rows the caller names.  Outcomes travel as data: only the CLI catches a
+toolkit error.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import ast
 import dataclasses
 import inspect
 from pathlib import Path
+
+from conftest import constant_profile, scalar_model
 
 import relaxdamp
 from relaxdamp import characteristics, cli, damping_verifier, dynamics, eigenframe, errors
@@ -29,7 +33,7 @@ REMOVED = {
     cli: ("_fmt", "_jsonable"),
     damping_verifier: ("ckb_norm", "l2_h2_norms", "_offset_corrected"),
     dynamics: ("diagonal_vars", "DiagVars"),
-    dynamics.Stepper: ("_stencil_feet",),
+    dynamics.Stepper: ("_stencil_feet", "forcing"),
     eigenframe.FrameField: ("conjugate_diag", "_kron_diag_rows"),
     errors: ("Unsupported",),
 }
@@ -74,6 +78,18 @@ def test_frame_transport_takes_its_spacing_from_the_frames():
     for fn in (eigenframe.transformed_source, eigenframe.source_diagonal_and_transport):
         params = inspect.signature(fn).parameters
         assert not {"grid", "gradient"} & set(params), fn.__name__
+
+
+def test_the_source_is_entered_one_way():
+    model = scalar_model()
+    prof = constant_profile(model, [0.0], X=1.0, n=11)
+    stepper = dynamics.Stepper(model, prof, prof.grid, dynamics.ShiftSpec())
+    assert not hasattr(stepper, "about_profile")
+    empty = inspect.Parameter.empty
+    assert inspect.signature(stepper.source).parameters["about"].default is empty
+    update = inspect.signature(stepper._ode_node_update).parameters
+    assert "A" not in update and update["k1"].default is empty
+    assert "X" not in inspect.signature(dynamics.evolve).parameters
 
 
 def _caught_names(handler: ast.ExceptHandler) -> set[str]:

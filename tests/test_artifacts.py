@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import shutil
+import subprocess
+import sys
 
 import artifacts
 import pytest
@@ -150,3 +152,14 @@ def test_run_writes_every_golden_config_into_its_own_directory(two_runs, tmp_pat
     assert capsys.readouterr().out == f"ran small into {out / 'small'}\n"
     assert [p.name for p in out.iterdir()] == ["small"]
     assert main([str(two_runs[0]), str(out / "small")]) == 0  # byte identical
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_report_quietly(two_runs):
+    # ``python tests/artifacts.py A B | head`` closes stdout before the
+    # report is written: exit 1 with nothing on stderr, not a traceback
+    proc = subprocess.Popen([sys.executable, artifacts.__file__, *map(str, two_runs)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1 and err == b""

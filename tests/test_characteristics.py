@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (anti_damped_core_model, diagonal_vars, duhamel_residual, profile_source,
-                      scalar_model, synthetic_trajectory, vara_model)
+from conftest import (anti_damped_core_model, diagonal_vars, duhamel_forcing, duhamel_residual,
+                      profile_source, scalar_model, synthetic_trajectory, vara_model)
 from relaxdamp import characteristics, damping_rate, dynamics, eigenframe
 from relaxdamp.characteristics import (
     CharPaths,
@@ -423,10 +423,7 @@ def _duhamel_by_path(traj, paths, p):
     j = paths.family[p]
     Phi, G = [], []
     for i in range(traj.n_times):
-        sf = traj.source_field(i)
-        F, forcing = traj.stepper.forcing(
-            traj.states[i], traj.perturbed_states(i), float(traj.times[i]), sf.frames,
-            sf.E_diag.T, None if sf.frames.constant else sf.transport)
+        F, forcing = duhamel_forcing(traj, i)
         Phi.append(F[j])
         G.append(forcing[j])
     times, x, H = paths.times, paths.positions[:, p], paths.H[:, p]

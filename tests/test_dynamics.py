@@ -176,6 +176,15 @@ def test_evolve_runs_on_the_smallest_trimmable_grid(jinxin, jinxin_profile):
     assert np.max(norm_series(traj, "c2")) == 0.0
 
 
+@pytest.mark.parametrize("backend", ["moc", "reference"])
+def test_evolve_frees_the_moc_row_buffers(backend, jinxin, jinxin_profile):
+    # verify reads the trajectory's stepper but never steps it
+    traj = evolve(jinxin, jinxin_profile, _GAUSS, ShiftSpec(kind="zero"), T=0.1,
+                  backend=backend, dx=0.04, n_out=1)
+    assert "_rows" not in vars(traj.stepper)
+    assert traj.stepper._rows.Y.shape[1] == len(traj.grid) + 2  # remade on a later step
+
+
 def test_shift_difference_perturbation(jinxin_profile):
     pert = PerturbationSpec(kind="shift_difference", h=0.05)
     snap = make_initial(jinxin_profile, pert)
@@ -419,7 +428,7 @@ def test_moc_stencil_matches_per_node_branch(a2_models):
     assert np.max(np.abs(one[0].U - one[1].U)) <= 1e-14
 
     runs = [evolve(m, prof, _GAUSS, ShiftSpec(kind="zero"), T=2.0, backend="moc",
-                   dx=0.04, n_out=4, X=20.0) for m in (const, per_node)]
+                   dx=0.04, n_out=4) for m in (const, per_node)]
     assert runs[0].dt == runs[1].dt and round(2.0 / runs[0].dt) == 224
     assert np.max(np.abs(runs[0].states - runs[1].states)) <= 1e-12
 
@@ -462,51 +471,94 @@ def _counter(monkeypatch, calls, owner, name):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_constant_A_steps_form_only_what_they_read(jinxin, jinxin_profile, monkeypatch):
-    snap = make_initial(jinxin_profile, _GAUSS)
-    snap.t = 1.3  # ddelta != 0
-    calls = dict.fromkeys(("q_at", "Q_at", "transformed_source", "frames_at_states",
-                           "_check_cfl", "_foot_stencil", "to_diag", "from_diag",
-                           "source", "_ode_node_update", "_advance_boundary"), 0)
-    _counter(monkeypatch, calls, ModelSpec, "Q_at")
-    for name in ("transformed_source", "frames_at_states", "_foot_stencil"):
-        _counter(monkeypatch, calls, dynamics, name)
-    for name in ("to_diag", "from_diag"):
-        _counter(monkeypatch, calls, FrameField, name)
-    for name in ("_check_cfl", "source", "_ode_node_update", "_advance_boundary"):
-        _counter(monkeypatch, calls, Stepper, name)
-    q_rows = []  # the states of each q evaluation
-    q_at = ModelSpec.q_at
+def _count_step_calls(monkeypatch, calls, sizes):
+    """Count the calls named in ``calls`` (Stepper, dynamics, FrameField and
+    ModelSpec.Q_at targets), and append the rows of every q and every A
+    evaluation to ``sizes["q_at"]`` and ``sizes["A_at"]``."""
+    owners = {"Q_at": ModelSpec, "to_diag": FrameField, "from_diag": FrameField}
+    for name in calls:
+        if name not in ("q_at", "A_at"):
+            owner = owners.get(name, Stepper if hasattr(Stepper, name) else dynamics)
+            _counter(monkeypatch, calls, owner, name)
+    q_at, A_at = ModelSpec.q_at, ModelSpec.A_at
 
     def counted_q_at(self, U, out=None):
         calls["q_at"] += 1
-        q_rows.append(len(U))
+        sizes["q_at"].append(len(U))
         return q_at(self, U, out)
+
+    def counted_A_at(self, U):
+        calls["A_at"] += 1
+        sizes["A_at"].append(len(U))
+        return A_at(self, U)
     monkeypatch.setattr(ModelSpec, "q_at", counted_q_at)
+    monkeypatch.setattr(ModelSpec, "A_at", counted_A_at)
+
+
+# Every step opens with one source pass over the n + 2 padded rows; its one
+# other source call is the second stage of a midpoint: over the four edge
+# rows (moc, through ``_advance_boundary``) or all n + 2 rows (reference).
+_MIDPOINT = {"source": 2, "_ode_node_update": 1}
+
+
+def test_constant_A_steps_form_only_what_they_read(jinxin, jinxin_profile, monkeypatch):
+    snap = make_initial(jinxin_profile, _GAUSS)
+    snap.t = 1.3  # ddelta != 0
+    calls = dict.fromkeys(("q_at", "A_at", "Q_at", "transformed_source", "frames_at_states",
+                           "_check_cfl", "_foot_stencil", "to_diag", "from_diag",
+                           "source", "_ode_node_update", "_advance_boundary"), 0)
+    sizes = {"q_at": [], "A_at": []}
+    _count_step_calls(monkeypatch, calls, sizes)
     stepper = Stepper(jinxin, jinxin_profile, snap.grid, _SINUSOID)
     n = len(snap.grid)
     # the speeds, their CFL check and the moc stencils are formed once per
     # (dt, ddelta): a second step at the same pair forms none of them again.
-    # The moc step evaluates q once on the n + 2 padded rows and once in the
-    # four-row second stage of the boundary midpoint, whose first stage it
-    # reads from those rows, and Q not at all; the reference step
-    # diagonalizes its differences once and transforms back once
-    midpoint = {"_ode_node_update": 1}
+    # The moc step forms Q not at all; the reference step diagonalizes its
+    # differences once and transforms back once
     for backend, first, again, rows in (
-            ("moc", {"q_at": 2, "_check_cfl": 1, "_foot_stencil": 1, "from_diag": 1,
-                     "source": 1, **midpoint},
-             {"q_at": 2, "from_diag": 1, "source": 1, **midpoint}, [n + 2, 4]),
-            ("reference", {"q_at": 2, "_check_cfl": 1, "to_diag": 1, "from_diag": 1,
-                           "source": 2, **midpoint},
-             {"q_at": 2, "to_diag": 1, "from_diag": 1, "source": 2, **midpoint},
-             [n + 2, n + 2])):
+            ("moc", {"_check_cfl": 1, "_foot_stencil": 1, "from_diag": 1,
+                     "_advance_boundary": 1},
+             {"from_diag": 1, "_advance_boundary": 1}, [n + 2, 4]),
+            ("reference", {"_check_cfl": 1, "to_diag": 1, "from_diag": 1},
+             {"to_diag": 1, "from_diag": 1}, [n + 2, n + 2])):
         stepper._speeds = None
         for want in (first, again):
             calls.update(dict.fromkeys(calls, 0))
-            q_rows.clear()
+            sizes["q_at"].clear()
             stepper.step(snap, 0.005, backend)
-            assert calls == {**dict.fromkeys(calls, 0), **want}, backend
-            assert q_rows == rows, backend
+            assert calls == {**dict.fromkeys(calls, 0), **want, **_MIDPOINT, "q_at": 2}, backend
+            assert sizes["q_at"] == rows, backend
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_state_dependent_steps_form_only_what_they_read(given, varA, monkeypatch):
+    # A once at the nodes (the frames, which the source pass reads), once at
+    # the two boundary states, and once more in the second midpoint stage
+    model, prof = varA
+    stepper = Stepper(model, prof, prof.grid, _SINUSOID)
+    snap = make_initial(prof, _OFFSET)
+    snap.t = 0.7
+    n = len(prof.grid)
+    frames = stepper._frames(stepper.Ubar + snap.U) if given else None
+    calls = dict.fromkeys(("q_at", "A_at", "Q_at", "frames_at_states",
+                           "source_diagonal_and_transport", "_node_feet", "source",
+                           "_ode_node_update", "_advance_boundary"), 0)
+    sizes = {"q_at": [], "A_at": []}
+    _count_step_calls(monkeypatch, calls, sizes)
+    decomposed = 0 if given else 1
+    for backend, want, rows, A_rows in (
+            ("moc", {"frames_at_states": decomposed, "source_diagonal_and_transport": 1,
+                     "Q_at": 1, "_node_feet": 1, "_advance_boundary": 1, "A_at": 3 - given},
+             [n + 2, 4], [n, 2, 4]),
+            ("reference", {"frames_at_states": decomposed, "A_at": 3 - given},
+             [n + 2, n + 2], [n, 2, n + 2])):
+        calls.update(dict.fromkeys(calls, 0))
+        sizes["q_at"].clear()
+        sizes["A_at"].clear()
+        stepper.step(snap, 0.01, backend, frames)
+        assert calls == {**dict.fromkeys(calls, 0), **want, **_MIDPOINT, "q_at": 2}, backend
+        assert sizes["q_at"] == rows, backend
+        assert sizes["A_at"] == A_rows[given:], backend
 
 
 # --- the family-fused constant-A moc step ---------------------------------------
@@ -547,7 +599,7 @@ def _per_family_constant_A_step(stepper, snap, dt):
     Ut = stepper.Ubar + snap.U
     E = model.Q_at(Ut).reshape(n, -1) @ kron_diag
     Phi = snap.U @ L0T
-    G = stepper.source(Ut, snap.t) @ L0T - E * Phi
+    G = stepper.source(Ut, snap.t, _profile_rows(stepper)) @ L0T - E * Phi
     phi_bl, phi_br = frames.L[0] @ snap.b_left, frames.L[-1] @ snap.b_right
     Phi_new = np.empty(Phi.T.shape)
     for j, (phi, e, g) in enumerate(zip(Phi.T, E.T, G.T)):
@@ -566,9 +618,8 @@ def _per_family_row_step(stepper, snap, dt):
     edge-padded copy and one fixed stencil per family and field, E at the
     node and dt / 4 folded into the foot weights, dt into the midpoint
     weights, one exp, and the boundary rows' midpoint started from S."""
-    dd = stepper.shift.delta_dot(snap.t)
-    c = stepper.frames0.lambdas[0] - dd
-    _, S = stepper._rows.evaluate(stepper.model, snap, dd)
+    c = stepper.frames0.lambdas[0] - stepper.shift.delta_dot(snap.t)
+    _, S = stepper._rows.evaluate(stepper, snap)
     S, (Phi, G, E) = S.copy(), stepper._rows.P.copy()
     n = len(snap.U)
     Phi_new = np.empty((len(Phi), n))
@@ -587,6 +638,11 @@ def _per_family_row_step(stepper, snap, dt):
         Phi_new[j] = ex * (ex * Phif + Gm)
     k1 = S[:, [1, n, 0, n + 1]].T
     return _with_boundary_rows(stepper, snap, dt, stepper.frames0.from_diag(Phi_new.T), k1)
+
+
+def _profile_rows(stepper):
+    """The rows a node's perturbation is taken about: the profile at every node."""
+    return stepper.about.rows(slice(1, -1))
 
 
 def _with_boundary_rows(stepper, snap, dt, U_new, k1=None):
@@ -696,8 +752,7 @@ def test_row_product_gives_the_source_and_the_diagonal_of_the_kron_product(
     snap = dynamics.Snapshot(t=1.3, grid=prof.grid, U=1e-2 * rng.standard_normal((n, N)),
                              b_left=1e-2 * rng.standard_normal(N),
                              b_right=1e-2 * rng.standard_normal(N))
-    dd = _SINUSOID.delta_dot(snap.t)
-    V_rows, S = (f.copy() for f in stepper._rows.evaluate(model, snap, dd))
+    V_rows, S = (f.copy() for f in stepper._rows.evaluate(stepper, snap))
     Phi, G, E = stepper._rows.P.copy()
     V = np.vstack([snap.b_left, snap.U, snap.b_right])
     assert V_rows.tobytes() == V.T.tobytes()
@@ -717,7 +772,7 @@ def test_row_product_gives_the_source_and_the_diagonal_of_the_kron_product(
     still = Stepper(model, prof, prof.grid, ShiftSpec(kind="zero"))
     zero = dynamics.Snapshot(t=0.0, grid=prof.grid, U=np.zeros((n, N)),
                              b_left=np.zeros(N), b_right=np.zeros(N))
-    _, S0 = still._rows.evaluate(model, zero, 0.0)
+    _, S0 = still._rows.evaluate(still, zero)
     assert not np.any(S0) and not np.any(still._rows.P[:2])
 
 
@@ -752,8 +807,9 @@ def _separate_reference_step(stepper, snap, dt):
     adv = frames.from_diag(c * np.where(c > 0.0, phi_m, phi_p))
     adv[0] = 0.0
     adv[-1] = 0.0
-    U_half = U + 0.5 * dt * (-adv + stepper.source(Ut, t))
-    U_new = U - dt * adv + dt * stepper.source(stepper.Ubar + U_half, t + 0.5 * dt)
+    about = _profile_rows(stepper)
+    U_half = U + 0.5 * dt * (-adv + stepper.source(Ut, t, about))
+    U_new = U - dt * adv + dt * stepper.source(stepper.Ubar + U_half, t + 0.5 * dt, about)
     return _with_boundary_rows(stepper, snap, dt, U_new)
 
 
@@ -786,13 +842,31 @@ def _per_family_node_step(stepper, snap, dt):
     frames = stepper._frames(Ut)
     sf = transformed_source(stepper.model, Ut, frames)
     E = sf.E_diag.T
-    Phi, G = stepper.forcing(snap.U, Ut, snap.t, frames, E, sf.transport)
+    Phi = frames.diag_rows(snap.U)
+    G = frames.diag_rows(stepper.source(Ut, snap.t, _profile_rows(stepper), frames.A))
+    G -= E * Phi
+    G += node_matmul(sf.transport, Phi.T).T
     return _per_family_feet_update(stepper, snap, dt, frames, Phi, E, G)
 
 
-def _per_family_feet_update(stepper, snap, dt, frames, Phi, E, G):
+def _one_exp_update(dt, Phif, Ef, E, Gm):
+    """The moc step's Duhamel update: e (e Phif + dt Gm), e = exp(dt (Ef + E) / 4)."""
+    e = np.exp(0.25 * dt * (Ef + E))
+    return e * (e * Phif + dt * Gm)
+
+
+def _two_exp_update(dt, Phif, Ef, E, Gm):
+    """The state-dependent moc step's Duhamel update as it was written before
+    it shared the constant-frame one: exp(h) Phif + dt exp(h / 2) Gm with
+    h = dt (Ef + E) / 2."""
+    h = 0.5 * dt * (Ef + E)
+    return np.exp(h) * Phif + dt * np.exp(0.5 * h) * Gm
+
+
+def _per_family_feet_update(stepper, snap, dt, frames, Phi, E, G, update=_one_exp_update):
     """The per-node moc update from family-major Phi, E and G: each family's
-    foot traced and each of its fields padded and interpolated on its own."""
+    foot traced and each of its fields padded and interpolated on its own,
+    then the Duhamel ``update``."""
     model, dx, n = stepper.model, stepper.dx, len(snap.U)
     c = frames.lambdas - stepper.shift.delta_dot(snap.t)
     phi_bl, phi_br = frames.L[0] @ snap.b_left, frames.L[-1] @ snap.b_right
@@ -806,8 +880,7 @@ def _per_family_feet_update(stepper, snap, dt, frames, Phi, E, G):
         Gm[j] = _linear_at(G[j], 0.5 * (k + foot), G[j, 0], G[j, -1])
         Phif[j] = _cubic_at(
             np.concatenate([[phi_bl[j]] * 2, Phi[j], [phi_br[j]] * 2]), foot)
-    h = 0.5 * dt * (Ef + E)
-    Phi_new = np.exp(h) * Phif + dt * np.exp(0.5 * h) * Gm
+    Phi_new = update(dt, Phif, Ef, E, Gm)
     return _with_boundary_rows(stepper, snap, dt, frames.from_diag(Phi_new.T))
 
 
@@ -824,7 +897,7 @@ def _cumsum_flip_parity(steps):
     return (neg - np.take_along_axis(neg, restart, axis=0)) % 2 == 1
 
 
-def _node_step_with_full_source(stepper, snap, dt):
+def _node_step_with_full_source(stepper, snap, dt, update=_one_exp_update):
     """The state-dependent moc step with the eigen side formed in full: the
     sign flips counted by cumsum and applied by np.negative(where=), the
     whole transformed source L Q R - Lambda L dR/dx with dR/dx from
@@ -847,15 +920,15 @@ def _node_step_with_full_source(stepper, snap, dt):
     E = M[:, eye].T
     M[:, eye] = 0.0  # F_tilde
     Phi = frames.to_diag(snap.U).T
-    G = frames.to_diag(stepper.source(Ut, snap.t)).T
+    G = frames.to_diag(stepper.source(Ut, snap.t, _profile_rows(stepper))).T
     G -= E * Phi
     G += node_matmul(T, Phi.T).T
-    return _per_family_feet_update(stepper, snap, dt, frames, Phi, E, G)
+    return _per_family_feet_update(stepper, snap, dt, frames, Phi, E, G, update)
 
 
-@pytest.mark.parametrize("case", ["varA", "varA3"])
-def test_lean_node_step_matches_full_source_step_bit_for_bit(case, varA):
-    # varA decomposes in closed form, varA3 (N = 3) with LAPACK
+def _node_case(case, varA):
+    """(stepper, dt, initial snapshot) of a state-dependent moc step case with
+    a linear shift: varA decomposes in closed form, varA3 (N = 3) with LAPACK."""
     if case == "varA":
         model, prof = varA
         pert = _OFFSET
@@ -868,8 +941,13 @@ def test_lean_node_step_matches_full_source_step_bit_for_bit(case, varA):
     stepper = Stepper(model, prof, prof.grid, shift)
     assert stepper.frames0 is None and shift.delta_dot(0.0) != 0.0
     speed = float(np.max(np.abs(stepper._frames(stepper.Ubar).lambdas))) + shift.eps_delta
-    dt = 0.7 * stepper.dx / speed
-    new = old = make_initial(prof, pert)
+    return stepper, 0.7 * stepper.dx / speed, make_initial(prof, pert)
+
+
+@pytest.mark.parametrize("case", ["varA", "varA3"])
+def test_lean_node_step_matches_full_source_step_bit_for_bit(case, varA):
+    stepper, dt, start = _node_case(case, varA)
+    new = old = start
     for k in range(60):
         new.t = old.t = k * dt
         # every other step begins from frames formed outside it, as evolve hands them
@@ -878,6 +956,23 @@ def test_lean_node_step_matches_full_source_step_bit_for_bit(case, varA):
         for a, b in ((new.U, old.U), (new.b_left, old.b_left), (new.b_right, old.b_right)):
             assert a.tobytes() == b.tobytes(), (case, k)
     assert np.max(np.abs(new.U)) > 1e-4
+
+
+@pytest.mark.parametrize("case", ["varA", "varA3"])
+def test_node_step_matches_two_exp_update_to_rounding(case, varA):
+    # one exp, e^2 against exp(h) and e against exp(h / 2), as for constant
+    # frames: the same rounding bound per step
+    stepper, dt, start = _node_case(case, varA)
+    new = old = start
+    for k in range(60):
+        new.t = old.t = k * dt
+        new = stepper.step_moc(new, dt)
+        old = _node_step_with_full_source(stepper, old, dt, _two_exp_update)
+        scale = max(np.max(np.abs(old.U)), np.max(np.abs(old.b_left)),
+                    np.max(np.abs(old.b_right)))
+        for a, b in ((new.U, old.U), (new.b_left, old.b_left), (new.b_right, old.b_right)):
+            assert np.max(np.abs(a - b)) <= (k + 1) * _ROUNDING_PER_STEP * scale, (case, k)
+    assert not np.array_equal(new.U, old.U)
 
 
 @pytest.mark.parametrize("backend", ["moc", "reference"])
@@ -983,7 +1078,9 @@ def test_stacked_boundary_midpoint_matches_separate_updates(case, jinxin, jinxin
     stepper = Stepper(model, prof, snap.grid, _SINUSOID)
     want = _separate_boundary_updates(model, prof, snap.grid, _SINUSOID, snap, dt)
     assert np.max(np.abs(want[2:] - want[:2])) > 0.0  # boundary states differ from edges
-    assert np.array_equal(stepper._advance_boundary(snap, dt), want)
+    V = np.vstack([snap.b_left, snap.U, snap.b_right])
+    S = stepper.source(stepper.about.U + V, snap.t, stepper.about)
+    assert np.array_equal(stepper._advance_boundary(V, S, snap.t, dt), want)
     for backend in ("moc", "reference"):
         new = stepper.step(snap, dt, backend)
         got = np.vstack([new.U[0], new.U[-1], new.b_left, new.b_right])

@@ -122,7 +122,7 @@ def test_to_diag_and_from_diag_match_einsum(case, request):
 
 @pytest.mark.parametrize("n", [7, 1001, 4001])
 def test_family_major_products_keep_the_node_major_bits(jinxin, jinxin_profile, n):
-    # ``Stepper.forcing`` reads L0 U^T; it must give the bits of the
+    # the moc step's forcing reads L0 U^T; it must give the bits of the
     # node-major product U L0^T
     frames = _profile_frames(jinxin, jinxin_profile)
     rng = np.random.default_rng(n)
