@@ -227,8 +227,8 @@ def _write_trajectory(cfg: Config, traj: dyn.Trajectory, out: Path) -> None:
                                        Phi[::sx], Psi[::sx]]))
     write_csv(out / "trajectory.csv", header, np.vstack(blocks))
 
-    write_csv(out / "norms.csv", ["t", *dv.NORM_KINDS, "abs_ddelta"], np.column_stack(
-        [traj.times, *(dv.norm_series(traj, k) for k in dv.NORM_KINDS),
+    write_csv(out / "norms.csv", ["t", *dyn.NORM_KINDS, "abs_ddelta"], np.column_stack(
+        [traj.times, *(dv.norm_series(traj, k) for k in dyn.NORM_KINDS),
          np.abs(traj.shift.delta_dot(traj.times))]))
 
 
@@ -289,22 +289,19 @@ def stage_verify(cfg: Config, out: Path) -> int:
 
     # the L^2/H^2 estimate is for localised data: offset data certifies C^K_b only
     localised = cfg.build_perturbation().kind != "offset"
-    kinds = [kind for kind in dv.NORM_KINDS if localised or kind.startswith("c")]
+    kinds = [kind for kind in dyn.NORM_KINDS if localised or kind.startswith("c")]
     tables = {kind: dv.fit_damping(traj, kind, theta_grid, C_cap=vc["C_cap"])
               for kind in kinds}
     slaving = dv.slaving_check(traj, theta_grid, C_cap=vc["C_cap"])
     certification_failures = [] if hb.unbounded is None else [f"H-bound: {hb.unbounded}"]
-    certification_failures += [f"damping {kind}: {kind}: no feasible rate under C_cap"
+    certification_failures += [f"damping {kind}: no feasible rate under C_cap"
                                for kind, tab in tables.items() if tab.theta_max is None]
     unslaved = [label for label, tab in slaving.items() if tab.theta_max is None]
     if unslaved:
         certification_failures.append(
             f"slaving: no feasible slaved rate for {', '.join(unslaved)}")
 
-    if vc["C_alpha"] is not None and vc["c_alpha"] is not None:
-        Ca, ca = vc["C_alpha"], vc["c_alpha"]
-    else:
-        Ca, ca = dv.default_weight_constants(prof)
+    Ca, ca = dv.default_weight_constants(prof)
     weights = dv.weight_fn(model, prof, Ca, ca, grid=traj.grid)
     energies = dv.weighted_energy_series(traj, weights, dr.theta_E)
     certification_failures += [f"weighted energy: non-finite energy for family {j + 1}"

@@ -76,8 +76,6 @@ def _default_config() -> dict:
         "verify": {
             "theta_grid": {"start": 0.01, "stop": 0.3, "num": 30},
             "C_cap": 1000.0,
-            "C_alpha": None,
-            "c_alpha": None,
             "n_paths": 20,
             "n_sub": 4,
             "growth_tol": 0.25,
@@ -87,7 +85,7 @@ def _default_config() -> dict:
     }
 
 
-CUSTOM_MODEL_KEYS = {"kind", "name", "N", "A", "q", "Q", "U_minus", "U_plus",
+CUSTOM_MODEL_KEYS = {"kind", "name", "N", "A", "q", "U_minus", "U_plus",
                      "state_box", "shock_speed"}
 
 
@@ -231,7 +229,7 @@ class Config:
             name=mc.get("name", "custom"), N=int(mc["N"]),
             A_entries=mc["A"], q_entries=mc["q"],
             U_minus=mc.get("U_minus"), U_plus=mc.get("U_plus"),
-            Q_entries=mc.get("Q"), state_box=mc.get("state_box"),
+            state_box=mc.get("state_box"),
             shock_speed=mc.get("shock_speed", 0.0),
         )
 
@@ -272,24 +270,14 @@ class Config:
                       budget=dc["budget"])
 
     def build_perturbation(self) -> PerturbationSpec:
-        pc = self.dynamics_cfg["perturbation"]
-        kw = dict(kind=pc["kind"])
-        if pc["kind"] == "gaussian":
-            kw.update(amplitude=pc["amplitude"], width=pc["width"],
-                      center=pc["center"])
-            if pc["direction"] is not None:
-                kw["direction"] = tuple(pc["direction"])
-        elif pc["kind"] == "offset":
-            kw.update(d_minus=tuple(pc["d_minus"]), d_plus=tuple(pc["d_plus"]),
-                      blend_width=pc["blend_width"])
-        elif pc["kind"] == "shift_difference":
-            kw.update(h=pc["h"])
-        return PerturbationSpec(**kw)
+        """The perturbation section as its record, lists as tuples: the
+        section's keys are the record's fields, and ``PerturbationSpec.sample``
+        reads those of its kind."""
+        return PerturbationSpec(**{key: tuple(v) if isinstance(v, list) else v
+                                   for key, v in self.dynamics_cfg["perturbation"].items()})
 
     def build_shift(self) -> ShiftSpec:
-        sc = self.dynamics_cfg["shift"]
-        return ShiftSpec(kind=sc["kind"], rate=sc["rate"],
-                         amplitude=sc["amplitude"], frequency=sc["frequency"])
+        return ShiftSpec(**self.dynamics_cfg["shift"])
 
     def theta_grid(self) -> np.ndarray:
         tg = self.verify_cfg["theta_grid"]
@@ -315,8 +303,6 @@ def _validate(raw: dict) -> None:
         n = int(mc["N"])
         _check_entries(mc.get("A"), n, "model.A", square=True)
         _check_entries(mc.get("q"), n, "model.q")
-        if mc.get("Q") is not None:
-            _check_entries(mc["Q"], n, "model.Q", square=True)
         for key in ("U_minus", "U_plus"):
             if mc.get(key) is not None:
                 _require(_is_numbers(mc[key], n), f"{key} must list {n} numbers",
@@ -363,8 +349,8 @@ def _validate(raw: dict) -> None:
         for key in ("d_minus", "d_plus"):
             _require(_is_numbers(pk[key], n), f"offset needs {key} as a list of {n} numbers",
                      f"dynamics.perturbation.{key}")
-        _check_number(pk["blend_width"], "dynamics.perturbation.blend_width",
-                      positive=True)
+    # every kind's record carries it to the trajectory's far-field ramp
+    _check_number(pk["blend_width"], "dynamics.perturbation.blend_width", positive=True)
     if pk["kind"] == "shift_difference":
         _check_number(pk["h"], "dynamics.perturbation.h")
     _require(dc["shift"]["kind"] in ("zero", "linear", "sinusoid"),
@@ -395,11 +381,6 @@ def _validate(raw: dict) -> None:
              "verify.theta_grid.stop")
     _check_number(tg["num"], "verify.theta_grid.num", integer=True, minimum=2)
     _check_number(vc["C_cap"], "verify.C_cap", positive=True)
-    for key, other in (("C_alpha", "c_alpha"), ("c_alpha", "C_alpha")):
-        if vc[key] is not None:
-            _check_number(vc[key], f"verify.{key}", positive=True)
-            _require(vc[other] is not None, f"{key} needs {other} as well",
-                     f"verify.{other}")
     _check_number(vc["n_paths"], "verify.n_paths", integer=True, minimum=1)
     _check_number(vc["n_sub"], "verify.n_sub", integer=True, minimum=1)
     _check_number(vc["growth_tol"], "verify.growth_tol", positive=True)

@@ -1,9 +1,9 @@
 """Norms, weights, and certification of the damping inequalities.
 
-Measures C^K_b and L^2/H^2 norms along trajectories, builds the spatial L^2
-weights alpha_j, evaluates weighted modal energies, and turns the damping
-estimates into decidable feasibility scans: a rate theta is feasible when the
-smallest constant C matching
+Reads the C^K_b and L^2/H^2 norms of a trajectory (``Trajectory.norms``),
+builds the spatial L^2 weights alpha_j, evaluates weighted modal energies,
+and turns the damping estimates into decidable feasibility scans: a rate
+theta is feasible when the smallest constant C matching
 
     N(t) <= C [ e^{-theta t} N(0) + int_0^t e^{-theta (t-s)} forcing(s) ds ]
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, far_field_ramp, interior_max
+from .dynamics import NORM_KINDS, Trajectory, trapezoid4
 from .eigenframe import profile_lambdas
 from .errors import InvalidParam
 from .model import ModelSpec
@@ -26,43 +26,8 @@ from .profile import ProfileRep
 
 C_CAP_DEFAULT = 1e3
 
-# the norms whose damping ``verify`` certifies and ``norms.csv`` records:
-# C^K_b for K <= 2, then L^2 and H^2
-NORM_KINDS = ("c0", "c1", "c2", "l2", "h2")
-
 _GL7 = np.polynomial.legendre.leggauss(7)
 _GL15 = np.polynomial.legendre.leggauss(15)
-
-
-# --- discrete norms --------------------------------------------------------
-
-def trapezoid4(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
-    """Composite trapezoid with Gregory end corrections (fourth order).
-
-    The result is ``np.sum(y * w, axis) * dx`` bit for bit.  Along axis 0
-    of a C-ordered (n, k) integrand with k >= 2 that sum adds the rows one
-    after another, starting from +0.  Here each column is summed in that
-    order by one ``np.add.accumulate`` along a contiguous row of the
-    transposed products, and the +0 start is added last (it only turns a
-    sum of -0 into +0).  A 1-D or one-column integrand keeps numpy's
-    pairwise sum.  A NaN sample, or +inf and -inf in one column, makes
-    that column's integral NaN.
-    """
-    n = y.shape[axis]
-    if n < 7:
-        return np.trapezoid(y, dx=dx, axis=axis)
-    w = np.ones(n)
-    w[[0, -1]] = 3.0 / 8.0
-    w[[1, -2]] = 7.0 / 6.0
-    w[[2, -3]] = 23.0 / 24.0
-    if y.ndim == 2 and axis == 0 and y.shape[1] > 1 and y.flags.c_contiguous:
-        cols = np.multiply(y.T, w, out=np.empty(y.shape[::-1]))
-        total = np.add.accumulate(cols, axis=1)[:, -1]
-        total += 0.0
-        return total * dx
-    shape = [1] * y.ndim
-    shape[axis] = n
-    return np.sum(y * w.reshape(shape), axis=axis) * dx
 
 
 # --- L^2 weight functions --------------------------------------------------
@@ -74,8 +39,6 @@ class Weights:
 
     grid: np.ndarray          # (n,)
     values: np.ndarray        # (N, n)
-    C_alpha: float
-    c_alpha: float
     ode_residual: np.ndarray  # (N,)
 
 
@@ -109,8 +72,7 @@ def weight_fn(model: ModelSpec, profile: ProfileRep, C_alpha: float,
     alpha = np.exp(log_alpha - np.max(log_alpha, axis=1, keepdims=True))
     inc15 = increments(*_GL15)
     resid = np.max(np.abs(alpha[:, 1:] - alpha[:, :-1] * np.exp(-inc15)), axis=1)
-    return Weights(grid=x, values=alpha, C_alpha=C_alpha, c_alpha=c_alpha,
-                   ode_residual=resid)
+    return Weights(grid=x, values=alpha, ode_residual=resid)
 
 
 def default_weight_constants(profile: ProfileRep) -> tuple[float, float]:
@@ -132,36 +94,13 @@ def default_weight_constants(profile: ProfileRep) -> tuple[float, float]:
 # --- series extraction -----------------------------------------------------
 
 def norm_series(traj: Trajectory, kind: str) -> np.ndarray:
-    """Per-output-time norms: kind in ``NORM_KINDS``.
-
-    All kinds come from one pass over the output times, which reads U and W
-    from the trajectory's stacks and forms Y once per time; they are cached
-    on the trajectory read-only.  c_K is the largest ``interior_max`` of the
-    derivatives of order <= K; l2 and h2 use ``trapezoid4``.  Offset data is
-    measured in l2 and h2 against the far-field ramp of the run's
-    ``blend_width``; derivative fields are square-integrable as they stand.
-    Any other kind raises InvalidParam before the pass runs.
-    """
+    """Per-output-time norms of one kind in ``NORM_KINDS``: its column of the
+    trajectory's read-only ``Trajectory.norms`` table, which one pass forms
+    for every kind on first read.  Any other kind raises InvalidParam before
+    that pass runs."""
     if kind not in NORM_KINDS:
         raise InvalidParam(f"unknown norm kind {kind!r}")
-    cache = traj._norm_cache
-    if not cache:
-        dx = traj.dx
-        ramp = far_field_ramp(traj.grid, traj.blend_width)[:, None]
-        table = np.empty((traj.n_times, len(NORM_KINDS)))
-        for i in range(traj.n_times):
-            U, W, Y = traj.states[i], traj.W[i], traj.Y_at(i)
-            c0 = interior_max(U)
-            c1 = max(c0, interior_max(W))
-            c2 = max(c1, interior_max(Y))
-            bl, br = traj.b_left[i], traj.b_right[i]
-            if np.max(np.abs(bl)) != 0.0 or np.max(np.abs(br)) != 0.0:
-                U = U - (bl[None, :] + ramp * (br - bl)[None, :])
-            l2sq, w2sq, y2sq = (float(np.sum(trapezoid4(F**2, dx))) for F in (U, W, Y))
-            table[i] = c0, c1, c2, np.sqrt(l2sq), np.sqrt(l2sq + w2sq + y2sq)
-        table.flags.writeable = False
-        cache.update(zip(NORM_KINDS, table.T))
-    return cache[kind]
+    return traj.norms[:, NORM_KINDS.index(kind)]
 
 
 # --- weighted energies -----------------------------------------------------

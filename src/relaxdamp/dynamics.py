@@ -85,6 +85,9 @@ BLOWUP_FACTOR = 10.0
 CFL_LIMIT = 0.9
 GAUSSIAN_TAIL_MAX = 1e-3  # largest |U0(+-X)| / amplitude of a gaussian
 EDGE_TRIM = 2  # nodes dropped at each end of discrete sup norms (stencil width)
+# the norms whose damping ``verify`` certifies and ``norms.csv`` records:
+# C^K_b for K <= 2, then L^2 and H^2
+NORM_KINDS = ("c0", "c1", "c2", "l2", "h2")
 
 
 # --- prescribed phase shift ------------------------------------------------
@@ -242,6 +245,35 @@ def interior_max(F: np.ndarray) -> float:
     return float(np.max(np.abs(F[EDGE_TRIM:-EDGE_TRIM])))
 
 
+def trapezoid4(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
+    """Composite trapezoid with Gregory end corrections (fourth order).
+
+    The result is ``np.sum(y * w, axis) * dx`` bit for bit.  Along axis 0
+    of a C-ordered (n, k) integrand with k >= 2 that sum adds the rows one
+    after another, starting from +0.  Here each column is summed in that
+    order by one ``np.add.accumulate`` along a contiguous row of the
+    transposed products, and the +0 start is added last (it only turns a
+    sum of -0 into +0).  A 1-D or one-column integrand keeps numpy's
+    pairwise sum.  A NaN sample, or +inf and -inf in one column, makes
+    that column's integral NaN.
+    """
+    n = y.shape[axis]
+    if n < 7:
+        return np.trapezoid(y, dx=dx, axis=axis)
+    w = np.ones(n)
+    w[[0, -1]] = 3.0 / 8.0
+    w[[1, -2]] = 7.0 / 6.0
+    w[[2, -3]] = 23.0 / 24.0
+    if y.ndim == 2 and axis == 0 and y.shape[1] > 1 and y.flags.c_contiguous:
+        cols = np.multiply(y.T, w, out=np.empty(y.shape[::-1]))
+        total = np.add.accumulate(cols, axis=1)[:, -1]
+        total += 0.0
+        return total * dx
+    shape = [1] * y.ndim
+    shape[axis] = n
+    return np.sum(y * w.reshape(shape), axis=axis) * dx
+
+
 @dataclass
 class SourceSeries:
     """E_jj at every output time (n_times, n, N), and the interior sup series
@@ -258,9 +290,10 @@ class Trajectory:
     """Stored output of one evolution run: U and the boundary states at every
     output time.  Each per-output-time field is formed once, on first read:
     the stack ``W`` of U_x, the frames of a state-dependent A (a constant A
-    reads the Stepper's), and ``source_series``, which keeps no F_tilde or Theta.
-    U_xx is not stored: ``Y_at`` forms it for one output time, and the norm
-    pass and the source pass each call it once per output time."""
+    reads the Stepper's), the ``norms`` table, and ``source_series``, which
+    keeps no F_tilde or Theta.  U_xx is not stored: ``Y_at`` forms it for one
+    output time, and the norm pass and the source pass each call it once per
+    output time."""
 
     model: ModelSpec
     profile: ProfileRep
@@ -277,7 +310,6 @@ class Trajectory:
     budget_violation_time: float | None = None
     blend_width: float = 2.0    # far-field ramp width of offset initial data
     _frame_cache: dict = field(default_factory=dict, repr=False)
-    _norm_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dx(self) -> float:
@@ -324,6 +356,30 @@ class Trajectory:
     def source_field(self, i: int) -> SourceField:
         """Transformed source at output time i, formed on every call."""
         return transformed_source(self.model, self.perturbed_states(i), self.frames(i))
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """The ``NORM_KINDS`` at every output time, (n_times, 5), read-only:
+        one pass that reads U and W from the stacks and forms Y once per time.
+        c_K is the largest ``interior_max`` of the derivatives of order <= K;
+        l2 and h2 use ``trapezoid4``.  Offset data is measured in l2 and h2
+        against the far-field ramp of the run's ``blend_width``; derivative
+        fields are square-integrable as they stand."""
+        dx = self.dx
+        ramp = far_field_ramp(self.grid, self.blend_width)[:, None]
+        table = np.empty((self.n_times, len(NORM_KINDS)))
+        for i in range(self.n_times):
+            U, W, Y = self.states[i], self.W[i], self.Y_at(i)
+            c0 = interior_max(U)
+            c1 = max(c0, interior_max(W))
+            c2 = max(c1, interior_max(Y))
+            bl, br = self.b_left[i], self.b_right[i]
+            if np.max(np.abs(bl)) != 0.0 or np.max(np.abs(br)) != 0.0:
+                U = U - (bl[None, :] + ramp * (br - bl)[None, :])
+            l2sq, w2sq, y2sq = (float(np.sum(trapezoid4(F**2, dx))) for F in (U, W, Y))
+            table[i] = c0, c1, c2, np.sqrt(l2sq), np.sqrt(l2sq + w2sq + y2sq)
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def source_series(self) -> SourceSeries:

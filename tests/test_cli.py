@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -197,7 +198,7 @@ def test_evolve_and_verify_stages(tmp_path):
 
 
 @pytest.mark.parametrize("perturbation, kinds", [
-    (TINY["dynamics"]["perturbation"], dv.NORM_KINDS),
+    (TINY["dynamics"]["perturbation"], dynamics.NORM_KINDS),
     ({"kind": "offset", "d_minus": [1e-3, 0.0], "d_plus": [0.0, 0.0]}, ("c0", "c1", "c2")),
 ], ids=["gaussian", "offset"])
 def test_verify_certifies_every_norm_kind(tmp_path, perturbation, kinds):
@@ -208,7 +209,7 @@ def test_verify_certifies_every_norm_kind(tmp_path, perturbation, kinds):
     damping = json.loads((tmp_path / "damping.json").read_text())
     assert sorted(damping["norm_tables"]) == sorted(kinds)
     header = (tmp_path / "norms.csv").read_text().splitlines()[0]
-    assert header == ",".join(["t", *dv.NORM_KINDS, "abs_ddelta"])
+    assert header == ",".join(["t", *dynamics.NORM_KINDS, "abs_ddelta"])
 
 
 @pytest.mark.parametrize("key, value", [("K", 1), ("include_l2", False)])
@@ -228,6 +229,32 @@ def test_readme_configuration_block_is_the_default_config():
     section = readme.split("\n## Configuration\n", 1)[1]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     assert json.loads(block) == config._default_config()
+
+
+def test_config_sections_are_their_records():
+    default = config._default_config()["dynamics"]
+    for section, record in (("perturbation", dynamics.PerturbationSpec),
+                            ("shift", dynamics.ShiftSpec)):
+        assert set(default[section]) == {f.name for f in dataclasses.fields(record)}
+
+
+@pytest.mark.parametrize("section, own", [
+    ({"kind": "gaussian", "amplitude": 0.005, "width": 1.5, "center": 0.5,
+      "direction": [0.3, -0.7]},
+     dict(kind="gaussian", amplitude=0.005, width=1.5, center=0.5, direction=(0.3, -0.7))),
+    ({"kind": "offset", "d_minus": [1e-3, 0.0], "d_plus": [-1e-3, 2e-4], "blend_width": 3.0},
+     dict(kind="offset", d_minus=(1e-3, 0.0), d_plus=(-1e-3, 2e-4), blend_width=3.0)),
+    ({"kind": "shift_difference", "h": 0.01}, dict(kind="shift_difference", h=0.01)),
+], ids=["gaussian", "offset", "shift_difference"])
+def test_perturbation_section_samples_as_its_kinds_fields(section, own):
+    # the section also carries the other kinds' defaults; sample reads only its own
+    cfg = config_from_dict({"profile": {"n": 501, "X": 10.0, "method": "exact"},
+                            "dynamics": {"perturbation": section}})
+    grid = cfg.profile.grid
+    got = cfg.build_perturbation().sample(cfg.profile, grid)
+    want = dynamics.PerturbationSpec(**own).sample(cfg.profile, grid)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_verify_on_coarser_grid_than_profile(tmp_path):
@@ -255,7 +282,7 @@ def test_verify_empty_feasible_exit_code(tmp_path):
     assert run("verify", cfg, out_dir=str(tmp_path)) == EXIT_CERTIFICATION
     damping = json.loads((tmp_path / "damping.json").read_text())
     assert damping["certification_failures"] == [
-        *(f"damping {kind}: {kind}: no feasible rate under C_cap"
+        *(f"damping {kind}: no feasible rate under C_cap"
           for kind in ("c0", "c1", "c2", "l2", "h2")),
         "slaving: no feasible slaved rate for psi_tilde, upsilon_tilde",
     ]
@@ -683,6 +710,7 @@ _JINXIN_BY_HAND = {"kind": "custom", "N": 2, "A": [[0.0, 1.0], [4.0, 0.0]],
     ({"dynamics": {"perturbation": {"center": "x"}}}, "dynamics.perturbation.center"),
     ({"dynamics": {"perturbation": {"kind": "shift_difference", "h": "x"}}},
      "dynamics.perturbation.h"),
+    ({"dynamics": {"perturbation": {"blend_width": 0.0}}}, "dynamics.perturbation.blend_width"),
     ({"dynamics": {"shift": {"kind": "sinusoid", "frequency": None}}},
      "dynamics.shift.frequency"),
 ])
@@ -781,13 +809,21 @@ def test_padded_and_touching_state_boxes_pass():
     assert jinxin.in_box(jinxin.U_minus) and jinxin.in_box(jinxin.U_plus)
 
 
-@pytest.mark.parametrize("given, missing", [("C_alpha", "c_alpha"), ("c_alpha", "C_alpha")])
-def test_weight_constants_given_together(given, missing):
-    # one alone must not give way silently to the profile's defaults
+@pytest.mark.parametrize("payload, key_path", [
+    ({"verify": {"C_alpha": 5.0}}, "verify.C_alpha"),
+    ({"verify": {"c_alpha": 0.5}}, "verify.c_alpha"),
+    ({"model": {**_VARA, "Q": [[0.0, 0.0], [0.0, 0.0]]}}, "model.Q"),
+], ids=["C_alpha", "c_alpha", "Q"])
+def test_what_the_run_derives_is_not_an_option(tmp_path, capsys, payload, key_path):
+    # the weight constants come from the profile's tail fits and Q from q
     with pytest.raises(ValidationError) as err:
-        config_from_dict({"verify": {given: 5.0}})
-    assert err.value.key_path == f"verify.{missing}"
-    config_from_dict({"verify": {"C_alpha": 5.0, "c_alpha": 0.5}})
+        config_from_dict(payload)
+    assert err.value.key_path == key_path
+    path = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.rstrip() == f"config error: unknown key {key_path}"
+    assert not out.exists()
 
 
 def test_csv_floats_have_full_precision(tmp_path):

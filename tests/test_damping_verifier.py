@@ -11,21 +11,19 @@ from hypothesis.extra.numpy import arrays
 from conftest import scalar_model, synthetic_trajectory, vara_model
 from relaxdamp import build_custom, build_jinxin, damping_rate
 from relaxdamp.damping_verifier import (
-    NORM_KINDS,
     default_weight_constants,
     feasibility_table,
     fit_damping,
     norm_series,
     slaving_check,
-    trapezoid4,
     weight_fn,
     weighted_energy_series,
 )
 from relaxdamp.eigenframe import _decompose_2x2
 from relaxdamp.characteristics import no_damping_radius
 from relaxdamp.config import config_from_dict
-from relaxdamp.dynamics import (PerturbationSpec, ShiftSpec, Trajectory, evolve, far_field_ramp,
-                                fd4_derivative, interior_max)
+from relaxdamp.dynamics import (NORM_KINDS, PerturbationSpec, ShiftSpec, Trajectory, evolve,
+                                far_field_ramp, fd4_derivative, interior_max, trapezoid4)
 from relaxdamp.errors import Characteristic, InvalidParam, NotStrictlyHyperbolic
 from relaxdamp.poly import Poly
 from relaxdamp.profile import constant_profile, exact_jinxin_profile, solve_profile
@@ -548,7 +546,7 @@ def test_norm_series_computes_each_kind_once(monkeypatch):
             assert not series.flags.writeable
     # the oracle formed W already; the one pass formed Y once per output time
     assert len(calls) == traj.n_times
-    assert set(traj._norm_cache) == set(NORM_KINDS)
+    assert "norms" in vars(traj) and traj.norms.shape == (traj.n_times, len(NORM_KINDS))
 
 
 @pytest.mark.parametrize("kind", ["h1", "C0", ""])
@@ -566,7 +564,7 @@ def test_unknown_norm_kind_is_refused_before_the_norm_pass(kind, monkeypatch):
                    lambda: fit_damping(traj, kind, np.array([0.1]))):
         with pytest.raises(InvalidParam, match=f"unknown norm kind {kind!r}"):
             refuse()
-    assert calls == [] and traj._norm_cache == {}
+    assert calls == [] and "norms" not in vars(traj)
 
 
 def test_norm_series_differences_each_snapshot_twice(monkeypatch):

@@ -11,10 +11,11 @@ import pytest
 from conftest import diagonal_vars, duhamel_residual, scalar_model, vara3_model, vara_model
 from relaxdamp.characteristics import accumulate_H, trace_many
 from relaxdamp import dynamics
-from relaxdamp.damping_verifier import NORM_KINDS, norm_series
+from relaxdamp.damping_verifier import norm_series
 from relaxdamp.dynamics import (
     CFL_LIMIT,
     EDGE_TRIM,
+    NORM_KINDS,
     PerturbationSpec,
     ShiftSpec,
     Stepper,
