@@ -710,9 +710,9 @@ _JINXIN_BY_HAND = {"kind": "custom", "N": 2, "A": [[0.0, 1.0], [4.0, 0.0]],
     ({"dynamics": {"perturbation": {"center": "x"}}}, "dynamics.perturbation.center"),
     ({"dynamics": {"perturbation": {"kind": "shift_difference", "h": "x"}}},
      "dynamics.perturbation.h"),
-    ({"dynamics": {"perturbation": {"blend_width": 0.0}}}, "dynamics.perturbation.blend_width"),
     ({"dynamics": {"shift": {"kind": "sinusoid", "frequency": None}}},
      "dynamics.shift.frequency"),
+    ({"dynamics": {"perturbation": {"blend_width": 0.0}}}, "dynamics.perturbation.blend_width"),
 ])
 def test_malformed_config_exits_2_at_its_key(tmp_path, capsys, payload, key_path):
     path = write_config(tmp_path, payload)
