@@ -336,23 +336,22 @@ def _validate(raw: dict) -> None:
     _require(dc["perturbation"]["kind"] in
              ("gaussian", "offset", "shift_difference", "zero"),
              "unknown perturbation kind", "dynamics.perturbation.kind")
+    # every field of the section goes into the record, so each is checked
+    # whatever the kind; a kind that reads a field may ask more of it
     pk = dc["perturbation"]
-    if pk["kind"] == "gaussian":
-        _check_number(pk["amplitude"], "dynamics.perturbation.amplitude",
-                      nonnegative=True)
-        _check_number(pk["width"], "dynamics.perturbation.width", positive=True)
-        _check_number(pk["center"], "dynamics.perturbation.center")
-        _require(pk["direction"] is None or _is_numbers(pk["direction"], n),
-                 f"direction must be a list of {n} numbers",
-                 "dynamics.perturbation.direction")
-    if pk["kind"] == "offset":
-        for key in ("d_minus", "d_plus"):
-            _require(_is_numbers(pk[key], n), f"offset needs {key} as a list of {n} numbers",
-                     f"dynamics.perturbation.{key}")
+    gaussian, offset = pk["kind"] == "gaussian", pk["kind"] == "offset"
+    _check_number(pk["amplitude"], "dynamics.perturbation.amplitude", nonnegative=gaussian)
+    _check_number(pk["width"], "dynamics.perturbation.width", positive=gaussian)
+    _check_number(pk["center"], "dynamics.perturbation.center")
+    _require(pk["direction"] is None or _is_numbers(pk["direction"], n),
+             f"direction must be a list of {n} numbers", "dynamics.perturbation.direction")
+    for key in ("d_minus", "d_plus"):
+        _require((pk[key] is None and not offset) or _is_numbers(pk[key], n),
+                 f"offset needs {key} as a list of {n} numbers" if offset
+                 else f"{key} must be a list of {n} numbers", f"dynamics.perturbation.{key}")
     # every kind's record carries it to the trajectory's far-field ramp
     _check_number(pk["blend_width"], "dynamics.perturbation.blend_width", positive=True)
-    if pk["kind"] == "shift_difference":
-        _check_number(pk["h"], "dynamics.perturbation.h")
+    _check_number(pk["h"], "dynamics.perturbation.h")
     _require(dc["shift"]["kind"] in ("zero", "linear", "sinusoid"),
              "unknown shift kind", "dynamics.shift.kind")
     for key in ("rate", "amplitude", "frequency"):

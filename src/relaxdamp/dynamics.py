@@ -49,14 +49,16 @@ there (``Stepper._padded_A``).  E and the frame transport come from
 Each node's foot is traced for all families in one pass, and one cell
 lookup per foot serves both the Phi and the E read there.  ``evolve``
 decomposes A at each output time for the step that starts there and hands
-those frames to the ``Trajectory``.  Every per-node product of this path
-(L U, R Phi, the transport T Phi, the source's dA term, and L Q R in
-``eigenframe``) is a ``poly.node_matmul``: one multiply-add over the node
-axis per component pair, each entry summed left to right from +0.  No
-``np.einsum`` or stacked ``np.matmul`` runs, and the sums do not depend on
-memory layout.  A, q and Q come from ``poly``'s evaluators: on the column
-views of a stack here, on Python floats at a single state (the profile
-shot), with the same bits either way.
+those frames to the ``Trajectory``.  The per-node stacks of this path (A at
+the padded rows, the frames, the transport) are node-last, one contiguous
+row per entry over the nodes, and every per-node product (L U, R Phi, the
+transport T Phi, the source's dA term, and L Q R in ``eigenframe``) is a
+``poly.node_matmul``: one broadcast multiply-add over those rows per summed
+index, each entry summed left to right from +0.  No ``np.einsum`` or
+stacked ``np.matmul`` runs, and the sums do not depend on memory layout.
+A, q and Q come from ``poly``'s evaluators: on the column views of a stack
+here, on Python floats at a single state (the profile shot), with the same
+bits either way.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .eigenframe import (
 )
 from .errors import BlowUp, BudgetExceeded, CFLViolation, InvalidParam
 from .model import ModelSpec
-from .poly import node_matmul
+from .poly import node_matmul, node_rows
 from .profile import ProfileRep
 
 BUDGET_DEFAULT = 0.02
@@ -392,12 +394,13 @@ class Trajectory:
         for i in range(self.n_times):
             sf = self.source_field(i)
             E[i] = sf.E_diag
-            Phi = sf.frames.to_diag(self.states[i])
-            Psi = sf.frames.to_diag(self.W[i])
-            Ups = sf.frames.to_diag(self.Y_at(i))
-            sups[:, i] = (interior_max(Phi),
-                          interior_max(Psi + node_matmul(sf.Theta, Phi)),
-                          interior_max(Ups + node_matmul(sf.Theta, Psi)))
+            # family-major rows (N, n), the layout of the node-last Theta products
+            Phi, Psi, Ups = (sf.frames.diag_rows(F)
+                             for F in (self.states[i], self.W[i], self.Y_at(i)))
+            Psi_tilde = Psi + node_matmul(sf.Theta, Phi.T).T
+            Ups_tilde = Ups + node_matmul(sf.Theta, Psi.T).T
+            sups[:, i] = (interior_max(Phi.T), interior_max(Psi_tilde.T),
+                          interior_max(Ups_tilde.T))
         return SourceSeries(E, *sups)
 
 
@@ -686,11 +689,11 @@ class Stepper:
         states; None (the source evaluates it) when the frames keep none."""
         if frames.constant or frames.A is None:
             return None
-        A = np.empty(V.shape + V.shape[-1:])
-        A[1:-1] = frames.A
+        rows = np.empty(V.shape[-1:] * 2 + V.shape[:1])  # node-last
+        rows[..., 1:-1] = node_rows(frames.A)
         ends = [0, -1]
-        A[ends] = self.model.A_at(self.about.U[ends] + V[ends])
-        return A
+        rows[..., ends] = node_rows(self.model.A_at(self.about.U[ends] + V[ends]))
+        return rows.transpose(2, 0, 1)
 
     def _ode_node_update(self, V: np.ndarray, t: float, dt: float, about: _Base,
                          k1: np.ndarray, adv: np.ndarray | None = None) -> np.ndarray:
@@ -798,8 +801,9 @@ class Stepper:
             upwind = np.empty_like(snap.U)
             for j, c_j in enumerate(c):
                 np.multiply(c_j, P[:-1, j] if c_j > 0.0 else P[1:, j], out=upwind[:, j])
-        else:
-            upwind = c * np.where(c > 0.0, frames.to_diag(D[:-1]), frames.to_diag(D[1:]))
+        else:  # on family-major rows
+            c = c.T
+            upwind = (c * np.where(c > 0.0, frames.diag_rows(D[:-1]), frames.diag_rows(D[1:]))).T
         frames.from_diag(upwind, out=adv[1:-1])
         adv[:2] = adv[-2:] = 0.0
         V = self._ode_node_update(V, snap.t, dt, self.about, S, adv)

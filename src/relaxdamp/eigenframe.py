@@ -21,15 +21,20 @@ at the two ends.  The moc step reads only E_jj and the transport
 (``source_diagonal_and_transport``); ``transformed_source`` also splits off
 F_tilde and solves for Theta.
 
-Along a state-dependent field every per-node product (``to_diag``,
+A state-dependent field is node-last: lambda, L, R and the A they come
+from, the transport, F_tilde and Theta are (n, ...) views of contiguous
+rows, one per entry, over the nodes.  The closed-form 2x2 decomposition
+forms and sign-fixes R and L on those rows, and a LAPACK decomposition
+(N >= 3) is transposed to them once.  Every per-node product (``to_diag``,
 ``diag_rows``, ``from_diag``, the inner products of the sign continuation,
-L Q R and the transport) is a ``poly.node_matmul`` or ``poly.node_dot``:
-N or N^2 multiply-adds over the node axis, each entry summed left to right
-from +0, which is ``np.einsum``'s sum at N = 2.  ``source_diagonal_and_transport``
-forms each E_jj as the same sum that ``transformed_source`` forms for it.
-A constant field keeps its one-matrix products.  A, q and Q at a single
-state are evaluated on Python floats (``poly``) with the bits of that state
-in a stack, and a constant A there is the model's one read-only matrix.
+L Q R and the transport) is a ``poly.node_matmul`` or ``poly.node_dot``: one
+broadcast multiply-add over those rows per summed index, each entry summed
+left to right from +0, which is ``np.einsum``'s sum at N = 2.
+``source_diagonal_and_transport`` forms each E_jj as the same sum that
+``transformed_source`` forms for it.  A constant field keeps its one-matrix
+products.  A, q and Q at a single state are evaluated on Python floats
+(``poly``) with the bits of that state in a stack, and a constant A there is
+the model's one read-only matrix.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 
 from .errors import Characteristic, GapTooSmall, NotDissipative, NotStrictlyHyperbolic
 from .model import ModelSpec
-from .poly import node_dot, node_matmul
+from .poly import node_dot, node_last, node_matmul, node_rows
 from .profile import ProfileRep
 
 GAP_MIN = 1e-6  # absolute eigenvalue-gap floor guarding the Theta division
@@ -75,22 +80,20 @@ def _sign_fix(R: np.ndarray) -> None:
     """Scale each right eigenvector so its largest-magnitude entry equals +1.
 
     The first entry of largest magnitude leads, as np.argmax picks it; the
-    search runs entry by entry over the stack, each a pass over all matrices,
-    not one short search per matrix.  R is finite: both decompositions
-    refuse non-finite matrices before they reach it.
+    search runs over the component rows R[:, i, :], each a pass over every
+    column of every matrix at once, not one short search per matrix.  R is
+    finite: both decompositions refuse non-finite matrices before they
+    reach it.
     """
-    N = R.shape[-1]
-    for j in range(N):
-        lead = R[..., 0, j].copy()  # R is divided by it in place
-        size = np.abs(lead)
-        for i in range(1, N):
-            entry = R[..., i, j]
-            mag = np.abs(entry)
-            larger = mag > size
-            lead = np.where(larger, entry, lead)
-            size = np.where(larger, mag, size)
-        for i in range(N):
-            R[..., i, j] /= lead
+    rows = node_rows(R)  # (i, j, ...)
+    lead = rows[0].copy()  # R is divided by it in place
+    size = np.abs(lead)
+    for entry in rows[1:]:
+        mag = np.abs(entry)
+        larger = mag > size
+        np.copyto(lead, entry, where=larger)
+        np.copyto(size, mag, where=larger)
+    rows /= lead
 
 
 def _spectrum(A: np.ndarray, w: np.ndarray):
@@ -100,24 +103,23 @@ def _spectrum(A: np.ndarray, w: np.ndarray):
     (complex pairs among them) first index first, as ``argsort`` does.  A
     real ``w`` has no pair and is not searched for one.
     """
-    scale = 1.0 + _row_max(np.abs(A).reshape(len(A), -1))
+    scale = np.abs(node_rows(A)).reshape(-1, len(A)).max(axis=0)  # one pass per entry row
+    scale += 1.0
     if np.iscomplexobj(w):
         pair = _row_max(np.abs(w.imag)) > DEGENERACY_TOL * scale
     else:
         pair = np.zeros(len(w), dtype=bool)
     if w.shape[1] == 2:
-        w0, w1 = w.real.T
-        swap = w1 < w0
+        rows = w.real.T
+        swap = rows[1] < rows[0]
         order = np.empty(w.shape, dtype=np.intp)
         order[:, 0] = swap
         order[:, 1] = ~swap
-        lam = np.empty(w.shape)
-        lam[:, 0] = np.where(swap, w1, w0)
-        lam[:, 1] = np.where(swap, w0, w1)
+        lam = np.where(swap, rows[::-1], rows).T  # node-last
         coalesced = lam[:, 1] - lam[:, 0] < DEGENERACY_TOL * scale
     else:
         order = np.argsort(w.real, axis=1)
-        lam = np.take_along_axis(w.real, order, axis=1)
+        lam = node_last(np.take_along_axis(w.real, order, axis=1))
         coalesced = np.any(np.diff(lam, axis=1) < DEGENERACY_TOL * scale[:, None], axis=1)
     return lam, order, pair, coalesced
 
@@ -148,15 +150,17 @@ def _checked_spectrum(A: np.ndarray, w: np.ndarray, c_min: float, x=None):
 
 
 def _frames_of(V: np.ndarray, order: np.ndarray):
-    """(L, R) from ``eig``'s vectors V: columns in ``order``, sign-fixed, L = R^{-1}."""
+    """(L, R) from ``eig``'s vectors V: columns in ``order``, sign-fixed, L = R^{-1},
+    each LAPACK stack transposed node-last once."""
     R = np.take_along_axis(V.real, order[:, None, :], axis=2)
     _sign_fix(R)
-    return np.linalg.inv(R), R
+    return node_last(np.linalg.inv(R)), node_last(R)
 
 
 def _decompose_batch(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
     """Sorted real eigendecompositions (lambdas, L, R) of a stack of matrices,
-    checked by ``_checked_spectrum`` at the locations ``grid``."""
+    checked by ``_checked_spectrum`` at the locations ``grid``; node-last,
+    LAPACK's node-major output transposed once."""
     w, V = np.linalg.eig(A)
     lam, order = _checked_spectrum(A, w, c_min, grid)
     return (lam, *_frames_of(V, order))
@@ -170,17 +174,19 @@ def _eigvals_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None) ->
     r^2 = ((a - d)/2)^2 + b c; the root nearer zero is det / (the farther
     root), which cancels nothing.
     """
-    if not np.all(np.isfinite(A)):  # refused as LAPACK refuses it
+    if not np.isfinite(A).all():  # refused as LAPACK refuses it
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    (a, b), (c, d) = node_rows(A)
     m = 0.5 * (a + d)
     h = 0.5 * (a - d)
-    disc = h * h + b * c
+    bc = b * c
+    disc = h * h + bc
     r = np.sqrt(np.abs(disc))
-    far = m + np.copysign(r, m)
-    near = np.zeros_like(far)  # far = 0: a double root at 0, not NaN
-    np.divide(a * d - b * c, far, out=near, where=far != 0.0)
-    w = np.stack([near, far], axis=1)
+    w = np.zeros((2, len(A)))  # rows near, far; far = 0: a double root at 0, not NaN
+    near, far = w
+    np.add(m, np.copysign(r, m), out=far)
+    np.divide(a * d - bc, far, out=near, where=far != 0.0)
+    w = w.T
     pair = disc < 0.0
     if np.any(pair):
         w = w.astype(complex)
@@ -189,34 +195,37 @@ def _eigvals_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None) ->
 
 
 def _decompose_2x2(A: np.ndarray, c_min: float, grid: np.ndarray | None = None):
-    """``_decompose_batch`` of a stack of real 2x2 matrices, in closed form.
+    """``_decompose_batch`` of a stack of real 2x2 matrices, in closed form,
+    node-last.
 
     The eigenvalues are those of ``_eigvals_2x2``.  Column j of R is the
     larger of (b, l - a) and (l - d, c) at l = lambda_j, each orthogonal to
     one row of A - l I, and L = R^{-1} is the adjugate of R over its
-    determinant.  The entries of R are formed and sign-fixed as contiguous
-    rows over the stack, ``rows[i, j]`` = R[:, i, j], and read from there.
+    determinant.  The entries of R and L are formed and sign-fixed as the
+    contiguous rows over the stack that the returned (n, 2, 2) views read.
     """
     lam = _eigvals_2x2(A, c_min, grid)
-    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
-    lam_rows = np.ascontiguousarray(lam.T)
+    (a, b), (c, d) = node_rows(A)
+    lam_rows = lam.T
     la = lam_rows - a
     ld = lam_rows - d
     first = np.abs(b) + np.abs(la) >= np.abs(ld) + np.abs(c)
-    rows = np.empty((2, 2, len(A)))
-    rows[0] = np.where(first, b, ld)
-    rows[1] = np.where(first, la, c)
+    R = np.empty((2, 2, len(A)))
+    R[0] = np.where(first, b, ld)
+    R[1] = np.where(first, la, c)
     del la, ld, first  # keeps the peak memory of a large stack low
-    _sign_fix(np.moveaxis(rows, -1, 0))  # the (node, i, j) view, fixed in place
+    R = R.transpose(2, 0, 1)
+    _sign_fix(R)
+    rows = node_rows(R)
     (r00, r01), (r10, r11) = rows
     det = r00 * r11 - r01 * r10
-    R, L = np.empty_like(A), np.empty_like(A)
-    R[:, 0, 0], R[:, 0, 1], R[:, 1, 0], R[:, 1, 1] = r00, r01, r10, r11
-    L[:, 0, 0] = r11 / det
-    L[:, 0, 1] = -r01 / det
-    L[:, 1, 0] = -r10 / det
-    L[:, 1, 1] = r00 / det
-    return lam, L, R
+    # L = [[r11, -r01], [-r10, r00]] / det: R's rows reversed and transposed,
+    # divided, and the anti-diagonal negated, which negates exactly
+    L = np.empty((2, 2, len(A)))
+    np.divide(rows[::-1, ::-1].swapaxes(0, 1), det, out=L)
+    anti = L.reshape(4, -1)[1:3]
+    np.negative(anti, out=anti)
+    return lam, L.transpose(2, 0, 1), R
 
 
 @dataclass
@@ -226,7 +235,8 @@ class FrameField:
     ``constant`` marks one decomposition (constant A) held as read-only views;
     such a field builds the matrices of its products once, on first use.  A
     state-dependent field from ``frames_at_states`` keeps the matrices ``A``
-    it decomposed, which the source at those states reads.
+    it decomposed, which the source at those states reads; its stacks are
+    node-last, each (n, ...) array a view of contiguous rows over the nodes.
     """
 
     grid: np.ndarray
@@ -262,16 +272,17 @@ class FrameField:
         field one product L0 V^T, otherwise one ``node_matmul`` into the rows."""
         if self.constant:
             return self.L[0] @ V.T
-        rows = np.empty(V.shape[::-1])
-        node_matmul(self.L, V, out=rows.T)
-        return rows
+        return node_matmul(self.L, V).T
 
     def from_diag(self, Phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """State field R Phi at every node of diagonal variables Phi (n, N),
-        written into ``out`` when given."""
+        node-major, written into ``out`` when given."""
         if self.constant:
             return np.matmul(Phi, self._R0T, out=out)
-        return node_matmul(self.R, Phi, out=out)
+        if out is None:
+            out = np.empty(Phi.shape)
+        out[...] = node_matmul(self.R, Phi)  # one transposing copy of the rows
+        return out
 
     @property
     def min_abs_lambda(self) -> float:
@@ -294,7 +305,8 @@ def _flip_parity(steps: np.ndarray) -> np.ndarray:
     exclusive-or of the negative steps, against its value at that restart.
     """
     neg = steps < 0
-    flip = np.zeros((len(steps) + 1,) + steps.shape[1:], dtype=bool)
+    # sequence-last in memory, as ``_continue_signs`` hands its steps
+    flip = np.zeros(steps.shape[:0:-1] + (len(steps) + 1,), dtype=bool).T
     np.logical_xor.accumulate(neg, axis=0, out=flip[1:])
     restarts = ~(neg | (steps > 0))
     if not restarts.any():
@@ -316,14 +328,14 @@ def _continue_signs(lambdas: np.ndarray, L: np.ndarray, R: np.ndarray) -> None:
     NaN), where no flip is made.  The flips scale R's columns and L's rows by
     -1, which negates exactly, and only when some node flips.
     """
-    steps = np.empty((len(R) - 1, R.shape[-1]))
-    for j, step in enumerate(steps.T):
-        node_dot([(R[1:, k, j], R[:-1, k, j]) for k in range(R.shape[1])], step)
-    flip = _flip_parity(steps)
+    rows = node_rows(R)  # (k, j, node)
+    steps = node_dot(rows[..., 1:], rows[..., :-1], np.empty(rows.shape[1:2] + (len(R) - 1,)))
+    flip = _flip_parity(steps.T)
     if flip.any():
-        sign = np.where(flip, -1.0, 1.0)
-        R *= sign[:, None, :]
-        L *= sign[:, :, None]
+        sign = np.where(flip.T, -1.0, 1.0)  # (j, node)
+        rows *= sign
+        L_rows = node_rows(L)  # (j, k, node)
+        L_rows *= sign[:, None]
 
 
 def frames_at_states(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
@@ -331,8 +343,9 @@ def frames_at_states(model: ModelSpec, grid: np.ndarray, states: np.ndarray,
     """Decompose A at every state and continue eigenvector signs along the grid.
 
     Constant A is decomposed once (LAPACK) and held as read-only views.  A
-    state-dependent A is decomposed at every node: in closed form when
-    N = 2, with LAPACK ``eig``/``inv`` otherwise; the field keeps A(states).
+    state-dependent A is decomposed at every node, node-last: in closed form
+    when N = 2, with LAPACK ``eig``/``inv`` otherwise; the field keeps
+    A(states).
     """
     grid = np.asarray(grid, dtype=float)
     states = np.asarray(states, dtype=float)
@@ -372,21 +385,21 @@ def theta_field(lambdas: np.ndarray, F_tilde: np.ndarray,
     """Solve [Theta, Lambda] = F at every grid node.
 
     Theta_jk = F_jk / (lambda_k - lambda_j) off the diagonal, zero on it.
-    Each off-diagonal pair (j, k) is one difference of two contiguous rows
-    of lambda^T and one division along the grid.  GapTooSmall is one
+    Each off-diagonal pair (j, k) is one difference of two rows of lambda^T
+    and one division along the grid into a node-last row of Theta.  GapTooSmall is one
     ``np.min`` of |lambda_k - lambda_j| over every pair and node: a NaN
     eigenvalue makes that minimum NaN, which raises nothing, and makes its
     pairs' entries of Theta NaN.
     """
     N = lambdas.shape[1]
     pairs = [(j, k) for j in range(N) for k in range(N) if j != k]
-    lam = np.ascontiguousarray(lambdas.T)
+    lam = lambdas.T
     denom = np.empty((len(pairs), len(lambdas)))
     for d, (j, k) in zip(denom, pairs):
         np.subtract(lam[k], lam[j], out=d)
     if denom.size and np.min(np.abs(denom)) < gap_min:
         raise GapTooSmall(f"eigenvalue gap below {gap_min} along the field")
-    Theta = np.zeros_like(F_tilde)
+    Theta = np.zeros(F_tilde.shape[1:] + F_tilde.shape[:1]).transpose(2, 0, 1)  # node-last
     for d, (j, k) in zip(denom, pairs):
         np.divide(F_tilde[:, j, k], d, out=Theta[:, j, k])
     return Theta
@@ -434,11 +447,14 @@ def damping_rate(model: ModelSpec) -> DampingRate:
 
 
 def _frame_transport(frames: FrameField) -> np.ndarray:
-    """Frame-transport matrix -Lambda L dR/dx at every node, (n, N, N), with
-    dR/dx by ``np.gradient`` at the spacing of the frames' uniform grid."""
+    """Frame-transport matrix -Lambda L dR/dx at every node, (n, N, N)
+    node-last, with dR/dx by ``np.gradient`` along the node rows at the
+    spacing of the frames' uniform grid."""
     dx = frames.grid[1] - frames.grid[0]
-    T = node_matmul(frames.L, np.gradient(frames.R, dx, axis=0))
-    T *= -frames.lambdas[:, :, None]
+    dR = np.gradient(node_rows(frames.R), dx, axis=-1)
+    T = node_matmul(frames.L, dR.transpose(2, 0, 1))
+    T_rows = node_rows(T)
+    T_rows *= -frames.lambdas.T[:, None]
     return T
 
 
@@ -447,18 +463,17 @@ def source_diagonal_and_transport(model: ModelSpec, states: np.ndarray,
     """``transformed_source``'s E_diag (n, N) and transport (n, N, N) along a
     state-dependent field.
 
-    Only the diagonals of L Q R and of the transport are added, each
-    diagonal entry of L Q R the ``node_dot`` that ``transformed_source``
-    forms for it; no F_tilde is formed.  E is the transposed view of
-    family-major rows.
+    Only the diagonals of L Q R and of the transport are added, the
+    diagonal of L Q R one ``node_dot`` over rows that forms each entry as
+    ``transformed_source`` forms it; no F_tilde is formed.  E is the
+    transposed view of family-major rows.
     """
-    LQ, R = node_matmul(frames.L, model.Q_at(states)), frames.R
+    LQ = node_matmul(frames.L, model.Q_at(states))
     T = _frame_transport(frames)
-    N = R.shape[-1]
-    E = np.empty((N, len(R)))
-    for j, row in enumerate(E):
-        node_dot([(LQ[:, j, k], R[:, k, j]) for k in range(N)], row)
-        row += T[:, j, j]
+    # (L Q)_jk R_kj summed over k, the rows of both factors ordered (k, j, node)
+    E = np.empty(frames.lambdas.T.shape)
+    node_dot(node_rows(LQ).swapaxes(0, 1), node_rows(frames.R), E)
+    E += np.diagonal(node_rows(T)).T
     return E.T, T
 
 

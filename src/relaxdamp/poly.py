@@ -13,16 +13,22 @@ for higher exponents, and a constant entry is the sum of its coefficients.
 So a state gives the same bits alone as in a stack, and a single state
 costs no per-entry numpy call.
 
-Per-node products of small matrices over a stack of nodes (``node_matmul``)
-are taken on component columns too: each entry is a ``node_dot``, a sum of
-multiply-adds over the node axis, left to right from +0.  For two terms
-that is ``np.einsum``'s sum, signed zeros included.
+A stack of matrices (..., rows, cols) is stored node-last: each entry is one
+contiguous row over the nodes, and the (..., rows, cols) array a reader
+indexes by node is a transposed view of those rows.  Per-node products of
+small matrices (``node_matmul``) are one ``node_dot`` over such rows: for
+each k, one broadcast multiply-add of the rows a[..., :, k] and b[..., k, :]
+into all I x J entries at once, every entry summed left to right from +0.
+For two terms that is ``np.einsum``'s sum, signed zeros included.  So an
+N x N product makes 2N numpy calls over contiguous rows, where one sum per
+entry over strided node-major columns makes 2N^3, and the bits do not
+depend on the layout the operands come in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -122,16 +128,17 @@ def _columns(U: np.ndarray):
 
 
 def poly_matrix_eval(entries, U: np.ndarray) -> np.ndarray:
-    """Evaluate a nested sequence of Poly entries at U (..., n) -> (..., rows, cols)."""
+    """Evaluate a nested sequence of Poly entries at U (..., n) -> (..., rows, cols),
+    node-last for a stack."""
     U = np.asarray(U, dtype=float)
     columns = _columns(U)
     if U.ndim == 1:
         return np.array([[p.at(columns) for p in row] for row in entries])
-    out = np.zeros(U.shape[:-1] + (len(entries), len(entries[0])))
+    rows = np.zeros((len(entries), len(entries[0])) + U.shape[:-1])
     for i, row in enumerate(entries):
         for j, p in enumerate(row):
-            p.at(columns, out[..., i, j])
-    return out
+            p.at(columns, rows[i, j])
+    return rows.transpose(_to_front(rows.ndim, rows.ndim - 2))
 
 
 def poly_vector_eval(entries, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -150,29 +157,49 @@ def poly_vector_eval(entries, U: np.ndarray, out: np.ndarray | None = None) -> n
     return out
 
 
-def node_dot(pairs, out: np.ndarray) -> np.ndarray:
-    """Sum of the products a * b of the ``pairs`` of node arrays, into ``out``:
-    ((+0 + a_0 b_0) + a_1 b_1) + ..., left to right."""
-    (a, b), *rest = pairs
-    np.multiply(a, b, out=out)
+@cache
+def _to_front(ndim: int, m: int) -> tuple[int, ...]:
+    """Axis order moving the last m of ndim axes to the front, in order; its
+    inverse is ``_to_front(ndim, ndim - m)``."""
+    return (*range(ndim - m, ndim), *range(ndim - m))
+
+
+def node_rows(a: np.ndarray) -> np.ndarray:
+    """The component rows (I, J, ...) of a stack a (..., I, J), as a view."""
+    return a.transpose(_to_front(a.ndim, 2))
+
+
+def node_last(a: np.ndarray) -> np.ndarray:
+    """A stack (n, ...) read through the same view with its node axis last in
+    memory: a copy unless it is node-last already."""
+    rows = np.ascontiguousarray(a.transpose(_to_front(a.ndim, a.ndim - 1)))
+    return rows.transpose(_to_front(a.ndim, 1))
+
+
+def node_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of the broadcast products a[k] * b[k], into
+    ``out``: ((+0 + a_0 b_0) + a_1 b_1) + ..., left to right, one broadcast
+    multiply-add per k."""
+    np.multiply(a[0], b[0], out=out)
     out += 0.0  # +0 + x: turns only a -0 into +0
-    for a, b in rest:
-        out += a * b
+    for k in range(1, len(a)):
+        out += a[k] * b[k]
     return out
 
 
 def node_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-node product of a (..., I, K) with matrices b (..., K, J) or vectors
-    b (..., K): (..., I, J) or (..., I), written into ``out`` when given.  Each
-    entry is one ``node_dot`` of K pairs of component columns over the nodes."""
-    vector = b.ndim == a.ndim - 1
+    b (..., K) over the same nodes: (..., I, J) or (..., I), written into
+    ``out`` when given, else into fresh node-last rows.  One ``node_dot``
+    over the component rows, its k-th term a[..., :, k] b[..., k, :]."""
+    nd, m = b.ndim, b.ndim - a.ndim + 2  # m: component axes of b and the product
     if out is None:
-        out = np.empty(a.shape[:-1] if vector else a.shape[:-1] + b.shape[-1:])
-    b3, out3 = (b[..., None], out[..., None]) if vector else (b, out)
-    K = a.shape[-1]
-    for i in range(a.shape[-2]):
-        for j in range(b3.shape[-1]):
-            node_dot([(a[..., i, k], b3[..., k, j]) for k in range(K)], out3[..., i, j])
+        out = np.empty(a.shape[-2:-1] + b.shape[a.ndim - 1:] + a.shape[:-2])
+        out = out.transpose(_to_front(nd, nd - m))
+    b_rows, out_rows = b.transpose(_to_front(nd, m)), out.transpose(_to_front(nd, m))
+    if m == 1:  # the vectors as one-column matrices
+        b_rows, out_rows = b_rows[:, None], out_rows[:, None]
+    node_dot(node_rows(a).swapaxes(0, 1)[:, :, None], b_rows[:, None], out_rows)
     return out
 
 

@@ -190,7 +190,9 @@ def _rhs_and_jacobian(model: ModelSpec, U: np.ndarray):
     """
     A = model.A_at(U)
     g = np.linalg.solve(A, model.q_at(U)[..., None])[..., 0]
-    B = np.stack([(poly_matrix_eval(dAk, U) @ g[..., None])[..., 0]
+    # ``@`` sums C-ordered matrices with BLAS and node-last ones with its own
+    # loop: in C order a stack has the bits of each state's product alone
+    B = np.stack([(np.ascontiguousarray(poly_matrix_eval(dAk, U)) @ g[..., None])[..., 0]
                   for dAk in model.dA_entries], axis=-1)
     return g, np.linalg.solve(A, model.Q_at(U) - B)
 

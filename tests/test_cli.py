@@ -698,6 +698,7 @@ def test_main_exit_codes(tmp_path):
 _JINXIN_BY_HAND = {"kind": "custom", "N": 2, "A": [[0.0, 1.0], [4.0, 0.0]],
                    "q": [0.0, [[0.5, [2, 0]], [-1.0, [0, 1]]]],
                    "U_minus": [1.0, 0.5], "U_plus": [-1.0, 0.5]}
+_OFFSET_SECTION = {"kind": "offset", "d_minus": [1e-3, 0.0], "d_plus": [-1e-3, 0.0]}
 
 
 @pytest.mark.parametrize("payload, key_path", [
@@ -713,6 +714,15 @@ _JINXIN_BY_HAND = {"kind": "custom", "N": 2, "A": [[0.0, 1.0], [4.0, 0.0]],
     ({"dynamics": {"shift": {"kind": "sinusoid", "frequency": None}}},
      "dynamics.shift.frequency"),
     ({"dynamics": {"perturbation": {"blend_width": 0.0}}}, "dynamics.perturbation.blend_width"),
+    # every field of the section reaches the record, read by its kind or not
+    ({"dynamics": {"perturbation": {**_OFFSET_SECTION, "width": "x", "h": None}}},
+     "dynamics.perturbation.width"),
+    ({"dynamics": {"perturbation": {**_OFFSET_SECTION, "h": None}}}, "dynamics.perturbation.h"),
+    ({"dynamics": {"perturbation": {"kind": "zero", "amplitude": "x"}}},
+     "dynamics.perturbation.amplitude"),
+    ({"dynamics": {"perturbation": {"d_plus": [1e-3]}}}, "dynamics.perturbation.d_plus"),
+    ({"dynamics": {"perturbation": {"kind": "shift_difference", "direction": "x"}}},
+     "dynamics.perturbation.direction"),
 ])
 def test_malformed_config_exits_2_at_its_key(tmp_path, capsys, payload, key_path):
     path = write_config(tmp_path, payload)

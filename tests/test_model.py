@@ -9,7 +9,8 @@ from conftest import vara_model
 from relaxdamp import build_custom, build_jinxin, eval_A, eval_Q, eval_q, validate_model
 from relaxdamp.errors import DegenerateShock, InvalidParam, OutOfDomain, ValidationFailed
 from relaxdamp.model import fd_jacobian
-from relaxdamp.poly import Poly, _power, poly_matrix_eval, poly_vector_eval
+from relaxdamp.poly import (Poly, _power, node_dot, node_last, node_matmul, node_rows,
+                            poly_matrix_eval, poly_vector_eval)
 
 
 def rankine_hugoniot(flux, um, up):
@@ -119,6 +120,71 @@ def test_single_state_evaluation_matches_the_stack_bit_for_bit():
     # x y + y z sums signed zero products, and a sum from +0 is never -0
     assert (stack[:, 2, 2] == 0.0).sum() >= 10
     assert not (np.signbit(stack) & (stack == 0.0)).any()
+
+
+def _loop_matmul(a, b):
+    """Per-node product of a (n, I, K) with b (n, K, J) or (n, K) by a Python
+    loop over nodes and entries, each entry summed left to right from +0.0
+    in float arithmetic."""
+    vector = b.ndim == 2
+    bm = b[:, :, None] if vector else b
+    n, I, K = a.shape
+    out = np.empty((n, I, bm.shape[2]))
+    for node in range(n):
+        for i in range(I):
+            for j in range(bm.shape[2]):
+                total = 0.0
+                for k in range(K):
+                    total += float(a[node, i, k]) * float(bm[node, k, j])
+                out[node, i, j] = total
+    return out[:, :, 0] if vector else out
+
+
+def _signed_zero_stack(rng, shape):
+    """Normal entries with some set to +0 or -0, so that products are signed
+    zeros, and at some nodes the whole stack zero: every product of an entry
+    a -0 or a +0."""
+    a = rng.standard_normal(shape)
+    a[rng.random(shape) < 0.2] = 0.0
+    a[rng.random(shape) < 0.2] = -0.0
+    a[::7] = np.copysign(0.0, a[::7])
+    return a
+
+
+@pytest.mark.parametrize("layout", ["node-major", "node-last"])
+@pytest.mark.parametrize("n", [4, 1001])
+@pytest.mark.parametrize("N", [2, 3])
+def test_node_products_match_a_per_node_loop_bit_for_bit(N, n, layout):
+    rng = np.random.default_rng(10 * N + n)
+    a = _signed_zero_stack(rng, (n, N, N))
+    B = _signed_zero_stack(rng, (n, N, N))
+    v = _signed_zero_stack(rng, (n, N))
+    if layout == "node-last":
+        a, B, v = (node_last(x) for x in (a, B, v))
+        assert node_rows(a).flags.c_contiguous and v.T.flags.c_contiguous
+    for b in (B, v):
+        want = _loop_matmul(a, b)
+        got = node_matmul(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert node_rows(got).flags.c_contiguous or got.T.flags.c_contiguous  # node-last
+        out = np.empty(want.shape)  # a node-major out
+        assert node_matmul(a, b, out=out) is out and out.tobytes() == want.tobytes()
+    # at the zero nodes every term is a signed zero, and the sum from +0 is +0
+    assert (a[::7] == 0.0).all() and np.signbit(a[::7]).any()
+    assert not np.signbit(node_matmul(a, B)[::7]).any()
+    # node_dot over a leading axis: the diagonal of a^T B at every node
+    diag = node_dot(node_rows(a), node_rows(B), np.empty((N, n)))
+    want = np.diagonal(_loop_matmul(a.swapaxes(1, 2), B), axis1=1, axis2=2)
+    assert diag.T.tobytes() == want.tobytes()
+
+
+def test_matrix_stacks_are_node_last():
+    # each entry of a stack is one contiguous row over the nodes, read as (n, I, J)
+    model = vara_model()
+    U = np.random.default_rng(3).standard_normal((50, 2))
+    for stack in (model.A_at(U), model.Q_at(U)):
+        assert stack.shape == (50, 2, 2) and node_rows(stack).flags.c_contiguous
+    assert node_matmul(model.A_at(U), U).T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])

@@ -194,6 +194,21 @@ def test_batched_derivative_samples_match_node_loop(jinxin):
         assert d1.flags.c_contiguous and d2.flags.c_contiguous
 
 
+def test_stacked_jacobian_has_each_states_bits_for_a_dense_dA():
+    # every entry of A depends on both components, so (dA/dU_k) g sums two
+    # rounded products: a stack gives each state's bits, whatever the layout
+    # of the matrix stacks it evaluates
+    model = build_custom(
+        "dense-A", 2,
+        [[[[2.0, [0, 0]], [0.3, [1, 0]], [0.2, [0, 1]]], [[0.4, [0, 0]], [-0.7, [0, 1]]]],
+         [[[4.0, [0, 0]], [0.2, [1, 0]], [0.1, [0, 1]]], [[-1.5, [0, 0]], [-0.1, [1, 1]]]]],
+        [0.0, [[0.5, [2, 0]], [-1.0, [0, 1]]]], U_minus=[1.0, 0.5], U_plus=[-1.0, 0.5])
+    U = [0.0, 0.5] + 0.3 * np.random.default_rng(8).standard_normal((300, 2))
+    stacked = ode_rhs_jacobian(model, U)
+    assert all(stacked[k].tobytes() == ode_rhs_jacobian(model, u).tobytes()
+               for k, u in enumerate(U))
+
+
 # --- the one-state 2x2 solve of the shot ----------------------------------------
 
 _ENTRY = st.floats(-1e3, 1e3, allow_subnormal=False)
