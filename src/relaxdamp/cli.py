@@ -1,8 +1,11 @@
 """Configuration-driven pipeline runner.
 
 Subcommands chain the verification stages and write their artifacts as
-key-sorted JSON and 17-significant-digit CSV, atomically (temp file +
-rename), so identical configs reproduce byte-identical reports.
+key-sorted JSON and CSV, atomically (temp file + rename; a failed write
+removes the temp file), so identical configs reproduce byte-identical
+reports.  A CSV cell has the bytes of Python's ``%``: ``%.17g`` for a
+float, ``%d`` for an integer, ``%s`` for a str.  ``g17.cells`` forms the
+float cells of a block of rows in one numpy pass.
 
 Exit codes: 0 success, 1 module error (serialized to error.json), 2 config
 error, 3 assumptions or damping estimates failed certification.
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -24,6 +26,7 @@ from . import characteristics as chars
 from . import damping_verifier as dv
 from . import dynamics as dyn
 from . import eigenframe as ef
+from . import g17
 from . import spectral_stability as spec
 from .config import Config, parse_config
 from .errors import CertificationError, ConfigError, NotDissipative, RelaxDampError
@@ -35,41 +38,71 @@ EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_CERTIFICATION = 3
 
-# rows converted to Python floats at a time, so no whole table is held as objects
-CSV_BLOCK = 256
+# float cells per block of CSV rows: the formatting temporaries of a block
+# (about 400 bytes a cell) stay under 1 MB
+CSV_BLOCK = 2048
 
 
 # --- artifact writers -------------------------------------------------------
 
-def _atomic_write(path: Path, data: str) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temporary file next to ``path`` and rename it onto
+    ``path``; on failure the temporary file is removed and ``path`` keeps
+    what it held."""
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_text(data, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def write_csv(path: Path, header: list[str], rows, template: str | None = None) -> None:
-    """Write ``rows`` under ``header``: a float table, or rows of mixed types
-    through ``template`` (``%s`` for strings, ``%d`` for integers, ``%.17g``
-    for floats).
+def _text_cells(column: np.ndarray) -> np.ndarray:
+    """The ``%d`` cells of an integer column or the ``%s`` cells of a str
+    column as NUL-padded byte rows, (rows, width); each distinct value is
+    formatted once."""
+    spec = {"i": "%d", "u": "%d", "U": "%s"}.get(column.dtype.kind)
+    if spec is None:
+        raise TypeError(f"a CSV column is float, integer or str, not {column.dtype}")
+    values, inverse = np.unique(column, return_inverse=True)
+    text = np.array([(spec % value).encode() for value in values.tolist()], dtype=np.bytes_)
+    text = text[inverse]
+    return text.view(np.uint8).reshape(len(text), text.dtype.itemsize)
 
-    A float table is written through one ``%.17g`` template.  Either way
-    ``CSV_BLOCK`` rows at a time are flattened to one tuple of Python values
-    (a float table's by ``.tolist()``) and formatted by one ``%`` of the
-    template repeated once per row.
+
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write ``columns``, one 1-D array per name of ``header``, as CSV rows:
+    float cells as ``%.17g``, integer cells as ``%d`` and str cells as
+    ``%s``, each with the bytes of Python's ``%``.
+
+    Rows go in blocks of about ``CSV_BLOCK`` float cells, and one
+    ``g17.cells`` call formats every float cell of a block.  Each cell is a
+    NUL-padded byte row whose last byte becomes its separator (``,``, or a
+    newline after the last column), and one compress of the padding gives
+    the block's text.
     """
-    if template is None:
-        template = ",".join(["%.17g"] * rows.shape[1])
-        blocks = ((len(block), block.ravel().tolist())
-                  for block in (rows[start:start + CSV_BLOCK]
-                                for start in range(0, len(rows), CSV_BLOCK)))
-    else:
-        rows = iter(rows)
-        blocks = ((len(block), itertools.chain.from_iterable(block))
-                  for block in iter(lambda: list(itertools.islice(rows, CSV_BLOCK)), []))
-    full = "\n".join([template] * CSV_BLOCK)
-    body = [(full if count == CSV_BLOCK else "\n".join([template] * count)) % tuple(values)
-            for count, values in blocks]
-    _atomic_write(path, "\n".join([",".join(header), *body]) + "\n")
+    columns = [np.asarray(column) for column in columns]
+    floats = [j for j, column in enumerate(columns) if column.dtype.kind == "f"]
+    texts = {j: _text_cells(column) for j, column in enumerate(columns) if j not in floats}
+    width = max([g17.WIDTH, *(text.shape[1] + 1 for text in texts.values())])
+    separators = np.full(len(columns), ord(","), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    step = max(1, CSV_BLOCK // max(len(floats), 1))
+    parts = [(",".join(header) + "\n").encode()]
+    for start in range(0, len(columns[0]), step):
+        rows = slice(start, start + step)
+        cells = g17.cells(np.stack([columns[j][rows] for j in floats], axis=1)) if floats else None
+        block = cells
+        if texts:
+            block = np.zeros((len(columns[0][rows]), len(columns), width), dtype=np.uint8)
+            if floats:
+                block[:, floats, :g17.WIDTH] = cells
+            for j, text in texts.items():
+                block[:, j, :text.shape[1]] = text[rows]
+        block[:, :, -1] = separators
+        parts.append(block[block != 0].tobytes())
+    _atomic_write(path, b"".join(parts))
 
 
 def _json_default(obj):
@@ -82,7 +115,7 @@ def _json_default(obj):
 
 def write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, default=_json_default, sort_keys=True, indent=2)
-    _atomic_write(path, text + "\n")
+    _atomic_write(path, (text + "\n").encode())
 
 
 # --- pipeline stages --------------------------------------------------------
@@ -91,8 +124,7 @@ def stage_profile(cfg: Config, out: Path) -> int:
     model, prof = cfg.model, cfg.profile
     N = model.N
     header = ["x"] + [f"U_{k+1}" for k in range(N)] + [f"dU_{k+1}" for k in range(N)]
-    write_csv(out / "profile.csv", header,
-              np.column_stack([prof.grid, prof.values, prof.d1]))
+    write_csv(out / "profile.csv", header, [prof.grid, *prof.values.T, *prof.d1.T])
     write_json(out / "profile.json", {
         "endstates": {"U_minus": model.U_minus, "U_plus": model.U_plus},
         "endstate_gap": prof.endstate_gap,
@@ -194,19 +226,16 @@ def stage_check(cfg: Config, out: Path) -> int:
     N = model.N
     header = (["x"] + [f"lambda_{j+1}" for j in range(N)]
               + [f"E_{j+1}{j+1}" for j in range(N)] + ["normF", "normTheta"])
-    write_csv(out / "frames.csv", header, np.column_stack([
-        prof.grid, sf.frames.lambdas, sf.E_diag,
-        np.max(np.abs(sf.F_tilde), axis=(1, 2)), np.max(np.abs(sf.Theta), axis=(1, 2))]))
+    write_csv(out / "frames.csv", header, [
+        prof.grid, *sf.frames.lambdas.T, *sf.E_diag.T,
+        np.max(np.abs(sf.F_tilde), axis=(1, 2)), np.max(np.abs(sf.Theta), axis=(1, 2))])
 
-    spectrum_rows = []
-    for side in ("minus", "plus"):
-        scan = cert.scans[side]
-        mu = scan.spectra.ravel()
-        spectrum_rows += zip(itertools.repeat(side), np.repeat(scan.xi_grid, N).tolist(),
-                             itertools.cycle(range(1, N + 1)), mu.real.tolist(),
-                             mu.imag.tolist())
-    write_csv(out / "spectrum.csv", ["side", "xi", "j", "re_mu", "im_mu"],
-              spectrum_rows, template="%s,%.17g,%d,%.17g,%.17g")
+    scans = [cert.scans[side] for side in ("minus", "plus")]
+    mu = np.concatenate([scan.spectra.ravel() for scan in scans])
+    write_csv(out / "spectrum.csv", ["side", "xi", "j", "re_mu", "im_mu"], [
+        np.repeat(["minus", "plus"], [scan.spectra.size for scan in scans]),
+        np.concatenate([np.repeat(scan.xi_grid, N) for scan in scans]),
+        np.tile(np.arange(1, N + 1), len(mu) // N), mu.real, mu.imag])
     write_json(out / "assumptions.json", assumptions)
     return EXIT_OK if all_ok else EXIT_CERTIFICATION
 
@@ -225,11 +254,11 @@ def _write_trajectory(cfg: Config, traj: dyn.Trajectory, out: Path) -> None:
         Phi, Psi = (traj.frames(i).to_diag(F) for F in (U, traj.W[i]))
         blocks.append(np.column_stack([np.full(len(x), traj.times[i]), x, U[::sx],
                                        Phi[::sx], Psi[::sx]]))
-    write_csv(out / "trajectory.csv", header, np.vstack(blocks))
+    write_csv(out / "trajectory.csv", header, [*np.vstack(blocks).T])
 
-    write_csv(out / "norms.csv", ["t", *dyn.NORM_KINDS, "abs_ddelta"], np.column_stack(
-        [traj.times, *(dv.norm_series(traj, k) for k in dyn.NORM_KINDS),
-         np.abs(traj.shift.delta_dot(traj.times))]))
+    write_csv(out / "norms.csv", ["t", *dyn.NORM_KINDS, "abs_ddelta"], [
+        traj.times, *(dv.norm_series(traj, k) for k in dyn.NORM_KINDS),
+        np.abs(traj.shift.delta_dot(traj.times))])
 
 
 def stage_evolve(cfg: Config, out: Path) -> int:
@@ -282,10 +311,10 @@ def stage_verify(cfg: Config, out: Path) -> int:
 
     out_rows = slice(None, None, int(vc["n_sub"]))  # the samples at output times
     n_out, n_paths = paths.positions[out_rows].shape
-    write_csv(out / "characteristics.csv", ["j", "x0", "s", "X", "H"], np.column_stack([
+    write_csv(out / "characteristics.csv", ["j", "x0", "s", "X", "H"], [
         np.repeat(paths.family + 1.0, n_out), np.repeat(paths.x0, n_out),
         np.tile(paths.times[out_rows], n_paths), paths.positions[out_rows].T.ravel(),
-        paths.H[out_rows].T.ravel()]))
+        paths.H[out_rows].T.ravel()])
 
     # the L^2/H^2 estimate is for localised data: offset data certifies C^K_b only
     localised = cfg.build_perturbation().kind != "offset"
@@ -341,7 +370,7 @@ def stage_verify(cfg: Config, out: Path) -> int:
     write_csv(out / "energies.csv",
               ["t"] + [f"e_{j+1}" for j in range(model.N)]
               + [f"de_{j+1}" for j in range(model.N)],
-              np.column_stack([energies.times, energies.energies, energies.rates]))
+              [energies.times, *energies.energies.T, *energies.rates.T])
 
     return EXIT_CERTIFICATION if certification_failures else EXIT_OK
 

@@ -225,6 +225,26 @@ def digest_artifacts(directory, exit_code: int) -> dict:
     return out
 
 
+def misformatted_cells(directory) -> list[str]:
+    """Every CSV cell of ``directory`` whose text is not ``'%.17g' % float(cell)``,
+    as ``file:row:column: cell != expected`` (rows from 0).  A cell that is
+    not a number (a str cell) is skipped, and an integer cell passes as
+    written.  The digests compare CSV numbers to 1e-12, so only this check
+    sees how a cell is formatted."""
+    found = []
+    for path in sorted(Path(directory).glob("*.csv")):
+        header, *rows = (line.split(",") for line in path.read_text().splitlines())
+        for r, row in enumerate(rows):
+            for name, cell in zip(header, row):
+                try:
+                    want = "%.17g" % float(cell)
+                except ValueError:
+                    continue
+                if cell != want and not cell.removeprefix("-").isdigit():
+                    found.append(f"{path.name}:{r}:{name}: {cell!r} != {want!r}")
+    return found
+
+
 def compare_digests(golden: dict, fresh: dict, rel_tol: float = 1e-12) -> list[str]:
     """Where ``fresh`` departs from ``golden``, through the leaf-by-leaf JSON
     comparison: any verdict field (``VERDICT_KEYS``) or structure difference,

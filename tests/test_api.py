@@ -5,7 +5,8 @@ and the single-state twins of the stacked eigen, characteristics, norm and
 diagonal-variable layers must stay gone from the package namespace and from
 their modules, with ``Snapshot`` left as the stepper's state, as must
 the frame transport's derivative object and its parameters, the artifact
-writers' second formatting paths, the tracer's second time lookup, and the
+writers' second formatting paths (the CSV row template among them), the
+tracer's second time lookup, and the
 constant frame's diag(L0 Q R0) from ``kron`` with the moc step's
 per-field stencils (the step's row product forms E), and every second way
 into the source: each step opens with one ``Stepper.source`` pass whose
@@ -78,6 +79,11 @@ def test_frame_transport_takes_its_spacing_from_the_frames():
     for fn in (eigenframe.transformed_source, eigenframe.source_diagonal_and_transport):
         params = inspect.signature(fn).parameters
         assert not {"grid", "gradient"} & set(params), fn.__name__
+
+
+def test_csv_cells_are_formatted_one_way():
+    # every CSV goes through write_csv's columns; the row template is gone
+    assert list(inspect.signature(cli.write_csv).parameters) == ["path", "header", "columns"]
 
 
 def test_the_source_is_entered_one_way():

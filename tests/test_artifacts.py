@@ -163,3 +163,21 @@ def test_a_reader_that_closes_the_pipe_ends_the_report_quietly(two_runs):
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1 and err == b""
+
+
+def test_misformatted_cells_are_listed(two_runs, tmp_path):
+    # a float cell not in %.17g is listed; str cells and integer cells pass
+    new = tmp_path / "new"
+    shutil.copytree(two_runs[1], new)
+    assert artifacts.misformatted_cells(new) == []
+    lines = (new / "norms.csv").read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[:3] = ["7", "%.15g" % float(cells[1]), "1e+400"]
+    lines[2] = ",".join(cells)
+    (new / "norms.csv").write_text("\n".join(lines) + "\n")
+    spectrum = (new / "spectrum.csv").read_text().splitlines()
+    assert spectrum[1].startswith(("minus,", "plus,"))
+    header = lines[0].split(",")
+    assert artifacts.misformatted_cells(new) == [
+        f"norms.csv:1:{header[1]}: {cells[1]!r} != {'%.17g' % float(cells[1])!r}",
+        f"norms.csv:1:{header[2]}: '1e+400' != 'inf'"]

@@ -847,8 +847,8 @@ def test_csv_floats_have_full_precision(tmp_path):
 
 
 def _fmt(value) -> str:
-    """One value as the CSV templates write it: %d for an integer, %.17g for
-    a float, %s for anything else."""
+    """One value as a CSV column writes it: %d for an integer, %.17g for a
+    float, %s for anything else."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -858,25 +858,62 @@ def _fmt(value) -> str:
 
 def test_csv_float_table_matches_value_by_value_formatting(tmp_path):
     rng = np.random.default_rng(8)
-    shape = (2 * cli.CSV_BLOCK + 5, 4)  # two whole blocks and a partial one
+    # two whole blocks and a partial one
+    shape = (2 * (cli.CSV_BLOCK // 4) + 5, 4)
     table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
     table[0] = [0.0, -0.0, np.inf, np.nan]
     table[1] = [1.0, -3.0, 1e17, 5e-324]
-    write_csv(tmp_path / "fast.csv", ["a", "b", "c", "d"], table)
+    write_csv(tmp_path / "fast.csv", ["a", "b", "c", "d"], [*table.T])
     want = "a,b,c,d\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in table)
     assert (tmp_path / "fast.csv").read_text() == want
 
 
-def test_csv_row_template_matches_value_by_value_formatting(tmp_path):
+def test_csv_mixed_columns_match_value_by_value_formatting(tmp_path):
     rng = np.random.default_rng(9)
     floats = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e17, 5e-324, 0.1,
               *(rng.standard_normal(60) * 10.0 ** rng.integers(-300, 300, 60))]
     rows = [("minus" if k % 2 else "plus", x, k, np.float64(-x), np.int64(-k))
             for k, x in enumerate(floats)]
-    write_csv(tmp_path / "t.csv", ["s", "x", "k", "y", "m"], rows,
-              template="%s,%.17g,%d,%.17g,%d")
+    write_csv(tmp_path / "t.csv", ["s", "x", "k", "y", "m"],
+              [np.array(column) for column in zip(*rows)])
     want = "s,x,k,y,m\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     assert (tmp_path / "t.csv").read_text() == want
+
+
+def test_csv_text_columns_take_any_width(tmp_path):
+    # str cells longer than a float cell, non-ASCII text, and 64-bit integers
+    words = np.array(["", "a b", "ü" * 30, "x" * 40])
+    ints = np.array([0, -1, 2 ** 63 - 1, -2 ** 63])
+    write_csv(tmp_path / "t.csv", ["w", "i", "f"], [words, ints, np.full(4, 0.5)])
+    want = "w,i,f\n" + "".join(f"{w},{i},0.5\n" for w, i in zip(words.tolist(), ints.tolist()))
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == want
+
+
+def test_csv_refuses_a_column_that_is_not_float_integer_or_str(tmp_path):
+    with pytest.raises(TypeError, match="complex128"):
+        write_csv(tmp_path / "t.csv", ["z"], [np.array([1j])])
+    assert not list(tmp_path.iterdir())
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    # a write that raises midway or at the rename: the artifact keeps its old bytes
+    path = tmp_path / "norms.csv"
+    path.write_bytes(b"old\n")
+
+    def write_then_fail(self, data):
+        Path.write_text(self, "partial")
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_bytes", write_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(path, ["t"], [np.arange(3.0)])
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", mock.Mock(side_effect=OSError("rename failed")))
+        with pytest.raises(OSError, match="rename failed"):
+            cli.write_json(path, {"a": 1})
+    assert [p.name for p in tmp_path.iterdir()] == ["norms.csv"]
+    assert path.read_bytes() == b"old\n"
 
 
 _CSV_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e17]),
@@ -891,7 +928,7 @@ def _rows_one_by_one(header, rows, template):
 @given(data=st.data(), block=st.sampled_from([1, 3, 8, cli.CSV_BLOCK]))
 def test_csv_blocks_match_per_row_formatting(tmp_path_factory, data, block):
     # 0 rows, whole blocks and a partial last block, for float tables and
-    # for rows through a %s,%d,%.17g template
+    # for str, float and integer columns, against Python's % row by row
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     n_rows = data.draw(st.integers(0, 3 * block + 2) if block < 10 else st.integers(0, 20))
     table = data.draw(arrays(np.float64, (n_rows, data.draw(st.integers(1, 4))),
@@ -899,11 +936,13 @@ def test_csv_blocks_match_per_row_formatting(tmp_path_factory, data, block):
     header = [f"c{k}" for k in range(table.shape[1])]
     rows = [(data.draw(st.sampled_from(["minus", "plus", "a b"])), x, k, np.int64(-k))
             for k, x in enumerate(data.draw(st.lists(_CSV_FLOATS, max_size=n_rows)))]
+    columns = [np.array([row[c] for row in rows], dtype=dtype)
+               for c, dtype in enumerate([str, np.float64, np.int64, np.int64])]
     with mock.patch.object(cli, "CSV_BLOCK", block):
-        write_csv(path, header, table)
+        write_csv(path, header, [*table.T])
         assert path.read_text() == _rows_one_by_one(
             header, table.tolist(), ",".join(["%.17g"] * table.shape[1]))
-        write_csv(path, ["s", "x", "k", "m"], iter(rows), template="%s,%.17g,%d,%d")
+        write_csv(path, ["s", "x", "k", "m"], columns)
         assert path.read_text() == _rows_one_by_one(["s", "x", "k", "m"], rows,
                                                     "%s,%.17g,%d,%d")
 
