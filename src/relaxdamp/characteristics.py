@@ -113,15 +113,15 @@ def trace_many(traj: Trajectory, j, x0s, n_sub: int = 4) -> CharPaths:
     """
     fams = [int(j)] if np.ndim(j) == 0 else [int(f) for f in j]
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
-    frames0 = traj.frames(0)
+    frames0 = traj.frames[0]
     if frames0.constant:
         lam = frames0.lambdas[0, fams][:, None]
 
         def velocity(s, x):
             return lam - traj.shift.delta_dot(s)
     else:
-        field = _FieldInterp(traj, np.stack([traj.frames(i).lambdas[:, fams]
-                                             for i in range(traj.n_times)]))
+        field = _FieldInterp(traj, np.stack([frames.lambdas[:, fams]
+                                             for frames in traj.frames]))
         rows = np.arange(len(fams))[:, None]
 
         def velocity(s, x):

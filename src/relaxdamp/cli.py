@@ -144,9 +144,9 @@ def stage_profile(cfg: Config, out: Path) -> int:
 
 def stage_check(cfg: Config, out: Path) -> int:
     model, prof = cfg.model, cfg.profile
-    sc = cfg.spectral_cfg
+    sc = cfg.raw["spectral"]
 
-    report = validate_model(model, n_samples=100, seed=cfg.seed)
+    report = validate_model(model, n_samples=100, seed=cfg.raw["seed"])
     assumptions: dict = {
         "model_validation": {
             "max_rel_jacobian_error": report.max_rel_jacobian_error,
@@ -179,7 +179,7 @@ def stage_check(cfg: Config, out: Path) -> int:
     }
 
     cert = spec.dissipativity_certificate(model, xi_max=sc["xi_max"],
-                                          n_xi=int(sc["n_xi"]),
+                                          n_xi=sc["n_xi"],
                                           margin=sc["margin"],
                                           xi_min=sc["xi_min"])
     a3: dict = {
@@ -241,9 +241,8 @@ def stage_check(cfg: Config, out: Path) -> int:
 
 
 def _write_trajectory(cfg: Config, traj: dyn.Trajectory, out: Path) -> None:
-    dc = cfg.dynamics_cfg
-    sx = int(dc["trajectory_stride_x"])
-    st = int(dc["trajectory_stride_t"])
+    dc = cfg.raw["dynamics"]
+    sx, st = dc["trajectory_stride_x"], dc["trajectory_stride_t"]
     N = traj.model.N
     header = (["t", "x"] + [f"U_{k+1}" for k in range(N)]
               + [f"Phi_{k+1}" for k in range(N)] + [f"Psi_{k+1}" for k in range(N)])
@@ -251,7 +250,7 @@ def _write_trajectory(cfg: Config, traj: dyn.Trajectory, out: Path) -> None:
     blocks = []
     for i in range(0, traj.n_times, st):
         U = traj.states[i]
-        Phi, Psi = (traj.frames(i).to_diag(F) for F in (U, traj.W[i]))
+        Phi, Psi = (traj.frames[i].to_diag(F) for F in (U, traj.W[i]))
         blocks.append(np.column_stack([np.full(len(x), traj.times[i]), x, U[::sx],
                                        Phi[::sx], Psi[::sx]]))
     write_csv(out / "trajectory.csv", header, [*np.vstack(blocks).T])
@@ -268,17 +267,16 @@ def stage_evolve(cfg: Config, out: Path) -> int:
 
 def stage_verify(cfg: Config, out: Path) -> int:
     model, prof, traj = cfg.model, cfg.profile, cfg.trajectory
-    vc = cfg.verify_cfg
-    dc = cfg.dynamics_cfg
+    vc = cfg.raw["verify"]
     theta_grid = cfg.theta_grid()
     dr = cfg.damping
     shift = traj.shift
 
-    radius = chars.no_damping_radius(model, prof, eps_budget=dc["budget"],
+    radius = chars.no_damping_radius(model, prof, eps_budget=traj.budget,
                                      theta_E=dr.theta_E, source=cfg.profile_source)
     span = max(2.0 * radius.R, 10.0)
-    starts = np.linspace(-span, span, int(vc["n_paths"]))
-    paths = chars.trace_many(traj, range(model.N), starts, n_sub=int(vc["n_sub"]))
+    starts = np.linspace(-span, span, vc["n_paths"])
+    paths = chars.trace_many(traj, range(model.N), starts, n_sub=vc["n_sub"])
     chars.accumulate_H(paths, traj)
 
     hb = chars.verify_H_bound(
@@ -296,7 +294,7 @@ def stage_verify(cfg: Config, out: Path) -> int:
     if hb.unbounded is not None:
         hb_payload["error"] = hb.unbounded
 
-    c_nonchar = traj.frames(0).min_abs_lambda
+    c_nonchar = traj.frames[0].min_abs_lambda
     exit_bound = 2.0 * radius.R / max(c_nonchar - shift.eps_delta, 1e-12)
     hb_payload.update({
         "no_damping_radius": {
@@ -309,7 +307,7 @@ def stage_verify(cfg: Config, out: Path) -> int:
     })
     write_json(out / "h_bound.json", hb_payload)
 
-    out_rows = slice(None, None, int(vc["n_sub"]))  # the samples at output times
+    out_rows = slice(None, None, vc["n_sub"])  # the samples at output times
     n_out, n_paths = paths.positions[out_rows].shape
     write_csv(out / "characteristics.csv", ["j", "x0", "s", "X", "H"], [
         np.repeat(paths.family + 1.0, n_out), np.repeat(paths.x0, n_out),
@@ -317,7 +315,7 @@ def stage_verify(cfg: Config, out: Path) -> int:
         paths.H[out_rows].T.ravel()])
 
     # the L^2/H^2 estimate is for localised data: offset data certifies C^K_b only
-    localised = cfg.build_perturbation().kind != "offset"
+    localised = traj.perturbation.kind != "offset"
     kinds = [kind for kind in dyn.NORM_KINDS if localised or kind.startswith("c")]
     tables = {kind: dv.fit_damping(traj, kind, theta_grid, C_cap=vc["C_cap"])
               for kind in kinds}
@@ -413,7 +411,7 @@ def run(subcommand: str, cfg: Config, out_dir: str | None = None) -> int:
     it was raised (``_raised_at``), type and message.
     """
     cfg = dataclasses.replace(cfg)
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out = Path(out_dir if out_dir is not None else cfg.raw["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     code, name = EXIT_OK, None
     try:

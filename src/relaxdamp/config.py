@@ -19,7 +19,8 @@ from .errors import ParseError, ValidationError
 from .eigenframe import (DampingRate, FrameField, SourceField, damping_rate,
                          frames_at_states, transformed_source)
 from .model import ModelSpec, build_custom, build_jinxin, state_box_problem
-from .dynamics import CFL_LIMIT, EDGE_TRIM, PerturbationSpec, ShiftSpec, Trajectory, evolve
+from .dynamics import (CFL_LIMIT, MIN_NODES, PerturbationSpec, ShiftSpec, Trajectory,
+                       evolution_nodes, evolve)
 from .profile import ProfileRep, exact_jinxin_profile, solve_profile
 
 
@@ -108,7 +109,7 @@ def _merge(defaults: dict, given: dict, path: str) -> dict:
     for key, dval in defaults.items():
         if key in given:
             gval = given[key]
-            if isinstance(dval, dict) and gval is not None:
+            if isinstance(dval, dict):
                 if not isinstance(gval, dict):
                     raise ValidationError(f"expected object at {path}{key}",
                                           key_path=path + key)
@@ -180,6 +181,13 @@ def _check_number(value, key_path, positive=False, nonnegative=False,
         _require(value <= maximum, f"must be <= {maximum}, got {value!r}", key_path)
 
 
+def _integer(value, key_path: str, minimum: int) -> int:
+    """An integer setting, checked and typed once: validation stores the int
+    this returns, and readers take it as it stands."""
+    _check_number(value, key_path, integer=True, minimum=minimum)
+    return int(value)
+
+
 @dataclass
 class Config:
     """Validated configuration with builders for the run's domain objects.
@@ -192,41 +200,13 @@ class Config:
 
     raw: dict = field(default_factory=_default_config)
 
-    @property
-    def model_cfg(self) -> dict:
-        return self.raw["model"]
-
-    @property
-    def profile_cfg(self) -> dict:
-        return self.raw["profile"]
-
-    @property
-    def spectral_cfg(self) -> dict:
-        return self.raw["spectral"]
-
-    @property
-    def dynamics_cfg(self) -> dict:
-        return self.raw["dynamics"]
-
-    @property
-    def verify_cfg(self) -> dict:
-        return self.raw["verify"]
-
-    @property
-    def output_dir(self) -> str:
-        return self.raw["output_dir"]
-
-    @property
-    def seed(self) -> int:
-        return int(self.raw["seed"])
-
     def build_model(self) -> ModelSpec:
-        mc = self.model_cfg
+        mc = self.raw["model"]
         if mc["kind"] == "jinxin":
             return build_jinxin(a=mc["a"], eps=mc["eps"], flux=mc["flux"],
                                 u_minus=mc["u_minus"], u_plus=mc["u_plus"])
         return build_custom(
-            name=mc.get("name", "custom"), N=int(mc["N"]),
+            name=mc.get("name", "custom"), N=mc["N"],
             A_entries=mc["A"], q_entries=mc["q"],
             U_minus=mc.get("U_minus"), U_plus=mc.get("U_plus"),
             state_box=mc.get("state_box"),
@@ -239,11 +219,11 @@ class Config:
 
     @cached_property
     def profile(self) -> ProfileRep:
-        pc = self.profile_cfg
+        pc = self.raw["profile"]
         if pc["method"] == "exact":
-            grid = np.linspace(-pc["X"], pc["X"], int(pc["n"]))
+            grid = np.linspace(-pc["X"], pc["X"], pc["n"])
             return exact_jinxin_profile(self.model, grid)
-        return solve_profile(self.model, X=pc["X"], n=int(pc["n"]), tol=pc["tol"])
+        return solve_profile(self.model, X=pc["X"], n=pc["n"], tol=pc["tol"])
 
     @cached_property
     def profile_frames(self) -> FrameField:
@@ -263,10 +243,10 @@ class Config:
 
     @cached_property
     def trajectory(self) -> Trajectory:
-        dc = self.dynamics_cfg
+        dc = self.raw["dynamics"]
         return evolve(self.model, self.profile, self.build_perturbation(),
                       self.build_shift(), T=dc["T"], backend=dc["backend"],
-                      dx=dc["dx"], cfl=dc["cfl"], n_out=int(dc["n_out"]),
+                      dx=dc["dx"], cfl=dc["cfl"], n_out=dc["n_out"],
                       budget=dc["budget"])
 
     def build_perturbation(self) -> PerturbationSpec:
@@ -274,17 +254,19 @@ class Config:
         section's keys are the record's fields, and ``PerturbationSpec.sample``
         reads those of its kind."""
         return PerturbationSpec(**{key: tuple(v) if isinstance(v, list) else v
-                                   for key, v in self.dynamics_cfg["perturbation"].items()})
+                                   for key, v in self.raw["dynamics"]["perturbation"].items()})
 
     def build_shift(self) -> ShiftSpec:
-        return ShiftSpec(**self.dynamics_cfg["shift"])
+        return ShiftSpec(**self.raw["dynamics"]["shift"])
 
     def theta_grid(self) -> np.ndarray:
-        tg = self.verify_cfg["theta_grid"]
-        return np.linspace(tg["start"], tg["stop"], int(tg["num"]))
+        tg = self.raw["verify"]["theta_grid"]
+        return np.linspace(tg["start"], tg["stop"], tg["num"])
 
 
 def _validate(raw: dict) -> None:
+    """Check every setting of a merged config, and store each integer
+    setting as an int."""
     mc = raw["model"]
     _require(mc["kind"] in ("jinxin", "custom"),
              f"kind must be jinxin or custom, got {mc['kind']!r}", "model.kind")
@@ -299,8 +281,7 @@ def _validate(raw: dict) -> None:
         _require(mc["u_minus"] != mc["u_plus"], "endstates must differ",
                  "model.u_plus")
     else:
-        _check_number(mc.get("N", 0), "model.N", integer=True, minimum=1)
-        n = int(mc["N"])
+        n = mc["N"] = _integer(mc.get("N", 0), "model.N", 1)
         _check_entries(mc.get("A"), n, "model.A", square=True)
         _check_entries(mc.get("q"), n, "model.q")
         for key in ("U_minus", "U_plus"):
@@ -318,7 +299,7 @@ def _validate(raw: dict) -> None:
 
     pc = raw["profile"]
     _check_number(pc["X"], "profile.X", positive=True)
-    _check_number(pc["n"], "profile.n", integer=True, minimum=11)
+    pc["n"] = _integer(pc["n"], "profile.n", 11)
     _check_number(pc["tol"], "profile.tol", positive=True)
     _require(pc["method"] in ("shooting", "exact"),
              "method must be shooting or exact", "profile.method")
@@ -328,7 +309,7 @@ def _validate(raw: dict) -> None:
     _check_number(sc["xi_max"], "spectral.xi_max", positive=True)
     _require(sc["xi_max"] > sc["xi_min"], "xi_max must exceed xi_min",
              "spectral.xi_max")
-    _check_number(sc["n_xi"], "spectral.n_xi", integer=True, minimum=100)
+    sc["n_xi"] = _integer(sc["n_xi"], "spectral.n_xi", 100)
     _check_number(sc["margin"], "spectral.margin", positive=True)
     _check_number(sc["c_min"], "spectral.c_min", positive=True)
 
@@ -360,17 +341,15 @@ def _validate(raw: dict) -> None:
     _require(dc["backend"] in ("moc", "reference"),
              "backend must be moc or reference", "dynamics.backend")
     _check_number(dc["dx"], "dynamics.dx", positive=True)
-    nodes = int(round(2.0 * pc["X"] / dc["dx"])) + 1  # as evolve lays out its grid
-    _require(nodes >= 2 * EDGE_TRIM + 1,
+    nodes = evolution_nodes(pc["X"], dc["dx"])
+    _require(nodes >= MIN_NODES,
              f"dx leaves {nodes} evolution nodes on [-X, X], fewer than the "
-             f"{2 * EDGE_TRIM + 1} the edge-trimmed norms need", "dynamics.dx")
+             f"{MIN_NODES} the edge-trimmed norms need", "dynamics.dx")
     _check_number(dc["cfl"], "dynamics.cfl", positive=True, maximum=CFL_LIMIT)
-    _check_number(dc["n_out"], "dynamics.n_out", integer=True, minimum=1)
+    dc["n_out"] = _integer(dc["n_out"], "dynamics.n_out", 1)
     _check_number(dc["budget"], "dynamics.budget", positive=True)
-    _check_number(dc["trajectory_stride_x"], "dynamics.trajectory_stride_x",
-                  integer=True, minimum=1)
-    _check_number(dc["trajectory_stride_t"], "dynamics.trajectory_stride_t",
-                  integer=True, minimum=1)
+    for key in ("trajectory_stride_x", "trajectory_stride_t"):
+        dc[key] = _integer(dc[key], f"dynamics.{key}", 1)
 
     vc = raw["verify"]
     tg = vc["theta_grid"]
@@ -378,15 +357,15 @@ def _validate(raw: dict) -> None:
     _check_number(tg["stop"], "verify.theta_grid.stop", positive=True)
     _require(tg["stop"] >= tg["start"], "stop must be >= start",
              "verify.theta_grid.stop")
-    _check_number(tg["num"], "verify.theta_grid.num", integer=True, minimum=2)
+    tg["num"] = _integer(tg["num"], "verify.theta_grid.num", 2)
     _check_number(vc["C_cap"], "verify.C_cap", positive=True)
-    _check_number(vc["n_paths"], "verify.n_paths", integer=True, minimum=1)
-    _check_number(vc["n_sub"], "verify.n_sub", integer=True, minimum=1)
+    for key in ("n_paths", "n_sub"):
+        vc[key] = _integer(vc[key], f"verify.{key}", 1)
     _check_number(vc["growth_tol"], "verify.growth_tol", positive=True)
 
     _require(isinstance(raw["output_dir"], str) and raw["output_dir"],
              "output_dir must be a non-empty string", "output_dir")
-    _check_number(raw["seed"], "seed", integer=True, nonnegative=True)
+    raw["seed"] = _integer(raw["seed"], "seed", 0)
 
 
 def parse_config(path) -> Config:

@@ -139,7 +139,7 @@ def weighted_energy_series(traj: Trajectory, weights: Weights,
     e = np.empty((traj.n_times, N))
     phi_l2sq = np.empty(traj.n_times)
     for i in range(traj.n_times):
-        Phi = traj.frames(i).to_diag(traj.states[i])
+        Phi = traj.frames[i].to_diag(traj.states[i])
         for j in range(N):
             e[i, j] = trapezoid4(weights.values[j] * Phi[:, j] ** 2, dx)
         phi_l2sq[i] = float(np.sum(trapezoid4(Phi**2, dx)))

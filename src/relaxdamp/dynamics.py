@@ -64,7 +64,7 @@ bits either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -87,6 +87,7 @@ BLOWUP_FACTOR = 10.0
 CFL_LIMIT = 0.9
 GAUSSIAN_TAIL_MAX = 1e-3  # largest |U0(+-X)| / amplitude of a gaussian
 EDGE_TRIM = 2  # nodes dropped at each end of discrete sup norms (stencil width)
+MIN_NODES = 2 * EDGE_TRIM + 1  # the fewest evolution nodes that leave them an interior
 # the norms whose damping ``verify`` certifies and ``norms.csv`` records:
 # C^K_b for K <= 2, then L^2 and H^2
 NORM_KINDS = ("c0", "c1", "c2", "l2", "h2")
@@ -289,13 +290,14 @@ class SourceSeries:
 
 @dataclass
 class Trajectory:
-    """Stored output of one evolution run: U and the boundary states at every
-    output time.  Each per-output-time field is formed once, on first read:
-    the stack ``W`` of U_x, the frames of a state-dependent A (a constant A
-    reads the Stepper's), the ``norms`` table, and ``source_series``, which
-    keeps no F_tilde or Theta.  U_xx is not stored: ``Y_at`` forms it for one
-    output time, and the norm pass and the source pass each call it once per
-    output time."""
+    """Stored output of one evolution run, handed over whole by ``evolve``: U
+    and the boundary states at every output time, one ``FrameField`` per
+    output time (without A; a constant A repeats its one field), the
+    ``Stepper`` that ran and the ``PerturbationSpec`` it sampled.  The stack
+    ``W`` of U_x, the ``norms`` table and ``source_series`` (no F_tilde or
+    Theta) are formed once, on first read.  U_xx is not stored: ``Y_at``
+    forms it for one output time, and the norm pass and the source pass each
+    call it once per output time."""
 
     model: ModelSpec
     profile: ProfileRep
@@ -309,9 +311,10 @@ class Trajectory:
     dt: float
     cfl_observed: float
     budget: float
+    frames: tuple               # (n_out+1,) FrameField
+    stepper: "Stepper"
+    perturbation: PerturbationSpec
     budget_violation_time: float | None = None
-    blend_width: float = 2.0    # far-field ramp width of offset initial data
-    _frame_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dx(self) -> float:
@@ -337,19 +340,6 @@ class Trajectory:
     def perturbed_states(self, i: int) -> np.ndarray:
         return self.stepper.Ubar + self.states[i]
 
-    def frames(self, i: int) -> FrameField:
-        if self.model.A_is_constant:
-            return self.stepper.frames0
-        if i not in self._frame_cache:
-            self._frame_cache[i] = frames_at_states(self.model, self.grid, self.perturbed_states(i))
-        return self._frame_cache[i]
-
-    @cached_property
-    def stepper(self) -> "Stepper":
-        """The stepper of this trajectory's grid, for the profile there and its
-        forcing fields: the one ``evolve`` ran, or built once on first use."""
-        return Stepper(self.model, self.profile, self.grid, self.shift, self.budget)
-
     @cached_property
     def endstate_E_diag(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal transformed source at U- and U+ (computed once)."""
@@ -357,7 +347,7 @@ class Trajectory:
 
     def source_field(self, i: int) -> SourceField:
         """Transformed source at output time i, formed on every call."""
-        return transformed_source(self.model, self.perturbed_states(i), self.frames(i))
+        return transformed_source(self.model, self.perturbed_states(i), self.frames[i])
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -365,10 +355,10 @@ class Trajectory:
         one pass that reads U and W from the stacks and forms Y once per time.
         c_K is the largest ``interior_max`` of the derivatives of order <= K;
         l2 and h2 use ``trapezoid4``.  Offset data is measured in l2 and h2
-        against the far-field ramp of the run's ``blend_width``; derivative
-        fields are square-integrable as they stand."""
+        against the far-field ramp of the perturbation's ``blend_width``;
+        derivative fields are square-integrable as they stand."""
         dx = self.dx
-        ramp = far_field_ramp(self.grid, self.blend_width)[:, None]
+        ramp = far_field_ramp(self.grid, self.perturbation.blend_width)[:, None]
         table = np.empty((self.n_times, len(NORM_KINDS)))
         for i in range(self.n_times):
             U, W, Y = self.states[i], self.W[i], self.Y_at(i)
@@ -903,30 +893,34 @@ class Stepper:
         raise InvalidParam(f"unknown backend {backend!r}")
 
 
+def evolution_nodes(X: float, dx: float) -> int:
+    """Nodes of the evolution grid on [-X, X] at a spacing of about dx."""
+    return int(round(2.0 * X / dx)) + 1
+
+
 def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
            shift: ShiftSpec, T: float, backend: str = "moc",
            dx: float = 0.02, cfl: float = 0.45, n_out: int = 200,
            budget: float = BUDGET_DEFAULT) -> Trajectory:
-    """Advance the perturbation to time T, storing n_out + 1 snapshots.
+    """Advance the perturbation to time T and hand over the whole Trajectory.
 
     The time step divides the output spacing exactly so runs at different
     resolutions share output times.  The C^1 budget check reads the
     trajectory's ``W`` stack after the last step, so W is formed only at
     output times, and flags the first violation after t = 0 (where
     ``make_initial`` checked the analytic W) instead of aborting.  Frames
-    that vary with the state are decomposed at each output time before the
-    step that starts there, which they begin, and handed to the trajectory;
-    only the final time's are left for it to form.
+    that vary with the state are decomposed at each output time, the last
+    after the final step, and each begins the step that starts there.
     """
     if T <= 0:
         raise InvalidParam("horizon T must be positive")
     if n_out < 1:
         raise InvalidParam("n_out must be >= 1")
     X = profile.half_width
-    n = int(round(2.0 * X / dx)) + 1
-    if n < 2 * EDGE_TRIM + 1:
+    n = evolution_nodes(X, dx)
+    if n < MIN_NODES:
         raise InvalidParam(f"dx = {dx:.6g} leaves {n} grid nodes on [-{X:.6g}, {X:.6g}], "
-                           f"fewer than the {2 * EDGE_TRIM + 1} the edge-trimmed norms need")
+                           f"fewer than the {MIN_NODES} the edge-trimmed norms need")
     grid = np.linspace(-X, X, n)
 
     snap = make_initial(profile, pert, grid, budget)
@@ -940,26 +934,24 @@ def evolve(model: ModelSpec, profile: ProfileRep, pert: PerturbationSpec,
 
     n_times = n_out + 1
     states, bls, brs = (np.empty((n_times, *f.shape)) for f in (snap.U, snap.b_left, snap.b_right))
-    states[0], bls[0], brs[0] = snap.U, snap.b_left, snap.b_right
-    kept = {}  # frames of a state-dependent A at the output times they begin
-    for m in range(1, n_times):
-        if not frames.constant:
-            if m > 1:
+    kept = []  # the frames of each output time, without A
+    for m in range(n_times):
+        if m > 0:
+            for k in range(per_out):
+                # keep output times exact against roundoff drift
+                snap.t = (m - 1 + k / per_out) * (T / n_out)
+                snap = stepper.step(snap, dt, backend, frames if k == 0 else None)
+            if not frames.constant:
                 frames = stepper._frames(stepper.Ubar + snap.U)
-            kept[m - 1] = replace(frames, A=None)  # the trajectory keeps no A
-        for k in range(per_out):
-            # keep output times exact against roundoff drift
-            snap.t = (m - 1 + k / per_out) * (T / n_out)
-            snap = stepper.step(snap, dt, backend, frames if k == 0 else None)
         states[m], bls[m], brs[m] = snap.U, snap.b_left, snap.b_right
+        kept.append(frames if frames.constant else replace(frames, A=None))
+    vars(stepper).pop("_rows", None)  # the moc row buffers: nothing after evolve steps
 
     traj = Trajectory(model=model, profile=profile, shift=shift, backend=backend,
                       grid=grid, times=np.linspace(0.0, T, n_times),
                       states=states, b_left=bls, b_right=brs, dt=dt,
                       cfl_observed=stepper.last_cfl, budget=budget,
-                      blend_width=pert.blend_width, _frame_cache=kept)
-    traj.stepper = stepper  # fills the cached property: one Stepper per run
-    vars(stepper).pop("_rows", None)  # the moc row buffers: nothing after evolve steps
+                      frames=tuple(kept), stepper=stepper, perturbation=pert)
     c1 = np.maximum(np.max(np.abs(states), axis=(1, 2)), np.max(np.abs(traj.W), axis=(1, 2)))
     over = np.flatnonzero(~(c1[1:] <= budget))  # a NaN norm is a violation too
     if over.size:

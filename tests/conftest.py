@@ -10,7 +10,7 @@ import pytest
 from relaxdamp import (build_custom, build_jinxin, exact_jinxin_profile, frames_at_states,
                        transformed_source)
 from relaxdamp.characteristics import CharPaths, _FieldInterp, accumulate_H
-from relaxdamp.dynamics import ShiftSpec, Trajectory, fd4_derivative
+from relaxdamp.dynamics import PerturbationSpec, ShiftSpec, Stepper, Trajectory, fd4_derivative
 from relaxdamp.poly import Poly, node_matmul
 from relaxdamp.profile import constant_profile
 
@@ -68,17 +68,23 @@ def profile_source(model, profile):
 
 def synthetic_trajectory(model, profile, field, T: float, n_out: int,
                          shift: ShiftSpec | None = None) -> Trajectory:
-    """Fabricate a Trajectory from a manufactured field U(t, x)."""
+    """Fabricate a Trajectory from a manufactured field U(t, x), with the
+    fields ``evolve`` sets: a Stepper on the profile's grid, the frames at
+    every output time as that Stepper forms them, and a zero perturbation
+    record, since no initial data was sampled."""
     times = np.linspace(0.0, T, n_out + 1)
     grid = profile.grid
     states = np.stack([field(t, grid) for t in times])
     zeros = np.zeros((n_out + 1, model.N))
+    shift = shift if shift is not None else ShiftSpec(kind="zero")
+    stepper = Stepper(model, profile, grid, shift, budget=1.0)
     return Trajectory(
-        model=model, profile=profile,
-        shift=shift if shift is not None else ShiftSpec(kind="zero"),
+        model=model, profile=profile, shift=shift,
         backend="synthetic", grid=grid, times=times, states=states,
         b_left=zeros, b_right=zeros.copy(), dt=times[1] - times[0],
         cfl_observed=0.0, budget=1.0,
+        frames=tuple(stepper._frames(stepper.Ubar + U) for U in states),
+        stepper=stepper, perturbation=PerturbationSpec(kind="zero"),
     )
 
 

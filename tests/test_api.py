@@ -10,8 +10,10 @@ tracer's second time lookup, and the
 constant frame's diag(L0 Q R0) from ``kron`` with the moc step's
 per-field stencils (the step's row product forms E), and every second way
 into the source: each step opens with one ``Stepper.source`` pass whose
-rows the caller names.  Outcomes travel as data: only the CLI catches a
-toolkit error.
+rows the caller names.  A Trajectory is handed over whole by ``evolve``,
+its frames, Stepper and perturbation plain fields, and the config is read
+through ``Config.raw`` alone.  Outcomes travel as data: only the CLI
+catches a toolkit error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from pathlib import Path
 from conftest import constant_profile, scalar_model
 
 import relaxdamp
-from relaxdamp import characteristics, cli, damping_verifier, dynamics, eigenframe, errors
+from relaxdamp import (characteristics, cli, config, damping_verifier, dynamics, eigenframe,
+                       errors)
 
 REMOVED = {
     eigenframe: ("EigenFrame", "SourceSplit", "decompose", "source_split", "theta_matrix",
@@ -32,9 +35,13 @@ REMOVED = {
                  "GridGradient"),
     characteristics: ("trace", "duhamel_residual"),
     cli: ("_fmt", "_jsonable"),
+    config.Config: ("model_cfg", "profile_cfg", "spectral_cfg", "dynamics_cfg", "verify_cfg",
+                    "output_dir", "seed"),
     damping_verifier: ("ckb_norm", "l2_h2_norms", "_offset_corrected"),
     dynamics: ("diagonal_vars", "DiagVars"),
     dynamics.Stepper: ("_stencil_feet", "forcing"),
+    # instance fields set by evolve, with no class attribute
+    dynamics.Trajectory: ("frames", "stepper"),
     eigenframe.FrameField: ("conjugate_diag", "_kron_diag_rows"),
     errors: ("Unsupported",),
 }
@@ -71,6 +78,17 @@ def test_snapshot_is_the_steppers_state():
         "t", "grid", "U", "b_left", "b_right"]
     assert not hasattr(dynamics.Snapshot, "Y")
     assert not hasattr(dynamics.Trajectory, "snapshot")
+
+
+def test_evolve_hands_over_the_whole_trajectory():
+    # the frames, the Stepper and the perturbation are constructor fields;
+    # no frame cache and no second record of the ramp width
+    fields = {f.name: f for f in dataclasses.fields(dynamics.Trajectory)}
+    assert {"frames", "stepper", "perturbation"} <= set(fields)
+    assert not {"_frame_cache", "blend_width"} & set(fields)
+    empty = dataclasses.MISSING
+    for name in ("frames", "stepper", "perturbation"):
+        assert fields[name].default is empty and fields[name].default_factory is empty, name
 
 
 def test_frame_transport_takes_its_spacing_from_the_frames():

@@ -66,7 +66,7 @@ def test_trace_at_constant_A_interpolates_no_field(jinxin_run, monkeypatch):
     sinusoid = ShiftSpec("sinusoid", amplitude=0.01, frequency=0.05)
     traj = dataclasses.replace(jinxin_run, shift=sinusoid)
     for j in (0, 1):
-        lam = float(traj.frames(0).lambdas[0, j])
+        lam = float(traj.frames[0].lambdas[0, j])
         assert lam == pytest.approx(-2.0 if j == 0 else 2.0, rel=1e-14)
         p = trace_many(traj, j, [1.0])
         assert calls == []
@@ -510,7 +510,7 @@ def test_array_eval_matches_pointwise(run, request):
     x = np.concatenate([[-X - 5.0, -X - 0.013, -X, X, X + 0.013, X + 5.0],
                         np.random.default_rng(3).uniform(-X, X, 9)])
     for j in range(traj.model.N):
-        for columns in ([traj.frames(i).lambdas[:, j] for i in range(traj.n_times)],
+        for columns in ([traj.frames[i].lambdas[:, j] for i in range(traj.n_times)],
                         [traj.source_field(i).E_diag[:, j] for i in range(traj.n_times)]):
             got = characteristics._FieldInterp(traj, columns).eval(s[:, None], x[None, :])
             fields = np.stack(columns)
@@ -671,13 +671,13 @@ def _scalar_rk2(traj, j, x0, n_sub):
     through ``_pointwise_eval`` unless the frames are constant.  The batched
     tracer must reproduce it bit for bit."""
     times = traj.times
-    if traj.frames(0).constant:
-        lam_j = float(traj.frames(0).lambdas[0, j])
+    if traj.frames[0].constant:
+        lam_j = float(traj.frames[0].lambdas[0, j])
 
         def velocity(s, x):
             return lam_j - traj.shift.delta_dot(s)
     else:
-        lam = np.stack([traj.frames(i).lambdas[:, j] for i in range(traj.n_times)])
+        lam = np.stack([traj.frames[i].lambdas[:, j] for i in range(traj.n_times)])
 
         def velocity(s, x):
             return _pointwise_eval(times, traj.grid, lam, s, x) - traj.shift.delta_dot(s)

@@ -51,10 +51,28 @@ def write_config(tmp_path, payload, name="config.json"):
 
 def test_minimal_config_gets_defaults(tmp_path):
     cfg = parse_config(write_config(tmp_path, {"model": {"kind": "jinxin"}}))
-    assert cfg.model_cfg["a"] == 2.0
-    assert cfg.dynamics_cfg["T"] == 80.0
-    assert cfg.verify_cfg["C_cap"] == 1000.0
-    assert cfg.seed == 1234
+    assert cfg.raw["model"]["a"] == 2.0
+    assert cfg.raw["dynamics"]["T"] == 80.0
+    assert cfg.raw["verify"]["C_cap"] == 1000.0
+    assert cfg.raw["seed"] == 1234
+
+
+def test_integer_settings_are_typed_once_at_parse():
+    # validation stores every integer setting as an int, so no reader casts
+    given = {"model": {**_JINXIN_BY_HAND, "N": 2.0}, "profile": {"n": 1001.0},
+             "spectral": {"n_xi": 400.0},
+             "dynamics": {"n_out": 4.0, "trajectory_stride_x": 40.0,
+                          "trajectory_stride_t": 20.0},
+             "verify": {"theta_grid": {"num": 8.0}, "n_paths": 4.0, "n_sub": 4.0},
+             "seed": 7.0}
+    for raw in (config_from_dict(given).raw, config_from_dict({}).raw):
+        dc, vc = raw["dynamics"], raw["verify"]
+        values = [raw["profile"]["n"], raw["spectral"]["n_xi"], dc["n_out"],
+                  dc["trajectory_stride_x"], dc["trajectory_stride_t"],
+                  vc["theta_grid"]["num"], vc["n_paths"], vc["n_sub"], raw["seed"]]
+        assert all(type(value) is int for value in values), values
+    assert type(config_from_dict(given).raw["model"]["N"]) is int
+    assert type(given["profile"]["n"]) is float  # the given dict is left as it was
 
 
 def test_negative_eps_cites_key_path(tmp_path):
@@ -575,17 +593,39 @@ def test_state_dependent_output_frames_come_from_the_evolution(tmp_path, monkeyp
 
     monkeypatch.setattr(dynamics.Stepper, "step", counted_step)
     n_times = VARA["dynamics"]["n_out"] + 1
-    # one decomposition per step: the first step after each output time
-    # begins from the frames evolve formed there, and no transformed source
+    # one decomposition per step and one at the final time: the first step
+    # after each output time begins from the frames evolve formed there, and
+    # no transformed source
     assert run("evolve", config_from_dict(VARA), out_dir=str(tmp_path / "evolve")) == EXIT_OK
     assert len(steps) > n_times
-    assert (len(frames), len(sources)) == (len(steps), 0)
+    assert (len(frames), len(sources)) == (len(steps) + 1, 0)
     for calls in (steps, sources, frames):
         calls.clear()
-    # all adds the profile's frames and the final time's, and one transformed
-    # source per output time plus the profile's
+    # all adds the profile's frames, and one transformed source per output
+    # time plus the profile's
     assert run("all", config_from_dict(VARA), out_dir=str(tmp_path / "all")) == EXIT_OK
     assert (len(frames), len(sources)) == (len(steps) + 2, n_times + 1)
+
+
+def test_verify_forms_no_frames_and_no_stepper(tmp_path, monkeypatch):
+    # evolve hands over the frames of every output time and the Stepper that
+    # ran: all builds that one Stepper, and verify decomposes nothing
+    steppers = []
+    init = dynamics.Stepper.__init__
+
+    def counted_init(self, *args, **kwargs):
+        steppers.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.Stepper, "__init__", counted_init)
+    frames = _count_calls(monkeypatch, "frames_at_states", [eigenframe, config, dynamics])
+    cfg = config_from_dict(VARA)
+    for stage in cli.STAGES["all"]:
+        if stage is cli.stage_verify:
+            assert len(steppers) == 1
+            frames.clear()
+        assert stage(cfg, tmp_path) == EXIT_OK
+    assert (len(frames), len(steppers)) == (0, 1)
 
 
 def test_verify_alone_runs_its_own_evolution(tmp_path, call_counts):
@@ -644,7 +684,7 @@ def test_all_traces_every_family_in_one_pass(tmp_path, monkeypatch, payload):
     assert paths.family.tolist() == [j for j in (0, 1) for _ in range(n_paths)]
     assert paths.H.shape == (len(paths.times), 2 * n_paths)
     rows = (tmp_path / "characteristics.csv").read_text().splitlines()
-    n_sub = config_from_dict(payload).verify_cfg["n_sub"]
+    n_sub = config_from_dict(payload).raw["verify"]["n_sub"]
     assert len(rows) == 1 + 2 * n_paths * len(paths.times[::n_sub])
     j, x0, s, X, H = rows[-1].split(",")
     assert j == "2" and float(x0) == paths.x0[-1] and float(s) == paths.times[-1]
@@ -723,6 +763,12 @@ _OFFSET_SECTION = {"kind": "offset", "d_minus": [1e-3, 0.0], "d_plus": [-1e-3, 0
     ({"dynamics": {"perturbation": {"d_plus": [1e-3]}}}, "dynamics.perturbation.d_plus"),
     ({"dynamics": {"perturbation": {"kind": "shift_difference", "direction": "x"}}},
      "dynamics.perturbation.direction"),
+    # a null section is refused as a list or a string is, not passed on
+    *(({section: None}, section)
+      for section in ("model", "profile", "spectral", "dynamics", "verify")),
+    ({"dynamics": {"shift": None}}, "dynamics.shift"),
+    ({"dynamics": {"perturbation": None}}, "dynamics.perturbation"),
+    ({"verify": {"theta_grid": None}}, "verify.theta_grid"),
 ])
 def test_malformed_config_exits_2_at_its_key(tmp_path, capsys, payload, key_path):
     path = write_config(tmp_path, payload)

@@ -31,12 +31,16 @@ from relaxdamp.profile import constant_profile, exact_jinxin_profile, solve_prof
 
 def still_trajectory(grid, U, b=None):
     """A Trajectory with the one output time t = 0, holding U (n, N) on
-    ``grid`` with boundary states b on both sides (zero by default)."""
+    ``grid`` with boundary states b on both sides (zero by default): enough
+    for the norms, which read no model, frames or stepper.  Its perturbation
+    record is constant offset data at b."""
     b = np.zeros(U.shape[1]) if b is None else b
     return Trajectory(model=None, profile=None, shift=ShiftSpec(kind="zero"),
                       backend="synthetic", grid=grid, times=np.zeros(1), states=U[None],
                       b_left=b[None], b_right=b[None].copy(), dt=0.0, cfl_observed=0.0,
-                      budget=1.0)
+                      budget=1.0, frames=(), stepper=None,
+                      perturbation=PerturbationSpec(kind="offset", d_minus=tuple(b),
+                                                    d_plus=tuple(b)))
 
 
 def snapshot_norms(traj, i):
@@ -50,7 +54,7 @@ def snapshot_norms(traj, i):
         c.append(max(c[-1], interior_max(F)))
     bl, br = traj.b_left[i], traj.b_right[i]
     if np.max(np.abs(bl)) != 0.0 or np.max(np.abs(br)) != 0.0:
-        sig = far_field_ramp(traj.grid, traj.blend_width)
+        sig = far_field_ramp(traj.grid, traj.perturbation.blend_width)
         U = U - (bl[None, :] + sig[:, None] * (br - bl)[None, :])
     l2sq, w2sq, y2sq = (float(np.sum(trapezoid4(F**2, dx))) for F in (U, W, Y))
     return dict(zip(NORM_KINDS, c + [np.sqrt(l2sq), np.sqrt(l2sq + w2sq + y2sq)]))
@@ -113,7 +117,7 @@ def test_offset_norms_use_the_runs_blend_width(jinxin, jinxin_profile):
                                 blend_width=blend_width)
         traj = evolve(jinxin, jinxin_profile, pert, ShiftSpec(kind="zero"),
                       T=0.2, dx=0.08, n_out=1)
-        assert traj.blend_width == blend_width
+        assert traj.perturbation.blend_width == blend_width
         assert norm_series(traj, "l2")[0] == 0.0
         assert norm_series(traj, "l2")[1] > 0.0
         want = oracle_series(traj)

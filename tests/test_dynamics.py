@@ -347,7 +347,7 @@ def test_state_dependent_2x2_evolve_calls_no_lapack_per_step(varA, monkeypatch):
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
     # one A(U) per step at the grid's states, which the frames and the source
-    # share
+    # share, and one for the frames of the final time
     n = int(round(2.0 * prof.half_width / 0.05)) + 1
     grid_A = []
     A_at = ModelSpec.A_at
@@ -364,11 +364,13 @@ def test_state_dependent_2x2_evolve_calls_no_lapack_per_step(varA, monkeypatch):
     steps = round(traj.times[-1] / traj.dt)
     assert steps >= 40 and len(traj.grid) == n
     assert calls["eig"] <= 2 and calls["inv"] <= 2, calls
-    assert len(grid_A) == steps
-    # the frames evolve handed over are those the trajectory would form
+    assert len(grid_A) == steps + 1
+    # the frames evolve handed over, one per output time, are those of the
+    # stored states
+    assert len(traj.frames) == traj.n_times
     for i in range(traj.n_times):
         fresh = frames_at_states(model, traj.grid, traj.perturbed_states(i))
-        for got, want in zip((traj.frames(i).lambdas, traj.frames(i).L, traj.frames(i).R),
+        for got, want in zip((traj.frames[i].lambdas, traj.frames[i].L, traj.frames[i].R),
                              (fresh.lambdas, fresh.L, fresh.R)):
             assert got.tobytes() == want.tobytes(), i
 

@@ -269,8 +269,8 @@ _VARA_MODEL = {"kind": "custom", "name": "jinxin-varA", "N": 2,
 ], ids=["default", "jinxin-dense-ref", "varA"])
 def test_config_scans_match_assignment_matching(payload):
     cfg = config_from_dict(payload)
-    sc = cfg.spectral_cfg
-    xi_grid = np.geomspace(sc["xi_min"], sc["xi_max"], int(sc["n_xi"]))
+    sc = cfg.raw["spectral"]
+    xi_grid = np.geomspace(sc["xi_min"], sc["xi_max"], sc["n_xi"])
     for side in ("minus", "plus"):
         got = _scan_side(cfg.model, side, xi_grid).spectra
         assert got.tobytes() == _scan_side_loop(cfg.model, side, xi_grid).tobytes()
